@@ -15,15 +15,15 @@ from fractions import Fraction
 from typing import Optional
 
 from ioselect import oracle_bench, selector
-from ioselect.graph_core import build_graphs, decompose_sccs, dump_condensation, dump_system_digraph
+from ioselect.graph_core import build_graphs, coverage, decompose_sccs, dump_condensation, dump_system_digraph
 from ioselect.matching import NoPerfectMatching, dump_matching
 from ioselect.selector import SystemHasSFMs, ValidationFailed
 from ioselect.set_cover import (
     Infeasible,
     TooLarge,
+    cover_instances,
     exact_solve,
     greedy_solve,
-    reduce_accessibility_to_wsc,
     wsc_from_json,
     wsc_to_json,
 )
@@ -38,7 +38,6 @@ from ioselect.system_model import (
     restrict,
     system_from_json,
     system_to_json,
-    transpose_dual,
     validate,
     with_mode,
 )
@@ -197,9 +196,8 @@ def _cmd_select(args) -> int:
 
 def _cmd_reduce_setcover(args) -> int:
     system = _load_system(args.instance)
-    if args.dual:
-        system = transpose_dual(system)
-    inst, labels = reduce_accessibility_to_wsc(system)
+    scc = decompose_sccs(build_graphs(system)[0])
+    inst, labels = cover_instances(system, scc, coverage(system, scc))[1 if args.dual else 0]
     doc = wsc_to_json(inst)
     doc["labels"] = [list(states) for states in labels]
     _emit(doc, args)

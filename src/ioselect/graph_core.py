@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from ioselect.system_model import (
     Selection,
@@ -77,13 +78,6 @@ class SystemDigraph:
         out: list[list[int]] = [[] for _ in range(self.size)]
         for s, d, _cls in self.all_edges():
             out[s].append(d)
-        return tuple(tuple(sorted(lst)) for lst in out)
-
-    @cached_property
-    def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for s, d, _cls in self.all_edges():
-            out[d].append(s)
         return tuple(tuple(sorted(lst)) for lst in out)
 
 
@@ -253,68 +247,45 @@ def coverage(system: StructuredSystem, scc: SccDecomposition) -> CoverageTables:
     )
 
 
-def _bfs(start: list[int], successors) -> set[int]:
-    seen = set(start)
-    frontier = list(start)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in successors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+def restricted_vertex_namer(n: int, sel: Selection) -> Callable[[int], str]:
+    """Labels for the vertex ids of the system restricted to ``sel``: the
+    original 1-based x/u/y names, so a restricted u1 may print as u3."""
+    ins, outs = sel.sorted_inputs(), sel.sorted_outputs()
+    m = len(ins)
+
+    def name(v: int) -> str:
+        if v < n:
+            return f"x{v + 1}"
+        if v < n + m:
+            return f"u{ins[v - n] + 1}"
+        return f"y{outs[v - n - m] + 1}"
+
+    return name
 
 
-def all_accessible(system: StructuredSystem, sel: Selection) -> bool:
-    """True iff every state is reachable from a selected input.
-
-    Computed two ways and cross-checked: BFS from the retained input
-    vertices in the restricted system digraph, and the condensation
-    criterion (every non-top SCC covered by the selection).  Feedback edges
-    cannot extend reachability from the full input set, so both agree.
-    """
-    restricted = restrict(system, sel)
+def _feedback_sccs(
+    restricted: StructuredSystem,
+) -> tuple[list[list[int]], list[int], dict[int, tuple[int, int]]]:
+    """SCCs of the restricted system digraph, each vertex's SCC, and per SCC
+    its smallest feedback edge (SCCs without one are absent)."""
     _sg, dg = build_graphs(restricted)
-    n = restricted.n
-    sources = list(range(n, n + restricted.m))
-    reached = _bfs(sources, dg.successors)
-    by_bfs = all(v in reached for v in range(n))
-
-    scc = decompose_sccs(build_graphs(system)[0])
-    cov = coverage(system, scc)
-    covered: set[int] = set()
-    for i in sel.inputs:
-        covered |= cov.input_covers[i]
-    by_cover = len(covered) == scc.q
-
-    assert by_bfs == by_cover, "reachability and coverage criteria disagree"
-    return by_bfs
+    comps = _tarjan(dg.size, dg.successors)
+    comp_of = [0] * dg.size
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    k_edge_of: dict[int, tuple[int, int]] = {}
+    for edge in dg.ek:
+        ci = comp_of[edge[0]]
+        if comp_of[edge[1]] == ci and (ci not in k_edge_of or edge < k_edge_of[ci]):
+            k_edge_of[ci] = edge
+    return comps, comp_of, k_edge_of
 
 
-def all_sensable(system: StructuredSystem, sel: Selection) -> bool:
-    """True iff every state reaches a selected output (mirror of accessibility)."""
-    restricted = restrict(system, sel)
-    _sg, dg = build_graphs(restricted)
-    n, m = restricted.n, restricted.m
-    sinks = list(range(n + m, n + m + restricted.p))
-    reaches_out = _bfs(sinks, dg.predecessors)
-    by_bfs = all(v in reaches_out for v in range(n))
-
-    scc = decompose_sccs(build_graphs(system)[0])
-    cov = coverage(system, scc)
-    covered: set[int] = set()
-    for j in sel.outputs:
-        covered |= cov.output_covers[j]
-    by_cover = len(covered) == scc.k
-
-    assert by_bfs == by_cover, "reachability and coverage criteria disagree"
-    return by_bfs
-
-
-def _system_sccs(dg: SystemDigraph) -> list[list[int]]:
-    return _tarjan(dg.size, dg.successors)
+def restricted_condition_a(restricted: StructuredSystem) -> bool:
+    """:func:`condition_a_holds` for a system already restricted to its selection."""
+    _comps, comp_of, k_edge_of = _feedback_sccs(restricted)
+    return all(comp_of[v] in k_edge_of for v in range(restricted.n))
 
 
 def condition_a_holds(system: StructuredSystem, sel: Selection) -> bool:
@@ -322,21 +293,9 @@ def condition_a_holds(system: StructuredSystem, sel: Selection) -> bool:
     that contains at least one feedback edge.
 
     This is the general test; for a complete K and nonempty selection it is
-    equivalent to accessibility plus sensability, which callers may assert
-    as a cross-check.
+    equivalent to accessibility plus sensability.
     """
-    restricted = restrict(system, sel)
-    _sg, dg = build_graphs(restricted)
-    comps = _system_sccs(dg)
-    comp_of = [0] * dg.size
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    has_k_edge = [False] * len(comps)
-    for s, d in dg.ek:
-        if comp_of[s] == comp_of[d]:
-            has_k_edge[comp_of[s]] = True
-    return all(has_k_edge[comp_of[v]] for v in range(restricted.n))
+    return restricted_condition_a(restrict(system, sel))
 
 
 def condition_a_witness(
@@ -348,35 +307,18 @@ def condition_a_witness(
     Vertex labels refer to original (unrestricted) indices.
     """
     restricted = restrict(system, sel)
-    in_keep = sel.sorted_inputs()
-    out_keep = sel.sorted_outputs()
-    _sg, dg = build_graphs(restricted)
-    n, m = restricted.n, restricted.m
-
-    def label(v: int) -> str:
-        if v < n:
-            return f"x{v + 1}"
-        if v < n + m:
-            return f"u{in_keep[v - n] + 1}"
-        return f"y{out_keep[v - n - m] + 1}"
-
-    comps = _system_sccs(dg)
-    comp_of = [0] * dg.size
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    k_edge_of: dict[int, tuple[int, int]] = {}
-    for s, d in sorted(dg.ek):
-        ci = comp_of[s]
-        if comp_of[d] == ci and ci not in k_edge_of:
-            k_edge_of[ci] = (s, d)
+    comps, comp_of, k_edge_of = _feedback_sccs(restricted)
+    name = restricted_vertex_namer(restricted.n, sel)
+    members: dict[int, list[str]] = {}
     witness: dict[str, dict[str, object]] = {}
-    for v in range(n):
+    for v in range(restricted.n):
         ci = comp_of[v]
+        if ci not in members:
+            members[ci] = [name(w) for w in sorted(comps[ci])]
         edge = k_edge_of.get(ci)
-        witness[label(v)] = {
-            "scc": [label(w) for w in sorted(comps[ci])],
-            "feedback_edge": [label(edge[0]), label(edge[1])] if edge else None,
+        witness[name(v)] = {
+            "scc": members[ci],
+            "feedback_edge": [name(edge[0]), name(edge[1])] if edge else None,
         }
     return witness
 

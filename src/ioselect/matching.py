@@ -24,19 +24,23 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from typing import Iterator
 
-from ioselect.graph_core import vertex_name
+from ioselect.graph_core import (
+    EDGE_K as EDGE_EK,
+    EDGE_U as EDGE_EU,
+    EDGE_X as EDGE_EX,
+    EDGE_Y as EDGE_EY,
+    vertex_name,
+)
 from ioselect.system_model import (
+    InvariantViolated,
     ModelError,
     Selection,
     StructuredSystem,
     restrict,
 )
 
-EDGE_EX = "EX"
-EDGE_EU = "EU"
-EDGE_EY = "EY"
-EDGE_EK = "EK"
 EDGE_EUU = "EUU"
 EDGE_EYY = "EYY"
 
@@ -155,19 +159,43 @@ def _hopcroft_karp(
         if not found:
             return matched
 
-        def try_augment(l: int) -> bool:
-            for r in adj[l]:
-                nxt = match_r[r]
-                if nxt < 0 or (dist[nxt] == dist[l] + 1 and try_augment(nxt)):
+        # Depth-first search for augmenting paths along the BFS layers.  The
+        # vertex being scanned and its neighbour iterator live in locals;
+        # ``path`` holds the (vertex, iterator) frames below it, so path
+        # length is not bounded by the recursion limit.
+        for root in range(size):
+            if match_l[root] >= 0:
+                continue
+            path: list[tuple[int, Iterator[int]]] = []
+            l, it = root, iter(adj[root])
+            while True:
+                next_layer = dist[l] + 1
+                for r in it:
+                    nxt = match_r[r]
+                    if nxt < 0 or dist[nxt] == next_layer:
+                        break
+                else:  # dead end: l is not tried again this phase
+                    dist[l] = INF
+                    if not path:
+                        break
+                    l, it = path.pop()
+                    continue
+                if nxt >= 0:  # descend to the left vertex matched to r
+                    path.append((l, it))
+                    l, it = nxt, iter(adj[nxt])
+                    continue
+                # r is free: flip the path.  Each vertex below takes the
+                # right vertex its successor was matched to.
+                while True:
+                    prev = match_l[l]
                     match_l[l] = r
                     match_r[r] = l
-                    return True
-            dist[l] = INF
-            return False
-
-        for l in range(size):
-            if match_l[l] < 0 and try_augment(l):
+                    if not path:
+                        break
+                    r = prev
+                    l, _it = path.pop()
                 matched += 1
+                break
 
 
 def _adjacency(g: SystemBipartiteGraph) -> list[list[int]]:
@@ -350,7 +378,7 @@ def extract_io(matching: Matching) -> tuple[Selection, int]:
     I(M) collects inputs matched through EU edges, J(M) outputs matched
     through EY edges.  For complete (or any) K, the feedback edges in the
     matching are in bijection with both sets, so the selection cost equals
-    the matching cost; this is asserted.
+    the matching cost; :class:`InvariantViolated` is raised if they are not.
     """
     if not matching.perfect:
         raise ModelError("extract_io needs a perfect matching")
@@ -359,7 +387,8 @@ def extract_io(matching: Matching) -> tuple[Selection, int]:
     outputs = frozenset(e.left - n - m for e in matching.edges if e.cls == EDGE_EY)
     k_in = frozenset(e.left - n for e in matching.edges if e.cls == EDGE_EK)
     k_out = frozenset(e.right - n - m for e in matching.edges if e.cls == EDGE_EK)
-    assert k_in == inputs and k_out == outputs, "feedback edges out of bijection"
+    if k_in != inputs or k_out != outputs:
+        raise InvariantViolated("feedback edges out of bijection with used inputs/outputs")
     return Selection(inputs, outputs), matching.total_cost
 
 

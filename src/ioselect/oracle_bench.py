@@ -18,9 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -319,31 +317,15 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     return BenchRecord(**base)
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("IOSELECT_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(32, os.cpu_count() or 1)
-
-
 def bench(
     configs: Iterable[GeneratorConfig],
     trials: int,
     oracle: bool = False,
-    threads: Optional[int] = None,
 ) -> tuple[list[BenchRecord], dict]:
-    """Run ``trials`` instances per config; returns records (in deterministic
-    config-major, trial-minor order) and a summary with ratio extremes and a
-    runtime-vs-n table."""
-    configs = list(configs)
-    workers = threads if threads is not None else _thread_cap()
-    jobs = [(cfg, t) for cfg in configs for t in range(trials)]
-    if workers == 1:
-        records = [_run_trial(cfg, t, oracle) for cfg, t in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_trial, cfg, t, oracle) for cfg, t in jobs]
-            records = [f.result() for f in futures]
+    """Run ``trials`` instances per config, one after another in this
+    process; returns records (config-major, trial-minor order) and a summary
+    with ratio extremes and a runtime-vs-n table."""
+    records = [_run_trial(cfg, t, oracle) for cfg in configs for t in range(trials)]
 
     ratios = [r.ratio for r in records if r.ratio is not None]
     by_n: dict[int, list[float]] = {}

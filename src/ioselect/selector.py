@@ -7,11 +7,13 @@ disjoint cycles.  For discrete-time systems only condition (a) matters.
 
 ``select_min_cost_io`` runs the three-stage approximation:
 
-1. greedy weighted set cover on the accessibility reduction  -> I_A
-2. the same on the transposed dual (sensability)             -> J_A
+1. greedy weighted set cover of the non-top SCCs by inputs   -> I_A
+2. the same for the non-bottom SCCs by outputs (sensability) -> J_A
 3. minimum-cost perfect matching on the full bipartite graph -> (I_C, J_C)
 
 and returns the union (I_A u I_C, J_A u J_C), which is always feasible.
+Both covers and the special-case tags come from one SCC decomposition of
+the state digraph.
 Stage 3 alone is a certified lower bound on the optimum; enabling the exact
 cover oracle tightens the bound with the exact stage-1/2 optima.
 """
@@ -26,21 +28,25 @@ from typing import Optional
 
 from ioselect import matching as matching_mod
 from ioselect.graph_core import (
+    SccDecomposition,
     build_graphs,
-    condition_a_holds,
     condition_a_witness,
+    coverage,
     decompose_sccs,
+    restricted_condition_a,
+    restricted_vertex_namer,
     vertex_name,
 )
 from ioselect.set_cover import (
     Cover,
+    cover_instances,
     cover_to_selection,
     exact_solve,
     greedy_solve,
-    reduce_accessibility_to_wsc,
 )
 from ioselect.system_model import (
     COST_SCALE,
+    InvariantViolated,
     ModelError,
     Selection,
     StructuredSystem,
@@ -48,7 +54,6 @@ from ioselect.system_model import (
     format_ratio,
     restrict,
     selection_cost,
-    transpose_dual,
     validate,
 )
 
@@ -85,10 +90,11 @@ def check_no_sfm(system: StructuredSystem, sel: Selection) -> SfmStatus:
     Continuous mode tests both conditions; discrete mode only condition (a),
     so Type-2 is never reported there.
     """
-    cond_a = condition_a_holds(system, sel)
+    sub = restrict(system, sel)
+    cond_a = restricted_condition_a(sub)
     if system.mode == "discrete":
         return SfmStatus.NO_SFM if cond_a else SfmStatus.TYPE1
-    cond_b = matching_mod.cycle_cover_check(system, sel)
+    cond_b = matching_mod.has_perfect_matching(matching_mod.build_bipartite(sub))
     if cond_a and cond_b:
         return SfmStatus.NO_SFM
     if cond_a:
@@ -105,14 +111,6 @@ CASE_SINGLE_NONTOP = "single_nontop"
 CASE_SINGLE_NONBOTTOM = "single_nonbottom"
 CASE_GENERAL = "general"
 
-_CASE_PRECEDENCE = (
-    CASE_DISCRETE,
-    CASE_IRREDUCIBLE,
-    CASE_STATE_PM,
-    CASE_SINGLE_NONTOP,
-    CASE_SINGLE_NONBOTTOM,
-)
-
 _GUARANTEES = {
     CASE_DISCRETE: "two greedy cover stages; cycle condition not required",
     CASE_IRREDUCIBLE: "exact optimum",
@@ -124,12 +122,15 @@ _GUARANTEES = {
 
 
 def applicable_special_cases(system: StructuredSystem) -> tuple[str, ...]:
-    """Every structural tag that applies (may be several)."""
+    """Every structural tag that applies (may be several), strongest first:
+    discrete, irreducible, state_pm, single_nontop, single_nonbottom."""
+    return _special_cases(system, decompose_sccs(build_graphs(system)[0]))
+
+
+def _special_cases(system: StructuredSystem, scc: SccDecomposition) -> tuple[str, ...]:
     tags = []
     if system.mode == "discrete":
         tags.append(CASE_DISCRETE)
-    sg, _dg = build_graphs(system)
-    scc = decompose_sccs(sg)
     if len(scc.components) == 1:
         tags.append(CASE_IRREDUCIBLE)
     if matching_mod.state_pattern_has_pm(system):
@@ -144,11 +145,11 @@ def applicable_special_cases(system: StructuredSystem) -> tuple[str, ...]:
 def detect_special_case(system: StructuredSystem) -> str:
     """The strongest applicable tag (precedence: discrete, irreducible,
     state_pm, single_nontop, single_nonbottom), or ``general``."""
-    tags = applicable_special_cases(system)
-    for tag in _CASE_PRECEDENCE:
-        if tag in tags:
-            return tag
-    return CASE_GENERAL
+    return _strongest(applicable_special_cases(system))
+
+
+def _strongest(tags: tuple[str, ...]) -> str:
+    return tags[0] if tags else CASE_GENERAL
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,7 @@ class SelectionReport:
     :func:`ioselect.system_model.format_cost`.
     """
 
+    system: StructuredSystem
     selection: Selection
     total_cost: int
     stage_costs: tuple[Optional[int], Optional[int], Optional[int]]
@@ -175,9 +177,14 @@ class SelectionReport:
     stage1_labels: tuple[tuple[int, ...], ...]
     stage2_labels: tuple[tuple[int, ...], ...]
     matching: Optional[matching_mod.Matching]
-    scc_witness: dict
     exact_stage_bound: Optional[int]
     timings: dict[str, float]
+
+    @property
+    def scc_witness(self) -> dict:
+        """Condition-(a) certificate of the selection, built on each access:
+        it costs O(n * |SCC|) and only traces show it."""
+        return condition_a_witness(self.system, self.selection)
 
 
 def sfm_witness(
@@ -201,18 +208,10 @@ def sfm_witness(
     if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
         sub = restrict(system, sel)
         left_ids, right_ids = matching_mod.hall_indices(matching_mod.build_bipartite(sub))
-        ins, outs = sel.sorted_inputs(), sel.sorted_outputs()
-
-        def label(v: int) -> str:
-            if v < sub.n:
-                return f"x{v + 1}"
-            if v < sub.n + sub.m:
-                return f"u{ins[v - sub.n] + 1}"
-            return f"y{outs[v - sub.n - sub.m] + 1}"
-
+        name = restricted_vertex_namer(sub.n, sel)
         witness["hall_violator"] = {
-            "left": [label(v) + "'" for v in left_ids],
-            "neighbors": [label(v) for v in right_ids],
+            "left": [name(v) + "'" for v in left_ids],
+            "neighbors": [name(v) for v in right_ids],
         }
     return witness
 
@@ -256,8 +255,9 @@ def select_min_cost_io(
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(system, status))
 
-    tags = applicable_special_cases(system)
-    primary = detect_special_case(system)
+    scc = decompose_sccs(build_graphs(system)[0])
+    tags = _special_cases(system, scc)
+    primary = _strongest(tags)
 
     stage1 = stage2 = None
     labels1: tuple[tuple[int, ...], ...] = ()
@@ -271,7 +271,7 @@ def select_min_cost_io(
         # pair is therefore optimal; otherwise the matching stage alone is
         # (its cost is a lower bound met with equality).
         t0 = time.perf_counter()
-        if matching_mod.state_pattern_has_pm(system):
+        if CASE_STATE_PM in tags:
             i, j = _cheapest_connected_pair(system)
             selection = Selection.of([i], [j])
             stage_costs: tuple[Optional[int], ...] = (
@@ -289,14 +289,14 @@ def select_min_cost_io(
         timings["cycle"] = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()
-        inst1, labels1 = reduce_accessibility_to_wsc(system)
+        (inst1, labels1), (inst2, labels2) = cover_instances(
+            system, scc, coverage(system, scc)
+        )
         stage1 = greedy_solve(inst1)
         sel1 = cover_to_selection(stage1)
         timings["accessibility"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        dual = transpose_dual(system)
-        inst2, labels2 = reduce_accessibility_to_wsc(dual)
         stage2 = greedy_solve(inst2)
         sel2 = Selection(outputs=stage2.chosen)
         timings["sensability"] = time.perf_counter() - t0
@@ -319,12 +319,13 @@ def select_min_cost_io(
             lower = max(cyc_cost, exact_bound or 0)
 
     total = selection_cost(system, selection)
-    final_status = check_no_sfm(system, selection)
-    assert final_status.ok, "pipeline produced an infeasible selection"
-    assert lower <= total, "lower bound exceeds achieved cost"
+    if not check_no_sfm(system, selection).ok:
+        raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
+    if lower > total:
+        raise InvariantViolated("lower bound exceeds achieved cost")
 
-    witness = condition_a_witness(system, selection)
     return SelectionReport(
+        system=system,
         selection=selection,
         total_cost=total,
         stage_costs=tuple(stage_costs),
@@ -338,7 +339,6 @@ def select_min_cost_io(
         stage1_labels=labels1,
         stage2_labels=labels2,
         matching=match_result,
-        scc_witness=witness,
         exact_stage_bound=exact_bound,
         timings=timings,
     )

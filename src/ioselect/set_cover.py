@@ -16,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ioselect.graph_core import coverage, decompose_sccs, build_graphs
+from ioselect.graph_core import (
+    CoverageTables,
+    SccDecomposition,
+    build_graphs,
+    coverage,
+    decompose_sccs,
+)
 from ioselect.system_model import (
     COMPLETE,
     FormatError,
@@ -211,28 +217,37 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
     return Cover(chosen=frozenset(best_chosen), weight=best_weight, trace=())
 
 
-def reduce_accessibility_to_wsc(
-    system: StructuredSystem,
-) -> tuple[WeightedSetCoverInstance, tuple[tuple[int, ...], ...]]:
-    """Accessibility as weighted set cover.
+CoverInstance = tuple[WeightedSetCoverInstance, tuple[tuple[int, ...], ...]]
 
-    Universe element t is the t-th non-top SCC of D(A) (SCCs numbered by
-    minimum contained state); set i collects the non-top SCCs input i
-    covers; weights are the input costs.  Also returns the universe labels:
-    per element, the sorted 1-based states of that SCC.
+
+def cover_instances(
+    system: StructuredSystem, scc: SccDecomposition, cov: CoverageTables
+) -> tuple[CoverInstance, CoverInstance]:
+    """The accessibility and the sensability cover, from one SCC pass of D(A).
+
+    Accessibility: universe element t is the t-th non-top SCC, set i the
+    non-top SCCs input i covers, weights the input costs.  Sensability is
+    the same over the non-bottom SCCs, outputs and output costs; it equals
+    the accessibility reduction of :func:`transpose_dual`.  Each instance
+    comes with its universe labels: per element, the sorted 1-based states
+    of that SCC.
     """
-    sg, _dg = build_graphs(system)
-    scc = decompose_sccs(sg)
-    cov = coverage(system, scc)
-    labels = tuple(
-        tuple(v + 1 for v in scc.components[ci]) for ci in scc.non_top
+
+    def instance(universe, sets, weights) -> CoverInstance:
+        labels = tuple(tuple(v + 1 for v in scc.components[ci]) for ci in universe)
+        return WeightedSetCoverInstance(len(universe), sets, weights), labels
+
+    return (
+        instance(scc.non_top, cov.input_covers, system.cost_u),
+        instance(scc.non_bottom, cov.output_covers, system.cost_y),
     )
-    inst = WeightedSetCoverInstance(
-        universe_size=scc.q,
-        sets=cov.input_covers,
-        weights=system.cost_u,
-    )
-    return inst, labels
+
+
+def reduce_accessibility_to_wsc(system: StructuredSystem) -> CoverInstance:
+    """Accessibility as weighted set cover (SCCs numbered by minimum
+    contained state); see :func:`cover_instances`."""
+    scc = decompose_sccs(build_graphs(system)[0])
+    return cover_instances(system, scc, coverage(system, scc))[0]
 
 
 def cover_to_selection(cover: Cover) -> Selection:

@@ -40,6 +40,10 @@ class FormatError(ModelError):
     """A JSON document does not match the instance format."""
 
 
+class InvariantViolated(ModelError):
+    """An internal consistency check failed: a defect in this package, not in the input."""
+
+
 def parse_cost(value: Union[str, int]) -> int:
     """Parse a decimal cost string into a scaled integer.
 

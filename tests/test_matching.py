@@ -24,6 +24,7 @@ from ioselect.matching import (
 )
 from ioselect.system_model import (
     COST_SCALE,
+    InvariantViolated,
     ModelError,
     Selection,
     restrict,
@@ -232,6 +233,14 @@ class TestMinCost:
 
         with pytest.raises(ModelError, match="perfect"):
             extract_io(Matching(1, 0, 0, (), perfect=False))
+
+    def test_extract_checks_feedback_bijection(self):
+        from ioselect.matching import Matching
+
+        # x1' -> u1 uses input 1, but no feedback edge leaves u1'
+        edges = (BipEdge(0, 1, EDGE_EU, 0), BipEdge(1, 0, EDGE_EX, 0))
+        with pytest.raises(InvariantViolated, match="bijection"):
+            extract_io(Matching(1, 1, 0, edges, perfect=True))
 
 
 class TestStatePattern:

@@ -233,7 +233,7 @@ class TestBench:
     )
 
     def test_records_and_summary(self):
-        records, summary = bench([self.CFG], trials=5, oracle=True, threads=1)
+        records, summary = bench([self.CFG], trials=5, oracle=True)
         assert [r.seed for r in records] == [100, 101, 102, 103, 104]
         assert summary["instances"] == 5
         assert summary["feasible"] == 5
@@ -251,14 +251,8 @@ class TestBench:
         assert "4" in summary["runtime_by_n"]
         assert summary["runtime_by_n"]["4"]["trials"] == 5
 
-    def test_thread_determinism(self):
-        solo, _ = bench([self.CFG], trials=4, oracle=True, threads=1)
-        multi, _ = bench([self.CFG], trials=4, oracle=True, threads=3)
-        strip = lambda r: {**record_to_json(r), "timings": None}
-        assert [strip(r) for r in solo] == [strip(r) for r in multi]
-
     def test_without_oracle(self):
-        records, summary = bench([self.CFG], trials=2, threads=1)
+        records, summary = bench([self.CFG], trials=2)
         assert summary["with_oracle"] == 0
         assert summary["max_ratio"] is None
         assert all(r.oracle_cost is None and r.ratio is None for r in records)
@@ -268,7 +262,7 @@ class TestBench:
             n=3, m=2, p=2, state_density=0.35, input_density=0.6,
             output_density=0.6, seed=7,
         )
-        records, _ = bench([self.CFG, cfg2], trials=2, threads=2)
+        records, _ = bench([self.CFG, cfg2], trials=2)
         assert [(r.n, r.seed) for r in records] == [
             (4, 100), (4, 101), (3, 7), (3, 8),
         ]
@@ -278,21 +272,11 @@ class TestBench:
             n=2, m=1, p=1, state_density=0.0, input_density=0.0,
             output_density=0.0, max_attempts=2, seed=0,
         )
-        records, summary = bench([cfg], trials=1, threads=1)
+        records, summary = bench([cfg], trials=1)
         assert summary["errors"] == 1 and summary["feasible"] == 0
         rec = records[0]
         assert rec.error == "no feasible instance after 2 attempts"
         assert not rec.feasible and rec.digest == ""
-
-    def test_thread_cap_env(self, monkeypatch):
-        from ioselect.oracle_bench import _thread_cap
-
-        monkeypatch.setenv("IOSELECT_THREADS", "3")
-        assert _thread_cap() == 3
-        monkeypatch.setenv("IOSELECT_THREADS", "0")
-        assert _thread_cap() == 1
-        monkeypatch.delenv("IOSELECT_THREADS")
-        assert _thread_cap() >= 1
 
 
 class TestSerialization:

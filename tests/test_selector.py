@@ -17,8 +17,10 @@ from ioselect.selector import (
     select_min_cost_io,
     sfm_witness,
 )
+from ioselect.matching import state_pattern_has_pm
 from ioselect.system_model import (
     COST_SCALE,
+    InvariantViolated,
     ModelError,
     Selection,
     SparsityPattern,
@@ -368,3 +370,91 @@ class TestReportJson:
         doc = report_to_json(rep)
         assert doc["stage_costs"]["cycle"] is None
         assert doc["total_cost"] == "2"
+
+
+def wrap_counting(monkeypatch, names):
+    """Count calls of each ``module.function`` in ``names``, replacing it in
+    every ioselect module that binds it, so calls made inside its home
+    module count too."""
+    import importlib
+    import sys
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        home, fn_name = name.split(".")
+        original = getattr(importlib.import_module(f"ioselect.{home}"), fn_name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("ioselect") and getattr(mod, fn_name, None) is original:
+                monkeypatch.setattr(mod, fn_name, wrapper)
+    return counts
+
+
+class TestBuildOnce:
+    # Per default select: the full-selection check and the final check each
+    # restrict once and build the system digraph once; one SCC pass of D(A)
+    # feeds the tags and both covers; the witness waits for a trace.
+    LIMITS = {
+        "system_model.restrict": 2,
+        "system_model.transpose_dual": 0,
+        "graph_core.build_graphs": 3,
+        "graph_core.decompose_sccs": 1,
+        "graph_core.coverage": 1,
+        "graph_core.condition_a_witness": 0,
+        "matching.state_pattern_has_pm": 1,
+        "selector.applicable_special_cases": 1,
+    }
+
+    def test_builder_calls_per_select(self, demo, monkeypatch):
+        counts = wrap_counting(monkeypatch, self.LIMITS)
+        rep = select_min_cost_io(demo)
+        assert rep.stage1 is not None and rep.matching is not None  # every stage ran
+        over = {k: v for k, v in counts.items() if v > self.LIMITS[k]}
+        assert over == {}
+
+    def test_witness_built_only_for_traces(self, demo, monkeypatch):
+        counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])
+        rep = select_min_cost_io(demo)
+        report_to_json(rep)
+        assert counts["graph_core.condition_a_witness"] == 0
+        doc = report_to_json(rep, include_traces=True)
+        assert counts["graph_core.condition_a_witness"] == 1
+        assert doc["trace"]["scc_feedback_witness"]["x1"]["feedback_edge"] is not None
+
+
+class TestRobustness:
+    def test_long_chain_within_default_recursion_limit(self):
+        # x1 -> ... -> xn -> x1 with self-loops on all but the last state:
+        # the first Hopcroft-Karp phase matches each x_i' to x_i, and the
+        # remaining augmenting path walks the whole cycle
+        import sys
+
+        n = 3000
+        a = [(i, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n)] + [(n, 1)]
+        system = make_system(n, 1, 1, a, [(1, 1)], [(1, n // 2)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert state_pattern_has_pm(system)
+            assert check_no_sfm(system, Selection.full(system)).ok
+            rep = select_min_cost_io(system)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert rep.special_case == "irreducible"
+        assert rep.selection == Selection.of([0], [0])
+
+    def test_infeasible_final_selection_raises(self, demo, monkeypatch):
+        import ioselect.selector as selector_mod
+
+        full = Selection.full(demo)
+
+        def only_full_selection_ok(system, sel):
+            return SfmStatus.NO_SFM if sel == full else SfmStatus.TYPE1
+
+        monkeypatch.setattr(selector_mod, "check_no_sfm", only_full_selection_ok)
+        with pytest.raises(InvariantViolated, match="structurally fixed modes"):
+            select_min_cost_io(demo)

@@ -14,6 +14,7 @@ from ioselect.set_cover import (
     InfeasibleSelection,
     TooLarge,
     WeightedSetCoverInstance,
+    cover_instances,
     cover_to_selection,
     exact_solve,
     greedy_solve,
@@ -195,9 +196,8 @@ class TestReductions:
         assert cover_to_selection(cover) == Selection.of([2], [])
 
     def test_forward_weight_preserved_per_selection(self, demo):
-        from ioselect.graph_core import all_accessible
-
         inst, _ = reduce_accessibility_to_wsc(demo)
+        all_states = frozenset(range(demo.n))
         for k in range(4):
             for inputs in itertools.combinations(range(3), k):
                 sel = Selection.of(inputs, [])
@@ -206,9 +206,19 @@ class TestReductions:
                     feasible = True
                 except InfeasibleSelection:
                     feasible = False
-                assert feasible == all_accessible(demo, sel)
+                assert feasible == (oracles.accessible_states(demo, sel) == all_states)
                 if feasible:
                     assert cover.weight == selection_cost(demo, sel)
+
+    @given(systems(max_n=7))
+    def test_sensability_is_dual_reduction(self, system):
+        from ioselect.graph_core import build_graphs, coverage, decompose_sccs
+        from ioselect.system_model import transpose_dual
+
+        scc = decompose_sccs(build_graphs(system)[0])
+        stage1, stage2 = cover_instances(system, scc, coverage(system, scc))
+        assert stage1 == reduce_accessibility_to_wsc(system)
+        assert stage2 == reduce_accessibility_to_wsc(transpose_dual(system))
 
     @given(systems(max_n=6))
     def test_forward_optimum_preserved(self, system):
