@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: check, select, reduce-setcover, solve-setcover, gen, bench.
-Exit codes: 0 success, 1 infeasible / has fixed modes, 2 usage or parse error.
+Exit codes: 0 success, 1 infeasible / has fixed modes, 2 usage or parse error,
+3 internal error (a failed consistency check: a defect in this package).
 All output is JSON (``--format table`` flattens it for reading); identical
 inputs and flags produce byte-identical output.
 """
@@ -30,6 +31,7 @@ from ioselect.set_cover import (
 from ioselect.system_model import (
     COST_SCALE,
     FormatError,
+    InvariantViolated,
     ModelError,
     Selection,
     StructuredSystem,
@@ -45,6 +47,7 @@ from ioselect.system_model import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
@@ -391,6 +394,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NoPerfectMatching as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (FormatError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,16 @@ The state digraph D(A) has an edge x_j -> x_i exactly when A_ij is starred.
 The system digraph adds input edges u_j -> x_i (from B), output edges
 x_j -> y_i (from C) and feedback edges y_j -> u_i (from K).
 
+A complete K (the ``COMPLETE`` token, or an explicit pattern with all m*p
+stars) is never expanded: its m*p feedback edges are replaced by one hub
+vertex h with edges y_j -> h -> u_i for every output and input.  Paths
+through h are exactly the paths through some feedback edge, so
+reachability and the SCCs of the other vertices are unchanged.  An explicit
+partial K keeps its stars as ordinary edges.
+
 Vertices are encoded as integers: states 0..n-1, inputs n..n+m-1, outputs
-n+m..n+m+p-1.  ``vertex_name`` renders the 1-based labels x1/u1/y1 used in
-messages and debug dumps.
+n+m..n+m+p-1, and the hub n+m+p.  ``vertex_name`` renders the 1-based
+labels x1/u1/y1 used in messages and debug dumps.
 """
 
 from __future__ import annotations
@@ -52,7 +59,11 @@ class StateDigraph:
 
 @dataclass(frozen=True)
 class SystemDigraph:
-    """D(A, B, C, K) with per-class edge sets (global vertex ids)."""
+    """D(A, B, C, K) with per-class edge sets (global vertex ids).
+
+    With ``hub`` set, K is complete: ``ek`` is empty and the feedback block
+    is the vertex ``size`` with edges y_j -> hub -> u_i.
+    """
 
     n: int
     m: int
@@ -61,36 +72,41 @@ class SystemDigraph:
     eu: frozenset[tuple[int, int]]
     ey: frozenset[tuple[int, int]]
     ek: frozenset[tuple[int, int]]
+    hub: bool
 
     @property
     def size(self) -> int:
+        """Number of state, input and output vertices (the hub, if any, is ``size``)."""
         return self.n + self.m + self.p
-
-    def all_edges(self) -> list[tuple[int, int, str]]:
-        out = [(s, d, EDGE_X) for s, d in self.ex]
-        out += [(s, d, EDGE_U) for s, d in self.eu]
-        out += [(s, d, EDGE_Y) for s, d in self.ey]
-        out += [(s, d, EDGE_K) for s, d in self.ek]
-        return out
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for s, d, _cls in self.all_edges():
-            out[s].append(d)
+        """Sorted successor lists of vertices 0..size (the hub's slot is
+        empty without a hub)."""
+        hub = self.size
+        out: list[list[int]] = [[] for _ in range(hub + 1)]
+        for edges in (self.ex, self.eu, self.ey, self.ek):
+            for s, d in edges:
+                out[s].append(d)
+        if self.hub:
+            for y in range(self.n + self.m, hub):
+                out[y].append(hub)
+            out[hub] = list(range(self.n, self.n + self.m))
         return tuple(tuple(sorted(lst)) for lst in out)
 
 
 def build_graphs(system: StructuredSystem) -> tuple[StateDigraph, SystemDigraph]:
-    """Construct D(A) and D(A, B, C, K); a complete K expands to all m*p edges."""
+    """Construct D(A) and D(A, B, C, K); a complete K becomes the hub vertex
+    (no edge per star), an explicit partial K one edge per star."""
     n, m = system.n, system.m
     ex = frozenset((j, i) for i, j in system.A.stars)
     eu = frozenset((n + j, i) for i, j in system.B.stars)
     ey = frozenset((j, n + m + i) for i, j in system.C.stars)
-    ek = frozenset((n + m + j, n + i) for i, j in system.k_stars())
+    hub = system.k_is_complete()
+    ek = frozenset() if hub else frozenset((n + m + j, n + i) for i, j in system.K.stars)
     return (
         StateDigraph(n, ex),
-        SystemDigraph(n, m, system.p, ex, eu, ey, ek),
+        SystemDigraph(n, m, system.p, ex, eu, ey, ek, hub),
     )
 
 
@@ -267,10 +283,16 @@ def _feedback_sccs(
     restricted: StructuredSystem,
 ) -> tuple[list[list[int]], list[int], dict[int, tuple[int, int]]]:
     """SCCs of the restricted system digraph, each vertex's SCC, and per SCC
-    its smallest feedback edge (SCCs without one are absent)."""
+    its smallest feedback edge (SCCs without one are absent).
+
+    With a hub, only the hub's SCC can hold feedback edges, and it does when
+    it holds more than the hub: a cycle through the hub passes an output and
+    an input, and every output/input pair in that SCC is a feedback edge
+    inside it.  The smallest is (smallest output, smallest input).
+    """
     _sg, dg = build_graphs(restricted)
-    comps = _tarjan(dg.size, dg.successors)
-    comp_of = [0] * dg.size
+    comps = _tarjan(dg.size + 1, dg.successors)
+    comp_of = [0] * (dg.size + 1)
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
@@ -279,6 +301,13 @@ def _feedback_sccs(
         ci = comp_of[edge[0]]
         if comp_of[edge[1]] == ci and (ci not in k_edge_of or edge < k_edge_of[ci]):
             k_edge_of[ci] = edge
+    hub_comp = comps[comp_of[dg.size]]
+    if dg.hub and len(hub_comp) > 1:
+        first_output = dg.n + dg.m
+        k_edge_of[comp_of[dg.size]] = (
+            min(v for v in hub_comp if first_output <= v < dg.size),
+            min(v for v in hub_comp if dg.n <= v < first_output),
+        )
     return comps, comp_of, k_edge_of
 
 
@@ -292,8 +321,9 @@ def condition_a_holds(system: StructuredSystem, sel: Selection) -> bool:
     """True iff every state lies in an SCC of the restricted system digraph
     that contains at least one feedback edge.
 
-    This is the general test; for a complete K and nonempty selection it is
-    equivalent to accessibility plus sensability.
+    With a complete K this is: every state's SCC contains the hub vertex.
+    For a selection with at least one input and one output that is the same
+    as accessibility plus sensability.
     """
     return restricted_condition_a(restrict(system, sel))
 
@@ -309,12 +339,13 @@ def condition_a_witness(
     restricted = restrict(system, sel)
     comps, comp_of, k_edge_of = _feedback_sccs(restricted)
     name = restricted_vertex_namer(restricted.n, sel)
+    hub = restricted.n + restricted.m + restricted.p
     members: dict[int, list[str]] = {}
     witness: dict[str, dict[str, object]] = {}
     for v in range(restricted.n):
         ci = comp_of[v]
         if ci not in members:
-            members[ci] = [name(w) for w in sorted(comps[ci])]
+            members[ci] = [name(w) for w in sorted(comps[ci]) if w < hub]
         edge = k_edge_of.get(ci)
         witness[name(v)] = {
             "scc": members[ci],
@@ -324,10 +355,20 @@ def condition_a_witness(
 
 
 def dump_system_digraph(dg: SystemDigraph) -> str:
-    """One edge per line: ``src dst class`` with 1-based x/u/y labels."""
-    lines = []
-    for s, d, cls in sorted(dg.all_edges()):
-        lines.append(f"{vertex_name(s, dg.n, dg.m)} {vertex_name(d, dg.n, dg.m)} {cls}")
+    """One edge per line: ``src dst class`` with 1-based x/u/y labels.
+
+    A hub is printed as the feedback edges it stands for, one per
+    output/input pair, so the dump always lists D(A, B, C, K) itself.
+    """
+    n, m = dg.n, dg.m
+    ek = dg.ek
+    if dg.hub:
+        ek = [(n + m + j, n + i) for j in range(dg.p) for i in range(m)]
+    edges = [(s, d, EDGE_X) for s, d in dg.ex]
+    edges += [(s, d, EDGE_U) for s, d in dg.eu]
+    edges += [(s, d, EDGE_Y) for s, d in dg.ey]
+    edges += [(s, d, EDGE_K) for s, d in ek]
+    lines = [f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}" for s, d, cls in sorted(edges)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

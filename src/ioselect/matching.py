@@ -9,6 +9,15 @@ y'_1..y'_p on the left and their unprimed twins on the right.  Edges:
 * (u'_i, y_j)  iff K_ij is starred            (class EK, cost p_u(i)+p_y(j))
 * (u'_i, u_i) and (y'_j, y_j) always          (classes EUU/EYY, cost 0)
 
+A complete K is not expanded into its m*p EK edges.  One hub vertex h (id
+n+m+p) takes their place, with an edge (u'_i, h) of cost p_u(i) (class UH)
+per input and an edge (h, y_j) of cost p_y(j) (class HY) per output.
+Matchings are computed as unit flows from the left side to the right side,
+and h passes on as many units as it takes in, so a flow through h is a set
+of EK edges pairing its inputs with its outputs.  Every pairing costs the
+same; reported matchings pair the i-th smallest input with the i-th
+smallest output.  An explicit partial K keeps one EK edge per star.
+
 Perfect matchings of this graph correspond exactly to families of disjoint
 cycles in the system digraph that span all states, and the minimum-cost
 perfect matching realizes the cheapest such family; its used inputs/outputs
@@ -22,9 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Callable, Iterator, Optional
 
 from ioselect.graph_core import (
     EDGE_K as EDGE_EK,
@@ -43,6 +51,8 @@ from ioselect.system_model import (
 
 EDGE_EUU = "EUU"
 EDGE_EYY = "EYY"
+EDGE_UH = "UH"
+EDGE_HY = "HY"
 
 
 @dataclass(frozen=True)
@@ -50,11 +60,13 @@ class BipEdge:
     left: int
     right: int
     cls: str
-    cost: int  # scaled; nonzero only on EK edges
+    cost: int  # scaled; nonzero only on EK, UH and HY edges
 
 
 @dataclass(frozen=True)
 class SystemBipartiteGraph:
+    """B(A, B, C, K); UH edges end and HY edges start at the hub id ``size``."""
+
     n: int
     m: int
     p: int
@@ -63,14 +75,6 @@ class SystemBipartiteGraph:
     @property
     def size(self) -> int:
         return self.n + self.m + self.p
-
-    @cached_property
-    def left_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices grouped by left endpoint."""
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for idx, e in enumerate(self.edges):
-            out[e.left].append(idx)
-        return tuple(tuple(lst) for lst in out)
 
     def left_name(self, v: int) -> str:
         return vertex_name(v, self.n, self.m) + "'"
@@ -111,6 +115,7 @@ class Matching:
 
 
 def build_bipartite(system: StructuredSystem) -> SystemBipartiteGraph:
+    """B(A, B, C, K), with a complete K as the hub's m + p edges."""
     n, m, p = system.n, system.m, system.p
     edges: list[BipEdge] = []
     for i, j in sorted(system.A.stars):
@@ -119,10 +124,17 @@ def build_bipartite(system: StructuredSystem) -> SystemBipartiteGraph:
         edges.append(BipEdge(i, n + j, EDGE_EU, 0))
     for j, i in sorted(system.C.stars):
         edges.append(BipEdge(n + m + j, i, EDGE_EY, 0))
-    for i, j in sorted(system.k_stars()):
-        edges.append(
-            BipEdge(n + i, n + m + j, EDGE_EK, system.cost_u[i] + system.cost_y[j])
-        )
+    if system.k_is_complete():
+        hub = n + m + p
+        for i in range(m):
+            edges.append(BipEdge(n + i, hub, EDGE_UH, system.cost_u[i]))
+        for j in range(p):
+            edges.append(BipEdge(hub, n + m + j, EDGE_HY, system.cost_y[j]))
+    else:
+        for i, j in sorted(system.K.stars):
+            edges.append(
+                BipEdge(n + i, n + m + j, EDGE_EK, system.cost_u[i] + system.cost_y[j])
+            )
     for i in range(m):
         edges.append(BipEdge(n + i, n + i, EDGE_EUU, 0))
     for j in range(p):
@@ -198,15 +210,199 @@ def _hopcroft_karp(
                 break
 
 
-def _adjacency(g: SystemBipartiteGraph) -> list[list[int]]:
-    return [[g.edges[e].right for e in lst] for lst in g.left_adj]
+_LEFT, _RIGHT, _HUB = 0, 1, 2  # heap entry kinds
+_FROM_HUB = -2  # parent of a right vertex reached by a hub -> y_j edge
+_FEEDBACK = (EDGE_EK, EDGE_UH, EDGE_HY)
+
+
+def _unit_flow(
+    g: SystemBipartiteGraph, weight: Optional[Callable[[BipEdge], int]]
+) -> tuple[list[int], list[int], Optional[tuple[list[int], list[int]]]]:
+    """Maximum unit flow from the left side to the right side of ``g``,
+    through the hub where there is one, by successive shortest paths.
+
+    ``weight`` prices the feedback edges (classes EK, UH and HY); every
+    other edge weighs 0.  Edges of weight 0 seed a Hopcroft-Karp matching;
+    each round then runs Dijkstra with potentials (one per left vertex,
+    right vertex and the hub) from every free left vertex in the residual
+    graph, stops at the first free right vertex, and augments.  With
+    nonnegative weights the flow has minimum weight among flows of its
+    size.  With ``weight`` None any maximum flow will do: all weights are 0,
+    free inputs go straight to free outputs through the hub before the
+    first round, and a stack stands in for the heap (every order is a
+    shortest-path order).
+
+    Returns the partner of each left and each right vertex (the other side's
+    vertex, the hub id ``g.size``, or -1 when free) and, when some left
+    vertex stays free, a Hall witness: the left vertices the last search
+    reached and their neighbours in B(A, B, C, K).  That search ran to the
+    end, so it relaxed every edge of each left vertex it reached.  It
+    reaches the hub exactly when it reaches an input, and in B(A, B, C, K)
+    an input is adjacent to every output, so then every output with a hub
+    edge is a neighbour.
+    """
+    size, hub = g.size, g.size
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]  # (right, weight)
+    seed: list[list[int]] = [[] for _ in range(size)]
+    hub_in: dict[int, int] = {}  # u'_i -> weight of its edge into the hub
+    hub_out: dict[int, int] = {}  # y_j -> weight of the hub's edge to it
+    for e in g.edges:
+        w = weight(e) if weight is not None and e.cls in _FEEDBACK else 0
+        if e.cls == EDGE_UH:
+            hub_in[e.left] = w
+        elif e.cls == EDGE_HY:
+            hub_out[e.right] = w
+        else:
+            adj[e.left].append((e.right, w))
+            if w == 0:
+                seed[e.left].append(e.right)
+
+    match_l = [-1] * size
+    match_r = [-1] * size
+    _hopcroft_karp(size, seed, match_l, match_r)
+    if weight is None:
+        free_in = [l for l in hub_in if match_l[l] < 0]
+        free_out = [r for r in hub_out if match_r[r] < 0]
+        for l, r in zip(free_in, free_out):
+            match_l[l] = match_r[r] = hub
+
+    # Reduced cost of a residual edge a -> b of weight c is c - pot[a] + pot[b]
+    # (a matched edge is used backwards with weight -c); every round keeps
+    # them nonnegative and makes the augmenting path's edges 0.
+    pot_l = [0] * size
+    pot_r = [0] * size
+    pot_h = 0
+    push, pop = (heappush, heappop) if weight is not None else (list.append, list.pop)
+    while True:
+        heap = [(0, _LEFT, l) for l in range(size) if match_l[l] < 0]
+        if not heap:
+            return match_l, match_r, None
+        dist_l = [-1] * size  # -1: not reached
+        dist_r = [-1] * size
+        dist_h = -1
+        for _d, _k, l in heap:
+            dist_l[l] = 0
+        parent_r = [-1] * size  # left vertex before each right vertex, or _FROM_HUB
+        parent_h = 0  # the left vertex l of an l -> hub edge, or ~y for y -> hub
+        target = -1
+        while heap:
+            d, kind, v = pop(heap)
+            if kind == _LEFT:
+                if d > dist_l[v]:
+                    continue
+                for r, c in adj[v]:
+                    nd = d + c - pot_l[v] + pot_r[r]
+                    if dist_r[r] < 0 or nd < dist_r[r]:
+                        dist_r[r] = nd
+                        parent_r[r] = v
+                        push(heap, (nd, _RIGHT, r))
+                if v in hub_in and match_l[v] != hub:
+                    nd = d + hub_in[v] - pot_l[v] + pot_h
+                    if dist_h < 0 or nd < dist_h:
+                        dist_h, parent_h = nd, v
+                        push(heap, (nd, _HUB, hub))
+            elif kind == _RIGHT:
+                if d > dist_r[v]:
+                    continue
+                back = match_r[v]
+                if back < 0:
+                    target = v
+                    break
+                if back == hub:
+                    # several edges enter the hub, so this one need not be tight
+                    nd = d - hub_out[v] - pot_r[v] + pot_h
+                    if dist_h < 0 or nd < dist_h:
+                        dist_h, parent_h = nd, ~v
+                        push(heap, (nd, _HUB, hub))
+                elif dist_l[back] < 0 or d < dist_l[back]:
+                    dist_l[back] = d
+                    push(heap, (d, _LEFT, back))
+            else:
+                if d > dist_h:
+                    continue
+                for r, c in hub_out.items():
+                    if match_r[r] != hub:
+                        nd = d + c - pot_h + pot_r[r]
+                        if dist_r[r] < 0 or nd < dist_r[r]:
+                            dist_r[r] = nd
+                            parent_r[r] = _FROM_HUB
+                            push(heap, (nd, _RIGHT, r))
+                for l, c in hub_in.items():
+                    if match_l[l] == hub:
+                        nd = d - c + pot_l[l] - pot_h
+                        if dist_l[l] < 0 or nd < dist_l[l]:
+                            dist_l[l] = nd
+                            push(heap, (nd, _LEFT, l))
+        if target < 0:
+            left = [l for l in range(size) if dist_l[l] >= 0]
+            right = [r for r in range(size) if dist_r[r] >= 0 or (dist_h >= 0 and r in hub_out)]
+            return match_l, match_r, (left, right)
+
+        # vertices settled below the target's distance move up by the gap;
+        # the others (unreached, or reached no closer than it) stay
+        best = dist_r[target]
+        for v in range(size):
+            if 0 <= dist_l[v] < best:
+                pot_l[v] += best - dist_l[v]
+            if 0 <= dist_r[v] < best:
+                pot_r[v] += best - dist_r[v]
+        if 0 <= dist_h < best:
+            pot_h += best - dist_h
+
+        # augment back from the target; ``r`` is a right vertex or the hub
+        r = target
+        while True:
+            if r == hub:
+                if parent_h < 0:  # y -> hub: y leaves the hub for its parent edge
+                    r = ~parent_h
+                else:  # l -> hub: l now sends to the hub
+                    l = parent_h
+                    r, match_l[l] = match_l[l], hub
+                    if r < 0:
+                        break
+                    continue
+            l = parent_r[r]
+            if l == _FROM_HUB:
+                match_r[r] = hub
+                r = hub
+                continue
+            prev = match_l[l]
+            match_l[l] = r
+            match_r[r] = l
+            if prev < 0:
+                break
+            r = prev
+
+
+def _matched_edges(
+    g: SystemBipartiteGraph, match_l: list[int], match_r: list[int]
+) -> tuple[BipEdge, ...]:
+    """The matched edge of each left vertex, in left-vertex order.  The hub's
+    inputs and outputs become EK edges, the i-th smallest input paired with
+    the i-th smallest output."""
+    hub = g.size
+    hub_edge: dict[int, BipEdge] = {}  # u'_i or y_j -> its hub edge
+    by_pair: dict[tuple[int, int], BipEdge] = {}
+    for e in g.edges:
+        if e.cls == EDGE_UH:
+            hub_edge[e.left] = e
+        elif e.cls == EDGE_HY:
+            hub_edge[e.right] = e
+        else:
+            by_pair.setdefault((e.left, e.right), e)
+    k_inputs = [l for l in range(g.size) if match_l[l] == hub]
+    k_outputs = [r for r in range(g.size) if match_r[r] == hub]
+    k_edges = {
+        l: BipEdge(l, r, EDGE_EK, hub_edge[l].cost + hub_edge[r].cost)
+        for l, r in zip(k_inputs, k_outputs)
+    }
+    return tuple(
+        k_edges[l] if match_l[l] == hub else by_pair[(l, match_l[l])] for l in range(g.size)
+    )
 
 
 def has_perfect_matching(g: SystemBipartiteGraph) -> bool:
-    size = g.size
-    match_l = [-1] * size
-    match_r = [-1] * size
-    return _hopcroft_karp(size, _adjacency(g), match_l, match_r) == size
+    return _unit_flow(g, None)[2] is None
 
 
 def hall_indices(g: SystemBipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -214,162 +410,60 @@ def hall_indices(g: SystemBipartiteGraph) -> tuple[tuple[int, ...], tuple[int, .
     neighborhood.
 
     Built from a maximum matching: left vertices reachable from an
-    unmatched left vertex by alternating paths form the witness.  Raises if
-    the graph actually has a perfect matching.
+    unmatched left vertex by alternating paths form the witness.  Every
+    maximum matching gives the same set (the Dulmage-Mendelsohn one), so the
+    witness does not depend on the matching found.  Raises if the graph
+    actually has a perfect matching.
     """
-    size = g.size
-    adj = _adjacency(g)
-    match_l = [-1] * size
-    match_r = [-1] * size
-    if _hopcroft_karp(size, adj, match_l, match_r) == size:
+    witness = _unit_flow(g, None)[2]
+    if witness is None:
         raise ModelError("graph has a perfect matching; no Hall witness exists")
-    reach_l: set[int] = set()
-    reach_r: set[int] = set()
-    frontier = [l for l in range(size) if match_l[l] < 0]
-    reach_l.update(frontier)
-    while frontier:
-        nxt = []
-        for l in frontier:
-            for r in adj[l]:
-                if r in reach_r:
-                    continue
-                reach_r.add(r)
-                back = match_r[r]
-                if back >= 0 and back not in reach_l:
-                    reach_l.add(back)
-                    nxt.append(back)
-        frontier = nxt
-    return tuple(sorted(reach_l)), tuple(sorted(reach_r))
+    left, right = witness
+    return tuple(left), tuple(right)
 
 
 def hall_witness(g: SystemBipartiteGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Like :func:`hall_indices` but with readable vertex labels."""
     left, right = hall_indices(g)
+    return _labels(g, left, right)
+
+
+def _labels(g: SystemBipartiteGraph, left, right) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(g.left_name(v) for v in left), tuple(g.right_name(v) for v in right)
-
-
-def _tie_break_weight(g: SystemBipartiteGraph, e: BipEdge) -> int:
-    """Secondary cost: minimize the number of feedback edges used, then
-    prefer low input indices, then low output indices.
-
-    Encoded additively in bit layers so a single solve settles all layers:
-    every EK edge pays 2**(m+p) (count layer) plus 2**(p+i) (input layer)
-    plus 2**j (output layer).  Non-EK edges pay nothing.
-    """
-    if e.cls != EDGE_EK:
-        return 0
-    n, m, p = g.n, g.m, g.p
-    i = e.left - n
-    j = e.right - n - m
-    return (1 << (m + p)) + (1 << (p + i)) + (1 << j)
 
 
 def min_cost_perfect_matching(g: SystemBipartiteGraph) -> Matching:
     """Exact minimum-cost perfect matching by successive shortest paths.
 
-    The matching starts from a maximum matching on the zero-cost subgraph
-    (every edge class except EK) and is completed with Dijkstra + potentials
-    over exact integer costs; the tie-break layers of
-    :func:`_tie_break_weight` make the answer deterministic.
+    Costs are composite integers: the true cost in the high bits, then tie
+    breaks that minimize the number of feedback edges used, then prefer low
+    input indices, then low output indices.  A feedback edge (u'_i, y_j)
+    pays 2**(m+p) (count layer) plus 2**(p+i) (input layer) plus 2**j
+    (output layer).  Every layer is a sum of an input part and an output
+    part, so the hub's edges carry them exactly: (u'_i, h) pays the count
+    and input layers, (h, y_j) the output layer.  The layers make the used
+    inputs and outputs of the optimum unique.
 
     Raises :class:`NoPerfectMatching` (with a Hall witness) if no perfect
     matching exists.
     """
-    size = g.size
-    # composite integer costs: true cost in the high bits, tie-break low;
+    n, m, p = g.n, g.m, g.p
     # the cap strictly exceeds the largest possible tie-break total, which
     # is min(m, p) feedback edges paying under 2**(m+p+1) each
-    tie_cap = (min(g.m, g.p) + 1) << (g.m + g.p + 1)
-    costs = [e.cost * tie_cap + _tie_break_weight(g, e) for e in g.edges]
+    tie_cap = (min(m, p) + 1) << (m + p + 1)
 
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(size)]
-    for idx, e in enumerate(g.edges):
-        adj[e.left].append((e.right, costs[idx], idx))
+    def weight(e: BipEdge) -> int:
+        w = e.cost * tie_cap
+        if e.cls in (EDGE_EK, EDGE_UH):
+            w += (1 << (m + p)) + (1 << (p + e.left - n))
+        if e.cls in (EDGE_EK, EDGE_HY):
+            w += 1 << (e.right - n - m)
+        return w
 
-    match_l = [-1] * size  # right endpoint, or -1
-    match_r = [-1] * size
-    edge_l = [-1] * size  # matched edge index per left vertex
-
-    # zero-cost edges are exactly the non-EK ones; a maximum matching there
-    # costs 0, hence is extreme, and seeds the successive-shortest-path loop
-    zero_adj = [
-        [g.edges[e].right for e in lst if g.edges[e].cls != EDGE_EK]
-        for lst in g.left_adj
-    ]
-    _hopcroft_karp(size, zero_adj, match_l, match_r)
-    for l in range(size):
-        if match_l[l] >= 0:
-            for r, _c, idx in adj[l]:
-                if r == match_l[l] and g.edges[idx].cls != EDGE_EK:
-                    edge_l[l] = idx
-                    break
-
-    pot_l = [0] * size
-    pot_r = [0] * size
-    INF = float("inf")
-
-    unmatched = [l for l in range(size) if match_l[l] < 0]
-    for _round in range(len(unmatched)):
-        sources = [l for l in range(size) if match_l[l] < 0]
-        if not sources:
-            break
-        dist_l: list[float] = [INF] * size
-        dist_r: list[float] = [INF] * size
-        parent_edge: list[int] = [-1] * size  # per right vertex
-        heap: list[tuple[int, int, int]] = []
-        for l in sources:
-            dist_l[l] = 0
-            heappush(heap, (0, 0, l))
-        while heap:
-            d, kind, v = heappop(heap)
-            if kind == 0:
-                if d > dist_l[v]:
-                    continue
-                for r, c, idx in adj[v]:
-                    rc = c - pot_l[v] + pot_r[r]
-                    nd = d + rc
-                    if nd < dist_r[r]:
-                        dist_r[r] = nd
-                        parent_edge[r] = idx
-                        heappush(heap, (nd, 1, r))
-            else:
-                if d > dist_r[v]:
-                    continue
-                back = match_r[v]
-                if back >= 0 and d < dist_l[back]:
-                    dist_l[back] = d
-                    heappush(heap, (d, 0, back))
-        target = -1
-        best = INF
-        for r in range(size):
-            if match_r[r] < 0 and dist_r[r] < best:
-                best = dist_r[r]
-                target = r
-        if target < 0:
-            raise NoPerfectMatching(*hall_witness(g))
-        # potential update keeps all reduced costs nonnegative and matched
-        # edges tight (reduced cost is c - pot_l + pot_r, so both sides move
-        # by best - dist)
-        for v in range(size):
-            if dist_l[v] < best:
-                pot_l[v] += best - int(dist_l[v])
-            if dist_r[v] < best:
-                pot_r[v] += best - int(dist_r[v])
-        # augment along the parent chain
-        r = target
-        while r >= 0:
-            idx = parent_edge[r]
-            e = g.edges[idx]
-            prev_r = match_l[e.left]
-            match_l[e.left] = r
-            edge_l[e.left] = idx
-            match_r[r] = e.left
-            r = prev_r
-
-    if any(m < 0 for m in match_l):
-        raise NoPerfectMatching(*hall_witness(g))
-    edges = tuple(g.edges[edge_l[l]] for l in range(size))
-    return Matching(g.n, g.m, g.p, edges, perfect=True)
+    match_l, match_r, hall = _unit_flow(g, weight)
+    if hall is not None:
+        raise NoPerfectMatching(*_labels(g, *hall))
+    return Matching(n, m, p, _matched_edges(g, match_l, match_r), perfect=True)
 
 
 def extract_io(matching: Matching) -> tuple[Selection, int]:

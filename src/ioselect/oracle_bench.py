@@ -27,8 +27,9 @@ from ioselect.graph_core import build_graphs, coverage, decompose_sccs
 from ioselect.matching import NoPerfectMatching, build_bipartite, cycle_cover_check, hall_witness
 from ioselect.selector import (
     SystemHasSFMs,
+    _special_cases,
+    _strongest,
     check_no_sfm,
-    detect_special_case,
     select_min_cost_io,
     sfm_witness,
 )
@@ -293,7 +294,7 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
         k=scc.k,
         mu_max=tables.mu_max,
         eta_max=tables.eta_max,
-        special_case=detect_special_case(system),
+        special_case=_strongest(_special_cases(system, scc)),
     )
 
     t0 = time.perf_counter()

@@ -195,7 +195,8 @@ class StructuredSystem:
         return self.C.rows
 
     def k_stars(self) -> frozenset[tuple[int, int]]:
-        """Feedback stars as explicit (input, output) pairs."""
+        """Feedback stars as explicit (input, output) pairs: m*p of them for
+        a complete K, which the graph builders therefore never list."""
         if isinstance(self.K, CompleteK):
             return frozenset((i, j) for i in range(self.m) for j in range(self.p))
         return self.K.stars

@@ -38,6 +38,16 @@ def system_edges(system: StructuredSystem, sel: Optional[Selection] = None) -> l
     return edges
 
 
+def bipartite_pairs(system: StructuredSystem) -> list[tuple[int, int]]:
+    """Edges (left, right) of B(A, B, C, K) with K expanded star by star: the
+    left twin of each digraph edge's head, its tail, plus (u'_i, u_i) and
+    (y'_j, y_j)."""
+    n = system.n
+    pairs = [(dst, src) for src, dst in system_edges(system)]
+    pairs += [(v, v) for v in range(n, n + system.m + system.p)]
+    return pairs
+
+
 def _digraph(system: StructuredSystem, sel: Optional[Selection]) -> nx.DiGraph:
     n, m = system.n, system.m
     keep_u = range(m) if sel is None else sel.sorted_inputs()
@@ -218,6 +228,23 @@ def best_cover(universe_size: int, sets, weights) -> Optional[tuple[int, tuple[i
                 if best is None or key < best:
                     best = key
     return best
+
+
+def min_weight_perfect_matching(size: int, weighted_pairs) -> Optional[int]:
+    """Smallest total weight of a perfect matching between left 0..size-1
+    and right 0..size-1, as a min-cost flow solved by networkx's network
+    simplex (exact on integers).  None if there is no perfect matching."""
+    g = nx.DiGraph()
+    for v in range(size):
+        g.add_node(("L", v), demand=-1)
+        g.add_node(("R", v), demand=1)
+    for l, r, w in weighted_pairs:
+        g.add_edge(("L", l), ("R", r), weight=w, capacity=1)
+    try:
+        cost, _flow = nx.network_simplex(g)
+    except nx.NetworkXUnfeasible:
+        return None
+    return cost
 
 
 def matching_size(n_left: int, n_right: int, pairs: list[tuple[int, int]]) -> int:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ioselect.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from ioselect.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -394,3 +394,21 @@ class TestMain:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_internal_error_exit_code(self, capsys, demo_json, monkeypatch):
+        # a failed consistency check is a defect, not a usage error
+        import ioselect.selector as selector_mod
+
+        real = selector_mod.check_no_sfm
+        calls = []
+
+        def final_check_fails(system, sel):
+            calls.append(sel)
+            status = real(system, sel)
+            return status if len(calls) == 1 else selector_mod.SfmStatus.TYPE1
+
+        monkeypatch.setattr(selector_mod, "check_no_sfm", final_check_fails)
+        code, out, err = run(capsys, "select", demo_json)
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith("internal error: ") and "structurally fixed modes" in err

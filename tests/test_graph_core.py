@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from ioselect.graph_core import (
     dump_system_digraph,
     vertex_name,
 )
-from ioselect.system_model import Selection
+from ioselect.system_model import Selection, SparsityPattern
 
 
 def test_vertex_names():
@@ -37,15 +39,26 @@ class TestBuildGraphs:
             {(4, 0), (6, 0), (5, 1), (6, 1), (4, 2), (5, 2), (6, 3)}
         )
         assert dg.ey == frozenset({(2, 7), (0, 8)})
-        assert dg.ek == frozenset((7 + j, 4 + i) for i in range(3) for j in range(2))
+        # the complete K is the hub 9: y1, y2 -> hub -> u1, u2, u3
+        assert dg.hub and dg.ek == frozenset()
         assert dg.size == 9
+        assert dg.successors[7] == dg.successors[8] == (9,)
+        assert dg.successors[9] == (4, 5, 6)
+
+    def test_partial_k_keeps_its_stars(self, demo):
+        partial = replace(demo, K=SparsityPattern(3, 2, frozenset({(0, 1), (2, 0)})))
+        _sg, dg = build_graphs(partial)
+        assert not dg.hub
+        assert dg.ek == frozenset({(8, 4), (7, 6)})
+        assert dg.successors[9] == ()
 
     def test_successor_tables_sorted(self, demo):
         _sg, dg = build_graphs(demo)
         for row in dg.successors:
             assert list(row) == sorted(row)
-        flat = [(s, d) for s in range(dg.size) for d in dg.successors[s]]
-        assert len(flat) == len(dg.ex) + len(dg.eu) + len(dg.ey) + len(dg.ek)
+        flat = [(s, d) for s in range(dg.size + 1) for d in dg.successors[s]]
+        hub_edges = dg.m + dg.p
+        assert len(flat) == len(dg.ex) + len(dg.eu) + len(dg.ey) + hub_edges
 
 
 class TestScc:

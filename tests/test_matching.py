@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 
@@ -10,6 +12,8 @@ from ioselect.matching import (
     EDGE_EX,
     EDGE_EY,
     EDGE_EYY,
+    EDGE_HY,
+    EDGE_UH,
     BipEdge,
     NoPerfectMatching,
     build_bipartite,
@@ -27,6 +31,7 @@ from ioselect.system_model import (
     InvariantViolated,
     ModelError,
     Selection,
+    SparsityPattern,
     restrict,
 )
 
@@ -40,11 +45,17 @@ class TestBuild:
         ex = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EX]
         eu = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EU]
         ey = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EY]
-        ek = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EK]
         assert ex == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 3), (3, 3)]
         assert eu == [(0, 4), (0, 6), (1, 5), (1, 6), (2, 4), (2, 5), (3, 6)]
         assert ey == [(7, 2), (8, 0)]
-        assert ek == [(4 + i, 7 + j) for i in range(3) for j in range(2)]
+        # the complete K is the hub 9: u'_i -> hub -> y_j, no EK edge
+        assert not [e for e in g.edges if e.cls == EDGE_EK]
+        assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_UH] == [
+            (4, 9),
+            (5, 9),
+            (6, 9),
+        ]
+        assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_HY] == [(9, 7), (9, 8)]
         assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_EUU] == [
             (4, 4),
             (5, 5),
@@ -54,31 +65,38 @@ class TestBuild:
             (7, 7),
             (8, 8),
         ]
-        # unit costs: every feedback edge costs 2, everything else 0
+        # unit costs: each hub edge costs 1, everything else 0
         for e in g.edges:
-            assert e.cost == (2 * U if e.cls == EDGE_EK else 0)
+            assert e.cost == (U if e.cls in (EDGE_UH, EDGE_HY) else 0)
+        assert len(g.edges) == 7 + 7 + 2 + 2 * (3 + 2)
 
     def test_feedback_costs(self):
         system = make_system(
             1, 2, 2, [(1, 1)], [(1, 1)], [(1, 1)], cost_u=["3", "5"], cost_y=["7", "11"]
         )
         g = build_bipartite(system)
+        hub = {(e.left, e.right): e.cost for e in g.edges if e.cls in (EDGE_UH, EDGE_HY)}
+        assert hub == {(1, 5): 3 * U, (2, 5): 5 * U, (5, 3): 7 * U, (5, 4): 11 * U}
+        # an explicit partial K keeps one edge per star, priced p_u(i) + p_y(j)
+        partial = replace(system, K=SparsityPattern(2, 2, frozenset({(0, 1), (1, 0)})))
+        g = build_bipartite(partial)
         ek = {(e.left, e.right): e.cost for e in g.edges if e.cls == EDGE_EK}
-        assert ek == {
-            (1, 3): 10 * U,
-            (1, 4): 14 * U,
-            (2, 3): 12 * U,
-            (2, 4): 16 * U,
-        }
+        assert ek == {(1, 4): 14 * U, (2, 3): 12 * U}
+        assert not [e for e in g.edges if e.cls in (EDGE_UH, EDGE_HY)]
 
     def test_left_adjacency_and_names(self, demo):
         g = build_bipartite(demo)
         assert g.left_name(0) == "x1'"
         assert g.left_name(4) == "u1'"
         assert g.right_name(7) == "y1"
-        for v, idxs in enumerate(g.left_adj):
-            for i in idxs:
-                assert g.edges[i].left == v
+        # every edge leaves a left vertex, except the hub's own HY edges
+        for e in g.edges:
+            if e.cls == EDGE_HY:
+                assert e.left == g.size and g.n + g.m <= e.right < g.size
+            elif e.cls == EDGE_UH:
+                assert g.n <= e.left < g.n + g.m and e.right == g.size
+            else:
+                assert 0 <= e.left < g.size and 0 <= e.right < g.size
 
 
 class TestPerfectMatching:
@@ -99,13 +117,13 @@ class TestPerfectMatching:
 
     @given(systems())
     def test_size_matches_reference(self, system):
-        g = build_bipartite(system)
-        pairs = [(e.left, e.right) for e in g.edges]
-        match_l = [-1] * g.size
-        match_r = [-1] * g.size
-        from ioselect.matching import _adjacency, _hopcroft_karp
+        """The hub flow's size is the maximum matching of the expanded graph."""
+        from ioselect.matching import _unit_flow
 
-        got = _hopcroft_karp(g.size, _adjacency(g), match_l, match_r)
+        g = build_bipartite(system)
+        match_l, _match_r, _hall = _unit_flow(g, None)
+        got = sum(1 for r in match_l if r >= 0)
+        pairs = oracles.bipartite_pairs(system)
         assert got == oracles.matching_size(g.size, g.size, pairs)
 
 
@@ -127,11 +145,8 @@ class TestHallWitness:
             return
         left, right = hall_indices(g)
         assert len(left) > len(right)
-        neighborhood = set()
-        for l in left:
-            for i in g.left_adj[l]:
-                neighborhood.add(g.edges[i].right)
-        assert neighborhood == set(right)
+        pairs = oracles.bipartite_pairs(system)
+        assert {r for l, r in pairs if l in left} == set(right)
 
 
 class TestMinCost:

@@ -267,6 +267,30 @@ class TestBench:
             (4, 100), (4, 101), (3, 7), (3, 8),
         ]
 
+    def test_one_scc_pass_per_analysis(self, monkeypatch):
+        # the trial's own SCC pass feeds q, k and the special-case tag; the
+        # only other one is select's
+        import sys
+        from dataclasses import replace
+
+        import ioselect.graph_core as graph_core
+        from ioselect.selector import detect_special_case
+
+        original = graph_core.decompose_sccs
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return original(g)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("ioselect") and getattr(mod, "decompose_sccs", None) is original:
+                monkeypatch.setattr(mod, "decompose_sccs", counting)
+        records, _ = bench([self.CFG], trials=1)
+        assert len(calls) == 2
+        system = generate(replace(self.CFG, seed=records[0].seed))
+        assert records[0].special_case == detect_special_case(system)
+
     def test_generation_failure_recorded(self):
         cfg = GeneratorConfig(
             n=2, m=1, p=1, state_density=0.0, input_density=0.0,
