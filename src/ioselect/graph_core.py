@@ -311,12 +311,6 @@ def _feedback_sccs(
     return comps, comp_of, k_edge_of
 
 
-def restricted_condition_a(restricted: StructuredSystem) -> bool:
-    """:func:`condition_a_holds` for a system already restricted to its selection."""
-    _comps, comp_of, k_edge_of = _feedback_sccs(restricted)
-    return all(comp_of[v] in k_edge_of for v in range(restricted.n))
-
-
 def condition_a_holds(system: StructuredSystem, sel: Selection) -> bool:
     """True iff every state lies in an SCC of the restricted system digraph
     that contains at least one feedback edge.
@@ -325,7 +319,8 @@ def condition_a_holds(system: StructuredSystem, sel: Selection) -> bool:
     For a selection with at least one input and one output that is the same
     as accessibility plus sensability.
     """
-    return restricted_condition_a(restrict(system, sel))
+    _comps, comp_of, k_edge_of = _feedback_sccs(restrict(system, sel))
+    return all(comp_of[v] in k_edge_of for v in range(system.n))
 
 
 def condition_a_witness(

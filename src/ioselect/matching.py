@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
@@ -46,7 +47,7 @@ from ioselect.system_model import (
     ModelError,
     Selection,
     StructuredSystem,
-    restrict,
+    _check_selection,
 )
 
 EDGE_EUU = "EUU"
@@ -81,6 +82,12 @@ class SystemBipartiteGraph:
 
     def right_name(self, v: int) -> str:
         return vertex_name(v, self.n, self.m)
+
+    @cached_property
+    def unit_adjacency(self) -> _Adjacency:
+        """:func:`_adjacency` with every weight 0, built once per graph for
+        the feasibility searches."""
+        return _adjacency(self, None)
 
 
 class NoPerfectMatching(ModelError):
@@ -215,22 +222,68 @@ _FROM_HUB = -2  # parent of a right vertex reached by a hub -> y_j edge
 _FEEDBACK = (EDGE_EK, EDGE_UH, EDGE_HY)
 
 
-def _unit_flow(
+# per-left (right, weight) lists without the hub's edges; the weights of the
+# hub's in-edges by input u'_i and of its out-edges by output y_j
+_Adjacency = tuple[list[list[tuple[int, int]]], dict[int, int], dict[int, int]]
+
+
+def _adjacency(
     g: SystemBipartiteGraph, weight: Optional[Callable[[BipEdge], int]]
+) -> _Adjacency:
+    """The edges of ``g`` as the flow reads them.  ``weight`` prices the
+    feedback edges (classes EK, UH and HY); every other edge weighs 0."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.size)]
+    hub_in: dict[int, int] = {}
+    hub_out: dict[int, int] = {}
+    for e in g.edges:
+        w = weight(e) if weight is not None and e.cls in _FEEDBACK else 0
+        if e.cls == EDGE_UH:
+            hub_in[e.left] = w
+        elif e.cls == EDGE_HY:
+            hub_out[e.right] = w
+        else:
+            adj[e.left].append((e.right, w))
+    return adj, hub_in, hub_out
+
+
+def _masked(g: SystemBipartiteGraph, flow_graph: _Adjacency, sel: Selection) -> _Adjacency:
+    """``flow_graph`` with each unselected input and output reduced to its
+    edge (u'_i, u_i) or (y'_j, y_j).  A perfect matching must use that edge,
+    so the edges into u_i or y_j from elsewhere stay unused, and the graph
+    has a perfect matching exactly when B(A, B, C, K) of the system
+    restricted to ``sel`` has one."""
+    adj, hub_in, hub_out = flow_graph
+    n, m = g.n, g.m
+    adj = list(adj)
+    for i in range(m):
+        if i not in sel.inputs:
+            adj[n + i] = [(n + i, 0)]
+    for j in range(g.p):
+        if j not in sel.outputs:
+            adj[n + m + j] = [(n + m + j, 0)]
+    hub_in = {l: w for l, w in hub_in.items() if l - n in sel.inputs}
+    return adj, hub_in, hub_out
+
+
+def _unit_flow(
+    g: SystemBipartiteGraph,
+    weight: Optional[Callable[[BipEdge], int]],
+    sel: Optional[Selection] = None,
 ) -> tuple[list[int], list[int], Optional[tuple[list[int], list[int]]]]:
     """Maximum unit flow from the left side to the right side of ``g``,
     through the hub where there is one, by successive shortest paths.
 
     ``weight`` prices the feedback edges (classes EK, UH and HY); every
-    other edge weighs 0.  Edges of weight 0 seed a Hopcroft-Karp matching;
-    each round then runs Dijkstra with potentials (one per left vertex,
-    right vertex and the hub) from every free left vertex in the residual
-    graph, stops at the first free right vertex, and augments.  With
-    nonnegative weights the flow has minimum weight among flows of its
-    size.  With ``weight`` None any maximum flow will do: all weights are 0,
-    free inputs go straight to free outputs through the hub before the
-    first round, and a stack stands in for the heap (every order is a
-    shortest-path order).
+    other edge weighs 0.  With ``sel``, the flow runs on the graph of that
+    selection (see :func:`_masked`).  Edges of weight 0 seed a
+    Hopcroft-Karp matching; each round then runs Dijkstra with potentials
+    (one per left vertex, right vertex and the hub) from every free left
+    vertex in the residual graph, stops at the first free right vertex, and
+    augments.  With nonnegative weights the flow has minimum weight among
+    flows of its size.  With ``weight`` None any maximum flow will do: all
+    weights are 0, free inputs go straight to free outputs through the hub
+    before the first round, and a stack stands in for the heap (every order
+    is a shortest-path order).
 
     Returns the partner of each left and each right vertex (the other side's
     vertex, the hub id ``g.size``, or -1 when free) and, when some left
@@ -242,20 +295,11 @@ def _unit_flow(
     edge is a neighbour.
     """
     size, hub = g.size, g.size
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]  # (right, weight)
-    seed: list[list[int]] = [[] for _ in range(size)]
-    hub_in: dict[int, int] = {}  # u'_i -> weight of its edge into the hub
-    hub_out: dict[int, int] = {}  # y_j -> weight of the hub's edge to it
-    for e in g.edges:
-        w = weight(e) if weight is not None and e.cls in _FEEDBACK else 0
-        if e.cls == EDGE_UH:
-            hub_in[e.left] = w
-        elif e.cls == EDGE_HY:
-            hub_out[e.right] = w
-        else:
-            adj[e.left].append((e.right, w))
-            if w == 0:
-                seed[e.left].append(e.right)
+    flow_graph = g.unit_adjacency if weight is None else _adjacency(g, weight)
+    if sel is not None:
+        flow_graph = _masked(g, flow_graph, sel)
+    adj, hub_in, hub_out = flow_graph
+    seed = [[r for r, w in edges if w == 0] for edges in adj]
 
     match_l = [-1] * size
     match_r = [-1] * size
@@ -401,8 +445,10 @@ def _matched_edges(
     )
 
 
-def has_perfect_matching(g: SystemBipartiteGraph) -> bool:
-    return _unit_flow(g, None)[2] is None
+def has_perfect_matching(g: SystemBipartiteGraph, sel: Optional[Selection] = None) -> bool:
+    """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
+    the system restricted to ``sel`` has one, decided on ``g`` itself."""
+    return _unit_flow(g, None, sel)[2] is None
 
 
 def hall_indices(g: SystemBipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -489,7 +535,8 @@ def extract_io(matching: Matching) -> tuple[Selection, int]:
 def cycle_cover_check(system: StructuredSystem, sel: Selection) -> bool:
     """True iff all states can be spanned by vertex-disjoint cycles of the
     restricted system digraph (perfect-matching criterion)."""
-    return has_perfect_matching(build_bipartite(restrict(system, sel)))
+    _check_selection(system, sel)
+    return has_perfect_matching(build_bipartite(system), sel)
 
 
 def state_pattern_has_pm(system: StructuredSystem) -> bool:

@@ -23,13 +23,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from ioselect.graph_core import build_graphs, coverage, decompose_sccs
-from ioselect.matching import NoPerfectMatching, build_bipartite, cycle_cover_check, hall_witness
+from ioselect.matching import NoPerfectMatching, hall_witness
 from ioselect.selector import (
     SystemHasSFMs,
     _special_cases,
     _strongest,
     check_no_sfm,
+    compile_system,
     select_min_cost_io,
     sfm_witness,
 )
@@ -37,6 +37,7 @@ from ioselect.set_cover import TooLarge
 from ioselect.system_model import (
     COMPLETE,
     COST_DECIMALS,
+    InvariantViolated,
     ModelError,
     Selection,
     SparsityPattern,
@@ -190,40 +191,53 @@ def _enumerate_best(
 ) -> Optional[tuple[Selection, int]]:
     """Minimum-cost selection satisfying ``feasible`` over all 2^(m+p)
     subsets; ties break to the lexicographically smallest (I, J).  None if
-    nothing qualifies."""
+    nothing qualifies.
+
+    The subsets are sorted by the key (cost, I, J) and tested in that
+    order, so the first one that qualifies is the answer.
+    """
     m, p = system.m, system.p
     _check_io_guard(system)
-    best: Optional[tuple[int, tuple[int, ...], tuple[int, ...], Selection]] = None
-    for imask in range(1 << m):
-        inputs = tuple(i for i in range(m) if imask >> i & 1)
-        in_cost = sum(system.cost_u[i] for i in inputs)
-        for jmask in range(1 << p):
-            outputs = tuple(j for j in range(p) if jmask >> j & 1)
-            sel = Selection(inputs=frozenset(inputs), outputs=frozenset(outputs))
-            key = (in_cost + sum(system.cost_y[j] for j in outputs), inputs, outputs)
-            if (best is None or key < best[:3]) and feasible(sel):
-                best = key + (sel,)
-    if best is None:
-        return None
-    return best[3], best[0]
+
+    def subsets(count: int, costs: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        chosen = [tuple(i for i in range(count) if mask >> i & 1) for mask in range(1 << count)]
+        return [(sum(costs[i] for i in c), c) for c in chosen]
+
+    output_subsets = subsets(p, system.cost_y)
+    keys = sorted(
+        (in_cost + out_cost, inputs, outputs)
+        for in_cost, inputs in subsets(m, system.cost_u)
+        for out_cost, outputs in output_subsets
+    )
+    for cost, inputs, outputs in keys:
+        sel = Selection.of(inputs, outputs)
+        if feasible(sel):
+            return sel, cost
+    return None
 
 
 def exact_select(system: StructuredSystem) -> tuple[Selection, int]:
-    """Ground-truth minimum-cost selection with no structurally fixed modes."""
+    """Ground-truth minimum-cost selection with no structurally fixed modes.
+
+    Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`.
+    """
     _check_io_guard(system)
-    status = check_no_sfm(system, Selection.full(system))
+    compiled = compile_system(system)
+    status = check_no_sfm(compiled, Selection.full(system))
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(system, status))
-    result = _enumerate_best(system, lambda sel: check_no_sfm(system, sel).ok)
-    assert result is not None  # the full selection qualifies
+    result = _enumerate_best(system, compiled.no_sfm)
+    if result is None:
+        raise InvariantViolated("no selection qualifies, yet the full selection does")
     return result
 
 
 def exact_cycle_select(system: StructuredSystem) -> tuple[Selection, int]:
     """Minimum-cost selection whose cycle family spans every state."""
-    result = _enumerate_best(system, lambda sel: cycle_cover_check(system, sel))
+    compiled = compile_system(system)
+    result = _enumerate_best(system, compiled.condition_b)
     if result is None:
-        raise NoPerfectMatching(*hall_witness(build_bipartite(system)))
+        raise NoPerfectMatching(*hall_witness(compiled.bipartite))
     return result
 
 
@@ -285,21 +299,21 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     except GenerationFailed as exc:
         return BenchRecord(**{**base, "error": str(exc)})
 
-    sg, _ = build_graphs(system)
-    scc = decompose_sccs(sg)
-    tables = coverage(system, scc)
+    t0 = time.perf_counter()
+    compiled = compile_system(system)
+    compile_s = time.perf_counter() - t0
     base.update(
         digest=instance_digest(system),
-        q=scc.q,
-        k=scc.k,
-        mu_max=tables.mu_max,
-        eta_max=tables.eta_max,
-        special_case=_strongest(_special_cases(system, scc)),
+        q=compiled.scc.q,
+        k=compiled.scc.k,
+        mu_max=compiled.cov.mu_max,
+        eta_max=compiled.cov.eta_max,
+        special_case=_strongest(_special_cases(system, compiled.scc)),
     )
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() - compile_s  # the compile is part of select's time
     try:
-        report = select_min_cost_io(system)
+        report = select_min_cost_io(compiled)
     except ModelError as exc:
         return BenchRecord(**{**base, "error": str(exc), "timings": {"select": time.perf_counter() - t0}})
     timings = {"select": time.perf_counter() - t0, **report.timings}

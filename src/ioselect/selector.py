@@ -12,8 +12,9 @@ disjoint cycles.  For discrete-time systems only condition (a) matters.
 3. minimum-cost perfect matching on the full bipartite graph -> (I_C, J_C)
 
 and returns the union (I_A u I_C, J_A u J_C), which is always feasible.
-Both covers and the special-case tags come from one SCC decomposition of
-the state digraph.
+Every stage reads one :class:`CompiledSystem`: the SCC decomposition of
+the state digraph behind the covers, the special-case tags and condition
+(a), and the bipartite graph behind stage 3 and condition (b).
 Stage 3 alone is a certified lower bound on the optimum; enabling the exact
 cover oracle tightens the bound with the exact stage-1/2 optima.
 """
@@ -24,16 +25,18 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Union
 
 from ioselect import matching as matching_mod
 from ioselect.graph_core import (
+    CoverageTables,
     SccDecomposition,
     build_graphs,
+    condition_a_holds,
     condition_a_witness,
     coverage,
     decompose_sccs,
-    restricted_condition_a,
     restricted_vertex_namer,
     vertex_name,
 )
@@ -50,6 +53,7 @@ from ioselect.system_model import (
     ModelError,
     Selection,
     StructuredSystem,
+    _check_selection,
     format_cost,
     format_ratio,
     restrict,
@@ -84,24 +88,95 @@ class ValidationFailed(ModelError):
         super().__init__("; ".join(violations))
 
 
-def check_no_sfm(system: StructuredSystem, sel: Selection) -> SfmStatus:
-    """Classify the system under the given selection.
+@dataclass(frozen=True)
+class CompiledSystem:
+    """The analysis of a full system that its selections are decided on.
 
-    Continuous mode tests both conditions; discrete mode only condition (a),
-    so Type-2 is never reported there.
+    :func:`compile_system` builds it once: the SCCs of D(A), the coverage
+    tables, and each input's and output's cover as a bitmask (bit t set when
+    it covers the t-th non-top, resp. non-bottom, SCC).  B(A, B, C, K) is
+    built on the first condition-(b) test.
     """
-    sub = restrict(system, sel)
-    cond_a = restricted_condition_a(sub)
-    if system.mode == "discrete":
-        return SfmStatus.NO_SFM if cond_a else SfmStatus.TYPE1
-    cond_b = matching_mod.has_perfect_matching(matching_mod.build_bipartite(sub))
-    if cond_a and cond_b:
-        return SfmStatus.NO_SFM
-    if cond_a:
-        return SfmStatus.TYPE2
-    if cond_b:
-        return SfmStatus.TYPE1
-    return SfmStatus.BOTH
+
+    system: StructuredSystem
+    scc: SccDecomposition
+    cov: CoverageTables
+    input_masks: tuple[int, ...]
+    output_masks: tuple[int, ...]
+
+    @cached_property
+    def bipartite(self) -> matching_mod.SystemBipartiteGraph:
+        return matching_mod.build_bipartite(self.system)
+
+    def condition_a(self, sel: Selection) -> bool:
+        """Every state shares an SCC of the restricted system digraph with a
+        feedback edge.
+
+        With a complete K that holds exactly when the selected inputs cover
+        every non-top SCC of D(A) and the selected outputs every non-bottom
+        one.  An explicit partial K runs the SCC test on the restricted
+        system (:func:`ioselect.graph_core.condition_a_holds`).
+        """
+        if not self.system.k_is_complete():
+            return condition_a_holds(self.system, sel)
+        return _covers_all(self.input_masks, sel.inputs, self.scc.q) and _covers_all(
+            self.output_masks, sel.outputs, self.scc.k
+        )
+
+    def condition_b(self, sel: Selection) -> bool:
+        """Disjoint cycles of the restricted system digraph span all states."""
+        return matching_mod.has_perfect_matching(self.bipartite, sel)
+
+    def no_sfm(self, sel: Selection) -> bool:
+        """``status(sel).ok``, without condition (b) when (a) fails."""
+        if not self.condition_a(sel):
+            return False
+        return self.system.mode == "discrete" or self.condition_b(sel)
+
+    def status(self, sel: Selection) -> SfmStatus:
+        """Classify the selection: continuous mode tests both conditions,
+        discrete mode only condition (a), so Type-2 is never reported there."""
+        cond_a = self.condition_a(sel)
+        if self.system.mode == "discrete":
+            return SfmStatus.NO_SFM if cond_a else SfmStatus.TYPE1
+        cond_b = self.condition_b(sel)
+        if cond_a and cond_b:
+            return SfmStatus.NO_SFM
+        if cond_a:
+            return SfmStatus.TYPE2
+        if cond_b:
+            return SfmStatus.TYPE1
+        return SfmStatus.BOTH
+
+
+def _covers_all(masks: tuple[int, ...], chosen, count: int) -> bool:
+    covered = 0
+    for i in chosen:
+        covered |= masks[i]
+    return covered == (1 << count) - 1
+
+
+def compile_system(system: StructuredSystem) -> CompiledSystem:
+    """One SCC pass of D(A) and its coverage tables, for deciding any
+    number of selections of ``system``."""
+    scc = decompose_sccs(build_graphs(system)[0])
+    cov = coverage(system, scc)
+
+    def masks(covers):
+        return tuple(sum(1 << t for t in cover) for cover in covers)
+
+    return CompiledSystem(system, scc, cov, masks(cov.input_covers), masks(cov.output_covers))
+
+
+def check_no_sfm(
+    system: Union[StructuredSystem, CompiledSystem], sel: Selection
+) -> SfmStatus:
+    """Classify the system under the given selection (see
+    :meth:`CompiledSystem.status`).  A system given already compiled is not
+    compiled again.  Raises IndexError on an index out of range."""
+    compiled = system if isinstance(system, CompiledSystem) else compile_system(system)
+    _check_selection(compiled.system, sel)
+    return compiled.status(sel)
 
 
 CASE_DISCRETE = "discrete"
@@ -231,7 +306,7 @@ def _cheapest_connected_pair(system: StructuredSystem) -> tuple[int, int]:
 
 
 def select_min_cost_io(
-    system: StructuredSystem, exact_covers: bool = False
+    system: Union[StructuredSystem, CompiledSystem], exact_covers: bool = False
 ) -> SelectionReport:
     """Three-stage minimum-cost input/output selection.
 
@@ -240,8 +315,12 @@ def select_min_cost_io(
     :class:`SystemHasSFMs` (with a witness) when even the full selection has
     structurally fixed modes.  With ``exact_covers`` the stage-1/2 cover
     instances are also solved exactly (guarded brute force) to tighten the
-    reported lower bound.
+    reported lower bound.  Every stage reads one compiled system; one given
+    already compiled is not compiled again.
     """
+    compiled = None
+    if isinstance(system, CompiledSystem):
+        compiled, system = system, system.system
     report = validate(system)
     if not report.ok:
         raise ValidationFailed(report.violations)
@@ -250,12 +329,14 @@ def select_min_cost_io(
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    status = check_no_sfm(system, Selection.full(system))
+    if compiled is None:
+        compiled = compile_system(system)
+    status = check_no_sfm(compiled, Selection.full(system))
     timings["sfm_check"] = time.perf_counter() - t0
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(system, status))
 
-    scc = decompose_sccs(build_graphs(system)[0])
+    scc = compiled.scc
     tags = _special_cases(system, scc)
     primary = _strongest(tags)
 
@@ -281,17 +362,14 @@ def select_min_cost_io(
             )
             lower = system.cost_u[i] + system.cost_y[j]
         else:
-            g = matching_mod.build_bipartite(system)
-            match_result = matching_mod.min_cost_perfect_matching(g)
+            match_result = matching_mod.min_cost_perfect_matching(compiled.bipartite)
             selection, cyc_cost = matching_mod.extract_io(match_result)
             stage_costs = (0, 0, cyc_cost)
             lower = cyc_cost
         timings["cycle"] = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()
-        (inst1, labels1), (inst2, labels2) = cover_instances(
-            system, scc, coverage(system, scc)
-        )
+        (inst1, labels1), (inst2, labels2) = cover_instances(system, scc, compiled.cov)
         stage1 = greedy_solve(inst1)
         sel1 = cover_to_selection(stage1)
         timings["accessibility"] = time.perf_counter() - t0
@@ -310,8 +388,7 @@ def select_min_cost_io(
             lower = exact_bound if exact_bound is not None else 0
         else:
             t0 = time.perf_counter()
-            g = matching_mod.build_bipartite(system)
-            match_result = matching_mod.min_cost_perfect_matching(g)
+            match_result = matching_mod.min_cost_perfect_matching(compiled.bipartite)
             sel3, cyc_cost = matching_mod.extract_io(match_result)
             timings["cycle"] = time.perf_counter() - t0
             selection = sel1.union(sel2).union(sel3)
@@ -319,7 +396,7 @@ def select_min_cost_io(
             lower = max(cyc_cost, exact_bound or 0)
 
     total = selection_cost(system, selection)
-    if not check_no_sfm(system, selection).ok:
+    if not check_no_sfm(compiled, selection).ok:
         raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
     if lower > total:
         raise InvariantViolated("lower bound exceeds achieved cost")

@@ -1,0 +1,141 @@
+"""The compiled analysis of a system, checked against the oracles in
+``oracles.py`` on every selection of small random systems.
+
+Condition (a) is decided on the inputs' and outputs' cover masks, condition
+(b) on B(A, B, C, K) of the full system with the unselected inputs and
+outputs masked.  The generators favour what those two must get right:
+states on isolated SCCs (both non-top and non-bottom), zero costs, and
+explicit K patterns, complete (masks) and partial (restricted SCC test).
+Every selection is tested, so the empty, one-sided and full ones always are.
+"""
+
+import itertools
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import oracles
+from ioselect.matching import NoPerfectMatching
+from ioselect.oracle_bench import exact_cycle_select, exact_select
+from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system
+from ioselect.system_model import (
+    COMPLETE,
+    Selection,
+    SparsityPattern,
+    StructuredSystem,
+    parse_cost,
+)
+
+MODES = ["continuous", "discrete"]
+
+
+def _stars(draw, rows, cols):
+    cells = list(itertools.product(range(rows), range(cols)))
+    return draw(st.frozensets(st.sampled_from(cells))) if cells else frozenset()
+
+
+@st.composite
+def small_systems(draw, mode):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    p = draw(st.integers(0, 3))
+    # states in ``lonely`` keep at most a self-loop: each is an isolated SCC
+    lonely = draw(st.frozensets(st.integers(0, n - 1)))
+    a = frozenset(
+        (i, j) for i, j in _stars(draw, n, n) if i == j or not {i, j} & lonely
+    )
+    kind = draw(st.sampled_from(["complete", "explicit complete", "partial", "partial"]))
+    if kind == "complete":
+        k = COMPLETE
+    elif kind == "explicit complete":
+        k = SparsityPattern(m, p, frozenset(itertools.product(range(m), range(p))))
+    else:
+        k = SparsityPattern(m, p, _stars(draw, m, p))
+    costs = st.sampled_from(["0", "0", "1", "2", "5"])
+    return StructuredSystem(
+        A=SparsityPattern(n, n, a),
+        B=SparsityPattern(n, m, _stars(draw, n, m)),
+        C=SparsityPattern(p, n, _stars(draw, p, n)),
+        K=k,
+        cost_u=tuple(parse_cost(draw(costs)) for _ in range(m)),
+        cost_y=tuple(parse_cost(draw(costs)) for _ in range(p)),
+        mode=mode,
+    )
+
+
+def _all_selections(system):
+    for inputs in itertools.product([False, True], repeat=system.m):
+        for outputs in itertools.product([False, True], repeat=system.p):
+            yield Selection.of(
+                [i for i, on in enumerate(inputs) if on], [j for j, on in enumerate(outputs) if on]
+            )
+
+
+def _key(sel, cost):
+    return cost, sel.sorted_inputs(), sel.sorted_outputs()
+
+
+@pytest.mark.parametrize("mode", MODES)
+class TestStatus:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_every_selection_matches_oracles(self, mode, data):
+        system = data.draw(small_systems(mode))
+        compiled = compile_system(system)
+        for sel in _all_selections(system):
+            cond_a = oracles.condition_a(system, sel)
+            status = compiled.status(sel)
+            assert compiled.condition_a(sel) == cond_a
+            assert compiled.no_sfm(sel) == status.ok == oracles.no_sfm(system, sel)
+            assert (status in (SfmStatus.TYPE1, SfmStatus.BOTH)) == (not cond_a)
+            if mode == "discrete":
+                assert status in (SfmStatus.NO_SFM, SfmStatus.TYPE1)
+                continue
+            cond_b = oracles.spanning_disjoint_cycles(system, sel)
+            assert compiled.condition_b(sel) == cond_b
+            assert (status in (SfmStatus.TYPE2, SfmStatus.BOTH)) == (not cond_b)
+
+
+def test_unselected_input_keeps_only_its_own_edge():
+    # x1 is fed only by u1, and u1 reaches y1 only through its star in a
+    # partial K.  Without u1, x1 lies on no cycle; a flow that let the
+    # unselected u1' keep its K edge would close x1 -> y1 -> u1 -> x1.
+    system = StructuredSystem(
+        A=SparsityPattern(1, 1, frozenset()),
+        B=SparsityPattern(1, 2, frozenset({(0, 0)})),
+        C=SparsityPattern(1, 1, frozenset({(0, 0)})),
+        K=SparsityPattern(2, 1, frozenset({(0, 0)})),
+        cost_u=(0, 0),
+        cost_y=(0,),
+    )
+    compiled = compile_system(system)
+    assert compiled.condition_b(Selection.full(system))
+    assert not compiled.condition_b(Selection.of([1], [0]))
+    assert not oracles.spanning_disjoint_cycles(system, Selection.of([1], [0]))
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_exact_select_matches_reference(self, mode, data):
+        system = data.draw(small_systems(mode))
+        if not oracles.no_sfm(system, Selection.full(system)):
+            with pytest.raises(SystemHasSFMs):
+                exact_select(system)
+            return
+        assert _key(*exact_select(system)) == oracles.best_selection(system)
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_exact_cycle_select_matches_reference(self, data):
+        system = data.draw(small_systems("continuous"))
+        ref = oracles.best_selection(
+            system, feasible=lambda s: oracles.spanning_disjoint_cycles(system, s)
+        )
+        if ref is None:
+            with pytest.raises(NoPerfectMatching):
+                exact_cycle_select(system)
+            return
+        assert _key(*exact_cycle_select(system)) == ref

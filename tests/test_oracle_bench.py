@@ -33,7 +33,7 @@ from ioselect.oracle_bench import (
 )
 from ioselect.selector import SystemHasSFMs
 from ioselect.set_cover import TooLarge
-from ioselect.system_model import COST_SCALE, ModelError, Selection
+from ioselect.system_model import COST_SCALE, InvariantViolated, ModelError, Selection
 
 U = COST_SCALE
 
@@ -203,6 +203,32 @@ class TestExactSelect:
         assert (tuple(sel.sorted_inputs()), tuple(sel.sorted_outputs())) == ref[1:]
 
 
+    @pytest.mark.parametrize("m, p", [(1, 1), (3, 2), (5, 5)])
+    def test_one_compile_per_search(self, m, p, monkeypatch):
+        # every candidate is decided on one compiled analysis, however many
+        # of the 2^(m+p) selections the search visits
+        from test_selector import wrap_counting
+
+        names = ["system_model.restrict", "matching.build_bipartite", "graph_core.decompose_sccs"]
+        system = generate(GeneratorConfig(n=8, m=m, p=p, cost_range=("1", "9"), seed=m * 10 + p))
+        counts = wrap_counting(monkeypatch, names)
+        exact_select(system)
+        assert counts == {
+            "system_model.restrict": 0,
+            "matching.build_bipartite": 1,
+            "graph_core.decompose_sccs": 1,
+        }
+
+    def test_empty_search_raises(self, demo, monkeypatch):
+        # the full selection qualifies, so a search that finds nothing is a
+        # defect, reported also under python -O
+        import ioselect.selector as selector_mod
+
+        monkeypatch.setattr(selector_mod.CompiledSystem, "no_sfm", lambda self, sel: False)
+        with pytest.raises(InvariantViolated, match="full selection"):
+            exact_select(demo)
+
+
 class TestExactCycleSelect:
     def test_demo(self, demo):
         sel, cost = exact_cycle_select(demo)
@@ -268,8 +294,8 @@ class TestBench:
         ]
 
     def test_one_scc_pass_per_analysis(self, monkeypatch):
-        # the trial's own SCC pass feeds q, k and the special-case tag; the
-        # only other one is select's
+        # the trial's compiled analysis feeds q, k, the special-case tag and
+        # select; the only other SCC pass is the generator's feasibility check
         import sys
         from dataclasses import replace
 

@@ -395,13 +395,15 @@ def wrap_counting(monkeypatch, names):
 
 
 class TestBuildOnce:
-    # Per default select: the full-selection check and the final check each
-    # restrict once and build the system digraph once; one SCC pass of D(A)
-    # feeds the tags and both covers; the witness waits for a trace.
+    # Per default select: one compiled analysis (one SCC pass of D(A), one
+    # B(A, B, C, K)) serves the full-selection check, the tags, both covers,
+    # stage 3 and the final check; nothing is restricted; the witness waits
+    # for a trace.
     LIMITS = {
-        "system_model.restrict": 2,
+        "system_model.restrict": 0,
         "system_model.transpose_dual": 0,
-        "graph_core.build_graphs": 3,
+        "graph_core.build_graphs": 1,
+        "matching.build_bipartite": 1,
         "graph_core.decompose_sccs": 1,
         "graph_core.coverage": 1,
         "graph_core.condition_a_witness": 0,
