@@ -37,7 +37,6 @@ from ioselect.system_model import (
     StructuredSystem,
     format_cost,
     format_ratio,
-    restrict,
     system_from_json,
     system_to_json,
     validate,
@@ -146,8 +145,9 @@ def _cmd_check(args) -> int:
     if args.discrete:
         system = with_mode(system, "discrete")
     sel = _selection_from_flags(system, args)
+    compiled = selector.compile_system(system)
     try:
-        status = selector.check_no_sfm(system, sel)
+        status = selector.check_no_sfm(compiled, sel)
     except IndexError as exc:
         raise _UsageError(str(exc)) from exc
     doc = {
@@ -160,12 +160,10 @@ def _cmd_check(args) -> int:
         },
     }
     if not status.ok:
-        doc["witness"] = selector.sfm_witness(system, status, sel)
+        doc["witness"] = selector.sfm_witness(compiled, status, sel)
     if args.dump_graph:
-        sub = restrict(system, sel)
-        _sg, dg = build_graphs(sub)
-        scc = decompose_sccs(_sg)
-        _write_text(args.dump_graph, dump_system_digraph(dg) + "\n" + dump_condensation(scc))
+        graph = dump_system_digraph(compiled.digraph, sel)
+        _write_text(args.dump_graph, graph + "\n" + dump_condensation(compiled.scc))
     _emit(doc, args)
     return EXIT_OK if status.ok else EXIT_INFEASIBLE
 
@@ -186,7 +184,7 @@ def _cmd_select(args) -> int:
     oracle = None
     if args.exact:
         try:
-            oracle = oracle_bench.exact_select(system)
+            oracle = oracle_bench.exact_select(report.compiled)
         except TooLarge as exc:
             raise _UsageError(str(exc)) from exc
     doc = selector.report_to_json(report, include_traces=args.trace, oracle=oracle)

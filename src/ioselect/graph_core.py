@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Optional
 
-from ioselect.system_model import (
-    Selection,
-    StructuredSystem,
-    restrict,
-)
+from ioselect.system_model import Selection, StructuredSystem
 
 EDGE_X = "EX"
 EDGE_U = "EU"
@@ -178,7 +174,6 @@ class SccDecomposition:
     dag_edges: frozenset[tuple[int, int]]
     non_top: tuple[int, ...]
     non_bottom: tuple[int, ...]
-    isolated: tuple[int, ...]
 
     @property
     def q(self) -> int:
@@ -203,16 +198,12 @@ def decompose_sccs(g: StateDigraph) -> SccDecomposition:
     has_out = {s for s, _d in dag}
     non_top = tuple(ci for ci in range(len(comps)) if ci not in has_in)
     non_bottom = tuple(ci for ci in range(len(comps)) if ci not in has_out)
-    isolated = tuple(
-        ci for ci in range(len(comps)) if ci not in has_in and ci not in has_out
-    )
     return SccDecomposition(
         components=tuple(comps),
         component_of=tuple(comp_of),
         dag_edges=dag,
         non_top=non_top,
         non_bottom=non_bottom,
-        isolated=isolated,
     )
 
 
@@ -263,35 +254,39 @@ def coverage(system: StructuredSystem, scc: SccDecomposition) -> CoverageTables:
     )
 
 
-def restricted_vertex_namer(n: int, sel: Selection) -> Callable[[int], str]:
-    """Labels for the vertex ids of the system restricted to ``sel``: the
-    original 1-based x/u/y names, so a restricted u1 may print as u3."""
-    ins, outs = sel.sorted_inputs(), sel.sorted_outputs()
-    m = len(ins)
-
-    def name(v: int) -> str:
-        if v < n:
-            return f"x{v + 1}"
-        if v < n + m:
-            return f"u{ins[v - n] + 1}"
-        return f"y{outs[v - n - m] + 1}"
-
-    return name
+def selected_vertices(n: int, m: int, p: int, sel: Optional[Selection]) -> list[bool]:
+    """Per vertex id 0..n+m+p (the hub's last): False for the inputs and
+    outputs that ``sel`` leaves out, True for the rest."""
+    keep = [True] * (n + m + p + 1)
+    if sel is not None:
+        for i in range(m):
+            keep[n + i] = i in sel.inputs
+        for j in range(p):
+            keep[n + m + j] = j in sel.outputs
+    return keep
 
 
 def _feedback_sccs(
-    restricted: StructuredSystem,
+    dg: SystemDigraph, sel: Selection
 ) -> tuple[list[list[int]], list[int], dict[int, tuple[int, int]]]:
-    """SCCs of the restricted system digraph, each vertex's SCC, and per SCC
-    its smallest feedback edge (SCCs without one are absent).
+    """SCCs of the system digraph restricted to ``sel``, each vertex's SCC,
+    and per SCC its smallest feedback edge (SCCs without one are absent).
+
+    The SCCs are those of ``dg`` with the out-edges of the unselected inputs
+    and outputs removed.  No cycle passes through those vertices then, so
+    each is a singleton SCC and the others are the SCCs of the subgraph
+    induced by the states, the hub and the selected inputs and outputs:
+    the restricted system's digraph, with every vertex keeping its id in
+    ``dg``.
 
     With a hub, only the hub's SCC can hold feedback edges, and it does when
     it holds more than the hub: a cycle through the hub passes an output and
     an input, and every output/input pair in that SCC is a feedback edge
     inside it.  The smallest is (smallest output, smallest input).
     """
-    _sg, dg = build_graphs(restricted)
-    comps = _tarjan(dg.size + 1, dg.successors)
+    keep = selected_vertices(dg.n, dg.m, dg.p, sel)
+    succ = [out if keep[v] else () for v, out in enumerate(dg.successors)]
+    comps = _tarjan(dg.size + 1, succ)
     comp_of = [0] * (dg.size + 1)
     for ci, comp in enumerate(comps):
         for v in comp:
@@ -311,36 +306,34 @@ def _feedback_sccs(
     return comps, comp_of, k_edge_of
 
 
-def condition_a_holds(system: StructuredSystem, sel: Selection) -> bool:
-    """True iff every state lies in an SCC of the restricted system digraph
-    that contains at least one feedback edge.
+def condition_a_holds(dg: SystemDigraph, sel: Selection) -> bool:
+    """True iff every state lies in an SCC of the system digraph restricted
+    to ``sel`` that contains at least one feedback edge.
 
     With a complete K this is: every state's SCC contains the hub vertex.
     For a selection with at least one input and one output that is the same
     as accessibility plus sensability.
     """
-    _comps, comp_of, k_edge_of = _feedback_sccs(restrict(system, sel))
-    return all(comp_of[v] in k_edge_of for v in range(system.n))
+    _comps, comp_of, k_edge_of = _feedback_sccs(dg, sel)
+    return all(comp_of[v] in k_edge_of for v in range(dg.n))
 
 
-def condition_a_witness(
-    system: StructuredSystem, sel: Selection
-) -> dict[str, dict[str, object]]:
-    """Per-state certificate: the SCC of the restricted system digraph the
-    state belongs to and one feedback edge inside it (None when absent).
+def condition_a_witness(dg: SystemDigraph, sel: Selection) -> dict[str, dict[str, object]]:
+    """Per-state certificate: the SCC of the system digraph restricted to
+    ``sel`` that the state belongs to and one feedback edge inside it (None
+    when absent)."""
+    comps, comp_of, k_edge_of = _feedback_sccs(dg, sel)
+    n, m = dg.n, dg.m
 
-    Vertex labels refer to original (unrestricted) indices.
-    """
-    restricted = restrict(system, sel)
-    comps, comp_of, k_edge_of = _feedback_sccs(restricted)
-    name = restricted_vertex_namer(restricted.n, sel)
-    hub = restricted.n + restricted.m + restricted.p
+    def name(v: int) -> str:
+        return vertex_name(v, n, m)
+
     members: dict[int, list[str]] = {}
     witness: dict[str, dict[str, object]] = {}
-    for v in range(restricted.n):
+    for v in range(n):
         ci = comp_of[v]
         if ci not in members:
-            members[ci] = [name(w) for w in sorted(comps[ci]) if w < hub]
+            members[ci] = [name(w) for w in sorted(comps[ci]) if w < dg.size]
         edge = k_edge_of.get(ci)
         witness[name(v)] = {
             "scc": members[ci],
@@ -349,13 +342,16 @@ def condition_a_witness(
     return witness
 
 
-def dump_system_digraph(dg: SystemDigraph) -> str:
+def dump_system_digraph(dg: SystemDigraph, sel: Optional[Selection] = None) -> str:
     """One edge per line: ``src dst class`` with 1-based x/u/y labels.
 
     A hub is printed as the feedback edges it stands for, one per
-    output/input pair, so the dump always lists D(A, B, C, K) itself.
+    output/input pair, so the dump always lists D(A, B, C, K) itself.  With
+    ``sel``, only the edges among the states and the selected inputs and
+    outputs are listed, under their labels in the full system.
     """
     n, m = dg.n, dg.m
+    keep = selected_vertices(n, m, dg.p, sel)
     ek = dg.ek
     if dg.hub:
         ek = [(n + m + j, n + i) for j in range(dg.p) for i in range(m)]
@@ -363,7 +359,11 @@ def dump_system_digraph(dg: SystemDigraph) -> str:
     edges += [(s, d, EDGE_U) for s, d in dg.eu]
     edges += [(s, d, EDGE_Y) for s, d in dg.ey]
     edges += [(s, d, EDGE_K) for s, d in ek]
-    lines = [f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}" for s, d, cls in sorted(edges)]
+    lines = [
+        f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}"
+        for s, d, cls in sorted(edges)
+        if keep[s] and keep[d]
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -40,6 +40,7 @@ from ioselect.graph_core import (
     EDGE_U as EDGE_EU,
     EDGE_X as EDGE_EX,
     EDGE_Y as EDGE_EY,
+    selected_vertices,
     vertex_name,
 )
 from ioselect.system_model import (
@@ -451,26 +452,35 @@ def has_perfect_matching(g: SystemBipartiteGraph, sel: Optional[Selection] = Non
     return _unit_flow(g, None, sel)[2] is None
 
 
-def hall_indices(g: SystemBipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def hall_indices(
+    g: SystemBipartiteGraph, sel: Optional[Selection] = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex ids of a deficient left set and its (strictly smaller)
-    neighborhood.
+    neighborhood; with ``sel``, in the graph of the system restricted to
+    ``sel``, under the ids of ``g``.
 
     Built from a maximum matching: left vertices reachable from an
     unmatched left vertex by alternating paths form the witness.  Every
     maximum matching gives the same set (the Dulmage-Mendelsohn one), so the
-    witness does not depend on the matching found.  Raises if the graph
-    actually has a perfect matching.
+    witness does not depend on the matching found.  With ``sel`` the flow
+    runs on ``g`` masked (see :func:`_masked`), which has a maximum matching
+    made of one of the restricted graph and the unselected vertices' own
+    edges; so the masked graph's set, less the unselected vertices, is the
+    restricted graph's.  Raises if the graph has a perfect matching.
     """
-    witness = _unit_flow(g, None)[2]
+    witness = _unit_flow(g, None, sel)[2]
     if witness is None:
         raise ModelError("graph has a perfect matching; no Hall witness exists")
+    keep = selected_vertices(g.n, g.m, g.p, sel)
     left, right = witness
-    return tuple(left), tuple(right)
+    return tuple(v for v in left if keep[v]), tuple(v for v in right if keep[v])
 
 
-def hall_witness(g: SystemBipartiteGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def hall_witness(
+    g: SystemBipartiteGraph, sel: Optional[Selection] = None
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Like :func:`hall_indices` but with readable vertex labels."""
-    left, right = hall_indices(g)
+    left, right = hall_indices(g, sel)
     return _labels(g, left, right)
 
 

@@ -21,10 +21,11 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ioselect.matching import NoPerfectMatching, hall_witness
 from ioselect.selector import (
+    CompiledSystem,
     SystemHasSFMs,
     _special_cases,
     _strongest,
@@ -216,16 +217,18 @@ def _enumerate_best(
     return None
 
 
-def exact_select(system: StructuredSystem) -> tuple[Selection, int]:
+def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selection, int]:
     """Ground-truth minimum-cost selection with no structurally fixed modes.
 
-    Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`.
+    Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`;
+    a system given already compiled is not compiled again.
     """
+    compiled = system if isinstance(system, CompiledSystem) else compile_system(system)
+    system = compiled.system
     _check_io_guard(system)
-    compiled = compile_system(system)
     status = check_no_sfm(compiled, Selection.full(system))
     if not status.ok:
-        raise SystemHasSFMs(status, sfm_witness(system, status))
+        raise SystemHasSFMs(status, sfm_witness(compiled, status))
     result = _enumerate_best(system, compiled.no_sfm)
     if result is None:
         raise InvariantViolated("no selection qualifies, yet the full selection does")
@@ -321,7 +324,7 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
 
     if oracle and system.m + system.p <= EXACT_GUARD_IO:
         t0 = time.perf_counter()
-        _sel, p_star = exact_select(system)
+        _sel, p_star = exact_select(compiled)
         timings["oracle"] = time.perf_counter() - t0
         base["oracle_cost"] = p_star
         if p_star > 0:

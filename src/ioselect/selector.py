@@ -32,12 +32,12 @@ from ioselect import matching as matching_mod
 from ioselect.graph_core import (
     CoverageTables,
     SccDecomposition,
+    SystemDigraph,
     build_graphs,
     condition_a_holds,
     condition_a_witness,
     coverage,
     decompose_sccs,
-    restricted_vertex_namer,
     vertex_name,
 )
 from ioselect.set_cover import (
@@ -56,7 +56,6 @@ from ioselect.system_model import (
     _check_selection,
     format_cost,
     format_ratio,
-    restrict,
     selection_cost,
     validate,
 )
@@ -92,13 +91,16 @@ class ValidationFailed(ModelError):
 class CompiledSystem:
     """The analysis of a full system that its selections are decided on.
 
-    :func:`compile_system` builds it once: the SCCs of D(A), the coverage
-    tables, and each input's and output's cover as a bitmask (bit t set when
-    it covers the t-th non-top, resp. non-bottom, SCC).  B(A, B, C, K) is
-    built on the first condition-(b) test.
+    :func:`compile_system` builds it once: D(A, B, C, K), the SCCs of D(A),
+    the coverage tables, and each input's and output's cover as a bitmask
+    (bit t set when it covers the t-th non-top, resp. non-bottom, SCC).
+    B(A, B, C, K) is built on the first condition-(b) test.  A selection is
+    decided and witnessed on these structures with the unselected inputs
+    and outputs masked out, so every vertex keeps its id in the full system.
     """
 
     system: StructuredSystem
+    digraph: SystemDigraph
     scc: SccDecomposition
     cov: CoverageTables
     input_masks: tuple[int, ...]
@@ -114,11 +116,11 @@ class CompiledSystem:
 
         With a complete K that holds exactly when the selected inputs cover
         every non-top SCC of D(A) and the selected outputs every non-bottom
-        one.  An explicit partial K runs the SCC test on the restricted
-        system (:func:`ioselect.graph_core.condition_a_holds`).
+        one.  An explicit partial K runs the SCC test on the masked system
+        digraph (:func:`ioselect.graph_core.condition_a_holds`).
         """
         if not self.system.k_is_complete():
-            return condition_a_holds(self.system, sel)
+            return condition_a_holds(self.digraph, sel)
         return _covers_all(self.input_masks, sel.inputs, self.scc.q) and _covers_all(
             self.output_masks, sel.outputs, self.scc.k
         )
@@ -159,13 +161,14 @@ def _covers_all(masks: tuple[int, ...], chosen, count: int) -> bool:
 def compile_system(system: StructuredSystem) -> CompiledSystem:
     """One SCC pass of D(A) and its coverage tables, for deciding any
     number of selections of ``system``."""
-    scc = decompose_sccs(build_graphs(system)[0])
+    sg, dg = build_graphs(system)
+    scc = decompose_sccs(sg)
     cov = coverage(system, scc)
 
     def masks(covers):
         return tuple(sum(1 << t for t in cover) for cover in covers)
 
-    return CompiledSystem(system, scc, cov, masks(cov.input_covers), masks(cov.output_covers))
+    return CompiledSystem(system, dg, scc, cov, masks(cov.input_covers), masks(cov.output_covers))
 
 
 def check_no_sfm(
@@ -238,7 +241,7 @@ class SelectionReport:
     :func:`ioselect.system_model.format_cost`.
     """
 
-    system: StructuredSystem
+    compiled: CompiledSystem
     selection: Selection
     total_cost: int
     stage_costs: tuple[Optional[int], Optional[int], Optional[int]]
@@ -259,35 +262,30 @@ class SelectionReport:
     def scc_witness(self) -> dict:
         """Condition-(a) certificate of the selection, built on each access:
         it costs O(n * |SCC|) and only traces show it."""
-        return condition_a_witness(self.system, self.selection)
+        return condition_a_witness(self.compiled.digraph, self.selection)
 
 
 def sfm_witness(
-    system: StructuredSystem, status: SfmStatus, sel: Optional[Selection] = None
+    compiled: CompiledSystem, status: SfmStatus, sel: Optional[Selection] = None
 ) -> dict:
     """Machine-checkable evidence for a failed SFM check: the states outside
     any feedback-carrying SCC (Type-1) and a Hall violator (Type-2).
 
-    Labels always use the original system's indices, also when ``sel``
-    restricts the candidate inputs/outputs.
+    Both are read off the compiled graphs with the inputs and outputs
+    outside ``sel`` masked, so labels use the full system's indices.
     """
+    system = compiled.system
     if sel is None:
         sel = Selection.full(system)
     witness: dict = {}
     if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
-        cert = condition_a_witness(system, sel)
-        witness["type1_states"] = sorted(
-            (label for label, info in cert.items() if info["feedback_edge"] is None),
-            key=lambda s: int(s[1:]),
-        )
+        cert = condition_a_witness(compiled.digraph, sel)
+        witness["type1_states"] = [
+            label for label, info in cert.items() if info["feedback_edge"] is None
+        ]
     if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
-        sub = restrict(system, sel)
-        left_ids, right_ids = matching_mod.hall_indices(matching_mod.build_bipartite(sub))
-        name = restricted_vertex_namer(sub.n, sel)
-        witness["hall_violator"] = {
-            "left": [name(v) + "'" for v in left_ids],
-            "neighbors": [name(v) for v in right_ids],
-        }
+        left, right = matching_mod.hall_witness(compiled.bipartite, sel)
+        witness["hall_violator"] = {"left": list(left), "neighbors": list(right)}
     return witness
 
 
@@ -334,7 +332,7 @@ def select_min_cost_io(
     status = check_no_sfm(compiled, Selection.full(system))
     timings["sfm_check"] = time.perf_counter() - t0
     if not status.ok:
-        raise SystemHasSFMs(status, sfm_witness(system, status))
+        raise SystemHasSFMs(status, sfm_witness(compiled, status))
 
     scc = compiled.scc
     tags = _special_cases(system, scc)
@@ -402,7 +400,7 @@ def select_min_cost_io(
         raise InvariantViolated("lower bound exceeds achieved cost")
 
     return SelectionReport(
-        system=system,
+        compiled=compiled,
         selection=selection,
         total_cost=total,
         stage_costs=tuple(stage_costs),

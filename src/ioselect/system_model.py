@@ -139,12 +139,6 @@ class SparsityPattern:
     def transpose(self) -> "SparsityPattern":
         return SparsityPattern(self.cols, self.rows, frozenset((j, i) for i, j in self.stars))
 
-    def column(self, j: int) -> frozenset[int]:
-        return frozenset(i for i, jj in self.stars if jj == j)
-
-    def row_set(self, i: int) -> frozenset[int]:
-        return frozenset(j for ii, j in self.stars if ii == i)
-
     def __contains__(self, pos: tuple[int, int]) -> bool:
         return tuple(pos) in self.stars
 
@@ -304,15 +298,6 @@ def _check_selection(system: StructuredSystem, sel: Selection) -> None:
             raise IndexError(f"output index {j + 1} out of range 1..{system.p}")
 
 
-def restriction_maps(sel: Selection) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Retained-index maps for :func:`restrict`.
-
-    Column ``k`` of the restricted B is column ``maps[0][k]`` of the
-    original; row ``k`` of the restricted C is row ``maps[1][k]``.
-    """
-    return sel.sorted_inputs(), sel.sorted_outputs()
-
-
 def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:
     """Restrict B to the selected input columns and C to the selected output rows.
 
@@ -321,7 +306,7 @@ def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:
     and produce zero-width patterns.
     """
     _check_selection(system, sel)
-    in_keep, out_keep = restriction_maps(sel)
+    in_keep, out_keep = sel.sorted_inputs(), sel.sorted_outputs()
     in_pos = {orig: k for k, orig in enumerate(in_keep)}
     out_pos = {orig: k for k, orig in enumerate(out_keep)}
     n = system.n

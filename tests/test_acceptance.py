@@ -362,14 +362,14 @@ def test_criterion_09_special_cases(monkeypatch):
         raise AssertionError("matching stage invoked in discrete mode")
 
     monkeypatch.setattr(ioselect.matching, "min_cost_perfect_matching", forbidden)
-    from ioselect.graph_core import condition_a_holds
+    from ioselect.graph_core import build_graphs, condition_a_holds
 
     discrete = _feasible_systems(100, seed_base=92_000, mode="discrete")
     assert len(discrete) >= 100
     for system in discrete:
         report = select_min_cost_io(system)
         assert report.stage_costs[2] is None
-        assert condition_a_holds(system, report.selection)
+        assert condition_a_holds(build_graphs(system)[1], report.selection)
     monkeypatch.undo()
 
     elapsed = time.perf_counter() - t0

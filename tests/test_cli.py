@@ -103,6 +103,19 @@ class TestCheck:
         assert "y1 u1 EK\n" in text
         assert "# scc1 = x1" in text
 
+    def test_dump_graph_partial_selection(self, capsys, demo_json, tmp_path):
+        # the dump names u3 and y2 as the flags and the witness do
+        dump = tmp_path / "graph.txt"
+        code, doc, _err = run_json(
+            capsys, "check", demo_json, "--inputs", "3", "--outputs", "2", "--dump-graph", str(dump)
+        )
+        assert code == EXIT_INFEASIBLE
+        assert doc["witness"]["hall_violator"]["left"][-2:] == ["u3'", "y2'"]
+        text = dump.read_text()
+        assert "y2 u3 EK\n" in text
+        assert "u3 x4 EU\n" in text and "x1 y2 EY\n" in text
+        assert "u1" not in text and "y1" not in text
+
     def test_table_format(self, capsys, demo_json):
         code, out, _ = run(capsys, "check", demo_json, "--format", "table")
         assert code == EXIT_OK
@@ -379,6 +392,39 @@ class TestBench:
             capsys, "bench", "--n", ",", "--m", "1", "--p", "1"
         )
         assert code == EXIT_USAGE and "no sizes" in err
+
+
+class TestCompileOnce:
+    def test_check_with_witness_and_dump(self, capsys, demo_json, tmp_path, monkeypatch):
+        # status, witness and dump all read one compiled analysis
+        from test_selector import wrap_counting
+
+        names = [
+            "system_model.restrict",
+            "graph_core.build_graphs",
+            "graph_core.decompose_sccs",
+            "matching.build_bipartite",
+        ]
+        counts = wrap_counting(monkeypatch, names)
+        dump = str(tmp_path / "graph.txt")
+        argv = ["check", demo_json, "--inputs", "3", "--outputs", "2", "--dump-graph", dump]
+        code, doc, _err = run_json(capsys, *argv)
+        assert code == EXIT_INFEASIBLE and "hall_violator" in doc["witness"]
+        assert counts.pop("matching.build_bipartite") <= 1
+        assert counts == {
+            "system_model.restrict": 0,
+            "graph_core.build_graphs": 1,
+            "graph_core.decompose_sccs": 1,
+        }
+
+    def test_select_exact(self, capsys, demo_json, monkeypatch):
+        # the exact search reuses the pipeline's compiled analysis
+        from test_selector import wrap_counting
+
+        counts = wrap_counting(monkeypatch, ["graph_core.decompose_sccs", "matching.build_bipartite"])
+        code, doc, _err = run_json(capsys, "select", demo_json, "--exact")
+        assert code == EXIT_OK and "oracle" in doc
+        assert counts == {"graph_core.decompose_sccs": 1, "matching.build_bipartite": 1}
 
 
 class TestMain:

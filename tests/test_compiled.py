@@ -5,26 +5,32 @@ Condition (a) is decided on the inputs' and outputs' cover masks, condition
 (b) on B(A, B, C, K) of the full system with the unselected inputs and
 outputs masked.  The generators favour what those two must get right:
 states on isolated SCCs (both non-top and non-bottom), zero costs, and
-explicit K patterns, complete (masks) and partial (restricted SCC test).
-Every selection is tested, so the empty, one-sided and full ones always are.
+explicit K patterns, complete (masks) and partial (the SCC test on the
+masked system digraph), including partial blocks that a selection cuts down
+to a complete one.  Every selection is tested, so the empty, one-sided and
+full ones always are.  The witnesses of failed selections, read off the same
+masked graphs, are checked against the system restricted to the selection.
 """
 
 import itertools
 
 import hypothesis.strategies as st
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
 import oracles
+from ioselect.graph_core import condition_a_witness, vertex_name
 from ioselect.matching import NoPerfectMatching
 from ioselect.oracle_bench import exact_cycle_select, exact_select
-from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system
+from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, sfm_witness
 from ioselect.system_model import (
     COMPLETE,
     Selection,
     SparsityPattern,
     StructuredSystem,
     parse_cost,
+    restrict,
 )
 
 MODES = ["continuous", "discrete"]
@@ -95,6 +101,77 @@ class TestStatus:
             cond_b = oracles.spanning_disjoint_cycles(system, sel)
             assert compiled.condition_b(sel) == cond_b
             assert (status in (SfmStatus.TYPE2, SfmStatus.BOTH)) == (not cond_b)
+
+
+def _restricted_sccs(system, sel):
+    """SCCs of the restricted system digraph with K expanded (networkx), in
+    the full system's ids, and the feedback edges inside them."""
+    n, m = system.n, system.m
+    g = nx.DiGraph(oracles.system_edges(system, sel))
+    g.add_nodes_from(range(n))
+    k_edges = [
+        (n + m + j, n + i) for i, j in system.k_stars() if i in sel.inputs and j in sel.outputs
+    ]
+    return list(nx.strongly_connected_components(g)), k_edges
+
+
+def _check_type1(system, compiled, sel, type1_states):
+    """Each state's SCC and smallest feedback edge in the witness, and the
+    Type-1 states, are those of the expanded restricted digraph."""
+    n, m = system.n, system.m
+    sccs, k_edges = _restricted_sccs(system, sel)
+    cert = condition_a_witness(compiled.digraph, sel)
+    uncovered = []
+    for scc in sccs:
+        inside = sorted((a, b) for a, b in k_edges if a in scc and b in scc)
+        edge = [vertex_name(v, n, m) for v in inside[0]] if inside else None
+        labels = [vertex_name(v, n, m) for v in sorted(scc)]
+        for v in scc:
+            if v < n:
+                assert cert[vertex_name(v, n, m)] == {"scc": labels, "feedback_edge": edge}
+                if edge is None:
+                    uncovered.append(v)
+    assert type1_states == [vertex_name(v, n, m) for v in sorted(uncovered)]
+
+
+def _check_hall(system, sel, violator):
+    """The violator is the restricted graph's Hall set under the full
+    system's labels: its neighbourhood is exact and its deficiency is the
+    number of vertices a maximum matching leaves free."""
+    n, m = system.n, system.m
+    sub = restrict(system, sel)
+    size = sub.n + sub.m + sub.p
+    original = (
+        list(range(n))
+        + [n + i for i in sel.sorted_inputs()]
+        + [n + m + j for j in sel.sorted_outputs()]
+    )
+    pairs = oracles.bipartite_pairs(sub)
+    named = [
+        (vertex_name(original[l], n, m) + "'", vertex_name(original[r], n, m)) for l, r in pairs
+    ]
+    left, right = violator["left"], violator["neighbors"]
+    assert set(left) <= {vertex_name(v, n, m) + "'" for v in original}
+    assert {r for l, r in named if l in set(left)} == set(right)
+    assert len(left) - len(right) == size - oracles.matching_size(size, size, pairs)
+
+
+class TestWitness:
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_failed_selections_match_restricted_system(self, mode, data):
+        system = data.draw(small_systems(mode))
+        compiled = compile_system(system)
+        for sel in _all_selections(system):
+            status = compiled.status(sel)
+            if status.ok:
+                continue
+            witness = sfm_witness(compiled, status, sel)
+            if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
+                _check_type1(system, compiled, sel, witness["type1_states"])
+            if status in (SfmStatus.TYPE2, SfmStatus.BOTH):
+                _check_hall(system, sel, witness["hall_violator"])
 
 
 def test_unselected_input_keeps_only_its_own_edge():

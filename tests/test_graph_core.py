@@ -70,21 +70,20 @@ class TestScc:
         assert scc.non_top == (1, 3)
         assert scc.non_bottom == (2,)
         assert scc.q == 2 and scc.k == 1
-        assert scc.isolated == ()
 
     def test_single_cycle_is_irreducible(self):
         sys_ = make_system(3, 1, 1, [[2, 1], [3, 2], [1, 3]], [[1, 1]], [[1, 1]])
         scc = decompose_sccs(build_graphs(sys_)[0])
         assert scc.components == ((0, 1, 2),)
         assert scc.q == scc.k == 1
-        assert scc.isolated == (0,)
+        assert scc.non_top == scc.non_bottom == (0,)
 
     def test_diagonal_states_all_isolated(self):
         sys_ = make_system(3, 3, 3, [[1, 1], [2, 2], [3, 3]],
                            [[1, 1], [2, 2], [3, 3]], [[1, 1], [2, 2], [3, 3]])
         scc = decompose_sccs(build_graphs(sys_)[0])
         assert len(scc.components) == 3
-        assert scc.non_top == scc.non_bottom == scc.isolated == (0, 1, 2)
+        assert scc.non_top == scc.non_bottom == (0, 1, 2)
 
     @given(systems(max_n=8))
     def test_partition_matches_reference(self, system):
@@ -174,21 +173,22 @@ class TestReachability:
 
 class TestConditionA:
     def test_demo_cases(self, demo):
-        assert condition_a_holds(demo, Selection.full(demo))
+        dg = build_graphs(demo)[1]
+        assert condition_a_holds(dg, Selection.full(demo))
         # u3 with y1 closes a loop through every state
-        assert condition_a_holds(demo, Selection.of([2], [0]))
+        assert condition_a_holds(dg, Selection.of([2], [0]))
         # y2 reads x1 only; x3, x4 stay outside any feedback loop
-        assert not condition_a_holds(demo, Selection.of([2], [1]))
+        assert not condition_a_holds(dg, Selection.of([2], [1]))
 
     def test_witness_structure(self, demo):
-        w = condition_a_witness(demo, Selection.full(demo))
+        w = condition_a_witness(build_graphs(demo)[1], Selection.full(demo))
         assert set(w) == {"x1", "x2", "x3", "x4"}
         for info in w.values():
             assert info["feedback_edge"] == ["y1", "u1"]
             assert "x3" in info["scc"]
 
     def test_witness_marks_failing_states(self, demo):
-        w = condition_a_witness(demo, Selection.of([2], [1]))
+        w = condition_a_witness(build_graphs(demo)[1], Selection.of([2], [1]))
         failing = {s for s, info in w.items() if info["feedback_edge"] is None}
         assert failing == {"x3", "x4"}
         # x1 does close a loop: x1 -> y2 -> u3 -> x1
@@ -197,13 +197,14 @@ class TestConditionA:
     @given(systems_with_selection(max_n=6))
     def test_matches_reference(self, case):
         system, sel = case
-        assert condition_a_holds(system, sel) == oracles.condition_a(system, sel)
+        assert condition_a_holds(build_graphs(system)[1], sel) == oracles.condition_a(system, sel)
 
     @given(systems_with_selection(max_n=6))
     def test_witness_agrees_with_predicate(self, case):
         system, sel = case
-        w = condition_a_witness(system, sel)
-        assert condition_a_holds(system, sel) == all(
+        dg = build_graphs(system)[1]
+        w = condition_a_witness(dg, sel)
+        assert condition_a_holds(dg, sel) == all(
             info["feedback_edge"] is not None for info in w.values()
         )
 

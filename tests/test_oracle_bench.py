@@ -294,8 +294,9 @@ class TestBench:
         ]
 
     def test_one_scc_pass_per_analysis(self, monkeypatch):
-        # the trial's compiled analysis feeds q, k, the special-case tag and
-        # select; the only other SCC pass is the generator's feasibility check
+        # the trial's compiled analysis feeds q, k, the special-case tag,
+        # select and the exact search; the only other SCC pass is the
+        # generator's feasibility check
         import sys
         from dataclasses import replace
 
@@ -316,6 +317,11 @@ class TestBench:
         assert len(calls) == 2
         system = generate(replace(self.CFG, seed=records[0].seed))
         assert records[0].special_case == detect_special_case(system)
+        # the exact search reuses the trial's compiled analysis
+        calls.clear()
+        records, _ = bench([self.CFG], trials=1, oracle=True)
+        assert records[0].oracle_cost is not None
+        assert len(calls) == 2
 
     def test_generation_failure_recorded(self):
         cfg = GeneratorConfig(

@@ -12,6 +12,7 @@ from ioselect.selector import (
     ValidationFailed,
     applicable_special_cases,
     check_no_sfm,
+    compile_system,
     detect_special_case,
     report_to_json,
     select_min_cost_io,
@@ -88,24 +89,24 @@ class TestCheckNoSfm:
 
 class TestWitness:
     def test_type1_states(self, demo):
-        w = sfm_witness(demo, SfmStatus.BOTH, Selection.of([2], [1]))
+        w = sfm_witness(compile_system(demo), SfmStatus.BOTH, Selection.of([2], [1]))
         assert w["type1_states"] == ["x3", "x4"]
         hall = w["hall_violator"]
         assert hall["left"] == ["x1'", "x2'", "x3'", "x4'", "u3'", "y2'"]
         assert hall["neighbors"] == ["x1", "x2", "x4", "u3", "y2"]
 
     def test_type2_full_system(self):
-        w = sfm_witness(shared_pair_system(), SfmStatus.TYPE2)
+        w = sfm_witness(compile_system(shared_pair_system()), SfmStatus.TYPE2)
         assert w == {"hall_violator": {"left": ["x1'", "x2'"], "neighbors": ["u1"]}}
 
     def test_type1_empty_selection(self):
-        w = sfm_witness(diagonal_system(), SfmStatus.TYPE1, Selection.of([], []))
+        w = sfm_witness(compile_system(diagonal_system()), SfmStatus.TYPE1, Selection.of([], []))
         assert w == {"type1_states": ["x1", "x2", "x3"]}
 
     def test_discrete_never_reports_hall(self):
         system = replace(make_system(2, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)]),
                          mode="discrete")
-        w = sfm_witness(system, SfmStatus.TYPE1)
+        w = sfm_witness(compile_system(system), SfmStatus.TYPE1)
         assert "hall_violator" not in w
         assert w["type1_states"] == ["x2"]
 
