@@ -63,11 +63,15 @@ def _load_json(path: str):
         raise _UsageError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _load_system(path: str) -> StructuredSystem:
+def _read_system(path: str) -> StructuredSystem:
     try:
-        system = system_from_json(_load_json(path))
+        return system_from_json(_load_json(path))
     except FormatError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
+
+
+def _load_system(path: str) -> StructuredSystem:
+    system = _read_system(path)
     report = validate(system)
     if not report.ok:
         raise _UsageError(f"{path}: " + "; ".join(report.violations))
@@ -169,7 +173,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    system = _load_system(args.instance)
+    system = _read_system(args.instance)  # select_min_cost_io validates it
     if args.discrete:
         system = with_mode(system, "discrete")
     try:
@@ -178,7 +182,7 @@ def _cmd_select(args) -> int:
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE
     except ValidationFailed as exc:
-        raise _UsageError("; ".join(exc.violations)) from exc
+        raise _UsageError(f"{args.instance}: {exc}") from exc  # as _load_system words it
     except TooLarge as exc:
         raise _UsageError(str(exc)) from exc
     oracle = None

@@ -9,14 +9,17 @@ y'_1..y'_p on the left and their unprimed twins on the right.  Edges:
 * (u'_i, y_j)  iff K_ij is starred            (class EK, cost p_u(i)+p_y(j))
 * (u'_i, u_i) and (y'_j, y_j) always          (classes EUU/EYY, cost 0)
 
-A complete K is not expanded into its m*p EK edges.  One hub vertex h (id
-n+m+p) takes their place, with an edge (u'_i, h) of cost p_u(i) (class UH)
+The graph is stored once, as one list of right-vertex ids per left vertex.
+A complete K is not expanded into its m*p EK edges: a flag stands for one
+hub vertex h (id n+m+p), with an edge (u'_i, h) of cost p_u(i) (class UH)
 per input and an edge (h, y_j) of cost p_y(j) (class HY) per output.
-Matchings are computed as unit flows from the left side to the right side,
-and h passes on as many units as it takes in, so a flow through h is a set
-of EK edges pairing its inputs with its outputs.  Every pairing costs the
-same; reported matchings pair the i-th smallest input with the i-th
-smallest output.  An explicit partial K keeps one EK edge per star.
+Matchings are unit flows from the left side to the right side, and h
+passes on as many units as it takes in, so a flow through h is a set of EK
+edges pairing its inputs with its outputs.  Every pairing costs the same;
+reported matchings pair the i-th smallest input with the i-th smallest
+output.  An explicit partial K keeps one EK edge per star.  An edge's class
+and cost follow from its end points' ids, so a :class:`BipEdge` is made
+only for an edge that a matching reports.
 
 Perfect matchings of this graph correspond exactly to families of disjoint
 cycles in the system digraph that span all states, and the minimum-cost
@@ -31,9 +34,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ioselect.graph_core import (
     EDGE_K as EDGE_EK,
@@ -55,6 +57,7 @@ EDGE_EUU = "EUU"
 EDGE_EYY = "EYY"
 EDGE_UH = "UH"
 EDGE_HY = "HY"
+_CLASS_ORDER = (EDGE_EX, EDGE_EU, EDGE_EY, EDGE_UH, EDGE_HY, EDGE_EK, EDGE_EUU, EDGE_EYY)
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,22 @@ class BipEdge:
 
 @dataclass(frozen=True)
 class SystemBipartiteGraph:
-    """B(A, B, C, K); UH edges end and HY edges start at the hub id ``size``."""
+    """B(A, B, C, K) as the right neighbours of each left vertex.
+
+    ``adj[l]`` lists the right-vertex ids of l's edges except its hub edge:
+    a state's in ascending order, an input's or output's other neighbours in
+    ascending order and then its own twin.  With ``hub`` set, K is complete
+    and every input has an edge to the hub id ``size``, which has one to
+    every output.
+    """
 
     n: int
     m: int
     p: int
-    edges: tuple[BipEdge, ...]
+    cost_u: tuple[int, ...]
+    cost_y: tuple[int, ...]
+    adj: tuple[list[int], ...]
+    hub: bool
 
     @property
     def size(self) -> int:
@@ -84,11 +97,32 @@ class SystemBipartiteGraph:
     def right_name(self, v: int) -> str:
         return vertex_name(v, self.n, self.m)
 
-    @cached_property
-    def unit_adjacency(self) -> _Adjacency:
-        """:func:`_adjacency` with every weight 0, built once per graph for
-        the feasibility searches."""
-        return _adjacency(self, None)
+    def edge(self, left: int, right: int) -> BipEdge:
+        """The edge (left, right), its class and cost read off the id ranges."""
+        n, out0, size = self.n, self.n + self.m, self.size
+        if left == size:
+            return BipEdge(left, right, EDGE_HY, self.cost_y[right - out0])
+        if right == size:
+            return BipEdge(left, right, EDGE_UH, self.cost_u[left - n])
+        if left < n:
+            return BipEdge(left, right, EDGE_EX if right < n else EDGE_EU, 0)
+        if left == right:
+            return BipEdge(left, right, EDGE_EUU if left < out0 else EDGE_EYY, 0)
+        if left < out0:
+            return BipEdge(left, right, EDGE_EK, self.cost_u[left - n] + self.cost_y[right - out0])
+        return BipEdge(left, right, EDGE_EY, 0)
+
+    @property
+    def edges(self) -> tuple[BipEdge, ...]:
+        """Every edge, by class in :data:`_CLASS_ORDER` and by end points
+        within a class, built on each access.  No code in this package
+        reads it."""
+        n, out0, size = self.n, self.n + self.m, self.size
+        pairs = [(l, r) for l, row in enumerate(self.adj) for r in row]
+        if self.hub:
+            pairs += [(l, size) for l in range(n, out0)] + [(size, r) for r in range(out0, size)]
+        edges = [self.edge(l, r) for l, r in pairs]
+        return tuple(sorted(edges, key=lambda e: _CLASS_ORDER.index(e.cls)))
 
 
 class NoPerfectMatching(ModelError):
@@ -123,31 +157,26 @@ class Matching:
 
 
 def build_bipartite(system: StructuredSystem) -> SystemBipartiteGraph:
-    """B(A, B, C, K), with a complete K as the hub's m + p edges."""
+    """B(A, B, C, K), each left vertex's neighbours grouped from the rows of
+    A, B, C and a partial K; a complete K is the hub flag."""
     n, m, p = system.n, system.m, system.p
-    edges: list[BipEdge] = []
-    for i, j in sorted(system.A.stars):
-        edges.append(BipEdge(i, j, EDGE_EX, 0))
-    for i, j in sorted(system.B.stars):
-        edges.append(BipEdge(i, n + j, EDGE_EU, 0))
-    for j, i in sorted(system.C.stars):
-        edges.append(BipEdge(n + m + j, i, EDGE_EY, 0))
-    if system.k_is_complete():
-        hub = n + m + p
-        for i in range(m):
-            edges.append(BipEdge(n + i, hub, EDGE_UH, system.cost_u[i]))
-        for j in range(p):
-            edges.append(BipEdge(hub, n + m + j, EDGE_HY, system.cost_y[j]))
-    else:
-        for i, j in sorted(system.K.stars):
-            edges.append(
-                BipEdge(n + i, n + m + j, EDGE_EK, system.cost_u[i] + system.cost_y[j])
-            )
-    for i in range(m):
-        edges.append(BipEdge(n + i, n + i, EDGE_EUU, 0))
-    for j in range(p):
-        edges.append(BipEdge(n + m + j, n + m + j, EDGE_EYY, 0))
-    return SystemBipartiteGraph(n, m, p, tuple(edges))
+    out0 = n + m
+    adj: list[list[int]] = [[] for _ in range(out0 + p)]
+    for i, j in system.A.stars:
+        adj[i].append(j)
+    for i, j in system.B.stars:
+        adj[i].append(n + j)
+    for j, i in system.C.stars:
+        adj[out0 + j].append(i)
+    hub = system.k_is_complete()
+    if not hub:
+        for i, j in system.K.stars:
+            adj[n + i].append(out0 + j)
+    for v, row in enumerate(adj):
+        row.sort()
+        if v >= n:
+            row.append(v)
+    return SystemBipartiteGraph(n, m, p, system.cost_u, system.cost_y, tuple(adj), hub)
 
 
 def _hopcroft_karp(
@@ -220,71 +249,33 @@ def _hopcroft_karp(
 
 _LEFT, _RIGHT, _HUB = 0, 1, 2  # heap entry kinds
 _FROM_HUB = -2  # parent of a right vertex reached by a hub -> y_j edge
-_FEEDBACK = (EDGE_EK, EDGE_UH, EDGE_HY)
-
-
-# per-left (right, weight) lists without the hub's edges; the weights of the
-# hub's in-edges by input u'_i and of its out-edges by output y_j
-_Adjacency = tuple[list[list[tuple[int, int]]], dict[int, int], dict[int, int]]
-
-
-def _adjacency(
-    g: SystemBipartiteGraph, weight: Optional[Callable[[BipEdge], int]]
-) -> _Adjacency:
-    """The edges of ``g`` as the flow reads them.  ``weight`` prices the
-    feedback edges (classes EK, UH and HY); every other edge weighs 0."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.size)]
-    hub_in: dict[int, int] = {}
-    hub_out: dict[int, int] = {}
-    for e in g.edges:
-        w = weight(e) if weight is not None and e.cls in _FEEDBACK else 0
-        if e.cls == EDGE_UH:
-            hub_in[e.left] = w
-        elif e.cls == EDGE_HY:
-            hub_out[e.right] = w
-        else:
-            adj[e.left].append((e.right, w))
-    return adj, hub_in, hub_out
-
-
-def _masked(g: SystemBipartiteGraph, flow_graph: _Adjacency, sel: Selection) -> _Adjacency:
-    """``flow_graph`` with each unselected input and output reduced to its
-    edge (u'_i, u_i) or (y'_j, y_j).  A perfect matching must use that edge,
-    so the edges into u_i or y_j from elsewhere stay unused, and the graph
-    has a perfect matching exactly when B(A, B, C, K) of the system
-    restricted to ``sel`` has one."""
-    adj, hub_in, hub_out = flow_graph
-    n, m = g.n, g.m
-    adj = list(adj)
-    for i in range(m):
-        if i not in sel.inputs:
-            adj[n + i] = [(n + i, 0)]
-    for j in range(g.p):
-        if j not in sel.outputs:
-            adj[n + m + j] = [(n + m + j, 0)]
-    hub_in = {l: w for l, w in hub_in.items() if l - n in sel.inputs}
-    return adj, hub_in, hub_out
 
 
 def _unit_flow(
     g: SystemBipartiteGraph,
-    weight: Optional[Callable[[BipEdge], int]],
+    prices: Optional[tuple[list[int], list[int]]] = None,
     sel: Optional[Selection] = None,
 ) -> tuple[list[int], list[int], Optional[tuple[list[int], list[int]]]]:
     """Maximum unit flow from the left side to the right side of ``g``,
     through the hub where there is one, by successive shortest paths.
 
-    ``weight`` prices the feedback edges (classes EK, UH and HY); every
-    other edge weighs 0.  With ``sel``, the flow runs on the graph of that
-    selection (see :func:`_masked`).  Edges of weight 0 seed a
-    Hopcroft-Karp matching; each round then runs Dijkstra with potentials
-    (one per left vertex, right vertex and the hub) from every free left
-    vertex in the residual graph, stops at the first free right vertex, and
-    augments.  With nonnegative weights the flow has minimum weight among
-    flows of its size.  With ``weight`` None any maximum flow will do: all
-    weights are 0, free inputs go straight to free outputs through the hub
-    before the first round, and a stack stands in for the heap (every order
-    is a shortest-path order).
+    ``prices`` is one weight per input and one per output.  An EK edge
+    weighs the sum of its input's and its output's, a UH edge its input's,
+    an HY edge its output's, and every other edge 0.  With ``sel``, the
+    flow runs on ``g`` with each unselected input and output reduced to its
+    edge (u'_i, u_i) or (y'_j, y_j).  A perfect matching must use that edge,
+    so the edges into u_i or y_j from elsewhere stay unused, and the graph
+    has a perfect matching exactly when B(A, B, C, K) of the system
+    restricted to ``sel`` has one.
+
+    Edges of weight 0 seed a Hopcroft-Karp matching; each round then runs
+    Dijkstra with potentials (one per left vertex, right vertex and the hub)
+    from every free left vertex in the residual graph, stops at the first
+    free right vertex, and augments.  With nonnegative weights the flow has
+    minimum weight among flows of its size.  With ``prices`` None any
+    maximum flow will do: all weights are 0, free inputs go straight to free
+    outputs through the hub before the first round, and a stack stands in
+    for the heap (every order is a shortest-path order).
 
     Returns the partner of each left and each right vertex (the other side's
     vertex, the hub id ``g.size``, or -1 when free) and, when some left
@@ -295,17 +286,26 @@ def _unit_flow(
     an input is adjacent to every output, so then every output with a hub
     edge is a neighbour.
     """
-    size, hub = g.size, g.size
-    flow_graph = g.unit_adjacency if weight is None else _adjacency(g, weight)
-    if sel is not None:
-        flow_graph = _masked(g, flow_graph, sel)
-    adj, hub_in, hub_out = flow_graph
-    seed = [[r for r, w in edges if w == 0] for edges in adj]
+    n, m, size = g.n, g.m, g.size
+    hub, out0 = size, n + m
+    keep = selected_vertices(n, m, g.p, sel)
+    adj = g.adj if sel is None else [row if keep[v] else [v] for v, row in enumerate(g.adj)]
+    has_hub = g.hub
+    hub_in = [l for l in range(n, out0) if keep[l]] if has_hub else []
+    hub_out = range(out0, size) if has_hub else range(0)
+    if prices is None:
+        price_in, price_out = [0] * m, [0] * g.p
+        seed = adj
+    else:
+        # prices are positive, so an input's own edge is its only free one
+        price_in, price_out = prices
+        seed = list(adj)
+        seed[n:out0] = [[l] for l in range(n, out0)]
 
     match_l = [-1] * size
     match_r = [-1] * size
     _hopcroft_karp(size, seed, match_l, match_r)
-    if weight is None:
+    if prices is None:
         free_in = [l for l in hub_in if match_l[l] < 0]
         free_out = [r for r in hub_out if match_r[r] < 0]
         for l, r in zip(free_in, free_out):
@@ -317,7 +317,7 @@ def _unit_flow(
     pot_l = [0] * size
     pot_r = [0] * size
     pot_h = 0
-    push, pop = (heappush, heappop) if weight is not None else (list.append, list.pop)
+    push, pop = (heappush, heappop) if prices is not None else (list.append, list.pop)
     while True:
         heap = [(0, _LEFT, l) for l in range(size) if match_l[l] < 0]
         if not heap:
@@ -335,14 +335,25 @@ def _unit_flow(
             if kind == _LEFT:
                 if d > dist_l[v]:
                     continue
-                for r, c in adj[v]:
-                    nd = d + c - pot_l[v] + pot_r[r]
+                base = d - pot_l[v]
+                if not n <= v < out0:
+                    for r in adj[v]:
+                        nd = base + pot_r[r]
+                        if dist_r[r] < 0 or nd < dist_r[r]:
+                            dist_r[r] = nd
+                            parent_r[r] = v
+                            push(heap, (nd, _RIGHT, r))
+                    continue
+                # an input: its EK edges, its own edge (free), its hub edge
+                priced = base + price_in[v - n]
+                for r in adj[v]:
+                    nd = (priced + price_out[r - out0] if r != v else base) + pot_r[r]
                     if dist_r[r] < 0 or nd < dist_r[r]:
                         dist_r[r] = nd
                         parent_r[r] = v
                         push(heap, (nd, _RIGHT, r))
-                if v in hub_in and match_l[v] != hub:
-                    nd = d + hub_in[v] - pot_l[v] + pot_h
+                if has_hub and keep[v] and match_l[v] != hub:
+                    nd = priced + pot_h
                     if dist_h < 0 or nd < dist_h:
                         dist_h, parent_h = nd, v
                         push(heap, (nd, _HUB, hub))
@@ -355,7 +366,7 @@ def _unit_flow(
                     break
                 if back == hub:
                     # several edges enter the hub, so this one need not be tight
-                    nd = d - hub_out[v] - pot_r[v] + pot_h
+                    nd = d - price_out[v - out0] - pot_r[v] + pot_h
                     if dist_h < 0 or nd < dist_h:
                         dist_h, parent_h = nd, ~v
                         push(heap, (nd, _HUB, hub))
@@ -365,16 +376,16 @@ def _unit_flow(
             else:
                 if d > dist_h:
                     continue
-                for r, c in hub_out.items():
+                for r in hub_out:
                     if match_r[r] != hub:
-                        nd = d + c - pot_h + pot_r[r]
+                        nd = d + price_out[r - out0] - pot_h + pot_r[r]
                         if dist_r[r] < 0 or nd < dist_r[r]:
                             dist_r[r] = nd
                             parent_r[r] = _FROM_HUB
                             push(heap, (nd, _RIGHT, r))
-                for l, c in hub_in.items():
+                for l in hub_in:
                     if match_l[l] == hub:
-                        nd = d - c + pot_l[l] - pot_h
+                        nd = d - price_in[l - n] + pot_l[l] - pot_h
                         if dist_l[l] < 0 or nd < dist_l[l]:
                             dist_l[l] = nd
                             push(heap, (nd, _LEFT, l))
@@ -419,33 +430,6 @@ def _unit_flow(
             r = prev
 
 
-def _matched_edges(
-    g: SystemBipartiteGraph, match_l: list[int], match_r: list[int]
-) -> tuple[BipEdge, ...]:
-    """The matched edge of each left vertex, in left-vertex order.  The hub's
-    inputs and outputs become EK edges, the i-th smallest input paired with
-    the i-th smallest output."""
-    hub = g.size
-    hub_edge: dict[int, BipEdge] = {}  # u'_i or y_j -> its hub edge
-    by_pair: dict[tuple[int, int], BipEdge] = {}
-    for e in g.edges:
-        if e.cls == EDGE_UH:
-            hub_edge[e.left] = e
-        elif e.cls == EDGE_HY:
-            hub_edge[e.right] = e
-        else:
-            by_pair.setdefault((e.left, e.right), e)
-    k_inputs = [l for l in range(g.size) if match_l[l] == hub]
-    k_outputs = [r for r in range(g.size) if match_r[r] == hub]
-    k_edges = {
-        l: BipEdge(l, r, EDGE_EK, hub_edge[l].cost + hub_edge[r].cost)
-        for l, r in zip(k_inputs, k_outputs)
-    }
-    return tuple(
-        k_edges[l] if match_l[l] == hub else by_pair[(l, match_l[l])] for l in range(g.size)
-    )
-
-
 def has_perfect_matching(g: SystemBipartiteGraph, sel: Optional[Selection] = None) -> bool:
     """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
     the system restricted to ``sel`` has one, decided on ``g`` itself."""
@@ -463,7 +447,7 @@ def hall_indices(
     unmatched left vertex by alternating paths form the witness.  Every
     maximum matching gives the same set (the Dulmage-Mendelsohn one), so the
     witness does not depend on the matching found.  With ``sel`` the flow
-    runs on ``g`` masked (see :func:`_masked`), which has a maximum matching
+    runs on ``g`` masked (see :func:`_unit_flow`), which has a maximum matching
     made of one of the restricted graph and the unselected vertices' own
     edges; so the masked graph's set, less the unselected vertices, is the
     restricted graph's.  Raises if the graph has a perfect matching.
@@ -496,9 +480,11 @@ def min_cost_perfect_matching(g: SystemBipartiteGraph) -> Matching:
     input indices, then low output indices.  A feedback edge (u'_i, y_j)
     pays 2**(m+p) (count layer) plus 2**(p+i) (input layer) plus 2**j
     (output layer).  Every layer is a sum of an input part and an output
-    part, so the hub's edges carry them exactly: (u'_i, h) pays the count
-    and input layers, (h, y_j) the output layer.  The layers make the used
-    inputs and outputs of the optimum unique.
+    part, so the flow gets one price per input, p_u(i)*cap + 2**(m+p) +
+    2**(p+i), and one per output, p_y(j)*cap + 2**j: an EK edge pays both,
+    (u'_i, h) its input's and (h, y_j) its output's.  The layers make the
+    used inputs and outputs of the optimum unique.  The returned matching
+    holds a :class:`BipEdge` for each left vertex.
 
     Raises :class:`NoPerfectMatching` (with a Hall witness) if no perfect
     matching exists.
@@ -507,19 +493,16 @@ def min_cost_perfect_matching(g: SystemBipartiteGraph) -> Matching:
     # the cap strictly exceeds the largest possible tie-break total, which
     # is min(m, p) feedback edges paying under 2**(m+p+1) each
     tie_cap = (min(m, p) + 1) << (m + p + 1)
-
-    def weight(e: BipEdge) -> int:
-        w = e.cost * tie_cap
-        if e.cls in (EDGE_EK, EDGE_UH):
-            w += (1 << (m + p)) + (1 << (p + e.left - n))
-        if e.cls in (EDGE_EK, EDGE_HY):
-            w += 1 << (e.right - n - m)
-        return w
-
-    match_l, match_r, hall = _unit_flow(g, weight)
+    price_in = [c * tie_cap + (1 << (m + p)) + (1 << (p + i)) for i, c in enumerate(g.cost_u)]
+    price_out = [c * tie_cap + (1 << j) for j, c in enumerate(g.cost_y)]
+    match_l, match_r, hall = _unit_flow(g, (price_in, price_out))
     if hall is not None:
         raise NoPerfectMatching(*_labels(g, *hall))
-    return Matching(n, m, p, _matched_edges(g, match_l, match_r), perfect=True)
+    # the matched edge of each left vertex; each hub input in turn takes the
+    # smallest hub output left
+    hub_outputs = iter([r for r in range(g.size) if match_r[r] == g.size])
+    edges = (g.edge(l, next(hub_outputs) if r == g.size else r) for l, r in enumerate(match_l))
+    return Matching(n, m, p, tuple(edges), perfect=True)
 
 
 def extract_io(matching: Matching) -> tuple[Selection, int]:

@@ -243,7 +243,8 @@ def _check_pattern(name: str, pat: SparsityPattern, out: list[str]) -> None:
     if pat.rows < 0 or pat.cols < 0:
         out.append(f"{name}: negative dimensions {pat.rows}x{pat.cols}")
         return
-    for i, j in sorted(pat.stars):
+    bad = [(i, j) for i, j in pat.stars if not (0 <= i < pat.rows and 0 <= j < pat.cols)]
+    for i, j in sorted(bad):
         if not 0 <= i < pat.rows:
             out.append(f"{name}: star ({i + 1}, {j + 1}) row out of range")
         elif not 0 <= j < pat.cols:

@@ -418,13 +418,15 @@ class TestCompileOnce:
         }
 
     def test_select_exact(self, capsys, demo_json, monkeypatch):
-        # the exact search reuses the pipeline's compiled analysis
+        # the exact search reuses the pipeline's compiled analysis, and the
+        # pipeline's own validation serves the CLI
         from test_selector import wrap_counting
 
-        counts = wrap_counting(monkeypatch, ["graph_core.decompose_sccs", "matching.build_bipartite"])
+        names = ["graph_core.decompose_sccs", "matching.build_bipartite", "system_model.validate"]
+        counts = wrap_counting(monkeypatch, names)
         code, doc, _err = run_json(capsys, "select", demo_json, "--exact")
         assert code == EXIT_OK and "oracle" in doc
-        assert counts == {"graph_core.decompose_sccs": 1, "matching.build_bipartite": 1}
+        assert counts == dict.fromkeys(names, 1)
 
 
 class TestMain:

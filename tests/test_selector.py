@@ -419,6 +419,31 @@ class TestBuildOnce:
         over = {k: v for k, v in counts.items() if v > self.LIMITS[k]}
         assert over == {}
 
+    def test_edge_objects_only_for_the_matching(self, monkeypatch):
+        # B(A, B, C, K) is stored as neighbour lists: a select creates a
+        # BipEdge only for each matched edge it reports
+        import ioselect.matching as matching_mod
+        from ioselect.oracle_bench import GeneratorConfig, generate
+
+        system = generate(
+            GeneratorConfig(
+                n=200, m=20, p=20, state_density=5 / 200, input_density=0.2,
+                output_density=0.2, cost_range=("1", "99"), seed=101,
+            )
+        )
+        assert len(matching_mod.build_bipartite(system).edges) >= 1000
+        created = []
+
+        class CountedEdge(matching_mod.BipEdge):
+            def __init__(self, *args):
+                created.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(matching_mod, "BipEdge", CountedEdge)
+        rep = select_min_cost_io(system)
+        assert rep.matching is not None
+        assert len(created) <= system.n + system.m + system.p
+
     def test_witness_built_only_for_traces(self, demo, monkeypatch):
         counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])
         rep = select_min_cost_io(demo)

@@ -123,6 +123,26 @@ class TestValidate:
         assert "negative cost at input 1" in text
         assert "mode" in text
 
+    def test_bad_stars_reported_in_star_order(self):
+        # each pattern's out-of-range stars by (row, col), patterns A, B, C
+        bad = StructuredSystem(
+            A=SparsityPattern(2, 2, {(5, 0), (0, 9), (1, 1), (2, 2), (-1, 1), (0, 3)}),
+            B=SparsityPattern(2, 1, {(1, 4), (0, 0), (3, 0)}),
+            C=SparsityPattern(1, 2, {(0, 2)}),
+            cost_u=(parse_cost(1),),
+            cost_y=(parse_cost(1),),
+        )
+        assert validate(bad).violations == (
+            "A: star (0, 2) row out of range",
+            "A: star (1, 4) col out of range",
+            "A: star (1, 10) col out of range",
+            "A: star (3, 3) row out of range",
+            "A: star (6, 1) row out of range",
+            "B: star (2, 5) col out of range",
+            "B: star (4, 1) row out of range",
+            "C: star (1, 3) col out of range",
+        )
+
     def test_cost_length_mismatch(self):
         sys_ = make_system(2, 2, 1, [[1, 1], [2, 2]], [[1, 1]], [[1, 2]])
         broken = StructuredSystem(
