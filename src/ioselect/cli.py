@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ioselect import oracle_bench, selector
-from ioselect.graph_core import build_graphs, coverage, decompose_sccs, dump_condensation, dump_system_digraph
+from ioselect.graph_core import dump_condensation, dump_system_digraph
 from ioselect.matching import NoPerfectMatching, dump_matching
 from ioselect.selector import SystemHasSFMs, ValidationFailed
 from ioselect.set_cover import (
@@ -39,7 +39,6 @@ from ioselect.system_model import (
     format_ratio,
     system_from_json,
     system_to_json,
-    validate,
     with_mode,
 )
 
@@ -68,14 +67,6 @@ def _read_system(path: str) -> StructuredSystem:
         return system_from_json(_load_json(path))
     except FormatError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
-
-
-def _load_system(path: str) -> StructuredSystem:
-    system = _read_system(path)
-    report = validate(system)
-    if not report.ok:
-        raise _UsageError(f"{path}: " + "; ".join(report.violations))
-    return system
 
 
 def _parse_index_list(text: str, count: int, kind: str) -> frozenset[int]:
@@ -145,15 +136,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    system = _load_system(args.instance)
+    system = _read_system(args.instance)
     if args.discrete:
         system = with_mode(system, "discrete")
-    sel = _selection_from_flags(system, args)
-    compiled = selector.compile_system(system)
-    try:
-        status = selector.check_no_sfm(compiled, sel)
-    except IndexError as exc:
-        raise _UsageError(str(exc)) from exc
+    compiled = selector.compile_system(system)  # validates before the flags are read
+    sel = _selection_from_flags(system, args)  # checks the index ranges
+    status = selector.check_no_sfm(compiled, sel)
     doc = {
         "no_sfm": status.ok,
         "reason": status.value,
@@ -166,14 +154,14 @@ def _cmd_check(args) -> int:
     if not status.ok:
         doc["witness"] = selector.sfm_witness(compiled, status, sel)
     if args.dump_graph:
-        graph = dump_system_digraph(compiled.digraph, sel)
+        graph = dump_system_digraph(compiled.graph, sel)
         _write_text(args.dump_graph, graph + "\n" + dump_condensation(compiled.scc))
     _emit(doc, args)
     return EXIT_OK if status.ok else EXIT_INFEASIBLE
 
 
 def _cmd_select(args) -> int:
-    system = _read_system(args.instance)  # select_min_cost_io validates it
+    system = _read_system(args.instance)
     if args.discrete:
         system = with_mode(system, "discrete")
     try:
@@ -181,8 +169,6 @@ def _cmd_select(args) -> int:
     except SystemHasSFMs as exc:
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE
-    except ValidationFailed as exc:
-        raise _UsageError(f"{args.instance}: {exc}") from exc  # as _load_system words it
     except TooLarge as exc:
         raise _UsageError(str(exc)) from exc
     oracle = None
@@ -200,9 +186,9 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_reduce_setcover(args) -> int:
-    system = _load_system(args.instance)
-    scc = decompose_sccs(build_graphs(system)[0])
-    inst, labels = cover_instances(system, scc, coverage(system, scc))[1 if args.dual else 0]
+    system = _read_system(args.instance)
+    compiled = selector.compile_system(system)
+    inst, labels = cover_instances(system, compiled.scc, compiled.cov)[1 if args.dual else 0]
     doc = wsc_to_json(inst)
     doc["labels"] = [list(states) for states in labels]
     _emit(doc, args)
@@ -392,6 +378,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValidationFailed as exc:  # every command that reads a system file compiles it
+        print(f"error: {args.instance}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoPerfectMatching as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,19 @@
-"""State and system digraphs, SCCs, coverage tables, reachability conditions.
+"""The one stored system graph, its SCCs, coverage tables and reachability
+conditions.
 
-The state digraph D(A) has an edge x_j -> x_i exactly when A_ij is starred.
-The system digraph adds input edges u_j -> x_i (from B), output edges
-x_j -> y_i (from C) and feedback edges y_j -> u_i (from K).
+The system digraph D(A, B, C, K) has state edges x_j -> x_i (A_ij starred),
+input edges u_j -> x_i (B_ij), output edges x_j -> y_i (C_ij) and feedback
+edges y_j -> u_i (K_ij); the state digraph D(A) is its part on the states.
+The bipartite graph B(A, B, C, K) has primed vertices x'_1..x'_n,
+u'_1..u'_m, y'_1..y'_p on the left and their unprimed twins on the right,
+with an edge (v', w) for each edge w -> v of D(A, B, C, K), and the edges
+(u'_i, u_i) and (y'_j, y_j) for every input and output.
+
+Both are stored once, as :class:`SystemGraph`: row v lists the
+in-neighbours of v in D(A, B, C, K), which is row v' of B(A, B, C, K).  The
+rows are the successor lists of the transpose of D(A, B, C, K), and a
+digraph and its transpose have the same SCCs, so the SCCs of D(A) and of
+D(A, B, C, K) are found on the rows themselves.
 
 A complete K (the ``COMPLETE`` token, or an explicit pattern with all m*p
 stars) is never expanded: its m*p feedback edges are replaced by one hub
@@ -18,16 +29,22 @@ labels x1/u1/y1 used in messages and debug dumps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from ioselect.system_model import Selection, StructuredSystem
 
-EDGE_X = "EX"
-EDGE_U = "EU"
-EDGE_Y = "EY"
-EDGE_K = "EK"
+# the edge classes of B(A, B, C, K), tabled in ioselect.matching
+EDGE_EX = "EX"
+EDGE_EU = "EU"
+EDGE_EY = "EY"
+EDGE_EK = "EK"
+EDGE_EUU = "EUU"
+EDGE_EYY = "EYY"
+EDGE_UH = "UH"
+EDGE_HY = "HY"
+_CLASS_ORDER = (EDGE_EX, EDGE_EU, EDGE_EY, EDGE_UH, EDGE_HY, EDGE_EK, EDGE_EUU, EDGE_EYY)
 
 
 def vertex_name(v: int, n: int, m: int) -> str:
@@ -39,35 +56,30 @@ def vertex_name(v: int, n: int, m: int) -> str:
 
 
 @dataclass(frozen=True)
-class StateDigraph:
-    """D(A): one vertex per state, edge (x_j, x_i) iff A_ij is starred."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for src, dst in self.edges:
-            out[src].append(dst)
-        return tuple(tuple(sorted(s)) for s in out)
+class BipEdge:
+    left: int
+    right: int
+    cls: str
+    cost: int  # scaled; nonzero only on EK, UH and HY edges
 
 
 @dataclass(frozen=True)
-class SystemDigraph:
-    """D(A, B, C, K) with per-class edge sets (global vertex ids).
+class SystemGraph:
+    """D(A, B, C, K) as in-neighbour lists, which are the rows of B(A, B, C, K).
 
-    With ``hub`` set, K is complete: ``ek`` is empty and the feedback block
-    is the vertex ``size`` with edges y_j -> hub -> u_i.
+    ``adj[v]`` lists v's in-neighbours other than the hub: a state's in
+    ascending order, an input's or output's in ascending order and then its
+    own id.  That last id is the bipartite edge (v', v), not a digraph
+    edge.  With ``hub`` set, K is complete: the hub id ``size`` is an
+    in-neighbour of every input, and every output is one of the hub's.
     """
 
     n: int
     m: int
     p: int
-    ex: frozenset[tuple[int, int]]
-    eu: frozenset[tuple[int, int]]
-    ey: frozenset[tuple[int, int]]
-    ek: frozenset[tuple[int, int]]
+    cost_u: tuple[int, ...]
+    cost_y: tuple[int, ...]
+    adj: tuple[list[int], ...]
     hub: bool
 
     @property
@@ -75,35 +87,81 @@ class SystemDigraph:
         """Number of state, input and output vertices (the hub, if any, is ``size``)."""
         return self.n + self.m + self.p
 
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted successor lists of vertices 0..size (the hub's slot is
-        empty without a hub)."""
-        hub = self.size
-        out: list[list[int]] = [[] for _ in range(hub + 1)]
-        for edges in (self.ex, self.eu, self.ey, self.ek):
-            for s, d in edges:
-                out[s].append(d)
+    def left_name(self, v: int) -> str:
+        return vertex_name(v, self.n, self.m) + "'"
+
+    def right_name(self, v: int) -> str:
+        return vertex_name(v, self.n, self.m)
+
+    def state_rows(self) -> list[list[int]]:
+        """D(A) as in-neighbour lists: each state's row cut at id n."""
+        n = self.n
+        return [row[: bisect_left(row, n)] for row in self.adj[:n]]
+
+    @property
+    def ek(self) -> list[tuple[int, int]]:
+        """The feedback edges (y, u) of an explicit K, read off the input
+        rows; empty with a hub."""
+        n = self.n
+        return [(y, u) for u in range(n, n + self.m) for y in self.adj[u][:-1]]
+
+    def edge(self, left: int, right: int) -> BipEdge:
+        """The edge (left, right), its class and cost read off the id ranges."""
+        n, out0, size = self.n, self.n + self.m, self.size
+        if left == size:
+            return BipEdge(left, right, EDGE_HY, self.cost_y[right - out0])
+        if right == size:
+            return BipEdge(left, right, EDGE_UH, self.cost_u[left - n])
+        if left < n:
+            return BipEdge(left, right, EDGE_EX if right < n else EDGE_EU, 0)
+        if left == right:
+            return BipEdge(left, right, EDGE_EUU if left < out0 else EDGE_EYY, 0)
+        if left < out0:
+            return BipEdge(left, right, EDGE_EK, self.cost_u[left - n] + self.cost_y[right - out0])
+        return BipEdge(left, right, EDGE_EY, 0)
+
+    @property
+    def edges(self) -> tuple[BipEdge, ...]:
+        """Every edge of B(A, B, C, K), by class in :data:`_CLASS_ORDER` and
+        by end points within a class, built on each access.  No code in this
+        package reads it; the tracer in ``perfbench/`` counts it."""
+        n, out0, size = self.n, self.n + self.m, self.size
+        pairs = [(l, r) for l, row in enumerate(self.adj) for r in row]
         if self.hub:
-            for y in range(self.n + self.m, hub):
-                out[y].append(hub)
-            out[hub] = list(range(self.n, self.n + self.m))
-        return tuple(tuple(sorted(lst)) for lst in out)
+            pairs += [(l, size) for l in range(n, out0)] + [(size, r) for r in range(out0, size)]
+        edges = [self.edge(l, r) for l, r in pairs]
+        return tuple(sorted(edges, key=lambda e: _CLASS_ORDER.index(e.cls)))
 
 
-def build_graphs(system: StructuredSystem) -> tuple[StateDigraph, SystemDigraph]:
-    """Construct D(A) and D(A, B, C, K); a complete K becomes the hub vertex
-    (no edge per star), an explicit partial K one edge per star."""
-    n, m = system.n, system.m
-    ex = frozenset((j, i) for i, j in system.A.stars)
-    eu = frozenset((n + j, i) for i, j in system.B.stars)
-    ey = frozenset((j, n + m + i) for i, j in system.C.stars)
+def build_bipartite(system: StructuredSystem) -> SystemGraph:
+    """The system's one graph: each vertex's in-neighbours grouped from the
+    rows of A, B, C and a partial K; a complete K is the hub flag."""
+    n, m, p = system.n, system.m, system.p
+    out0 = n + m
+    adj: list[list[int]] = [[] for _ in range(out0 + p)]
+    for i, j in system.A.stars:
+        adj[i].append(j)
+    for i, j in system.B.stars:
+        adj[i].append(n + j)
+    for j, i in system.C.stars:
+        adj[out0 + j].append(i)
     hub = system.k_is_complete()
-    ek = frozenset() if hub else frozenset((n + m + j, n + i) for i, j in system.K.stars)
-    return (
-        StateDigraph(n, ex),
-        SystemDigraph(n, m, system.p, ex, eu, ey, ek, hub),
-    )
+    if not hub:
+        for i, j in system.K.stars:
+            adj[n + i].append(out0 + j)
+    for v, row in enumerate(adj):
+        row.sort()
+        if v >= n:
+            row.append(v)
+    return SystemGraph(n, m, p, system.cost_u, system.cost_y, tuple(adj), hub)
+
+
+def build_graphs(system: StructuredSystem) -> tuple[SystemGraph, SystemGraph]:
+    """The system's graph twice, as the (D(A), D(A, B, C, K)) pair that the
+    benchmark set-up in ``perfbench/`` unpacks.  No code in this package
+    calls it."""
+    g = build_bipartite(system)
+    return g, g
 
 
 def _tarjan(num_vertices: int, successors) -> list[list[int]]:
@@ -160,7 +218,7 @@ def _tarjan(num_vertices: int, successors) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """SCCs of a state digraph plus the condensation DAG.
+    """SCCs of D(A) plus the condensation DAG.
 
     Components are numbered by their minimum contained state, ascending, so
     set-cover universes built from them are deterministic.  An SCC is
@@ -184,15 +242,21 @@ class SccDecomposition:
         return len(self.non_bottom)
 
 
-def decompose_sccs(g: StateDigraph) -> SccDecomposition:
-    raw = _tarjan(g.n, g.successors)
+def decompose_sccs(g: SystemGraph) -> SccDecomposition:
+    """SCCs of D(A), found on its transpose (the state rows); each
+    condensation edge points the way of D(A)'s edges."""
+    rows = g.state_rows()
+    raw = _tarjan(g.n, rows)
     comps = sorted((tuple(sorted(c)) for c in raw), key=lambda c: c[0])
     comp_of = [0] * g.n
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     dag = frozenset(
-        (comp_of[s], comp_of[d]) for s, d in g.edges if comp_of[s] != comp_of[d]
+        (comp_of[s], comp_of[d])
+        for d, row in enumerate(rows)
+        for s in row
+        if comp_of[s] != comp_of[d]
     )
     has_in = {d for _s, d in dag}
     has_out = {s for s, _d in dag}
@@ -236,16 +300,17 @@ class CoverageTables:
 
 
 def coverage(system: StructuredSystem, scc: SccDecomposition) -> CoverageTables:
+    """The coverage tables of a validated system (see ``compile_system``)."""
     top_pos = {ci: t for t, ci in enumerate(scc.non_top)}
     bot_pos = {ci: t for t, ci in enumerate(scc.non_bottom)}
     in_covers: list[set[int]] = [set() for _ in range(system.m)]
     for r, i in system.B.stars:
-        t = top_pos.get(scc.component_of[r]) if 0 <= r < len(scc.component_of) else None
+        t = top_pos.get(scc.component_of[r])
         if t is not None:
             in_covers[i].add(t)
     out_covers: list[set[int]] = [set() for _ in range(system.p)]
     for j, r in system.C.stars:
-        t = bot_pos.get(scc.component_of[r]) if 0 <= r < len(scc.component_of) else None
+        t = bot_pos.get(scc.component_of[r])
         if t is not None:
             out_covers[j].add(t)
     return CoverageTables(
@@ -267,46 +332,52 @@ def selected_vertices(n: int, m: int, p: int, sel: Optional[Selection]) -> list[
 
 
 def _feedback_sccs(
-    dg: SystemDigraph, sel: Selection
+    g: SystemGraph, sel: Selection
 ) -> tuple[list[list[int]], list[int], dict[int, tuple[int, int]]]:
     """SCCs of the system digraph restricted to ``sel``, each vertex's SCC,
     and per SCC its smallest feedback edge (SCCs without one are absent).
 
-    The SCCs are those of ``dg`` with the out-edges of the unselected inputs
-    and outputs removed.  No cycle passes through those vertices then, so
-    each is a singleton SCC and the others are the SCCs of the subgraph
-    induced by the states, the hub and the selected inputs and outputs:
-    the restricted system's digraph, with every vertex keeping its id in
-    ``dg``.
+    The SCCs are found on the rows of ``g`` (the transpose of the system
+    digraph), with the hub's edges added and the rows of the unselected
+    inputs and outputs emptied.  That removes their in-edges, so no cycle
+    passes through them: each is a singleton SCC, and the others are the
+    SCCs of the subgraph induced by the states, the hub and the selected
+    inputs and outputs, the restricted system's digraph, with every vertex
+    keeping its id in ``g``.
 
     With a hub, only the hub's SCC can hold feedback edges, and it does when
     it holds more than the hub: a cycle through the hub passes an output and
     an input, and every output/input pair in that SCC is a feedback edge
     inside it.  The smallest is (smallest output, smallest input).
     """
-    keep = selected_vertices(dg.n, dg.m, dg.p, sel)
-    succ = [out if keep[v] else () for v, out in enumerate(dg.successors)]
-    comps = _tarjan(dg.size + 1, succ)
-    comp_of = [0] * (dg.size + 1)
+    n, out0, hub = g.n, g.n + g.m, g.size
+    keep = selected_vertices(n, g.m, g.p, sel)
+    rows = [row if keep[v] else () for v, row in enumerate(g.adj)]
+    if g.hub:  # u_i <- h <- y_j, read backwards
+        for u in range(n, out0):
+            if keep[u]:
+                rows[u] = rows[u] + [hub]
+    rows.append(range(out0, hub) if g.hub else ())
+    comps = _tarjan(hub + 1, rows)
+    comp_of = [0] * (hub + 1)
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     k_edge_of: dict[int, tuple[int, int]] = {}
-    for edge in dg.ek:
+    for edge in g.ek:
         ci = comp_of[edge[0]]
         if comp_of[edge[1]] == ci and (ci not in k_edge_of or edge < k_edge_of[ci]):
             k_edge_of[ci] = edge
-    hub_comp = comps[comp_of[dg.size]]
-    if dg.hub and len(hub_comp) > 1:
-        first_output = dg.n + dg.m
-        k_edge_of[comp_of[dg.size]] = (
-            min(v for v in hub_comp if first_output <= v < dg.size),
-            min(v for v in hub_comp if dg.n <= v < first_output),
+    hub_comp = comps[comp_of[hub]]
+    if g.hub and len(hub_comp) > 1:
+        k_edge_of[comp_of[hub]] = (
+            min(v for v in hub_comp if out0 <= v < hub),
+            min(v for v in hub_comp if n <= v < out0),
         )
     return comps, comp_of, k_edge_of
 
 
-def condition_a_holds(dg: SystemDigraph, sel: Selection) -> bool:
+def condition_a_holds(g: SystemGraph, sel: Selection) -> bool:
     """True iff every state lies in an SCC of the system digraph restricted
     to ``sel`` that contains at least one feedback edge.
 
@@ -314,16 +385,16 @@ def condition_a_holds(dg: SystemDigraph, sel: Selection) -> bool:
     For a selection with at least one input and one output that is the same
     as accessibility plus sensability.
     """
-    _comps, comp_of, k_edge_of = _feedback_sccs(dg, sel)
-    return all(comp_of[v] in k_edge_of for v in range(dg.n))
+    _comps, comp_of, k_edge_of = _feedback_sccs(g, sel)
+    return all(comp_of[v] in k_edge_of for v in range(g.n))
 
 
-def condition_a_witness(dg: SystemDigraph, sel: Selection) -> dict[str, dict[str, object]]:
+def condition_a_witness(g: SystemGraph, sel: Selection) -> dict[str, dict[str, object]]:
     """Per-state certificate: the SCC of the system digraph restricted to
     ``sel`` that the state belongs to and one feedback edge inside it (None
     when absent)."""
-    comps, comp_of, k_edge_of = _feedback_sccs(dg, sel)
-    n, m = dg.n, dg.m
+    comps, comp_of, k_edge_of = _feedback_sccs(g, sel)
+    n, m = g.n, g.m
 
     def name(v: int) -> str:
         return vertex_name(v, n, m)
@@ -333,7 +404,7 @@ def condition_a_witness(dg: SystemDigraph, sel: Selection) -> dict[str, dict[str
     for v in range(n):
         ci = comp_of[v]
         if ci not in members:
-            members[ci] = [name(w) for w in sorted(comps[ci]) if w < dg.size]
+            members[ci] = [name(w) for w in sorted(comps[ci]) if w < g.size]
         edge = k_edge_of.get(ci)
         witness[name(v)] = {
             "scc": members[ci],
@@ -342,23 +413,26 @@ def condition_a_witness(dg: SystemDigraph, sel: Selection) -> dict[str, dict[str
     return witness
 
 
-def dump_system_digraph(dg: SystemDigraph, sel: Optional[Selection] = None) -> str:
+def dump_system_digraph(g: SystemGraph, sel: Optional[Selection] = None) -> str:
     """One edge per line: ``src dst class`` with 1-based x/u/y labels.
 
-    A hub is printed as the feedback edges it stands for, one per
-    output/input pair, so the dump always lists D(A, B, C, K) itself.  With
-    ``sel``, only the edges among the states and the selected inputs and
-    outputs are listed, under their labels in the full system.
+    Each edge s -> d is read off row d, without the own id that ends an
+    input's or output's row, and classed by the id ranges of its end points
+    as :meth:`SystemGraph.edge` classes (d', s).  A hub is printed as the
+    feedback edges it stands for, one per output/input pair, so the dump
+    always lists D(A, B, C, K) itself.  With ``sel``, only the edges among
+    the states and the selected inputs and outputs are listed, under their
+    labels in the full system.
     """
-    n, m = dg.n, dg.m
-    keep = selected_vertices(n, m, dg.p, sel)
-    ek = dg.ek
-    if dg.hub:
-        ek = [(n + m + j, n + i) for j in range(dg.p) for i in range(m)]
-    edges = [(s, d, EDGE_X) for s, d in dg.ex]
-    edges += [(s, d, EDGE_U) for s, d in dg.eu]
-    edges += [(s, d, EDGE_Y) for s, d in dg.ey]
-    edges += [(s, d, EDGE_K) for s, d in ek]
+    n, m, out0 = g.n, g.m, g.n + g.m
+    keep = selected_vertices(n, m, g.p, sel)
+    edges = [
+        (s, d, g.edge(d, s).cls)
+        for d, row in enumerate(g.adj)
+        for s in (row if d < n else row[:-1])
+    ]
+    if g.hub:
+        edges += [(y, u, EDGE_EK) for y in range(out0, g.size) for u in range(n, out0)]
     lines = [
         f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}"
         for s, d, cls in sorted(edges)

@@ -1,7 +1,8 @@
-"""System bipartite graph and matchings.
+"""Matchings on B(A, B, C, K), the bipartite reading of the system graph.
 
-The bipartite graph B(A, B, C, K) has primed vertices x'_1..x'_n, u'_1..u'_m,
-y'_1..y'_p on the left and their unprimed twins on the right.  Edges:
+The graph is :class:`ioselect.graph_core.SystemGraph`, stored once: row v'
+of B(A, B, C, K) is v's list of in-neighbours in D(A, B, C, K), followed,
+for an input or output, by its own twin.  Its edges and their costs:
 
 * (x'_i, x_j)  iff A_ij is starred            (class EX, cost 0)
 * (x'_i, u_j)  iff B_ij is starred            (class EU, cost 0)
@@ -9,7 +10,6 @@ y'_1..y'_p on the left and their unprimed twins on the right.  Edges:
 * (u'_i, y_j)  iff K_ij is starred            (class EK, cost p_u(i)+p_y(j))
 * (u'_i, u_i) and (y'_j, y_j) always          (classes EUU/EYY, cost 0)
 
-The graph is stored once, as one list of right-vertex ids per left vertex.
 A complete K is not expanded into its m*p EK edges: a flag stands for one
 hub vertex h (id n+m+p), with an edge (u'_i, h) of cost p_u(i) (class UH)
 per input and an edge (h, y_j) of cost p_y(j) (class HY) per output.
@@ -25,9 +25,6 @@ Perfect matchings of this graph correspond exactly to families of disjoint
 cycles in the system digraph that span all states, and the minimum-cost
 perfect matching realizes the cheapest such family; its used inputs/outputs
 are read off the matched EU/EY edges.
-
-Vertex ids on each side follow the graph_core encoding: states 0..n-1,
-inputs n..n+m-1, outputs n+m..n+m+p-1.
 """
 
 from __future__ import annotations
@@ -37,11 +34,19 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, Optional
 
+# the edge classes, BipEdge and build_bipartite are also this module's names
 from ioselect.graph_core import (
-    EDGE_K as EDGE_EK,
-    EDGE_U as EDGE_EU,
-    EDGE_X as EDGE_EX,
-    EDGE_Y as EDGE_EY,
+    EDGE_EK,
+    EDGE_EU,
+    EDGE_EUU,
+    EDGE_EX,
+    EDGE_EY,
+    EDGE_EYY,
+    EDGE_HY,
+    EDGE_UH,
+    BipEdge,
+    SystemGraph,
+    build_bipartite,
     selected_vertices,
     vertex_name,
 )
@@ -52,77 +57,6 @@ from ioselect.system_model import (
     StructuredSystem,
     _check_selection,
 )
-
-EDGE_EUU = "EUU"
-EDGE_EYY = "EYY"
-EDGE_UH = "UH"
-EDGE_HY = "HY"
-_CLASS_ORDER = (EDGE_EX, EDGE_EU, EDGE_EY, EDGE_UH, EDGE_HY, EDGE_EK, EDGE_EUU, EDGE_EYY)
-
-
-@dataclass(frozen=True)
-class BipEdge:
-    left: int
-    right: int
-    cls: str
-    cost: int  # scaled; nonzero only on EK, UH and HY edges
-
-
-@dataclass(frozen=True)
-class SystemBipartiteGraph:
-    """B(A, B, C, K) as the right neighbours of each left vertex.
-
-    ``adj[l]`` lists the right-vertex ids of l's edges except its hub edge:
-    a state's in ascending order, an input's or output's other neighbours in
-    ascending order and then its own twin.  With ``hub`` set, K is complete
-    and every input has an edge to the hub id ``size``, which has one to
-    every output.
-    """
-
-    n: int
-    m: int
-    p: int
-    cost_u: tuple[int, ...]
-    cost_y: tuple[int, ...]
-    adj: tuple[list[int], ...]
-    hub: bool
-
-    @property
-    def size(self) -> int:
-        return self.n + self.m + self.p
-
-    def left_name(self, v: int) -> str:
-        return vertex_name(v, self.n, self.m) + "'"
-
-    def right_name(self, v: int) -> str:
-        return vertex_name(v, self.n, self.m)
-
-    def edge(self, left: int, right: int) -> BipEdge:
-        """The edge (left, right), its class and cost read off the id ranges."""
-        n, out0, size = self.n, self.n + self.m, self.size
-        if left == size:
-            return BipEdge(left, right, EDGE_HY, self.cost_y[right - out0])
-        if right == size:
-            return BipEdge(left, right, EDGE_UH, self.cost_u[left - n])
-        if left < n:
-            return BipEdge(left, right, EDGE_EX if right < n else EDGE_EU, 0)
-        if left == right:
-            return BipEdge(left, right, EDGE_EUU if left < out0 else EDGE_EYY, 0)
-        if left < out0:
-            return BipEdge(left, right, EDGE_EK, self.cost_u[left - n] + self.cost_y[right - out0])
-        return BipEdge(left, right, EDGE_EY, 0)
-
-    @property
-    def edges(self) -> tuple[BipEdge, ...]:
-        """Every edge, by class in :data:`_CLASS_ORDER` and by end points
-        within a class, built on each access.  No code in this package
-        reads it."""
-        n, out0, size = self.n, self.n + self.m, self.size
-        pairs = [(l, r) for l, row in enumerate(self.adj) for r in row]
-        if self.hub:
-            pairs += [(l, size) for l in range(n, out0)] + [(size, r) for r in range(out0, size)]
-        edges = [self.edge(l, r) for l, r in pairs]
-        return tuple(sorted(edges, key=lambda e: _CLASS_ORDER.index(e.cls)))
 
 
 class NoPerfectMatching(ModelError):
@@ -154,29 +88,6 @@ class Matching:
     @property
     def total_cost(self) -> int:
         return sum(e.cost for e in self.edges)
-
-
-def build_bipartite(system: StructuredSystem) -> SystemBipartiteGraph:
-    """B(A, B, C, K), each left vertex's neighbours grouped from the rows of
-    A, B, C and a partial K; a complete K is the hub flag."""
-    n, m, p = system.n, system.m, system.p
-    out0 = n + m
-    adj: list[list[int]] = [[] for _ in range(out0 + p)]
-    for i, j in system.A.stars:
-        adj[i].append(j)
-    for i, j in system.B.stars:
-        adj[i].append(n + j)
-    for j, i in system.C.stars:
-        adj[out0 + j].append(i)
-    hub = system.k_is_complete()
-    if not hub:
-        for i, j in system.K.stars:
-            adj[n + i].append(out0 + j)
-    for v, row in enumerate(adj):
-        row.sort()
-        if v >= n:
-            row.append(v)
-    return SystemBipartiteGraph(n, m, p, system.cost_u, system.cost_y, tuple(adj), hub)
 
 
 def _hopcroft_karp(
@@ -252,7 +163,7 @@ _FROM_HUB = -2  # parent of a right vertex reached by a hub -> y_j edge
 
 
 def _unit_flow(
-    g: SystemBipartiteGraph,
+    g: SystemGraph,
     prices: Optional[tuple[list[int], list[int]]] = None,
     sel: Optional[Selection] = None,
 ) -> tuple[list[int], list[int], Optional[tuple[list[int], list[int]]]]:
@@ -430,14 +341,14 @@ def _unit_flow(
             r = prev
 
 
-def has_perfect_matching(g: SystemBipartiteGraph, sel: Optional[Selection] = None) -> bool:
+def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
     """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
     the system restricted to ``sel`` has one, decided on ``g`` itself."""
     return _unit_flow(g, None, sel)[2] is None
 
 
 def hall_indices(
-    g: SystemBipartiteGraph, sel: Optional[Selection] = None
+    g: SystemGraph, sel: Optional[Selection] = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertex ids of a deficient left set and its (strictly smaller)
     neighborhood; with ``sel``, in the graph of the system restricted to
@@ -461,18 +372,18 @@ def hall_indices(
 
 
 def hall_witness(
-    g: SystemBipartiteGraph, sel: Optional[Selection] = None
+    g: SystemGraph, sel: Optional[Selection] = None
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Like :func:`hall_indices` but with readable vertex labels."""
     left, right = hall_indices(g, sel)
     return _labels(g, left, right)
 
 
-def _labels(g: SystemBipartiteGraph, left, right) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _labels(g: SystemGraph, left, right) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(g.left_name(v) for v in left), tuple(g.right_name(v) for v in right)
 
 
-def min_cost_perfect_matching(g: SystemBipartiteGraph) -> Matching:
+def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     """Exact minimum-cost perfect matching by successive shortest paths.
 
     Costs are composite integers: the true cost in the high bits, then tie
@@ -532,16 +443,12 @@ def cycle_cover_check(system: StructuredSystem, sel: Selection) -> bool:
     return has_perfect_matching(build_bipartite(system), sel)
 
 
-def state_pattern_has_pm(system: StructuredSystem) -> bool:
-    """Perfect matching in B(A) alone (EX edges only): the states already
-    support a spanning disjoint-cycle family without inputs or outputs."""
-    n = system.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(system.A.stars):
-        adj[i].append(j)
-    match_l = [-1] * n
-    match_r = [-1] * n
-    return _hopcroft_karp(n, adj, match_l, match_r) == n
+def state_pattern_has_pm(g: SystemGraph) -> bool:
+    """Perfect matching in B(A) alone (EX edges only, the state rows of
+    ``g``): the states already support a spanning disjoint-cycle family
+    without inputs or outputs."""
+    n = g.n
+    return _hopcroft_karp(n, g.state_rows(), [-1] * n, [-1] * n) == n
 
 
 def dump_matching(matching: Matching) -> str:

@@ -27,10 +27,9 @@ from ioselect.matching import NoPerfectMatching, hall_witness
 from ioselect.selector import (
     CompiledSystem,
     SystemHasSFMs,
-    _special_cases,
-    _strongest,
     check_no_sfm,
     compile_system,
+    detect_special_case,
     select_min_cost_io,
     sfm_witness,
 )
@@ -223,7 +222,7 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`;
     a system given already compiled is not compiled again.
     """
-    compiled = system if isinstance(system, CompiledSystem) else compile_system(system)
+    compiled = compile_system(system)
     system = compiled.system
     _check_io_guard(system)
     status = check_no_sfm(compiled, Selection.full(system))
@@ -240,7 +239,7 @@ def exact_cycle_select(system: StructuredSystem) -> tuple[Selection, int]:
     compiled = compile_system(system)
     result = _enumerate_best(system, compiled.condition_b)
     if result is None:
-        raise NoPerfectMatching(*hall_witness(compiled.bipartite))
+        raise NoPerfectMatching(*hall_witness(compiled.graph))
     return result
 
 
@@ -311,7 +310,7 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
         k=compiled.scc.k,
         mu_max=compiled.cov.mu_max,
         eta_max=compiled.cov.eta_max,
-        special_case=_strongest(_special_cases(system, compiled.scc)),
+        special_case=detect_special_case(compiled),
     )
 
     t0 = time.perf_counter() - compile_s  # the compile is part of select's time

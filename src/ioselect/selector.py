@@ -12,9 +12,10 @@ disjoint cycles.  For discrete-time systems only condition (a) matters.
 3. minimum-cost perfect matching on the full bipartite graph -> (I_C, J_C)
 
 and returns the union (I_A u I_C, J_A u J_C), which is always feasible.
-Every stage reads one :class:`CompiledSystem`: the SCC decomposition of
-the state digraph behind the covers, the special-case tags and condition
-(a), and the bipartite graph behind stage 3 and condition (b).
+Every stage reads one :class:`CompiledSystem`: the one stored system graph,
+read as D(A, B, C, K) for condition (a) and as B(A, B, C, K) for stage 3
+and condition (b), and the SCC decomposition of D(A) behind the covers and
+the special-case tags.
 Stage 3 alone is a certified lower bound on the optimum; enabling the exact
 cover oracle tightens the bound with the exact stage-1/2 optima.
 """
@@ -25,15 +26,14 @@ import enum
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Union
 
 from ioselect import matching as matching_mod
 from ioselect.graph_core import (
     CoverageTables,
     SccDecomposition,
-    SystemDigraph,
-    build_graphs,
+    SystemGraph,
+    build_bipartite,
     condition_a_holds,
     condition_a_witness,
     coverage,
@@ -89,26 +89,24 @@ class ValidationFailed(ModelError):
 
 @dataclass(frozen=True)
 class CompiledSystem:
-    """The analysis of a full system that its selections are decided on.
+    """The analysis of a validated full system that its selections are
+    decided on.
 
-    :func:`compile_system` builds it once: D(A, B, C, K), the SCCs of D(A),
-    the coverage tables, and each input's and output's cover as a bitmask
-    (bit t set when it covers the t-th non-top, resp. non-bottom, SCC).
-    B(A, B, C, K) is built on the first condition-(b) test.  A selection is
-    decided and witnessed on these structures with the unselected inputs
+    :func:`compile_system` builds it once: the one stored system graph
+    (D(A, B, C, K) as in-neighbour lists, which are the rows of
+    B(A, B, C, K)), the SCCs of D(A), found on its transpose, the coverage
+    tables, and each input's and output's cover as a bitmask (bit t set
+    when it covers the t-th non-top, resp. non-bottom, SCC).  A selection
+    is decided and witnessed on these structures with the unselected inputs
     and outputs masked out, so every vertex keeps its id in the full system.
     """
 
     system: StructuredSystem
-    digraph: SystemDigraph
+    graph: SystemGraph
     scc: SccDecomposition
     cov: CoverageTables
     input_masks: tuple[int, ...]
     output_masks: tuple[int, ...]
-
-    @cached_property
-    def bipartite(self) -> matching_mod.SystemBipartiteGraph:
-        return matching_mod.build_bipartite(self.system)
 
     def condition_a(self, sel: Selection) -> bool:
         """Every state shares an SCC of the restricted system digraph with a
@@ -120,14 +118,14 @@ class CompiledSystem:
         digraph (:func:`ioselect.graph_core.condition_a_holds`).
         """
         if not self.system.k_is_complete():
-            return condition_a_holds(self.digraph, sel)
+            return condition_a_holds(self.graph, sel)
         return _covers_all(self.input_masks, sel.inputs, self.scc.q) and _covers_all(
             self.output_masks, sel.outputs, self.scc.k
         )
 
     def condition_b(self, sel: Selection) -> bool:
         """Disjoint cycles of the restricted system digraph span all states."""
-        return matching_mod.has_perfect_matching(self.bipartite, sel)
+        return matching_mod.has_perfect_matching(self.graph, sel)
 
     def no_sfm(self, sel: Selection) -> bool:
         """``status(sel).ok``, without condition (b) when (a) fails."""
@@ -158,26 +156,33 @@ def _covers_all(masks: tuple[int, ...], chosen, count: int) -> bool:
     return covered == (1 << count) - 1
 
 
-def compile_system(system: StructuredSystem) -> CompiledSystem:
-    """One SCC pass of D(A) and its coverage tables, for deciding any
-    number of selections of ``system``."""
-    sg, dg = build_graphs(system)
-    scc = decompose_sccs(sg)
+def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledSystem:
+    """Validate ``system`` and build its graph, one SCC pass of D(A) and the
+    coverage tables, for deciding any number of its selections.  Raises
+    :class:`ValidationFailed` on a malformed system.  A system given
+    already compiled is returned as it is."""
+    if isinstance(system, CompiledSystem):
+        return system
+    report = validate(system)
+    if not report.ok:
+        raise ValidationFailed(report.violations)
+    graph = build_bipartite(system)
+    scc = decompose_sccs(graph)
     cov = coverage(system, scc)
 
     def masks(covers):
         return tuple(sum(1 << t for t in cover) for cover in covers)
 
-    return CompiledSystem(system, dg, scc, cov, masks(cov.input_covers), masks(cov.output_covers))
+    return CompiledSystem(system, graph, scc, cov, masks(cov.input_covers), masks(cov.output_covers))
 
 
 def check_no_sfm(
     system: Union[StructuredSystem, CompiledSystem], sel: Selection
 ) -> SfmStatus:
     """Classify the system under the given selection (see
-    :meth:`CompiledSystem.status`).  A system given already compiled is not
-    compiled again.  Raises IndexError on an index out of range."""
-    compiled = system if isinstance(system, CompiledSystem) else compile_system(system)
+    :meth:`CompiledSystem.status`), compiling it if need be.  Raises
+    IndexError on an index out of range."""
+    compiled = compile_system(system)
     _check_selection(compiled.system, sel)
     return compiled.status(sel)
 
@@ -199,19 +204,20 @@ _GUARANTEES = {
 }
 
 
-def applicable_special_cases(system: StructuredSystem) -> tuple[str, ...]:
+def applicable_special_cases(system: Union[StructuredSystem, CompiledSystem]) -> tuple[str, ...]:
     """Every structural tag that applies (may be several), strongest first:
     discrete, irreducible, state_pm, single_nontop, single_nonbottom."""
-    return _special_cases(system, decompose_sccs(build_graphs(system)[0]))
+    return _special_cases(compile_system(system))
 
 
-def _special_cases(system: StructuredSystem, scc: SccDecomposition) -> tuple[str, ...]:
+def _special_cases(compiled: CompiledSystem) -> tuple[str, ...]:
+    system, scc = compiled.system, compiled.scc
     tags = []
     if system.mode == "discrete":
         tags.append(CASE_DISCRETE)
     if len(scc.components) == 1:
         tags.append(CASE_IRREDUCIBLE)
-    if matching_mod.state_pattern_has_pm(system):
+    if matching_mod.state_pattern_has_pm(compiled.graph):
         tags.append(CASE_STATE_PM)
     if scc.q == 1:
         tags.append(CASE_SINGLE_NONTOP)
@@ -220,7 +226,7 @@ def _special_cases(system: StructuredSystem, scc: SccDecomposition) -> tuple[str
     return tuple(tags)
 
 
-def detect_special_case(system: StructuredSystem) -> str:
+def detect_special_case(system: Union[StructuredSystem, CompiledSystem]) -> str:
     """The strongest applicable tag (precedence: discrete, irreducible,
     state_pm, single_nontop, single_nonbottom), or ``general``."""
     return _strongest(applicable_special_cases(system))
@@ -262,7 +268,7 @@ class SelectionReport:
     def scc_witness(self) -> dict:
         """Condition-(a) certificate of the selection, built on each access:
         it costs O(n * |SCC|) and only traces show it."""
-        return condition_a_witness(self.compiled.digraph, self.selection)
+        return condition_a_witness(self.compiled.graph, self.selection)
 
 
 def sfm_witness(
@@ -271,7 +277,7 @@ def sfm_witness(
     """Machine-checkable evidence for a failed SFM check: the states outside
     any feedback-carrying SCC (Type-1) and a Hall violator (Type-2).
 
-    Both are read off the compiled graphs with the inputs and outputs
+    Both are read off the compiled graph with the inputs and outputs
     outside ``sel`` masked, so labels use the full system's indices.
     """
     system = compiled.system
@@ -279,12 +285,12 @@ def sfm_witness(
         sel = Selection.full(system)
     witness: dict = {}
     if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
-        cert = condition_a_witness(compiled.digraph, sel)
+        cert = condition_a_witness(compiled.graph, sel)
         witness["type1_states"] = [
             label for label, info in cert.items() if info["feedback_edge"] is None
         ]
     if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
-        left, right = matching_mod.hall_witness(compiled.bipartite, sel)
+        left, right = matching_mod.hall_witness(compiled.graph, sel)
         witness["hall_violator"] = {"left": list(left), "neighbors": list(right)}
     return witness
 
@@ -316,26 +322,19 @@ def select_min_cost_io(
     reported lower bound.  Every stage reads one compiled system; one given
     already compiled is not compiled again.
     """
-    compiled = None
-    if isinstance(system, CompiledSystem):
-        compiled, system = system, system.system
-    report = validate(system)
-    if not report.ok:
-        raise ValidationFailed(report.violations)
-    if not system.k_is_complete():
-        raise ModelError("selection requires a complete feedback pattern")
-
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    if compiled is None:
-        compiled = compile_system(system)
+    compiled = compile_system(system)
+    system = compiled.system
+    if not system.k_is_complete():
+        raise ModelError("selection requires a complete feedback pattern")
     status = check_no_sfm(compiled, Selection.full(system))
     timings["sfm_check"] = time.perf_counter() - t0
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(compiled, status))
 
     scc = compiled.scc
-    tags = _special_cases(system, scc)
+    tags = _special_cases(compiled)
     primary = _strongest(tags)
 
     stage1 = stage2 = None
@@ -360,7 +359,7 @@ def select_min_cost_io(
             )
             lower = system.cost_u[i] + system.cost_y[j]
         else:
-            match_result = matching_mod.min_cost_perfect_matching(compiled.bipartite)
+            match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
             selection, cyc_cost = matching_mod.extract_io(match_result)
             stage_costs = (0, 0, cyc_cost)
             lower = cyc_cost
@@ -386,7 +385,7 @@ def select_min_cost_io(
             lower = exact_bound if exact_bound is not None else 0
         else:
             t0 = time.perf_counter()
-            match_result = matching_mod.min_cost_perfect_matching(compiled.bipartite)
+            match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
             sel3, cyc_cost = matching_mod.extract_io(match_result)
             timings["cycle"] = time.perf_counter() - t0
             selection = sel1.union(sel2).union(sel3)

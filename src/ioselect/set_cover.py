@@ -19,7 +19,7 @@ from fractions import Fraction
 from ioselect.graph_core import (
     CoverageTables,
     SccDecomposition,
-    build_graphs,
+    build_bipartite,
     coverage,
     decompose_sccs,
 )
@@ -246,7 +246,7 @@ def cover_instances(
 def reduce_accessibility_to_wsc(system: StructuredSystem) -> CoverInstance:
     """Accessibility as weighted set cover (SCCs numbered by minimum
     contained state); see :func:`cover_instances`."""
-    scc = decompose_sccs(build_graphs(system)[0])
+    scc = decompose_sccs(build_bipartite(system))
     return cover_instances(system, scc, coverage(system, scc))[0]
 
 

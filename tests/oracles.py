@@ -19,23 +19,27 @@ from ioselect.system_model import Selection, StructuredSystem
 # outputs n+m..n+m+p-1 -- but graphs here are built straight from the stars.
 
 
-def system_edges(system: StructuredSystem, sel: Optional[Selection] = None) -> list[tuple[int, int]]:
+def system_edges(
+    system: StructuredSystem, sel: Optional[Selection] = None, classes: bool = False
+) -> list[tuple]:
+    """Edges (src, dst) of D(A, B, C, K), or with ``classes`` (src, dst,
+    class), restricted to ``sel``; a complete K star by star."""
     n, m = system.n, system.m
     keep_u = set(range(m)) if sel is None else set(sel.inputs)
     keep_y = set(range(system.p)) if sel is None else set(sel.outputs)
     edges = []
     for i, j in system.A.stars:
-        edges.append((j, i))
+        edges.append((j, i, "EX"))
     for i, j in system.B.stars:
         if j in keep_u:
-            edges.append((n + j, i))
+            edges.append((n + j, i, "EU"))
     for j, i in system.C.stars:
         if j in keep_y:
-            edges.append((i, n + m + j))
+            edges.append((i, n + m + j, "EY"))
     for i, j in system.k_stars():
         if i in keep_u and j in keep_y:
-            edges.append((n + m + j, n + i))
-    return edges
+            edges.append((n + m + j, n + i, "EK"))
+    return edges if classes else [(s, d) for s, d, _cls in edges]
 
 
 def bipartite_pairs(system: StructuredSystem) -> list[tuple[int, int]]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import oracles
 from conftest import demo_system
-from ioselect.graph_core import build_graphs, coverage, decompose_sccs
+from ioselect.graph_core import coverage, decompose_sccs
 from ioselect.matching import (
     build_bipartite,
     has_perfect_matching,
@@ -127,8 +127,7 @@ def _min_accessibility_cost(system):
 def test_criterion_01_worked_example_structure():
     t0 = time.perf_counter()
     demo = demo_system()
-    sg, _ = build_graphs(demo)
-    scc = decompose_sccs(sg)
+    scc = decompose_sccs(build_bipartite(demo))
     non_top = [scc.components[c] for c in scc.non_top]
     non_bottom = [scc.components[c] for c in scc.non_bottom]
     assert non_top == [(1,), (3,)]        # {x2}, {x4}
@@ -362,14 +361,14 @@ def test_criterion_09_special_cases(monkeypatch):
         raise AssertionError("matching stage invoked in discrete mode")
 
     monkeypatch.setattr(ioselect.matching, "min_cost_perfect_matching", forbidden)
-    from ioselect.graph_core import build_graphs, condition_a_holds
+    from ioselect.graph_core import condition_a_holds
 
     discrete = _feasible_systems(100, seed_base=92_000, mode="discrete")
     assert len(discrete) >= 100
     for system in discrete:
         report = select_min_cost_io(system)
         assert report.stage_costs[2] is None
-        assert condition_a_holds(build_graphs(system)[1], report.selection)
+        assert condition_a_holds(build_bipartite(system), report.selection)
     monkeypatch.undo()
 
     elapsed = time.perf_counter() - t0

@@ -145,6 +145,23 @@ class TestCheck:
         code, _out, err = run(capsys, "check", str(path))
         assert code == EXIT_USAGE and "missing field" in err
 
+    @pytest.mark.parametrize("star", [[0, 1], [1, 3]])
+    @pytest.mark.parametrize(
+        "argv", [("check", "--inputs", "9"), ("select",), ("select", "--exact"), ("reduce-setcover",)]
+    )
+    def test_invalid_system(self, capsys, tmp_path, star, argv):
+        # every command reports the violations under the file's path, and
+        # check does so before it reads --inputs
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "n": 2, "m": 1, "p": 1, "A": [[1, 1], [2, 2], star], "B": [[1, 1]], "C": [[1, 2]],
+            "K": "complete", "cost_u": ["1"], "cost_y": ["1"], "mode": "continuous",
+        }))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {path}: A: star ({star[0]}, {star[1]}) ")
+        assert err.endswith(" out of range\n")
+
 
 class TestSelect:
     def test_demo(self, capsys, demo_json):
@@ -410,12 +427,21 @@ class TestCompileOnce:
         argv = ["check", demo_json, "--inputs", "3", "--outputs", "2", "--dump-graph", dump]
         code, doc, _err = run_json(capsys, *argv)
         assert code == EXIT_INFEASIBLE and "hall_violator" in doc["witness"]
-        assert counts.pop("matching.build_bipartite") <= 1
         assert counts == {
             "system_model.restrict": 0,
-            "graph_core.build_graphs": 1,
+            "graph_core.build_graphs": 0,
             "graph_core.decompose_sccs": 1,
+            "matching.build_bipartite": 1,
         }
+
+    @pytest.mark.parametrize("flags", [(), ("--discrete",), ("--exact",)])
+    def test_select_builds_one_graph(self, capsys, demo_json, monkeypatch, flags):
+        from test_selector import wrap_counting
+
+        counts = wrap_counting(monkeypatch, ["graph_core.build_graphs", "matching.build_bipartite"])
+        code, _doc, _err = run_json(capsys, "select", demo_json, *flags)
+        assert code == EXIT_OK
+        assert counts == {"graph_core.build_graphs": 0, "matching.build_bipartite": 1}
 
     def test_select_exact(self, capsys, demo_json, monkeypatch):
         # the exact search reuses the pipeline's compiled analysis, and the

@@ -120,7 +120,7 @@ def _check_type1(system, compiled, sel, type1_states):
     Type-1 states, are those of the expanded restricted digraph."""
     n, m = system.n, system.m
     sccs, k_edges = _restricted_sccs(system, sel)
-    cert = condition_a_witness(compiled.digraph, sel)
+    cert = condition_a_witness(compiled.graph, sel)
     uncovered = []
     for scc in sccs:
         inside = sorted((a, b) for a, b in k_edges if a in scc and b in scc)

@@ -1,14 +1,15 @@
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import networkx as nx
 import pytest
 from hypothesis import given
 
 import oracles
-from conftest import make_system, systems, systems_with_selection
+from conftest import make_system, selections, systems, systems_with_selection
 from ioselect.graph_core import (
     CoverageTables,
-    build_graphs,
+    build_bipartite,
     condition_a_holds,
     condition_a_witness,
     coverage,
@@ -17,7 +18,37 @@ from ioselect.graph_core import (
     dump_system_digraph,
     vertex_name,
 )
-from ioselect.system_model import Selection, SparsityPattern
+from ioselect.system_model import COMPLETE, Selection, SparsityPattern
+
+
+@st.composite
+def varied_systems(draw, max_n=6):
+    """A random system with some diagonal stars of A added, and K complete
+    (as the token or as all m*p stars) or partial."""
+    system = draw(systems(max_n=max_n))
+    n, m, p = system.n, system.m, system.p
+    loops = draw(st.frozensets(st.integers(0, n - 1)))
+    a = SparsityPattern(n, n, system.A.stars | {(i, i) for i in loops})
+    cells = [(i, j) for i in range(m) for j in range(p)]
+    kind = draw(st.sampled_from(["token", "all stars", "partial"]))
+    if kind == "token":
+        k = COMPLETE
+    elif kind == "all stars":
+        k = SparsityPattern(m, p, frozenset(cells))
+    else:
+        k = SparsityPattern(m, p, draw(st.frozensets(st.sampled_from(cells))))
+    return replace(system, A=a, K=k)
+
+
+@st.composite
+def varied_systems_with_selection(draw, max_n=6):
+    system = draw(varied_systems(max_n))
+    return system, draw(st.none() | selections(system))
+
+
+def state_edges(system):
+    """D(A) straight from the stars: A_ij starred gives x_j -> x_i."""
+    return [(j, i) for i, j in system.A.stars]
 
 
 def test_vertex_names():
@@ -29,41 +60,40 @@ def test_vertex_names():
 
 class TestBuildGraphs:
     def test_demo_edge_sets(self, demo):
-        sg, dg = build_graphs(demo)
-        assert sg.n == 4
-        # A_ij star means x_j -> x_i
-        assert sg.edges == frozenset(
-            {(0, 0), (1, 0), (1, 1), (0, 2), (1, 2), (3, 2), (3, 3)}
+        g = build_bipartite(demo)
+        assert (g.n, g.size) == (4, 9)
+        # row v lists v's in-neighbours: A_ij star means x_j -> x_i, B_ij
+        # u_j -> x_i, C_ij x_j -> y_i; an input's or output's own id ends it
+        assert g.adj == (
+            [0, 1, 4, 6], [1, 5, 6], [0, 1, 3, 4, 5], [3, 6],
+            [4], [5], [6],
+            [2, 7], [0, 8],
         )
-        assert dg.eu == frozenset(
-            {(4, 0), (6, 0), (5, 1), (6, 1), (4, 2), (5, 2), (6, 3)}
-        )
-        assert dg.ey == frozenset({(2, 7), (0, 8)})
+        assert g.state_rows() == [[0, 1], [1], [0, 1, 3], [3]]
         # the complete K is the hub 9: y1, y2 -> hub -> u1, u2, u3
-        assert dg.hub and dg.ek == frozenset()
-        assert dg.size == 9
-        assert dg.successors[7] == dg.successors[8] == (9,)
-        assert dg.successors[9] == (4, 5, 6)
+        assert g.hub and g.ek == []
 
     def test_partial_k_keeps_its_stars(self, demo):
         partial = replace(demo, K=SparsityPattern(3, 2, frozenset({(0, 1), (2, 0)})))
-        _sg, dg = build_graphs(partial)
-        assert not dg.hub
-        assert dg.ek == frozenset({(8, 4), (7, 6)})
-        assert dg.successors[9] == ()
+        g = build_bipartite(partial)
+        assert not g.hub
+        assert g.adj[4:7] == ([8, 4], [5], [7, 6])
+        assert sorted(g.ek) == [(7, 6), (8, 4)]
 
     def test_successor_tables_sorted(self, demo):
-        _sg, dg = build_graphs(demo)
-        for row in dg.successors:
-            assert list(row) == sorted(row)
-        flat = [(s, d) for s in range(dg.size + 1) for d in dg.successors[s]]
-        hub_edges = dg.m + dg.p
-        assert len(flat) == len(dg.ex) + len(dg.eu) + len(dg.ey) + hub_edges
+        # the rows, less an input's or output's own id, are sorted in-neighbour lists
+        g = build_bipartite(demo)
+        for v, row in enumerate(g.adj):
+            body = row if v < g.n else row[:-1]
+            assert body == sorted(body)
+            assert v < g.n or row[-1] == v
+        stars = len(demo.A.stars) + len(demo.B.stars) + len(demo.C.stars)
+        assert sum(map(len, g.adj)) == stars + g.m + g.p
 
 
 class TestScc:
     def test_demo_decomposition(self, demo):
-        scc = decompose_sccs(build_graphs(demo)[0])
+        scc = decompose_sccs(build_bipartite(demo))
         assert scc.components == ((0,), (1,), (2,), (3,))
         assert scc.component_of == (0, 1, 2, 3)
         assert scc.dag_edges == frozenset({(1, 0), (0, 2), (1, 2), (3, 2)})
@@ -73,7 +103,7 @@ class TestScc:
 
     def test_single_cycle_is_irreducible(self):
         sys_ = make_system(3, 1, 1, [[2, 1], [3, 2], [1, 3]], [[1, 1]], [[1, 1]])
-        scc = decompose_sccs(build_graphs(sys_)[0])
+        scc = decompose_sccs(build_bipartite(sys_))
         assert scc.components == ((0, 1, 2),)
         assert scc.q == scc.k == 1
         assert scc.non_top == scc.non_bottom == (0,)
@@ -81,22 +111,36 @@ class TestScc:
     def test_diagonal_states_all_isolated(self):
         sys_ = make_system(3, 3, 3, [[1, 1], [2, 2], [3, 3]],
                            [[1, 1], [2, 2], [3, 3]], [[1, 1], [2, 2], [3, 3]])
-        scc = decompose_sccs(build_graphs(sys_)[0])
+        scc = decompose_sccs(build_bipartite(sys_))
         assert len(scc.components) == 3
         assert scc.non_top == scc.non_bottom == (0, 1, 2)
 
-    @given(systems(max_n=8))
+    @given(varied_systems(max_n=8))
     def test_partition_matches_reference(self, system):
-        sg = build_graphs(system)[0]
-        scc = decompose_sccs(sg)
+        scc = decompose_sccs(build_bipartite(system))
         assert {frozenset(c) for c in scc.components} == oracles.scc_partition(
-            sg.n, list(sg.edges)
+            system.n, state_edges(system)
         )
+
+    @given(varied_systems(max_n=8))
+    def test_condensation_matches_networkx(self, system):
+        # D(A) from the raw stars, condensed by networkx and numbered by
+        # smallest member: the SCCs found on the transpose must give the
+        # condensation of D(A) itself, edges pointing the same way
+        g = nx.DiGraph(state_edges(system))
+        g.add_nodes_from(range(system.n))
+        cond = nx.condensation(g)
+        order = sorted(cond, key=lambda c: min(cond.nodes[c]["members"]))
+        pos = {c: k for k, c in enumerate(order)}
+        scc = decompose_sccs(build_bipartite(system))
+        assert scc.components == tuple(tuple(sorted(cond.nodes[c]["members"])) for c in order)
+        assert scc.dag_edges == frozenset((pos[a], pos[b]) for a, b in cond.edges)
+        assert scc.non_top == tuple(sorted(pos[c] for c in cond if cond.in_degree(c) == 0))
+        assert scc.non_bottom == tuple(sorted(pos[c] for c in cond if cond.out_degree(c) == 0))
 
     @given(systems(max_n=8))
     def test_component_numbering_and_dag(self, system):
-        sg = build_graphs(system)[0]
-        scc = decompose_sccs(sg)
+        scc = decompose_sccs(build_bipartite(system))
         mins = [c[0] for c in scc.components]
         assert mins == sorted(mins)  # numbered by smallest member
         for s, d in scc.dag_edges:
@@ -111,7 +155,7 @@ class TestScc:
 
 class TestCoverage:
     def test_demo_tables(self, demo):
-        scc = decompose_sccs(build_graphs(demo)[0])
+        scc = decompose_sccs(build_bipartite(demo))
         cov = coverage(demo, scc)
         assert cov.input_covers == (frozenset(), frozenset({0}), frozenset({0, 1}))
         assert cov.output_covers == (frozenset({0}), frozenset())
@@ -124,7 +168,7 @@ class TestCoverage:
 
     @given(systems(max_n=7))
     def test_bounds(self, system):
-        scc = decompose_sccs(build_graphs(system)[0])
+        scc = decompose_sccs(build_bipartite(system))
         cov = coverage(system, scc)
         assert all(mu <= scc.q for mu in cov.mu)
         assert all(eta <= scc.k for eta in cov.eta)
@@ -133,7 +177,7 @@ class TestCoverage:
 def covers_all(system, sel):
     """The pipeline's reachability criterion: (every non-top SCC is covered
     by a selected input, every non-bottom SCC by a selected output)."""
-    scc = decompose_sccs(build_graphs(system)[0])
+    scc = decompose_sccs(build_bipartite(system))
     cov = coverage(system, scc)
     reached = set().union(*(cov.input_covers[i] for i in sel.inputs))
     sensed = set().union(*(cov.output_covers[j] for j in sel.outputs))
@@ -173,7 +217,7 @@ class TestReachability:
 
 class TestConditionA:
     def test_demo_cases(self, demo):
-        dg = build_graphs(demo)[1]
+        dg = build_bipartite(demo)
         assert condition_a_holds(dg, Selection.full(demo))
         # u3 with y1 closes a loop through every state
         assert condition_a_holds(dg, Selection.of([2], [0]))
@@ -181,14 +225,14 @@ class TestConditionA:
         assert not condition_a_holds(dg, Selection.of([2], [1]))
 
     def test_witness_structure(self, demo):
-        w = condition_a_witness(build_graphs(demo)[1], Selection.full(demo))
+        w = condition_a_witness(build_bipartite(demo), Selection.full(demo))
         assert set(w) == {"x1", "x2", "x3", "x4"}
         for info in w.values():
             assert info["feedback_edge"] == ["y1", "u1"]
             assert "x3" in info["scc"]
 
     def test_witness_marks_failing_states(self, demo):
-        w = condition_a_witness(build_graphs(demo)[1], Selection.of([2], [1]))
+        w = condition_a_witness(build_bipartite(demo), Selection.of([2], [1]))
         failing = {s for s, info in w.items() if info["feedback_edge"] is None}
         assert failing == {"x3", "x4"}
         # x1 does close a loop: x1 -> y2 -> u3 -> x1
@@ -197,12 +241,12 @@ class TestConditionA:
     @given(systems_with_selection(max_n=6))
     def test_matches_reference(self, case):
         system, sel = case
-        assert condition_a_holds(build_graphs(system)[1], sel) == oracles.condition_a(system, sel)
+        assert condition_a_holds(build_bipartite(system), sel) == oracles.condition_a(system, sel)
 
     @given(systems_with_selection(max_n=6))
     def test_witness_agrees_with_predicate(self, case):
         system, sel = case
-        dg = build_graphs(system)[1]
+        dg = build_bipartite(system)
         w = condition_a_witness(dg, sel)
         assert condition_a_holds(dg, sel) == all(
             info["feedback_edge"] is not None for info in w.values()
@@ -211,7 +255,7 @@ class TestConditionA:
 
 class TestDumps:
     def test_system_digraph_format(self, demo):
-        text = dump_system_digraph(build_graphs(demo)[1])
+        text = dump_system_digraph(build_bipartite(demo))
         lines = text.strip().splitlines()
         assert len(lines) == 7 + 7 + 2 + 6
         assert all(len(line.split()) == 3 for line in lines)
@@ -220,11 +264,25 @@ class TestDumps:
         assert "y1 u1 EK" in lines
 
     def test_condensation_format(self, demo):
-        text = dump_condensation(decompose_sccs(build_graphs(demo)[0]))
+        text = dump_condensation(decompose_sccs(build_bipartite(demo)))
         assert "# scc1 = x1" in text
         assert "scc2 scc1 cond" in text
 
     @given(systems(max_n=5))
     def test_dump_deterministic(self, system):
-        dg = build_graphs(system)[1]
+        dg = build_bipartite(system)
         assert dump_system_digraph(dg) == dump_system_digraph(dg)
+
+    @given(varied_systems_with_selection())
+    def test_system_digraph_lists_the_raw_stars(self, case):
+        # every edge of D(A, B, C, K) among the kept vertices, with its
+        # class, a complete K star by star, each once
+        system, sel = case
+        n, m = system.n, system.m
+        expected = sorted(
+            f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}"
+            for s, d, cls in oracles.system_edges(system, sel, classes=True)
+        )
+        lines = dump_system_digraph(build_bipartite(system), sel).splitlines()
+        assert sorted(lines) == expected
+        assert len(set(lines)) == len(lines)

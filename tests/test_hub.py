@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 import oracles
 from ioselect import cli
-from ioselect.graph_core import build_graphs, condition_a_holds
+from ioselect.graph_core import build_bipartite, condition_a_holds
 from ioselect.matching import (
     NoPerfectMatching,
     build_bipartite,
@@ -105,7 +105,7 @@ class TestConditions:
         status = check_no_sfm(system, sel)
         cond_a = oracles.condition_a(system, sel)
         cond_b = oracles.spanning_disjoint_cycles(system, sel)
-        assert condition_a_holds(build_graphs(system)[1], sel) == cond_a
+        assert condition_a_holds(build_bipartite(system), sel) == cond_a
         assert status.ok == oracles.no_sfm(system, sel)
         assert (status in (SfmStatus.TYPE1, SfmStatus.BOTH)) == (not cond_a)
         assert (status in (SfmStatus.TYPE2, SfmStatus.BOTH)) == (not cond_b)

@@ -260,19 +260,19 @@ class TestMinCost:
 
 class TestStatePattern:
     def test_demo_states_alone_insufficient(self, demo):
-        assert not state_pattern_has_pm(demo)
+        assert not state_pattern_has_pm(build_bipartite(demo))
 
     def test_cycle(self):
         system = make_system(3, 1, 1, [(2, 1), (3, 2), (1, 3)], [(1, 1)], [(1, 1)])
-        assert state_pattern_has_pm(system)
+        assert state_pattern_has_pm(build_bipartite(system))
 
     def test_diagonal(self):
         system = make_system(2, 1, 1, [(1, 1), (2, 2)], [(1, 1)], [(1, 1)])
-        assert state_pattern_has_pm(system)
+        assert state_pattern_has_pm(build_bipartite(system))
 
     @given(systems())
     def test_equivalent_to_empty_selection(self, system):
-        assert state_pattern_has_pm(system) == oracles.spanning_disjoint_cycles(
+        assert state_pattern_has_pm(build_bipartite(system)) == oracles.spanning_disjoint_cycles(
             system, Selection.of([], [])
         )
 

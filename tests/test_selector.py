@@ -18,7 +18,8 @@ from ioselect.selector import (
     select_min_cost_io,
     sfm_witness,
 )
-from ioselect.matching import state_pattern_has_pm
+from ioselect.matching import build_bipartite, state_pattern_has_pm
+from ioselect.oracle_bench import exact_select
 from ioselect.system_model import (
     COST_SCALE,
     InvariantViolated,
@@ -291,6 +292,31 @@ class TestSelectErrors:
         bad = replace(demo, K=SparsityPattern(3, 2, frozenset({(0, 0)})))
         with pytest.raises(ModelError, match="complete feedback pattern"):
             select_min_cost_io(bad)
+        # a malformed system is reported as such, whatever its K
+        with pytest.raises(ValidationFailed):
+            select_min_cost_io(replace(bad, cost_u=(U, -1, U)))
+
+
+class TestValidateOnce:
+    # Every public entry point compiles, and compile_system validates: a
+    # star of A outside 0..n-1 is reported, never read as a vertex id
+    # (-1 is the last state in Python) nor left to raise IndexError.
+    ENTRIES = {
+        "compile_system": compile_system,
+        "check_no_sfm": lambda s: check_no_sfm(s, Selection.full(s)),
+        "select_min_cost_io": select_min_cost_io,
+        "exact_select": exact_select,
+        "applicable_special_cases": applicable_special_cases,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("star", [(-1, 0), (0, 2)])
+    def test_star_out_of_range(self, entry, star):
+        good = make_system(2, 1, 1, [(1, 1), (2, 2), (2, 1)], [(1, 1)], [(1, 2)])
+        bad = replace(good, A=SparsityPattern(2, 2, good.A.stars | {star}))
+        assert check_no_sfm(good, Selection.full(good)).ok
+        with pytest.raises(ValidationFailed, match=r"A: star \(\d+, \d+\) (row|col) out of range"):
+            self.ENTRIES[entry](bad)
 
 
 class TestSelectProperties:
@@ -403,7 +429,7 @@ class TestBuildOnce:
     LIMITS = {
         "system_model.restrict": 0,
         "system_model.transpose_dual": 0,
-        "graph_core.build_graphs": 1,
+        "graph_core.build_graphs": 0,
         "matching.build_bipartite": 1,
         "graph_core.decompose_sccs": 1,
         "graph_core.coverage": 1,
@@ -418,10 +444,26 @@ class TestBuildOnce:
         assert rep.stage1 is not None and rep.matching is not None  # every stage ran
         over = {k: v for k, v in counts.items() if v > self.LIMITS[k]}
         assert over == {}
+        assert counts["matching.build_bipartite"] == 1
+
+    # The one stored graph is built exactly once per call, in compile_system.
+    CALLS = {
+        "check": lambda s: check_no_sfm(s, Selection.of([2], [1])),
+        "select": select_min_cost_io,
+        "discrete select": lambda s: select_min_cost_io(replace(s, mode="discrete")),
+        "exact select": lambda s: exact_select(select_min_cost_io(s, exact_covers=True).compiled),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_graph_build_per_call(self, demo, monkeypatch, call):
+        counts = wrap_counting(monkeypatch, ["graph_core.build_graphs", "matching.build_bipartite"])
+        self.CALLS[call](demo)
+        assert counts == {"graph_core.build_graphs": 0, "matching.build_bipartite": 1}
 
     def test_edge_objects_only_for_the_matching(self, monkeypatch):
         # B(A, B, C, K) is stored as neighbour lists: a select creates a
         # BipEdge only for each matched edge it reports
+        import ioselect.graph_core as graph_core
         import ioselect.matching as matching_mod
         from ioselect.oracle_bench import GeneratorConfig, generate
 
@@ -439,10 +481,10 @@ class TestBuildOnce:
                 created.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(matching_mod, "BipEdge", CountedEdge)
+        monkeypatch.setattr(graph_core, "BipEdge", CountedEdge)  # SystemGraph.edge makes them
         rep = select_min_cost_io(system)
         assert rep.matching is not None
-        assert len(created) <= system.n + system.m + system.p
+        assert 0 < len(created) <= system.n + system.m + system.p
 
     def test_witness_built_only_for_traces(self, demo, monkeypatch):
         counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])
@@ -467,7 +509,7 @@ class TestRobustness:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert state_pattern_has_pm(system)
+            assert state_pattern_has_pm(build_bipartite(system))
             assert check_no_sfm(system, Selection.full(system)).ok
             rep = select_min_cost_io(system)
         finally:
