@@ -443,12 +443,16 @@ def cycle_cover_check(system: StructuredSystem, sel: Selection) -> bool:
     return has_perfect_matching(build_bipartite(system), sel)
 
 
-def state_pattern_has_pm(g: SystemGraph) -> bool:
-    """Perfect matching in B(A) alone (EX edges only, the state rows of
-    ``g``): the states already support a spanning disjoint-cycle family
-    without inputs or outputs."""
+def state_pattern_has_pm(g: SystemGraph) -> Optional[list[int]]:
+    """A perfect matching in B(A) alone (EX edges only, the state rows of
+    ``g``), or None when there is none: then the states need inputs or
+    outputs for a spanning disjoint-cycle family.  Entry i is the state x_j
+    matched to x'_i."""
     n = g.n
-    return _hopcroft_karp(n, g.state_rows(), [-1] * n, [-1] * n) == n
+    match_l = [-1] * n
+    if _hopcroft_karp(n, g.state_rows(), match_l, [-1] * n) < n:
+        return None
+    return match_l
 
 
 def dump_matching(matching: Matching) -> str:

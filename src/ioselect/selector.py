@@ -18,6 +18,15 @@ and condition (b), and the SCC decomposition of D(A) behind the covers and
 the special-case tags.
 Stage 3 alone is a certified lower bound on the optimum; enabling the exact
 cover oracle tightens the bound with the exact stage-1/2 optima.
+
+Condition (b) of the full selection holds exactly when B(A, B, C, K) has a
+perfect matching, so one flow decides it and solves stage 3: stage 3 runs
+first, and its failure is the system's Type-2 fixed mode.  When the states
+alone have a perfect matching (the ``state_pm`` tag), that matching plus
+every input's and output's own edge already is one.  The final check runs
+no flow: condition (a) is the mask test, and condition (b) is a linear
+check of the perfect matching against the instance
+(:func:`ioselect.certify.certify_cycle_cover`).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ioselect import matching as matching_mod
+from ioselect.certify import certify_cycle_cover
 from ioselect.graph_core import (
     CoverageTables,
     SccDecomposition,
@@ -137,16 +147,17 @@ class CompiledSystem:
         """Classify the selection: continuous mode tests both conditions,
         discrete mode only condition (a), so Type-2 is never reported there."""
         cond_a = self.condition_a(sel)
-        if self.system.mode == "discrete":
-            return SfmStatus.NO_SFM if cond_a else SfmStatus.TYPE1
-        cond_b = self.condition_b(sel)
-        if cond_a and cond_b:
-            return SfmStatus.NO_SFM
-        if cond_a:
-            return SfmStatus.TYPE2
-        if cond_b:
-            return SfmStatus.TYPE1
-        return SfmStatus.BOTH
+        return _classify(cond_a, self.system.mode == "discrete" or self.condition_b(sel))
+
+
+def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
+    if cond_a and cond_b:
+        return SfmStatus.NO_SFM
+    if cond_a:
+        return SfmStatus.TYPE2
+    if cond_b:
+        return SfmStatus.TYPE1
+    return SfmStatus.BOTH
 
 
 def _covers_all(masks: tuple[int, ...], chosen, count: int) -> bool:
@@ -207,17 +218,18 @@ _GUARANTEES = {
 def applicable_special_cases(system: Union[StructuredSystem, CompiledSystem]) -> tuple[str, ...]:
     """Every structural tag that applies (may be several), strongest first:
     discrete, irreducible, state_pm, single_nontop, single_nonbottom."""
-    return _special_cases(compile_system(system))
+    compiled = compile_system(system)
+    return _special_cases(compiled, matching_mod.state_pattern_has_pm(compiled.graph) is not None)
 
 
-def _special_cases(compiled: CompiledSystem) -> tuple[str, ...]:
+def _special_cases(compiled: CompiledSystem, state_pm: bool) -> tuple[str, ...]:
     system, scc = compiled.system, compiled.scc
     tags = []
     if system.mode == "discrete":
         tags.append(CASE_DISCRETE)
     if len(scc.components) == 1:
         tags.append(CASE_IRREDUCIBLE)
-    if matching_mod.state_pattern_has_pm(compiled.graph):
+    if state_pm:
         tags.append(CASE_STATE_PM)
     if scc.q == 1:
         tags.append(CASE_SINGLE_NONTOP)
@@ -328,28 +340,43 @@ def select_min_cost_io(
     system = compiled.system
     if not system.k_is_complete():
         raise ModelError("selection requires a complete feedback pattern")
-    status = check_no_sfm(compiled, Selection.full(system))
+    continuous = system.mode == "continuous"
+    state_match = matching_mod.state_pattern_has_pm(compiled.graph)
+    tags = _special_cases(compiled, state_match is not None)
+    primary = _strongest(tags)
+    cond_a = compiled.condition_a(Selection.full(system))
     timings["sfm_check"] = time.perf_counter() - t0
+
+    # Stage 3 finds a perfect matching of the full graph exactly when the
+    # full selection meets condition (b), so it runs first and decides it.
+    # A state-only perfect matching already meets (b); on one SCC it also
+    # makes stage 3 unnecessary (see below).
+    match_result = None
+    if continuous and not (primary == CASE_IRREDUCIBLE and state_match is not None):
+        t0 = time.perf_counter()
+        try:
+            match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
+        except matching_mod.NoPerfectMatching:
+            pass  # condition (b) fails
+        else:
+            sel3, cyc_cost = matching_mod.extract_io(match_result)
+        timings["cycle"] = time.perf_counter() - t0
+    status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(compiled, status))
-
-    scc = compiled.scc
-    tags = _special_cases(compiled)
-    primary = _strongest(tags)
 
     stage1 = stage2 = None
     labels1: tuple[tuple[int, ...], ...] = ()
     labels2: tuple[tuple[int, ...], ...] = ()
-    match_result = None
     exact_bound: Optional[int] = None
 
-    if primary == CASE_IRREDUCIBLE and system.mode == "continuous":
+    if primary == CASE_IRREDUCIBLE and continuous:
         # One SCC: any feasible selection uses at least one connected input
         # and output.  With a state-only perfect matching the cheapest such
         # pair is therefore optimal; otherwise the matching stage alone is
         # (its cost is a lower bound met with equality).
-        t0 = time.perf_counter()
-        if CASE_STATE_PM in tags:
+        if state_match is not None:
+            t0 = time.perf_counter()
             i, j = _cheapest_connected_pair(system)
             selection = Selection.of([i], [j])
             stage_costs: tuple[Optional[int], ...] = (
@@ -358,15 +385,14 @@ def select_min_cost_io(
                 0,
             )
             lower = system.cost_u[i] + system.cost_y[j]
+            timings["cycle"] = time.perf_counter() - t0
         else:
-            match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
-            selection, cyc_cost = matching_mod.extract_io(match_result)
+            selection = sel3
             stage_costs = (0, 0, cyc_cost)
             lower = cyc_cost
-        timings["cycle"] = time.perf_counter() - t0
     else:
         t0 = time.perf_counter()
-        (inst1, labels1), (inst2, labels2) = cover_instances(system, scc, compiled.cov)
+        (inst1, labels1), (inst2, labels2) = cover_instances(system, compiled.scc, compiled.cov)
         stage1 = greedy_solve(inst1)
         sel1 = cover_to_selection(stage1)
         timings["accessibility"] = time.perf_counter() - t0
@@ -379,24 +405,34 @@ def select_min_cost_io(
         if exact_covers:
             exact_bound = exact_solve(inst1).weight + exact_solve(inst2).weight
 
-        if system.mode == "discrete":
+        if not continuous:
             selection = sel1.union(sel2)
             stage_costs = (stage1.weight, stage2.weight, None)
             lower = exact_bound if exact_bound is not None else 0
         else:
-            t0 = time.perf_counter()
-            match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
-            sel3, cyc_cost = matching_mod.extract_io(match_result)
-            timings["cycle"] = time.perf_counter() - t0
             selection = sel1.union(sel2).union(sel3)
             stage_costs = (stage1.weight, stage2.weight, cyc_cost)
             lower = max(cyc_cost, exact_bound or 0)
 
+    # The final check verifies condition (b) on a perfect matching that
+    # leaves only selected channels off their own edges: stage 3's, or,
+    # where stage 3 did not run, the state-only one with every input and
+    # output on its own edge.
+    t0 = time.perf_counter()
     total = selection_cost(system, selection)
-    if not check_no_sfm(compiled, selection).ok:
+    feasible = compiled.condition_a(selection)
+    if feasible and continuous:
+        if match_result is None:
+            own = range(system.n, compiled.graph.size)
+            pairs = [*enumerate(state_match), *zip(own, own)]
+        else:
+            pairs = [(e.left, e.right) for e in match_result.edges]
+        feasible = certify_cycle_cover(system, selection, pairs)
+    if not feasible:
         raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
     if lower > total:
         raise InvariantViolated("lower bound exceeds achieved cost")
+    timings["final_check"] = time.perf_counter() - t0
 
     return SelectionReport(
         compiled=compiled,

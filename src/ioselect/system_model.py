@@ -125,7 +125,8 @@ class SparsityPattern:
     stars: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stars", frozenset(map(tuple, self.stars)))
+        if type(self.stars) is not frozenset:
+            object.__setattr__(self, "stars", frozenset(map(tuple, self.stars)))
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int, pairs: Iterable[Sequence[int]]) -> "SparsityPattern":
@@ -392,17 +393,21 @@ def _require(data: dict, field: str, kind) -> object:
 
 
 def _pairs(data: dict, field: str, rows: int, cols: int) -> SparsityPattern:
+    """The pattern of a 1-based pair list, its 0-based stars built in one
+    pass.  Only JSON values arrive here, so an exact type test rejects
+    bools, floats and strings."""
     raw = _require(data, field, list)
-    pairs = []
+    stars = set()
     for entry in raw:
         if (
-            not isinstance(entry, list)
+            type(entry) is not list
             or len(entry) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in entry)
+            or type(entry[0]) is not int
+            or type(entry[1]) is not int
         ):
             raise FormatError(f"field {field!r}: entries must be [row, col] integer pairs")
-        pairs.append(entry)
-    return SparsityPattern.from_pairs(rows, cols, pairs)
+        stars.add((entry[0] - 1, entry[1] - 1))
+    return SparsityPattern(rows, cols, frozenset(stars))
 
 
 def _costs(data: dict, field: str) -> tuple[int, ...]:

@@ -470,18 +470,17 @@ class TestMain:
         capsys.readouterr()
 
     def test_internal_error_exit_code(self, capsys, demo_json, monkeypatch):
-        # a failed consistency check is a defect, not a usage error
+        # a failed consistency check is a defect, not a usage error: here the
+        # final check is shown the selection without its inputs, one of which
+        # the stage-3 matching uses
         import ioselect.selector as selector_mod
 
-        real = selector_mod.check_no_sfm
-        calls = []
+        real = selector_mod.certify_cycle_cover
 
-        def final_check_fails(system, sel):
-            calls.append(sel)
-            status = real(system, sel)
-            return status if len(calls) == 1 else selector_mod.SfmStatus.TYPE1
+        def inputs_dropped(system, sel, pairs):
+            return real(system, selector_mod.Selection(outputs=sel.outputs), pairs)
 
-        monkeypatch.setattr(selector_mod, "check_no_sfm", final_check_fails)
+        monkeypatch.setattr(selector_mod, "certify_cycle_cover", inputs_dropped)
         code, out, err = run(capsys, "select", demo_json)
         assert code == EXIT_INTERNAL == 3
         assert out == ""

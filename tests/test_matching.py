@@ -270,11 +270,20 @@ class TestStatePattern:
         system = make_system(2, 1, 1, [(1, 1), (2, 2)], [(1, 1)], [(1, 1)])
         assert state_pattern_has_pm(build_bipartite(system))
 
+    def test_returns_the_matching(self):
+        # x1 -> x2 -> x3 -> x1: each x'_i is matched to its one in-neighbour
+        system = make_system(3, 1, 1, [(2, 1), (3, 2), (1, 3)], [(1, 1)], [(1, 1)])
+        assert state_pattern_has_pm(build_bipartite(system)) == [2, 0, 1]
+
     @given(systems())
     def test_equivalent_to_empty_selection(self, system):
-        assert state_pattern_has_pm(build_bipartite(system)) == oracles.spanning_disjoint_cycles(
+        match = state_pattern_has_pm(build_bipartite(system))
+        assert (match is not None) == oracles.spanning_disjoint_cycles(
             system, Selection.of([], [])
         )
+        if match is not None:  # a perfect matching of B(A): A_ij starred, each x_j once
+            assert sorted(match) == list(range(system.n))
+            assert all((i, j) in system.A.stars for i, j in enumerate(match))
 
 
 class TestDump:

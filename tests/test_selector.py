@@ -39,6 +39,13 @@ def diagonal_system():
     )
 
 
+def long_cycle_system(n):
+    # x1 -> ... -> xn -> x1 with self-loops on all but the last state:
+    # irreducible, and the states alone have a perfect matching
+    a = [(i, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n)] + [(n, 1)]
+    return make_system(n, 1, 1, a, [(1, 1)], [(1, n // 2)])
+
+
 def shared_pair_system():
     # two states competing for the single u/y pair: cycle condition fails
     return make_system(2, 1, 1, [], [(1, 1), (2, 1)], [(1, 1), (1, 2)])
@@ -167,7 +174,7 @@ class TestSelectDemo:
         assert rep.stage2_labels == ((3,),)
         assert rep.matching.total_cost == 2 * U
         assert set(rep.timings) == {
-            "sfm_check", "accessibility", "sensability", "cycle",
+            "sfm_check", "accessibility", "sensability", "cycle", "final_check",
         }
 
     def test_exact_covers_tighten_bound(self, demo):
@@ -486,6 +493,27 @@ class TestBuildOnce:
         assert rep.matching is not None
         assert 0 < len(created) <= system.n + system.m + system.p
 
+    # Stage 3's flow also decides condition (b) of the full selection, and
+    # the final check verifies its matching without a flow.  The two
+    # Hopcroft-Karp runs are the state_pm tag's and stage 3's zero-cost seed.
+    FLOWS = ["matching._unit_flow", "matching._hopcroft_karp", "selector.check_no_sfm"]
+
+    @pytest.mark.parametrize(
+        "mode,flows",
+        [("continuous", (1, 2, 0)), ("discrete", (0, 1, 0))],
+    )
+    def test_flows_per_select(self, demo, monkeypatch, mode, flows):
+        counts = wrap_counting(monkeypatch, self.FLOWS)
+        select_min_cost_io(replace(demo, mode=mode))
+        assert counts == dict(zip(self.FLOWS, flows))
+
+    def test_no_flow_on_irreducible_state_pm(self, monkeypatch):
+        system = long_cycle_system(3000)
+        counts = wrap_counting(monkeypatch, self.FLOWS)
+        rep = select_min_cost_io(system)
+        assert rep.special_cases[:2] == ("irreducible", "state_pm")
+        assert counts == dict(zip(self.FLOWS, (0, 1, 0)))
+
     def test_witness_built_only_for_traces(self, demo, monkeypatch):
         counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])
         rep = select_min_cost_io(demo)
@@ -498,14 +526,11 @@ class TestBuildOnce:
 
 class TestRobustness:
     def test_long_chain_within_default_recursion_limit(self):
-        # x1 -> ... -> xn -> x1 with self-loops on all but the last state:
         # the first Hopcroft-Karp phase matches each x_i' to x_i, and the
         # remaining augmenting path walks the whole cycle
         import sys
 
-        n = 3000
-        a = [(i, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-        system = make_system(n, 1, 1, a, [(1, 1)], [(1, n // 2)])
+        system = long_cycle_system(3000)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
@@ -518,13 +543,16 @@ class TestRobustness:
         assert rep.selection == Selection.of([0], [0])
 
     def test_infeasible_final_selection_raises(self, demo, monkeypatch):
+        # the final check is shown the stage-3 matching with the right ends of
+        # its first two pairs swapped; in the demo x2' -> x1 is no edge
         import ioselect.selector as selector_mod
 
-        full = Selection.full(demo)
+        real = selector_mod.certify_cycle_cover
 
-        def only_full_selection_ok(system, sel):
-            return SfmStatus.NO_SFM if sel == full else SfmStatus.TYPE1
+        def first_two_swapped(system, sel, pairs):
+            (l0, r0), (l1, r1), *rest = pairs
+            return real(system, sel, [(l0, r1), (l1, r0), *rest])
 
-        monkeypatch.setattr(selector_mod, "check_no_sfm", only_full_selection_ok)
+        monkeypatch.setattr(selector_mod, "certify_cycle_cover", first_two_swapped)
         with pytest.raises(InvariantViolated, match="structurally fixed modes"):
             select_min_cost_io(demo)

@@ -236,6 +236,23 @@ class TestDual:
         assert explicit.k_is_complete()
 
 
+# JSON values that are not [row, col] integer pairs
+BAD_ENTRIES = {
+    "bool": [True, 1],
+    "float": [1, 2.0],
+    "triple": [1, 2, 3],
+    "string": "12",
+    "dict": {"row": 1, "col": 2},
+}
+
+
+def _append_entry(field, entry):
+    def mutate(doc):
+        doc[field] = (doc[field] if field != "K" else [[1, 1]]) + [entry]
+
+    return mutate
+
+
 class TestJson:
     def test_demo_file_round_trip(self, demo, demo_json):
         with open(demo_json) as fh:
@@ -258,6 +275,15 @@ class TestJson:
             (lambda d: d.update(K="partial"), 'field "K"'),
             (lambda d: d.update(cost_u=[1, 1, 1]), "decimal strings"),
             (lambda d: d.update(mode="sampled"), 'field "mode"'),
+            *(
+                pytest.param(
+                    _append_entry(field, entry),
+                    rf"field '{field}': entries must be \[row, col\] integer pairs",
+                    id=f"{field}-{kind}",
+                )
+                for field in "ABCK"
+                for kind, entry in BAD_ENTRIES.items()
+            ),
         ],
     )
     def test_format_errors_name_the_field(self, demo, mutate, message):
@@ -272,6 +298,14 @@ class TestJson:
         parsed = system_from_json(doc)
         assert parsed.K.stars == frozenset({(0, 0), (2, 1)})
         assert system_to_json(parsed)["K"] == [[1, 1], [3, 2]]
+
+    def test_duplicate_pairs_collapse(self, demo):
+        doc = system_to_json(demo)
+        doc["A"] += doc["A"][:2]
+        doc["K"] = [[1, 1], [3, 2], [1, 1]]
+        parsed = system_from_json(doc)
+        assert parsed.A == demo.A and len(parsed.A.stars) == len(demo.A.stars)
+        assert parsed.K.stars == frozenset({(0, 0), (2, 1)})
 
     @given(systems())
     def test_random_round_trip(self, system):
