@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""A/B runs of the benchmark: a base revision against this checkout.
+
+    scripts/ab_bench.py --base HEAD~1 --workload chain --pairs 10 --seed0 301
+
+The base revision is exported with ``git archive`` into a temporary
+directory, which is removed at exit; the other side is the working tree
+this script lives in.  Pair k runs ``perfbench/run.py --workload W
+--seed S+k --trace 0`` once in each tree, one process at a time, and the
+side that runs first alternates from pair to pair.  Both sides run the
+same ``perfbench/`` code: this checkout's, copied over the base's, so a
+change to the benchmark cannot pass for a change to the program.
+
+Each run's last line of standard output is its JSON result.  The script
+prints every run, then per metric the median and quartiles of each side
+and in how many pairs this checkout's value was lower (ties count for
+neither), and ends with one JSON line holding every run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("base", "head")
+
+
+def export_revision(rev: str, dest: str) -> None:
+    """Write the tree of ``rev`` into ``dest``, with this checkout's
+    ``perfbench/`` in place of the revision's own."""
+    archive = os.path.join(dest, "tree.tar")
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev], stdout=fh, check=True)
+    tree = os.path.join(dest, "tree")
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    os.remove(archive)
+    shutil.rmtree(os.path.join(tree, "perfbench"), ignore_errors=True)
+    shutil.copytree(
+        os.path.join(ROOT, "perfbench"),
+        os.path.join(tree, "perfbench"),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+
+
+def run_once(tree: str, workload: str, seed: int) -> dict:
+    """One benchmark process in ``tree``, at the benchmark's own run length;
+    returns its JSON result."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"error: {' '.join(argv[1:])} in {tree} exited with code {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile); one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: list[dict[str, dict]]) -> list[dict]:
+    """Per metric of the pairs in ``runs`` (each ``{"base": result, "head":
+    result}``): both sides' quartiles and the pairs where head is lower."""
+    rows = []
+    for metric in runs[0]["base"]["metrics"]:
+        values = {side: [r[side]["metrics"][metric]["value"] for r in runs] for side in SIDES}
+        lower = sum(h < b for b, h in zip(values["base"], values["head"]))
+        rows.append({
+            "metric": metric,
+            "unit": runs[0]["base"]["metrics"][metric]["unit"],
+            **{side: quartiles(values[side]) for side in SIDES},
+            "lower": lower,
+            "pairs": len(runs),
+        })
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, help="sparse, wide, oracle or chain")
+    parser.add_argument("--pairs", type=int, required=True, help="number of base/head pairs")
+    parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair; pair k uses seed0 + k")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    tmp = tempfile.mkdtemp(prefix="ab_bench-")
+    try:
+        export_revision(args.base, tmp)
+        trees = {"base": os.path.join(tmp, "tree"), "head": ROOT}
+        runs = []
+        for k in range(args.pairs):
+            seed = args.seed0 + k
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            pair = {side: run_once(trees[side], args.workload, seed) for side in order}
+            runs.append(pair)
+            for side in order:
+                r = pair[side]
+                values = " ".join(f"{m}={e['value']:.6g}" for m, e in r["metrics"].items())
+                print(f"pair {k} seed {seed} {side}: correct={r['correct']} failed={r['failed']}/{r['attempted']} {values}")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    print(f"{args.workload}: {args.pairs} pairs, base {args.base} -> working tree; median [quartiles]")
+    for row in summarize(runs):
+        b1, b2, b3 = row["base"]
+        h1, h2, h3 = row["head"]
+        print(
+            f"{row['metric']:>14} {row['unit']:>8}  base {b2:.6g} [{b1:.6g}, {b3:.6g}]"
+            f"  head {h2:.6g} [{h1:.6g}, {h3:.6g}]  lower in {row['lower']}/{row['pairs']}"
+        )
+    ok = all(r[side]["correct"] and not r[side]["failed"] for r in runs for side in SIDES)
+    print(json.dumps({"workload": args.workload, "base": args.base, "seed0": args.seed0, "runs": runs}))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ inputs and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -305,6 +306,7 @@ def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every command; :func:`main` reuses one per process."""
     parser = argparse.ArgumentParser(
         prog="ioselect",
         description="minimum-cost input/output selection for structured systems",
@@ -358,6 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Shared by every main() call in the process.  Reuse is safe because
+    # parse_args leaves the parser unchanged and no argument has a mutable
+    # default (tests/test_cli.py::TestParserOnce).
+    return build_parser()
+
+
 _COMMANDS = {
     "check": _cmd_check,
     "select": _cmd_select,
@@ -369,9 +379,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

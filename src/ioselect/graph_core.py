@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ioselect.system_model import Selection, StructuredSystem
@@ -94,7 +95,14 @@ class SystemGraph:
         return vertex_name(v, self.n, self.m)
 
     def state_rows(self) -> list[list[int]]:
-        """D(A) as in-neighbour lists: each state's row cut at id n."""
+        """D(A) as in-neighbour lists: each state's row cut at id n.
+
+        Sliced on the first call and shared by every later one; callers must
+        not mutate the rows, as with ``adj``."""
+        return self._state_rows
+
+    @cached_property
+    def _state_rows(self) -> list[list[int]]:
         n = self.n
         return [row[: bisect_left(row, n)] for row in self.adj[:n]]
 
@@ -165,54 +173,55 @@ def build_graphs(system: StructuredSystem) -> tuple[SystemGraph, SystemGraph]:
 
 
 def _tarjan(num_vertices: int, successors) -> list[list[int]]:
-    """Iterative Tarjan; components returned in reverse topological order."""
+    """Iterative Tarjan; components returned in reverse topological order.
+
+    ``successors[v]`` is any iterable of v's successors.  Each frame of
+    ``work`` holds a vertex and the iterator over its successors, so the
+    scan of a vertex resumes where its last child returned; ``index[v]`` is
+    0 until v is visited.
+    """
     index = [0] * num_vertices
     low = [0] * num_vertices
     on_stack = [False] * num_vertices
-    visited = [False] * num_vertices
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 1
 
     for root in range(num_vertices):
-        if visited[root]:
+        if index[root]:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(successors[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                visited[v] = True
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            succ = successors[v]
-            advanced = False
-            while ei < len(succ):
-                w = succ[ei]
-                ei += 1
-                if not visited[w]:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+            v, succ = work[-1]
+            for w in succ:
+                if not index[w]:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(successors[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
     return comps
 
 

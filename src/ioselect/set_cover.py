@@ -190,17 +190,17 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
             return
         if weight > best_weight:
             return
-        # fail-first: branch on the uncovered element with fewest usable sets
-        pick_cands: list[int] | None = None
+        # fail-first: branch on the uncovered element with fewest usable
+        # sets (there is one, as covered != full); one with none ends the branch
+        pick_cands: list[int] = []
         for e in range(inst.universe_size):
             if covered >> e & 1:
                 continue
             cands = [i for i in candidates[e] if not banned >> i & 1]
-            if pick_cands is None or len(cands) < len(pick_cands):
+            if not cands:
+                return
+            if not pick_cands or len(cands) < len(pick_cands):
                 pick_cands = cands
-                if not cands:
-                    return
-        assert pick_cands is not None
         # exclusion branching: after exploring a candidate, ban it in the
         # remaining branches so no cover is enumerated twice
         sub_banned = banned

@@ -485,3 +485,50 @@ class TestMain:
         assert code == EXIT_INTERNAL == 3
         assert out == ""
         assert err.startswith("internal error: ") and "structurally fixed modes" in err
+
+
+class TestParserOnce:
+    # main() builds its parser once per process; parsing must leave it as
+    # it was, so a call's result cannot depend on the calls before it.
+    @staticmethod
+    def argvs(demo_json, out):
+        return [
+            ["select", demo_json, "--exact", "--trace", "--format", "table", "-o", out],
+            ["select", demo_json],
+            ["select", demo_json, "--nope"],
+            ["check", demo_json, "--inputs", "1"],
+            ["check", demo_json],
+            ["--help"],
+        ]
+
+    def test_one_build_for_many_calls(self, capsys, demo_json, tmp_path, monkeypatch):
+        import ioselect.cli as cli
+
+        builds = []
+        real = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            codes = [main(argv) for argv in self.argvs(demo_json, str(tmp_path / "out.txt"))]
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert codes == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_OK, EXIT_OK]
+        assert len(builds) == 1
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys, demo_json, tmp_path):
+        import ioselect.cli as cli
+
+        out = str(tmp_path / "out.txt")
+        argvs = self.argvs(demo_json, out)
+        reused = []
+        for argv in argvs:
+            reused.append((run(capsys, *argv), tmp_path.joinpath("out.txt").read_text()))
+        for argv, result in zip(argvs, reused):
+            cli._parser.cache_clear()
+            assert (run(capsys, *argv), tmp_path.joinpath("out.txt").read_text()) == result

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -9,6 +10,7 @@ import oracles
 from conftest import make_system, selections, systems, systems_with_selection
 from ioselect.graph_core import (
     CoverageTables,
+    _tarjan,
     build_bipartite,
     condition_a_holds,
     condition_a_witness,
@@ -70,6 +72,7 @@ class TestBuildGraphs:
             [2, 7], [0, 8],
         )
         assert g.state_rows() == [[0, 1], [1], [0, 1, 3], [3]]
+        assert g.state_rows() is g.state_rows()  # sliced once per graph
         # the complete K is the hub 9: y1, y2 -> hub -> u1, u2, u3
         assert g.hub and g.ek == []
 
@@ -151,6 +154,40 @@ class TestScc:
         assert scc.non_top == tuple(sorted(v for v in g if g.in_degree(v) == 0))
         assert scc.non_bottom == tuple(sorted(v for v in g if g.out_degree(v) == 0))
         assert scc.q >= 1 and scc.k >= 1
+
+
+@st.composite
+def successor_rows(draw, max_n=12):
+    """Rows as ``_feedback_sccs`` passes them: lists with self-loops and
+    repeated successors, empty tuples and ranges."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return []
+    vertex = st.integers(0, n - 1)
+    ranges = st.tuples(vertex, vertex).map(lambda ab: range(min(ab), max(ab) + 1))
+    return [draw(st.lists(vertex, max_size=5) | st.just(()) | ranges) for _ in range(n)]
+
+
+class TestTarjan:
+    @given(successor_rows())
+    def test_partition_and_reverse_topological_order(self, rows):
+        comps = _tarjan(len(rows), rows)
+        g = nx.DiGraph((v, w) for v, row in enumerate(rows) for w in row)
+        g.add_nodes_from(range(len(rows)))
+        assert sorted(map(sorted, comps)) == sorted(map(sorted, nx.strongly_connected_components(g)))
+        # a component is emitted only after every component it reaches
+        pos = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        for v, w in g.edges:
+            assert pos[v] >= pos[w]
+
+    def test_long_cycle_and_path_at_default_recursion_limit(self):
+        n = 50_000
+        limit = sys.getrecursionlimit()
+        cycle = _tarjan(n, [[(v + 1) % n] for v in range(n)])
+        assert [sorted(c) for c in cycle] == [list(range(n))]
+        path = _tarjan(n, [[v + 1] for v in range(n - 1)] + [()])
+        assert path == [[v] for v in reversed(range(n))]
+        assert sys.getrecursionlimit() == limit
 
 
 class TestCoverage:

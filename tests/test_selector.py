@@ -514,6 +514,15 @@ class TestBuildOnce:
         assert rep.special_cases[:2] == ("irreducible", "state_pm")
         assert counts == dict(zip(self.FLOWS, (0, 1, 0)))
 
+    def test_state_rows_sliced_once(self, monkeypatch):
+        # the SCC pass and the state_pm tag share one slice per state row
+        n = 500
+        system = long_cycle_system(n)
+        counts = wrap_counting(monkeypatch, ["graph_core.bisect_left"])
+        rep = select_min_cost_io(system)
+        assert rep.special_cases[:2] == ("irreducible", "state_pm")
+        assert counts == {"graph_core.bisect_left": n}
+
     def test_witness_built_only_for_traces(self, demo, monkeypatch):
         counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])
         rep = select_min_cost_io(demo)
