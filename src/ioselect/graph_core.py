@@ -1,5 +1,5 @@
-"""The one stored system graph, its SCCs, coverage tables and reachability
-conditions.
+"""The one stored system graph, its SCCs, B(A)'s maximum matching,
+coverage tables and reachability conditions.
 
 The system digraph D(A, B, C, K) has state edges x_j -> x_i (A_ij starred),
 input edges u_j -> x_i (B_ij), output edges x_j -> y_i (C_ij) and feedback
@@ -30,9 +30,10 @@ labels x1/u1/y1 used in messages and debug dumps.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from ioselect.system_model import Selection, StructuredSystem
 
@@ -106,6 +107,13 @@ class SystemGraph:
         n = self.n
         return [row[: bisect_left(row, n)] for row in self.adj[:n]]
 
+    @cached_property
+    def state_matching(self) -> tuple[list[int], list[int]]:
+        """B(A)'s maximum matching, on the state rows: the state matched to
+        each x'_i, and the x'_i matched to each state, or -1.  Found by
+        Hopcroft-Karp once per graph; callers must not mutate it."""
+        return _hopcroft_karp(self.state_rows())
+
     @property
     def ek(self) -> list[tuple[int, int]]:
         """The feedback edges (y, u) of an explicit K, read off the input
@@ -170,6 +178,77 @@ def build_graphs(system: StructuredSystem) -> tuple[SystemGraph, SystemGraph]:
     calls it."""
     g = build_bipartite(system)
     return g, g
+
+
+def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Maximum matching via Hopcroft-Karp.  ``adj[l]`` lists the right
+    neighbours of left vertex l, both sides numbered 0..len(adj)-1.
+    Returns each left and each right vertex's partner (or -1)."""
+    size = len(adj)
+    match_l = [-1] * size
+    match_r = [-1] * size
+    for l, row in enumerate(adj):  # a greedy start leaves the phases little to do
+        for r in row:
+            if match_r[r] < 0:
+                match_l[l], match_r[r] = r, l
+                break
+    INF = size + 1
+    while True:
+        dist = [INF] * size
+        queue: deque[int] = deque()
+        for l in range(size):
+            if match_l[l] < 0:
+                dist[l] = 0
+                queue.append(l)
+        found = False
+        while queue:
+            l = queue.popleft()
+            for r in adj[l]:
+                nxt = match_r[r]
+                if nxt < 0:
+                    found = True
+                elif dist[nxt] == INF:
+                    dist[nxt] = dist[l] + 1
+                    queue.append(nxt)
+        if not found:
+            return match_l, match_r
+
+        # Depth-first search for augmenting paths along the BFS layers.  The
+        # vertex being scanned and its neighbour iterator live in locals;
+        # ``path`` holds the (vertex, iterator) frames below it, so path
+        # length is not bounded by the recursion limit.
+        for root in range(size):
+            if match_l[root] >= 0:
+                continue
+            path: list[tuple[int, Iterator[int]]] = []
+            l, it = root, iter(adj[root])
+            while True:
+                next_layer = dist[l] + 1
+                for r in it:
+                    nxt = match_r[r]
+                    if nxt < 0 or dist[nxt] == next_layer:
+                        break
+                else:  # dead end: l is not tried again this phase
+                    dist[l] = INF
+                    if not path:
+                        break
+                    l, it = path.pop()
+                    continue
+                if nxt >= 0:  # descend to the left vertex matched to r
+                    path.append((l, it))
+                    l, it = nxt, iter(adj[nxt])
+                    continue
+                # r is free: flip the path.  Each vertex below takes the
+                # right vertex its successor was matched to.
+                while True:
+                    prev = match_l[l]
+                    match_l[l] = r
+                    match_r[r] = l
+                    if not path:
+                        break
+                    r = prev
+                    l, _it = path.pop()
+                break
 
 
 def _tarjan(num_vertices: int, successors) -> list[list[int]]:

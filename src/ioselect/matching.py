@@ -25,14 +25,20 @@ Perfect matchings of this graph correspond exactly to families of disjoint
 cycles in the system digraph that span all states, and the minimum-cost
 perfect matching realizes the cheapest such family; its used inputs/outputs
 are read off the matched EU/EY edges.
+
+Every flow starts from B(A)'s maximum matching, found once per graph
+(:attr:`SystemGraph.state_matching`), with every input and output on its
+own edge: a largest matching of cost 0, so the minimum-cost one takes
+n - nu(B(A)) more augmenting paths, each at most one transit through the
+hub (the only edges that cost anything).  The feasibility flows flip every
+path one sweep of the graph finds, and also run on a partial K.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Iterator, Optional
+from heapq import heappop  # noqa: F401  # see below
+from typing import Optional
 
 # the edge classes, BipEdge and build_bipartite are also this module's names
 from ioselect.graph_core import (
@@ -57,6 +63,10 @@ from ioselect.system_model import (
     StructuredSystem,
     _check_selection,
 )
+
+# No code here pops a heap.  perfbench/tracer.py replaces this name to count
+# heap pops, so the name stays until the tracer reads an in-package recorder
+# (ROADMAP item 1); its count reads 0.
 
 
 class NoPerfectMatching(ModelError):
@@ -90,255 +100,163 @@ class Matching:
         return sum(e.cost for e in self.edges)
 
 
-def _hopcroft_karp(
-    size: int, adj: list[list[int]], match_l: list[int], match_r: list[int]
-) -> int:
-    """Maximum matching via Hopcroft-Karp, extending the matching in place.
-
-    ``adj[l]`` lists right neighbors.  Returns the matching size.
-    """
-    INF = size + 1
-    matched = sum(1 for r in match_l if r >= 0)
-    while True:
-        dist = [INF] * size
-        queue: deque[int] = deque()
-        for l in range(size):
-            if match_l[l] < 0:
-                dist[l] = 0
-                queue.append(l)
-        found = False
-        while queue:
-            l = queue.popleft()
-            for r in adj[l]:
-                nxt = match_r[r]
-                if nxt < 0:
-                    found = True
-                elif dist[nxt] == INF:
-                    dist[nxt] = dist[l] + 1
-                    queue.append(nxt)
-        if not found:
-            return matched
-
-        # Depth-first search for augmenting paths along the BFS layers.  The
-        # vertex being scanned and its neighbour iterator live in locals;
-        # ``path`` holds the (vertex, iterator) frames below it, so path
-        # length is not bounded by the recursion limit.
-        for root in range(size):
-            if match_l[root] >= 0:
-                continue
-            path: list[tuple[int, Iterator[int]]] = []
-            l, it = root, iter(adj[root])
-            while True:
-                next_layer = dist[l] + 1
-                for r in it:
-                    nxt = match_r[r]
-                    if nxt < 0 or dist[nxt] == next_layer:
-                        break
-                else:  # dead end: l is not tried again this phase
-                    dist[l] = INF
-                    if not path:
-                        break
-                    l, it = path.pop()
-                    continue
-                if nxt >= 0:  # descend to the left vertex matched to r
-                    path.append((l, it))
-                    l, it = nxt, iter(adj[nxt])
-                    continue
-                # r is free: flip the path.  Each vertex below takes the
-                # right vertex its successor was matched to.
-                while True:
-                    prev = match_l[l]
-                    match_l[l] = r
-                    match_r[r] = l
-                    if not path:
-                        break
-                    r = prev
-                    l, _it = path.pop()
-                matched += 1
-                break
-
-
-_LEFT, _RIGHT, _HUB = 0, 1, 2  # heap entry kinds
-_FROM_HUB = -2  # parent of a right vertex reached by a hub -> y_j edge
-
-
 def _unit_flow(
     g: SystemGraph,
     prices: Optional[tuple[list[int], list[int]]] = None,
     sel: Optional[Selection] = None,
 ) -> tuple[list[int], list[int], Optional[tuple[list[int], list[int]]]]:
     """Maximum unit flow from the left side to the right side of ``g``,
-    through the hub where there is one, by successive shortest paths.
+    through the hub where there is one.
 
-    ``prices`` is one weight per input and one per output.  An EK edge
-    weighs the sum of its input's and its output's, a UH edge its input's,
-    an HY edge its output's, and every other edge 0.  With ``sel``, the
-    flow runs on ``g`` with each unselected input and output reduced to its
-    edge (u'_i, u_i) or (y'_j, y_j).  A perfect matching must use that edge,
-    so the edges into u_i or y_j from elsewhere stay unused, and the graph
-    has a perfect matching exactly when B(A, B, C, K) of the system
-    restricted to ``sel`` has one.
+    ``prices`` is one positive weight per input and one per output: an edge
+    (u'_i, h) weighs its input's, an edge (h, y_j) its output's, and every
+    other edge 0; with None every weight is 0.  With ``sel``, each
+    unselected input and output is reduced to its edge (u'_i, u_i) or
+    (y'_j, y_j), which a perfect matching must use, so the graph has one
+    exactly when B(A, B, C, K) of the system restricted to ``sel`` has one.
 
-    Edges of weight 0 seed a Hopcroft-Karp matching; each round then runs
-    Dijkstra with potentials (one per left vertex, right vertex and the hub)
-    from every free left vertex in the residual graph, stops at the first
-    free right vertex, and augments.  With nonnegative weights the flow has
-    minimum weight among flows of its size.  With ``prices`` None any
-    maximum flow will do: all weights are 0, free inputs go straight to free
-    outputs through the hub before the first round, and a stack stands in
-    for the heap (every order is a shortest-path order).
+    The flow starts from B(A)'s maximum matching with every input and output
+    on its own edge, a largest flow of weight 0: no other edge of an input's
+    left copy or an output's right copy weighs 0.  With ``prices`` each
+    round augments one shortest path, so a perfect matching takes
+    n - nu(B(A)) rounds; some shortest path per round is all successive
+    shortest paths need (Ahuja, Magnanti and Orlin, *Network Flows*, section
+    9.7).  Without, each round flips every path it finds (see :func:`_round`).
 
     Returns the partner of each left and each right vertex (the other side's
     vertex, the hub id ``g.size``, or -1 when free) and, when some left
-    vertex stays free, a Hall witness: the left vertices the last search
-    reached and their neighbours in B(A, B, C, K).  That search ran to the
-    end, so it relaxed every edge of each left vertex it reached.  It
-    reaches the hub exactly when it reaches an input, and in B(A, B, C, K)
-    an input is adjacent to every output, so then every output with a hub
-    edge is a neighbour.
+    vertex stays free, a Hall witness: the left vertices the last round
+    reached, through the hub too, without finding a path, and their
+    neighbours in B(A, B, C, K).  It reaches the hub exactly when it reaches
+    a selected input, which is adjacent to every selected output, so then
+    every output is a neighbour.
     """
     n, m, size = g.n, g.m, g.size
-    hub, out0 = size, n + m
+    out0 = n + m
     keep = selected_vertices(n, m, g.p, sel)
     adj = g.adj if sel is None else [row if keep[v] else [v] for v, row in enumerate(g.adj)]
-    has_hub = g.hub
-    hub_in = [l for l in range(n, out0) if keep[l]] if has_hub else []
-    hub_out = range(out0, size) if has_hub else range(0)
-    if prices is None:
-        price_in, price_out = [0] * m, [0] * g.p
-        seed = adj
-    else:
-        # prices are positive, so an input's own edge is its only free one
-        price_in, price_out = prices
-        seed = list(adj)
-        seed[n:out0] = [[l] for l in range(n, out0)]
+    price_in, price_out = prices if prices is not None else ([0] * m, [0] * g.p)
+    # the cost of entering the hub from each selected input, and the exits by
+    # cost: -p_u(i) back to an input that sends to it, +p_y(j) on to an output
+    enter = [None] * n + [c if g.hub and keep[n + i] else None for i, c in enumerate(price_in)] + [None] * g.p
+    exits = sorted(
+        (v for v in range(n, size) if g.hub and keep[v]),
+        key=lambda v: -price_in[v - n] if v < out0 else price_out[v - out0],
+    )
 
-    match_l = [-1] * size
-    match_r = [-1] * size
-    _hopcroft_karp(size, seed, match_l, match_r)
-    if prices is None:
-        free_in = [l for l in hub_in if match_l[l] < 0]
-        free_out = [r for r in hub_out if match_r[r] < 0]
-        for l, r in zip(free_in, free_out):
-            match_l[l] = match_r[r] = hub
-
-    # Reduced cost of a residual edge a -> b of weight c is c - pot[a] + pot[b]
-    # (a matched edge is used backwards with weight -c); every round keeps
-    # them nonnegative and makes the augmenting path's edges 0.
-    pot_l = [0] * size
-    pot_r = [0] * size
-    pot_h = 0
-    push, pop = (heappush, heappop) if prices is not None else (list.append, list.pop)
+    state_l, state_r = g.state_matching
+    match_l = state_l + list(range(n, size))
+    match_r = state_r + list(range(n, size))
     while True:
-        heap = [(0, _LEFT, l) for l in range(size) if match_l[l] < 0]
-        if not heap:
+        free = [l for l in range(n) if match_l[l] < 0]
+        if not free:
             return match_l, match_r, None
-        dist_l = [-1] * size  # -1: not reached
-        dist_r = [-1] * size
-        dist_h = -1
-        for _d, _k, l in heap:
-            dist_l[l] = 0
-        parent_r = [-1] * size  # left vertex before each right vertex, or _FROM_HUB
-        parent_h = 0  # the left vertex l of an l -> hub edge, or ~y for y -> hub
-        target = -1
-        while heap:
-            d, kind, v = pop(heap)
-            if kind == _LEFT:
-                if d > dist_l[v]:
-                    continue
-                base = d - pot_l[v]
-                if not n <= v < out0:
-                    for r in adj[v]:
-                        nd = base + pot_r[r]
-                        if dist_r[r] < 0 or nd < dist_r[r]:
-                            dist_r[r] = nd
-                            parent_r[r] = v
-                            push(heap, (nd, _RIGHT, r))
-                    continue
-                # an input: its EK edges, its own edge (free), its hub edge
-                priced = base + price_in[v - n]
-                for r in adj[v]:
-                    nd = (priced + price_out[r - out0] if r != v else base) + pot_r[r]
-                    if dist_r[r] < 0 or nd < dist_r[r]:
-                        dist_r[r] = nd
-                        parent_r[r] = v
-                        push(heap, (nd, _RIGHT, r))
-                if has_hub and keep[v] and match_l[v] != hub:
-                    nd = priced + pot_h
-                    if dist_h < 0 or nd < dist_h:
-                        dist_h, parent_h = nd, v
-                        push(heap, (nd, _HUB, hub))
-            elif kind == _RIGHT:
-                if d > dist_r[v]:
-                    continue
-                back = match_r[v]
-                if back < 0:
-                    target = v
-                    break
-                if back == hub:
-                    # several edges enter the hub, so this one need not be tight
-                    nd = d - price_out[v - out0] - pot_r[v] + pot_h
-                    if dist_h < 0 or nd < dist_h:
-                        dist_h, parent_h = nd, ~v
-                        push(heap, (nd, _HUB, hub))
-                elif dist_l[back] < 0 or d < dist_l[back]:
-                    dist_l[back] = d
-                    push(heap, (d, _LEFT, back))
-            else:
-                if d > dist_h:
-                    continue
-                for r in hub_out:
-                    if match_r[r] != hub:
-                        nd = d + price_out[r - out0] - pot_h + pot_r[r]
-                        if dist_r[r] < 0 or nd < dist_r[r]:
-                            dist_r[r] = nd
-                            parent_r[r] = _FROM_HUB
-                            push(heap, (nd, _RIGHT, r))
-                for l in hub_in:
-                    if match_l[l] == hub:
-                        nd = d - price_in[l - n] + pot_l[l] - pot_h
-                        if dist_l[l] < 0 or nd < dist_l[l]:
-                            dist_l[l] = nd
-                            push(heap, (nd, _LEFT, l))
-        if target < 0:
-            left = [l for l in range(size) if dist_l[l] >= 0]
-            right = [r for r in range(size) if dist_r[r] >= 0 or (dist_h >= 0 and r in hub_out)]
-            return match_l, match_r, (left, right)
+        hall = _round(adj, free, prices is not None, enter, price_out, exits, match_l, match_r, out0)
+        if hall is not None:
+            return match_l, match_r, hall
 
-        # vertices settled below the target's distance move up by the gap;
-        # the others (unreached, or reached no closer than it) stay
-        best = dist_r[target]
-        for v in range(size):
-            if 0 <= dist_l[v] < best:
-                pot_l[v] += best - dist_l[v]
-            if 0 <= dist_r[v] < best:
-                pot_r[v] += best - dist_r[v]
-        if 0 <= dist_h < best:
-            pot_h += best - dist_h
 
-        # augment back from the target; ``r`` is a right vertex or the hub
-        r = target
-        while True:
-            if r == hub:
-                if parent_h < 0:  # y -> hub: y leaves the hub for its parent edge
-                    r = ~parent_h
-                else:  # l -> hub: l now sends to the hub
-                    l = parent_h
-                    r, match_l[l] = match_l[l], hub
-                    if r < 0:
-                        break
+def _round(adj, free, priced, enter, price_out, exits, match_l, match_r, out0):
+    """One round of :func:`_unit_flow`: one :func:`_search` from all the free
+    states if ``priced``, else one from each in turn, each path found
+    flipped at once.  Returns None if a path was flipped, else the witness.
+    The marks and the hub's exits are shared, so a round sweeps the graph
+    once: a search goes on only to vertices no earlier one met, which led to
+    no free vertex then.  A flip can open a way through them, so the
+    unpriced flow runs rounds until one flips no path."""
+    size = len(match_l)
+    seen_l = [r < 0 for r in match_l]  # the free states
+    parent_r = [-1] * size  # the left vertex (or the hub) each right vertex was reached from
+    # a lone free state whose neighbours are all reached leads nowhere new
+    searches = [free] if priced else ([l] for l in free if any(parent_r[r] < 0 for r in adj[l]))
+    exits, flipped, entered = iter(exits), False, False
+    for stack in searches:
+        target, entry = _search(adj, stack, seen_l, parent_r, enter, price_out, exits, match_l, match_r, out0)
+        entered = entered or entry >= 0
+        if target >= 0:
+            _augment(match_l, match_r, parent_r, target, entry, size, out0)
+            flipped = True
+    if flipped:
+        return None
+    left = [l for l in range(size) if seen_l[l]]
+    return left, [r for r in range(size) if parent_r[r] >= 0 or (entered and r >= out0)]
+
+
+def _search(adj, stack, seen_l, parent_r, enter, price_out, exits, match_l, match_r, out0) -> tuple[int, int]:
+    """Search on over 0-weight edges from the left vertices on ``stack``,
+    recording in ``parent_r`` where each new right vertex was reached from,
+    up to the first free right vertex.  When the stack runs dry, enter the
+    hub once, at the cheapest entry met: (u'_i, h) from a reached input not
+    sending to the hub (+p_u(i), ``enter``), or y_j -> h back over a reached
+    output that the hub sends to (-p_y(j)).  Then, each time the stack runs
+    dry, take the next exit from ``exits`` that is still one and still
+    unreached: h -> y_j into an output, or h -> u'_i back to an input that
+    sends to the hub.  Every weight sits on the hub's edges, so with
+    ``exits`` in price order the first free right vertex met ends a
+    shortest path.  Returns it, or -1, and the entry chosen, or -1.
+    """
+    hub = len(match_l)
+    entry, best, entered = -1, 0, False
+    while True:
+        while stack:
+            l = stack.pop()
+            cost = enter[l]
+            if cost is not None and not entered and match_l[l] != hub and (entry < 0 or cost < best):
+                entry, best = l, cost
+            for r in adj[l]:
+                if parent_r[r] < 0:
+                    parent_r[r] = l
+                    nxt = match_r[r]
+                    if nxt < 0:
+                        return r, entry
+                    if nxt == hub:
+                        cost = -price_out[r - out0]
+                        if not entered and (entry < 0 or cost < best):
+                            entry, best = r, cost
+                    elif not seen_l[nxt]:
+                        seen_l[nxt] = True
+                        stack.append(nxt)
+        if entry < 0:
+            return -1, -1
+        entered = True
+        for v in exits:
+            if v >= out0:  # h -> y_j, and on from y_j's partner (an output stays matched)
+                if match_r[v] == hub or parent_r[v] >= 0:
                     continue
-            l = parent_r[r]
-            if l == _FROM_HUB:
-                match_r[r] = hub
-                r = hub
+                parent_r[v] = hub
+                v = match_r[v]
+            elif match_l[v] != hub:
                 continue
+            if not seen_l[v]:
+                seen_l[v] = True
+                stack.append(v)
+                break
+        else:
+            return -1, entry
+
+
+def _augment(
+    match_l: list[int], match_r: list[int], parent_r: list[int], r: int, entry: int, hub: int, out0: int
+) -> None:
+    """Flip one round's path, back from the free right vertex ``r``.  A path
+    through the hub is flipped from ``r`` back to its exit, and then from
+    ``entry`` back to a free left vertex."""
+    while True:
+        l = parent_r[r]
+        if l == hub:  # h -> y_j: the hub now sends to y_j
+            match_r[r] = prev = hub
+        else:
             prev = match_l[l]
             match_l[l] = r
             match_r[r] = l
-            if prev < 0:
-                break
+        if prev < 0:
+            return
+        if prev != hub:
             r = prev
+        elif entry < out0:  # (u'_i, h): u'_i now sends to the hub
+            r, match_l[entry] = match_l[entry], hub
+        else:  # y_j -> h: y_j takes the left vertex it was reached from
+            r = entry
 
 
 def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
@@ -354,14 +272,13 @@ def hall_indices(
     neighborhood; with ``sel``, in the graph of the system restricted to
     ``sel``, under the ids of ``g``.
 
-    Built from a maximum matching: left vertices reachable from an
-    unmatched left vertex by alternating paths form the witness.  Every
-    maximum matching gives the same set (the Dulmage-Mendelsohn one), so the
-    witness does not depend on the matching found.  With ``sel`` the flow
-    runs on ``g`` masked (see :func:`_unit_flow`), which has a maximum matching
-    made of one of the restricted graph and the unselected vertices' own
-    edges; so the masked graph's set, less the unselected vertices, is the
-    restricted graph's.  Raises if the graph has a perfect matching.
+    The witness is what the flow's last round reaches from the unmatched
+    left vertices by alternating paths, through the hub too: the same set
+    (the Dulmage-Mendelsohn one) for every maximum matching.  With ``sel``
+    the masked graph has a maximum matching made of one of the restricted
+    graph and the unselected vertices' own edges, so its set, less the
+    unselected vertices, is the restricted graph's.  Raises if the graph
+    has a perfect matching.
     """
     witness = _unit_flow(g, None, sel)[2]
     if witness is None:
@@ -384,7 +301,9 @@ def _labels(g: SystemGraph, left, right) -> tuple[tuple[str, ...], tuple[str, ..
 
 
 def min_cost_perfect_matching(g: SystemGraph) -> Matching:
-    """Exact minimum-cost perfect matching by successive shortest paths.
+    """Exact minimum-cost perfect matching of a graph with a hub, by
+    successive shortest paths, each through the hub at most once (see
+    :func:`_unit_flow`).
 
     Costs are composite integers: the true cost in the high bits, then tie
     breaks that minimize the number of feedback edges used, then prefer low
@@ -394,12 +313,16 @@ def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     part, so the flow gets one price per input, p_u(i)*cap + 2**(m+p) +
     2**(p+i), and one per output, p_y(j)*cap + 2**j: an EK edge pays both,
     (u'_i, h) its input's and (h, y_j) its output's.  The layers make the
-    used inputs and outputs of the optimum unique.  The returned matching
-    holds a :class:`BipEdge` for each left vertex.
+    used inputs and outputs of the optimum unique; the flow only compares
+    them.  The returned matching holds a :class:`BipEdge` for each left
+    vertex.
 
-    Raises :class:`NoPerfectMatching` (with a Hall witness) if no perfect
-    matching exists.
+    Raises :class:`ModelError` if K is not complete, and
+    :class:`NoPerfectMatching` (with a Hall witness) if no perfect matching
+    exists.
     """
+    if not g.hub:
+        raise ModelError("min-cost matching requires a complete feedback pattern")
     n, m, p = g.n, g.m, g.p
     # the cap strictly exceeds the largest possible tie-break total, which
     # is min(m, p) feedback edges paying under 2**(m+p+1) each
@@ -447,12 +370,10 @@ def state_pattern_has_pm(g: SystemGraph) -> Optional[list[int]]:
     """A perfect matching in B(A) alone (EX edges only, the state rows of
     ``g``), or None when there is none: then the states need inputs or
     outputs for a spanning disjoint-cycle family.  Entry i is the state x_j
-    matched to x'_i."""
-    n = g.n
-    match_l = [-1] * n
-    if _hopcroft_karp(n, g.state_rows(), match_l, [-1] * n) < n:
-        return None
-    return match_l
+    matched to x'_i.  It is B(A)'s maximum matching, which also seeds every
+    flow on ``g``; callers must not mutate it."""
+    match_l = g.state_matching[0]
+    return None if -1 in match_l else match_l
 
 
 def dump_matching(matching: Matching) -> str:

@@ -251,6 +251,40 @@ def min_weight_perfect_matching(size: int, weighted_pairs) -> Optional[int]:
     return cost
 
 
+def scipy_min_cost(system: StructuredSystem) -> Optional[int]:
+    """Smallest cost of a perfect matching of B(A, B, C, K), K expanded star
+    by star, each edge (u'_i, y_j) costing cost_u[i] + cost_y[j], by scipy's
+    ``min_weight_full_bipartite_matching`` (LAPJVsp).  None if there is no
+    perfect matching.
+
+    scipy reads a stored 0 as a missing edge, so every weight is stored plus
+    1 and the vertex count is subtracted from the total.  The totals stay
+    below 2**53, so the float64 sums are exact.  Callers skip when scipy is
+    missing (``pytest.importorskip("scipy")``).
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    n, m = system.n, system.m
+    size = n + m + system.p
+    pairs = bipartite_pairs(system)
+    weights = [
+        1 + (system.cost_u[l - n] + system.cost_y[r - n - m] if n <= l < n + m <= r else 0)
+        for l, r in pairs
+    ]
+    if not pairs:
+        return None if size else 0
+    if max(weights) * size >= 2**53:
+        raise ValueError("weights too large for exact float64 sums")
+    rows, cols = zip(*pairs)
+    graph = csr_matrix((weights, (rows, cols)), shape=(size, size), dtype="float64")
+    try:
+        row_ind, col_ind = min_weight_full_bipartite_matching(graph)
+    except ValueError:  # no perfect matching
+        return None
+    return int(graph[row_ind, col_ind].sum()) - size
+
+
 def matching_size(n_left: int, n_right: int, pairs: list[tuple[int, int]]) -> int:
     """Maximum bipartite matching size via networkx (left ids 0.., right ids
     offset by n_left inside this helper)."""

@@ -28,7 +28,13 @@ import oracles
 from conftest import make_system
 from ioselect import selector as selector_mod
 from ioselect.certify import certify_cycle_cover
-from ioselect.matching import NoPerfectMatching, extract_io, min_cost_perfect_matching
+from ioselect.matching import (
+    Matching,
+    NoPerfectMatching,
+    _unit_flow,
+    extract_io,
+    min_cost_perfect_matching,
+)
 from ioselect.selector import (
     SystemHasSFMs,
     applicable_special_cases,
@@ -155,13 +161,22 @@ class TestCertifier:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_stage3_matchings_of_any_k(self, data):
-        # select refuses a partial K; stage 3 still matches its graph, which
-        # keeps one edge per K star, so its matchings exercise the K test
+        # select and stage 3 refuse a partial K; the unpriced flow still
+        # matches its graph, which keeps one edge per K star, so its perfect
+        # matchings exercise the K test
         system = data.draw(any_system("continuous"))
-        try:
-            matching = min_cost_perfect_matching(compile_system(system).graph)
-        except NoPerfectMatching:
-            return
+        g = compile_system(system).graph
+        if g.hub:
+            try:
+                matching = min_cost_perfect_matching(g)
+            except NoPerfectMatching:
+                return
+        else:
+            match_l, _match_r, hall = _unit_flow(g)
+            if hall is not None:
+                return
+            edges = tuple(g.edge(l, r) for l, r in enumerate(match_l))
+            matching = Matching(g.n, g.m, g.p, edges, perfect=True)
         sel, _cost = extract_io(matching)
         _check_mutations(system, sel, [(e.left, e.right) for e in matching.edges])
 

@@ -4,11 +4,13 @@ oracles in ``oracles.py``, which expand K star by star.
 The generators favour what the hub changes most: many more feedback pairs
 than states (m*p >> n), selections empty on one side, zero costs, and
 explicit K patterns, both complete (also a hub) and partial (kept as EK
-edges).
+edges).  The minimum-cost matching needs a hub, so its tests draw only
+complete K.
 """
 
 import itertools
 import json
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import networkx as nx
@@ -35,6 +37,7 @@ from ioselect.selector import (
 )
 from ioselect.system_model import (
     COMPLETE,
+    ModelError,
     Selection,
     SparsityPattern,
     StructuredSystem,
@@ -50,15 +53,19 @@ def _pattern(draw, rows, cols, max_stars):
     return SparsityPattern(rows, cols, stars)
 
 
+KINDS = ("complete", "explicit complete", "partial")
+COMPLETE_KINDS = KINDS[:2]
+
+
 @st.composite
-def wide_systems(draw, max_n=3, max_io=4, max_bc=4):
+def wide_systems(draw, max_n=3, max_io=4, max_bc=4, kinds=KINDS):
     """Up to ``max_n`` states against up to ``max_io`` inputs and outputs.
     B and C get at most ``max_bc`` stars each; the defaults keep the
-    oracles' cycle enumeration small."""
+    oracles' cycle enumeration small.  K is drawn from ``kinds``."""
     n = draw(st.integers(1, max_n))
     m = draw(st.integers(0, max_io))
     p = draw(st.integers(0, max_io))
-    kind = draw(st.sampled_from(["complete", "explicit complete", "partial"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "complete":
         k = COMPLETE
     elif kind == "explicit complete":
@@ -181,7 +188,7 @@ def _cheapest_key(system):
 
 
 class TestMinCost:
-    @given(wide_systems())
+    @given(wide_systems(kinds=COMPLETE_KINDS))
     def test_cost_matches_cheapest_family(self, system):
         g = build_bipartite(system)
         ref = oracles.min_cycle_family_cost(system)
@@ -194,7 +201,7 @@ class TestMinCost:
         assert extract_io(matching)[1] == ref
 
     @settings(max_examples=60)
-    @given(wide_systems())
+    @given(wide_systems(kinds=COMPLETE_KINDS))
     def test_tie_breaks_pick_the_documented_selection(self, system):
         best = _cheapest_key(system)
         g = build_bipartite(system)
@@ -206,7 +213,7 @@ class TestMinCost:
 
 
     @settings(max_examples=150)
-    @given(wide_systems(max_n=7, max_io=6, max_bc=14))
+    @given(wide_systems(max_n=7, max_io=6, max_bc=14, kinds=COMPLETE_KINDS))
     def test_composite_weight_matches_network_simplex(self, system):
         """All layers at once: the matching's cost and tie-break weight is the
         minimum over perfect matchings of the expanded graph."""
@@ -227,6 +234,16 @@ class TestMinCost:
         got = cost * cap + len(sel.inputs) * (1 << (m + p))
         got += sum(1 << (p + i) for i in sel.inputs) + sum(1 << j for j in sel.outputs)
         assert got == ref
+
+    def test_partial_k_is_refused(self, demo):
+        # a partial K has no hub to price; with the one feedback edge
+        # y1 -> u1 its graph still has a perfect matching for the unpriced
+        # flow to find
+        system = replace(demo, K=SparsityPattern(3, 2, frozenset({(0, 0)})))
+        g = build_bipartite(system)
+        assert not g.hub and has_perfect_matching(g)
+        with pytest.raises(ModelError, match="complete feedback pattern"):
+            min_cost_perfect_matching(g)
 
 
 class TestNoExpansion:

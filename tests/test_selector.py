@@ -18,6 +18,7 @@ from ioselect.selector import (
     select_min_cost_io,
     sfm_witness,
 )
+from ioselect import matching as matching_mod
 from ioselect.matching import build_bipartite, state_pattern_has_pm
 from ioselect.oracle_bench import exact_select
 from ioselect.system_model import (
@@ -494,18 +495,67 @@ class TestBuildOnce:
         assert 0 < len(created) <= system.n + system.m + system.p
 
     # Stage 3's flow also decides condition (b) of the full selection, and
-    # the final check verifies its matching without a flow.  The two
-    # Hopcroft-Karp runs are the state_pm tag's and stage 3's zero-cost seed.
-    FLOWS = ["matching._unit_flow", "matching._hopcroft_karp", "selector.check_no_sfm"]
+    # the final check verifies its matching without a flow.  The one
+    # Hopcroft-Karp run finds B(A)'s maximum matching, which gives the
+    # state_pm tag and seeds stage 3.
+    FLOWS = ["matching._unit_flow", "graph_core._hopcroft_karp", "selector.check_no_sfm"]
 
     @pytest.mark.parametrize(
         "mode,flows",
-        [("continuous", (1, 2, 0)), ("discrete", (0, 1, 0))],
+        [("continuous", (1, 1, 0)), ("discrete", (0, 1, 0))],
     )
     def test_flows_per_select(self, demo, monkeypatch, mode, flows):
         counts = wrap_counting(monkeypatch, self.FLOWS)
         select_min_cost_io(replace(demo, mode=mode))
         assert counts == dict(zip(self.FLOWS, flows))
+
+    def test_one_hopcroft_karp_per_exact_select(self, demo, monkeypatch):
+        # every masked flow of the exact search starts from the same cached
+        # B(A) matching
+        counts = wrap_counting(monkeypatch, self.FLOWS)
+        exact_select(select_min_cost_io(demo, exact_covers=True).compiled)
+        assert counts["matching._unit_flow"] > 1
+        assert counts["graph_core._hopcroft_karp"] == 1
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])  # nu(B(A)) = n - 2, n - 2, n - 1
+    def test_stage3_augments_n_minus_nu_times(self, monkeypatch, seed):
+        # the seed is a largest matching of cost 0, and each round augments
+        # one path, so a perfect matching takes n - nu(B(A)) rounds
+        from ioselect.oracle_bench import GeneratorConfig, generate
+
+        system = generate(
+            GeneratorConfig(
+                n=120, m=12, p=12, state_density=5 / 120, input_density=0.2,
+                output_density=0.2, cost_range=("1", "99"), seed=seed,
+            )
+        )
+        nu = oracles.matching_size(system.n, system.n, sorted(system.A.stars))
+        assert nu < system.n
+        counts = wrap_counting(monkeypatch, ["matching._augment", "graph_core._hopcroft_karp"])
+        matching_mod.min_cost_perfect_matching(build_bipartite(system))
+        assert counts == {"matching._augment": system.n - nu, "graph_core._hopcroft_karp": 1}
+
+    def test_unpriced_rounds_flip_many_paths(self, monkeypatch):
+        # A empty, B and C diagonal: nu(B(A)) = 0, so every state starts
+        # free.  One round searches from each free state in turn and flips
+        # every path it finds, so 3000 free states take one round, not 3000.
+        n = 3000
+        diagonal = [(i, i) for i in range(1, n + 1)]
+        system = make_system(n, n, n, [], diagonal, diagonal)
+        counts = wrap_counting(monkeypatch, ["matching._round", "matching._augment"])
+        assert check_no_sfm(system, Selection.full(system)).ok
+        assert counts == {"matching._round": 1, "matching._augment": n}
+
+    def test_unpriced_rounds_end_with_one_failed_round(self, monkeypatch):
+        # one input feeds every state and one output reads every state: one
+        # round flips the one path through the hub, the next finds none, and
+        # its reach is the Hall witness: every x'_i has only u1
+        n = 3000
+        system = make_system(n, 1, 1, [], [(i, 1) for i in range(1, n + 1)], [(1, i) for i in range(1, n + 1)])
+        counts = wrap_counting(monkeypatch, ["matching._round", "matching._augment"])
+        left, right = matching_mod.hall_indices(build_bipartite(system))
+        assert counts == {"matching._round": 2, "matching._augment": 1}
+        assert (left, right) == (tuple(range(n)), (n,))
 
     def test_no_flow_on_irreducible_state_pm(self, monkeypatch):
         system = long_cycle_system(3000)
@@ -550,6 +600,24 @@ class TestRobustness:
             sys.setrecursionlimit(limit)
         assert rep.special_case == "irreducible"
         assert rep.selection == Selection.of([0], [0])
+
+    def test_long_open_chain_within_default_recursion_limit(self):
+        # x1 -> ... -> xn, driven at x1 and read at xn: B(A) matches every
+        # x'_(i+1) to x_i, and stage 3's one round closes the cycle
+        # u1 -> x1 -> ... -> xn -> y1 -> u1 through the hub
+        import sys
+
+        n = 3000
+        system = make_system(n, 1, 1, [(i + 1, i) for i in range(1, n)], [(1, 1)], [(1, n)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            matching = matching_mod.min_cost_perfect_matching(build_bipartite(system))
+            status = check_no_sfm(system, Selection.full(system))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert status.ok
+        assert matching_mod.extract_io(matching) == (Selection.of([0], [0]), 2 * U)
 
     def test_infeasible_final_selection_raises(self, demo, monkeypatch):
         # the final check is shown the stage-3 matching with the right ends of

@@ -32,7 +32,8 @@ def test_every_traced_name_resolves(tracer):
     for home, fn_name in tracer.TRACED:
         module = importlib.import_module(f"ioselect.{home}")
         assert callable(getattr(module, fn_name, None)), f"ioselect.{home}.{fn_name}"
-    # the heap-pop counter replaces this name in ioselect.matching
+    # the heap-pop counter replaces this name in ioselect.matching, which
+    # keeps it for the tracer alone
     assert callable(importlib.import_module("ioselect.matching").heappop)
 
 
@@ -61,4 +62,5 @@ def test_traced_select(tracer, demo_json, capsys):
     names = {span[tracer.NAME] for span in t.spans}
     assert {"cli.main", "matching.build_bipartite", "matching.min_cost_perfect_matching"} <= names
     assert t.counts[(0, "matching.bipartite_edges")] == 26
-    assert t.counts[(0, "matching.heap_pops")] > 0
+    # stage 3 runs hub transits, with no heap; the counter stays wired
+    assert t.counts[(0, "matching.heap_pops")] == 0
