@@ -2,19 +2,23 @@
 """A/B runs of the benchmark: a base revision against this checkout.
 
     scripts/ab_bench.py --base HEAD~1 --workload chain --pairs 10 --seed0 301
+    scripts/ab_bench.py --base HEAD --workload all --pairs 10
 
-The base revision is exported with ``git archive`` into a temporary
-directory, which is removed at exit; the other side is the working tree
-this script lives in.  Pair k runs ``perfbench/run.py --workload W
---seed S+k --trace 0`` once in each tree, one process at a time, and the
-side that runs first alternates from pair to pair.  Both sides run the
-same ``perfbench/`` code: this checkout's, copied over the base's, so a
-change to the benchmark cannot pass for a change to the program.
+``--workload`` names one workload, a comma-separated list of them, or
+``all``.  The base revision is exported once with ``git archive`` into a
+temporary directory, which is removed at exit; the other side is the
+working tree this script lives in.  For each workload W in turn, pair k
+runs ``perfbench/run.py --workload W --seed S+k --trace 0`` once in each
+tree, one process at a time, and the side that runs first alternates from
+pair to pair.  Both sides run the same ``perfbench/`` code: this
+checkout's, copied over the base's, so a change to the benchmark cannot
+pass for a change to the program.
 
 Each run's last line of standard output is its JSON result.  The script
-prints every run, then per metric the median and quartiles of each side
-and in how many pairs this checkout's value was lower (ties count for
-neither), and ends with one JSON line holding every run.
+prints every run, then per workload and metric the median and quartiles
+of each side and in how many pairs this checkout's value was lower (ties
+count for neither), and ends with one JSON line per workload holding its
+runs.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+WORKLOADS = ("sparse", "wide", "oracle", "chain")  # perfbench/workloads.py's, in its order
 
 
 def export_revision(rev: str, dest: str) -> None:
@@ -87,43 +92,64 @@ def summarize(runs: list[dict[str, dict]]) -> list[dict]:
     return rows
 
 
+def parse_workloads(text: str) -> list[str]:
+    """The workloads of ``--workload``: ``all``, or names joined by commas."""
+    names = list(WORKLOADS) if text == "all" else [w.strip() for w in text.split(",")]
+    unknown = [w for w in names if w not in WORKLOADS]
+    if unknown or not names:
+        raise ValueError(f"unknown workload {', '.join(unknown) or text!r}; expected {', '.join(WORKLOADS)} or all")
+    return list(dict.fromkeys(names))
+
+
+def run_pairs(trees: dict[str, str], workload: str, pairs: int, seed0: int) -> list[dict[str, dict]]:
+    """``pairs`` alternating base/head runs of one workload, each printed."""
+    runs = []
+    for k in range(pairs):
+        seed = seed0 + k
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {side: run_once(trees[side], workload, seed) for side in order}
+        runs.append(pair)
+        for side in order:
+            r = pair[side]
+            values = " ".join(f"{m}={e['value']:.6g}" for m, e in r["metrics"].items())
+            print(f"{workload} pair {k} seed {seed} {side}: correct={r['correct']} failed={r['failed']}/{r['attempted']} {values}")
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, help="sparse, wide, oracle or chain")
-    parser.add_argument("--pairs", type=int, required=True, help="number of base/head pairs")
-    parser.add_argument("--seed0", type=int, required=True, help="seed of the first pair; pair k uses seed0 + k")
+    parser.add_argument("--workload", required=True, help="sparse, wide, oracle or chain; several joined by commas; or all")
+    parser.add_argument("--pairs", type=int, required=True, help="number of base/head pairs per workload")
+    parser.add_argument("--seed0", type=int, default=101, help="seed of the first pair; pair k uses seed0 + k (default 101)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        workloads = parse_workloads(args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
     try:
         export_revision(args.base, tmp)
         trees = {"base": os.path.join(tmp, "tree"), "head": ROOT}
-        runs = []
-        for k in range(args.pairs):
-            seed = args.seed0 + k
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            pair = {side: run_once(trees[side], args.workload, seed) for side in order}
-            runs.append(pair)
-            for side in order:
-                r = pair[side]
-                values = " ".join(f"{m}={e['value']:.6g}" for m, e in r["metrics"].items())
-                print(f"pair {k} seed {seed} {side}: correct={r['correct']} failed={r['failed']}/{r['attempted']} {values}")
+        results = {w: run_pairs(trees, w, args.pairs, args.seed0) for w in workloads}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    print(f"{args.workload}: {args.pairs} pairs, base {args.base} -> working tree; median [quartiles]")
-    for row in summarize(runs):
-        b1, b2, b3 = row["base"]
-        h1, h2, h3 = row["head"]
-        print(
-            f"{row['metric']:>14} {row['unit']:>8}  base {b2:.6g} [{b1:.6g}, {b3:.6g}]"
-            f"  head {h2:.6g} [{h1:.6g}, {h3:.6g}]  lower in {row['lower']}/{row['pairs']}"
-        )
-    ok = all(r[side]["correct"] and not r[side]["failed"] for r in runs for side in SIDES)
-    print(json.dumps({"workload": args.workload, "base": args.base, "seed0": args.seed0, "runs": runs}))
+    for workload, runs in results.items():
+        print(f"{workload}: {args.pairs} pairs, base {args.base} -> working tree; median [quartiles]")
+        for row in summarize(runs):
+            b1, b2, b3 = row["base"]
+            h1, h2, h3 = row["head"]
+            print(
+                f"{row['metric']:>14} {row['unit']:>8}  base {b2:.6g} [{b1:.6g}, {b3:.6g}]"
+                f"  head {h2:.6g} [{h1:.6g}, {h3:.6g}]  lower in {row['lower']}/{row['pairs']}"
+            )
+    for workload, runs in results.items():
+        print(json.dumps({"workload": workload, "base": args.base, "seed0": args.seed0, "runs": runs}))
+    ok = all(r[side]["correct"] and not r[side]["failed"] for runs in results.values() for r in runs for side in SIDES)
     return 0 if ok else 1
 
 

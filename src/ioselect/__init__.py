@@ -20,7 +20,6 @@ from ioselect.system_model import (
     parse_cost,
     restrict,
     selection_cost,
-    transpose_dual,
     validate,
 )
 from ioselect.selector import (
@@ -48,7 +47,6 @@ __all__ = [
     "restrict",
     "select_min_cost_io",
     "selection_cost",
-    "transpose_dual",
     "validate",
 ]
 

@@ -4,7 +4,7 @@ Condition (b) holds for a selection exactly when B(A, B, C, K) of the
 system restricted to it has a perfect matching.  The pipeline hands its
 final selection over together with one such matching, and
 :func:`certify_cycle_cover` checks it against the instance in linear time.
-It reads only the stars of A, B, C and K, the selection and the matched
+It reads only the rows of A, B, C and K, the selection and the matched
 pairs: it shares no graph, flow or matching code with the solver that
 found them, so a defect there cannot also hide here.
 
@@ -43,8 +43,8 @@ def certify_cycle_cover(
     """
     n, m, p = system.n, system.m, system.p
     out0, size = n + m, n + m + p
-    a_stars, b_stars, c_stars = system.A.stars, system.B.stars, system.C.stars
-    k_stars = None if isinstance(system.K, CompleteK) else system.K.stars
+    a_rows, b_rows, c_rows = system.A.by_row, system.B.by_row, system.C.by_row
+    k_rows = None if isinstance(system.K, CompleteK) else system.K.by_row
     inputs, outputs = sel.inputs, sel.outputs
     left_seen = [False] * size
     right_seen = [False] * size
@@ -58,21 +58,21 @@ def certify_cycle_cover(
             continue  # a channel's own edge
         if left < n:
             if right < n:
-                ok = (left, right) in a_stars
+                ok = right in a_rows[left]
             else:
                 j = right - n
-                ok = right < out0 and j in inputs and (left, j) in b_stars
+                ok = right < out0 and j in inputs and j in b_rows[left]
         elif left < out0:
             i, j = left - n, right - out0
             ok = (
                 right >= out0
                 and i in inputs
                 and j in outputs
-                and (k_stars is None or (i, j) in k_stars)
+                and (k_rows is None or j in k_rows[i])
             )
         else:
             j = left - out0
-            ok = right < n and j in outputs and (j, right) in c_stars
+            ok = right < n and j in outputs and right in c_rows[j]
         if not ok:
             return False
     return count == size

@@ -150,26 +150,18 @@ class SystemGraph:
 
 
 def build_bipartite(system: StructuredSystem) -> SystemGraph:
-    """The system's one graph: each vertex's in-neighbours grouped from the
-    rows of A, B, C and a partial K; a complete K is the hub flag."""
-    n, m, p = system.n, system.m, system.p
-    out0 = n + m
-    adj: list[list[int]] = [[] for _ in range(out0 + p)]
-    for i, j in system.A.stars:
-        adj[i].append(j)
-    for i, j in system.B.stars:
-        adj[i].append(n + j)
-    for j, i in system.C.stars:
-        adj[out0 + j].append(i)
+    """The system's one graph, joined from the pattern rows: a state's row is
+    its A row, then its B row past the states; an input's is its partial-K
+    row and an output's its C row, each then its own id (K complete: a hub)."""
+    n, out0 = system.n, system.n + system.m
+    adj = [a + [n + j for j in b] if b else a[:] for a, b in zip(system.A.by_row, system.B.by_row)]
     hub = system.k_is_complete()
-    if not hub:
-        for i, j in system.K.stars:
-            adj[n + i].append(out0 + j)
-    for v, row in enumerate(adj):
-        row.sort()
-        if v >= n:
-            row.append(v)
-    return SystemGraph(n, m, p, system.cost_u, system.cost_y, tuple(adj), hub)
+    if hub:
+        adj += [[v] for v in range(n, out0)]
+    else:
+        adj += [[out0 + j for j in row] + [n + i] for i, row in enumerate(system.K.by_row)]
+    adj += [row + [out0 + j] for j, row in enumerate(system.C.by_row)]
+    return SystemGraph(n, system.m, system.p, system.cost_u, system.cost_y, tuple(adj), hub)
 
 
 def build_graphs(system: StructuredSystem) -> tuple[SystemGraph, SystemGraph]:
@@ -388,22 +380,24 @@ class CoverageTables:
 
 
 def coverage(system: StructuredSystem, scc: SccDecomposition) -> CoverageTables:
-    """The coverage tables of a validated system (see ``compile_system``)."""
+    """The coverage tables of a validated system (see ``compile_system``):
+    one pass over the B rows of the states in non-top SCCs, and one over
+    the C rows."""
     top_pos = {ci: t for t, ci in enumerate(scc.non_top)}
     bot_pos = {ci: t for t, ci in enumerate(scc.non_bottom)}
+    comp_of = scc.component_of
     in_covers: list[set[int]] = [set() for _ in range(system.m)]
-    for r, i in system.B.stars:
-        t = top_pos.get(scc.component_of[r])
+    for r, row in enumerate(system.B.by_row):
+        t = top_pos.get(comp_of[r]) if row else None
         if t is not None:
-            in_covers[i].add(t)
-    out_covers: list[set[int]] = [set() for _ in range(system.p)]
-    for j, r in system.C.stars:
-        t = bot_pos.get(scc.component_of[r])
-        if t is not None:
-            out_covers[j].add(t)
+            for i in row:
+                in_covers[i].add(t)
+    out_covers = [
+        frozenset({bot_pos.get(comp_of[r]) for r in row} - {None}) for row in system.C.by_row
+    ]
     return CoverageTables(
         input_covers=tuple(frozenset(s) for s in in_covers),
-        output_covers=tuple(frozenset(s) for s in out_covers),
+        output_covers=tuple(out_covers),
     )
 
 

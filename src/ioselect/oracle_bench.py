@@ -134,11 +134,10 @@ class GeneratorConfig:
 
 
 def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> SparsityPattern:
+    """Each cell starred with probability ``density``, drawn as the rows."""
     threshold = int(density * (1 << 64))
-    stars = frozenset(
-        (i, j) for i in range(rows) for j in range(cols) if rng.next_u64() < threshold
-    )
-    return SparsityPattern(rows, cols, stars)
+    by_row = [[j for j in range(cols) if rng.next_u64() < threshold] for _ in range(rows)]
+    return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
 
 def _draw_costs(count: int, config: GeneratorConfig, rng: SplitMix64) -> tuple[int, ...]:

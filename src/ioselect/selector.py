@@ -310,12 +310,8 @@ def sfm_witness(
 def _cheapest_connected_pair(system: StructuredSystem) -> tuple[int, int]:
     """Lowest-cost input with a star in B and output with a star in C
     (ties to the lowest index)."""
-    in_candidates = sorted(
-        (system.cost_u[i], i) for i in {j for _r, j in system.B.stars}
-    )
-    out_candidates = sorted(
-        (system.cost_y[j], j) for j in {r for r, _c in system.C.stars}
-    )
+    in_candidates = sorted((system.cost_u[i], i) for i in set().union(*system.B.by_row))
+    out_candidates = sorted((system.cost_y[j], j) for j, row in enumerate(system.C.by_row) if row)
     if not in_candidates or not out_candidates:
         raise ModelError("no connected input/output available")
     return in_candidates[0][1], out_candidates[0][1]

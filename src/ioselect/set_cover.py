@@ -228,7 +228,7 @@ def cover_instances(
     Accessibility: universe element t is the t-th non-top SCC, set i the
     non-top SCCs input i covers, weights the input costs.  Sensability is
     the same over the non-bottom SCCs, outputs and output costs; it equals
-    the accessibility reduction of :func:`transpose_dual`.  Each instance
+    the accessibility reduction of the dual system (A^T, C^T, p_y).  Each instance
     comes with its universe labels: per element, the sorted 1-based states
     of that SCC.
     """

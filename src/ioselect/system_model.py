@@ -19,13 +19,17 @@ Conventions
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 from typing import Iterable, Sequence, Union
 
 COST_DECIMALS = 6
 COST_SCALE = 10**COST_DECIMALS
 _COST_LIMIT = 2**63
+# The largest n, m or p a JSON instance may declare (decoding allocates its rows first).
+SIZE_LIMIT = 100_000
 
 
 class ModelError(Exception):
@@ -112,21 +116,60 @@ def format_ratio(ratio: Fraction) -> str:
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """A {0, *} matrix stored as the set of starred (row, col) cells.
+    """A {0, *} matrix, as its starred (row, col) cells and as its rows.
+
+    ``by_row[i]`` lists row i's starred columns, ascending and without
+    repeats; the graph builder, the coverage tables and the certifier read
+    only this view, and so does :meth:`to_pairs` until ``stars`` is built.
+    A pattern built in code is given its ``stars`` and builds its rows once,
+    on first use, checking each star's range: ``by_row`` is None when one
+    is out of range.  A pattern decoded by :func:`system_from_json`, or
+    drawn by the seeded generator, is given only its in-range rows and
+    builds ``stars`` once, on first access.  Either way ``stars``, equality,
+    hashing and repr are those of the star set.
 
     Zero-sized patterns are legal: restricting to an empty input or output
     selection yields a pattern with zero columns or rows, and the reverse
-    set-cover reduction builds systems with no outputs at all.  Range checks
-    on the stars live in :func:`validate` (report-style) rather than here.
+    set-cover reduction builds systems with no outputs at all.  Stars out of
+    range are reported by :func:`validate`, not rejected here.
     """
 
     rows: int
     cols: int
-    stars: frozenset[tuple[int, int]] = frozenset()
+    stars: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if type(self.stars) is not frozenset:
             object.__setattr__(self, "stars", frozenset(map(tuple, self.stars)))
+
+    @classmethod
+    def of_checked_rows(cls, rows: int, cols: int, by_row: list[list[int]]) -> "SparsityPattern":
+        """The pattern with these rows, each in range, ascending and without repeats."""
+        pat = object.__new__(cls)
+        vars(pat).update(rows=rows, cols=cols, by_row=by_row)
+        return pat
+
+    def __getattr__(self, name: str):
+        # Reached only for a view the pattern was not given, built once here:
+        # the stars of a decoded pattern, or the rows of one built in code
+        # (None when a star is out of range, for validate to report).
+        if name == "stars":
+            value = frozenset((i, j) for i, row in enumerate(self.by_row) for j in row)
+        elif name == "by_row":
+            rows, cols = self.rows, self.cols
+            value = [[] for _ in range(rows)]
+            for i, j in self.stars:
+                if not (0 <= i < rows and 0 <= j < cols):
+                    value = None
+                    break
+                value[i].append(j)
+            else:
+                for row in value:
+                    row.sort()
+        else:
+            raise AttributeError(name)
+        vars(self)[name] = value
+        return value
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int, pairs: Iterable[Sequence[int]]) -> "SparsityPattern":
@@ -135,10 +178,9 @@ class SparsityPattern:
 
     def to_pairs(self) -> list[list[int]]:
         """Sorted 1-based [row, col] pairs for serialization."""
-        return [[i + 1, j + 1] for i, j in sorted(self.stars)]
-
-    def transpose(self) -> "SparsityPattern":
-        return SparsityPattern(self.cols, self.rows, frozenset((j, i) for i, j in self.stars))
+        if "stars" in vars(self):  # given or built already, so sorting them is cheapest
+            return [[i + 1, j + 1] for i, j in sorted(self.stars)]
+        return [[i + 1, j + 1] for i, row in enumerate(self.by_row) for j in row]
 
     def __contains__(self, pos: tuple[int, int]) -> bool:
         return tuple(pos) in self.stars
@@ -189,13 +231,6 @@ class StructuredSystem:
     def p(self) -> int:
         return self.C.rows
 
-    def k_stars(self) -> frozenset[tuple[int, int]]:
-        """Feedback stars as explicit (input, output) pairs: m*p of them for
-        a complete K, which the graph builders therefore never list."""
-        if isinstance(self.K, CompleteK):
-            return frozenset((i, j) for i in range(self.m) for j in range(self.p))
-        return self.K.stars
-
     def k_is_complete(self) -> bool:
         if isinstance(self.K, CompleteK):
             return True
@@ -243,6 +278,8 @@ class ValidationReport:
 def _check_pattern(name: str, pat: SparsityPattern, out: list[str]) -> None:
     if pat.rows < 0 or pat.cols < 0:
         out.append(f"{name}: negative dimensions {pat.rows}x{pat.cols}")
+        return
+    if pat.by_row is not None:
         return
     bad = [(i, j) for i, j in pat.stars if not (0 <= i < pat.rows and 0 <= j < pat.cols)]
     for i, j in sorted(bad):
@@ -349,25 +386,6 @@ def selection_cost(system: StructuredSystem, sel: Selection) -> int:
     )
 
 
-def transpose_dual(system: StructuredSystem) -> StructuredSystem:
-    """The sensability-to-accessibility transform.
-
-    Returns the system (A^T, C^T, p_y): outputs become inputs on the
-    transposed state pattern and the output side is empty.  Solving
-    accessibility on the result solves sensability on the original with the
-    same index mapping.
-    """
-    return StructuredSystem(
-        A=system.A.transpose(),
-        B=system.C.transpose(),
-        C=SparsityPattern(0, system.n),
-        K=COMPLETE,
-        cost_u=system.cost_y,
-        cost_y=(),
-        mode=system.mode,
-    )
-
-
 def with_mode(system: StructuredSystem, mode: str) -> StructuredSystem:
     return replace(system, mode=mode)
 
@@ -387,27 +405,39 @@ def _require(data: dict, field: str, kind) -> object:
     value = data[field]
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise FormatError(f"field {field!r}: expected an integer")
+    if kind is int and value > SIZE_LIMIT:
+        raise FormatError(f"field {field!r}: {value} exceeds the size limit {SIZE_LIMIT}")
     if kind is list and not isinstance(value, list):
         raise FormatError(f"field {field!r}: expected a list")
     return value
 
 
 def _pairs(data: dict, field: str, rows: int, cols: int) -> SparsityPattern:
-    """The pattern of a 1-based pair list, its 0-based stars built in one
-    pass.  Only JSON values arrive here, so an exact type test rejects
-    bools, floats and strings."""
+    """The pattern of a 1-based pair list, decoded in one pass: each pair is
+    type-checked, range-checked and appended to its 0-based row.  Only JSON
+    values arrive here, so an entry that unpacks into two exact ints is a
+    [row, col] pair.  A list in strictly ascending order has sorted rows
+    without repeats; others are sorted, and a repeated pair is one star.
+    With a pair out of range the pattern keeps its stars instead, for
+    :func:`validate` to report."""
     raw = _require(data, field, list)
-    stars = set()
-    for entry in raw:
-        if (
-            type(entry) is not list
-            or len(entry) != 2
-            or type(entry[0]) is not int
-            or type(entry[1]) is not int
-        ):
-            raise FormatError(f"field {field!r}: entries must be [row, col] integer pairs")
-        stars.add((entry[0] - 1, entry[1] - 1))
-    return SparsityPattern(rows, cols, frozenset(stars))
+    by_row: list[list[int]] = [[] for _ in range(rows)]
+    in_range = True
+    try:
+        for i, j in raw:
+            if type(i) is not int or type(j) is not int:
+                raise TypeError
+            if 0 < i <= rows and 0 < j <= cols:
+                by_row[i - 1].append(j - 1)
+            else:
+                in_range = False
+    except (TypeError, ValueError):
+        raise FormatError(f"field {field!r}: entries must be [row, col] integer pairs") from None
+    if not in_range:
+        return SparsityPattern(rows, cols, frozenset((i - 1, j - 1) for i, j in raw))
+    if not all(map(lt, raw, islice(raw, 1, None))):
+        by_row = [sorted(set(row)) for row in by_row]
+    return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
 
 def _costs(data: dict, field: str) -> tuple[int, ...]:
@@ -416,6 +446,9 @@ def _costs(data: dict, field: str) -> tuple[int, ...]:
     for k, entry in enumerate(raw):
         if not isinstance(entry, str):
             raise FormatError(f"field {field!r}[{k}]: costs must be decimal strings")
+        if entry.isascii() and entry.isdigit() and len(entry) <= 12:
+            out.append(int(entry) * COST_SCALE)  # a whole number, well inside the range
+            continue
         try:
             out.append(parse_cost(entry))
         except CostError as exc:

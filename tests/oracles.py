@@ -13,7 +13,44 @@ from typing import Optional
 
 import networkx as nx
 
-from ioselect.system_model import Selection, StructuredSystem
+from ioselect.system_model import (
+    COMPLETE,
+    CompleteK,
+    Selection,
+    SparsityPattern,
+    StructuredSystem,
+)
+
+def transpose(pat: SparsityPattern) -> SparsityPattern:
+    return SparsityPattern(pat.cols, pat.rows, frozenset((j, i) for i, j in pat.stars))
+
+
+def transpose_dual(system: StructuredSystem) -> StructuredSystem:
+    """The sensability-to-accessibility transform.
+
+    Returns the system (A^T, C^T, p_y): outputs become inputs on the
+    transposed state pattern and the output side is empty.  Solving
+    accessibility on the result solves sensability on the original with the
+    same index mapping.
+    """
+    return StructuredSystem(
+        A=transpose(system.A),
+        B=transpose(system.C),
+        C=SparsityPattern(0, system.n),
+        K=COMPLETE,
+        cost_u=system.cost_y,
+        cost_y=(),
+        mode=system.mode,
+    )
+
+
+def k_stars(system: StructuredSystem) -> frozenset[tuple[int, int]]:
+    """Feedback stars as explicit (input, output) pairs: m*p of them for a
+    complete K, which the package's graph builders never list."""
+    if isinstance(system.K, CompleteK):
+        return frozenset((i, j) for i in range(system.m) for j in range(system.p))
+    return system.K.stars
+
 
 # vertex ids follow the package encoding: states 0..n-1, inputs n..n+m-1,
 # outputs n+m..n+m+p-1 -- but graphs here are built straight from the stars.
@@ -36,7 +73,7 @@ def system_edges(
     for j, i in system.C.stars:
         if j in keep_y:
             edges.append((i, n + m + j, "EY"))
-    for i, j in system.k_stars():
+    for i, j in k_stars(system):
         if i in keep_u and j in keep_y:
             edges.append((n + m + j, n + i, "EK"))
     return edges if classes else [(s, d) for s, d, _cls in edges]
@@ -81,7 +118,7 @@ def condition_a(system: StructuredSystem, sel: Selection) -> bool:
             comp_of[v] = frozenset(comp)
     k_edges = [
         (n + m + j, n + i)
-        for i, j in system.k_stars()
+        for i, j in k_stars(system)
         if i in sel.inputs and j in sel.outputs
     ]
     for v in range(n):

@@ -49,7 +49,6 @@ from ioselect.system_model import (
     StructuredSystem,
     restrict,
     selection_cost,
-    transpose_dual,
 )
 
 U = COST_SCALE
@@ -274,7 +273,7 @@ def test_criterion_07_lower_bound_inequalities():
         system = generate(cfg)
         _sel, p_star = exact_select(system)
         acc, _ = reduce_accessibility_to_wsc(system)
-        sen, _ = reduce_accessibility_to_wsc(transpose_dual(system))
+        sen, _ = reduce_accessibility_to_wsc(oracles.transpose_dual(system))
         stage_bound = exact_solve(acc).weight + exact_solve(sen).weight
         _csel, c_star = exact_cycle_select(system)
         assert p_star >= stage_bound

@@ -162,6 +162,14 @@ class TestCheck:
         assert err.startswith(f"error: {path}: A: star ({star[0]}, {star[1]}) ")
         assert err.endswith(" out of range\n")
 
+    def test_over_the_size_limit(self, capsys, demo_json, monkeypatch):
+        from ioselect import system_model
+
+        monkeypatch.setattr(system_model, "SIZE_LIMIT", 3)
+        code, out, err = run(capsys, "select", demo_json)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {demo_json}: field 'n': 4 exceeds the size limit 3\n"
+
 
 class TestSelect:
     def test_demo(self, capsys, demo_json):

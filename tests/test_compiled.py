@@ -110,7 +110,7 @@ def _restricted_sccs(system, sel):
     g = nx.DiGraph(oracles.system_edges(system, sel))
     g.add_nodes_from(range(n))
     k_edges = [
-        (n + m + j, n + i) for i, j in system.k_stars() if i in sel.inputs and j in sel.outputs
+        (n + m + j, n + i) for i, j in oracles.k_stars(system) if i in sel.inputs and j in sel.outputs
     ]
     return list(nx.strongly_connected_components(g)), k_edges
 

@@ -245,11 +245,9 @@ class TestReachability:
 
     @given(systems_with_selection(max_n=6))
     def test_sensable_is_dual_accessibility(self, case):
-        from ioselect.system_model import transpose_dual
-
         system, sel = case
         dual_sel = Selection(inputs=sel.outputs)
-        assert covers_all(system, sel)[1] == covers_all(transpose_dual(system), dual_sel)[0]
+        assert covers_all(system, sel)[1] == covers_all(oracles.transpose_dual(system), dual_sel)[0]
 
 
 class TestConditionA:

@@ -436,7 +436,6 @@ class TestBuildOnce:
     # for a trace.
     LIMITS = {
         "system_model.restrict": 0,
-        "system_model.transpose_dual": 0,
         "graph_core.build_graphs": 0,
         "matching.build_bipartite": 1,
         "graph_core.decompose_sccs": 1,
@@ -467,6 +466,29 @@ class TestBuildOnce:
         counts = wrap_counting(monkeypatch, ["graph_core.build_graphs", "matching.build_bipartite"])
         self.CALLS[call](demo)
         assert counts == {"graph_core.build_graphs": 0, "matching.build_bipartite": 1}
+
+    def test_select_reads_decoded_rows_not_stars(self, tmp_path, monkeypatch, capsys):
+        # a decoded pattern keeps its rows; select never builds the stars of
+        # A, B or C (a sparse pool instance of the benchmark)
+        import json
+
+        from ioselect import cli
+        from ioselect.oracle_bench import GeneratorConfig, generate
+        from ioselect.system_model import system_from_json, system_to_json
+
+        system = generate(
+            GeneratorConfig(
+                n=400, m=40, p=40, state_density=5 / 400, input_density=0.2,
+                output_density=0.2, cost_range=("1", "99"), seed=0,
+            )
+        )
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(system_to_json(system)))
+        decoded = []
+        monkeypatch.setattr(cli, "system_from_json", lambda doc: decoded.append(system_from_json(doc)) or decoded[-1])
+        assert cli.main(["select", str(path)]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["no_sfm"] is True
+        assert [name for name in "ABC" if "stars" in vars(getattr(decoded[0], name))] == []
 
     def test_edge_objects_only_for_the_matching(self, monkeypatch):
         # B(A, B, C, K) is stored as neighbour lists: a select creates a

@@ -213,12 +213,11 @@ class TestReductions:
     @given(systems(max_n=7))
     def test_sensability_is_dual_reduction(self, system):
         from ioselect.graph_core import build_bipartite, coverage, decompose_sccs
-        from ioselect.system_model import transpose_dual
 
         scc = decompose_sccs(build_bipartite(system))
         stage1, stage2 = cover_instances(system, scc, coverage(system, scc))
         assert stage1 == reduce_accessibility_to_wsc(system)
-        assert stage2 == reduce_accessibility_to_wsc(transpose_dual(system))
+        assert stage2 == reduce_accessibility_to_wsc(oracles.transpose_dual(system))
 
     @given(systems(max_n=6))
     def test_forward_optimum_preserved(self, system):

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from dataclasses import FrozenInstanceError
 
 import pytest
 from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import demo_system, make_system, systems
+from ioselect import cli, system_model
 from ioselect.system_model import (
     COMPLETE,
     COST_SCALE,
@@ -22,7 +29,6 @@ from ioselect.system_model import (
     selection_cost,
     system_from_json,
     system_to_json,
-    transpose_dual,
     validate,
     with_mode,
 )
@@ -59,6 +65,26 @@ class TestCosts:
         with pytest.raises(CostError):
             parse_cost(True)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0", "007", "99", "123456789012", "1234567890123", "9999999999999",
+            "1.5", "+1", " 1", "1e3", "-0", "\u0663", "12a",
+        ],
+    )
+    def test_decoded_costs_match_parse_cost(self, demo, text):
+        # up to 12 ASCII digits skip Decimal on decode; the value or the
+        # message is parse_cost's either way
+        doc = system_to_json(demo)
+        doc["cost_u"][0] = text
+        try:
+            expected = parse_cost(text)
+        except CostError as exc:
+            with pytest.raises(FormatError, match=f"field 'cost_u'\\[0\\]: {exc}"):
+                system_from_json(doc)
+        else:
+            assert system_from_json(doc).cost_u[0] == expected
+
     def test_parse_rejects_overflow(self):
         with pytest.raises(CostError, match="overflow"):
             parse_cost(str(2**63))
@@ -90,12 +116,18 @@ class TestSparsityPattern:
 
     def test_transpose_involution(self):
         pat = SparsityPattern.from_pairs(3, 2, [[1, 2], [2, 1]])
-        assert pat.transpose().transpose() == pat
-        assert pat.transpose().stars == frozenset({(1, 0), (0, 1)})
+        assert oracles.transpose(oracles.transpose(pat)) == pat
+        assert oracles.transpose(pat).stars == frozenset({(1, 0), (0, 1)})
 
     def test_column_and_row(self):
         pat = SparsityPattern.from_pairs(3, 3, [[1, 2], [3, 2], [1, 1]])
         assert (0, 1) in pat and (2, 2) not in pat
+
+    def test_rows_of_a_pattern_built_in_code(self):
+        assert SparsityPattern(3, 2, {(2, 1), (0, 1), (0, 0)}).by_row == [[0, 1], [], [1]]
+        # a star out of range leaves no rows, and validate reports it
+        assert SparsityPattern(2, 2, {(0, 0), (0, 2)}).by_row is None
+        assert SparsityPattern(2, 2, {(-1, 0)}).by_row is None
 
     def test_zero_sized_patterns_are_legal(self):
         assert SparsityPattern(0, 4).stars == frozenset()
@@ -216,15 +248,15 @@ class TestSelectionAndRestrict:
 
 class TestDual:
     def test_shapes(self, demo):
-        dual = transpose_dual(demo)
+        dual = oracles.transpose_dual(demo)
         assert dual.n == demo.n
         assert dual.m == demo.p and dual.p == 0
-        assert dual.A.stars == demo.A.transpose().stars
-        assert dual.B.stars == demo.C.transpose().stars
+        assert dual.A.stars == oracles.transpose(demo.A).stars
+        assert dual.B.stars == oracles.transpose(demo.C).stars
         assert dual.cost_u == demo.cost_y
 
     def test_k_stars_complete(self, demo):
-        assert demo.k_stars() == frozenset((i, j) for i in range(3) for j in range(2))
+        assert oracles.k_stars(demo) == frozenset((i, j) for i in range(3) for j in range(2))
         assert demo.k_is_complete()
 
     def test_explicit_full_pattern_counts_as_complete(self, demo):
@@ -310,3 +342,59 @@ class TestJson:
     @given(systems())
     def test_random_round_trip(self, system):
         assert system_from_json(json.loads(json.dumps(system_to_json(system)))) == system
+
+    def test_decoded_pattern_is_its_rows_until_stars_are_read(self, demo):
+        doc = system_to_json(demo)
+        doc["B"] = doc["B"][::-1] + doc["B"][:3]  # out of order, three pairs repeated
+        parsed = system_from_json(doc)
+        assert "stars" not in vars(parsed.B)
+        assert parsed.B.by_row == demo.B.by_row == [[0, 2], [1, 2], [0, 1], [2]]
+        assert parsed.B == demo.B and hash(parsed.B) == hash(demo.B) and repr(parsed.B) == repr(demo.B)
+        assert vars(parsed.B)["stars"] == demo.B.stars
+        with pytest.raises(FrozenInstanceError):
+            parsed.B.stars = frozenset()
+        assert validate(parsed).ok
+
+    def test_out_of_range_pair_keeps_the_stars_for_validate(self, demo):
+        doc = system_to_json(demo)
+        doc["A"].append([5, 1])
+        parsed = system_from_json(doc)
+        assert (4, 0) in parsed.A.stars
+        assert validate(parsed).violations == ("A: star (5, 1) row out of range",)
+
+    @pytest.mark.parametrize("field", ["n", "m", "p"])
+    def test_size_limit_names_the_field(self, demo, monkeypatch, field):
+        monkeypatch.setattr(system_model, "SIZE_LIMIT", 4)
+        doc = system_to_json(demo)
+        assert system_from_json(doc) == demo  # n = 4 is at the limit
+        doc[field] = 5
+        with pytest.raises(FormatError, match=f"field '{field}': 5 exceeds the size limit 4"):
+            system_from_json(doc)
+
+    @given(systems(), st.randoms(use_true_random=False))
+    def test_shuffled_repeated_pairs_decode_alike(self, system, rng):
+        doc = system_to_json(system)
+        shuffled = dict(doc)
+        for field in "ABC":
+            pairs = doc[field] + rng.sample(doc[field], len(doc[field]) // 2)
+            rng.shuffle(pairs)
+            shuffled[field] = pairs
+        parsed = system_from_json(shuffled)
+        assert [pat.by_row for pat in (parsed.A, parsed.B, parsed.C)] == [
+            pat.by_row for pat in (system.A, system.B, system.C)
+        ]
+        assert parsed == system
+        assert [parsed.A.stars, parsed.B.stars, parsed.C.stars] == [system.A.stars, system.B.stars, system.C.stars]
+        assert _select_output(shuffled) == _select_output(doc)
+
+
+def _select_output(doc: dict) -> tuple[int, str]:
+    """Exit code and standard output of ``ioselect select`` on ``doc``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["select", path])
+    return code, out.getvalue()
