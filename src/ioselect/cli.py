@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+from dataclasses import replace
 from typing import Optional
 
 from ioselect import oracle_bench, selector
@@ -40,7 +40,6 @@ from ioselect.system_model import (
     format_ratio,
     system_from_json,
     system_to_json,
-    with_mode,
 )
 
 EXIT_OK = 0
@@ -139,7 +138,7 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_check(args) -> int:
     system = _read_system(args.instance)
     if args.discrete:
-        system = with_mode(system, "discrete")
+        system = replace(system, mode="discrete")
     compiled = selector.compile_system(system)  # validates before the flags are read
     sel = _selection_from_flags(system, args)  # checks the index ranges
     status = selector.check_no_sfm(compiled, sel)
@@ -164,7 +163,7 @@ def _cmd_check(args) -> int:
 def _cmd_select(args) -> int:
     system = _read_system(args.instance)
     if args.discrete:
-        system = with_mode(system, "discrete")
+        system = replace(system, mode="discrete")
     try:
         report = selector.select_min_cost_io(system, exact_covers=args.exact)
     except SystemHasSFMs as exc:

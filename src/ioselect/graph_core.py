@@ -95,15 +95,12 @@ class SystemGraph:
     def right_name(self, v: int) -> str:
         return vertex_name(v, self.n, self.m)
 
+    @cached_property
     def state_rows(self) -> list[list[int]]:
         """D(A) as in-neighbour lists: each state's row cut at id n.
 
-        Sliced on the first call and shared by every later one; callers must
+        Sliced on first access and shared by every later one; callers must
         not mutate the rows, as with ``adj``."""
-        return self._state_rows
-
-    @cached_property
-    def _state_rows(self) -> list[list[int]]:
         n = self.n
         return [row[: bisect_left(row, n)] for row in self.adj[:n]]
 
@@ -112,7 +109,7 @@ class SystemGraph:
         """B(A)'s maximum matching, on the state rows: the state matched to
         each x'_i, and the x'_i matched to each state, or -1.  Found by
         Hopcroft-Karp once per graph; callers must not mutate it."""
-        return _hopcroft_karp(self.state_rows())
+        return _hopcroft_karp(self.state_rows)
 
     @property
     def ek(self) -> list[tuple[int, int]]:
@@ -325,7 +322,7 @@ class SccDecomposition:
 def decompose_sccs(g: SystemGraph) -> SccDecomposition:
     """SCCs of D(A), found on its transpose (the state rows); each
     condensation edge points the way of D(A)'s edges."""
-    rows = g.state_rows()
+    rows = g.state_rows
     raw = _tarjan(g.n, rows)
     comps = sorted((tuple(sorted(c)) for c in raw), key=lambda c: c[0])
     comp_of = [0] * g.n

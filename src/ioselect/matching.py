@@ -40,16 +40,10 @@ from dataclasses import dataclass
 from heapq import heappop  # noqa: F401  # see below
 from typing import Optional
 
-# the edge classes, BipEdge and build_bipartite are also this module's names
 from ioselect.graph_core import (
     EDGE_EK,
     EDGE_EU,
-    EDGE_EUU,
-    EDGE_EX,
     EDGE_EY,
-    EDGE_EYY,
-    EDGE_HY,
-    EDGE_UH,
     BipEdge,
     SystemGraph,
     build_bipartite,
@@ -87,13 +81,12 @@ class NoPerfectMatching(ModelError):
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of pairwise endpoint-disjoint edges; perfect when it saturates both sides."""
+    """A perfect matching: one edge per left vertex, pairwise endpoint-disjoint."""
 
     n: int
     m: int
     p: int
     edges: tuple[BipEdge, ...]
-    perfect: bool
 
     @property
     def total_cost(self) -> int:
@@ -288,18 +281,6 @@ def hall_indices(
     return tuple(v for v in left if keep[v]), tuple(v for v in right if keep[v])
 
 
-def hall_witness(
-    g: SystemGraph, sel: Optional[Selection] = None
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Like :func:`hall_indices` but with readable vertex labels."""
-    left, right = hall_indices(g, sel)
-    return _labels(g, left, right)
-
-
-def _labels(g: SystemGraph, left, right) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return tuple(g.left_name(v) for v in left), tuple(g.right_name(v) for v in right)
-
-
 def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     """Exact minimum-cost perfect matching of a graph with a hub, by
     successive shortest paths, each through the hub at most once (see
@@ -331,12 +312,13 @@ def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     price_out = [c * tie_cap + (1 << j) for j, c in enumerate(g.cost_y)]
     match_l, match_r, hall = _unit_flow(g, (price_in, price_out))
     if hall is not None:
-        raise NoPerfectMatching(*_labels(g, *hall))
+        left, right = hall
+        raise NoPerfectMatching(tuple(map(g.left_name, left)), tuple(map(g.right_name, right)))
     # the matched edge of each left vertex; each hub input in turn takes the
     # smallest hub output left
     hub_outputs = iter([r for r in range(g.size) if match_r[r] == g.size])
     edges = (g.edge(l, next(hub_outputs) if r == g.size else r) for l, r in enumerate(match_l))
-    return Matching(n, m, p, tuple(edges), perfect=True)
+    return Matching(n, m, p, tuple(edges))
 
 
 def extract_io(matching: Matching) -> tuple[Selection, int]:
@@ -347,8 +329,6 @@ def extract_io(matching: Matching) -> tuple[Selection, int]:
     matching are in bijection with both sets, so the selection cost equals
     the matching cost; :class:`InvariantViolated` is raised if they are not.
     """
-    if not matching.perfect:
-        raise ModelError("extract_io needs a perfect matching")
     n, m = matching.n, matching.m
     inputs = frozenset(e.right - n for e in matching.edges if e.cls == EDGE_EU)
     outputs = frozenset(e.left - n - m for e in matching.edges if e.cls == EDGE_EY)

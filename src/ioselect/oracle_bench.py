@@ -21,9 +21,8 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
-from ioselect.matching import NoPerfectMatching, hall_witness
 from ioselect.selector import (
     CompiledSystem,
     SystemHasSFMs,
@@ -45,7 +44,6 @@ from ioselect.system_model import (
     format_cost,
     format_ratio,
     parse_cost,
-    selection_cost,
     system_to_json,
 )
 
@@ -178,68 +176,41 @@ def instance_digest(system: StructuredSystem) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _check_io_guard(system: StructuredSystem) -> None:
+def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selection, int]:
+    """Ground-truth minimum-cost selection with no structurally fixed modes,
+    over all 2^(m+p) subsets; ties break to the lexicographically smallest
+    (I, J).
+
+    The subsets are sorted by the key (cost, I, J) and tested in that
+    order, so the first one that qualifies is the answer.  Every candidate
+    is decided on one :class:`~ioselect.selector.CompiledSystem`; a system
+    given already compiled is not compiled again.
+    """
+    compiled = compile_system(system)
+    system = compiled.system
     if system.m + system.p > EXACT_GUARD_IO:
         raise TooLarge(
             f"{system.m + system.p} selectable items exceed the brute-force guard {EXACT_GUARD_IO}"
         )
-
-
-def _enumerate_best(
-    system: StructuredSystem, feasible: Callable[[Selection], bool]
-) -> Optional[tuple[Selection, int]]:
-    """Minimum-cost selection satisfying ``feasible`` over all 2^(m+p)
-    subsets; ties break to the lexicographically smallest (I, J).  None if
-    nothing qualifies.
-
-    The subsets are sorted by the key (cost, I, J) and tested in that
-    order, so the first one that qualifies is the answer.
-    """
-    m, p = system.m, system.p
-    _check_io_guard(system)
+    status = check_no_sfm(compiled, Selection.full(system))
+    if not status.ok:
+        raise SystemHasSFMs(status, sfm_witness(compiled, status))
 
     def subsets(count: int, costs: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         chosen = [tuple(i for i in range(count) if mask >> i & 1) for mask in range(1 << count)]
         return [(sum(costs[i] for i in c), c) for c in chosen]
 
-    output_subsets = subsets(p, system.cost_y)
+    output_subsets = subsets(system.p, system.cost_y)
     keys = sorted(
         (in_cost + out_cost, inputs, outputs)
-        for in_cost, inputs in subsets(m, system.cost_u)
+        for in_cost, inputs in subsets(system.m, system.cost_u)
         for out_cost, outputs in output_subsets
     )
     for cost, inputs, outputs in keys:
         sel = Selection.of(inputs, outputs)
-        if feasible(sel):
+        if compiled.no_sfm(sel):
             return sel, cost
-    return None
-
-
-def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selection, int]:
-    """Ground-truth minimum-cost selection with no structurally fixed modes.
-
-    Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`;
-    a system given already compiled is not compiled again.
-    """
-    compiled = compile_system(system)
-    system = compiled.system
-    _check_io_guard(system)
-    status = check_no_sfm(compiled, Selection.full(system))
-    if not status.ok:
-        raise SystemHasSFMs(status, sfm_witness(compiled, status))
-    result = _enumerate_best(system, compiled.no_sfm)
-    if result is None:
-        raise InvariantViolated("no selection qualifies, yet the full selection does")
-    return result
-
-
-def exact_cycle_select(system: StructuredSystem) -> tuple[Selection, int]:
-    """Minimum-cost selection whose cycle family spans every state."""
-    compiled = compile_system(system)
-    result = _enumerate_best(system, compiled.condition_b)
-    if result is None:
-        raise NoPerfectMatching(*hall_witness(compiled.graph))
-    return result
+    raise InvariantViolated("no selection qualifies, yet the full selection does")
 
 
 @dataclass(frozen=True)

@@ -219,17 +219,13 @@ def applicable_special_cases(system: Union[StructuredSystem, CompiledSystem]) ->
     """Every structural tag that applies (may be several), strongest first:
     discrete, irreducible, state_pm, single_nontop, single_nonbottom."""
     compiled = compile_system(system)
-    return _special_cases(compiled, matching_mod.state_pattern_has_pm(compiled.graph) is not None)
-
-
-def _special_cases(compiled: CompiledSystem, state_pm: bool) -> tuple[str, ...]:
-    system, scc = compiled.system, compiled.scc
+    scc = compiled.scc
     tags = []
-    if system.mode == "discrete":
+    if compiled.system.mode == "discrete":
         tags.append(CASE_DISCRETE)
     if len(scc.components) == 1:
         tags.append(CASE_IRREDUCIBLE)
-    if state_pm:
+    if matching_mod.state_pattern_has_pm(compiled.graph) is not None:
         tags.append(CASE_STATE_PM)
     if scc.q == 1:
         tags.append(CASE_SINGLE_NONTOP)
@@ -241,11 +237,7 @@ def _special_cases(compiled: CompiledSystem, state_pm: bool) -> tuple[str, ...]:
 def detect_special_case(system: Union[StructuredSystem, CompiledSystem]) -> str:
     """The strongest applicable tag (precedence: discrete, irreducible,
     state_pm, single_nontop, single_nonbottom), or ``general``."""
-    return _strongest(applicable_special_cases(system))
-
-
-def _strongest(tags: tuple[str, ...]) -> str:
-    return tags[0] if tags else CASE_GENERAL
+    return (applicable_special_cases(system) or (CASE_GENERAL,))[0]
 
 
 @dataclass(frozen=True)
@@ -302,8 +294,12 @@ def sfm_witness(
             label for label, info in cert.items() if info["feedback_edge"] is None
         ]
     if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
-        left, right = matching_mod.hall_witness(compiled.graph, sel)
-        witness["hall_violator"] = {"left": list(left), "neighbors": list(right)}
+        g = compiled.graph
+        left, right = matching_mod.hall_indices(g, sel)
+        witness["hall_violator"] = {
+            "left": [g.left_name(v) for v in left],
+            "neighbors": [g.right_name(v) for v in right],
+        }
     return witness
 
 
@@ -337,9 +333,10 @@ def select_min_cost_io(
     if not system.k_is_complete():
         raise ModelError("selection requires a complete feedback pattern")
     continuous = system.mode == "continuous"
-    state_match = matching_mod.state_pattern_has_pm(compiled.graph)
-    tags = _special_cases(compiled, state_match is not None)
-    primary = _strongest(tags)
+    tags = applicable_special_cases(compiled) or (CASE_GENERAL,)
+    primary = tags[0]
+    # the tag's perfect matching of the states alone: B(A)'s maximum matching
+    state_match = compiled.graph.state_matching[0] if CASE_STATE_PM in tags else None
     cond_a = compiled.condition_a(Selection.full(system))
     timings["sfm_check"] = time.perf_counter() - t0
 
@@ -437,7 +434,7 @@ def select_min_cost_io(
         stage_costs=tuple(stage_costs),
         lower_bound=lower,
         special_case=primary,
-        special_cases=tags if tags else (CASE_GENERAL,),
+        special_cases=tags,
         guarantee=_GUARANTEES[primary],
         no_sfm=True,
         stage1=stage1,

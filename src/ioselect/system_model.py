@@ -19,11 +19,11 @@ Conventions
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import lt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 COST_DECIMALS = 6
 COST_SCALE = 10**COST_DECIMALS
@@ -171,19 +171,11 @@ class SparsityPattern:
         vars(self)[name] = value
         return value
 
-    @classmethod
-    def from_pairs(cls, rows: int, cols: int, pairs: Iterable[Sequence[int]]) -> "SparsityPattern":
-        """Build from 1-based [row, col] pairs (the JSON convention)."""
-        return cls(rows, cols, frozenset((i - 1, j - 1) for i, j in pairs))
-
     def to_pairs(self) -> list[list[int]]:
         """Sorted 1-based [row, col] pairs for serialization."""
         if "stars" in vars(self):  # given or built already, so sorting them is cheapest
             return [[i + 1, j + 1] for i, j in sorted(self.stars)]
         return [[i + 1, j + 1] for i, row in enumerate(self.by_row) for j in row]
-
-    def __contains__(self, pos: tuple[int, int]) -> bool:
-        return tuple(pos) in self.stars
 
 
 @dataclass(frozen=True)
@@ -384,10 +376,6 @@ def selection_cost(system: StructuredSystem, sel: Selection) -> int:
     return sum(system.cost_u[i] for i in sel.inputs) + sum(
         system.cost_y[j] for j in sel.outputs
     )
-
-
-def with_mode(system: StructuredSystem, mode: str) -> StructuredSystem:
-    return replace(system, mode=mode)
 
 
 # --- JSON instance format ---------------------------------------------------

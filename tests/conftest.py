@@ -19,12 +19,17 @@ settings.register_profile(
 settings.load_profile("default")
 
 
+def from_pairs(rows, cols, pairs):
+    """The pattern of 1-based [row, col] pairs (the JSON convention)."""
+    return SparsityPattern(rows, cols, frozenset((i - 1, j - 1) for i, j in pairs))
+
+
 def make_system(n, m, p, a_stars, b_stars, c_stars, cost_u=None, cost_y=None, mode="continuous"):
     """Build from 1-based star pairs; unit costs unless given (whole units)."""
     return StructuredSystem(
-        A=SparsityPattern.from_pairs(n, n, a_stars),
-        B=SparsityPattern.from_pairs(n, m, b_stars),
-        C=SparsityPattern.from_pairs(p, n, c_stars),
+        A=from_pairs(n, n, a_stars),
+        B=from_pairs(n, m, b_stars),
+        C=from_pairs(p, n, c_stars),
         K=COMPLETE,
         cost_u=tuple(parse_cost(c) for c in (cost_u or [1] * m)),
         cost_y=tuple(parse_cost(c) for c in (cost_y or [1] * p)),

@@ -176,7 +176,7 @@ class TestCertifier:
             if hall is not None:
                 return
             edges = tuple(g.edge(l, r) for l, r in enumerate(match_l))
-            matching = Matching(g.n, g.m, g.p, edges, perfect=True)
+            matching = Matching(g.n, g.m, g.p, edges)
         sel, _cost = extract_io(matching)
         _check_mutations(system, sel, [(e.left, e.right) for e in matching.edges])
 

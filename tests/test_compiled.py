@@ -21,8 +21,7 @@ from hypothesis import given, settings
 
 import oracles
 from ioselect.graph_core import condition_a_witness, vertex_name
-from ioselect.matching import NoPerfectMatching
-from ioselect.oracle_bench import exact_cycle_select, exact_select
+from ioselect.oracle_bench import exact_select
 from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, sfm_witness
 from ioselect.system_model import (
     COMPLETE,
@@ -203,16 +202,3 @@ class TestExactSearch:
                 exact_select(system)
             return
         assert _key(*exact_select(system)) == oracles.best_selection(system)
-
-    @settings(max_examples=40)
-    @given(data=st.data())
-    def test_exact_cycle_select_matches_reference(self, data):
-        system = data.draw(small_systems("continuous"))
-        ref = oracles.best_selection(
-            system, feasible=lambda s: oracles.spanning_disjoint_cycles(system, s)
-        )
-        if ref is None:
-            with pytest.raises(NoPerfectMatching):
-                exact_cycle_select(system)
-            return
-        assert _key(*exact_cycle_select(system)) == ref

@@ -71,8 +71,8 @@ class TestBuildGraphs:
             [4], [5], [6],
             [2, 7], [0, 8],
         )
-        assert g.state_rows() == [[0, 1], [1], [0, 1, 3], [3]]
-        assert g.state_rows() is g.state_rows()  # sliced once per graph
+        assert g.state_rows == [[0, 1], [1], [0, 1, 3], [3]]
+        assert g.state_rows is g.state_rows  # sliced once per graph
         # the complete K is the hub 9: y1, y2 -> hub -> u1, u2, u3
         assert g.hub and g.ek == []
 

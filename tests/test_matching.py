@@ -5,7 +5,7 @@ from hypothesis import given
 
 import oracles
 from conftest import make_system, systems, systems_with_selection
-from ioselect.matching import (
+from ioselect.graph_core import (
     EDGE_EK,
     EDGE_EU,
     EDGE_EUU,
@@ -15,13 +15,14 @@ from ioselect.matching import (
     EDGE_HY,
     EDGE_UH,
     BipEdge,
+)
+from ioselect.matching import (
     NoPerfectMatching,
     build_bipartite,
     cycle_cover_check,
     dump_matching,
     extract_io,
     hall_indices,
-    hall_witness,
     has_perfect_matching,
     min_cost_perfect_matching,
     state_pattern_has_pm,
@@ -132,7 +133,6 @@ class TestHallWitness:
         system = make_system(2, 0, 0, [(1, 1)], [], [])
         g = build_bipartite(system)
         assert hall_indices(g) == ((1,), ())
-        assert hall_witness(g) == (("x2'",), ())
 
     def test_raises_when_perfect(self, demo):
         with pytest.raises(ModelError, match="no Hall witness"):
@@ -152,7 +152,9 @@ class TestHallWitness:
 class TestMinCost:
     def test_demo(self, demo):
         matching = min_cost_perfect_matching(build_bipartite(demo))
-        assert matching.perfect
+        # perfect: every left and every right vertex exactly once
+        assert sorted(e.left for e in matching.edges) == list(range(9))
+        assert sorted(e.right for e in matching.edges) == list(range(9))
         assert matching.total_cost == 2 * U
         by_left = {e.left: e for e in matching.edges}
         assert by_left[2].cls == EDGE_EU and by_left[2].right == 4  # x3' -> u1
@@ -243,19 +245,13 @@ class TestMinCost:
         # the extracted selection really does admit a spanning cycle family
         assert oracles.spanning_disjoint_cycles(system, sel)
 
-    def test_extract_requires_perfect(self):
-        from ioselect.matching import Matching
-
-        with pytest.raises(ModelError, match="perfect"):
-            extract_io(Matching(1, 0, 0, (), perfect=False))
-
     def test_extract_checks_feedback_bijection(self):
         from ioselect.matching import Matching
 
         # x1' -> u1 uses input 1, but no feedback edge leaves u1'
         edges = (BipEdge(0, 1, EDGE_EU, 0), BipEdge(1, 0, EDGE_EX, 0))
         with pytest.raises(InvariantViolated, match="bijection"):
-            extract_io(Matching(1, 1, 0, edges, perfect=True))
+            extract_io(Matching(1, 1, 0, edges))
 
 
 class TestStatePattern:
@@ -304,4 +300,4 @@ class TestDump:
     def test_empty(self):
         from ioselect.matching import Matching
 
-        assert dump_matching(Matching(0, 0, 0, (), perfect=True)) == ""
+        assert dump_matching(Matching(0, 0, 0, ())) == ""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_system, systems
-from ioselect.matching import NoPerfectMatching
 from ioselect.oracle_bench import (
     CH_A,
     CH_B,
@@ -23,7 +22,6 @@ from ioselect.oracle_bench import (
     _mix64,
     _stream,
     bench,
-    exact_cycle_select,
     exact_select,
     generate,
     instance_digest,
@@ -227,29 +225,6 @@ class TestExactSelect:
         monkeypatch.setattr(selector_mod.CompiledSystem, "no_sfm", lambda self, sel: False)
         with pytest.raises(InvariantViolated, match="full selection"):
             exact_select(demo)
-
-
-class TestExactCycleSelect:
-    def test_demo(self, demo):
-        sel, cost = exact_cycle_select(demo)
-        assert sel == Selection.of([0], [0])
-        assert cost == 2 * U
-
-    def test_no_cycle_cover(self):
-        system = make_system(2, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)])
-        with pytest.raises(NoPerfectMatching):
-            exact_cycle_select(system)
-
-    @given(systems(max_n=5))
-    @settings(max_examples=40)
-    def test_matches_cheapest_family(self, system):
-        ref = oracles.min_cycle_family_cost(system)
-        if ref is None:
-            with pytest.raises(NoPerfectMatching):
-                exact_cycle_select(system)
-        else:
-            _sel, cost = exact_cycle_select(system)
-            assert cost == ref
 
 
 class TestBench:

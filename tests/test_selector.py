@@ -28,6 +28,7 @@ from ioselect.system_model import (
     Selection,
     SparsityPattern,
     selection_cost,
+    system_from_json,
 )
 
 U = COST_SCALE
@@ -111,6 +112,33 @@ class TestWitness:
     def test_type1_empty_selection(self):
         w = sfm_witness(compile_system(diagonal_system()), SfmStatus.TYPE1, Selection.of([], []))
         assert w == {"type1_states": ["x1", "x2", "x3"]}
+
+    # Stage 3's failure and sfm_witness run different flows (priced and
+    # unpriced) to the same Dulmage-Mendelsohn set, so a Type-2 witness
+    # taken from stage 3's failing round keeps the bytes sfm_witness prints.
+    @staticmethod
+    def _check_stage3_hall_witness(system) -> bool:
+        """False when B(A, B, C, K) has a perfect matching; else check that
+        stage 3's NoPerfectMatching carries sfm_witness's Hall violator."""
+        compiled = compile_system(system)
+        try:
+            matching_mod.min_cost_perfect_matching(compiled.graph)
+        except matching_mod.NoPerfectMatching as exc:
+            hall = sfm_witness(compiled, SfmStatus.TYPE2)["hall_violator"]
+            assert {"left": list(exc.left_labels), "neighbors": list(exc.right_labels)} == hall
+            return True
+        return False
+
+    @given(systems(max_n=8))
+    @settings(max_examples=150)
+    def test_stage3_failure_carries_the_sfm_hall_witness(self, system):
+        self._check_stage3_hall_witness(system)
+
+    @pytest.mark.parametrize("name", ["sfm", "gen_sfms"])
+    def test_stage3_failure_on_golden_systems(self, name):
+        from test_golden_cli import _instances
+
+        assert self._check_stage3_hall_witness(system_from_json(_instances()[name]))
 
     def test_discrete_never_reports_hall(self):
         system = replace(make_system(2, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)]),
@@ -607,8 +635,8 @@ class TestBuildOnce:
 
 class TestRobustness:
     def test_long_chain_within_default_recursion_limit(self):
-        # the first Hopcroft-Karp phase matches each x_i' to x_i, and the
-        # remaining augmenting path walks the whole cycle
+        # Hopcroft-Karp's greedy start matches each x_i' but x_n' to x_i,
+        # and the one augmenting path left walks the whole cycle
         import sys
 
         system = long_cycle_system(3000)

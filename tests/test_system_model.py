@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import demo_system, make_system, systems
+from conftest import demo_system, from_pairs, make_system, systems
 from ioselect import cli, system_model
 from ioselect.system_model import (
     COMPLETE,
@@ -30,7 +30,6 @@ from ioselect.system_model import (
     system_from_json,
     system_to_json,
     validate,
-    with_mode,
 )
 
 
@@ -110,18 +109,18 @@ class TestCosts:
 
 class TestSparsityPattern:
     def test_pairs_round_trip(self):
-        pat = SparsityPattern.from_pairs(3, 2, [[1, 1], [3, 2]])
+        pat = from_pairs(3, 2, [[1, 1], [3, 2]])
         assert pat.stars == frozenset({(0, 0), (2, 1)})
         assert pat.to_pairs() == [[1, 1], [3, 2]]
 
     def test_transpose_involution(self):
-        pat = SparsityPattern.from_pairs(3, 2, [[1, 2], [2, 1]])
+        pat = from_pairs(3, 2, [[1, 2], [2, 1]])
         assert oracles.transpose(oracles.transpose(pat)) == pat
         assert oracles.transpose(pat).stars == frozenset({(1, 0), (0, 1)})
 
     def test_column_and_row(self):
-        pat = SparsityPattern.from_pairs(3, 3, [[1, 2], [3, 2], [1, 1]])
-        assert (0, 1) in pat and (2, 2) not in pat
+        pat = from_pairs(3, 3, [[1, 2], [3, 2], [1, 1]])
+        assert (0, 1) in pat.stars and (2, 2) not in pat.stars
 
     def test_rows_of_a_pattern_built_in_code(self):
         assert SparsityPattern(3, 2, {(2, 1), (0, 1), (0, 0)}).by_row == [[0, 1], [], [1]]
@@ -240,10 +239,6 @@ class TestSelectionAndRestrict:
 
     def test_selection_cost(self, demo):
         assert selection_cost(demo, Selection.of([0, 2], [0])) == 3 * COST_SCALE
-
-    def test_with_mode(self, demo):
-        assert with_mode(demo, "discrete").mode == "discrete"
-        assert demo.mode == "continuous"
 
 
 class TestDual:
