@@ -131,11 +131,11 @@ def _unit_flow(
     price_in, price_out = prices if prices is not None else ([0] * m, [0] * g.p)
     # the cost of entering the hub from each selected input, and the exits by
     # cost: -p_u(i) back to an input that sends to it, +p_y(j) on to an output
+    # (unpriced, every exit costs 0 and index order is cost order)
     enter = [None] * n + [c if g.hub and keep[n + i] else None for i, c in enumerate(price_in)] + [None] * g.p
-    exits = sorted(
-        (v for v in range(n, size) if g.hub and keep[v]),
-        key=lambda v: -price_in[v - n] if v < out0 else price_out[v - out0],
-    )
+    exits = [v for v in range(n, size) if g.hub and keep[v]]
+    if prices is not None:
+        exits.sort(key=lambda v: -price_in[v - n] if v < out0 else price_out[v - out0])
 
     state_l, state_r = g.state_matching
     match_l = state_l + list(range(n, size))

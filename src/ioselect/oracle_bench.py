@@ -1,7 +1,9 @@
 """Brute-force oracles, a reproducible instance generator, and the bench harness.
 
-The oracles enumerate every input/output subset (guard: m + p <= 16) and are
-the ground truth the approximation pipeline is measured against.
+The oracles enumerate input/output subsets (guard: m + p <= 16) and are the
+ground truth the approximation pipeline is measured against.  With a
+complete K the exact selection searches the 2^m input subsets and the 2^p
+output subsets apart, not the 2^(m+p) pairs (see :func:`exact_select`).
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -177,14 +179,27 @@ def instance_digest(system: StructuredSystem) -> str:
 
 
 def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selection, int]:
-    """Ground-truth minimum-cost selection with no structurally fixed modes,
-    over all 2^(m+p) subsets; ties break to the lexicographically smallest
-    (I, J).
+    """Ground-truth minimum-cost selection with no structurally fixed modes;
+    ties break to the lexicographically smallest (I, J).
 
-    The subsets are sorted by the key (cost, I, J) and tested in that
-    order, so the first one that qualifies is the answer.  Every candidate
-    is decided on one :class:`~ioselect.selector.CompiledSystem`; a system
-    given already compiled is not compiled again.
+    Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`
+    (a system given already compiled is not compiled again), in the order of
+    its key, so the first one that qualifies is the answer.
+
+    With a partial K the candidates are all 2^(m+p) pairs (I, J), keyed by
+    (cost, I, J).  With a complete K, and the full selection free of
+    structurally fixed modes, (I, J) is free of them exactly when
+    (I, all outputs) and (all inputs, J) are.  Condition (a) splits because
+    it asks the selected inputs to cover the non-top SCCs and the selected
+    outputs the non-bottom ones.  Condition (b) splits by the
+    Mendelsohn-Dulmage theorem: a matching of the state rows into the
+    states and u_I, and one of the state rows and y'_J onto the states,
+    join into one matching that covers every state row and every state; it
+    uses as many inputs as outputs, the complete K pairs those, and every
+    other selected channel takes its own edge.  So the search walks the 2^m
+    input subsets by (cost, I) and the 2^p output subsets by (cost, J), and
+    the first of each is the optimum's, under the same tie order: every
+    cheapest qualifying pair joins a cheapest I to a cheapest J.
     """
     compiled = compile_system(system)
     system = compiled.system
@@ -200,17 +215,25 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
         chosen = [tuple(i for i in range(count) if mask >> i & 1) for mask in range(1 << count)]
         return [(sum(costs[i] for i in c), c) for c in chosen]
 
+    def first(keys, selection):
+        for key in sorted(keys):
+            if compiled.no_sfm(selection(key)):
+                return key
+        raise InvariantViolated("no selection qualifies, yet the full selection does")
+
+    input_subsets = subsets(system.m, system.cost_u)
     output_subsets = subsets(system.p, system.cost_y)
-    keys = sorted(
-        (in_cost + out_cost, inputs, outputs)
-        for in_cost, inputs in subsets(system.m, system.cost_u)
-        for out_cost, outputs in output_subsets
+    if system.k_is_complete():
+        in_cost, inputs = first(input_subsets, lambda key: Selection.of(key[1], range(system.p)))
+        out_cost, outputs = first(output_subsets, lambda key: Selection.of(range(system.m), key[1]))
+        return Selection.of(inputs, outputs), in_cost + out_cost
+    cost, inputs, outputs = first(
+        ((in_cost + out_cost, inputs, outputs)
+         for in_cost, inputs in input_subsets
+         for out_cost, outputs in output_subsets),
+        lambda key: Selection.of(key[1], key[2]),
     )
-    for cost, inputs, outputs in keys:
-        sel = Selection.of(inputs, outputs)
-        if compiled.no_sfm(sel):
-            return sel, cost
-    raise InvariantViolated("no selection qualifies, yet the full selection does")
+    return Selection.of(inputs, outputs), cost
 
 
 @dataclass(frozen=True)

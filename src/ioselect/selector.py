@@ -259,7 +259,6 @@ class SelectionReport:
     special_case: str
     special_cases: tuple[str, ...]
     guarantee: str
-    no_sfm: bool
     stage1: Optional[Cover]
     stage2: Optional[Cover]
     stage1_labels: tuple[tuple[int, ...], ...]
@@ -436,7 +435,6 @@ def select_min_cost_io(
         special_case=primary,
         special_cases=tags,
         guarantee=_GUARANTEES[primary],
-        no_sfm=True,
         stage1=stage1,
         stage2=stage2,
         stage1_labels=labels1,
@@ -501,7 +499,7 @@ def report_to_json(
         "special_case": report.special_case,
         "special_cases": list(report.special_cases),
         "guarantee": report.guarantee,
-        "no_sfm": report.no_sfm,
+        "no_sfm": True,  # a selection with fixed modes raises instead
     }
     if report.exact_stage_bound is not None:
         out["exact_stage_bound"] = format_cost(report.exact_stage_bound)

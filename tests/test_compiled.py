@@ -41,7 +41,7 @@ def _stars(draw, rows, cols):
 
 
 @st.composite
-def small_systems(draw, mode):
+def small_systems(draw, mode, kinds=("complete", "explicit complete", "partial", "partial")):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 3))
     p = draw(st.integers(0, 3))
@@ -50,7 +50,7 @@ def small_systems(draw, mode):
     a = frozenset(
         (i, j) for i, j in _stars(draw, n, n) if i == j or not {i, j} & lonely
     )
-    kind = draw(st.sampled_from(["complete", "explicit complete", "partial", "partial"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "complete":
         k = COMPLETE
     elif kind == "explicit complete":
@@ -202,3 +202,47 @@ class TestExactSearch:
                 exact_select(system)
             return
         assert _key(*exact_select(system)) == oracles.best_selection(system)
+
+
+class TestCompleteKSplit:
+    """With a complete K and the full selection free of fixed modes, (I, J)
+    is free of them exactly when (I, all outputs) and (all inputs, J) are:
+    the split :func:`exact_select` searches by."""
+
+    @staticmethod
+    def _split(compiled, sel):
+        full = Selection.full(compiled.system)
+        return compiled.no_sfm(Selection(sel.inputs, full.outputs)) and compiled.no_sfm(
+            Selection(full.inputs, sel.outputs)
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_split_equals_the_oracle(self, mode, data):
+        system = data.draw(small_systems(mode, kinds=("complete", "explicit complete")))
+        if not oracles.no_sfm(system, Selection.full(system)):
+            return
+        compiled = compile_system(system)
+        for sel in _all_selections(system):
+            assert self._split(compiled, sel) == oracles.no_sfm(system, sel)
+
+    def test_partial_k_does_not_split(self):
+        # x1 is fed by u1 and u2 and read by y1 and y2; K pairs u1 with y1
+        # and u2 with y2.  ({u1}, all) and (all, {y2}) each close a cycle
+        # through x1, but ({u1}, {y2}) has no K edge to close one with.
+        system = StructuredSystem(
+            A=SparsityPattern(1, 1, frozenset()),
+            B=SparsityPattern(1, 2, frozenset({(0, 0), (0, 1)})),
+            C=SparsityPattern(2, 1, frozenset({(0, 0), (1, 0)})),
+            K=SparsityPattern(2, 2, frozenset({(0, 0), (1, 1)})),
+            cost_u=(parse_cost("1"), parse_cost("2")),
+            cost_y=(parse_cost("2"), parse_cost("1")),
+        )
+        compiled = compile_system(system)
+        pair = Selection.of([0], [1])
+        assert self._split(compiled, pair)
+        assert not oracles.no_sfm(system, pair)
+        # the split's pick would cost 2; the pairwise scan finds the true
+        # optimum, two pairs of cost 3, and breaks the tie to the smaller I
+        assert exact_select(system) == (Selection.of([0], [0]), parse_cost("3"))

@@ -204,7 +204,7 @@ class TestExactSelect:
     @pytest.mark.parametrize("m, p", [(1, 1), (3, 2), (5, 5)])
     def test_one_compile_per_search(self, m, p, monkeypatch):
         # every candidate is decided on one compiled analysis, however many
-        # of the 2^(m+p) selections the search visits
+        # selections the search visits
         from test_selector import wrap_counting
 
         names = ["system_model.restrict", "matching.build_bipartite", "graph_core.decompose_sccs"]
@@ -216,6 +216,18 @@ class TestExactSelect:
             "matching.build_bipartite": 1,
             "graph_core.decompose_sccs": 1,
         }
+
+    @pytest.mark.parametrize("seed", [5, 6, 8])
+    def test_complete_k_decides_each_subset_once(self, seed, monkeypatch):
+        # with a complete K the input subsets and the output subsets are
+        # searched apart: at most 2^m + 2^p candidates, where a scan of the
+        # pairs in cost order decides 104, 408 and 217 of these systems' 1,024
+        from test_selector import wrap_counting
+
+        system = generate(GeneratorConfig(n=8, m=5, p=5, cost_range=("1", "9"), seed=seed))
+        counts = wrap_counting(monkeypatch, ["selector.CompiledSystem.no_sfm"])
+        exact_select(system)
+        assert 0 < counts["selector.CompiledSystem.no_sfm"] <= 2**5 + 2**5
 
     def test_empty_search_raises(self, demo, monkeypatch):
         # the full selection qualifies, so a search that finds nothing is a

@@ -195,7 +195,7 @@ class TestSelectDemo:
         assert rep.special_case == "single_nonbottom"
         assert rep.special_cases == ("single_nonbottom",)
         assert "mu_max" in rep.guarantee
-        assert rep.no_sfm is True
+        assert report_to_json(rep)["no_sfm"] is True
         assert rep.exact_stage_bound is None
         assert rep.stage1.chosen == frozenset({2})
         assert rep.stage2.chosen == frozenset({0})
@@ -364,7 +364,7 @@ class TestSelectProperties:
         assert rep.total_cost == selection_cost(system, rep.selection)
         assert rep.lower_bound <= rep.total_cost
         assert rep.special_case == detect_special_case(system)
-        assert rep.no_sfm is True
+        assert report_to_json(rep)["no_sfm"] is True
 
     @given(systems(max_n=5, max_m=3, max_p=3, feasible=True))
     @settings(max_examples=40)
@@ -436,21 +436,28 @@ class TestReportJson:
 
 
 def wrap_counting(monkeypatch, names):
-    """Count calls of each ``module.function`` in ``names``, replacing it in
-    every ioselect module that binds it, so calls made inside its home
-    module count too."""
+    """Count calls of each ``module.function`` or ``module.Class.method`` in
+    ``names``.  A function is replaced in every ioselect module that binds
+    it, so calls made inside its home module count too; a method is
+    replaced on its class."""
     import importlib
     import sys
 
     counts = dict.fromkeys(names, 0)
     for name in names:
-        home, fn_name = name.split(".")
-        original = getattr(importlib.import_module(f"ioselect.{home}"), fn_name)
+        home, *owners, fn_name = name.split(".")
+        owner = importlib.import_module(f"ioselect.{home}")
+        for part in owners:
+            owner = getattr(owner, part)
+        original = getattr(owner, fn_name)
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
 
+        if owners:
+            monkeypatch.setattr(owner, fn_name, wrapper)
+            continue
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("ioselect") and getattr(mod, fn_name, None) is original:
                 monkeypatch.setattr(mod, fn_name, wrapper)
