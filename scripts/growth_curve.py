@@ -3,8 +3,14 @@
 
 Generates one sparse system per size (expected ~5 stars per state row,
 m = p = n/10) and times select_min_cost_io, best of --repeats runs.
-The last column shows the runtime multiple versus the previous size; a
-value below 8 at each doubling is consistent with the cubic worst case.
+The last column shows the runtime multiple versus the previous size.  B
+and C hold about n*m/5 stars each, so the graph's edge count E grows about
+4x per doubling, and a multiple near 4 is linear in the input.  The
+slowest layers are bounded by E times a factor that grows with n:
+Hopcroft-Karp is O(E * sqrt(n)), each side of stage 3 is O(d * E) for
+d = n - nu(B(A)) (every kept channel is one search, and the failed
+searches between two keeps share their marks), and the greedy covers scan
+every set in every iteration.
 """
 
 import argparse

@@ -105,6 +105,16 @@ class SystemGraph:
         return [row[: bisect_left(row, n)] for row in self.adj[:n]]
 
     @cached_property
+    def state_cols(self) -> list[list[int]]:
+        """The columns of the state rows: the x'_v whose row holds each
+        state, then each input, ascending; shared like ``state_rows``."""
+        cols: list[list[int]] = [[] for _ in range(self.n + self.m)]
+        for v, row in enumerate(self.adj[: self.n]):
+            for r in row:
+                cols[r].append(v)
+        return cols
+
+    @cached_property
     def state_matching(self) -> tuple[list[int], list[int]]:
         """B(A)'s maximum matching, on the state rows: the state matched to
         each x'_i, and the x'_i matched to each state, or -1.  Found by

@@ -10,35 +10,31 @@ for an input or output, by its own twin.  Its edges and their costs:
 * (u'_i, y_j)  iff K_ij is starred            (class EK, cost p_u(i)+p_y(j))
 * (u'_i, u_i) and (y'_j, y_j) always          (classes EUU/EYY, cost 0)
 
-A complete K is not expanded into its m*p EK edges: a flag stands for one
-hub vertex h (id n+m+p), with an edge (u'_i, h) of cost p_u(i) (class UH)
-per input and an edge (h, y_j) of cost p_y(j) (class HY) per output.
-Matchings are unit flows from the left side to the right side, and h
-passes on as many units as it takes in, so a flow through h is a set of EK
-edges pairing its inputs with its outputs.  Every pairing costs the same;
-reported matchings pair the i-th smallest input with the i-th smallest
-output.  An explicit partial K keeps one EK edge per star.  An edge's class
-and cost follow from its end points' ids, so a :class:`BipEdge` is made
-only for an edge that a matching reports.
-
 Perfect matchings of this graph correspond exactly to families of disjoint
 cycles in the system digraph that span all states, and the minimum-cost
 perfect matching realizes the cheapest such family; its used inputs/outputs
 are read off the matched EU/EY edges.
 
-Every flow starts from B(A)'s maximum matching, found once per graph
-(:attr:`SystemGraph.state_matching`), with every input and output on its
-own edge: a largest matching of cost 0, so the minimum-cost one takes
-n - nu(B(A)) more augmenting paths, each at most one transit through the
-hub (the only edges that cost anything).  The feasibility flows flip every
-path one sweep of the graph finds, and also run on a partial K.
+A complete K (the stored graph's hub) is never expanded: it splits the
+graph in two sides.  A perfect matching using inputs I and outputs J
+matches the state rows x' into the states and u_I (side 1) and the states
+from the state rows and y'_J (side 2), and pairs u'_I with y_J over K; a
+matching of each side joins back into a perfect one (Mendelsohn-Dulmage,
+:func:`_join`).  Each side completes B(A)'s maximum matching
+(:attr:`SystemGraph.state_matching`) with d = n - nu(B(A)) channels.  The
+channel sets that do so are the bases of a transversal matroid, so the
+greedy algorithm (:func:`_greedy`) finds the cheapest exactly (Edmonds
+1971, "Matroids and the greedy algorithm").  Stage 3 runs it in (cost,
+index) order, condition (b) in index order over the selected channels.  An
+explicit partial K keeps one EK edge per star and does not split: its
+condition (b) is one Hopcroft-Karp on the masked rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop  # noqa: F401  # see below
-from typing import Optional
+from typing import Iterable, Optional
 
 from ioselect.graph_core import (
     EDGE_EK,
@@ -46,6 +42,7 @@ from ioselect.graph_core import (
     EDGE_EY,
     BipEdge,
     SystemGraph,
+    _hopcroft_karp,
     build_bipartite,
     selected_vertices,
     vertex_name,
@@ -93,169 +90,161 @@ class Matching:
         return sum(e.cost for e in self.edges)
 
 
-def _unit_flow(
-    g: SystemGraph,
-    prices: Optional[tuple[list[int], list[int]]] = None,
-    sel: Optional[Selection] = None,
-) -> tuple[list[int], list[int], Optional[tuple[list[int], list[int]]]]:
-    """Maximum unit flow from the left side to the right side of ``g``,
-    through the hub where there is one.
+def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: list[int]) -> int:
+    """The greedy of one side: try the vertices of ``starts`` in turn, and
+    keep one when an alternating path from it reaches a free vertex of the
+    other side, flipping that path, until ``need`` are kept.  Returns the
+    number kept.
 
-    ``prices`` is one positive weight per input and one per output: an edge
-    (u'_i, h) weighs its input's, an edge (h, y_j) its output's, and every
-    other edge 0; with None every weight is 0.  With ``sel``, each
-    unselected input and output is reduced to its edge (u'_i, u_i) or
-    (y'_j, y_j), which a perfect matching must use, so the graph has one
-    exactly when B(A, B, C, K) of the system restricted to ``sel`` has one.
-
-    The flow starts from B(A)'s maximum matching with every input and output
-    on its own edge, a largest flow of weight 0: no other edge of an input's
-    left copy or an output's right copy weighs 0.  With ``prices`` each
-    round augments one shortest path, so a perfect matching takes
-    n - nu(B(A)) rounds; some shortest path per round is all successive
-    shortest paths need (Ahuja, Magnanti and Orlin, *Network Flows*, section
-    9.7).  Without, each round flips every path it finds (see :func:`_round`).
-
-    Returns the partner of each left and each right vertex (the other side's
-    vertex, the hub id ``g.size``, or -1 when free) and, when some left
-    vertex stays free, a Hall witness: the left vertices the last round
-    reached, through the hub too, without finding a path, and their
-    neighbours in B(A, B, C, K).  It reaches the hub exactly when it reaches
-    a selected input, which is adjacent to every selected output, so then
-    every output is a neighbour.
+    ``nbr[s]`` lists the neighbours of s on the other side; ``mate_s`` and
+    ``mate_w`` hold each vertex's partner on either side (-1 when free) and
+    are updated in place.  A search marks what it reaches with its number,
+    and a failed search's marks stay until the next keep (Kuhn): the
+    matching has not changed, so no path leads on through them.
     """
-    n, m, size = g.n, g.m, g.size
-    out0 = n + m
-    keep = selected_vertices(n, m, g.p, sel)
-    adj = g.adj if sel is None else [row if keep[v] else [v] for v, row in enumerate(g.adj)]
-    price_in, price_out = prices if prices is not None else ([0] * m, [0] * g.p)
-    # the cost of entering the hub from each selected input, and the exits by
-    # cost: -p_u(i) back to an input that sends to it, +p_y(j) on to an output
-    # (unpriced, every exit costs 0 and index order is cost order)
-    enter = [None] * n + [c if g.hub and keep[n + i] else None for i, c in enumerate(price_in)] + [None] * g.p
-    exits = [v for v in range(n, size) if g.hub and keep[v]]
-    if prices is not None:
-        exits.sort(key=lambda v: -price_in[v - n] if v < out0 else price_out[v - out0])
+    seen = [-1] * len(mate_w)
+    parent = [0] * len(mate_w)
+    kept = epoch = 0
+    for stamp, s in enumerate(starts):
+        if kept == need:
+            break
+        w = _path(s, stamp, epoch, nbr, mate_w, seen, parent)
+        if w >= 0:
+            _augment(w, parent, mate_s, mate_w)
+            kept += 1
+            epoch = stamp + 1
+    return kept
 
+
+def _path(s: int, stamp: int, epoch: int, nbr, mate_w: list[int], seen: list[int], parent: list[int]) -> int:
+    """One alternating search from ``s``, past every vertex marked since
+    search ``epoch``: the first free vertex it reaches, or -1."""
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        for w in nbr[s]:
+            if seen[w] < epoch:
+                seen[w] = stamp
+                parent[w] = s
+                if mate_w[w] < 0:
+                    return w
+                stack.append(mate_w[w])
+    return -1
+
+
+def _augment(w: int, parent: list[int], mate_s: list[int], mate_w: list[int]) -> None:
+    """Flip the path that reached the free vertex ``w``, back to its start."""
+    while w >= 0:
+        s = parent[w]
+        mate_w[w], mate_s[s], w = s, w, mate_s[s]
+
+
+def _input_side(g: SystemGraph, inputs: Iterable[int]) -> tuple[list[int], bool]:
+    """Side 1: B(A)'s maximum matching completed by the greedy over the
+    input ids ``inputs``.  Returns each state row's state or input (or -1),
+    and whether every state row is matched."""
     state_l, state_r = g.state_matching
-    match_l = state_l + list(range(n, size))
-    match_r = state_r + list(range(n, size))
-    while True:
-        free = [l for l in range(n) if match_l[l] < 0]
-        if not free:
-            return match_l, match_r, None
-        hall = _round(adj, free, prices is not None, enter, price_out, exits, match_l, match_r, out0)
-        if hall is not None:
-            return match_l, match_r, hall
+    rows_to = state_l[:]
+    need = rows_to.count(-1)
+    return rows_to, _greedy(inputs, need, g.state_cols, state_r + [-1] * g.m, rows_to) == need
 
 
-def _round(adj, free, priced, enter, price_out, exits, match_l, match_r, out0):
-    """One round of :func:`_unit_flow`: one :func:`_search` from all the free
-    states if ``priced``, else one from each in turn, each path found
-    flipped at once.  Returns None if a path was flipped, else the witness.
-    The marks and the hub's exits are shared, so a round sweeps the graph
-    once: a search goes on only to vertices no earlier one met, which led to
-    no free vertex then.  A flip can open a way through them, so the
-    unpriced flow runs rounds until one flips no path."""
-    size = len(match_l)
-    seen_l = [r < 0 for r in match_l]  # the free states
-    parent_r = [-1] * size  # the left vertex (or the hub) each right vertex was reached from
-    # a lone free state whose neighbours are all reached leads nowhere new
-    searches = [free] if priced else ([l] for l in free if any(parent_r[r] < 0 for r in adj[l]))
-    exits, flipped, entered = iter(exits), False, False
-    for stack in searches:
-        target, entry = _search(adj, stack, seen_l, parent_r, enter, price_out, exits, match_l, match_r, out0)
-        entered = entered or entry >= 0
-        if target >= 0:
-            _augment(match_l, match_r, parent_r, target, entry, size, out0)
-            flipped = True
-    if flipped:
-        return None
-    left = [l for l in range(size) if seen_l[l]]
-    return left, [r for r in range(size) if parent_r[r] >= 0 or (entered and r >= out0)]
+def _output_side(g: SystemGraph, outputs: Iterable[int]) -> tuple[list[int], bool]:
+    """Side 2: B(A)'s maximum matching completed by the greedy over the
+    output ids ``outputs``.  Returns each state's state row or output (or
+    -1), and whether every state is matched."""
+    state_l, state_r = g.state_matching
+    states_from = state_r[:]
+    need = states_from.count(-1)
+    rows = g.state_rows + [row[:-1] for row in g.adj[g.n :]]  # an output's row less its own id
+    return states_from, _greedy(outputs, need, rows, state_l + [-1] * (g.m + g.p), states_from) == need
 
 
-def _search(adj, stack, seen_l, parent_r, enter, price_out, exits, match_l, match_r, out0) -> tuple[int, int]:
-    """Search on over 0-weight edges from the left vertices on ``stack``,
-    recording in ``parent_r`` where each new right vertex was reached from,
-    up to the first free right vertex.  When the stack runs dry, enter the
-    hub once, at the cheapest entry met: (u'_i, h) from a reached input not
-    sending to the hub (+p_u(i), ``enter``), or y_j -> h back over a reached
-    output that the hub sends to (-p_y(j)).  Then, each time the stack runs
-    dry, take the next exit from ``exits`` that is still one and still
-    unreached: h -> y_j into an output, or h -> u'_i back to an input that
-    sends to the hub.  Every weight sits on the hub's edges, so with
-    ``exits`` in price order the first free right vertex met ends a
-    shortest path.  Returns it, or -1, and the entry chosen, or -1.
+def _join(g: SystemGraph, rows_to: list[int], states_from: list[int]) -> list[int]:
+    """A largest matching of B(A, B, C, K), as each left vertex's partner
+    (-1 when free), from a largest matching of each side.
+
+    Side 1 leaves free exactly the states B(A)'s matching does.  Each one
+    starts a path x -side 2- v' -side 1- x -side 2- ... whose left vertices
+    take their side-2 edges; every other state row keeps its side-1 edge.
+    That covers every state row side 1 covers and every state side 2 covers
+    with nu(B(A)) state edges, all of side 1's inputs I and side 2's outputs
+    J (Mendelsohn-Dulmage).  K pairs the i-th smallest of I with the i-th
+    smallest of J, and every other channel takes its own edge.
     """
-    hub = len(match_l)
-    entry, best, entered = -1, 0, False
-    while True:
-        while stack:
-            l = stack.pop()
-            cost = enter[l]
-            if cost is not None and not entered and match_l[l] != hub and (entry < 0 or cost < best):
-                entry, best = l, cost
-            for r in adj[l]:
-                if parent_r[r] < 0:
-                    parent_r[r] = l
-                    nxt = match_r[r]
-                    if nxt < 0:
-                        return r, entry
-                    if nxt == hub:
-                        cost = -price_out[r - out0]
-                        if not entered and (entry < 0 or cost < best):
-                            entry, best = r, cost
-                    elif not seen_l[nxt]:
-                        seen_l[nxt] = True
-                        stack.append(nxt)
-        if entry < 0:
-            return -1, -1
-        entered = True
-        for v in exits:
-            if v >= out0:  # h -> y_j, and on from y_j's partner (an output stays matched)
-                if match_r[v] == hub or parent_r[v] >= 0:
-                    continue
-                parent_r[v] = hub
-                v = match_r[v]
-            elif match_l[v] != hub:
-                continue
-            if not seen_l[v]:
-                seen_l[v] = True
-                stack.append(v)
-                break
-        else:
-            return -1, entry
+    n, out0, size = g.n, g.n + g.m, g.size
+    match_l = rows_to + [-1] * (size - n)
+    for x, v in enumerate(g.state_matching[1]):
+        if v >= 0:
+            continue
+        while 0 <= x < n and states_from[x] >= 0:
+            l = states_from[x]
+            x, match_l[l] = match_l[l], x
+    used = set(match_l[:n])  # the states and inputs the state rows take
+    outputs = [y for y in range(out0, size) if match_l[y] >= 0]
+    for v in range(n, size):
+        if match_l[v] < 0 and v not in used:
+            match_l[v] = v
+    for u, y in zip(sorted(r for r in used if r >= n), outputs):
+        match_l[u] = y
+    return match_l
 
 
-def _augment(
-    match_l: list[int], match_r: list[int], parent_r: list[int], r: int, entry: int, hub: int, out0: int
-) -> None:
-    """Flip one round's path, back from the free right vertex ``r``.  A path
-    through the hub is flipped from ``r`` back to its exit, and then from
-    ``entry`` back to a free left vertex."""
-    while True:
-        l = parent_r[r]
-        if l == hub:  # h -> y_j: the hub now sends to y_j
-            match_r[r] = prev = hub
-        else:
-            prev = match_l[l]
-            match_l[l] = r
+def _hall(g: SystemGraph, rows, keep: list[bool], match_l: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left vertices that alternating paths reach from the free ones in
+    a largest matching ``match_l`` of the masked graph (:func:`_masked`),
+    and their neighbours, less the unselected channels: the
+    Dulmage-Mendelsohn set, the same for every largest matching.  Through
+    the hub, a selected input's row also holds every selected output."""
+    n, out0, size = g.n, g.n + g.m, g.size
+    match_r = [-1] * size
+    for l, r in enumerate(match_l):
+        if r >= 0:
             match_r[r] = l
-        if prev < 0:
-            return
-        if prev != hub:
-            r = prev
-        elif entry < out0:  # (u'_i, h): u'_i now sends to the hub
-            r, match_l[entry] = match_l[entry], hub
-        else:  # y_j -> h: y_j takes the left vertex it was reached from
-            r = entry
+    seen_l = [r < 0 for r in match_l]
+    seen_r = [False] * size
+    stack = [l for l in range(size) if seen_l[l]]
+    hub = g.hub
+    while stack:
+        l = stack.pop()
+        row = rows[l]
+        if hub and n <= l < out0 and keep[l]:
+            hub = False
+            row = row + [y for y in range(out0, size) if keep[y]]
+        for r in row:
+            if not seen_r[r]:
+                seen_r[r] = True
+                nxt = match_r[r]
+                if nxt >= 0 and not seen_l[nxt]:
+                    seen_l[nxt] = True
+                    stack.append(nxt)
+    return (
+        tuple(v for v in range(size) if seen_l[v] and keep[v]),
+        tuple(v for v in range(size) if seen_r[v] and keep[v]),
+    )
+
+
+def _masked(g: SystemGraph, sel: Optional[Selection]):
+    """The selected vertices (:func:`selected_vertices`), the rows of ``g``
+    with each unselected channel reduced to its own edge, which a perfect
+    matching must then use (so the graph has one exactly when the system
+    restricted to ``sel`` has one), and the selected input and output ids.
+    With a hub the rows are ``g.adj``: an input's row is its own edge, and
+    an unselected y_j lies in no row but its twin's, which no search reads."""
+    n, out0 = g.n, g.n + g.m
+    keep = selected_vertices(n, g.m, g.p, sel)
+    rows = g.adj if sel is None or g.hub else [row if keep[v] else [v] for v, row in enumerate(g.adj)]
+    return keep, rows, [u for u in range(n, out0) if keep[u]], [y for y in range(out0, g.size) if keep[y]]
 
 
 def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
     """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
-    the system restricted to ``sel`` has one, decided on ``g`` itself."""
-    return _unit_flow(g, None, sel)[2] is None
+    the system restricted to ``sel`` has one, decided on ``g`` itself.  With
+    a hub, iff the selected channels complete both sides."""
+    _keep, rows, inputs, outputs = _masked(g, sel)
+    if not g.hub:
+        return -1 not in _hopcroft_karp(rows)[0]
+    return _input_side(g, inputs)[1] and _output_side(g, outputs)[1]
 
 
 def hall_indices(
@@ -265,38 +254,39 @@ def hall_indices(
     neighborhood; with ``sel``, in the graph of the system restricted to
     ``sel``, under the ids of ``g``.
 
-    The witness is what the flow's last round reaches from the unmatched
-    left vertices by alternating paths, through the hub too: the same set
-    (the Dulmage-Mendelsohn one) for every maximum matching.  With ``sel``
-    the masked graph has a maximum matching made of one of the restricted
-    graph and the unselected vertices' own edges, so its set, less the
-    unselected vertices, is the restricted graph's.  Raises if the graph
-    has a perfect matching.
+    The witness is the Dulmage-Mendelsohn set (:func:`_hall`) of a largest
+    matching: the two sides joined, or with a partial K Hopcroft-Karp's.
+    With ``sel`` the masked graph has a largest matching made of one of the
+    restricted graph and the unselected vertices' own edges, so its set,
+    less the unselected vertices, is the restricted graph's.  Raises if the
+    graph has a perfect matching.
     """
-    witness = _unit_flow(g, None, sel)[2]
-    if witness is None:
+    keep, rows, inputs, outputs = _masked(g, sel)
+    if g.hub:
+        match_l = _join(g, _input_side(g, inputs)[0], _output_side(g, outputs)[0])
+    else:
+        match_l = _hopcroft_karp(rows)[0]
+    if -1 not in match_l:
         raise ModelError("graph has a perfect matching; no Hall witness exists")
-    keep = selected_vertices(g.n, g.m, g.p, sel)
-    left, right = witness
-    return tuple(v for v in left if keep[v]), tuple(v for v in right if keep[v])
+    return _hall(g, rows, keep, match_l)
 
 
 def min_cost_perfect_matching(g: SystemGraph) -> Matching:
-    """Exact minimum-cost perfect matching of a graph with a hub, by
-    successive shortest paths, each through the hub at most once (see
-    :func:`_unit_flow`).
+    """Exact minimum-cost perfect matching of a graph with a hub: each side
+    completed by the greedy in (cost, index) order, and the two joined
+    (Mendelsohn-Dulmage, see :func:`_join`).
 
-    Costs are composite integers: the true cost in the high bits, then tie
-    breaks that minimize the number of feedback edges used, then prefer low
-    input indices, then low output indices.  A feedback edge (u'_i, y_j)
-    pays 2**(m+p) (count layer) plus 2**(p+i) (input layer) plus 2**j
-    (output layer).  Every layer is a sum of an input part and an output
-    part, so the flow gets one price per input, p_u(i)*cap + 2**(m+p) +
-    2**(p+i), and one per output, p_y(j)*cap + 2**j: an EK edge pays both,
-    (u'_i, h) its input's and (h, y_j) its output's.  The layers make the
-    used inputs and outputs of the optimum unique; the flow only compares
-    them.  The returned matching holds a :class:`BipEdge` for each left
-    vertex.
+    Ties break as if a feedback edge (u'_i, y_j) paid, below its true cost,
+    2**(m+p) (fewest feedback edges first), then 2**(p+i) (low input
+    indices first), then 2**j (low output indices).  Every perfect matching
+    uses at least d = n - nu(B(A)) feedback edges, and costs are never
+    negative, so the optimum uses exactly d; each layer is then a sum of an
+    input part and an output part.  On a matroid the greedy in (cost,
+    index) order yields the basis that is lightest under every weight
+    ordered that way (Edmonds 1971), so each side's greedy is the optimum's
+    side.  The returned matching holds a :class:`BipEdge` for each left
+    vertex; it pairs the i-th smallest used input with the i-th smallest
+    used output.
 
     Raises :class:`ModelError` if K is not complete, and
     :class:`NoPerfectMatching` (with a Hall witness) if no perfect matching
@@ -304,21 +294,14 @@ def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     """
     if not g.hub:
         raise ModelError("min-cost matching requires a complete feedback pattern")
-    n, m, p = g.n, g.m, g.p
-    # the cap strictly exceeds the largest possible tie-break total, which
-    # is min(m, p) feedback edges paying under 2**(m+p+1) each
-    tie_cap = (min(m, p) + 1) << (m + p + 1)
-    price_in = [c * tie_cap + (1 << (m + p)) + (1 << (p + i)) for i, c in enumerate(g.cost_u)]
-    price_out = [c * tie_cap + (1 << j) for j, c in enumerate(g.cost_y)]
-    match_l, match_r, hall = _unit_flow(g, (price_in, price_out))
-    if hall is not None:
-        left, right = hall
+    n, out0 = g.n, g.n + g.m
+    rows_to, inputs_done = _input_side(g, sorted(range(n, out0), key=lambda u: g.cost_u[u - n]))
+    states_from, outputs_done = _output_side(g, sorted(range(out0, g.size), key=lambda y: g.cost_y[y - out0]))
+    match_l = _join(g, rows_to, states_from)
+    if not (inputs_done and outputs_done):
+        left, right = _hall(g, g.adj, _masked(g, None)[0], match_l)
         raise NoPerfectMatching(tuple(map(g.left_name, left)), tuple(map(g.right_name, right)))
-    # the matched edge of each left vertex; each hub input in turn takes the
-    # smallest hub output left
-    hub_outputs = iter([r for r in range(g.size) if match_r[r] == g.size])
-    edges = (g.edge(l, next(hub_outputs) if r == g.size else r) for l, r in enumerate(match_l))
-    return Matching(n, m, p, tuple(edges))
+    return Matching(n, g.m, g.p, tuple(g.edge(l, r) for l, r in enumerate(match_l)))
 
 
 def extract_io(matching: Matching) -> tuple[Selection, int]:

@@ -20,11 +20,11 @@ Stage 3 alone is a certified lower bound on the optimum; enabling the exact
 cover oracle tightens the bound with the exact stage-1/2 optima.
 
 Condition (b) of the full selection holds exactly when B(A, B, C, K) has a
-perfect matching, so one flow decides it and solves stage 3: stage 3 runs
-first, and its failure is the system's Type-2 fixed mode.  When the states
+perfect matching, so stage 3 decides it: it runs first, and its failure is
+the system's Type-2 fixed mode, Hall witness included.  When the states
 alone have a perfect matching (the ``state_pm`` tag), that matching plus
 every input's and output's own edge already is one.  The final check runs
-no flow: condition (a) is the mask test, and condition (b) is a linear
+no search: condition (a) is the mask test, and condition (b) is a linear
 check of the perfect matching against the instance
 (:func:`ioselect.certify.certify_cycle_cover`).
 """
@@ -275,13 +275,16 @@ class SelectionReport:
 
 
 def sfm_witness(
-    compiled: CompiledSystem, status: SfmStatus, sel: Optional[Selection] = None
+    compiled: CompiledSystem, status: SfmStatus, sel: Optional[Selection] = None,
+    hall: Optional[matching_mod.NoPerfectMatching] = None,
 ) -> dict:
     """Machine-checkable evidence for a failed SFM check: the states outside
     any feedback-carrying SCC (Type-1) and a Hall violator (Type-2).
 
     Both are read off the compiled graph with the inputs and outputs
-    outside ``sel`` masked, so labels use the full system's indices.
+    outside ``sel`` masked, so labels use the full system's indices.  The
+    :class:`~ioselect.matching.NoPerfectMatching` of a failed stage 3 of
+    ``sel``, given as ``hall``, already carries the Hall violator.
     """
     system = compiled.system
     if sel is None:
@@ -293,12 +296,11 @@ def sfm_witness(
             label for label, info in cert.items() if info["feedback_edge"] is None
         ]
     if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
-        g = compiled.graph
-        left, right = matching_mod.hall_indices(g, sel)
-        witness["hall_violator"] = {
-            "left": [g.left_name(v) for v in left],
-            "neighbors": [g.right_name(v) for v in right],
-        }
+        if hall is None:
+            g = compiled.graph
+            left, right = matching_mod.hall_indices(g, sel)
+            hall = matching_mod.NoPerfectMatching(tuple(map(g.left_name, left)), tuple(map(g.right_name, right)))
+        witness["hall_violator"] = {"left": list(hall.left_labels), "neighbors": list(hall.right_labels)}
     return witness
 
 
@@ -343,19 +345,19 @@ def select_min_cost_io(
     # full selection meets condition (b), so it runs first and decides it.
     # A state-only perfect matching already meets (b); on one SCC it also
     # makes stage 3 unnecessary (see below).
-    match_result = None
+    match_result = no_match = None
     if continuous and not (primary == CASE_IRREDUCIBLE and state_match is not None):
         t0 = time.perf_counter()
         try:
             match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
-        except matching_mod.NoPerfectMatching:
-            pass  # condition (b) fails
+        except matching_mod.NoPerfectMatching as exc:
+            no_match = exc  # condition (b) fails; exc holds the Hall violator
         else:
             sel3, cyc_cost = matching_mod.extract_io(match_result)
         timings["cycle"] = time.perf_counter() - t0
     status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
     if not status.ok:
-        raise SystemHasSFMs(status, sfm_witness(compiled, status))
+        raise SystemHasSFMs(status, sfm_witness(compiled, status, hall=no_match))
 
     stage1 = stage2 = None
     labels1: tuple[tuple[int, ...], ...] = ()

@@ -28,10 +28,10 @@ import oracles
 from conftest import make_system
 from ioselect import selector as selector_mod
 from ioselect.certify import certify_cycle_cover
+from ioselect.graph_core import _hopcroft_karp
 from ioselect.matching import (
     Matching,
     NoPerfectMatching,
-    _unit_flow,
     extract_io,
     min_cost_perfect_matching,
 )
@@ -161,9 +161,9 @@ class TestCertifier:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_stage3_matchings_of_any_k(self, data):
-        # select and stage 3 refuse a partial K; the unpriced flow still
-        # matches its graph, which keeps one edge per K star, so its perfect
-        # matchings exercise the K test
+        # select and stage 3 refuse a partial K; condition (b)'s
+        # Hopcroft-Karp still matches its graph, which keeps one edge per K
+        # star, so its perfect matchings exercise the K test
         system = data.draw(any_system("continuous"))
         g = compile_system(system).graph
         if g.hub:
@@ -172,8 +172,8 @@ class TestCertifier:
             except NoPerfectMatching:
                 return
         else:
-            match_l, _match_r, hall = _unit_flow(g)
-            if hall is not None:
+            match_l = _hopcroft_karp(list(g.adj))[0]
+            if -1 in match_l:
                 return
             edges = tuple(g.edge(l, r) for l, r in enumerate(match_l))
             matching = Matching(g.n, g.m, g.p, edges)

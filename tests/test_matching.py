@@ -35,6 +35,7 @@ from ioselect.system_model import (
     SparsityPattern,
     restrict,
 )
+from test_hub import COMPLETE_KINDS, wide_systems
 
 U = COST_SCALE
 
@@ -118,14 +119,18 @@ class TestPerfectMatching:
 
     @given(systems())
     def test_size_matches_reference(self, system):
-        """The hub flow's size is the maximum matching of the expanded graph."""
-        from ioselect.matching import _unit_flow
+        """The two sides' joined matching, with K complete and never
+        expanded, is a maximum matching of the expanded graph."""
+        from ioselect.matching import _input_side, _join, _output_side
 
         g = build_bipartite(system)
-        match_l, _match_r, _hall = _unit_flow(g, None)
-        got = sum(1 for r in match_l if r >= 0)
+        n, out0 = g.n, g.n + g.m
+        match_l = _join(g, _input_side(g, range(n, out0))[0], _output_side(g, range(out0, g.size))[0])
+        matched = [(l, r) for l, r in enumerate(match_l) if r >= 0]
         pairs = oracles.bipartite_pairs(system)
-        assert got == oracles.matching_size(g.size, g.size, pairs)
+        assert set(matched) <= set(pairs)
+        assert len({r for _l, r in matched}) == len(matched)
+        assert len(matched) == oracles.matching_size(g.size, g.size, pairs)
 
 
 class TestHallWitness:
@@ -252,6 +257,34 @@ class TestMinCost:
         edges = (BipEdge(0, 1, EDGE_EU, 0), BipEdge(1, 0, EDGE_EX, 0))
         with pytest.raises(InvariantViolated, match="bijection"):
             extract_io(Matching(1, 1, 0, edges))
+
+
+class TestJoin:
+    @given(wide_systems(kinds=COMPLETE_KINDS))
+    def test_join_of_the_greedy_sides(self, system):
+        """Stage 3's matching is the Mendelsohn-Dulmage join of the two
+        greedy sides: perfect, pairing the i-th kept input with the i-th
+        kept output over K, and certified against the instance."""
+        from ioselect.certify import certify_cycle_cover
+        from ioselect.matching import _input_side, _join, _output_side
+
+        g = build_bipartite(system)
+        n, out0 = g.n, g.n + g.m
+        rows_to, inputs_done = _input_side(g, sorted(range(n, out0), key=lambda u: g.cost_u[u - n]))
+        states_from, outputs_done = _output_side(g, sorted(range(out0, g.size), key=lambda y: g.cost_y[y - out0]))
+        if not (inputs_done and outputs_done):
+            assert oracles.min_cycle_family_cost(system) is None
+            return
+        kept_in = sorted(r for r in rows_to if r >= n)
+        kept_out = sorted(l for l in states_from if l >= out0)
+        match_l = _join(g, rows_to, states_from)
+        assert sorted(match_l) == list(range(g.size))  # one edge per left and per right vertex
+        assert [(l, r) for l, r in enumerate(match_l) if n <= l < out0 and r >= out0] == list(zip(kept_in, kept_out))
+        matching = min_cost_perfect_matching(g)
+        assert [(e.left, e.right) for e in matching.edges] == list(enumerate(match_l))
+        sel, _cost = extract_io(matching)
+        assert sel == Selection.of([u - n for u in kept_in], [y - out0 for y in kept_out])
+        assert certify_cycle_cover(system, sel, enumerate(match_l))
 
 
 class TestStatePattern:

@@ -113,9 +113,9 @@ class TestWitness:
         w = sfm_witness(compile_system(diagonal_system()), SfmStatus.TYPE1, Selection.of([], []))
         assert w == {"type1_states": ["x1", "x2", "x3"]}
 
-    # Stage 3's failure and sfm_witness run different flows (priced and
-    # unpriced) to the same Dulmage-Mendelsohn set, so a Type-2 witness
-    # taken from stage 3's failing round keeps the bytes sfm_witness prints.
+    # Stage 3's failure (cost order) and hall_indices (index order) join
+    # different greedy matchings but reach the same Dulmage-Mendelsohn set,
+    # so select's witness, read off stage 3's failure, keeps check's bytes.
     @staticmethod
     def _check_stage3_hall_witness(system) -> bool:
         """False when B(A, B, C, K) has a perfect matching; else check that
@@ -551,15 +551,15 @@ class TestBuildOnce:
         assert rep.matching is not None
         assert 0 < len(created) <= system.n + system.m + system.p
 
-    # Stage 3's flow also decides condition (b) of the full selection, and
-    # the final check verifies its matching without a flow.  The one
-    # Hopcroft-Karp run finds B(A)'s maximum matching, which gives the
-    # state_pm tag and seeds stage 3.
-    FLOWS = ["matching._unit_flow", "graph_core._hopcroft_karp", "selector.check_no_sfm"]
+    # Stage 3's two one-sided searches also decide condition (b) of the full
+    # selection, and the final check verifies its matching without a
+    # search.  The one Hopcroft-Karp run finds B(A)'s maximum matching,
+    # which gives the state_pm tag and seeds both sides.
+    FLOWS = ["matching._greedy", "graph_core._hopcroft_karp", "selector.check_no_sfm"]
 
     @pytest.mark.parametrize(
         "mode,flows",
-        [("continuous", (1, 1, 0)), ("discrete", (0, 1, 0))],
+        [("continuous", (2, 1, 0)), ("discrete", (0, 1, 0))],
     )
     def test_flows_per_select(self, demo, monkeypatch, mode, flows):
         counts = wrap_counting(monkeypatch, self.FLOWS)
@@ -567,17 +567,28 @@ class TestBuildOnce:
         assert counts == dict(zip(self.FLOWS, flows))
 
     def test_one_hopcroft_karp_per_exact_select(self, demo, monkeypatch):
-        # every masked flow of the exact search starts from the same cached
-        # B(A) matching
+        # every masked condition (b) of the exact search starts from the same
+        # cached B(A) matching
         counts = wrap_counting(monkeypatch, self.FLOWS)
         exact_select(select_min_cost_io(demo, exact_covers=True).compiled)
-        assert counts["matching._unit_flow"] > 1
+        assert counts["matching._greedy"] > 2
         assert counts["graph_core._hopcroft_karp"] == 1
+
+    def test_failing_select_searches_once(self, monkeypatch):
+        # two states compete for the one u/y pair: stage 3's two sides fail,
+        # and the one reach over their joined matching is the Hall witness;
+        # no second search runs for it
+        names = ["matching._greedy", "matching._hall", "matching.hall_indices", "graph_core._hopcroft_karp"]
+        counts = wrap_counting(monkeypatch, names)
+        with pytest.raises(SystemHasSFMs) as exc:
+            select_min_cost_io(shared_pair_system())
+        assert counts == dict(zip(names, (2, 1, 0, 1)))
+        assert exc.value.witness["hall_violator"] == {"left": ["x1'", "x2'"], "neighbors": ["u1"]}
 
     @pytest.mark.parametrize("seed", [2, 3, 4])  # nu(B(A)) = n - 2, n - 2, n - 1
     def test_stage3_augments_n_minus_nu_times(self, monkeypatch, seed):
-        # the seed is a largest matching of cost 0, and each round augments
-        # one path, so a perfect matching takes n - nu(B(A)) rounds
+        # each side starts from B(A)'s maximum matching and keeps exactly
+        # n - nu(B(A)) channels, one augmenting path each
         from ioselect.oracle_bench import GeneratorConfig, generate
 
         system = generate(
@@ -589,29 +600,49 @@ class TestBuildOnce:
         nu = oracles.matching_size(system.n, system.n, sorted(system.A.stars))
         assert nu < system.n
         counts = wrap_counting(monkeypatch, ["matching._augment", "graph_core._hopcroft_karp"])
-        matching_mod.min_cost_perfect_matching(build_bipartite(system))
-        assert counts == {"matching._augment": system.n - nu, "graph_core._hopcroft_karp": 1}
+        sel, _cost = matching_mod.extract_io(matching_mod.min_cost_perfect_matching(build_bipartite(system)))
+        assert counts == {"matching._augment": 2 * (system.n - nu), "graph_core._hopcroft_karp": 1}
+        assert len(sel.inputs) == len(sel.outputs) == system.n - nu
 
-    def test_unpriced_rounds_flip_many_paths(self, monkeypatch):
-        # A empty, B and C diagonal: nu(B(A)) = 0, so every state starts
-        # free.  One round searches from each free state in turn and flips
-        # every path it finds, so 3000 free states take one round, not 3000.
+    def test_diagonal_check_searches_each_channel_once(self, monkeypatch):
+        # A empty, B and C diagonal: nu(B(A)) = 0, so every state row and
+        # every state starts free, and each channel's one search ends at
+        # its first neighbour: 3000 states take 2 * 3000 short searches
         n = 3000
         diagonal = [(i, i) for i in range(1, n + 1)]
         system = make_system(n, n, n, [], diagonal, diagonal)
-        counts = wrap_counting(monkeypatch, ["matching._round", "matching._augment"])
+        counts = wrap_counting(monkeypatch, ["matching._path", "matching._augment"])
         assert check_no_sfm(system, Selection.full(system)).ok
-        assert counts == {"matching._round": 1, "matching._augment": n}
+        assert counts == {"matching._path": 2 * n, "matching._augment": 2 * n}
 
-    def test_unpriced_rounds_end_with_one_failed_round(self, monkeypatch):
-        # one input feeds every state and one output reads every state: one
-        # round flips the one path through the hub, the next finds none, and
-        # its reach is the Hall witness: every x'_i has only u1
+    def test_diagonal_stage3_searches_at_most_m_plus_p(self, monkeypatch):
+        # the same shape at n = 2000 with seeded unequal costs: stage 3 keeps
+        # every channel, after at most m + p searches, and the complete K
+        # pairs the i-th input with the i-th output
+        import random
+
+        n = 2000
+        rng = random.Random(2000)
+        costs = [str(c) for c in rng.sample(range(1, 10 * n), 2 * n)]
+        diagonal = [(i, i) for i in range(1, n + 1)]
+        system = make_system(n, n, n, [], diagonal, diagonal, cost_u=costs[:n], cost_y=costs[n:])
+        counts = wrap_counting(monkeypatch, ["matching._path"])
+        matching = matching_mod.min_cost_perfect_matching(build_bipartite(system))
+        assert counts["matching._path"] <= system.m + system.p
+        assert matching_mod.extract_io(matching) == (Selection.full(system), sum(system.cost_u + system.cost_y))
+        ek = sorted((e.left, e.right) for e in matching.edges if e.cls == "EK")
+        assert ek == [(n + i, 2 * n + i) for i in range(n)]
+
+    def test_hall_witness_from_one_reach(self, monkeypatch):
+        # one input feeds every state and one output reads every state: each
+        # side keeps its one channel and stops short, and one reach over
+        # the joined matching is the Hall witness: every x'_i has only u1
         n = 3000
         system = make_system(n, 1, 1, [], [(i, 1) for i in range(1, n + 1)], [(1, i) for i in range(1, n + 1)])
-        counts = wrap_counting(monkeypatch, ["matching._round", "matching._augment"])
+        names = ["matching._greedy", "matching._augment", "matching._hall"]
+        counts = wrap_counting(monkeypatch, names)
         left, right = matching_mod.hall_indices(build_bipartite(system))
-        assert counts == {"matching._round": 2, "matching._augment": 1}
+        assert counts == dict(zip(names, (2, 2, 1)))
         assert (left, right) == (tuple(range(n)), (n,))
 
     def test_no_flow_on_irreducible_state_pm(self, monkeypatch):
