@@ -179,7 +179,8 @@ def _cmd_select(args) -> int:
             raise _UsageError(str(exc)) from exc
     doc = selector.report_to_json(report, include_traces=args.trace, oracle=oracle)
     if args.dump_matching:
-        text = "# no matching stage\n" if report.matching is None else dump_matching(report.matching)
+        g = report.compiled.graph
+        text = "# no matching stage\n" if report.matching is None else dump_matching(g, report.matching)
         _write_text(args.dump_matching, text)
     _emit(doc, args)
     return EXIT_OK

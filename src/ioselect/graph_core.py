@@ -44,9 +44,6 @@ EDGE_EY = "EY"
 EDGE_EK = "EK"
 EDGE_EUU = "EUU"
 EDGE_EYY = "EYY"
-EDGE_UH = "UH"
-EDGE_HY = "HY"
-_CLASS_ORDER = (EDGE_EX, EDGE_EU, EDGE_EY, EDGE_UH, EDGE_HY, EDGE_EK, EDGE_EUU, EDGE_EYY)
 
 
 def vertex_name(v: int, n: int, m: int) -> str:
@@ -55,14 +52,6 @@ def vertex_name(v: int, n: int, m: int) -> str:
     if v < n + m:
         return f"u{v - n + 1}"
     return f"y{v - n - m + 1}"
-
-
-@dataclass(frozen=True)
-class BipEdge:
-    left: int
-    right: int
-    cls: str
-    cost: int  # scaled; nonzero only on EK, UH and HY edges
 
 
 @dataclass(frozen=True)
@@ -115,6 +104,13 @@ class SystemGraph:
         return cols
 
     @cached_property
+    def rows_to_states(self) -> list[list[int]]:
+        """Side 2's neighbour lists, with a hub: each left vertex's states,
+        so the state rows, none for an input and each output's row less its
+        own id; shared like ``state_rows``."""
+        return self.state_rows + [row[:-1] for row in self.adj[self.n :]]
+
+    @cached_property
     def state_matching(self) -> tuple[list[int], list[int]]:
         """B(A)'s maximum matching, on the state rows: the state matched to
         each x'_i, and the x'_i matched to each state, or -1.  Found by
@@ -128,32 +124,28 @@ class SystemGraph:
         n = self.n
         return [(y, u) for u in range(n, n + self.m) for y in self.adj[u][:-1]]
 
-    def edge(self, left: int, right: int) -> BipEdge:
-        """The edge (left, right), its class and cost read off the id ranges."""
-        n, out0, size = self.n, self.n + self.m, self.size
-        if left == size:
-            return BipEdge(left, right, EDGE_HY, self.cost_y[right - out0])
-        if right == size:
-            return BipEdge(left, right, EDGE_UH, self.cost_u[left - n])
+    def edge(self, left: int, right: int) -> tuple[str, int]:
+        """The class and cost of the edge (left, right), read off the id
+        ranges of its end points; only an EK edge costs, p_u(i) + p_y(j)."""
+        n, out0 = self.n, self.n + self.m
         if left < n:
-            return BipEdge(left, right, EDGE_EX if right < n else EDGE_EU, 0)
+            return (EDGE_EX if right < n else EDGE_EU), 0
         if left == right:
-            return BipEdge(left, right, EDGE_EUU if left < out0 else EDGE_EYY, 0)
+            return (EDGE_EUU if left < out0 else EDGE_EYY), 0
         if left < out0:
-            return BipEdge(left, right, EDGE_EK, self.cost_u[left - n] + self.cost_y[right - out0])
-        return BipEdge(left, right, EDGE_EY, 0)
+            return EDGE_EK, self.cost_u[left - n] + self.cost_y[right - out0]
+        return EDGE_EY, 0
 
     @property
-    def edges(self) -> tuple[BipEdge, ...]:
-        """Every edge of B(A, B, C, K), by class in :data:`_CLASS_ORDER` and
-        by end points within a class, built on each access.  No code in this
-        package reads it; the tracer in ``perfbench/`` counts it."""
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge of B(A, B, C, K) as a (left, right) pair, the hub's
+        (u'_i, hub) and (hub, y_j) included, built on each access.  No code
+        in this package reads it; the tracer in ``perfbench/`` counts it."""
         n, out0, size = self.n, self.n + self.m, self.size
         pairs = [(l, r) for l, row in enumerate(self.adj) for r in row]
         if self.hub:
             pairs += [(l, size) for l in range(n, out0)] + [(size, r) for r in range(out0, size)]
-        edges = [self.edge(l, r) for l, r in pairs]
-        return tuple(sorted(edges, key=lambda e: _CLASS_ORDER.index(e.cls)))
+        return pairs
 
 
 def build_bipartite(system: StructuredSystem) -> SystemGraph:
@@ -516,7 +508,7 @@ def dump_system_digraph(g: SystemGraph, sel: Optional[Selection] = None) -> str:
     n, m, out0 = g.n, g.m, g.n + g.m
     keep = selected_vertices(n, m, g.p, sel)
     edges = [
-        (s, d, g.edge(d, s).cls)
+        (s, d, g.edge(d, s)[0])
         for d, row in enumerate(g.adj)
         for s in (row if d < n else row[:-1])
     ]

@@ -13,7 +13,10 @@ for an input or output, by its own twin.  Its edges and their costs:
 Perfect matchings of this graph correspond exactly to families of disjoint
 cycles in the system digraph that span all states, and the minimum-cost
 perfect matching realizes the cheapest such family; its used inputs/outputs
-are read off the matched EU/EY edges.
+are read off the matched EU/EY edges.  A perfect matching is held as its
+partner list: entry l is the right vertex matched to left vertex l, both
+numbered as in :mod:`ioselect.graph_core`.  Edge classes and costs are
+worked out only where a dump or trace prints them (:func:`matched_edges`).
 
 A complete K (the stored graph's hub) is never expanded: it splits the
 graph in two sides.  A perfect matching using inputs I and outputs J
@@ -32,20 +35,14 @@ condition (b) is one Hopcroft-Karp on the masked rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop  # noqa: F401  # see below
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ioselect.graph_core import (
-    EDGE_EK,
-    EDGE_EU,
-    EDGE_EY,
-    BipEdge,
     SystemGraph,
     _hopcroft_karp,
     build_bipartite,
     selected_vertices,
-    vertex_name,
 )
 from ioselect.system_model import (
     InvariantViolated,
@@ -53,6 +50,7 @@ from ioselect.system_model import (
     Selection,
     StructuredSystem,
     _check_selection,
+    format_cost,
 )
 
 # No code here pops a heap.  perfbench/tracer.py replaces this name to count
@@ -64,30 +62,17 @@ class NoPerfectMatching(ModelError):
     """Condition b) is unsatisfiable: some states cannot be put on disjoint cycles.
 
     Carries a Hall witness: a left vertex set whose neighborhood is smaller
-    than itself.
+    than itself, given as vertex ids of ``g`` (:func:`hall_indices`) and
+    kept as their labels.
     """
 
-    def __init__(self, left_labels: tuple[str, ...], right_labels: tuple[str, ...]):
-        self.left_labels = left_labels
-        self.right_labels = right_labels
+    def __init__(self, g: SystemGraph, left: Iterable[int], right: Iterable[int]):
+        self.left_labels = tuple(map(g.left_name, left))
+        self.right_labels = tuple(map(g.right_name, right))
         super().__init__(
             "no perfect matching: {%s} has only neighbors {%s}"
-            % (", ".join(left_labels), ", ".join(right_labels))
+            % (", ".join(self.left_labels), ", ".join(self.right_labels))
         )
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A perfect matching: one edge per left vertex, pairwise endpoint-disjoint."""
-
-    n: int
-    m: int
-    p: int
-    edges: tuple[BipEdge, ...]
-
-    @property
-    def total_cost(self) -> int:
-        return sum(e.cost for e in self.edges)
 
 
 def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: list[int]) -> int:
@@ -156,8 +141,8 @@ def _output_side(g: SystemGraph, outputs: Iterable[int]) -> tuple[list[int], boo
     state_l, state_r = g.state_matching
     states_from = state_r[:]
     need = states_from.count(-1)
-    rows = g.state_rows + [row[:-1] for row in g.adj[g.n :]]  # an output's row less its own id
-    return states_from, _greedy(outputs, need, rows, state_l + [-1] * (g.m + g.p), states_from) == need
+    mates = state_l + [-1] * (g.m + g.p)
+    return states_from, _greedy(outputs, need, g.rows_to_states, mates, states_from) == need
 
 
 def _join(g: SystemGraph, rows_to: list[int], states_from: list[int]) -> list[int]:
@@ -271,8 +256,9 @@ def hall_indices(
     return _hall(g, rows, keep, match_l)
 
 
-def min_cost_perfect_matching(g: SystemGraph) -> Matching:
-    """Exact minimum-cost perfect matching of a graph with a hub: each side
+def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
+    """Exact minimum-cost perfect matching of a graph with a hub, as its
+    partner list (entry l is left vertex l's right vertex): each side
     completed by the greedy in (cost, index) order, and the two joined
     (Mendelsohn-Dulmage, see :func:`_join`).
 
@@ -284,9 +270,8 @@ def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     input part and an output part.  On a matroid the greedy in (cost,
     index) order yields the basis that is lightest under every weight
     ordered that way (Edmonds 1971), so each side's greedy is the optimum's
-    side.  The returned matching holds a :class:`BipEdge` for each left
-    vertex; it pairs the i-th smallest used input with the i-th smallest
-    used output.
+    side.  The matching pairs the i-th smallest used input with the i-th
+    smallest used output.
 
     Raises :class:`ModelError` if K is not complete, and
     :class:`NoPerfectMatching` (with a Hall witness) if no perfect matching
@@ -299,27 +284,28 @@ def min_cost_perfect_matching(g: SystemGraph) -> Matching:
     states_from, outputs_done = _output_side(g, sorted(range(out0, g.size), key=lambda y: g.cost_y[y - out0]))
     match_l = _join(g, rows_to, states_from)
     if not (inputs_done and outputs_done):
-        left, right = _hall(g, g.adj, _masked(g, None)[0], match_l)
-        raise NoPerfectMatching(tuple(map(g.left_name, left)), tuple(map(g.right_name, right)))
-    return Matching(n, g.m, g.p, tuple(g.edge(l, r) for l, r in enumerate(match_l)))
+        raise NoPerfectMatching(g, *_hall(g, g.adj, _masked(g, None)[0], match_l))
+    return tuple(match_l)
 
 
-def extract_io(matching: Matching) -> tuple[Selection, int]:
-    """Used inputs/outputs of a perfect matching and their cost.
+def extract_io(g: SystemGraph, partners: Sequence[int]) -> tuple[Selection, int]:
+    """Used inputs/outputs of a perfect matching of ``g``, given as its
+    partner list, and their cost.
 
-    I(M) collects inputs matched through EU edges, J(M) outputs matched
-    through EY edges.  For complete (or any) K, the feedback edges in the
-    matching are in bijection with both sets, so the selection cost equals
-    the matching cost; :class:`InvariantViolated` is raised if they are not.
+    I collects the inputs matched to state rows (EU edges), J the outputs
+    whose rows are matched to states (EY edges).  For complete (or any) K,
+    the feedback edges (u'_i, y_j) in the matching are in bijection with
+    both sets, so the selection cost, the sum of p_u over I and p_y over J,
+    equals the matching cost; :class:`InvariantViolated` is raised if they
+    are not.
     """
-    n, m = matching.n, matching.m
-    inputs = frozenset(e.right - n for e in matching.edges if e.cls == EDGE_EU)
-    outputs = frozenset(e.left - n - m for e in matching.edges if e.cls == EDGE_EY)
-    k_in = frozenset(e.left - n for e in matching.edges if e.cls == EDGE_EK)
-    k_out = frozenset(e.right - n - m for e in matching.edges if e.cls == EDGE_EK)
-    if k_in != inputs or k_out != outputs:
+    n, out0 = g.n, g.n + g.m
+    inputs = frozenset(r - n for r in partners[:n] if r >= n)
+    outputs = frozenset(l - out0 for l in range(out0, g.size) if partners[l] < n)
+    feedback = [(u - n, partners[u] - out0) for u in range(n, out0) if partners[u] >= out0]
+    if frozenset(i for i, _j in feedback) != inputs or frozenset(j for _i, j in feedback) != outputs:
         raise InvariantViolated("feedback edges out of bijection with used inputs/outputs")
-    return Selection(inputs, outputs), matching.total_cost
+    return Selection(inputs, outputs), sum(g.cost_u[i] for i in inputs) + sum(g.cost_y[j] for j in outputs)
 
 
 def cycle_cover_check(system: StructuredSystem, sel: Selection) -> bool:
@@ -339,15 +325,15 @@ def state_pattern_has_pm(g: SystemGraph) -> Optional[list[int]]:
     return None if -1 in match_l else match_l
 
 
-def dump_matching(matching: Matching) -> str:
-    """One matched edge per line: ``left right class cost``."""
-    from ioselect.system_model import format_cost
+def matched_edges(g: SystemGraph, partners: Sequence[int]) -> Iterator[tuple[str, str, str, str]]:
+    """The edges of a matching of ``g`` given as its partner list, by left
+    vertex: left label, right label, class and cost, as dumps and traces
+    print them."""
+    for l, r in enumerate(partners):
+        cls, cost = g.edge(l, r)
+        yield g.left_name(l), g.right_name(r), cls, format_cost(cost)
 
-    lines = []
-    n, m = matching.n, matching.m
-    for e in sorted(matching.edges, key=lambda e: e.left):
-        lines.append(
-            f"{vertex_name(e.left, n, m)}' {vertex_name(e.right, n, m)} "
-            f"{e.cls} {format_cost(e.cost)}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+
+def dump_matching(g: SystemGraph, partners: Sequence[int]) -> str:
+    """One matched edge per line: ``left right class cost``."""
+    return "".join(" ".join(edge) + "\n" for edge in matched_edges(g, partners))

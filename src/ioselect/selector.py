@@ -48,7 +48,6 @@ from ioselect.graph_core import (
     condition_a_witness,
     coverage,
     decompose_sccs,
-    vertex_name,
 )
 from ioselect.set_cover import (
     Cover,
@@ -248,7 +247,10 @@ class SelectionReport:
     weight, matching cost); the cycle entry is None in discrete mode.  The
     union of the stage selections may cost less than the stage-cost sum.
     Costs are scaled integers; serialize with
-    :func:`ioselect.system_model.format_cost`.
+    :func:`ioselect.system_model.format_cost`.  ``matching`` is stage 3's
+    perfect matching as its partner list (entry l is the right vertex of
+    left vertex l; see :mod:`ioselect.matching`), or None where stage 3 did
+    not run.
     """
 
     compiled: CompiledSystem
@@ -263,7 +265,7 @@ class SelectionReport:
     stage2: Optional[Cover]
     stage1_labels: tuple[tuple[int, ...], ...]
     stage2_labels: tuple[tuple[int, ...], ...]
-    matching: Optional[matching_mod.Matching]
+    matching: Optional[tuple[int, ...]]
     exact_stage_bound: Optional[int]
     timings: dict[str, float]
 
@@ -297,9 +299,7 @@ def sfm_witness(
         ]
     if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
         if hall is None:
-            g = compiled.graph
-            left, right = matching_mod.hall_indices(g, sel)
-            hall = matching_mod.NoPerfectMatching(tuple(map(g.left_name, left)), tuple(map(g.right_name, right)))
+            hall = matching_mod.NoPerfectMatching(compiled.graph, *matching_mod.hall_indices(compiled.graph, sel))
         witness["hall_violator"] = {"left": list(hall.left_labels), "neighbors": list(hall.right_labels)}
     return witness
 
@@ -353,7 +353,7 @@ def select_min_cost_io(
         except matching_mod.NoPerfectMatching as exc:
             no_match = exc  # condition (b) fails; exc holds the Hall violator
         else:
-            sel3, cyc_cost = matching_mod.extract_io(match_result)
+            sel3, cyc_cost = matching_mod.extract_io(compiled.graph, match_result)
         timings["cycle"] = time.perf_counter() - t0
     status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
     if not status.ok:
@@ -416,12 +416,9 @@ def select_min_cost_io(
     total = selection_cost(system, selection)
     feasible = compiled.condition_a(selection)
     if feasible and continuous:
-        if match_result is None:
-            own = range(system.n, compiled.graph.size)
-            pairs = [*enumerate(state_match), *zip(own, own)]
-        else:
-            pairs = [(e.left, e.right) for e in match_result.edges]
-        feasible = certify_cycle_cover(system, selection, pairs)
+        own = range(system.n, compiled.graph.size)
+        partners = [*state_match, *own] if match_result is None else match_result
+        feasible = certify_cycle_cover(system, selection, enumerate(partners))
     if not feasible:
         raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
     if lower > total:
@@ -459,20 +456,6 @@ def _cover_trace_json(cover: Cover, labels) -> list[dict]:
                     list(labels[e]) for e in sorted(step.newly_covered)
                 ],
                 "ratio": format_ratio(scaled_ratio),
-            }
-        )
-    return out
-
-
-def _matching_trace_json(m: matching_mod.Matching) -> list[dict]:
-    out = []
-    for e in sorted(m.edges, key=lambda e: e.left):
-        out.append(
-            {
-                "left": vertex_name(e.left, m.n, m.m) + "'",
-                "right": vertex_name(e.right, m.n, m.m),
-                "class": e.cls,
-                "cost": format_cost(e.cost),
             }
         )
     return out
@@ -535,6 +518,9 @@ def report_to_json(
                 "steps": _cover_trace_json(report.stage2, report.stage2_labels),
             }
         if report.matching is not None:
-            trace["matching"] = _matching_trace_json(report.matching)
+            trace["matching"] = [
+                dict(zip(("left", "right", "class", "cost"), edge))
+                for edge in matching_mod.matched_edges(report.compiled.graph, report.matching)
+            ]
         out["trace"] = trace
     return out

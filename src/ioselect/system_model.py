@@ -28,7 +28,7 @@ from typing import Iterable, Union
 COST_DECIMALS = 6
 COST_SCALE = 10**COST_DECIMALS
 _COST_LIMIT = 2**63
-# The largest n, m or p a JSON instance may declare (decoding allocates its rows first).
+# The largest n, m, p or pattern dimension accepted (rows are allocated per row).
 SIZE_LIMIT = 100_000
 
 
@@ -271,6 +271,9 @@ def _check_pattern(name: str, pat: SparsityPattern, out: list[str]) -> None:
     if pat.rows < 0 or pat.cols < 0:
         out.append(f"{name}: negative dimensions {pat.rows}x{pat.cols}")
         return
+    if max(pat.rows, pat.cols) > SIZE_LIMIT:  # refused before by_row allocates a list per row
+        out.append(f"{name}: dimensions {pat.rows}x{pat.cols} exceed the size limit {SIZE_LIMIT}")
+        return
     if pat.by_row is not None:
         return
     bad = [(i, j) for i, j in pat.stars if not (0 <= i < pat.rows and 0 <= j < pat.cols)]
@@ -282,7 +285,7 @@ def _check_pattern(name: str, pat: SparsityPattern, out: list[str]) -> None:
 
 
 def validate(system: StructuredSystem) -> ValidationReport:
-    """Check dimension consistency, star ranges, cost signs, and mode.
+    """Check dimension consistency and limits, star ranges, cost signs, and mode.
 
     Report-style: never raises, returns the full list of violations.
     """

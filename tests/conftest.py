@@ -44,6 +44,12 @@ DEMO_B = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (4, 3)]
 DEMO_C = [(1, 3), (2, 1)]
 
 
+def matching_cost(g, partners):
+    """The cost of a matching of ``g`` given as its partner list, priced
+    edge by edge."""
+    return sum(g.edge(l, r)[1] for l, r in enumerate(partners))
+
+
 def demo_system(cost_u=None, cost_y=None, mode="continuous"):
     return make_system(4, 3, 2, DEMO_A, DEMO_B, DEMO_C, cost_u, cost_y, mode)
 

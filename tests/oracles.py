@@ -297,7 +297,7 @@ def scipy_min_cost(system: StructuredSystem) -> Optional[int]:
     scipy reads a stored 0 as a missing edge, so every weight is stored plus
     1 and the vertex count is subtracted from the total.  The totals stay
     below 2**53, so the float64 sums are exact.  Callers skip when scipy is
-    missing (``pytest.importorskip("scipy")``).
+    missing (``needs_scipy`` in ``test_scale_oracle.py``).
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
@@ -331,3 +331,16 @@ def matching_size(n_left: int, n_right: int, pairs: list[tuple[int, int]]) -> in
     g.add_edges_from((l, n_left + r) for l, r in pairs)
     match = nx.bipartite.hopcroft_karp_matching(g, top_nodes=range(n_left))
     return sum(1 for v in match if v < n_left)
+
+
+def condensation_ends(n: int, edges: list[tuple[int, int]]) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
+    """The SCCs that no condensation edge enters, and those that none leaves."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    cond = nx.condensation(g)
+    members = {c: frozenset(cond.nodes[c]["members"]) for c in cond}
+    return (
+        {members[c] for c in cond if cond.in_degree(c) == 0},
+        {members[c] for c in cond if cond.out_degree(c) == 0},
+    )

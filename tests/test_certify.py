@@ -29,12 +29,7 @@ from conftest import make_system
 from ioselect import selector as selector_mod
 from ioselect.certify import certify_cycle_cover
 from ioselect.graph_core import _hopcroft_karp
-from ioselect.matching import (
-    Matching,
-    NoPerfectMatching,
-    extract_io,
-    min_cost_perfect_matching,
-)
+from ioselect.matching import NoPerfectMatching, extract_io, min_cost_perfect_matching
 from ioselect.selector import (
     SystemHasSFMs,
     applicable_special_cases,
@@ -69,10 +64,11 @@ def _expected(system, sel, pairs):
 
 def _select_recording(system):
     """``select`` on ``system``, with each call of the final check recorded
-    as ((system, sel, pairs), verdict)."""
+    as ((system, sel, pairs), verdict), the pairs as a list."""
     calls = []
 
-    def recording(*args):
+    def recording(system, sel, pairs):
+        args = (system, sel, list(pairs))
         verdict = certify_cycle_cover(*args)
         calls.append((args, verdict))
         return verdict
@@ -168,17 +164,15 @@ class TestCertifier:
         g = compile_system(system).graph
         if g.hub:
             try:
-                matching = min_cost_perfect_matching(g)
+                partners = min_cost_perfect_matching(g)
             except NoPerfectMatching:
                 return
         else:
-            match_l = _hopcroft_karp(list(g.adj))[0]
-            if -1 in match_l:
+            partners = _hopcroft_karp(list(g.adj))[0]
+            if -1 in partners:
                 return
-            edges = tuple(g.edge(l, r) for l, r in enumerate(match_l))
-            matching = Matching(g.n, g.m, g.p, edges)
-        sel, _cost = extract_io(matching)
-        _check_mutations(system, sel, [(e.left, e.right) for e in matching.edges])
+        sel, _cost = extract_io(g, partners)
+        _check_mutations(system, sel, list(enumerate(partners)))
 
     def test_irreducible_state_pm_certificate(self):
         # x1 -> x2 -> x3 -> x1: the cheapest connected pair, certified by the

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from conftest import matching_cost
 from ioselect import cli
 from ioselect.graph_core import build_bipartite, condition_a_holds
 from ioselect.matching import (
@@ -196,9 +197,9 @@ class TestMinCost:
             with pytest.raises(NoPerfectMatching):
                 min_cost_perfect_matching(g)
             return
-        matching = min_cost_perfect_matching(g)
-        assert matching.total_cost == ref
-        assert extract_io(matching)[1] == ref
+        partners = min_cost_perfect_matching(g)
+        assert matching_cost(g, partners) == ref
+        assert extract_io(g, partners)[1] == ref
 
     @settings(max_examples=60)
     @given(wide_systems(kinds=COMPLETE_KINDS))
@@ -208,7 +209,7 @@ class TestMinCost:
         if best is None:
             assert not has_perfect_matching(g)
             return
-        sel, cost = extract_io(min_cost_perfect_matching(g))
+        sel, cost = extract_io(g, min_cost_perfect_matching(g))
         assert (cost, sel) == (best[0][0], best[1])
 
 
@@ -230,8 +231,9 @@ class TestMinCost:
         if ref is None:
             assert not has_perfect_matching(g)
             return
-        sel, cost = extract_io(min_cost_perfect_matching(g))
-        got = cost * cap + len(sel.inputs) * (1 << (m + p))
+        partners = min_cost_perfect_matching(g)
+        sel, _cost = extract_io(g, partners)
+        got = matching_cost(g, partners) * cap + len(sel.inputs) * (1 << (m + p))
         got += sum(1 << (p + i) for i in sel.inputs) + sum(1 << j for j in sel.outputs)
         assert got == ref
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import make_system, systems, systems_with_selection
+from conftest import make_system, matching_cost, systems, systems_with_selection
 from ioselect.graph_core import (
     EDGE_EK,
     EDGE_EU,
@@ -12,9 +12,7 @@ from ioselect.graph_core import (
     EDGE_EX,
     EDGE_EY,
     EDGE_EYY,
-    EDGE_HY,
-    EDGE_UH,
-    BipEdge,
+    SystemGraph,
 )
 from ioselect.matching import (
     NoPerfectMatching,
@@ -44,32 +42,20 @@ class TestBuild:
     def test_demo_edges(self, demo):
         g = build_bipartite(demo)
         assert (g.n, g.m, g.p, g.size) == (4, 3, 2, 9)
-        ex = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EX]
-        eu = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EU]
-        ey = [(e.left, e.right) for e in g.edges if e.cls == EDGE_EY]
-        assert ex == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 3), (3, 3)]
-        assert eu == [(0, 4), (0, 6), (1, 5), (1, 6), (2, 4), (2, 5), (3, 6)]
-        assert ey == [(7, 2), (8, 0)]
-        # the complete K is the hub 9: u'_i -> hub -> y_j, no EK edge
-        assert not [e for e in g.edges if e.cls == EDGE_EK]
-        assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_UH] == [
-            (4, 9),
-            (5, 9),
-            (6, 9),
-        ]
-        assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_HY] == [(9, 7), (9, 8)]
-        assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_EUU] == [
-            (4, 4),
-            (5, 5),
-            (6, 6),
-        ]
-        assert [(e.left, e.right) for e in g.edges if e.cls == EDGE_EYY] == [
-            (7, 7),
-            (8, 8),
-        ]
-        # unit costs: each hub edge costs 1, everything else 0
-        for e in g.edges:
-            assert e.cost == (U if e.cls in (EDGE_UH, EDGE_HY) else 0)
+        by_class = {}
+        for l, r in g.edges:
+            if g.size not in (l, r):
+                cls, cost = g.edge(l, r)
+                by_class.setdefault(cls, []).append((l, r))
+                assert cost == 0  # only an EK edge costs, and a hub has none
+        assert sorted(by_class) == sorted([EDGE_EX, EDGE_EU, EDGE_EY, EDGE_EUU, EDGE_EYY])
+        assert sorted(by_class[EDGE_EX]) == [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 3), (3, 3)]
+        assert sorted(by_class[EDGE_EU]) == [(0, 4), (0, 6), (1, 5), (1, 6), (2, 4), (2, 5), (3, 6)]
+        assert sorted(by_class[EDGE_EY]) == [(7, 2), (8, 0)]
+        assert sorted(by_class[EDGE_EUU]) == [(4, 4), (5, 5), (6, 6)]
+        assert sorted(by_class[EDGE_EYY]) == [(7, 7), (8, 8)]
+        # the complete K is the hub 9: u'_i -> hub -> y_j
+        assert sorted(e for e in g.edges if g.size in e) == [(4, 9), (5, 9), (6, 9), (9, 7), (9, 8)]
         assert len(g.edges) == 7 + 7 + 2 + 2 * (3 + 2)
 
     def test_feedback_costs(self):
@@ -77,28 +63,40 @@ class TestBuild:
             1, 2, 2, [(1, 1)], [(1, 1)], [(1, 1)], cost_u=["3", "5"], cost_y=["7", "11"]
         )
         g = build_bipartite(system)
-        hub = {(e.left, e.right): e.cost for e in g.edges if e.cls in (EDGE_UH, EDGE_HY)}
-        assert hub == {(1, 5): 3 * U, (2, 5): 5 * U, (5, 3): 7 * U, (5, 4): 11 * U}
-        # an explicit partial K keeps one edge per star, priced p_u(i) + p_y(j)
+        assert {e for e in g.edges if g.size in e} == {(1, 5), (2, 5), (5, 3), (5, 4)}
+        # through the hub, a matched (u'_i, y_j) is an EK edge priced p_u(i) + p_y(j)
+        assert g.edge(1, 4) == (EDGE_EK, 14 * U) and g.edge(2, 3) == (EDGE_EK, 12 * U)
+        # an explicit partial K keeps one edge per star, priced the same way
         partial = replace(system, K=SparsityPattern(2, 2, frozenset({(0, 1), (1, 0)})))
         g = build_bipartite(partial)
-        ek = {(e.left, e.right): e.cost for e in g.edges if e.cls == EDGE_EK}
+        ek = {(l, r): g.edge(l, r)[1] for l, r in g.edges if g.edge(l, r)[0] == EDGE_EK}
         assert ek == {(1, 4): 14 * U, (2, 3): 12 * U}
-        assert not [e for e in g.edges if e.cls in (EDGE_UH, EDGE_HY)]
+        assert all(g.size not in e for e in g.edges)
 
     def test_left_adjacency_and_names(self, demo):
         g = build_bipartite(demo)
         assert g.left_name(0) == "x1'"
         assert g.left_name(4) == "u1'"
         assert g.right_name(7) == "y1"
-        # every edge leaves a left vertex, except the hub's own HY edges
-        for e in g.edges:
-            if e.cls == EDGE_HY:
-                assert e.left == g.size and g.n + g.m <= e.right < g.size
-            elif e.cls == EDGE_UH:
-                assert g.n <= e.left < g.n + g.m and e.right == g.size
+        # every edge joins a left and a right vertex, except the hub's
+        for l, r in g.edges:
+            if l == g.size:
+                assert g.n + g.m <= r < g.size
+            elif r == g.size:
+                assert g.n <= l < g.n + g.m
             else:
-                assert 0 <= e.left < g.size and 0 <= e.right < g.size
+                assert 0 <= l < g.size and 0 <= r < g.size
+
+    def test_side_2_rows_built_once_per_graph(self, demo, monkeypatch):
+        # every condition (b) on one graph searches the same cached lists
+        prop = SystemGraph.__dict__["rows_to_states"]
+        original, built = prop.func, []
+        monkeypatch.setattr(prop, "func", lambda g: built.append(1) or original(g))
+        g = build_bipartite(demo)
+        assert has_perfect_matching(g)
+        assert has_perfect_matching(g, Selection.of([0], [0]))
+        assert len(built) == 1
+        assert g.rows_to_states == g.state_rows + [[], [], [], [2], [0]]
 
 
 class TestPerfectMatching:
@@ -156,20 +154,18 @@ class TestHallWitness:
 
 class TestMinCost:
     def test_demo(self, demo):
-        matching = min_cost_perfect_matching(build_bipartite(demo))
+        g = build_bipartite(demo)
+        partners = min_cost_perfect_matching(g)
         # perfect: every left and every right vertex exactly once
-        assert sorted(e.left for e in matching.edges) == list(range(9))
-        assert sorted(e.right for e in matching.edges) == list(range(9))
-        assert matching.total_cost == 2 * U
-        by_left = {e.left: e for e in matching.edges}
-        assert by_left[2].cls == EDGE_EU and by_left[2].right == 4  # x3' -> u1
-        assert by_left[4].cls == EDGE_EK and by_left[4].right == 7  # u1' -> y1
-        assert by_left[7].cls == EDGE_EY and by_left[7].right == 2  # y1' -> x3
-        for v in (0, 1, 3):
-            assert by_left[v].cls == EDGE_EX and by_left[v].right == v
-        assert by_left[5].cls == EDGE_EUU and by_left[6].cls == EDGE_EUU
-        assert by_left[8].cls == EDGE_EYY
-        sel, cost = extract_io(matching)
+        assert len(partners) == 9 and sorted(partners) == list(range(9))
+        assert matching_cost(g, partners) == 2 * U
+        # x3' -> u1, u1' -> y1 and y1' -> x3; the other states on their
+        # self-loops and the other channels on their own edges
+        assert partners == (0, 1, 4, 3, 7, 5, 6, 2, 8)
+        assert [g.edge(l, r)[0] for l, r in enumerate(partners)] == [
+            EDGE_EX, EDGE_EX, EDGE_EU, EDGE_EX, EDGE_EK, EDGE_EUU, EDGE_EUU, EDGE_EY, EDGE_EYY,
+        ]
+        sel, cost = extract_io(g, partners)
         assert sel == Selection.of([0], [0])
         assert cost == 2 * U
 
@@ -178,14 +174,15 @@ class TestMinCost:
         system = make_system(
             2, 1, 1, [(2, 1)], [(1, 1)], [(1, 2)], cost_u=["0"], cost_y=["0"]
         )
-        matching = min_cost_perfect_matching(build_bipartite(system))
-        assert {(e.left, e.right, e.cls) for e in matching.edges} == {
+        g = build_bipartite(system)
+        partners = min_cost_perfect_matching(g)
+        assert [(l, r, g.edge(l, r)[0]) for l, r in enumerate(partners)] == [
             (0, 2, EDGE_EU),
             (1, 0, EDGE_EX),
             (2, 3, EDGE_EK),
             (3, 1, EDGE_EY),
-        }
-        sel, cost = extract_io(matching)
+        ]
+        sel, cost = extract_io(g, partners)
         assert sel == Selection.of([0], [0])
         assert cost == 0
 
@@ -195,9 +192,10 @@ class TestMinCost:
         system = make_system(
             1, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)], cost_u=["0"], cost_y=["0"]
         )
-        matching = min_cost_perfect_matching(build_bipartite(system))
-        assert all(e.cls != EDGE_EK for e in matching.edges)
-        sel, cost = extract_io(matching)
+        g = build_bipartite(system)
+        partners = min_cost_perfect_matching(g)
+        assert all(g.edge(l, r)[0] != EDGE_EK for l, r in enumerate(partners))
+        sel, cost = extract_io(g, partners)
         assert sel == Selection.of([], [])
         assert cost == 0
 
@@ -205,7 +203,8 @@ class TestMinCost:
         system = make_system(
             1, 2, 1, [], [(1, 1), (1, 2)], [(1, 1)], cost_u=["1", "1"], cost_y=["1"]
         )
-        sel, cost = extract_io(min_cost_perfect_matching(build_bipartite(system)))
+        g = build_bipartite(system)
+        sel, cost = extract_io(g, min_cost_perfect_matching(g))
         assert sel == Selection.of([0], [0])
         assert cost == 2 * U
 
@@ -213,7 +212,8 @@ class TestMinCost:
         system = make_system(
             1, 1, 2, [], [(1, 1)], [(1, 1), (2, 1)], cost_u=["1"], cost_y=["1", "1"]
         )
-        sel, cost = extract_io(min_cost_perfect_matching(build_bipartite(system)))
+        g = build_bipartite(system)
+        sel, cost = extract_io(g, min_cost_perfect_matching(g))
         assert sel == Selection.of([0], [0])
 
     def test_cost_beats_tie_break(self):
@@ -221,7 +221,8 @@ class TestMinCost:
         system = make_system(
             1, 2, 1, [], [(1, 1), (1, 2)], [(1, 1)], cost_u=["3", "1"], cost_y=["0"]
         )
-        sel, cost = extract_io(min_cost_perfect_matching(build_bipartite(system)))
+        g = build_bipartite(system)
+        sel, cost = extract_io(g, min_cost_perfect_matching(g))
         assert sel == Selection.of([1], [0])
         assert cost == 1 * U
 
@@ -243,20 +244,18 @@ class TestMinCost:
             with pytest.raises(NoPerfectMatching):
                 min_cost_perfect_matching(g)
             return
-        matching = min_cost_perfect_matching(g)
-        assert matching.total_cost == ref
-        sel, cost = extract_io(matching)
+        partners = min_cost_perfect_matching(g)
+        assert matching_cost(g, partners) == ref
+        sel, cost = extract_io(g, partners)
         assert cost == ref
         # the extracted selection really does admit a spanning cycle family
         assert oracles.spanning_disjoint_cycles(system, sel)
 
     def test_extract_checks_feedback_bijection(self):
-        from ioselect.matching import Matching
-
         # x1' -> u1 uses input 1, but no feedback edge leaves u1'
-        edges = (BipEdge(0, 1, EDGE_EU, 0), BipEdge(1, 0, EDGE_EX, 0))
+        g = build_bipartite(make_system(1, 1, 0, [], [(1, 1)], []))
         with pytest.raises(InvariantViolated, match="bijection"):
-            extract_io(Matching(1, 1, 0, edges))
+            extract_io(g, (1, 0))
 
 
 class TestJoin:
@@ -280,9 +279,8 @@ class TestJoin:
         match_l = _join(g, rows_to, states_from)
         assert sorted(match_l) == list(range(g.size))  # one edge per left and per right vertex
         assert [(l, r) for l, r in enumerate(match_l) if n <= l < out0 and r >= out0] == list(zip(kept_in, kept_out))
-        matching = min_cost_perfect_matching(g)
-        assert [(e.left, e.right) for e in matching.edges] == list(enumerate(match_l))
-        sel, _cost = extract_io(matching)
+        assert min_cost_perfect_matching(g) == tuple(match_l)
+        sel, _cost = extract_io(g, match_l)
         assert sel == Selection.of([u - n for u in kept_in], [y - out0 for y in kept_out])
         assert certify_cycle_cover(system, sel, enumerate(match_l))
 
@@ -317,8 +315,8 @@ class TestStatePattern:
 
 class TestDump:
     def test_demo(self, demo):
-        matching = min_cost_perfect_matching(build_bipartite(demo))
-        assert dump_matching(matching) == (
+        g = build_bipartite(demo)
+        assert dump_matching(g, min_cost_perfect_matching(g)) == (
             "x1' x1 EX 0\n"
             "x2' x2 EX 0\n"
             "x3' u1 EU 0\n"
@@ -330,7 +328,5 @@ class TestDump:
             "y2' y2 EYY 0\n"
         )
 
-    def test_empty(self):
-        from ioselect.matching import Matching
-
-        assert dump_matching(Matching(0, 0, 0, ())) == ""
+    def test_empty(self, demo):
+        assert dump_matching(build_bipartite(demo), ()) == ""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import make_system, systems
+from conftest import make_system, matching_cost, systems
 from ioselect.selector import (
     SelectionReport,
     SfmStatus,
@@ -201,7 +201,7 @@ class TestSelectDemo:
         assert rep.stage2.chosen == frozenset({0})
         assert rep.stage1_labels == ((2,), (4,))
         assert rep.stage2_labels == ((3,),)
-        assert rep.matching.total_cost == 2 * U
+        assert matching_cost(rep.compiled.graph, rep.matching) == 2 * U
         assert set(rep.timings) == {
             "sfm_check", "accessibility", "sensability", "cycle", "final_check",
         }
@@ -241,7 +241,7 @@ class TestSelectSpecialPaths:
         assert rep.stage_costs == (2 * U, 2 * U, 0)
         assert rep.total_cost == 4 * U
         assert rep.selection == Selection.of([0, 1], [0, 1])
-        assert rep.matching is not None and rep.matching.total_cost == 0
+        assert rep.matching is not None and matching_cost(rep.compiled.graph, rep.matching) == 0
 
     def test_irreducible_with_state_pm(self):
         system = make_system(
@@ -525,12 +525,15 @@ class TestBuildOnce:
         assert json.loads(capsys.readouterr().out)["no_sfm"] is True
         assert [name for name in "ABC" if "stars" in vars(getattr(decoded[0], name))] == []
 
-    def test_edge_objects_only_for_the_matching(self, monkeypatch):
-        # B(A, B, C, K) is stored as neighbour lists: a select creates a
-        # BipEdge only for each matched edge it reports
-        import ioselect.graph_core as graph_core
-        import ioselect.matching as matching_mod
+    @pytest.mark.parametrize("flag", ["", "--trace", "--dump-matching"], ids=["default", "trace", "dump"])
+    def test_edge_classes_only_where_printed(self, tmp_path, monkeypatch, capsys, flag):
+        # stage 3 hands on its partner list; only a trace or a matching dump
+        # works out the class and cost of an edge, once per matched edge
+        import json
+
+        from ioselect import cli
         from ioselect.oracle_bench import GeneratorConfig, generate
+        from ioselect.system_model import system_to_json
 
         system = generate(
             GeneratorConfig(
@@ -538,18 +541,15 @@ class TestBuildOnce:
                 output_density=0.2, cost_range=("1", "99"), seed=101,
             )
         )
-        assert len(matching_mod.build_bipartite(system).edges) >= 1000
-        created = []
-
-        class CountedEdge(matching_mod.BipEdge):
-            def __init__(self, *args):
-                created.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(graph_core, "BipEdge", CountedEdge)  # SystemGraph.edge makes them
-        rep = select_min_cost_io(system)
-        assert rep.matching is not None
-        assert 0 < len(created) <= system.n + system.m + system.p
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(system_to_json(system)))
+        args = {"": [], "--trace": [flag], "--dump-matching": [flag, str(tmp_path / "matching.txt")]}[flag]
+        counts = wrap_counting(monkeypatch, ["graph_core.SystemGraph.edge"])
+        assert cli.main(["select", str(path), *args]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert ("trace" in doc) == (flag == "--trace")
+        printed = system.n + system.m + system.p if flag else 0
+        assert counts == {"graph_core.SystemGraph.edge": printed}
 
     # Stage 3's two one-sided searches also decide condition (b) of the full
     # selection, and the final check verifies its matching without a
@@ -600,7 +600,8 @@ class TestBuildOnce:
         nu = oracles.matching_size(system.n, system.n, sorted(system.A.stars))
         assert nu < system.n
         counts = wrap_counting(monkeypatch, ["matching._augment", "graph_core._hopcroft_karp"])
-        sel, _cost = matching_mod.extract_io(matching_mod.min_cost_perfect_matching(build_bipartite(system)))
+        g = build_bipartite(system)
+        sel, _cost = matching_mod.extract_io(g, matching_mod.min_cost_perfect_matching(g))
         assert counts == {"matching._augment": 2 * (system.n - nu), "graph_core._hopcroft_karp": 1}
         assert len(sel.inputs) == len(sel.outputs) == system.n - nu
 
@@ -627,11 +628,11 @@ class TestBuildOnce:
         diagonal = [(i, i) for i in range(1, n + 1)]
         system = make_system(n, n, n, [], diagonal, diagonal, cost_u=costs[:n], cost_y=costs[n:])
         counts = wrap_counting(monkeypatch, ["matching._path"])
-        matching = matching_mod.min_cost_perfect_matching(build_bipartite(system))
+        g = build_bipartite(system)
+        partners = matching_mod.min_cost_perfect_matching(g)
         assert counts["matching._path"] <= system.m + system.p
-        assert matching_mod.extract_io(matching) == (Selection.full(system), sum(system.cost_u + system.cost_y))
-        ek = sorted((e.left, e.right) for e in matching.edges if e.cls == "EK")
-        assert ek == [(n + i, 2 * n + i) for i in range(n)]
+        assert matching_mod.extract_io(g, partners) == (Selection.full(system), sum(system.cost_u + system.cost_y))
+        assert partners[n : 2 * n] == tuple(range(2 * n, 3 * n))  # u'_i -> y_i over K
 
     def test_hall_witness_from_one_reach(self, monkeypatch):
         # one input feeds every state and one output reads every state: each
@@ -700,12 +701,13 @@ class TestRobustness:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            matching = matching_mod.min_cost_perfect_matching(build_bipartite(system))
+            g = build_bipartite(system)
+            partners = matching_mod.min_cost_perfect_matching(g)
             status = check_no_sfm(system, Selection.full(system))
         finally:
             sys.setrecursionlimit(limit)
         assert status.ok
-        assert matching_mod.extract_io(matching) == (Selection.of([0], [0]), 2 * U)
+        assert matching_mod.extract_io(g, partners) == (Selection.of([0], [0]), 2 * U)
 
     def test_infeasible_final_selection_raises(self, demo, monkeypatch):
         # the final check is shown the stage-3 matching with the right ends of

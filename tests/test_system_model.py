@@ -366,6 +366,22 @@ class TestJson:
         with pytest.raises(FormatError, match=f"field '{field}': 5 exceeds the size limit 4"):
             system_from_json(doc)
 
+    def test_validate_refuses_oversized_patterns_before_building_rows(self, monkeypatch):
+        # built in code from stars, n = 9 over a limit of 8: validate refuses
+        # each pattern with a dimension over it before building its rows
+        from ioselect.selector import ValidationFailed, compile_system
+
+        monkeypatch.setattr(system_model, "SIZE_LIMIT", 8)
+        n = 9
+        system = make_system(n, 1, 1, [(i, i) for i in range(1, n + 1)], [(1, 1)], [(1, n)])
+        with pytest.raises(ValidationFailed) as exc:
+            compile_system(system)
+        assert exc.value.violations == tuple(
+            f"{name}: dimensions {dims} exceed the size limit 8"
+            for name, dims in (("A", "9x9"), ("B", "9x1"), ("C", "1x9"))
+        )
+        assert [name for name in "ABC" if "by_row" in vars(getattr(system, name))] == []
+
     @given(systems(), st.randoms(use_true_random=False))
     def test_shuffled_repeated_pairs_decode_alike(self, system, rng):
         doc = system_to_json(system)
