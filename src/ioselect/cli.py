@@ -18,12 +18,12 @@ from typing import Optional
 
 from ioselect import oracle_bench, selector
 from ioselect.graph_core import dump_condensation, dump_system_digraph
-from ioselect.matching import NoPerfectMatching, dump_matching
+from ioselect.matching import dump_matching
 from ioselect.selector import SystemHasSFMs, ValidationFailed
 from ioselect.set_cover import (
     Infeasible,
     TooLarge,
-    cover_instances,
+    cover_labels,
     exact_solve,
     greedy_solve,
     wsc_from_json,
@@ -146,10 +146,7 @@ def _cmd_check(args) -> int:
         "no_sfm": status.ok,
         "reason": status.value,
         "mode": system.mode,
-        "selection": {
-            "inputs": [i + 1 for i in sel.sorted_inputs()],
-            "outputs": [j + 1 for j in sel.sorted_outputs()],
-        },
+        "selection": selector.selection_to_json(sel),
     }
     if not status.ok:
         doc["witness"] = selector.sfm_witness(compiled, status, sel)
@@ -189,9 +186,9 @@ def _cmd_select(args) -> int:
 def _cmd_reduce_setcover(args) -> int:
     system = _read_system(args.instance)
     compiled = selector.compile_system(system)
-    inst, labels = cover_instances(system, compiled.scc, compiled.cov)[1 if args.dual else 0]
-    doc = wsc_to_json(inst)
-    doc["labels"] = [list(states) for states in labels]
+    side = 1 if args.dual else 0
+    doc = wsc_to_json(compiled.covers[side])
+    doc["labels"] = [list(states) for states in cover_labels(compiled.scc)[side]]
     _emit(doc, args)
     return EXIT_OK
 
@@ -391,9 +388,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValidationFailed as exc:  # every command that reads a system file compiles it
         print(f"error: {args.instance}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NoPerfectMatching as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

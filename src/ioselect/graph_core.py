@@ -1,5 +1,5 @@
-"""The one stored system graph, its SCCs, B(A)'s maximum matching,
-coverage tables and reachability conditions.
+"""The one stored system graph, its SCCs, B(A)'s maximum matching and
+reachability conditions.
 
 The system digraph D(A, B, C, K) has state edges x_j -> x_i (A_ij starred),
 input edges u_j -> x_i (B_ij), output edges x_j -> y_i (C_ij) and feedback
@@ -347,56 +347,6 @@ def decompose_sccs(g: SystemGraph) -> SccDecomposition:
         dag_edges=dag,
         non_top=non_top,
         non_bottom=non_bottom,
-    )
-
-
-@dataclass(frozen=True)
-class CoverageTables:
-    """Which non-top SCCs each input covers and which non-bottom SCCs each output covers.
-
-    Entries are positions into ``scc.non_top`` / ``scc.non_bottom`` (0-based),
-    i.e. the elements of the set-cover universes derived from the system.
-    """
-
-    input_covers: tuple[frozenset[int], ...]
-    output_covers: tuple[frozenset[int], ...]
-
-    @property
-    def mu(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.input_covers)
-
-    @property
-    def eta(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.output_covers)
-
-    @property
-    def mu_max(self) -> int:
-        return max(self.mu, default=0)
-
-    @property
-    def eta_max(self) -> int:
-        return max(self.eta, default=0)
-
-
-def coverage(system: StructuredSystem, scc: SccDecomposition) -> CoverageTables:
-    """The coverage tables of a validated system (see ``compile_system``):
-    one pass over the B rows of the states in non-top SCCs, and one over
-    the C rows."""
-    top_pos = {ci: t for t, ci in enumerate(scc.non_top)}
-    bot_pos = {ci: t for t, ci in enumerate(scc.non_bottom)}
-    comp_of = scc.component_of
-    in_covers: list[set[int]] = [set() for _ in range(system.m)]
-    for r, row in enumerate(system.B.by_row):
-        t = top_pos.get(comp_of[r]) if row else None
-        if t is not None:
-            for i in row:
-                in_covers[i].add(t)
-    out_covers = [
-        frozenset({bot_pos.get(comp_of[r]) for r in row} - {None}) for row in system.C.by_row
-    ]
-    return CoverageTables(
-        input_covers=tuple(frozenset(s) for s in in_covers),
-        output_covers=tuple(out_covers),
     )
 
 

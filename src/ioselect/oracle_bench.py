@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -243,66 +243,50 @@ class BenchRecord:
     n: int
     m: int
     p: int
-    q: int
-    k: int
-    mu_max: int
-    eta_max: int
-    special_case: str
-    algo_cost: Optional[int]
-    oracle_cost: Optional[int]
-    ratio: Optional[Fraction]
-    ratio_flagged: bool
-    feasible: bool
-    error: Optional[str]
+    q: int = 0
+    k: int = 0
+    mu_max: int = 0
+    eta_max: int = 0
+    special_case: str = ""
+    algo_cost: Optional[int] = None
+    oracle_cost: Optional[int] = None
+    ratio: Optional[Fraction] = None
+    ratio_flagged: bool = False
+    feasible: bool = False
+    error: Optional[str] = None
     timings: dict = field(default_factory=dict)
 
 
 def record_to_json(rec: BenchRecord) -> dict:
     return {
-        "digest": rec.digest,
-        "seed": rec.seed,
-        "n": rec.n,
-        "m": rec.m,
-        "p": rec.p,
-        "q": rec.q,
-        "k": rec.k,
-        "mu_max": rec.mu_max,
-        "eta_max": rec.eta_max,
-        "special_case": rec.special_case,
+        **asdict(rec),
         "algo_cost": None if rec.algo_cost is None else format_cost(rec.algo_cost),
         "oracle_cost": None if rec.oracle_cost is None else format_cost(rec.oracle_cost),
         "ratio": None if rec.ratio is None else format_ratio(rec.ratio),
         "ratio_float": None if rec.ratio is None else float(rec.ratio),
-        "ratio_flagged": rec.ratio_flagged,
-        "feasible": rec.feasible,
-        "error": rec.error,
         "timings": {k: round(v, 6) for k, v in rec.timings.items()},
     }
 
 
 def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord:
     seed = (config.seed + trial) & _MASK64
-    cfg = replace(config, seed=seed)
-    base = dict(
-        digest="", seed=seed, n=config.n, m=config.m, p=config.p,
-        q=0, k=0, mu_max=0, eta_max=0, special_case="", algo_cost=None,
-        oracle_cost=None, ratio=None, ratio_flagged=False, feasible=False,
-        error=None, timings={},
-    )
+    rec = BenchRecord(digest="", seed=seed, n=config.n, m=config.m, p=config.p)
     try:
-        system = generate(cfg)
+        system = generate(replace(config, seed=seed))
     except GenerationFailed as exc:
-        return BenchRecord(**{**base, "error": str(exc)})
+        return replace(rec, error=str(exc))
 
     t0 = time.perf_counter()
     compiled = compile_system(system)
     compile_s = time.perf_counter() - t0
-    base.update(
+    mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)
+    rec = replace(
+        rec,
         digest=instance_digest(system),
         q=compiled.scc.q,
         k=compiled.scc.k,
-        mu_max=compiled.cov.mu_max,
-        eta_max=compiled.cov.eta_max,
+        mu_max=mu_max,
+        eta_max=eta_max,
         special_case=detect_special_case(compiled),
     )
 
@@ -310,21 +294,19 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     try:
         report = select_min_cost_io(compiled)
     except ModelError as exc:
-        return BenchRecord(**{**base, "error": str(exc), "timings": {"select": time.perf_counter() - t0}})
+        return replace(rec, error=str(exc), timings={"select": time.perf_counter() - t0})
     timings = {"select": time.perf_counter() - t0, **report.timings}
-    base.update(algo_cost=report.total_cost, feasible=True, timings=timings)
+    rec = replace(rec, algo_cost=report.total_cost, feasible=True, timings=timings)
 
     if oracle and system.m + system.p <= EXACT_GUARD_IO:
         t0 = time.perf_counter()
         _sel, p_star = exact_select(compiled)
         timings["oracle"] = time.perf_counter() - t0
-        base["oracle_cost"] = p_star
         if p_star > 0:
-            base["ratio"] = Fraction(report.total_cost, p_star)
+            rec = replace(rec, oracle_cost=p_star, ratio=Fraction(report.total_cost, p_star))
         else:
-            base["ratio"] = Fraction(1)
-            base["ratio_flagged"] = True
-    return BenchRecord(**base)
+            rec = replace(rec, oracle_cost=p_star, ratio=Fraction(1), ratio_flagged=True)
+    return rec
 
 
 def bench(

@@ -40,19 +40,18 @@ from typing import Optional, Union
 from ioselect import matching as matching_mod
 from ioselect.certify import certify_cycle_cover
 from ioselect.graph_core import (
-    CoverageTables,
     SccDecomposition,
     SystemGraph,
     build_bipartite,
     condition_a_holds,
     condition_a_witness,
-    coverage,
     decompose_sccs,
 )
 from ioselect.set_cover import (
     Cover,
+    WeightedSetCoverInstance,
     cover_instances,
-    cover_to_selection,
+    cover_labels,
     exact_solve,
     greedy_solve,
 )
@@ -103,19 +102,18 @@ class CompiledSystem:
 
     :func:`compile_system` builds it once: the one stored system graph
     (D(A, B, C, K) as in-neighbour lists, which are the rows of
-    B(A, B, C, K)), the SCCs of D(A), found on its transpose, the coverage
-    tables, and each input's and output's cover as a bitmask (bit t set
-    when it covers the t-th non-top, resp. non-bottom, SCC).  A selection
-    is decided and witnessed on these structures with the unselected inputs
-    and outputs masked out, so every vertex keeps its id in the full system.
+    B(A, B, C, K)), the SCCs of D(A), found on its transpose, and
+    ``covers``, the accessibility and the sensability set-cover instances
+    (:func:`ioselect.set_cover.cover_instances`), each set also as a
+    bitmask.  A selection is decided and witnessed on these structures with
+    the unselected inputs and outputs masked out, so every vertex keeps its
+    id in the full system.
     """
 
     system: StructuredSystem
     graph: SystemGraph
     scc: SccDecomposition
-    cov: CoverageTables
-    input_masks: tuple[int, ...]
-    output_masks: tuple[int, ...]
+    covers: tuple[WeightedSetCoverInstance, WeightedSetCoverInstance]
 
     def condition_a(self, sel: Selection) -> bool:
         """Every state shares an SCC of the restricted system digraph with a
@@ -128,9 +126,8 @@ class CompiledSystem:
         """
         if not self.system.k_is_complete():
             return condition_a_holds(self.graph, sel)
-        return _covers_all(self.input_masks, sel.inputs, self.scc.q) and _covers_all(
-            self.output_masks, sel.outputs, self.scc.k
-        )
+        accessibility, sensability = self.covers
+        return _covers_all(accessibility, sel.inputs) and _covers_all(sensability, sel.outputs)
 
     def condition_b(self, sel: Selection) -> bool:
         """Disjoint cycles of the restricted system digraph span all states."""
@@ -159,16 +156,16 @@ def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
     return SfmStatus.BOTH
 
 
-def _covers_all(masks: tuple[int, ...], chosen, count: int) -> bool:
+def _covers_all(inst: WeightedSetCoverInstance, chosen) -> bool:
     covered = 0
     for i in chosen:
-        covered |= masks[i]
-    return covered == (1 << count) - 1
+        covered |= inst.masks[i]
+    return covered == (1 << inst.universe_size) - 1
 
 
 def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledSystem:
     """Validate ``system`` and build its graph, one SCC pass of D(A) and the
-    coverage tables, for deciding any number of its selections.  Raises
+    two set-cover instances, for deciding any number of its selections.  Raises
     :class:`ValidationFailed` on a malformed system.  A system given
     already compiled is returned as it is."""
     if isinstance(system, CompiledSystem):
@@ -178,12 +175,7 @@ def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledS
         raise ValidationFailed(report.violations)
     graph = build_bipartite(system)
     scc = decompose_sccs(graph)
-    cov = coverage(system, scc)
-
-    def masks(covers):
-        return tuple(sum(1 << t for t in cover) for cover in covers)
-
-    return CompiledSystem(system, graph, scc, cov, masks(cov.input_covers), masks(cov.output_covers))
+    return CompiledSystem(system, graph, scc, cover_instances(system, scc))
 
 
 def check_no_sfm(
@@ -263,8 +255,6 @@ class SelectionReport:
     guarantee: str
     stage1: Optional[Cover]
     stage2: Optional[Cover]
-    stage1_labels: tuple[tuple[int, ...], ...]
-    stage2_labels: tuple[tuple[int, ...], ...]
     matching: Optional[tuple[int, ...]]
     exact_stage_bound: Optional[int]
     timings: dict[str, float]
@@ -360,8 +350,6 @@ def select_min_cost_io(
         raise SystemHasSFMs(status, sfm_witness(compiled, status, hall=no_match))
 
     stage1 = stage2 = None
-    labels1: tuple[tuple[int, ...], ...] = ()
-    labels2: tuple[tuple[int, ...], ...] = ()
     exact_bound: Optional[int] = None
 
     if primary == CASE_IRREDUCIBLE and continuous:
@@ -386,9 +374,9 @@ def select_min_cost_io(
             lower = cyc_cost
     else:
         t0 = time.perf_counter()
-        (inst1, labels1), (inst2, labels2) = cover_instances(system, compiled.scc, compiled.cov)
+        inst1, inst2 = compiled.covers
         stage1 = greedy_solve(inst1)
-        sel1 = cover_to_selection(stage1)
+        sel1 = Selection(inputs=stage1.chosen)
         timings["accessibility"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -436,8 +424,6 @@ def select_min_cost_io(
         guarantee=_GUARANTEES[primary],
         stage1=stage1,
         stage2=stage2,
-        stage1_labels=labels1,
-        stage2_labels=labels2,
         matching=match_result,
         exact_stage_bound=exact_bound,
         timings=timings,
@@ -461,6 +447,14 @@ def _cover_trace_json(cover: Cover, labels) -> list[dict]:
     return out
 
 
+def selection_to_json(sel: Selection) -> dict:
+    """A selection in the external JSON shape: sorted 1-based indices."""
+    return {
+        "inputs": [i + 1 for i in sel.sorted_inputs()],
+        "outputs": [j + 1 for j in sel.sorted_outputs()],
+    }
+
+
 def report_to_json(
     report: SelectionReport,
     include_traces: bool = False,
@@ -470,10 +464,7 @@ def report_to_json(
     decimal-string costs)."""
     acc, sen, cyc = report.stage_costs
     out: dict = {
-        "selection": {
-            "inputs": [i + 1 for i in report.selection.sorted_inputs()],
-            "outputs": [j + 1 for j in report.selection.sorted_outputs()],
-        },
+        "selection": selection_to_json(report.selection),
         "total_cost": format_cost(report.total_cost),
         "stage_costs": {
             "accessibility": None if acc is None else format_cost(acc),
@@ -491,10 +482,7 @@ def report_to_json(
     if oracle is not None:
         oracle_sel, oracle_cost = oracle
         entry: dict = {
-            "selection": {
-                "inputs": [i + 1 for i in oracle_sel.sorted_inputs()],
-                "outputs": [j + 1 for j in oracle_sel.sorted_outputs()],
-            },
+            "selection": selection_to_json(oracle_sel),
             "cost": format_cost(oracle_cost),
         }
         if oracle_cost > 0:
@@ -507,16 +495,13 @@ def report_to_json(
         out["oracle"] = entry
     if include_traces:
         trace: dict = {"scc_feedback_witness": report.scc_witness}
-        if report.stage1 is not None:
-            trace["accessibility_cover"] = {
-                "chosen": sorted(i + 1 for i in report.stage1.chosen),
-                "steps": _cover_trace_json(report.stage1, report.stage1_labels),
-            }
-        if report.stage2 is not None:
-            trace["sensability_cover"] = {
-                "chosen": sorted(j + 1 for j in report.stage2.chosen),
-                "steps": _cover_trace_json(report.stage2, report.stage2_labels),
-            }
+        if report.stage1 is not None:  # both greedy stages ran
+            stages = {"accessibility_cover": report.stage1, "sensability_cover": report.stage2}
+            for (key, cover), labels in zip(stages.items(), cover_labels(report.compiled.scc)):
+                trace[key] = {
+                    "chosen": sorted(k + 1 for k in cover.chosen),
+                    "steps": _cover_trace_json(cover, labels),
+                }
         if report.matching is not None:
             trace["matching"] = [
                 dict(zip(("left", "right", "class", "cost"), edge))

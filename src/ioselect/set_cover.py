@@ -1,10 +1,14 @@
-"""Weighted set cover: greedy and exact solvers plus both reductions.
+"""Weighted set cover: the system's two covers, greedy and exact solvers,
+and both reductions.
 
 The accessibility problem reduces to weighted set cover (universe = non-top
-SCCs, one set per input, weight = input cost) and, conversely, any weighted
-set cover instance embeds into an accessibility problem over a diagonal
-state pattern.  Both directions preserve weights and optima exactly, which
-is what the round-trip tests exercise.
+SCCs, one set per input, weight = input cost), and sensability likewise
+(universe = non-bottom SCCs, one set per output, weight = output cost).
+:func:`cover_instances` builds both once per compiled system; every stage,
+check and printout reads them.  Conversely, any weighted set cover instance
+embeds into an accessibility problem over a diagonal state pattern.  Both
+directions preserve weights and optima exactly, which is what the
+round-trip tests exercise.
 
 Universe elements and set indices are 0-based internally; the JSON format
 (`{"N": 2, "sets": [[], [1], [1, 2]], "weights": ["1", "1", "1"]}`) is
@@ -13,16 +17,10 @@ Universe elements and set indices are 0-based internally; the JSON format
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ioselect.graph_core import (
-    CoverageTables,
-    SccDecomposition,
-    build_bipartite,
-    coverage,
-    decompose_sccs,
-)
+from ioselect.graph_core import SccDecomposition, build_bipartite, decompose_sccs
 from ioselect.system_model import (
     COMPLETE,
     FormatError,
@@ -60,12 +58,15 @@ class WeightedSetCoverInstance:
     """Universe {0..N-1}, sets S_0..S_{r-1}, nonnegative scaled-integer weights.
 
     Feasibility (the union of the sets equals the universe) is checked at
-    solve time, not assumed here.
+    solve time, not assumed here.  ``masks`` holds each set as an integer
+    bitmask (bit e set when e is in the set), built with the instance and
+    left out of ``==``, ``hash`` and ``repr``.
     """
 
     universe_size: int
     sets: tuple[frozenset[int], ...]
     weights: tuple[int, ...]
+    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
@@ -74,12 +75,17 @@ class WeightedSetCoverInstance:
             raise ModelError(
                 f"{len(self.sets)} sets but {len(self.weights)} weights"
             )
+        masks = []
         for idx, s in enumerate(self.sets):
+            mask = 0
             for e in s:
                 if not 0 <= e < self.universe_size:
                     raise ModelError(
                         f"set {idx + 1}: element {e + 1} outside universe 1..{self.universe_size}"
                     )
+                mask |= 1 << e
+            masks.append(mask)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def r(self) -> int:
@@ -158,12 +164,7 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
     if inst.r > EXACT_GUARD:
         raise TooLarge(f"exact cover limited to {EXACT_GUARD} sets, got {inst.r}")
     full = (1 << inst.universe_size) - 1
-    masks = []
-    for s in inst.sets:
-        mask = 0
-        for e in s:
-            mask |= 1 << e
-        masks.append(mask)
+    masks = inst.masks
     reach = 0
     for mask in masks:
         reach |= mask
@@ -217,42 +218,53 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
     return Cover(chosen=frozenset(best_chosen), weight=best_weight, trace=())
 
 
-CoverInstance = tuple[WeightedSetCoverInstance, tuple[tuple[int, ...], ...]]
+Labels = tuple[tuple[int, ...], ...]
 
 
 def cover_instances(
-    system: StructuredSystem, scc: SccDecomposition, cov: CoverageTables
-) -> tuple[CoverInstance, CoverInstance]:
+    system: StructuredSystem, scc: SccDecomposition
+) -> tuple[WeightedSetCoverInstance, WeightedSetCoverInstance]:
     """The accessibility and the sensability cover, from one SCC pass of D(A).
 
     Accessibility: universe element t is the t-th non-top SCC, set i the
-    non-top SCCs input i covers, weights the input costs.  Sensability is
-    the same over the non-bottom SCCs, outputs and output costs; it equals
-    the accessibility reduction of the dual system (A^T, C^T, p_y).  Each instance
-    comes with its universe labels: per element, the sorted 1-based states
-    of that SCC.
+    non-top SCCs input i covers, weights the input costs; built in one pass
+    over the B rows of the states in non-top SCCs.  Sensability is the same
+    over the non-bottom SCCs, the C rows and the output costs; it equals the
+    accessibility reduction of the dual system (A^T, C^T, p_y).
     """
-
-    def instance(universe, sets, weights) -> CoverInstance:
-        labels = tuple(tuple(v + 1 for v in scc.components[ci]) for ci in universe)
-        return WeightedSetCoverInstance(len(universe), sets, weights), labels
-
+    top_pos = {ci: t for t, ci in enumerate(scc.non_top)}
+    bot_pos = {ci: t for t, ci in enumerate(scc.non_bottom)}
+    comp_of = scc.component_of
+    in_covers: list[set[int]] = [set() for _ in range(system.m)]
+    for r, row in enumerate(system.B.by_row):
+        t = top_pos.get(comp_of[r]) if row else None
+        if t is not None:
+            for i in row:
+                in_covers[i].add(t)
+    out_covers = [{bot_pos.get(comp_of[r]) for r in row} - {None} for row in system.C.by_row]
     return (
-        instance(scc.non_top, cov.input_covers, system.cost_u),
-        instance(scc.non_bottom, cov.output_covers, system.cost_y),
+        WeightedSetCoverInstance(scc.q, in_covers, system.cost_u),
+        WeightedSetCoverInstance(scc.k, out_covers, system.cost_y),
     )
 
 
-def reduce_accessibility_to_wsc(system: StructuredSystem) -> CoverInstance:
+def cover_labels(scc: SccDecomposition) -> tuple[Labels, Labels]:
+    """The universe labels of both covers: per element, the sorted 1-based
+    states of its SCC.  Only printouts read them."""
+
+    def labels(universe: tuple[int, ...]) -> Labels:
+        return tuple(tuple(v + 1 for v in scc.components[ci]) for ci in universe)
+
+    return labels(scc.non_top), labels(scc.non_bottom)
+
+
+def reduce_accessibility_to_wsc(
+    system: StructuredSystem,
+) -> tuple[WeightedSetCoverInstance, Labels]:
     """Accessibility as weighted set cover (SCCs numbered by minimum
-    contained state); see :func:`cover_instances`."""
+    contained state) with its universe labels; see :func:`cover_instances`."""
     scc = decompose_sccs(build_bipartite(system))
-    return cover_instances(system, scc, coverage(system, scc))[0]
-
-
-def cover_to_selection(cover: Cover) -> Selection:
-    """Chosen set indices are input indices (inputs-only selection)."""
-    return Selection(inputs=cover.chosen, outputs=frozenset())
+    return cover_instances(system, scc)[0], cover_labels(scc)[0]
 
 
 def reduce_wsc_to_accessibility(inst: WeightedSetCoverInstance) -> StructuredSystem:

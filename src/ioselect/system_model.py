@@ -119,7 +119,7 @@ class SparsityPattern:
     """A {0, *} matrix, as its starred (row, col) cells and as its rows.
 
     ``by_row[i]`` lists row i's starred columns, ascending and without
-    repeats; the graph builder, the coverage tables and the certifier read
+    repeats; the graph builder, the set-cover instances and the certifier read
     only this view, and so does :meth:`to_pairs` until ``stars`` is built.
     A pattern built in code is given its ``stars`` and builds its rows once,
     on first use, checking each star's range: ``by_row`` is None when one

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import oracles
 from conftest import demo_system, matching_cost
-from ioselect.graph_core import coverage, decompose_sccs
 from ioselect.matching import (
     build_bipartite,
     has_perfect_matching,
@@ -26,6 +25,7 @@ from ioselect.oracle_bench import (
 )
 from ioselect.selector import (
     check_no_sfm,
+    compile_system,
     detect_special_case,
     report_to_json,
     select_min_cost_io,
@@ -125,16 +125,17 @@ def _min_accessibility_cost(system):
 def test_criterion_01_worked_example_structure():
     t0 = time.perf_counter()
     demo = demo_system()
-    scc = decompose_sccs(build_bipartite(demo))
+    compiled = compile_system(demo)
+    scc = compiled.scc
     non_top = [scc.components[c] for c in scc.non_top]
     non_bottom = [scc.components[c] for c in scc.non_bottom]
     assert non_top == [(1,), (3,)]        # {x2}, {x4}
     assert non_bottom == [(2,)]           # {x3}
-    tables = coverage(demo, scc)
-    assert tables.mu == (0, 1, 2)
-    assert tables.eta == (1, 0)
-    assert tables.mu_max == 2
-    assert tables.eta_max == 1
+    mu, eta = (tuple(map(len, inst.sets)) for inst in compiled.covers)
+    assert mu == (0, 1, 2)
+    assert eta == (1, 0)
+    assert max(mu) == 2
+    assert max(eta) == 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"criterion 1: PASS - structure facts exact ({elapsed:.3f}s)")

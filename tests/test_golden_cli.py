@@ -88,6 +88,8 @@ def _commands(doc: dict) -> dict[str, list[str]]:
         "check_partial_dump": ["check", *part, "--dump-graph", "{dump}"],
         "check_discrete": ["check", "--discrete"],
         "check_partial_discrete": ["check", "--discrete", *part],
+        "reduce": ["reduce-setcover"],
+        "reduce_dual": ["reduce-setcover", "--dual"],
     }
 
 

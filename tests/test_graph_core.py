@@ -9,17 +9,16 @@ from hypothesis import given
 import oracles
 from conftest import make_system, selections, systems, systems_with_selection
 from ioselect.graph_core import (
-    CoverageTables,
     _tarjan,
     build_bipartite,
     condition_a_holds,
     condition_a_witness,
-    coverage,
     decompose_sccs,
     dump_condensation,
     dump_system_digraph,
     vertex_name,
 )
+from ioselect.selector import compile_system
 from ioselect.system_model import COMPLETE, Selection, SparsityPattern
 
 
@@ -192,33 +191,38 @@ class TestTarjan:
 
 class TestCoverage:
     def test_demo_tables(self, demo):
-        scc = decompose_sccs(build_bipartite(demo))
-        cov = coverage(demo, scc)
-        assert cov.input_covers == (frozenset(), frozenset({0}), frozenset({0, 1}))
-        assert cov.output_covers == (frozenset({0}), frozenset())
-        assert cov.mu == (0, 1, 2)
-        assert cov.eta == (1, 0)
-        assert cov.mu_max == 2 and cov.eta_max == 1
+        accessibility, sensability = compile_system(demo).covers
+        assert accessibility.sets == (frozenset(), frozenset({0}), frozenset({0, 1}))
+        assert sensability.sets == (frozenset({0}), frozenset())
+        assert tuple(map(len, accessibility.sets)) == (0, 1, 2)
+        assert tuple(map(len, sensability.sets)) == (1, 0)
+        assert accessibility.masks == (0, 1, 3) and sensability.masks == (1, 0)
 
     def test_empty_tables(self):
-        assert CoverageTables((), ()).mu_max == 0
+        # a system without outputs has a sensability cover without sets
+        system = make_system(1, 1, 0, [(1, 1)], [(1, 1)], [])
+        sensability = compile_system(system).covers[1]
+        assert sensability.sets == () and sensability.masks == ()
+        assert max(map(len, sensability.sets), default=0) == 0
 
     @given(systems(max_n=7))
     def test_bounds(self, system):
-        scc = decompose_sccs(build_bipartite(system))
-        cov = coverage(system, scc)
-        assert all(mu <= scc.q for mu in cov.mu)
-        assert all(eta <= scc.k for eta in cov.eta)
+        compiled = compile_system(system)
+        accessibility, sensability = compiled.covers
+        assert accessibility.universe_size == compiled.scc.q
+        assert sensability.universe_size == compiled.scc.k
+        assert all(len(s) <= compiled.scc.q for s in accessibility.sets)
+        assert all(len(s) <= compiled.scc.k for s in sensability.sets)
 
 
 def covers_all(system, sel):
     """The pipeline's reachability criterion: (every non-top SCC is covered
     by a selected input, every non-bottom SCC by a selected output)."""
-    scc = decompose_sccs(build_bipartite(system))
-    cov = coverage(system, scc)
-    reached = set().union(*(cov.input_covers[i] for i in sel.inputs))
-    sensed = set().union(*(cov.output_covers[j] for j in sel.outputs))
-    return len(reached) == scc.q, len(sensed) == scc.k
+    compiled = compile_system(system)
+    accessibility, sensability = compiled.covers
+    reached = set().union(*(accessibility.sets[i] for i in sel.inputs))
+    sensed = set().union(*(sensability.sets[j] for j in sel.outputs))
+    return len(reached) == compiled.scc.q, len(sensed) == compiled.scc.k
 
 
 class TestReachability:

@@ -21,6 +21,7 @@ from ioselect.selector import (
 from ioselect import matching as matching_mod
 from ioselect.matching import build_bipartite, state_pattern_has_pm
 from ioselect.oracle_bench import exact_select
+from ioselect.set_cover import cover_labels
 from ioselect.system_model import (
     COST_SCALE,
     InvariantViolated,
@@ -199,8 +200,7 @@ class TestSelectDemo:
         assert rep.exact_stage_bound is None
         assert rep.stage1.chosen == frozenset({2})
         assert rep.stage2.chosen == frozenset({0})
-        assert rep.stage1_labels == ((2,), (4,))
-        assert rep.stage2_labels == ((3,),)
+        assert cover_labels(rep.compiled.scc) == (((2,), (4,)), ((3,),))
         assert matching_cost(rep.compiled.graph, rep.matching) == 2 * U
         assert set(rep.timings) == {
             "sfm_check", "accessibility", "sensability", "cycle", "final_check",
@@ -468,13 +468,14 @@ class TestBuildOnce:
     # Per default select: one compiled analysis (one SCC pass of D(A), one
     # B(A, B, C, K)) serves the full-selection check, the tags, both covers,
     # stage 3 and the final check; nothing is restricted; the witness waits
-    # for a trace.
+    # for a trace, and so do the covers' universe labels.
     LIMITS = {
         "system_model.restrict": 0,
         "graph_core.build_graphs": 0,
         "matching.build_bipartite": 1,
         "graph_core.decompose_sccs": 1,
-        "graph_core.coverage": 1,
+        "set_cover.cover_instances": 1,
+        "set_cover.cover_labels": 0,
         "graph_core.condition_a_witness": 0,
         "matching.state_pattern_has_pm": 1,
         "selector.applicable_special_cases": 1,
@@ -550,6 +551,18 @@ class TestBuildOnce:
         assert ("trace" in doc) == (flag == "--trace")
         printed = system.n + system.m + system.p if flag else 0
         assert counts == {"graph_core.SystemGraph.edge": printed}
+
+    @pytest.mark.parametrize("flag,labelled", [("", 0), ("--trace", 1)], ids=["default", "trace"])
+    def test_labels_only_where_printed(self, demo_json, monkeypatch, capsys, flag, labelled):
+        # the covers' universe labels are worked out once, for a trace only
+        import json
+
+        from ioselect import cli
+
+        counts = wrap_counting(monkeypatch, ["set_cover.cover_labels"])
+        assert cli.main(["select", demo_json, *filter(None, [flag])]) == cli.EXIT_OK
+        assert ("trace" in json.loads(capsys.readouterr().out)) == bool(flag)
+        assert counts == {"set_cover.cover_labels": labelled}
 
     # Stage 3's two one-sided searches also decide condition (b) of the full
     # selection, and the final check verifies its matching without a

@@ -15,7 +15,7 @@ from ioselect.set_cover import (
     TooLarge,
     WeightedSetCoverInstance,
     cover_instances,
-    cover_to_selection,
+    cover_labels,
     exact_solve,
     greedy_solve,
     reduce_accessibility_to_wsc,
@@ -62,6 +62,7 @@ class TestInstance:
 
     def test_r(self):
         assert WeightedSetCoverInstance(1, (frozenset({0}),) * 3, (1, 2, 3)).r == 3
+        assert WeightedSetCoverInstance(3, (frozenset(), frozenset({0, 2})), (1, 2)).masks == (0, 5)
 
 
 class TestGreedy:
@@ -193,7 +194,7 @@ class TestReductions:
         assert labels == ((2,), (4,))
         cover = greedy_solve(inst)
         assert cover.chosen == frozenset({2})
-        assert cover_to_selection(cover) == Selection.of([2], [])
+        assert Selection(inputs=cover.chosen) == Selection.of([2], [])
 
     def test_forward_weight_preserved_per_selection(self, demo):
         inst, _ = reduce_accessibility_to_wsc(demo)
@@ -212,10 +213,10 @@ class TestReductions:
 
     @given(systems(max_n=7))
     def test_sensability_is_dual_reduction(self, system):
-        from ioselect.graph_core import build_bipartite, coverage, decompose_sccs
+        from ioselect.graph_core import build_bipartite, decompose_sccs
 
         scc = decompose_sccs(build_bipartite(system))
-        stage1, stage2 = cover_instances(system, scc, coverage(system, scc))
+        stage1, stage2 = zip(cover_instances(system, scc), cover_labels(scc))
         assert stage1 == reduce_accessibility_to_wsc(system)
         assert stage2 == reduce_accessibility_to_wsc(oracles.transpose_dual(system))
 

@@ -13,7 +13,7 @@ import os
 import pytest
 
 from ioselect import cli
-from ioselect.graph_core import build_graphs, coverage, decompose_sccs
+from ioselect.graph_core import build_graphs, decompose_sccs
 from ioselect.matching import build_bipartite
 from ioselect.set_cover import cover_instances, greedy_solve
 
@@ -39,7 +39,7 @@ def test_every_traced_name_resolves(tracer):
 
 def test_derived_counters_read_results(tracer, demo):
     scc = decompose_sccs(build_graphs(demo)[0])
-    (accessibility, _labels), _ = cover_instances(demo, scc, coverage(demo, scc))
+    accessibility, _ = cover_instances(demo, scc)
     results = {
         "graph_core.build_graphs": build_graphs(demo),
         "matching.build_bipartite": build_bipartite(demo),
