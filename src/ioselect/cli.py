@@ -21,23 +21,23 @@ from ioselect.graph_core import dump_condensation, dump_system_digraph
 from ioselect.matching import dump_matching
 from ioselect.selector import SystemHasSFMs, ValidationFailed
 from ioselect.set_cover import (
+    Cover,
     Infeasible,
     TooLarge,
     cover_labels,
     exact_solve,
     greedy_solve,
+    steps_to_json,
     wsc_from_json,
     wsc_to_json,
 )
 from ioselect.system_model import (
-    COST_SCALE,
     FormatError,
     InvariantViolated,
     ModelError,
     Selection,
     StructuredSystem,
     format_cost,
-    format_ratio,
     system_from_json,
     system_to_json,
 )
@@ -193,6 +193,10 @@ def _cmd_reduce_setcover(args) -> int:
     return EXIT_OK
 
 
+def _cover_json(cover: Cover) -> dict:
+    return {"cover": sorted(k + 1 for k in cover.chosen), "weight": format_cost(cover.weight)}
+
+
 def _cmd_solve_setcover(args) -> int:
     try:
         inst = wsc_from_json(_load_json(args.instance))
@@ -203,28 +207,14 @@ def _cmd_solve_setcover(args) -> int:
     except Infeasible as exc:
         _emit({"error": str(exc), "element": exc.element + 1}, args)
         return EXIT_INFEASIBLE
-    doc = {
-        "cover": sorted(k + 1 for k in cover.chosen),
-        "weight": format_cost(cover.weight),
-    }
+    doc = _cover_json(cover)
     if args.exact:
         try:
-            best = exact_solve(inst)
+            doc["exact"] = _cover_json(exact_solve(inst))
         except TooLarge as exc:
             raise _UsageError(str(exc)) from exc
-        doc["exact"] = {
-            "cover": sorted(k + 1 for k in best.chosen),
-            "weight": format_cost(best.weight),
-        }
     if args.trace:
-        doc["steps"] = [
-            {
-                "set": step.set_index + 1,
-                "newly_covered": sorted(e + 1 for e in step.newly_covered),
-                "ratio": format_ratio(step.ratio / COST_SCALE),
-            }
-            for step in cover.trace
-        ]
+        doc["steps"] = steps_to_json(cover)
     _emit(doc, args)
     return EXIT_OK
 

@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Union
 from ioselect.selector import (
     CompiledSystem,
     SystemHasSFMs,
+    approximation_ratio,
     check_no_sfm,
     compile_system,
     detect_special_case,
@@ -302,10 +303,8 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
         t0 = time.perf_counter()
         _sel, p_star = exact_select(compiled)
         timings["oracle"] = time.perf_counter() - t0
-        if p_star > 0:
-            rec = replace(rec, oracle_cost=p_star, ratio=Fraction(report.total_cost, p_star))
-        else:
-            rec = replace(rec, oracle_cost=p_star, ratio=Fraction(1), ratio_flagged=True)
+        ratio, flagged = approximation_ratio(report.total_cost, p_star)
+        rec = replace(rec, oracle_cost=p_star, ratio=ratio, ratio_flagged=flagged)
     return rec
 
 

@@ -54,9 +54,9 @@ from ioselect.set_cover import (
     cover_labels,
     exact_solve,
     greedy_solve,
+    steps_to_json,
 )
 from ioselect.system_model import (
-    COST_SCALE,
     InvariantViolated,
     ModelError,
     Selection,
@@ -127,7 +127,7 @@ class CompiledSystem:
         if not self.system.k_is_complete():
             return condition_a_holds(self.graph, sel)
         accessibility, sensability = self.covers
-        return _covers_all(accessibility, sel.inputs) and _covers_all(sensability, sel.outputs)
+        return not accessibility.uncovered(sel.inputs) and not sensability.uncovered(sel.outputs)
 
     def condition_b(self, sel: Selection) -> bool:
         """Disjoint cycles of the restricted system digraph span all states."""
@@ -154,13 +154,6 @@ def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
     if cond_b:
         return SfmStatus.TYPE1
     return SfmStatus.BOTH
-
-
-def _covers_all(inst: WeightedSetCoverInstance, chosen) -> bool:
-    covered = 0
-    for i in chosen:
-        covered |= inst.masks[i]
-    return covered == (1 << inst.universe_size) - 1
 
 
 def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledSystem:
@@ -294,16 +287,6 @@ def sfm_witness(
     return witness
 
 
-def _cheapest_connected_pair(system: StructuredSystem) -> tuple[int, int]:
-    """Lowest-cost input with a star in B and output with a star in C
-    (ties to the lowest index)."""
-    in_candidates = sorted((system.cost_u[i], i) for i in set().union(*system.B.by_row))
-    out_candidates = sorted((system.cost_y[j], j) for j, row in enumerate(system.C.by_row) if row)
-    if not in_candidates or not out_candidates:
-        raise ModelError("no connected input/output available")
-    return in_candidates[0][1], out_candidates[0][1]
-
-
 def select_min_cost_io(
     system: Union[StructuredSystem, CompiledSystem], exact_covers: bool = False
 ) -> SelectionReport:
@@ -315,7 +298,9 @@ def select_min_cost_io(
     structurally fixed modes.  With ``exact_covers`` the stage-1/2 cover
     instances are also solved exactly (guarded brute force) to tighten the
     reported lower bound.  Every stage reads one compiled system; one given
-    already compiled is not compiled again.
+    already compiled is not compiled again.  An irreducible continuous
+    system tagged ``state_pm`` is solved exactly by its two one-element
+    greedy covers, left untraced (``stage1`` and ``stage2`` stay None).
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -354,19 +339,16 @@ def select_min_cost_io(
 
     if primary == CASE_IRREDUCIBLE and continuous:
         # One SCC: any feasible selection uses at least one connected input
-        # and output.  With a state-only perfect matching the cheapest such
-        # pair is therefore optimal; otherwise the matching stage alone is
-        # (its cost is a lower bound met with equality).
+        # and output, and each cover's one element is that SCC.  With a
+        # state-only perfect matching the covers' cheapest pair is therefore
+        # optimal; otherwise the matching stage alone is (its cost is a
+        # lower bound met with equality).
         if state_match is not None:
             t0 = time.perf_counter()
-            i, j = _cheapest_connected_pair(system)
-            selection = Selection.of([i], [j])
-            stage_costs: tuple[Optional[int], ...] = (
-                system.cost_u[i],
-                system.cost_y[j],
-                0,
-            )
-            lower = system.cost_u[i] + system.cost_y[j]
+            acc, sen = (greedy_solve(inst) for inst in compiled.covers)
+            selection = Selection(acc.chosen, sen.chosen)
+            stage_costs: tuple[Optional[int], ...] = (acc.weight, sen.weight, 0)
+            lower = acc.weight + sen.weight
             timings["cycle"] = time.perf_counter() - t0
         else:
             selection = sel3
@@ -430,21 +412,12 @@ def select_min_cost_io(
     )
 
 
-def _cover_trace_json(cover: Cover, labels) -> list[dict]:
-    out = []
-    for step in cover.trace:
-        scaled_ratio = step.ratio / COST_SCALE  # scaled weight -> cost units
-        out.append(
-            {
-                "set": step.set_index + 1,
-                "newly_covered": sorted(e + 1 for e in step.newly_covered),
-                "covered_states": [
-                    list(labels[e]) for e in sorted(step.newly_covered)
-                ],
-                "ratio": format_ratio(scaled_ratio),
-            }
-        )
-    return out
+def approximation_ratio(cost: int, optimum: int) -> tuple[Fraction, bool]:
+    """``cost / optimum``, and whether the zero-optimum convention applied:
+    a zero-cost optimum is taken as ratio 1, flagged."""
+    if optimum == 0:
+        return Fraction(1), True
+    return Fraction(cost, optimum), False
 
 
 def selection_to_json(sel: Selection) -> dict:
@@ -485,12 +458,9 @@ def report_to_json(
             "selection": selection_to_json(oracle_sel),
             "cost": format_cost(oracle_cost),
         }
-        if oracle_cost > 0:
-            entry["ratio"] = format_ratio(
-                Fraction(report.total_cost, oracle_cost)
-            )
-        else:
-            entry["ratio"] = "1"
+        ratio, flagged = approximation_ratio(report.total_cost, oracle_cost)
+        entry["ratio"] = format_ratio(ratio)
+        if flagged:
             entry["ratio_convention"] = "zero-cost optimum reported as ratio 1"
         out["oracle"] = entry
     if include_traces:
@@ -500,7 +470,7 @@ def report_to_json(
             for (key, cover), labels in zip(stages.items(), cover_labels(report.compiled.scc)):
                 trace[key] = {
                     "chosen": sorted(k + 1 for k in cover.chosen),
-                    "steps": _cover_trace_json(cover, labels),
+                    "steps": steps_to_json(cover, labels),
                 }
         if report.matching is not None:
             trace["matching"] = [

@@ -1,14 +1,15 @@
-"""Weighted set cover: the system's two covers, greedy and exact solvers,
-and both reductions.
+"""Weighted set cover: the system's two covers, the coverage test, greedy
+and exact solvers, the JSON of greedy steps, and both reductions.
 
 The accessibility problem reduces to weighted set cover (universe = non-top
 SCCs, one set per input, weight = input cost), and sensability likewise
 (universe = non-bottom SCCs, one set per output, weight = output cost).
 :func:`cover_instances` builds both once per compiled system; every stage,
-check and printout reads them.  Conversely, any weighted set cover instance
-embeds into an accessibility problem over a diagonal state pattern.  Both
-directions preserve weights and optima exactly, which is what the
-round-trip tests exercise.
+check and printout reads them, and coverage is tested in one place
+(:meth:`WeightedSetCoverInstance.uncovered`).  Conversely, any weighted set
+cover instance embeds into an accessibility problem over a diagonal state
+pattern.  Both directions preserve weights and optima exactly, which is
+what the round-trip tests exercise.
 
 Universe elements and set indices are 0-based internally; the JSON format
 (`{"N": 2, "sets": [[], [1], [1, 2]], "weights": ["1", "1", "1"]}`) is
@@ -19,16 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Optional
 
 from ioselect.graph_core import SccDecomposition, build_bipartite, decompose_sccs
 from ioselect.system_model import (
     COMPLETE,
+    COST_SCALE,
+    SIZE_LIMIT,
     FormatError,
     ModelError,
     Selection,
     SparsityPattern,
     StructuredSystem,
     format_cost,
+    format_ratio,
     parse_cost,
 )
 
@@ -57,10 +62,12 @@ class TooLarge(ModelError):
 class WeightedSetCoverInstance:
     """Universe {0..N-1}, sets S_0..S_{r-1}, nonnegative scaled-integer weights.
 
-    Feasibility (the union of the sets equals the universe) is checked at
-    solve time, not assumed here.  ``masks`` holds each set as an integer
-    bitmask (bit e set when e is in the set), built with the instance and
-    left out of ``==``, ``hash`` and ``repr``.
+    A universe size outside 0..``SIZE_LIMIT``, a negative weight or an
+    element outside the universe raises :class:`ModelError`.  Feasibility
+    (the union of the sets equals the universe) is checked at solve time.
+    ``masks`` holds each set as an integer bitmask (bit e set when e is in
+    the set), built with the instance and left out of ``==``, ``hash`` and
+    ``repr``.
     """
 
     universe_size: int
@@ -75,6 +82,11 @@ class WeightedSetCoverInstance:
             raise ModelError(
                 f"{len(self.sets)} sets but {len(self.weights)} weights"
             )
+        if not 0 <= self.universe_size <= SIZE_LIMIT:
+            raise ModelError(f"universe size {self.universe_size} outside 0..{SIZE_LIMIT}")
+        for idx, w in enumerate(self.weights):
+            if w < 0:
+                raise ModelError(f"set {idx + 1}: negative weight")
         masks = []
         for idx, s in enumerate(self.sets):
             mask = 0
@@ -91,6 +103,13 @@ class WeightedSetCoverInstance:
     def r(self) -> int:
         return len(self.sets)
 
+    def uncovered(self, chosen: Iterable[int]) -> int:
+        """The bitmask of the elements that no chosen set covers."""
+        covered = 0
+        for i in chosen:
+            covered |= self.masks[i]
+        return ((1 << self.universe_size) - 1) & ~covered
+
 
 @dataclass(frozen=True)
 class GreedyStep:
@@ -106,19 +125,14 @@ class Cover:
     trace: tuple[GreedyStep, ...] = ()
 
 
-def _ratio_better(w_new: int, k_new: int, w_old: int, k_old: int) -> bool:
-    """w_new/k_new < w_old/k_old via integer cross-multiplication."""
-    return w_new * k_old < w_old * k_new
-
-
 def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     """Chvatal's greedy: repeatedly take the set with the smallest
     weight-per-newly-covered-element ratio.
 
     Ties break toward the set covering more new elements, then the lowest
-    index, making the trace fully deterministic.  Zero-weight sets have
-    ratio 0 and win against any positive ratio; sets covering nothing new
-    are never taken.  The result is within H(d) of the optimum, where d is
+    index, making the trace fully deterministic; ratios are compared by
+    integer cross-multiplication.  Zero-weight sets have ratio 0 and win
+    against any positive ratio; sets covering nothing new are never taken.  The result is within H(d) of the optimum, where d is
     the largest set size and H the harmonic number.
     """
     uncovered = set(range(inst.universe_size))
@@ -133,7 +147,7 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
             if not new:
                 continue
             w = inst.weights[idx]
-            if best_idx < 0 or _ratio_better(w, len(new), best_w, len(best_new)) or (
+            if best_idx < 0 or w * len(best_new) < best_w * len(new) or (
                 w * len(best_new) == best_w * len(new) and len(new) > len(best_new)
             ):
                 best_idx, best_new, best_w = idx, new, w
@@ -159,25 +173,21 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
 
     Guarded at r <= 25 sets; this is a desk-scale verification oracle, not a
     production solver.  Ties break toward the lexicographically smallest
-    chosen index set.
+    chosen index set.  The pruning bound relies on nonnegative weights,
+    which the instance enforces.
     """
     if inst.r > EXACT_GUARD:
         raise TooLarge(f"exact cover limited to {EXACT_GUARD} sets, got {inst.r}")
     full = (1 << inst.universe_size) - 1
     masks = inst.masks
-    reach = 0
-    for mask in masks:
-        reach |= mask
-    if reach != full:
-        for e in range(inst.universe_size):
-            if not reach >> e & 1:
-                raise Infeasible(e)
+    left = inst.uncovered(range(inst.r))
+    if left:
+        raise Infeasible((left & -left).bit_length() - 1)  # the smallest one
 
     candidates: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for idx, mask in enumerate(masks):
-        for e in range(inst.universe_size):
-            if mask >> e & 1:
-                candidates[e].append(idx)
+    for idx, s in enumerate(inst.sets):
+        for e in s:
+            candidates[e].append(idx)
 
     seed = greedy_solve(inst)
     best_weight = seed.weight
@@ -219,6 +229,22 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
 
 
 Labels = tuple[tuple[int, ...], ...]
+
+
+def steps_to_json(cover: Cover, labels: Optional[Labels] = None) -> list[dict]:
+    """A greedy cover's steps in the external JSON shape: 1-based set and
+    elements, and the ratio in cost units.  With ``labels`` (see
+    :func:`cover_labels`) each step also lists the states of the elements
+    it newly covers."""
+    out = []
+    for step in cover.trace:
+        newly = sorted(step.newly_covered)
+        entry: dict = {"set": step.set_index + 1, "newly_covered": [e + 1 for e in newly]}
+        if labels is not None:
+            entry["covered_states"] = [list(labels[e]) for e in newly]
+        entry["ratio"] = format_ratio(step.ratio / COST_SCALE)  # scaled weight -> cost units
+        out.append(entry)
+    return out
 
 
 def cover_instances(
@@ -299,14 +325,12 @@ def selection_to_cover(inst: WeightedSetCoverInstance, sel: Selection) -> Cover:
     element uncovered (equivalently: some state of the reduced system is
     inaccessible).
     """
-    covered: set[int] = set()
     for i in sel.inputs:
         if not 0 <= i < inst.r:
             raise IndexError(f"set index {i + 1} out of range 1..{inst.r}")
-        covered |= inst.sets[i]
-    for e in range(inst.universe_size):
-        if e not in covered:
-            raise InfeasibleSelection(e)
+    left = inst.uncovered(sel.inputs)
+    if left:
+        raise InfeasibleSelection((left & -left).bit_length() - 1)  # the smallest one
     return Cover(
         chosen=frozenset(sel.inputs),
         weight=sum(inst.weights[i] for i in sel.inputs),

@@ -129,6 +129,12 @@ class TestCheck:
         assert out == ""
         assert json.loads(target.read_text())["no_sfm"] is True
 
+    def test_output_into_missing_directory(self, capsys, demo_json, tmp_path):
+        target = tmp_path / "missing" / "result.json"
+        code, out, err = run(capsys, "check", demo_json, "-o", str(target))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: [Errno 2] ") and str(target) in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _out, err = run(capsys, "check", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE and "cannot read" in err
@@ -246,6 +252,21 @@ class TestSelect:
         assert code == EXIT_USAGE
         assert "guard" in err
 
+    def test_exact_cover_guard(self, capsys, tmp_path):
+        # two SCCs, so the covers run and --exact solves them exactly:
+        # 26 inputs trip the exact cover's guard before the oracle's
+        path = tmp_path / "many_inputs.json"
+        path.write_text(json.dumps({
+            "n": 2, "m": 26, "p": 1,
+            "A": [[1, 1], [2, 2]],
+            "B": [[i, j] for i in (1, 2) for j in range(1, 27)],
+            "C": [[1, 1], [1, 2]],
+            "K": "complete", "cost_u": ["1"] * 26, "cost_y": ["1"], "mode": "continuous",
+        }))
+        code, out, err = run(capsys, "select", str(path), "--exact")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: exact cover limited to 25 sets, got 26\n"
+
     def test_table_format(self, capsys, demo_json):
         code, out, _ = run(capsys, "select", demo_json, "--format", "table")
         assert code == EXIT_OK
@@ -329,6 +350,20 @@ class TestSolveSetcover:
         path = write_wsc(tmp_path, {"N": 1})
         code, _out, err = run(capsys, "solve-setcover", path)
         assert code == EXIT_USAGE and '"sets"' in err
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"N": -1, "sets": [], "weights": []}, "universe size -1 outside 0..100000"),
+            ({"N": 2, "sets": [[1], [2], [1, 2]], "weights": ["-1"] * 3}, "set 1: negative weight"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [(), ("--exact",)])
+    def test_refused_instance(self, capsys, tmp_path, doc, message, flags):
+        # refused before any solver runs: no traceback, no output
+        path = write_wsc(tmp_path, doc)
+        code, out, err = run(capsys, "solve-setcover", path, *flags)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}: {message}\n")
 
 
 class TestGen:

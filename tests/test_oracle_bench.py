@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -309,6 +310,28 @@ class TestBench:
         records, _ = bench([self.CFG], trials=1, oracle=True)
         assert records[0].oracle_cost is not None
         assert len(calls) == 2
+
+    def test_zero_cost_optimum_flagged(self):
+        cfg = replace(self.CFG, cost_range=("0", "0"))
+        records, summary = bench([cfg], trials=1, oracle=True)
+        rec = records[0]
+        assert (rec.algo_cost, rec.oracle_cost) == (0, 0)
+        assert rec.ratio == 1 and rec.ratio_flagged
+        assert summary["flagged_zero_optimum"] == 1
+
+    def test_select_error_recorded(self):
+        # without the rejection loop the draw has a fixed mode: with no A
+        # stars, one input and one output cannot span two states by cycles
+        cfg = GeneratorConfig(
+            n=2, m=1, p=1, state_density=0.0, input_density=1.0,
+            output_density=1.0, require_feasible=False,
+        )
+        records, summary = bench([cfg], trials=1, oracle=True)
+        rec = records[0]
+        assert summary["errors"] == 1 and summary["feasible"] == 0
+        assert rec.error == "system has structurally fixed modes (Type-2)"
+        assert not rec.feasible and rec.digest and rec.special_case
+        assert list(rec.timings) == ["select"] and rec.oracle_cost is None
 
     def test_generation_failure_recorded(self):
         cfg = GeneratorConfig(

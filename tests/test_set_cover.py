@@ -26,6 +26,7 @@ from ioselect.set_cover import (
 )
 from ioselect.system_model import (
     COST_SCALE,
+    SIZE_LIMIT,
     FormatError,
     ModelError,
     Selection,
@@ -62,7 +63,9 @@ class TestInstance:
 
     def test_r(self):
         assert WeightedSetCoverInstance(1, (frozenset({0}),) * 3, (1, 2, 3)).r == 3
-        assert WeightedSetCoverInstance(3, (frozenset(), frozenset({0, 2})), (1, 2)).masks == (0, 5)
+        inst = WeightedSetCoverInstance(3, (frozenset(), frozenset({0, 2})), (1, 2))
+        assert inst.masks == (0, 5)
+        assert (inst.uncovered([]), inst.uncovered([0]), inst.uncovered([1])) == (7, 7, 2)
 
 
 class TestGreedy:
@@ -287,6 +290,11 @@ class TestJson:
             ({"N": 1, "sets": [[1]], "weights": [1]}, '"weights"'),
             ({"N": 1, "sets": [[1]], "weights": ["1", "2"]}, "sets but"),
             ({"N": 1, "sets": [[2]], "weights": ["1"]}, "outside universe"),
+            ([], "set cover document must be a JSON object"),
+            ({"N": 1, "sets": [[1]], "weights": ["1.0000001"]}, '"weights": cost'),
+            ({"N": -1, "sets": [], "weights": []}, "universe size -1 outside 0.."),
+            ({"N": SIZE_LIMIT + 1, "sets": [], "weights": []}, f"outside 0..{SIZE_LIMIT}"),
+            ({"N": 1, "sets": [[1]], "weights": ["-1"]}, "set 1: negative weight"),
         ],
     )
     def test_format_errors(self, doc, message):

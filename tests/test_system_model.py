@@ -153,6 +153,21 @@ class TestValidate:
         assert "row out of range" in text
         assert "negative cost at input 1" in text
         assert "mode" in text
+        shapeless = StructuredSystem(
+            A=SparsityPattern(0, 0),
+            B=SparsityPattern(1, 1),
+            C=SparsityPattern(-1, 2),
+            cost_u=(parse_cost(1),),
+            cost_y=(-parse_cost(1),),
+        )
+        assert validate(shapeless).violations == (
+            "A: at least one state required",
+            "B: expected 0 rows, got 1",
+            "C: expected 0 cols, got 2",
+            "C: negative dimensions -1x2",
+            "cost_y: expected -1 entries, got 1",
+            "negative cost at output 1",
+        )
 
     def test_bad_stars_reported_in_star_order(self):
         # each pattern's out-of-range stars by (row, col), patterns A, B, C
@@ -226,6 +241,8 @@ class TestSelectionAndRestrict:
     def test_restrict_rejects_out_of_range(self, demo):
         with pytest.raises(IndexError, match="input index 9"):
             restrict(demo, Selection.of([8], []))
+        with pytest.raises(IndexError, match="output index 3 out of range 1..2"):
+            restrict(demo, Selection.of([], [2]))
 
     def test_restrict_explicit_k_block(self):
         sys_ = demo_system()
@@ -299,6 +316,8 @@ class TestJson:
             (lambda d: d.pop("n"), "missing field 'n'"),
             (lambda d: d.update(n="4"), "field 'n'"),
             (lambda d: d.update(A=[[1]]), 'field \'A\''),
+            (lambda d: d.update(A="1 1"), "field 'A': expected a list"),
+            (lambda d: [d], "instance document must be a JSON object"),
             (lambda d: d.update(K="partial"), 'field "K"'),
             (lambda d: d.update(cost_u=[1, 1, 1]), "decimal strings"),
             (lambda d: d.update(mode="sampled"), 'field "mode"'),
@@ -315,7 +334,9 @@ class TestJson:
     )
     def test_format_errors_name_the_field(self, demo, mutate, message):
         doc = system_to_json(demo)
-        mutate(doc)
+        replaced = mutate(doc)  # edits doc, or wraps it in a new document
+        if isinstance(replaced, list):
+            doc = replaced
         with pytest.raises(FormatError, match=message):
             system_from_json(doc)
 
