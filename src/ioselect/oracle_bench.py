@@ -12,7 +12,9 @@ reproducible across platforms and languages:
 
 with channels A=1, B=2, C=3, cost_u=4, cost_y=5.  Each matrix and cost
 vector is drawn from its own stream; rejection attempts shift every stream
-at once, so retries never replay bits.
+at once, so retries never replay bits.  This stream (v1) is fixed: the
+pinned instance digests depend on it (:func:`_draw_pattern` computes it a
+row at a time, with the same bits).
 """
 
 from __future__ import annotations
@@ -52,16 +54,21 @@ from ioselect.system_model import (
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# SplitMix64's finalizer (Steele, Lea & Flood's constants): xor-shift by
+# _SHIFT1, multiply by _MUL1, xor-shift by _SHIFT2, multiply by _MUL2,
+# xor-shift by _SHIFT3.
+_SHIFT1, _SHIFT2, _SHIFT3 = 30, 27, 31
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 EXACT_GUARD_IO = 16
 
 
 def _mix64(z: int) -> int:
-    """SplitMix64 output finalizer (Steele, Lea & Flood's constants)."""
+    """SplitMix64 output finalizer."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    z = ((z ^ (z >> _SHIFT1)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> _SHIFT2)) * _MUL2) & _MASK64
+    return z ^ (z >> _SHIFT3)
 
 
 class SplitMix64:
@@ -135,9 +142,45 @@ class GeneratorConfig:
 
 
 def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> SparsityPattern:
-    """Each cell starred with probability ``density``, drawn as the rows."""
+    """Each cell starred with probability ``density``, drawn as the rows.
+
+    Cell (i, j) is starred when ``rng``'s draw number i*cols + j is below
+    density * 2^64, and ``rng`` ends rows*cols draws on, as if each draw
+    were a ``next_u64``.  A row's draws are computed at once: draw j sits in
+    the low 64 bits (its lane) of the j-th 128-bit slot of one integer.  A
+    lane plus a 64-bit step, or times a 64-bit multiplier, stays inside its
+    slot, so one big-integer operation runs the finalizer on every lane.
+    Adding 2^64 - threshold to a slot carries into bit 64 exactly when its
+    lane is not below the threshold; the starred cells are the slots
+    without that carry.
+    """
     threshold = int(density * (1 << 64))
-    by_row = [[j for j in range(cols) if rng.next_u64() < threshold] for _ in range(rows)]
+    ones = int.from_bytes((b"\x01" + bytes(15)) * cols, "little")  # 1 in every slot
+    lane = ones * _MASK64
+    steps = int.from_bytes(
+        b"".join((j * _GAMMA & _MASK64).to_bytes(16, "little") for j in range(1, cols + 1)),
+        "little",
+    )
+    not_below = ones * ((1 << 64) - threshold)
+    row_step = cols * _GAMMA
+    state = rng._state
+    by_row = []
+    for _ in range(rows):
+        z = (ones * state + steps) & lane  # the row's counters state + j*GAMMA
+        z ^= (z >> _SHIFT1) & lane
+        z = z * _MUL1 & lane
+        z ^= (z >> _SHIFT2) & lane
+        z = z * _MUL2 & lane
+        z ^= (z >> _SHIFT3) & lane
+        carries = ((z + not_below) >> 64).to_bytes(16 * cols, "little")[::16]
+        row = []
+        j = carries.find(0)
+        while j >= 0:
+            row.append(j)
+            j = carries.find(0, j + 1)
+        by_row.append(row)
+        state = (state + row_step) & _MASK64
+    rng._state = state
     return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
 

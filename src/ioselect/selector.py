@@ -337,46 +337,45 @@ def select_min_cost_io(
     stage1 = stage2 = None
     exact_bound: Optional[int] = None
 
-    if primary == CASE_IRREDUCIBLE and continuous:
-        # One SCC: any feasible selection uses at least one connected input
-        # and output, and each cover's one element is that SCC.  With a
-        # state-only perfect matching the covers' cheapest pair is therefore
-        # optimal; otherwise the matching stage alone is (its cost is a
-        # lower bound met with equality).
-        if state_match is not None:
-            t0 = time.perf_counter()
-            acc, sen = (greedy_solve(inst) for inst in compiled.covers)
-            selection = Selection(acc.chosen, sen.chosen)
-            stage_costs: tuple[Optional[int], ...] = (acc.weight, sen.weight, 0)
-            lower = acc.weight + sen.weight
-            timings["cycle"] = time.perf_counter() - t0
-        else:
-            selection = sel3
-            stage_costs = (0, 0, cyc_cost)
-            lower = cyc_cost
+    # One SCC: any feasible selection uses at least one connected input and
+    # output, and each cover's one element is that SCC.  With a state-only
+    # perfect matching the covers' cheapest pair is therefore optimal;
+    # otherwise the matching stage alone is (its cost is a lower bound met
+    # with equality).
+    irreducible = primary == CASE_IRREDUCIBLE and continuous
+    if irreducible and state_match is None:
+        selection = sel3
+        stage_costs: tuple[Optional[int], ...] = (0, 0, cyc_cost)
+        lower = cyc_cost
     else:
         t0 = time.perf_counter()
         inst1, inst2 = compiled.covers
-        stage1 = greedy_solve(inst1)
-        sel1 = Selection(inputs=stage1.chosen)
+        cover1 = greedy_solve(inst1)
+        sel1 = Selection(inputs=cover1.chosen)
         timings["accessibility"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        stage2 = greedy_solve(inst2)
-        sel2 = Selection(outputs=stage2.chosen)
+        cover2 = greedy_solve(inst2)
+        sel2 = Selection(outputs=cover2.chosen)
         timings["sensability"] = time.perf_counter() - t0
 
-        if exact_covers:
-            exact_bound = exact_solve(inst1).weight + exact_solve(inst2).weight
-
-        if not continuous:
+        if irreducible:
             selection = sel1.union(sel2)
-            stage_costs = (stage1.weight, stage2.weight, None)
-            lower = exact_bound if exact_bound is not None else 0
+            stage_costs = (cover1.weight, cover2.weight, 0)
+            lower = cover1.weight + cover2.weight
         else:
-            selection = sel1.union(sel2).union(sel3)
-            stage_costs = (stage1.weight, stage2.weight, cyc_cost)
-            lower = max(cyc_cost, exact_bound or 0)
+            stage1, stage2 = cover1, cover2
+            if exact_covers:
+                exact_bound = exact_solve(inst1).weight + exact_solve(inst2).weight
+
+            if not continuous:
+                selection = sel1.union(sel2)
+                stage_costs = (stage1.weight, stage2.weight, None)
+                lower = exact_bound if exact_bound is not None else 0
+            else:
+                selection = sel1.union(sel2).union(sel3)
+                stage_costs = (stage1.weight, stage2.weight, cyc_cost)
+                lower = max(cyc_cost, exact_bound or 0)
 
     # The final check verifies condition (b) on a perfect matching that
     # leaves only selected channels off their own edges: stage 3's, or,

@@ -52,6 +52,13 @@ def k_stars(system: StructuredSystem) -> frozenset[tuple[int, int]]:
     return system.K.stars
 
 
+def draw_pattern_rows(rows: int, cols: int, density: float, rng) -> list[list[int]]:
+    """The generator's pattern draw one cell at a time: cell (i, j) is
+    starred when ``rng``'s next ``next_u64`` is below density * 2^64."""
+    threshold = int(density * (1 << 64))
+    return [[j for j in range(cols) if rng.next_u64() < threshold] for _ in range(rows)]
+
+
 # vertex ids follow the package encoding: states 0..n-1, inputs n..n+m-1,
 # outputs n+m..n+m+p-1 -- but graphs here are built straight from the stars.
 

@@ -20,6 +20,7 @@ from ioselect.oracle_bench import (
     GenerationFailed,
     GeneratorConfig,
     SplitMix64,
+    _draw_pattern,
     _mix64,
     _stream,
     bench,
@@ -75,6 +76,56 @@ class TestSplitMix64:
     @given(st.integers(0, 2**64 - 1), st.integers(1, 1000))
     def test_next_below_bound(self, seed, bound):
         assert 0 <= SplitMix64(seed).next_below(bound) < bound
+
+
+class TestDrawPattern:
+    """The packed row draw against the cell-by-cell reference: the same
+    stars, and the stream left in the same state."""
+
+    @staticmethod
+    def _agree(rows, cols, density, make_rng):
+        packed, reference = make_rng(), make_rng()
+        pattern = _draw_pattern(rows, cols, density, packed)
+        assert (pattern.rows, pattern.cols) == (rows, cols)
+        assert pattern.by_row == oracles.draw_pattern_rows(rows, cols, density, reference)
+        assert packed._state == reference._state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 40),
+        cols=st.integers(0, 40),
+        density=st.sampled_from([0.0, 1.0, 5 / 400]) | st.floats(0.0, 1.0),
+        seed=st.sampled_from([0, 1, 2**64 - 1]),
+        stream=st.none() | st.tuples(st.integers(0, 3), st.sampled_from([CH_A, CH_B, CH_C])),
+    )
+    def test_matches_cell_by_cell(self, rows, cols, density, seed, stream):
+        if stream is None:
+            self._agree(rows, cols, density, lambda: SplitMix64(seed))
+        else:
+            self._agree(rows, cols, density, lambda: _stream(seed, *stream))
+
+    def test_draw_at_the_threshold_is_not_a_star(self):
+        # seeds whose first draws are threshold - 1 and threshold exactly
+        def unshift(z, shift):
+            x = z
+            for _ in range(64 // shift + 1):
+                x = z ^ (x >> shift)
+            return x
+
+        def seed_drawing(value):
+            z = unshift(value, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+            z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+            return (unshift(z, 30) - 0x9E3779B97F4A7C15) % 2**64
+
+        threshold = 1 << 63  # density 0.5
+        for value, starred in ((threshold - 1, [[0]]), (threshold, [[]])):
+            assert SplitMix64(seed_drawing(value)).next_u64() == value
+            assert _draw_pattern(1, 1, 0.5, SplitMix64(seed_drawing(value))).by_row == starred
+            self._agree(3, 5, 0.5, lambda: SplitMix64(seed_drawing(value)))
+
+    def test_sparse_pool_state_pattern(self):
+        # the sparse benchmark pool's A: 400 x 400 at density 5/400
+        self._agree(400, 400, 5 / 400, lambda: _stream(0, 0, CH_A))
 
 
 class TestGeneratorConfig:

@@ -256,6 +256,8 @@ class TestSelectSpecialPaths:
         assert rep.stage_costs == (2 * U, 4 * U, 0)
         assert rep.lower_bound == 6 * U
         assert rep.stage1 is None and rep.matching is None
+        # stage 3 does not run: the time goes to the two covers
+        assert set(rep.timings) == {"sfm_check", "accessibility", "sensability", "final_check"}
 
     def test_irreducible_without_state_pm(self):
         system = make_system(
@@ -269,6 +271,7 @@ class TestSelectSpecialPaths:
         assert rep.stage_costs == (0, 0, 11 * U)
         assert rep.lower_bound == 11 * U
         assert rep.matching is not None
+        assert set(rep.timings) == {"sfm_check", "cycle", "final_check"}
 
     def test_single_nontop(self):
         system = make_system(3, 2, 2, [(2, 1), (3, 1)], [(1, 1), (3, 2)],

@@ -1,20 +1,25 @@
 """The benchmark's set-up (perfbench/workloads.py) still runs on the package.
 
 ``describe`` records each instance's SCC counts and special case through
-``build_graphs``, ``decompose_sccs`` and ``detect_special_case``.  This test
-loads the file by path, unedited, so a change to those names fails here and
-not inside a benchmark run.
+``build_graphs``, ``decompose_sccs`` and ``detect_special_case``.  The pools
+are drawn by the package's seeded generator, and ``perfbench/golden.json``
+keys each member's output by its instance digest, so a drift of the stream
+shows as a digest missing there.  These tests load the files by path,
+unedited, so such a change fails here and not inside a benchmark run.
 """
 
 import importlib.util
+import json
 import os
 import sys
 
 import pytest
 
+from ioselect import oracle_bench
 from ioselect.selector import compile_system, detect_special_case
 
-WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+WORKLOADS_PATH = os.path.join(PERFBENCH, "workloads.py")
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +46,15 @@ def test_describe_matches_the_compiled_system(workloads, which):
     assert doc["k"] == compiled.scc.k
     assert doc["sccs"] == len(compiled.scc.components)
     assert doc["special_case"] == detect_special_case(compiled)
+
+
+@pytest.mark.parametrize("which, members", [("sparse", 4), ("wide", None), ("oracle", 8)])
+def test_pool_digests_are_golden(workloads, which, members):
+    with open(os.path.join(PERFBENCH, "golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)[which]
+    pool = workloads.WORKLOADS[which].pool[:members]
+    missing = [
+        spec.label for spec in pool
+        if oracle_bench.instance_digest(spec.build()) not in golden
+    ]
+    assert not missing
