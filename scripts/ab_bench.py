@@ -16,9 +16,11 @@ pass for a change to the program.
 
 Each run's last line of standard output is its JSON result.  The script
 prints every run, then per workload and metric the median and quartiles
-of each side and in how many pairs this checkout's value was lower (ties
-count for neither), and ends with one JSON line per workload holding its
-runs.
+of each side, in how many pairs this checkout's value was better (lower,
+or higher where ``BENCHMARK.json`` says higher is better; ties count for
+neither), and a verdict (:func:`verdict`) under the metric's bound from
+``BENCHMARK.json``, which it only reads.  It ends with one JSON line per
+workload holding its runs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 SIDES = ("base", "head")
 WORKLOADS = ("sparse", "wide", "oracle", "chain")  # perfbench/workloads.py's, in its order
 
@@ -75,19 +78,62 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict[str, dict]]) -> list[dict]:
+def end_to_end_specs(path: str = BENCHMARK) -> dict[str, dict]:
+    """The benchmark's end-to-end metrics by name, each with its ``better``
+    (``lower`` or ``higher``) and its ``bound``, a share of the base median."""
+    with open(path, encoding="utf-8") as fh:
+        return {spec["name"]: spec for spec in json.load(fh)["end_to_end"]}
+
+
+def wins(base: list[float], head: list[float], better: str) -> int:
+    """The pairs in which head is better; ties count for neither."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (b - h) > 0 for b, h in zip(base, head))
+
+
+def verdict(base: list[float], head: list[float], better: str, bound: float) -> str:
+    """One metric's verdict on paired runs, first match wins:
+
+    * ``gain``: head is better in at least 9 of 10 pairs (ties count for
+      neither), and the medians differ by more than base's quartile spread;
+    * ``worse``: head's median is worse than base's by more than ``bound``
+      times base's median;
+    * ``unresolved``: base's quartile spread is wider than that, and not
+      every head run is better than every base run;
+    * ``no worse``: otherwise.
+    """
+    sign = 1 if better == "lower" else -1  # sign * (b - h) > 0: head better
+    b1, b2, b3 = quartiles(base)
+    ahead = sign * (b2 - quartiles(head)[1])
+    allowed = bound * abs(b2)
+    if 10 * wins(base, head, better) >= 9 * len(base) and ahead > b3 - b1:
+        return "gain"
+    if -ahead > allowed:
+        return "worse"
+    if b3 - b1 > allowed and not min(sign * (b - h) for b in base for h in head) > 0:
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(runs: list[dict[str, dict]], specs: dict[str, dict] | None = None) -> list[dict]:
     """Per metric of the pairs in ``runs`` (each ``{"base": result, "head":
-    result}``): both sides' quartiles and the pairs where head is lower."""
+    result}``): both sides' quartiles, the pairs where head is lower and
+    where it is better, and the verdict under ``specs`` (by default
+    ``BENCHMARK.json``'s end-to-end metrics)."""
+    specs = end_to_end_specs() if specs is None else specs
     rows = []
     for metric in runs[0]["base"]["metrics"]:
         values = {side: [r[side]["metrics"][metric]["value"] for r in runs] for side in SIDES}
-        lower = sum(h < b for b, h in zip(values["base"], values["head"]))
+        better, bound = specs[metric]["better"], specs[metric]["bound"]
         rows.append({
             "metric": metric,
             "unit": runs[0]["base"]["metrics"][metric]["unit"],
             **{side: quartiles(values[side]) for side in SIDES},
-            "lower": lower,
+            "lower": wins(values["base"], values["head"], "lower"),
+            "better": better,
+            "wins": wins(values["base"], values["head"], better),
             "pairs": len(runs),
+            "verdict": verdict(values["base"], values["head"], better, bound),
         })
     return rows
 
@@ -145,7 +191,8 @@ def main(argv=None) -> int:
             h1, h2, h3 = row["head"]
             print(
                 f"{row['metric']:>14} {row['unit']:>8}  base {b2:.6g} [{b1:.6g}, {b3:.6g}]"
-                f"  head {h2:.6g} [{h1:.6g}, {h3:.6g}]  lower in {row['lower']}/{row['pairs']}"
+                f"  head {h2:.6g} [{h1:.6g}, {h3:.6g}]  {row['better']} in {row['wins']}/{row['pairs']}"
+                f"  {row['verdict']}"
             )
     for workload, runs in results.items():
         print(json.dumps({"workload": workload, "base": args.base, "seed0": args.seed0, "runs": runs}))

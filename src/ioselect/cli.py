@@ -58,8 +58,14 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # before ValueError, its base class
         raise _UsageError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise _UsageError(f"{path}: nesting too deep") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"{path}: not UTF-8") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise _UsageError(f"{path}: integer too long") from None
 
 
 def _read_system(path: str) -> StructuredSystem:

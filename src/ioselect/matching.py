@@ -222,14 +222,22 @@ def _masked(g: SystemGraph, sel: Optional[Selection]):
     return keep, rows, [u for u in range(n, out0) if keep[u]], [y for y in range(out0, g.size) if keep[y]]
 
 
+def side_completes(g: SystemGraph, outputs: bool, chosen: Iterable[int]) -> bool:
+    """With a hub: whether the inputs (with ``outputs``, the outputs)
+    numbered ``chosen``, ascending, complete side 1 (side 2) by its greedy."""
+    if outputs:
+        return _output_side(g, [g.n + g.m + j for j in chosen])[1]
+    return _input_side(g, [g.n + i for i in chosen])[1]
+
+
 def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
     """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
     the system restricted to ``sel`` has one, decided on ``g`` itself.  With
     a hub, iff the selected channels complete both sides."""
-    _keep, rows, inputs, outputs = _masked(g, sel)
     if not g.hub:
-        return -1 not in _hopcroft_karp(rows)[0]
-    return _input_side(g, inputs)[1] and _output_side(g, outputs)[1]
+        return -1 not in _hopcroft_karp(_masked(g, sel)[1])[0]
+    inputs, outputs = (range(g.m), range(g.p)) if sel is None else (sel.sorted_inputs(), sel.sorted_outputs())
+    return side_completes(g, False, inputs) and side_completes(g, True, outputs)
 
 
 def hall_indices(

@@ -3,7 +3,8 @@
 The oracles enumerate input/output subsets (guard: m + p <= 16) and are the
 ground truth the approximation pipeline is measured against.  With a
 complete K the exact selection searches the 2^m input subsets and the 2^p
-output subsets apart, not the 2^(m+p) pairs (see :func:`exact_select`).
+output subsets apart, each built by doubling and decided by its side's
+cover mask, then its side's greedy (see :func:`exact_select`).
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -27,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from ioselect.matching import side_completes
 from ioselect.selector import (
     CompiledSystem,
     SystemHasSFMs,
@@ -226,24 +228,23 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     """Ground-truth minimum-cost selection with no structurally fixed modes;
     ties break to the lexicographically smallest (I, J).
 
-    Every candidate is decided on one :class:`~ioselect.selector.CompiledSystem`
-    (a system given already compiled is not compiled again), in the order of
-    its key, so the first one that qualifies is the answer.
+    The full selection is checked first, on one
+    :class:`~ioselect.selector.CompiledSystem` (a system given already
+    compiled is not compiled again).  Each side's subsets and costs are
+    built in one doubling pass; candidates are tried in the order of their
+    key, so the first one that qualifies is the answer.
 
-    With a partial K the candidates are all 2^(m+p) pairs (I, J), keyed by
-    (cost, I, J).  With a complete K, and the full selection free of
-    structurally fixed modes, (I, J) is free of them exactly when
-    (I, all outputs) and (all inputs, J) are.  Condition (a) splits because
-    it asks the selected inputs to cover the non-top SCCs and the selected
-    outputs the non-bottom ones.  Condition (b) splits by the
-    Mendelsohn-Dulmage theorem: a matching of the state rows into the
-    states and u_I, and one of the state rows and y'_J onto the states,
-    join into one matching that covers every state row and every state; it
-    uses as many inputs as outputs, the complete K pairs those, and every
-    other selected channel takes its own edge.  So the search walks the 2^m
-    input subsets by (cost, I) and the 2^p output subsets by (cost, J), and
-    the first of each is the optimum's, under the same tie order: every
-    cheapest qualifying pair joins a cheapest I to a cheapest J.
+    With a partial K the candidates are the pairs (I, J), keyed by
+    (cost, I, J) and decided whole.  With a complete K, and the full
+    selection qualifying, (I, J) qualifies exactly when (I, all outputs)
+    and (all inputs, J) do: condition (a) asks the inputs to cover the
+    non-top SCCs and the outputs the non-bottom ones, and condition (b)
+    splits by the Mendelsohn-Dulmage theorem (a matching of each side joins
+    into a perfect one).  So I is decided by the accessibility cover's mask
+    and then, in continuous mode, by side 1's own greedy
+    (:func:`ioselect.matching.side_completes`), J likewise, and the first I
+    by (cost, I) and J by (cost, J) join into the optimum, under the same
+    tie order.
     """
     compiled = compile_system(system)
     system = compiled.system
@@ -255,29 +256,28 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(compiled, status))
 
-    def subsets(count: int, costs: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        chosen = [tuple(i for i in range(count) if mask >> i & 1) for mask in range(1 << count)]
-        return [(sum(costs[i] for i in c), c) for c in chosen]
-
-    def first(keys, selection):
+    def first(keys, qualifies):
         for key in sorted(keys):
-            if compiled.no_sfm(selection(key)):
+            if qualifies(key):
                 return key
         raise InvariantViolated("no selection qualifies, yet the full selection does")
 
-    input_subsets = subsets(system.m, system.cost_u)
-    output_subsets = subsets(system.p, system.cost_y)
-    if system.k_is_complete():
-        in_cost, inputs = first(input_subsets, lambda key: Selection.of(key[1], range(system.p)))
-        out_cost, outputs = first(output_subsets, lambda key: Selection.of(range(system.m), key[1]))
-        return Selection.of(inputs, outputs), in_cost + out_cost
-    cost, inputs, outputs = first(
-        ((in_cost + out_cost, inputs, outputs)
-         for in_cost, inputs in input_subsets
-         for out_cost, outputs in output_subsets),
-        lambda key: Selection.of(key[1], key[2]),
-    )
-    return Selection.of(inputs, outputs), cost
+    sides = [[(0, ())], [(0, ())]]  # each side's subsets with their costs
+    for subs, costs in zip(sides, (system.cost_u, system.cost_y)):
+        for i, cost in enumerate(costs):  # channel i doubles them
+            subs += [(sub_cost + cost, sub + (i,)) for sub_cost, sub in subs]
+    if not system.k_is_complete():
+        cost, inputs, outputs = first(
+            ((ci + co, i, o) for ci, i in sides[0] for co, o in sides[1]),
+            lambda key: compiled.no_sfm(Selection.of(key[1], key[2])),
+        )
+        return Selection.of(inputs, outputs), cost
+    g, discrete = compiled.graph, system.mode == "discrete"
+    (in_cost, inputs), (out_cost, outputs) = [
+        first(subs, lambda key: not cover.uncovered(key[1]) and (discrete or side_completes(g, side, key[1])))
+        for side, cover, subs in zip((False, True), compiled.covers, sides)
+    ]
+    return Selection.of(inputs, outputs), in_cost + out_cost
 
 
 @dataclass(frozen=True)

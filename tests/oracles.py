@@ -264,6 +264,29 @@ def best_selection(
     return best
 
 
+def joint_exact_select(compiled) -> Optional[tuple[Selection, int]]:
+    """The exact selection by a scan of every pair (I, J) in (cost, I, J)
+    order, each decided whole by ``compiled.no_sfm`` (a
+    :class:`ioselect.selector.CompiledSystem`): the first that qualifies,
+    or None.  The exact search splits the pairs with a complete K; this
+    scan does not."""
+    system = compiled.system
+
+    def subsets(count: int, costs: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        chosen = [tuple(i for i in range(count) if mask >> i & 1) for mask in range(1 << count)]
+        return [(sum(costs[i] for i in c), c) for c in chosen]
+
+    pairs = sorted(
+        (in_cost + out_cost, inputs, outputs)
+        for in_cost, inputs in subsets(system.m, system.cost_u)
+        for out_cost, outputs in subsets(system.p, system.cost_y)
+    )
+    for cost, inputs, outputs in pairs:
+        if compiled.no_sfm(Selection.of(inputs, outputs)):
+            return Selection.of(inputs, outputs), cost
+    return None
+
+
 def best_cover(universe_size: int, sets, weights) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exhaustive weighted set cover; ties to the lexicographically smallest
     chosen index tuple."""

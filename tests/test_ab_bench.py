@@ -37,6 +37,53 @@ def test_summarize_counts_lower_pairs_and_no_ties():
     assert rows["success_rate"]["lower"] == 0  # ties count for neither side
 
 
+SPECS = {"select_p50_s": {"better": "lower", "bound": 0.24}, "success_rate": {"better": "higher", "bound": 0.004}}
+
+
+def test_specs_are_the_benchmarks_end_to_end_metrics():
+    specs = ab_bench.end_to_end_specs()
+    assert {name: spec["better"] for name, spec in specs.items()} == {
+        "select_p50_s": "lower", "select_tail_s": "lower", "success_rate": "higher", "setup_s": "lower",
+    }
+    assert all(spec["bound"] > 0 for spec in specs.values())
+
+
+BASE = [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize("head, expected", [
+    ([v - 0.2 for v in BASE], "gain"),  # 10/10 and far past the spread
+    ([v - 0.2 for v in BASE[:8]] + [2.0, 2.0], "no worse"),  # 8/10 wins
+    ([v - 0.01 for v in BASE], "no worse"),  # 10/10, inside the spread
+    ([v + 0.2 for v in BASE], "no worse"),  # worse, but within 24%
+    ([v + 0.3 for v in BASE], "worse"),
+])
+def test_verdict_lower_is_better(head, expected):
+    assert ab_bench.verdict(BASE, head, "lower", 0.24) == expected
+
+
+def test_verdict_higher_is_better():
+    assert ab_bench.wins([0.9] * 10, [1.0] * 10, "higher") == 10
+    assert ab_bench.verdict([0.9] * 10, [1.0] * 10, "higher", 0.004) == "gain"
+    assert ab_bench.verdict([1.0] * 10, [0.99] * 10, "higher", 0.004) == "worse"
+    assert ab_bench.verdict([1.0] * 10, [0.999] * 10, "higher", 0.004) == "no worse"
+
+
+def test_verdict_wide_base_spread():
+    base = [10.0, 11.0, 12.0, 30.0]
+    assert ab_bench.verdict(base, [12.0, 11.5, 11.0, 12.5], "lower", 0.24) == "unresolved"
+    # every head run better than every base run, yet not past the spread
+    assert ab_bench.verdict(base, [9.0] * 4, "lower", 0.24) == "no worse"
+
+
+def test_summarize_counts_wins_in_the_better_direction():
+    runs = [{"base": result(0.005, 1.0), "head": result(0.004, 0.9)} for _ in range(10)]
+    rows = {row["metric"]: row for row in ab_bench.summarize(runs, SPECS)}
+    assert (rows["select_p50_s"]["wins"], rows["select_p50_s"]["verdict"]) == (10, "gain")
+    rate = rows["success_rate"]
+    assert (rate["better"], rate["lower"], rate["wins"], rate["verdict"]) == ("higher", 10, 0, "worse")
+
+
 def test_workload_names():
     assert ab_bench.parse_workloads("all") == ["sparse", "wide", "oracle", "chain"]
     assert ab_bench.parse_workloads("chain, sparse,chain") == ["chain", "sparse"]
@@ -83,5 +130,6 @@ def test_several_workloads_export_the_base_once(monkeypatch, capsys):
     summaries = [line for line in out if "pairs, base HEAD -> working tree" in line]
     assert [line.split(":")[0] for line in summaries] == ["wide", "chain"]
     assert sum("select_p50_s" in line and "lower in 2/2" in line for line in out) == 2
+    assert sum("success_rate" in line and "higher in 0/2  no worse" in line for line in out) == 2
     records = [json.loads(line) for line in out if line.startswith("{")]
     assert [(r["workload"], len(r["runs"])) for r in records] == [("wide", 2), ("chain", 2)]

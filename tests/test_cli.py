@@ -498,6 +498,39 @@ class TestCompileOnce:
         assert counts == dict.fromkeys(names, 1)
 
 
+    def test_exact_search_decides_sides_alone(self, capsys, tmp_path, monkeypatch):
+        # on an oracle-pool system the exact search's one perfect-matching
+        # test is the full selection's; every subset is decided on its own
+        # side, and no selection's graph is masked
+        import ioselect.oracle_bench as oracle_bench
+        from ioselect.system_model import system_to_json
+        from test_selector import wrap_counting
+
+        system = oracle_bench.generate(oracle_bench.GeneratorConfig(
+            n=30, m=5, p=5, state_density=0.1, input_density=0.2, output_density=0.2,
+            cost_range=("1", "99"), seed=1,
+        ))
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(system_to_json(system)))
+        names = ["matching.has_perfect_matching", "matching._masked"]
+        counts = wrap_counting(monkeypatch, names)
+        inside = {}
+        real = oracle_bench.exact_select
+
+        def exact_select(compiled):
+            before = dict(counts)
+            try:
+                return real(compiled)
+            finally:
+                inside.update({name: counts[name] - before[name] for name in names})
+
+        monkeypatch.setattr(oracle_bench, "exact_select", exact_select)
+        code, doc, _err = run_json(capsys, "select", str(path), "--exact")
+        assert code == EXIT_OK and "oracle" in doc
+        assert inside["matching.has_perfect_matching"] <= 1
+        assert inside["matching._masked"] == 0
+
+
 class TestMain:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -528,6 +561,27 @@ class TestMain:
         assert code == EXIT_INTERNAL == 3
         assert out == ""
         assert err.startswith("internal error: ") and "structurally fixed modes" in err
+
+
+MALFORMED = {
+    "nesting too deep": b"[" * 100_000,
+    "not UTF-8": b'{"n": "\xff"}',
+    "integer too long": b'{"n": ' + b"9" * 5000 + b"}",
+}
+
+
+class TestMalformedJson:
+    # a file the JSON reader cannot take in is a usage error with one line,
+    # whichever command reads it
+    @pytest.mark.parametrize("command", ["select", "check", "solve-setcover", "reduce-setcover"])
+    @pytest.mark.parametrize("message", list(MALFORMED))
+    def test_exit_usage_without_traceback(self, capsys, tmp_path, command, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(MALFORMED[message])
+        code, out, err = run(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
 
 
 class TestParserOnce:

@@ -31,7 +31,7 @@ from ioselect.oracle_bench import (
     write_csv,
     write_jsonl,
 )
-from ioselect.selector import SystemHasSFMs
+from ioselect.selector import SystemHasSFMs, compile_system
 from ioselect.set_cover import TooLarge
 from ioselect.system_model import COST_SCALE, InvariantViolated, ModelError, Selection
 
@@ -272,23 +272,42 @@ class TestExactSelect:
     @pytest.mark.parametrize("seed", [5, 6, 8])
     def test_complete_k_decides_each_subset_once(self, seed, monkeypatch):
         # with a complete K the input subsets and the output subsets are
-        # searched apart: at most 2^m + 2^p candidates, where a scan of the
-        # pairs in cost order decides 104, 408 and 217 of these systems' 1,024
+        # searched apart, each on its own side: at most 2^m + 2^p side
+        # tests and no whole-selection decision, where a scan of the pairs
+        # in cost order decides 104, 408 and 217 of these systems' 1,024
+        import ioselect.oracle_bench as oracle_bench_mod
         from test_selector import wrap_counting
 
         system = generate(GeneratorConfig(n=8, m=5, p=5, cost_range=("1", "9"), seed=seed))
         counts = wrap_counting(monkeypatch, ["selector.CompiledSystem.no_sfm"])
+        decided, side_completes = [], oracle_bench_mod.side_completes
+        monkeypatch.setattr(
+            oracle_bench_mod, "side_completes", lambda *args: decided.append(args) or side_completes(*args)
+        )
         exact_select(system)
-        assert 0 < counts["selector.CompiledSystem.no_sfm"] <= 2**5 + 2**5
+        assert 0 < len(decided) <= 2**5 + 2**5
+        assert counts["selector.CompiledSystem.no_sfm"] == 0
 
     def test_empty_search_raises(self, demo, monkeypatch):
         # the full selection qualifies, so a search that finds nothing is a
         # defect, reported also under python -O
-        import ioselect.selector as selector_mod
+        import ioselect.oracle_bench as oracle_bench_mod
 
-        monkeypatch.setattr(selector_mod.CompiledSystem, "no_sfm", lambda self, sel: False)
+        monkeypatch.setattr(oracle_bench_mod, "side_completes", lambda g, outputs, chosen: False)
         with pytest.raises(InvariantViolated, match="full selection"):
             exact_select(demo)
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_oracle_pool_matches_joint_scan(self, mode):
+        # the per-side search against the scan of every (I, J) pair on
+        # systems shaped as the benchmark's oracle pool
+        for seed in range(64):
+            system = generate(GeneratorConfig(
+                n=30, m=5, p=5, state_density=0.1, input_density=0.2, output_density=0.2,
+                cost_range=("1", "99"), seed=seed, mode=mode,
+            ))
+            compiled = compile_system(system)
+            assert exact_select(compiled) == oracles.joint_exact_select(compiled), seed
 
 
 class TestBench:
