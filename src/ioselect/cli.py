@@ -93,17 +93,10 @@ def _parse_index_list(text: str, count: int, kind: str) -> frozenset[int]:
 
 
 def _selection_from_flags(system: StructuredSystem, args) -> Selection:
-    inputs = (
-        frozenset(range(system.m))
-        if args.inputs is None
-        else _parse_index_list(args.inputs, system.m, "inputs")
-    )
-    outputs = (
-        frozenset(range(system.p))
-        if args.outputs is None
-        else _parse_index_list(args.outputs, system.p, "outputs")
-    )
-    return Selection(inputs=inputs, outputs=outputs)
+    return Selection(*(
+        frozenset(range(count)) if flag is None else _parse_index_list(flag, count, kind)
+        for kind, flag, count in (("inputs", args.inputs, system.m), ("outputs", args.outputs, system.p))
+    ))
 
 
 def _flatten(obj, prefix: str, lines: list[str]) -> None:

@@ -105,7 +105,7 @@ class SystemGraph:
 
     @cached_property
     def rows_to_states(self) -> list[list[int]]:
-        """Side 2's neighbour lists, with a hub: each left vertex's states,
+        """Side 1's neighbour lists, with a hub: each left vertex's states,
         so the state rows, none for an input and each output's row less its
         own id; shared like ``state_rows``."""
         return self.state_rows + [row[:-1] for row in self.adj[self.n :]]

@@ -20,8 +20,8 @@ worked out only where a dump or trace prints them (:func:`matched_edges`).
 
 A complete K (the stored graph's hub) is never expanded: it splits the
 graph in two sides.  A perfect matching using inputs I and outputs J
-matches the state rows x' into the states and u_I (side 1) and the states
-from the state rows and y'_J (side 2), and pairs u'_I with y_J over K; a
+matches the state rows x' into the states and u_I (side 0) and the states
+from the state rows and y'_J (side 1), and pairs u'_I with y_J over K; a
 matching of each side joins back into a perfect one (Mendelsohn-Dulmage,
 :func:`_join`).  Each side completes B(A)'s maximum matching
 (:attr:`SystemGraph.state_matching`) with d = n - nu(B(A)) channels.  The
@@ -124,36 +124,29 @@ def _augment(w: int, parent: list[int], mate_s: list[int], mate_w: list[int]) ->
         mate_w[w], mate_s[s], w = s, w, mate_s[s]
 
 
-def _input_side(g: SystemGraph, inputs: Iterable[int]) -> tuple[list[int], bool]:
-    """Side 1: B(A)'s maximum matching completed by the greedy over the
-    input ids ``inputs``.  Returns each state row's state or input (or -1),
-    and whether every state row is matched."""
-    state_l, state_r = g.state_matching
-    rows_to = state_l[:]
-    need = rows_to.count(-1)
-    return rows_to, _greedy(inputs, need, g.state_cols, state_r + [-1] * g.m, rows_to) == need
-
-
-def _output_side(g: SystemGraph, outputs: Iterable[int]) -> tuple[list[int], bool]:
-    """Side 2: B(A)'s maximum matching completed by the greedy over the
-    output ids ``outputs``.  Returns each state's state row or output (or
-    -1), and whether every state is matched."""
-    state_l, state_r = g.state_matching
-    states_from = state_r[:]
-    need = states_from.count(-1)
-    mates = state_l + [-1] * (g.m + g.p)
-    return states_from, _greedy(outputs, need, g.rows_to_states, mates, states_from) == need
+def complete_side(g: SystemGraph, side: int, chosen: Iterable[int]) -> tuple[list[int], bool]:
+    """Side 0 (the inputs) or 1 (the outputs): B(A)'s maximum matching
+    completed by the greedy over the channels numbered ``chosen``, in that
+    order.  Returns side 0's partner of each state row (a state or an input)
+    or side 1's of each state (a state row or an output), -1 where free, and
+    whether every one is matched."""
+    mates = g.state_matching[side][:]
+    need = mates.count(-1)
+    nbr = g.rows_to_states if side else g.state_cols
+    first = g.n + side * g.m
+    others = g.state_matching[1 - side] + [-1] * (g.m + g.p)
+    return mates, _greedy((first + c for c in chosen), need, nbr, others, mates) == need
 
 
 def _join(g: SystemGraph, rows_to: list[int], states_from: list[int]) -> list[int]:
     """A largest matching of B(A, B, C, K), as each left vertex's partner
     (-1 when free), from a largest matching of each side.
 
-    Side 1 leaves free exactly the states B(A)'s matching does.  Each one
-    starts a path x -side 2- v' -side 1- x -side 2- ... whose left vertices
-    take their side-2 edges; every other state row keeps its side-1 edge.
-    That covers every state row side 1 covers and every state side 2 covers
-    with nu(B(A)) state edges, all of side 1's inputs I and side 2's outputs
+    Side 0 leaves free exactly the states B(A)'s matching does.  Each one
+    starts a path x -side 1- v' -side 0- x -side 1- ... whose left vertices
+    take their side-1 edges; every other state row keeps its side-0 edge.
+    That covers every state row side 0 covers and every state side 1 covers
+    with nu(B(A)) state edges, all of side 0's inputs I and side 1's outputs
     J (Mendelsohn-Dulmage).  K pairs the i-th smallest of I with the i-th
     smallest of J, and every other channel takes its own edge.
     """
@@ -210,24 +203,21 @@ def _hall(g: SystemGraph, rows, keep: list[bool], match_l: list[int]) -> tuple[t
 
 
 def _masked(g: SystemGraph, sel: Optional[Selection]):
-    """The selected vertices (:func:`selected_vertices`), the rows of ``g``
-    with each unselected channel reduced to its own edge, which a perfect
-    matching must then use (so the graph has one exactly when the system
-    restricted to ``sel`` has one), and the selected input and output ids.
-    With a hub the rows are ``g.adj``: an input's row is its own edge, and
-    an unselected y_j lies in no row but its twin's, which no search reads."""
-    n, out0 = g.n, g.n + g.m
-    keep = selected_vertices(n, g.m, g.p, sel)
+    """The selected vertices (:func:`selected_vertices`) and the rows of
+    ``g`` with each unselected channel reduced to its own edge, which a
+    perfect matching must then use (so the graph has one exactly when the
+    system restricted to ``sel`` has one).  With a hub the rows are
+    ``g.adj``: an input's row is its own edge, and an unselected y_j lies in
+    no row but its twin's, which no search reads."""
+    keep = selected_vertices(g.n, g.m, g.p, sel)
     rows = g.adj if sel is None or g.hub else [row if keep[v] else [v] for v, row in enumerate(g.adj)]
-    return keep, rows, [u for u in range(n, out0) if keep[u]], [y for y in range(out0, g.size) if keep[y]]
+    return keep, rows
 
 
-def side_completes(g: SystemGraph, outputs: bool, chosen: Iterable[int]) -> bool:
-    """With a hub: whether the inputs (with ``outputs``, the outputs)
-    numbered ``chosen``, ascending, complete side 1 (side 2) by its greedy."""
-    if outputs:
-        return _output_side(g, [g.n + g.m + j for j in chosen])[1]
-    return _input_side(g, [g.n + i for i in chosen])[1]
+def _chosen(g: SystemGraph, sel: Optional[Selection]) -> tuple[Sequence[int], Sequence[int]]:
+    """The channels of each side that ``sel`` selects, ascending; all of
+    them without ``sel``.  Callers range-check ``sel``."""
+    return (range(g.m), range(g.p)) if sel is None else (sel.sorted_inputs(), sel.sorted_outputs())
 
 
 def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
@@ -236,8 +226,7 @@ def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> boo
     a hub, iff the selected channels complete both sides."""
     if not g.hub:
         return -1 not in _hopcroft_karp(_masked(g, sel)[1])[0]
-    inputs, outputs = (range(g.m), range(g.p)) if sel is None else (sel.sorted_inputs(), sel.sorted_outputs())
-    return side_completes(g, False, inputs) and side_completes(g, True, outputs)
+    return all(complete_side(g, side, chosen)[1] for side, chosen in enumerate(_chosen(g, sel)))
 
 
 def hall_indices(
@@ -254,9 +243,10 @@ def hall_indices(
     less the unselected vertices, is the restricted graph's.  Raises if the
     graph has a perfect matching.
     """
-    keep, rows, inputs, outputs = _masked(g, sel)
+    keep, rows = _masked(g, sel)
     if g.hub:
-        match_l = _join(g, _input_side(g, inputs)[0], _output_side(g, outputs)[0])
+        sides = enumerate(_chosen(g, sel))
+        match_l = _join(g, *(complete_side(g, side, chosen)[0] for side, chosen in sides))
     else:
         match_l = _hopcroft_karp(rows)[0]
     if -1 not in match_l:
@@ -287,9 +277,10 @@ def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
     """
     if not g.hub:
         raise ModelError("min-cost matching requires a complete feedback pattern")
-    n, out0 = g.n, g.n + g.m
-    rows_to, inputs_done = _input_side(g, sorted(range(n, out0), key=lambda u: g.cost_u[u - n]))
-    states_from, outputs_done = _output_side(g, sorted(range(out0, g.size), key=lambda y: g.cost_y[y - out0]))
+    (rows_to, inputs_done), (states_from, outputs_done) = [
+        complete_side(g, side, sorted(range(len(costs)), key=costs.__getitem__))
+        for side, costs in enumerate((g.cost_u, g.cost_y))
+    ]
     match_l = _join(g, rows_to, states_from)
     if not (inputs_done and outputs_done):
         raise NoPerfectMatching(g, *_hall(g, g.adj, _masked(g, None)[0], match_l))

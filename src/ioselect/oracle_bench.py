@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from ioselect.matching import side_completes
+from ioselect.matching import complete_side
 from ioselect.selector import (
     CompiledSystem,
     SystemHasSFMs,
@@ -241,10 +241,10 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     non-top SCCs and the outputs the non-bottom ones, and condition (b)
     splits by the Mendelsohn-Dulmage theorem (a matching of each side joins
     into a perfect one).  So I is decided by the accessibility cover's mask
-    and then, in continuous mode, by side 1's own greedy
-    (:func:`ioselect.matching.side_completes`), J likewise, and the first I
-    by (cost, I) and J by (cost, J) join into the optimum, under the same
-    tie order.
+    and then, in continuous mode, by side 0's own greedy
+    (:func:`ioselect.matching.complete_side`), J likewise on side 1, and
+    the first I by (cost, I) and J by (cost, J) join into the optimum, under
+    the same tie order.
     """
     compiled = compile_system(system)
     system = compiled.system
@@ -274,8 +274,8 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
         return Selection.of(inputs, outputs), cost
     g, discrete = compiled.graph, system.mode == "discrete"
     (in_cost, inputs), (out_cost, outputs) = [
-        first(subs, lambda key: not cover.uncovered(key[1]) and (discrete or side_completes(g, side, key[1])))
-        for side, cover, subs in zip((False, True), compiled.covers, sides)
+        first(subs, lambda key: not cover.uncovered(key[1]) and (discrete or complete_side(g, side, key[1])[1]))
+        for side, (cover, subs) in enumerate(zip(compiled.covers, sides))
     ]
     return Selection.of(inputs, outputs), in_cost + out_cost
 

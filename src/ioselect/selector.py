@@ -269,11 +269,13 @@ def sfm_witness(
     Both are read off the compiled graph with the inputs and outputs
     outside ``sel`` masked, so labels use the full system's indices.  The
     :class:`~ioselect.matching.NoPerfectMatching` of a failed stage 3 of
-    ``sel``, given as ``hall``, already carries the Hall violator.
+    ``sel``, given as ``hall``, already carries the Hall violator.  Raises
+    IndexError on an index out of range.
     """
     system = compiled.system
     if sel is None:
         sel = Selection.full(system)
+    _check_selection(system, sel)
     witness: dict = {}
     if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
         cert = condition_a_witness(compiled.graph, sel)
@@ -348,32 +350,27 @@ def select_min_cost_io(
         stage_costs: tuple[Optional[int], ...] = (0, 0, cyc_cost)
         lower = cyc_cost
     else:
-        t0 = time.perf_counter()
-        inst1, inst2 = compiled.covers
-        cover1 = greedy_solve(inst1)
-        sel1 = Selection(inputs=cover1.chosen)
-        timings["accessibility"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        cover2 = greedy_solve(inst2)
-        sel2 = Selection(outputs=cover2.chosen)
-        timings["sensability"] = time.perf_counter() - t0
+        covers = []
+        for name, inst in zip(("accessibility", "sensability"), compiled.covers):
+            t0 = time.perf_counter()
+            covers.append(greedy_solve(inst))
+            timings[name] = time.perf_counter() - t0
+        cover1, cover2 = covers
+        selection = Selection(cover1.chosen, cover2.chosen)
 
         if irreducible:
-            selection = sel1.union(sel2)
             stage_costs = (cover1.weight, cover2.weight, 0)
             lower = cover1.weight + cover2.weight
         else:
             stage1, stage2 = cover1, cover2
             if exact_covers:
-                exact_bound = exact_solve(inst1).weight + exact_solve(inst2).weight
+                exact_bound = sum(exact_solve(inst).weight for inst in compiled.covers)
 
             if not continuous:
-                selection = sel1.union(sel2)
                 stage_costs = (stage1.weight, stage2.weight, None)
                 lower = exact_bound if exact_bound is not None else 0
             else:
-                selection = sel1.union(sel2).union(sel3)
+                selection = selection.union(sel3)
                 stage_costs = (stage1.weight, stage2.weight, cyc_cost)
                 lower = max(cyc_cost, exact_bound or 0)
 

@@ -28,6 +28,9 @@ from typing import Iterable, Union
 COST_DECIMALS = 6
 COST_SCALE = 10**COST_DECIMALS
 _COST_LIMIT = 2**63
+# Scales a cost without rounding it: the default context keeps 28 digits
+# and traps on exponents past 999999.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 # The largest n, m, p or pattern dimension accepted (rows are allocated per row).
 SIZE_LIMIT = 100_000
 
@@ -71,12 +74,15 @@ def parse_cost(value: Union[str, int]) -> int:
             raise CostError(f"not a decimal cost: {value!r}") from exc
         if not dec.is_finite():
             raise CostError(f"cost must be finite: {value!r}")
-        quantized = dec.scaleb(COST_DECIMALS)
-        scaled = int(quantized)
-        if scaled != quantized:
-            raise CostError(
-                f"cost {value!r} needs more than {COST_DECIMALS} decimal places"
-            )
+        if dec and dec.adjusted() + COST_DECIMALS >= 19:
+            scaled = _COST_LIMIT  # at least 10**19 once scaled: refused before int() spells it out
+        else:
+            quantized = dec.scaleb(COST_DECIMALS, _EXACT)
+            scaled = int(quantized)
+            if scaled != quantized:
+                raise CostError(
+                    f"cost {value!r} needs more than {COST_DECIMALS} decimal places"
+                )
     if abs(scaled) >= _COST_LIMIT:
         raise CostError(f"cost {value!r} overflows the scaled 64-bit range")
     return scaled
@@ -324,12 +330,10 @@ def validate(system: StructuredSystem) -> ValidationReport:
 
 
 def _check_selection(system: StructuredSystem, sel: Selection) -> None:
-    for i in sel.inputs:
-        if not 0 <= i < system.m:
-            raise IndexError(f"input index {i + 1} out of range 1..{system.m}")
-    for j in sel.outputs:
-        if not 0 <= j < system.p:
-            raise IndexError(f"output index {j + 1} out of range 1..{system.p}")
+    for side, chosen, count in (("input", sel.inputs, system.m), ("output", sel.outputs, system.p)):
+        for i in chosen:
+            if not 0 <= i < count:
+                raise IndexError(f"{side} index {i + 1} out of range 1..{count}")
 
 
 def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:

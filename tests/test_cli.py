@@ -356,6 +356,10 @@ class TestSolveSetcover:
         [
             ({"N": -1, "sets": [], "weights": []}, "universe size -1 outside 0..100000"),
             ({"N": 2, "sets": [[1], [2], [1, 2]], "weights": ["-1"] * 3}, "set 1: negative weight"),
+            (
+                {"N": 1, "sets": [[1]], "weights": ["1e1000000"]},
+                "field \"weights\": cost '1e1000000' overflows the scaled 64-bit range",
+            ),
         ],
     )
     @pytest.mark.parametrize("flags", [(), ("--exact",)])

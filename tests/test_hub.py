@@ -27,6 +27,7 @@ from ioselect.matching import (
     extract_io,
     hall_indices,
     has_perfect_matching,
+    complete_side,
     min_cost_perfect_matching,
 )
 from ioselect.selector import (
@@ -142,6 +143,37 @@ def _states_outside_feedback_sccs(system, sel):
         if not any(a in scc and b in scc for a, b in k_edges):
             out += [v for v in scc if v < n]
     return sorted(out)
+
+
+@st.composite
+def complete_k_with_selection(draw):
+    system = draw(wide_systems(max_n=6, max_io=5, max_bc=8, kinds=COMPLETE_KINDS))
+    return system, draw(lopsided_selections(system))
+
+
+class TestCompleteSide:
+    @given(complete_k_with_selection())
+    def test_each_side_against_a_matching(self, case):
+        """Side 0 with inputs I completes iff the state rows match into the
+        states and u_I over A and B; side 1 with outputs J iff the state rows
+        and y'_J match onto the states over A and C.  Each side's partner
+        list is a matching on those edges."""
+        system, sel = case
+        g = build_bipartite(system)
+        n, out0 = system.n, system.n + system.m
+        a = list(system.A.stars)  # (x'_i, x_j), and the channels under their vertex ids
+        sides = [
+            (out0, a + [(i, n + j) for i, j in system.B.stars if j in sel.inputs], sel.sorted_inputs()),
+            (g.size, a + [(out0 + j, i) for j, i in system.C.stars if j in sel.outputs], sel.sorted_outputs()),
+        ]
+        for side, (others, pairs, chosen) in enumerate(sides):
+            partners, complete = complete_side(g, side, chosen)
+            shape = (n, others) if side == 0 else (others, n)
+            assert complete == (oracles.matching_size(*shape, pairs) == n)
+            edges = [(v, w) if side == 0 else (w, v) for v, w in enumerate(partners) if w >= 0]
+            assert set(edges) <= set(pairs)
+            assert len({w for v, w in enumerate(partners) if w >= 0}) == len(edges)
+            assert complete == (-1 not in partners)
 
 
 class TestHall:

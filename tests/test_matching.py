@@ -119,11 +119,10 @@ class TestPerfectMatching:
     def test_size_matches_reference(self, system):
         """The two sides' joined matching, with K complete and never
         expanded, is a maximum matching of the expanded graph."""
-        from ioselect.matching import _input_side, _join, _output_side
+        from ioselect.matching import _join, complete_side
 
         g = build_bipartite(system)
-        n, out0 = g.n, g.n + g.m
-        match_l = _join(g, _input_side(g, range(n, out0))[0], _output_side(g, range(out0, g.size))[0])
+        match_l = _join(g, complete_side(g, 0, range(g.m))[0], complete_side(g, 1, range(g.p))[0])
         matched = [(l, r) for l, r in enumerate(match_l) if r >= 0]
         pairs = oracles.bipartite_pairs(system)
         assert set(matched) <= set(pairs)
@@ -265,12 +264,12 @@ class TestJoin:
         greedy sides: perfect, pairing the i-th kept input with the i-th
         kept output over K, and certified against the instance."""
         from ioselect.certify import certify_cycle_cover
-        from ioselect.matching import _input_side, _join, _output_side
+        from ioselect.matching import _join, complete_side
 
         g = build_bipartite(system)
         n, out0 = g.n, g.n + g.m
-        rows_to, inputs_done = _input_side(g, sorted(range(n, out0), key=lambda u: g.cost_u[u - n]))
-        states_from, outputs_done = _output_side(g, sorted(range(out0, g.size), key=lambda y: g.cost_y[y - out0]))
+        rows_to, inputs_done = complete_side(g, 0, sorted(range(g.m), key=lambda i: g.cost_u[i]))
+        states_from, outputs_done = complete_side(g, 1, sorted(range(g.p), key=lambda j: g.cost_y[j]))
         if not (inputs_done and outputs_done):
             assert oracles.min_cycle_family_cost(system) is None
             return

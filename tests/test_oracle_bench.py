@@ -280,9 +280,9 @@ class TestExactSelect:
 
         system = generate(GeneratorConfig(n=8, m=5, p=5, cost_range=("1", "9"), seed=seed))
         counts = wrap_counting(monkeypatch, ["selector.CompiledSystem.no_sfm"])
-        decided, side_completes = [], oracle_bench_mod.side_completes
+        decided, complete_side = [], oracle_bench_mod.complete_side
         monkeypatch.setattr(
-            oracle_bench_mod, "side_completes", lambda *args: decided.append(args) or side_completes(*args)
+            oracle_bench_mod, "complete_side", lambda *args: decided.append(args) or complete_side(*args)
         )
         exact_select(system)
         assert 0 < len(decided) <= 2**5 + 2**5
@@ -293,7 +293,7 @@ class TestExactSelect:
         # defect, reported also under python -O
         import ioselect.oracle_bench as oracle_bench_mod
 
-        monkeypatch.setattr(oracle_bench_mod, "side_completes", lambda g, outputs, chosen: False)
+        monkeypatch.setattr(oracle_bench_mod, "complete_side", lambda g, side, chosen: ([], False))
         with pytest.raises(InvariantViolated, match="full selection"):
             exact_select(demo)
 

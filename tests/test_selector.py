@@ -110,6 +110,12 @@ class TestWitness:
         w = sfm_witness(compile_system(shared_pair_system()), SfmStatus.TYPE2)
         assert w == {"hall_violator": {"left": ["x1'", "x2'"], "neighbors": ["u1"]}}
 
+    @pytest.mark.parametrize("sel", [Selection.of([5], [0]), Selection.of([0], [7])])
+    def test_index_out_of_range(self, demo, sel):
+        # refused as check_no_sfm refuses it, not witnessed with the index dropped
+        with pytest.raises(IndexError, match="index [68] out of range"):
+            sfm_witness(compile_system(demo), SfmStatus.BOTH, sel)
+
     def test_type1_empty_selection(self):
         w = sfm_witness(compile_system(diagonal_system()), SfmStatus.TYPE1, Selection.of([], []))
         assert w == {"type1_states": ["x1", "x2", "x3"]}

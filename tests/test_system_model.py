@@ -43,6 +43,8 @@ class TestCosts:
             ("42", 42_000_000),
             ("1e3", 1_000_000_000),
             ("-2.25", -2_250_000),
+            ("9223372036854.775807", 2**63 - 1),
+            ("0e1000000", 0),
         ],
     )
     def test_parse(self, text, scaled):
@@ -87,6 +89,20 @@ class TestCosts:
     def test_parse_rejects_overflow(self):
         with pytest.raises(CostError, match="overflow"):
             parse_cost(str(2**63))
+
+    @pytest.mark.parametrize("text", ["9223372036854.775808", "1e13", "-1e13", "1e1000000", "1e999999999999999999"])
+    def test_parse_refuses_a_large_exponent_as_overflow(self, text):
+        # refused by its exponent, before the value is spelt out, also past
+        # the default decimal context's exponent limit
+        with pytest.raises(CostError, match="overflow"):
+            parse_cost(text)
+
+    @pytest.mark.parametrize("text", ["1.00000000000000000000000000001", "1e-999999999999999999"])
+    def test_parse_never_rounds(self, text):
+        # a digit past the 28 the default decimal context keeps, or an
+        # exponent below its range, is still a digit too many, not rounded off
+        with pytest.raises(CostError, match="decimal places"):
+            parse_cost(text)
 
     @pytest.mark.parametrize(
         "scaled,text",
