@@ -6,7 +6,8 @@ final selection over together with one such matching, and
 :func:`certify_cycle_cover` checks it against the instance in linear time.
 It reads only the rows of A, B, C and K, the selection and the matched
 pairs: it shares no graph, flow or matching code with the solver that
-found them, so a defect there cannot also hide here.
+found them, so a defect there cannot also hide here.  The rows are the
+very lists the solver's graph holds, and neither side writes to them.
 
 Pairs are (left, right) vertex ids in the package's numbering: states
 0..n-1, inputs n..n+m-1, outputs n+m..n+m+p-1, the left id standing for

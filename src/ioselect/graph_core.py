@@ -9,11 +9,12 @@ u'_1..u'_m, y'_1..y'_p on the left and their unprimed twins on the right,
 with an edge (v', w) for each edge w -> v of D(A, B, C, K), and the edges
 (u'_i, u_i) and (y'_j, y_j) for every input and output.
 
-Both are stored once, as :class:`SystemGraph`: row v lists the
-in-neighbours of v in D(A, B, C, K), which is row v' of B(A, B, C, K).  The
-rows are the successor lists of the transpose of D(A, B, C, K), and a
-digraph and its transpose have the same SCCs, so the SCCs of D(A) and of
-D(A, B, C, K) are found on the rows themselves.
+Both are stored once, as :class:`SystemGraph`: the pattern rows
+themselves.  Row v' of B(A, B, C, K), v's in-neighbours in D(A, B, C, K),
+is joined from them on first read (``SystemGraph.adj``), which only the
+masked searches, the Hall witness, the masked SCC pass and the dumps do.
+A's rows are the successor lists of the transpose of D(A), which has
+D(A)'s SCCs, so the SCCs are found on A's rows themselves.
 
 A complete K (the ``COMPLETE`` token, or an explicit pattern with all m*p
 stars) is never expanded: its m*p feedback edges are replaced by one hub
@@ -29,7 +30,6 @@ labels x1/u1/y1 used in messages and debug dumps.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,13 +56,11 @@ def vertex_name(v: int, n: int, m: int) -> str:
 
 @dataclass(frozen=True)
 class SystemGraph:
-    """D(A, B, C, K) as in-neighbour lists, which are the rows of B(A, B, C, K).
-
-    ``adj[v]`` lists v's in-neighbours other than the hub: a state's in
-    ascending order, an input's or output's in ascending order and then its
-    own id.  That last id is the bipartite edge (v', v), not a digraph
-    edge.  With ``hub`` set, K is complete: the hub id ``size`` is an
-    in-neighbour of every input, and every output is one of the hub's.
+    """D(A, B, C, K) as A's, B's, C's and K's rows, shared and not copied:
+    callers must not mutate them.  ``state_rows[i]``, A's row i, lists state
+    i's in-neighbours in D(A), ascending.  ``k_rows`` is None when K is
+    complete, which is then the hub vertex ``size``: an in-neighbour of
+    every input, with every output one of its own.
     """
 
     n: int
@@ -70,13 +68,19 @@ class SystemGraph:
     p: int
     cost_u: tuple[int, ...]
     cost_y: tuple[int, ...]
-    adj: tuple[list[int], ...]
-    hub: bool
+    state_rows: list[list[int]]
+    b_rows: list[list[int]]
+    c_rows: list[list[int]]
+    k_rows: Optional[list[list[int]]]
 
     @property
     def size(self) -> int:
         """Number of state, input and output vertices (the hub, if any, is ``size``)."""
         return self.n + self.m + self.p
+
+    @property
+    def hub(self) -> bool:
+        return self.k_rows is None
 
     def left_name(self, v: int) -> str:
         return vertex_name(v, self.n, self.m) + "'"
@@ -85,30 +89,37 @@ class SystemGraph:
         return vertex_name(v, self.n, self.m)
 
     @cached_property
-    def state_rows(self) -> list[list[int]]:
-        """D(A) as in-neighbour lists: each state's row cut at id n.
-
-        Sliced on first access and shared by every later one; callers must
-        not mutate the rows, as with ``adj``."""
-        n = self.n
-        return [row[: bisect_left(row, n)] for row in self.adj[:n]]
+    def adj(self) -> tuple[list[int], ...]:
+        """Row v' of B(A, B, C, K), joined on first read: v's in-neighbours
+        but the hub, ascending, then an input's or output's own id (v', v)."""
+        n, out0 = self.n, self.n + self.m
+        adj = [a + [n + j for j in b] if b else a[:] for a, b in zip(self.state_rows, self.b_rows)]
+        if self.hub:
+            adj += [[v] for v in range(n, out0)]
+        else:
+            adj += [[out0 + j for j in row] + [n + i] for i, row in enumerate(self.k_rows)]
+        adj += [row + [out0 + j] for j, row in enumerate(self.c_rows)]
+        return tuple(adj)
 
     @cached_property
     def state_cols(self) -> list[list[int]]:
-        """The columns of the state rows: the x'_v whose row holds each
-        state, then each input, ascending; shared like ``state_rows``."""
-        cols: list[list[int]] = [[] for _ in range(self.n + self.m)]
-        for v, row in enumerate(self.adj[: self.n]):
-            for r in row:
+        """The transpose of the state rows and B's rows: the x'_v whose row
+        holds each state, then each input, ascending; shared like ``adj``."""
+        n = self.n
+        cols: list[list[int]] = [[] for _ in range(n + self.m)]
+        for v, (a, b) in enumerate(zip(self.state_rows, self.b_rows)):
+            for r in a:
                 cols[r].append(v)
+            for j in b:
+                cols[n + j].append(v)
         return cols
 
     @cached_property
     def rows_to_states(self) -> list[list[int]]:
         """Side 1's neighbour lists, with a hub: each left vertex's states,
-        so the state rows, none for an input and each output's row less its
-        own id; shared like ``state_rows``."""
-        return self.state_rows + [row[:-1] for row in self.adj[self.n :]]
+        so the state rows, none for an input and C's row for an output;
+        shared like ``adj``."""
+        return self.state_rows + [[] for _ in range(self.m)] + self.c_rows
 
     @cached_property
     def state_matching(self) -> tuple[list[int], list[int]]:
@@ -119,10 +130,10 @@ class SystemGraph:
 
     @property
     def ek(self) -> list[tuple[int, int]]:
-        """The feedback edges (y, u) of an explicit K, read off the input
-        rows; empty with a hub."""
-        n = self.n
-        return [(y, u) for u in range(n, n + self.m) for y in self.adj[u][:-1]]
+        """The feedback edges (y, u) of an explicit K, read off its rows;
+        empty with a hub."""
+        n, out0 = self.n, self.n + self.m
+        return [(out0 + j, n + i) for i, row in enumerate(self.k_rows or ()) for j in row]
 
     def edge(self, left: int, right: int) -> tuple[str, int]:
         """The class and cost of the edge (left, right), read off the id
@@ -149,18 +160,10 @@ class SystemGraph:
 
 
 def build_bipartite(system: StructuredSystem) -> SystemGraph:
-    """The system's one graph, joined from the pattern rows: a state's row is
-    its A row, then its B row past the states; an input's is its partial-K
-    row and an output's its C row, each then its own id (K complete: a hub)."""
-    n, out0 = system.n, system.n + system.m
-    adj = [a + [n + j for j in b] if b else a[:] for a, b in zip(system.A.by_row, system.B.by_row)]
-    hub = system.k_is_complete()
-    if hub:
-        adj += [[v] for v in range(n, out0)]
-    else:
-        adj += [[out0 + j for j in row] + [n + i] for i, row in enumerate(system.K.by_row)]
-    adj += [row + [out0 + j] for j, row in enumerate(system.C.by_row)]
-    return SystemGraph(n, system.m, system.p, system.cost_u, system.cost_y, tuple(adj), hub)
+    """The system's one graph: its pattern rows, K's only when not complete."""
+    k_rows = None if system.k_is_complete() else system.K.by_row
+    rows = (system.A.by_row, system.B.by_row, system.C.by_row, k_rows)
+    return SystemGraph(system.n, system.m, system.p, system.cost_u, system.cost_y, *rows)
 
 
 def build_graphs(system: StructuredSystem) -> tuple[SystemGraph, SystemGraph]:

@@ -83,33 +83,38 @@ def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: li
 
     ``nbr[s]`` lists the neighbours of s on the other side; ``mate_s`` and
     ``mate_w`` hold each vertex's partner on either side (-1 when free) and
-    are updated in place.  A search marks what it reaches with its number,
-    and a failed search's marks stay until the next keep (Kuhn): the
-    matching has not changed, so no path leads on through them.
+    are updated in place.  Only a successful search's marks are cleared:
+    from no w a failed one marked does an alternating path reach a free
+    vertex, so every maximum matching so far covers w (Dulmage-Mendelsohn),
+    and one after a keep that missed w would, less the new channel's edge,
+    be one before it.  So a search skips only vertices that lead to no free
+    one, and finds the path it would find with no marks kept.
     """
-    seen = [-1] * len(mate_w)
-    parent = [0] * len(mate_w)
-    kept = epoch = 0
-    for stamp, s in enumerate(starts):
+    seen, parent = [False] * len(mate_w), [0] * len(mate_w)
+    kept = 0
+    for s in starts:
         if kept == need:
             break
-        w = _path(s, stamp, epoch, nbr, mate_w, seen, parent)
+        reached: list[int] = []
+        w = _path(s, nbr, mate_w, seen, parent, reached)
         if w >= 0:
             _augment(w, parent, mate_s, mate_w)
             kept += 1
-            epoch = stamp + 1
+            for v in reached:
+                seen[v] = False
     return kept
 
 
-def _path(s: int, stamp: int, epoch: int, nbr, mate_w: list[int], seen: list[int], parent: list[int]) -> int:
-    """One alternating search from ``s``, past every vertex marked since
-    search ``epoch``: the first free vertex it reaches, or -1."""
+def _path(s: int, nbr, mate_w: list[int], seen: list[bool], parent: list[int], reached: list[int]) -> int:
+    """One alternating search from ``s`` past every marked vertex, marking
+    and listing in ``reached`` what it reaches: the first free one, or -1."""
     stack = [s]
     while stack:
         s = stack.pop()
         for w in nbr[s]:
-            if seen[w] < epoch:
-                seen[w] = stamp
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
                 parent[w] = s
                 if mate_w[w] < 0:
                     return w

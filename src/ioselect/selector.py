@@ -101,8 +101,9 @@ class CompiledSystem:
     decided on.
 
     :func:`compile_system` builds it once: the one stored system graph
-    (D(A, B, C, K) as in-neighbour lists, which are the rows of
-    B(A, B, C, K)), the SCCs of D(A), found on its transpose, and
+    (the pattern rows, from which the rows of B(A, B, C, K), the
+    in-neighbour lists of D(A, B, C, K), are joined on first read), the
+    SCCs of D(A), found on its transpose, and
     ``covers``, the accessibility and the sensability set-cover instances
     (:func:`ioselect.set_cover.cover_instances`), each set also as a
     bitmask.  A selection is decided and witnessed on these structures with
@@ -122,8 +123,10 @@ class CompiledSystem:
         With a complete K that holds exactly when the selected inputs cover
         every non-top SCC of D(A) and the selected outputs every non-bottom
         one.  An explicit partial K runs the SCC test on the masked system
-        digraph (:func:`ioselect.graph_core.condition_a_holds`).
+        digraph (:func:`ioselect.graph_core.condition_a_holds`).  Raises
+        IndexError on an index out of range, as :meth:`condition_b` does.
         """
+        _check_selection(self.system, sel)
         if not self.system.k_is_complete():
             return condition_a_holds(self.graph, sel)
         accessibility, sensability = self.covers
@@ -131,6 +134,7 @@ class CompiledSystem:
 
     def condition_b(self, sel: Selection) -> bool:
         """Disjoint cycles of the restricted system digraph span all states."""
+        _check_selection(self.system, sel)
         return matching_mod.has_perfect_matching(self.graph, sel)
 
     def no_sfm(self, sel: Selection) -> bool:
@@ -177,9 +181,7 @@ def check_no_sfm(
     """Classify the system under the given selection (see
     :meth:`CompiledSystem.status`), compiling it if need be.  Raises
     IndexError on an index out of range."""
-    compiled = compile_system(system)
-    _check_selection(compiled.system, sel)
-    return compiled.status(sel)
+    return compile_system(system).status(sel)
 
 
 CASE_DISCRETE = "discrete"

@@ -129,40 +129,34 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     """Chvatal's greedy: repeatedly take the set with the smallest
     weight-per-newly-covered-element ratio.
 
-    Ties break toward the set covering more new elements, then the lowest
-    index, making the trace fully deterministic; ratios are compared by
-    integer cross-multiplication.  Zero-weight sets have ratio 0 and win
-    against any positive ratio; sets covering nothing new are never taken.  The result is within H(d) of the optimum, where d is
-    the largest set size and H the harmonic number.
+    Each round scans the sets' bitmasks, counting a set's new elements as
+    ``(mask & left).bit_count()``; only the set taken is turned back into
+    elements.  Ties break toward the set covering more new elements, then
+    the lowest index, making the trace fully deterministic; ratios are
+    compared by integer cross-multiplication.  Zero-weight sets have ratio
+    0 and win against any positive ratio; sets covering nothing new are
+    never taken.  The result is within H(d) of the optimum, where d is the
+    largest set size and H the harmonic number.
     """
-    uncovered = set(range(inst.universe_size))
-    chosen: list[int] = []
+    masks, weights = inst.masks, inst.weights
+    left = (1 << inst.universe_size) - 1
     trace: list[GreedyStep] = []
-    while uncovered:
-        best_idx = -1
-        best_new: set[int] = set()
-        best_w = 0
-        for idx, s in enumerate(inst.sets):
-            new = s & uncovered
-            if not new:
+    while left:
+        best_idx, best_k, best_w = -1, 0, 1  # ratio 1/0: any set covering something beats it
+        for idx, mask in enumerate(masks):
+            k = (mask & left).bit_count()
+            if not k:
                 continue
-            w = inst.weights[idx]
-            if best_idx < 0 or w * len(best_new) < best_w * len(new) or (
-                w * len(best_new) == best_w * len(new) and len(new) > len(best_new)
-            ):
-                best_idx, best_new, best_w = idx, new, w
+            w = weights[idx]
+            if w * best_k < best_w * k or (w * best_k == best_w * k and k > best_k):
+                best_idx, best_k, best_w = idx, k, w
         if best_idx < 0:
-            raise Infeasible(min(uncovered))
-        uncovered -= best_new
-        chosen.append(best_idx)
-        trace.append(
-            GreedyStep(best_idx, frozenset(best_new), Fraction(best_w, len(best_new)))
-        )
-    return Cover(
-        chosen=frozenset(chosen),
-        weight=sum(inst.weights[i] for i in chosen),
-        trace=tuple(trace),
-    )
+            raise Infeasible((left & -left).bit_length() - 1)  # the smallest one
+        newly = frozenset(e for e in inst.sets[best_idx] if left >> e & 1)
+        left &= ~masks[best_idx]
+        trace.append(GreedyStep(best_idx, newly, Fraction(best_w, best_k)))
+    chosen = [step.set_index for step in trace]
+    return Cover(chosen=frozenset(chosen), weight=sum(weights[i] for i in chosen), trace=tuple(trace))
 
 
 EXACT_GUARD = 25

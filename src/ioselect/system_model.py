@@ -330,10 +330,12 @@ def validate(system: StructuredSystem) -> ValidationReport:
 
 
 def _check_selection(system: StructuredSystem, sel: Selection) -> None:
+    """Raise IndexError naming an index of ``sel`` out of range, if any: a
+    bound test per side, and a walk over the side only when it fails."""
     for side, chosen, count in (("input", sel.inputs, system.m), ("output", sel.outputs, system.p)):
-        for i in chosen:
-            if not 0 <= i < count:
-                raise IndexError(f"{side} index {i + 1} out of range 1..{count}")
+        if chosen and not (min(chosen) >= 0 and max(chosen) < count):
+            i = next(i for i in chosen if not 0 <= i < count)
+            raise IndexError(f"{side} index {i + 1} out of range 1..{count}")
 
 
 def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:
@@ -400,6 +402,8 @@ def _require(data: dict, field: str, kind) -> object:
     value = data[field]
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise FormatError(f"field {field!r}: expected an integer")
+    if kind is int and value < 0:
+        raise FormatError(f"field {field!r}: {value} is negative")
     if kind is int and value > SIZE_LIMIT:
         raise FormatError(f"field {field!r}: {value} exceeds the size limit {SIZE_LIMIT}")
     if kind is list and not isinstance(value, list):

@@ -374,3 +374,36 @@ def condensation_ends(n: int, edges: list[tuple[int, int]]) -> tuple[set[frozens
         {members[c] for c in cond if cond.in_degree(c) == 0},
         {members[c] for c in cond if cond.out_degree(c) == 0},
     )
+
+
+def set_scan_greedy(inst):
+    """Chvatal's greedy as a scan of the sets themselves, the reference for
+    :func:`ioselect.set_cover.greedy_solve`'s bitmask scan: each round takes
+    the set with the smallest weight per new element (cross-multiplied),
+    then the most new elements, then the lowest index.  Returns the same
+    :class:`~ioselect.set_cover.Cover`, trace included, or raises the same
+    :class:`~ioselect.set_cover.Infeasible`."""
+    from fractions import Fraction
+
+    from ioselect.set_cover import Cover, GreedyStep, Infeasible
+
+    uncovered = set(range(inst.universe_size))
+    chosen: list[int] = []
+    trace = []
+    while uncovered:
+        best_idx, best_new, best_w = -1, set(), 0
+        for idx, s in enumerate(inst.sets):
+            new = s & uncovered
+            if not new:
+                continue
+            w = inst.weights[idx]
+            if best_idx < 0 or w * len(best_new) < best_w * len(new) or (
+                w * len(best_new) == best_w * len(new) and len(new) > len(best_new)
+            ):
+                best_idx, best_new, best_w = idx, new, w
+        if best_idx < 0:
+            raise Infeasible(min(uncovered))
+        uncovered -= best_new
+        chosen.append(best_idx)
+        trace.append(GreedyStep(best_idx, frozenset(best_new), Fraction(best_w, len(best_new))))
+    return Cover(frozenset(chosen), sum(inst.weights[i] for i in chosen), tuple(trace))

@@ -135,6 +135,17 @@ class TestCheck:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: [Errno 2] ") and str(target) in err
 
+    @pytest.mark.parametrize("command", ["check", "select"])
+    def test_negative_size_refused(self, capsys, demo_json, tmp_path, command):
+        # one message naming the field, no traceback and no output
+        with open(demo_json) as fh:
+            doc = json.load(fh)
+        doc["m"] = -2
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}: field 'm': -2 is negative\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _out, err = run(capsys, "check", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE and "cannot read" in err

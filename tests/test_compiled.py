@@ -13,6 +13,7 @@ masked graphs, are checked against the system restricted to the selection.
 """
 
 import itertools
+import signal
 
 import hypothesis.strategies as st
 import networkx as nx
@@ -189,6 +190,33 @@ def test_unselected_input_keeps_only_its_own_edge():
     assert compiled.condition_b(Selection.full(system))
     assert not compiled.condition_b(Selection.of([1], [0]))
     assert not oracles.spanning_disjoint_cycles(system, Selection.of([1], [0]))
+
+
+@pytest.mark.parametrize(
+    "sel,message",
+    [
+        (Selection.of([-1], []), "input index 0 out of range 1..3"),
+        (Selection.of([], [-1]), "output index 0 out of range 1..2"),
+        (Selection.of([0, 3], [0]), "input index 4 out of range 1..3"),
+    ],
+)
+@pytest.mark.parametrize("condition", ["condition_a", "condition_b"])
+def test_index_out_of_range_raises(demo, condition, sel, message):
+    # a negative index must not wrap around to the last channel, nor send
+    # condition (b)'s search into a loop: the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"{condition} did not return")
+
+    check = getattr(compile_system(demo), condition)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(IndexError) as exc:
+            check(sel)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(exc.value) == message
 
 
 class TestExactSearch:

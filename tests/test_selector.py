@@ -1,7 +1,8 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_system, matching_cost, systems
@@ -384,6 +385,31 @@ class TestSelectProperties:
             and rep.exact_stage_bound <= rep.total_cost
         )
 
+    @given(systems(max_n=7), st.sampled_from(["select", "exact", "trace"]))
+    @example(shared_pair_system(), "trace")
+    @settings(max_examples=80)
+    def test_pattern_rows_left_unmodified(self, system, how):
+        # the graph, stage 3 and the certifier all read the pattern rows
+        # themselves: whatever a select does, feasible or failing, with
+        # --exact or --trace, leaves them as they were
+        import copy
+
+        from ioselect.graph_core import dump_system_digraph
+
+        before = {name: copy.deepcopy(getattr(system, name).by_row) for name in "ABC"}
+        try:
+            rep = select_min_cost_io(system, exact_covers=how == "exact")
+        except SystemHasSFMs:
+            rep = None
+        if rep is not None and how == "exact":
+            exact_select(rep.compiled)
+        if rep is not None and how == "trace":
+            report_to_json(rep, include_traces=True)
+            dump_system_digraph(rep.compiled.graph)
+            if rep.matching is not None:
+                matching_mod.dump_matching(rep.compiled.graph, rep.matching)
+        assert {name: getattr(system, name).by_row for name in "ABC"} == before
+
 
 class TestReportJson:
     def test_demo_shape(self, demo):
@@ -675,14 +701,68 @@ class TestBuildOnce:
         assert rep.special_cases[:2] == ("irreducible", "state_pm")
         assert counts == dict(zip(self.FLOWS, (0, 1, 0)))
 
-    def test_state_rows_sliced_once(self, monkeypatch):
-        # the SCC pass and the state_pm tag share one slice per state row
-        n = 500
-        system = long_cycle_system(n)
-        counts = wrap_counting(monkeypatch, ["graph_core.bisect_left"])
+    def test_state_rows_sliced_once(self):
+        # the SCC pass, the state_pm tag and stage 3 read A's decoded rows
+        # themselves: the graph holds them, uncut and uncopied
+        system = long_cycle_system(500)
         rep = select_min_cost_io(system)
         assert rep.special_cases[:2] == ("irreducible", "state_pm")
-        assert counts == {"graph_core.bisect_left": n}
+        assert rep.compiled.graph.state_rows is system.A.by_row
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_feasible_select_never_joins_the_rows(self, demo, seed):
+        # a feasible select with a complete K reads the pattern rows, never
+        # B(A, B, C, K)'s joined rows; a dump joins them on first read
+        from ioselect.graph_core import dump_system_digraph
+        from ioselect.oracle_bench import GeneratorConfig, generate
+
+        sparse = generate(
+            GeneratorConfig(
+                n=200, m=20, p=20, state_density=5 / 200, input_density=0.2,
+                output_density=0.2, cost_range=("1", "99"), seed=seed,
+            )
+        )
+        for system in (demo, sparse):
+            rep = select_min_cost_io(system)
+            report_to_json(rep)
+            assert "adj" not in vars(rep.compiled.graph)
+        dump_system_digraph(rep.compiled.graph)
+        assert "adj" in vars(rep.compiled.graph)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_failed_search_marks_stay_dead(self, monkeypatch, n):
+        # d = n - nu(B(A)) = n/2 free states, each with its own input and
+        # output, and between every two of those channels one whose search
+        # explores the whole chain of the other n/2 states and fails.  A
+        # failed search's rows stay marked for the rest of the side's pass,
+        # so each side marks O(n + m) rows, not one chain per keep
+        import inspect
+
+        r, d = n // 2, n - n // 2
+        a = [(i, i) for i in range(1, r + 1)] + [(i, i + 1) for i in range(1, r)]
+        b = [pair for k in range(d) for pair in ((r + 1 + k, 2 * k + 1), (r, 2 * k + 2))]
+        c = [pair for k in range(d) for pair in ((2 * k + 1, r + 1 + k), (2 * k + 2, 1))]
+        system = make_system(n, 2 * d, 2 * d, a, b, c)
+        original = matching_mod._path
+        signature = inspect.signature(original)
+        marks: list[int] = []
+
+        def counting(*args):
+            seen = signature.bind(*args).arguments["seen"]
+            before = list(seen)
+            found = original(*args)
+            marks.append(sum(x != y for x, y in zip(before, seen)))
+            return found
+
+        monkeypatch.setattr(matching_mod, "_path", counting)
+        g = build_bipartite(system)
+        sel, _cost = matching_mod.extract_io(g, matching_mod.min_cost_perfect_matching(g))
+        assert sel == Selection.of(range(0, 2 * d, 2), range(0, 2 * d, 2))
+        searches = 2 * d - 1  # per side: d keeps and the d - 1 failures between them
+        assert len(marks) == 2 * searches
+        per_side = [sum(marks[:searches]), sum(marks[searches:])]
+        assert per_side == [r + d, r + d]
+        assert max(per_side) <= system.n + system.m
 
     def test_witness_built_only_for_traces(self, demo, monkeypatch):
         counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])

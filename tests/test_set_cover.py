@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -124,6 +124,26 @@ class TestGreedy:
         covered = frozenset().union(*(inst.sets[i] for i in cover.chosen), frozenset())
         assert covered == frozenset(range(inst.universe_size))
         assert cover.weight == sum(inst.weights[i] for i in cover.chosen)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_mask_scan_matches_set_scan(self, data):
+        # the same cover, trace included, or the same Infeasible element as
+        # the reference scan over the sets; weights 0-6 make zero weights and
+        # ratio ties common, and empty sets and an empty universe are drawn
+        n = data.draw(st.integers(0, 10))
+        r = data.draw(st.integers(0, 8))
+        sets = [data.draw(st.frozensets(st.integers(0, n - 1), max_size=n)) if n else frozenset() for _ in range(r)]
+        weights = units(*(data.draw(st.integers(0, 6)) for _ in range(r)))
+        inst = WeightedSetCoverInstance(n, tuple(sets), weights)
+
+        def outcome(solve):
+            try:
+                return solve(inst)
+            except Infeasible as exc:
+                return exc.element
+
+        assert outcome(greedy_solve) == outcome(oracles.set_scan_greedy)
 
 
 class TestExact:

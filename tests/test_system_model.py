@@ -403,6 +403,14 @@ class TestJson:
         with pytest.raises(FormatError, match=f"field '{field}': 5 exceeds the size limit 4"):
             system_from_json(doc)
 
+    @pytest.mark.parametrize("field", ["n", "m", "p"])
+    def test_negative_size_names_the_field(self, demo, field):
+        # refused where it is read, before any pattern is decoded against it
+        doc = system_to_json(demo)
+        doc[field] = -1
+        with pytest.raises(FormatError, match=f"^field '{field}': -1 is negative$"):
+            system_from_json(doc)
+
     def test_validate_refuses_oversized_patterns_before_building_rows(self, monkeypatch):
         # built in code from stars, n = 9 over a limit of 8: validate refuses
         # each pattern with a dimension over it before building its rows
