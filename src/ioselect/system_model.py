@@ -21,8 +21,6 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from operator import lt
 from typing import Iterable, Union
 
 COST_DECIMALS = 6
@@ -413,28 +411,33 @@ def _require(data: dict, field: str, kind) -> object:
 
 def _pairs(data: dict, field: str, rows: int, cols: int) -> SparsityPattern:
     """The pattern of a 1-based pair list, decoded in one pass: each pair is
-    type-checked, range-checked and appended to its 0-based row.  Only JSON
-    values arrive here, so an entry that unpacks into two exact ints is a
-    [row, col] pair.  A list in strictly ascending order has sorted rows
-    without repeats; others are sorted, and a repeated pair is one star.
-    With a pair out of range the pattern keeps its stars instead, for
-    :func:`validate` to report."""
+    type-checked, range-checked, appended to its row and compared with the
+    pair before it.  Only JSON values arrive here, so an entry that unpacks
+    into two exact ints is a [row, col] pair.  A list in strictly ascending
+    order has sorted rows without repeats; others are sorted, and a repeated
+    pair is one star.  With a pair out of range the pattern keeps its stars
+    instead, for :func:`validate` to report."""
     raw = _require(data, field, list)
-    by_row: list[list[int]] = [[] for _ in range(rows)]
-    in_range = True
+    by_row: list[list[int]] = [[] for _ in range(rows + 1)]  # 1-based; row 0 is dropped
+    in_range = ascending = True
+    pi = pj = 0  # the previous pair; every in-range pair follows (0, 0)
     try:
         for i, j in raw:
             if type(i) is not int or type(j) is not int:
                 raise TypeError
             if 0 < i <= rows and 0 < j <= cols:
-                by_row[i - 1].append(j - 1)
+                by_row[i].append(j - 1)
             else:
                 in_range = False
+            if i <= pi and (i < pi or j <= pj):
+                ascending = False
+            pi, pj = i, j
     except (TypeError, ValueError):
         raise FormatError(f"field {field!r}: entries must be [row, col] integer pairs") from None
     if not in_range:
         return SparsityPattern(rows, cols, frozenset((i - 1, j - 1) for i, j in raw))
-    if not all(map(lt, raw, islice(raw, 1, None))):
+    del by_row[0]
+    if not ascending:
         by_row = [sorted(set(row)) for row in by_row]
     return SparsityPattern.of_checked_rows(rows, cols, by_row)
 

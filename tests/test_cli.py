@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -546,6 +547,30 @@ class TestCompileOnce:
         assert inside["matching._masked"] == 0
 
 
+@pytest.fixture
+def final_check_fails(monkeypatch):
+    # a failed consistency check is a defect, not a usage error: here the
+    # final check is shown the selection without its inputs, one of which
+    # the stage-3 matching uses
+    import ioselect.selector as selector_mod
+
+    real = selector_mod.certify_cycle_cover
+
+    def inputs_dropped(system, sel, pairs):
+        return real(system, selector_mod.Selection(outputs=sel.outputs), pairs)
+
+    monkeypatch.setattr(selector_mod, "certify_cycle_cover", inputs_dropped)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and restored."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_on else gc.disable)()
+
+
 class TestMain:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -560,22 +585,79 @@ class TestMain:
         assert main(["frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_internal_error_exit_code(self, capsys, demo_json, monkeypatch):
-        # a failed consistency check is a defect, not a usage error: here the
-        # final check is shown the selection without its inputs, one of which
-        # the stage-3 matching uses
-        import ioselect.selector as selector_mod
-
-        real = selector_mod.certify_cycle_cover
-
-        def inputs_dropped(system, sel, pairs):
-            return real(system, selector_mod.Selection(outputs=sel.outputs), pairs)
-
-        monkeypatch.setattr(selector_mod, "certify_cycle_cover", inputs_dropped)
+    def test_internal_error_exit_code(self, capsys, demo_json, final_check_fails):
         code, out, err = run(capsys, "select", demo_json)
         assert code == EXIT_INTERNAL == 3
         assert out == ""
         assert err.startswith("internal error: ") and "structurally fixed modes" in err
+
+    # every command but bench runs with the cyclic collector paused, and
+    # main leaves it as it found it, whatever the exit
+    @pytest.mark.parametrize("case", ["ok", "infeasible", "malformed", "internal", "help"])
+    def test_main_restores_the_collector(
+        self, capsys, collector, demo_json, sfm_json, tmp_path, request, case
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(MALFORMED["not UTF-8"])
+        if case == "internal":
+            request.getfixturevalue("final_check_fails")
+        argv, expected = {
+            "ok": (["select", demo_json], EXIT_OK),
+            "infeasible": (["select", sfm_json], EXIT_INFEASIBLE),
+            "malformed": (["select", str(bad)], EXIT_USAGE),
+            "internal": (["select", demo_json], EXIT_INTERNAL),
+            "help": (["--help"], EXIT_OK),
+        }[case]
+        assert main(argv) == expected
+        capsys.readouterr()
+        assert gc.isenabled() is collector
+
+    def test_bench_trials_run_with_the_collector_on(self, capsys, monkeypatch):
+        import ioselect.oracle_bench as oracle_bench
+
+        seen = []
+        real = oracle_bench._run_trial
+
+        def run_trial(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(oracle_bench, "_run_trial", run_trial)
+        assert gc.isenabled()
+        code, _out, _err = run(
+            capsys, "bench", "--n", "4", "--m", "1", "--p", "1",
+            "--state-density", "0.35", "--trials", "2", "--seed", "3",
+        )
+        assert code == EXIT_OK and seen == [True, True]
+
+    @pytest.mark.parametrize("argv", [["select"], ["select", "--trace"], ["check"]], ids=" ".join)
+    def test_one_instance_commands_run_no_collection(self, capsys, tmp_path, argv):
+        # a sparse-shaped instance decodes into thousands of live containers,
+        # which would trigger collections that free nothing
+        from ioselect import cli, oracle_bench
+        from ioselect.system_model import system_to_json
+
+        system = oracle_bench.generate(oracle_bench.GeneratorConfig(
+            n=200, m=20, p=20, state_density=5 / 200, input_density=0.2, output_density=0.2, seed=1,
+        ))
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(system_to_json(system)))
+        cli._parser()  # built once per process, before the pause
+        starts = []
+
+        def count(phase, _info):
+            if phase == "start":
+                starts.append(1)
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = main([argv[0], str(path), *argv[1:]])
+        finally:
+            gc.callbacks.remove(count)
+        capsys.readouterr()
+        assert code == EXIT_OK and starts == []
 
 
 MALFORMED = {

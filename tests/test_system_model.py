@@ -387,6 +387,23 @@ class TestJson:
             parsed.B.stars = frozenset()
         assert validate(parsed).ok
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[1, 1], [1, 3], [1, 3], [2, 2]],  # ascending, one pair repeated back to back
+            [[2, 1], [1, 5]],  # rows out of order, each row still ascending
+            [[1, 3], [1, 2], [2, 1]],  # one adjacent swap within a row
+        ],
+        ids=["repeat", "row-order", "swap"],
+    )
+    def test_pair_order_is_checked_while_decoding(self, pairs):
+        # the decoder compares each pair with the one before it; whatever
+        # it decides, the rows are those of the star set
+        doc = {"n": 5, "m": 1, "p": 1, "A": pairs, "B": [], "C": [], "cost_u": ["1"], "cost_y": ["1"]}
+        parsed = system_from_json(doc).A
+        assert "stars" not in vars(parsed)
+        assert parsed.by_row == from_pairs(5, 5, pairs).by_row
+
     def test_out_of_range_pair_keeps_the_stars_for_validate(self, demo):
         doc = system_to_json(demo)
         doc["A"].append([5, 1])
