@@ -9,8 +9,8 @@ and C hold about n*m/5 stars each, so the graph's edge count E grows about
 slowest layers are bounded by E times a factor that grows with n:
 Hopcroft-Karp is O(E * sqrt(n)), each side of stage 3 is O(d * E) for
 d = n - nu(B(A)) (every kept channel is one search, and the failed
-searches between two keeps share their marks), and the greedy covers scan
-every set in every iteration.
+searches of the whole pass share their marks, so together they scan the
+graph once), and the greedy covers scan every set in every iteration.
 """
 
 import argparse

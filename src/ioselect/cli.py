@@ -80,11 +80,12 @@ def _load_json(path: str):
         raise _UsageError(f"{path}: integer too long") from None
 
 
-def _read_system(path: str) -> StructuredSystem:
+def _read_system(path: str, discrete: bool = False) -> StructuredSystem:
     try:
-        return system_from_json(_load_json(path))
+        system = system_from_json(_load_json(path))
     except FormatError as exc:
         raise _UsageError(f"{path}: {exc}") from exc
+    return replace(system, mode="discrete") if discrete else system
 
 
 def _parse_index_list(text: str, count: int, kind: str) -> frozenset[int]:
@@ -147,9 +148,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    system = _read_system(args.instance)
-    if args.discrete:
-        system = replace(system, mode="discrete")
+    system = _read_system(args.instance, args.discrete)
     compiled = selector.compile_system(system)  # validates before the flags are read
     sel = _selection_from_flags(system, args)  # checks the index ranges
     status = selector.check_no_sfm(compiled, sel)
@@ -169,22 +168,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    system = _read_system(args.instance)
-    if args.discrete:
-        system = replace(system, mode="discrete")
+    system = _read_system(args.instance, args.discrete)
     try:
         report = selector.select_min_cost_io(system, exact_covers=args.exact)
-    except SystemHasSFMs as exc:
+        oracle = oracle_bench.exact_select(report.compiled) if args.exact else None
+    except SystemHasSFMs as exc:  # from the select: exact_select runs only after it succeeds
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE
     except TooLarge as exc:
         raise _UsageError(str(exc)) from exc
-    oracle = None
-    if args.exact:
-        try:
-            oracle = oracle_bench.exact_select(report.compiled)
-        except TooLarge as exc:
-            raise _UsageError(str(exc)) from exc
     doc = selector.report_to_json(report, include_traces=args.trace, oracle=oracle)
     if args.dump_matching:
         g = report.compiled.graph
@@ -390,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValidationFailed as exc:  # every command that reads a system file compiles it
+    except ValidationFailed as exc:  # only from a system file: a generated system always validates
         print(f"error: {args.instance}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolated as exc:

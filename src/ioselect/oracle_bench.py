@@ -43,6 +43,7 @@ from ioselect.set_cover import TooLarge
 from ioselect.system_model import (
     COMPLETE,
     COST_DECIMALS,
+    SIZE_LIMIT,
     InvariantViolated,
     ModelError,
     Selection,
@@ -127,8 +128,8 @@ class GeneratorConfig:
     max_attempts: int = 200
 
     def __post_init__(self):
-        if min(self.n, self.m, self.p) < 1:
-            raise ModelError("sizes must be at least 1")
+        if not all(1 <= size <= SIZE_LIMIT for size in (self.n, self.m, self.p)):
+            raise ModelError(f"sizes must be at least 1 and at most {SIZE_LIMIT}")
         for name in ("state_density", "input_density", "output_density"):
             d = getattr(self, name)
             if not 0.0 <= d <= 1.0:
@@ -136,6 +137,8 @@ class GeneratorConfig:
         if not 0 <= self.cost_decimals <= COST_DECIMALS:
             raise ModelError(f"cost_decimals must lie in [0, {COST_DECIMALS}]")
         lo, hi = (parse_cost(v) for v in self.cost_range)
+        if lo < 0:
+            raise ModelError("cost_range lower bound is negative")
         if lo > hi:
             raise ModelError("cost_range lower bound exceeds upper bound")
         step = 10 ** (COST_DECIMALS - self.cost_decimals)

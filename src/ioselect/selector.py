@@ -294,17 +294,23 @@ def sfm_witness(
 def select_min_cost_io(
     system: Union[StructuredSystem, CompiledSystem], exact_covers: bool = False
 ) -> SelectionReport:
-    """Three-stage minimum-cost input/output selection.
+    """Three-stage minimum-cost input/output selection; the stages that run
+    make the report.
 
     Raises :class:`ValidationFailed` on malformed systems,
     :class:`ModelError` on a non-complete feedback pattern, and
     :class:`SystemHasSFMs` (with a witness) when even the full selection has
-    structurally fixed modes.  With ``exact_covers`` the stage-1/2 cover
-    instances are also solved exactly (guarded brute force) to tighten the
-    reported lower bound.  Every stage reads one compiled system; one given
-    already compiled is not compiled again.  An irreducible continuous
-    system tagged ``state_pm`` is solved exactly by its two one-element
-    greedy covers, left untraced (``stage1`` and ``stage2`` stay None).
+    structurally fixed modes.  Stage 3 runs on a continuous system unless it
+    is irreducible with a state-only perfect matching, the two greedy covers
+    run unless it is irreducible without one, and the selection is the
+    union of what ran.  ``stage_costs`` holds the cover weights, or (0, 0),
+    and the cycle cost (0 where a continuous stage 3 did not run, None in
+    discrete mode).  An irreducible system's stage-cost sum is its optimum
+    and its lower bound, with ``stage1``, ``stage2`` and
+    ``exact_stage_bound`` left None; otherwise the bound is the larger of
+    the cycle cost and, with ``exact_covers``, the exact stage-1/2 optima
+    (guarded brute force).  Every stage reads one compiled system; one given
+    already compiled is not compiled again.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -315,6 +321,7 @@ def select_min_cost_io(
     continuous = system.mode == "continuous"
     tags = applicable_special_cases(compiled) or (CASE_GENERAL,)
     primary = tags[0]
+    irreducible = primary == CASE_IRREDUCIBLE  # so continuous: the discrete tag ranks first
     # the tag's perfect matching of the states alone: B(A)'s maximum matching
     state_match = compiled.graph.state_matching[0] if CASE_STATE_PM in tags else None
     cond_a = compiled.condition_a(Selection.full(system))
@@ -322,59 +329,40 @@ def select_min_cost_io(
 
     # Stage 3 finds a perfect matching of the full graph exactly when the
     # full selection meets condition (b), so it runs first and decides it.
-    # A state-only perfect matching already meets (b); on one SCC it also
-    # makes stage 3 unnecessary (see below).
+    # A state-only perfect matching already meets (b).  On one SCC, any
+    # feasible selection uses at least one connected input and output, and
+    # each cover's one element is that SCC: with a state-only perfect
+    # matching the covers' cheapest pair is optimal, and without one the
+    # matching stage alone is (its cost is a lower bound met with equality).
+    selection = Selection()
+    cycle_cost: Optional[int] = 0 if continuous else None
     match_result = no_match = None
-    if continuous and not (primary == CASE_IRREDUCIBLE and state_match is not None):
+    if continuous and not (irreducible and state_match is not None):
         t0 = time.perf_counter()
         try:
             match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
         except matching_mod.NoPerfectMatching as exc:
             no_match = exc  # condition (b) fails; exc holds the Hall violator
         else:
-            sel3, cyc_cost = matching_mod.extract_io(compiled.graph, match_result)
+            selection, cycle_cost = matching_mod.extract_io(compiled.graph, match_result)
         timings["cycle"] = time.perf_counter() - t0
     status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(compiled, status, hall=no_match))
 
-    stage1 = stage2 = None
-    exact_bound: Optional[int] = None
-
-    # One SCC: any feasible selection uses at least one connected input and
-    # output, and each cover's one element is that SCC.  With a state-only
-    # perfect matching the covers' cheapest pair is therefore optimal;
-    # otherwise the matching stage alone is (its cost is a lower bound met
-    # with equality).
-    irreducible = primary == CASE_IRREDUCIBLE and continuous
-    if irreducible and state_match is None:
-        selection = sel3
-        stage_costs: tuple[Optional[int], ...] = (0, 0, cyc_cost)
-        lower = cyc_cost
-    else:
-        covers = []
+    covers: list[Cover] = []
+    if not (irreducible and state_match is None):
         for name, inst in zip(("accessibility", "sensability"), compiled.covers):
             t0 = time.perf_counter()
             covers.append(greedy_solve(inst))
             timings[name] = time.perf_counter() - t0
-        cover1, cover2 = covers
-        selection = Selection(cover1.chosen, cover2.chosen)
-
-        if irreducible:
-            stage_costs = (cover1.weight, cover2.weight, 0)
-            lower = cover1.weight + cover2.weight
-        else:
-            stage1, stage2 = cover1, cover2
-            if exact_covers:
-                exact_bound = sum(exact_solve(inst).weight for inst in compiled.covers)
-
-            if not continuous:
-                stage_costs = (stage1.weight, stage2.weight, None)
-                lower = exact_bound if exact_bound is not None else 0
-            else:
-                selection = selection.union(sel3)
-                stage_costs = (stage1.weight, stage2.weight, cyc_cost)
-                lower = max(cyc_cost, exact_bound or 0)
+        selection = selection.union(Selection(*(cover.chosen for cover in covers)))
+    stage_costs = (*([cover.weight for cover in covers] or (0, 0)), cycle_cost)
+    stage1, stage2 = (None, None) if irreducible else covers
+    exact_bound = None
+    if exact_covers and not irreducible:
+        exact_bound = sum(exact_solve(inst).weight for inst in compiled.covers)
+    lower = sum(stage_costs) if irreducible else max(cycle_cost or 0, exact_bound or 0)
 
     # The final check verifies condition (b) on a perfect matching that
     # leaves only selected channels off their own edges: stage 3's, or,
@@ -397,7 +385,7 @@ def select_min_cost_io(
         compiled=compiled,
         selection=selection,
         total_cost=total,
-        stage_costs=tuple(stage_costs),
+        stage_costs=stage_costs,
         lower_bound=lower,
         special_case=primary,
         special_cases=tags,

@@ -428,6 +428,15 @@ class TestGen:
             "--state-density", "1.5",
         )
         assert code == EXIT_USAGE and "state_density" in err
+        # configs that validation would refuse are refused before any draw
+        for flags, message in (
+            (("--n", "2", "--m", "1", "--p", "1", "--cost-lo=-5", "--cost-hi=-1"), "negative"),
+            (("--n", "1", "--m", "100001", "--p", "1"), "at most 100000"),
+            (("--n", "1", "--m", "100001", "--p", "1", "--allow-sfms"), "at most 100000"),
+        ):
+            code, out, err = run(capsys, "gen", *flags)
+            assert code == EXIT_USAGE and out == "" and message in err
+            assert err.count("error:") == 1 and "Traceback" not in err
 
 
 class TestBench:
@@ -468,6 +477,13 @@ class TestBench:
             capsys, "bench", "--n", ",", "--m", "1", "--p", "1"
         )
         assert code == EXIT_USAGE and "no sizes" in err
+        for flags, message in (
+            (("--n", "2", "--m", "1", "--p", "1", "--cost-lo=-1", "--cost-hi=1"), "negative"),
+            (("--n", "1", "--m", "100001", "--p", "1"), "at most 100000"),
+        ):
+            code, out, err = run(capsys, "bench", *flags, "--trials", "1")
+            assert code == EXIT_USAGE and out == "" and message in err
+            assert err.count("error:") == 1 and "Traceback" not in err
 
 
 class TestCompileOnce:

@@ -33,7 +33,7 @@ from ioselect.oracle_bench import (
 )
 from ioselect.selector import SystemHasSFMs, compile_system
 from ioselect.set_cover import TooLarge
-from ioselect.system_model import COST_SCALE, InvariantViolated, ModelError, Selection
+from ioselect.system_model import COST_SCALE, SIZE_LIMIT, InvariantViolated, ModelError, Selection
 
 U = COST_SCALE
 
@@ -132,6 +132,11 @@ class TestGeneratorConfig:
     def test_rejects_zero_sizes(self):
         with pytest.raises(ModelError, match="at least 1"):
             GeneratorConfig(n=0, m=1, p=1)
+        # and sizes validation would refuse; only the config is built, nothing is drawn
+        for sizes in ((SIZE_LIMIT + 1, 1, 1), (1, SIZE_LIMIT + 1, 1), (1, 1, SIZE_LIMIT + 1)):
+            with pytest.raises(ModelError, match=f"at most {SIZE_LIMIT}"):
+                GeneratorConfig(*sizes)
+        GeneratorConfig(SIZE_LIMIT, SIZE_LIMIT, SIZE_LIMIT)
 
     def test_rejects_bad_density(self):
         with pytest.raises(ModelError, match="state_density"):
@@ -144,6 +149,11 @@ class TestGeneratorConfig:
     def test_rejects_inverted_range(self):
         with pytest.raises(ModelError, match="exceeds upper"):
             GeneratorConfig(n=1, m=1, p=1, cost_range=("2", "1"))
+        # a negative lowest cost, which validation would refuse
+        for cost_range in (("-5", "-1"), ("-0.000001", "1")):
+            with pytest.raises(ModelError, match="lower bound is negative"):
+                GeneratorConfig(n=1, m=1, p=1, cost_range=cost_range, cost_decimals=6)
+        GeneratorConfig(n=1, m=1, p=1, cost_range=("0", "1"))
 
     def test_rejects_unrepresentable_range(self):
         # no whole number lies in [0.15, 0.18]

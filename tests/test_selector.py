@@ -20,6 +20,7 @@ from ioselect.selector import (
     sfm_witness,
 )
 from ioselect import matching as matching_mod
+from ioselect import selector as selector_mod
 from ioselect.matching import build_bipartite, state_pattern_has_pm
 from ioselect.oracle_bench import exact_select
 from ioselect.set_cover import cover_labels
@@ -241,6 +242,15 @@ class TestSelectDemo:
         assert ref == (101 * U, (2,), (0,))
 
 
+@pytest.fixture
+def no_exact_covers(monkeypatch):
+    # an irreducible system's stage-cost sum is exact: no cover is solved exactly
+    def boom(_inst):
+        raise AssertionError("an irreducible system needs no exact cover bound")
+
+    monkeypatch.setattr(selector_mod, "exact_solve", boom)
+
+
 class TestSelectSpecialPaths:
     def test_diagonal_matching_is_free(self):
         rep = select_min_cost_io(diagonal_system())
@@ -250,35 +260,39 @@ class TestSelectSpecialPaths:
         assert rep.selection == Selection.of([0, 1], [0, 1])
         assert rep.matching is not None and matching_cost(rep.compiled.graph, rep.matching) == 0
 
-    def test_irreducible_with_state_pm(self):
+    def test_irreducible_with_state_pm(self, no_exact_covers):
         system = make_system(
             3, 2, 2, [(2, 1), (3, 2), (1, 3)], [(1, 1), (2, 2)], [(1, 3), (2, 1)],
             cost_u=["5", "2"], cost_y=["4", "9"],
         )
-        rep = select_min_cost_io(system)
-        assert rep.special_case == "irreducible"
-        assert rep.guarantee == "exact optimum"
-        assert rep.selection == Selection.of([1], [0])
-        assert rep.total_cost == 6 * U
-        assert rep.stage_costs == (2 * U, 4 * U, 0)
-        assert rep.lower_bound == 6 * U
-        assert rep.stage1 is None and rep.matching is None
-        # stage 3 does not run: the time goes to the two covers
-        assert set(rep.timings) == {"sfm_check", "accessibility", "sensability", "final_check"}
+        for exact_covers in (False, True):
+            rep = select_min_cost_io(system, exact_covers=exact_covers)
+            assert rep.special_case == "irreducible"
+            assert rep.guarantee == "exact optimum"
+            assert rep.selection == Selection.of([1], [0])
+            assert rep.total_cost == 6 * U
+            assert rep.stage_costs == (2 * U, 4 * U, 0)
+            assert rep.lower_bound == rep.total_cost
+            assert rep.exact_stage_bound is None
+            assert rep.stage1 is None and rep.stage2 is None and rep.matching is None
+            # stage 3 does not run: the time goes to the two covers
+            assert set(rep.timings) == {"sfm_check", "accessibility", "sensability", "final_check"}
 
-    def test_irreducible_without_state_pm(self):
+    def test_irreducible_without_state_pm(self, no_exact_covers):
         system = make_system(
             3, 2, 2, [(2, 1), (1, 2), (3, 2), (2, 3)], [(1, 1), (3, 2)],
             [(1, 2), (2, 1)], cost_u=["5", "2"], cost_y=["4", "9"],
         )
-        rep = select_min_cost_io(system)
-        assert rep.special_case == "irreducible"
-        assert rep.selection == Selection.of([1], [1])
-        assert rep.total_cost == 11 * U
-        assert rep.stage_costs == (0, 0, 11 * U)
-        assert rep.lower_bound == 11 * U
-        assert rep.matching is not None
-        assert set(rep.timings) == {"sfm_check", "cycle", "final_check"}
+        for exact_covers in (False, True):
+            rep = select_min_cost_io(system, exact_covers=exact_covers)
+            assert rep.special_case == "irreducible"
+            assert rep.selection == Selection.of([1], [1])
+            assert rep.total_cost == 11 * U
+            assert rep.stage_costs == (0, 0, 11 * U)
+            assert rep.lower_bound == rep.total_cost
+            assert rep.exact_stage_bound is None
+            assert rep.stage1 is None and rep.stage2 is None and rep.matching is not None
+            assert set(rep.timings) == {"sfm_check", "cycle", "final_check"}
 
     def test_single_nontop(self):
         system = make_system(3, 2, 2, [(2, 1), (3, 1)], [(1, 1), (3, 2)],
@@ -814,8 +828,6 @@ class TestRobustness:
     def test_infeasible_final_selection_raises(self, demo, monkeypatch):
         # the final check is shown the stage-3 matching with the right ends of
         # its first two pairs swapped; in the demo x2' -> x1 is no edge
-        import ioselect.selector as selector_mod
-
         real = selector_mod.certify_cycle_cover
 
         def first_two_swapped(system, sel, pairs):
