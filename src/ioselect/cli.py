@@ -21,6 +21,7 @@ the collector.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -88,26 +89,28 @@ def _read_system(path: str, discrete: bool = False) -> StructuredSystem:
     return replace(system, mode="discrete") if discrete else system
 
 
-def _parse_index_list(text: str, count: int, kind: str) -> frozenset[int]:
-    """Comma-separated 1-based indices -> 0-based frozenset."""
-    chosen = set()
+def _int_list(text: str, flag: str, count: Optional[int] = None) -> list[int]:
+    """The integers of the comma-separated value of ``--flag``, blank parts
+    skipped; with ``count``, each must be a 1-based index in 1..count.
+    Parts are read in order, so the first bad one is named."""
+    values = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         try:
-            idx = int(part)
+            value = int(part)
         except ValueError:
-            raise _UsageError(f"--{kind}: {part!r} is not an integer") from None
-        if not 1 <= idx <= count:
-            raise _UsageError(f"--{kind}: index {idx} out of range 1..{count}")
-        chosen.add(idx - 1)
-    return frozenset(chosen)
+            raise _UsageError(f"--{flag}: {part!r} is not an integer") from None
+        if count is not None and not 1 <= value <= count:
+            raise _UsageError(f"--{flag}: index {value} out of range 1..{count}")
+        values.append(value)
+    return values
 
 
 def _selection_from_flags(system: StructuredSystem, args) -> Selection:
     return Selection(*(
-        frozenset(range(count)) if flag is None else _parse_index_list(flag, count, kind)
+        range(count) if flag is None else [i - 1 for i in _int_list(flag, kind, count)]
         for kind, flag, count in (("inputs", args.inputs, system.m), ("outputs", args.outputs, system.p))
     ))
 
@@ -127,23 +130,20 @@ def _flatten(obj, prefix: str, lines: list[str]) -> None:
         lines.append(f"{prefix} = {obj}")
 
 
+def _opened(path: Optional[str], newline: Optional[str] = None):
+    """The stream every output is written to, for a ``with``: the file at
+    ``path``, replaced, or stdout (left open) without one."""
+    return open(path, "w", encoding="utf-8", newline=newline) if path else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(doc: dict, args) -> None:
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         lines: list[str] = []
         _flatten(doc, "", lines)
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(doc, indent=2) + "\n"
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _opened(args.output) as fh:
         fh.write(text)
 
 
@@ -162,7 +162,8 @@ def _cmd_check(args) -> int:
         doc["witness"] = selector.sfm_witness(compiled, status, sel)
     if args.dump_graph:
         graph = dump_system_digraph(compiled.graph, sel)
-        _write_text(args.dump_graph, graph + "\n" + dump_condensation(compiled.scc))
+        with _opened(args.dump_graph) as fh:
+            fh.write(graph + "\n" + dump_condensation(compiled.scc))
     _emit(doc, args)
     return EXIT_OK if status.ok else EXIT_INFEASIBLE
 
@@ -181,7 +182,8 @@ def _cmd_select(args) -> int:
     if args.dump_matching:
         g = report.compiled.graph
         text = "# no matching stage\n" if report.matching is None else dump_matching(g, report.matching)
-        _write_text(args.dump_matching, text)
+        with _opened(args.dump_matching) as fh:
+            fh.write(text)
     _emit(doc, args)
     return EXIT_OK
 
@@ -222,10 +224,10 @@ def _cmd_solve_setcover(args) -> int:
     return EXIT_OK
 
 
-def _generator_config(args) -> oracle_bench.GeneratorConfig:
+def _generator_config(args, n: int) -> oracle_bench.GeneratorConfig:
     try:
         return oracle_bench.GeneratorConfig(
-            n=args.n,
+            n=n,
             m=args.m,
             p=args.p,
             state_density=args.state_density,
@@ -243,7 +245,7 @@ def _generator_config(args) -> oracle_bench.GeneratorConfig:
 
 
 def _cmd_gen(args) -> int:
-    config = _generator_config(args)
+    config = _generator_config(args, args.n)
     try:
         system = oracle_bench.generate(config)
     except oracle_bench.GenerationFailed as exc:
@@ -254,28 +256,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = []
-    for part in str(args.n).split(","):
-        part = part.strip()
-        if part:
-            try:
-                sizes.append(int(part))
-            except ValueError:
-                raise _UsageError(f"--n: {part!r} is not an integer") from None
+    sizes = _int_list(args.n, "n")
     if not sizes:
         raise _UsageError("--n: no sizes given")
-    configs = []
-    for n in sizes:
-        sub = argparse.Namespace(**{**vars(args), "n": n})
-        configs.append(_generator_config(sub))
+    configs = [_generator_config(args, n) for n in sizes]
     records, summary = oracle_bench.bench(configs, args.trials, oracle=args.oracle)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            oracle_bench.write_jsonl(records, summary, fh)
-    else:
-        oracle_bench.write_jsonl(records, summary, sys.stdout)
+    with _opened(args.output) as fh:
+        oracle_bench.write_jsonl(records, summary, fh)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+        with _opened(args.csv, newline="") as fh:
             oracle_bench.write_csv(records, fh)
     return EXIT_OK
 
@@ -295,6 +284,11 @@ def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-attempts", type=int, default=200)
 
 
+def _add_output_flags(sub: argparse.ArgumentParser, output_help: Optional[str] = None) -> None:
+    sub.add_argument("--format", choices=("json", "table"), default="json")
+    sub.add_argument("-o", "--output", help=output_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for every command; :func:`main` reuses one per process."""
     parser = argparse.ArgumentParser(
@@ -309,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--outputs", help="comma-separated 1-based output indices (default: all)")
     c.add_argument("--discrete", action="store_true", help="override mode to discrete")
     c.add_argument("--dump-graph", metavar="PATH", help="write system digraph + condensation")
-    c.add_argument("--format", choices=("json", "table"), default="json")
-    c.add_argument("-o", "--output", help="write result here instead of stdout")
+    _add_output_flags(c, "write result here instead of stdout")
 
     s = sub.add_parser("select", help="three-stage minimum-cost selection")
     s.add_argument("instance")
@@ -318,27 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace", action="store_true", help="include greedy/matching traces")
     s.add_argument("--discrete", action="store_true", help="override mode to discrete")
     s.add_argument("--dump-matching", metavar="PATH", help="write the stage-3 matching edge list")
-    s.add_argument("--format", choices=("json", "table"), default="json")
-    s.add_argument("-o", "--output")
+    _add_output_flags(s)
 
     r = sub.add_parser("reduce-setcover", help="emit the accessibility set-cover instance")
     r.add_argument("instance")
     r.add_argument("--dual", action="store_true", help="reduce sensability instead")
-    r.add_argument("--format", choices=("json", "table"), default="json")
-    r.add_argument("-o", "--output")
+    _add_output_flags(r)
 
     w = sub.add_parser("solve-setcover", help="greedy (optionally exact) weighted set cover")
     w.add_argument("instance", help="set-cover JSON path")
     w.add_argument("--exact", action="store_true")
     w.add_argument("--trace", action="store_true")
-    w.add_argument("--format", choices=("json", "table"), default="json")
-    w.add_argument("-o", "--output")
+    _add_output_flags(w)
 
     g = sub.add_parser("gen", help="generate a reproducible random instance")
     g.add_argument("--n", type=int, required=True, help="number of states")
     _add_generator_flags(g)
-    g.add_argument("--format", choices=("json", "table"), default="json")
-    g.add_argument("-o", "--output")
+    _add_output_flags(g)
 
     b = sub.add_parser("bench", help="run the ratio/runtime harness")
     b.add_argument("--n", required=True, help="state counts, comma-separated (e.g. 100,200,400)")
@@ -388,10 +377,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (FormatError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

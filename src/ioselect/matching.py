@@ -177,33 +177,38 @@ def _hall(g: SystemGraph, rows, keep: list[bool], match_l: list[int]) -> tuple[t
     """The left vertices that alternating paths reach from the free ones in
     a largest matching ``match_l`` of the masked graph (:func:`_masked`),
     and their neighbours, less the unselected channels: the
-    Dulmage-Mendelsohn set, the same for every largest matching.  Through
-    the hub, a selected input's row also holds every selected output."""
+    Dulmage-Mendelsohn set, the same for every largest matching.
+
+    One :func:`_path` runs from each free left vertex, and the searches
+    share their marks, so each right vertex is reached once.  A hub enters
+    as one more matched pair: right vertex ``size`` ends each selected
+    input's row, and its partner, left vertex ``size``, has the selected
+    outputs for its row.  So a search that reaches a selected input reaches
+    every selected output, as K's stars would take it.  No search may reach
+    a free vertex, since the matching is largest.
+    """
     n, out0, size = g.n, g.n + g.m, g.size
-    match_r = [-1] * size
+    match_r = [-1] * (size + 1)
     for l, r in enumerate(match_l):
         if r >= 0:
             match_r[r] = l
-    seen_l = [r < 0 for r in match_l]
-    seen_r = [False] * size
-    stack = [l for l in range(size) if seen_l[l]]
-    hub = g.hub
-    while stack:
-        l = stack.pop()
-        row = rows[l]
-        if hub and n <= l < out0 and keep[l]:
-            hub = False
-            row = row + [y for y in range(out0, size) if keep[y]]
-        for r in row:
-            if not seen_r[r]:
-                seen_r[r] = True
-                nxt = match_r[r]
-                if nxt >= 0 and not seen_l[nxt]:
-                    seen_l[nxt] = True
-                    stack.append(nxt)
+    if g.hub:
+        rows = list(rows)
+        for u in range(n, out0):
+            if keep[u]:
+                rows[u] = rows[u] + [size]
+        rows.append([y for y in range(out0, size) if keep[y]])
+        match_r[size] = size
+    seen, parent, reached = [False] * (size + 1), [0] * (size + 1), []
+    for l, r in enumerate(match_l):
+        if r < 0 and _path(l, rows, match_r, seen, parent, reached) >= 0:
+            raise InvariantViolated("an alternating path reaches a free vertex: the matching is not largest")
+    left = [r < 0 for r in match_l] + [False]
+    for r in reached:
+        left[match_r[r]] = True
     return (
-        tuple(v for v in range(size) if seen_l[v] and keep[v]),
-        tuple(v for v in range(size) if seen_r[v] and keep[v]),
+        tuple(v for v in range(size) if left[v] and keep[v]),
+        tuple(v for v in range(size) if seen[v] and keep[v]),
     )
 
 

@@ -136,14 +136,23 @@ class GeneratorConfig:
                 raise ModelError(f"{name} must lie in [0, 1]")
         if not 0 <= self.cost_decimals <= COST_DECIMALS:
             raise ModelError(f"cost_decimals must lie in [0, {COST_DECIMALS}]")
-        lo, hi = (parse_cost(v) for v in self.cost_range)
-        if lo < 0:
-            raise ModelError("cost_range lower bound is negative")
-        if lo > hi:
-            raise ModelError("cost_range lower bound exceeds upper bound")
-        step = 10 ** (COST_DECIMALS - self.cost_decimals)
-        if -((-lo) // step) * step > hi:  # smallest step multiple >= lo
+        _step, first, last = _cost_grid(self)
+        if first > last:
             raise ModelError("cost_range contains no value at cost_decimals precision")
+
+
+def _cost_grid(config: GeneratorConfig) -> tuple[int, int, int]:
+    """The scaled costs ``config`` draws from, as the step between them and
+    the first and last multiples of it in ``cost_range`` (the first is
+    above the last when there is none).  Raises :class:`ModelError` for a
+    negative or inverted range."""
+    lo, hi = (parse_cost(v) for v in config.cost_range)
+    if lo < 0:
+        raise ModelError("cost_range lower bound is negative")
+    if lo > hi:
+        raise ModelError("cost_range lower bound exceeds upper bound")
+    step = 10 ** (COST_DECIMALS - config.cost_decimals)
+    return step, -((-lo) // step), hi // step
 
 
 def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> SparsityPattern:
@@ -189,23 +198,20 @@ def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> Spar
     return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
 
-def _draw_costs(count: int, config: GeneratorConfig, rng: SplitMix64) -> tuple[int, ...]:
-    lo, hi = (parse_cost(v) for v in config.cost_range)
-    step = 10 ** (COST_DECIMALS - config.cost_decimals)
-    k_lo = -((-lo) // step)  # ceil
-    k_hi = hi // step
-    return tuple(step * (k_lo + rng.next_below(k_hi - k_lo + 1)) for _ in range(count))
+def _draw_costs(count: int, grid: tuple[int, int, int], rng: SplitMix64) -> tuple[int, ...]:
+    step, first, last = grid
+    return tuple(step * (first + rng.next_below(last - first + 1)) for _ in range(count))
 
 
-def _draw_system(config: GeneratorConfig, attempt: int) -> StructuredSystem:
+def _draw_system(config: GeneratorConfig, attempt: int, grid: tuple[int, int, int]) -> StructuredSystem:
     s = config.seed
     return StructuredSystem(
         A=_draw_pattern(config.n, config.n, config.state_density, _stream(s, attempt, CH_A)),
         B=_draw_pattern(config.n, config.m, config.input_density, _stream(s, attempt, CH_B)),
         C=_draw_pattern(config.p, config.n, config.output_density, _stream(s, attempt, CH_C)),
         K=COMPLETE,
-        cost_u=_draw_costs(config.m, config, _stream(s, attempt, CH_COST_U)),
-        cost_y=_draw_costs(config.p, config, _stream(s, attempt, CH_COST_Y)),
+        cost_u=_draw_costs(config.m, grid, _stream(s, attempt, CH_COST_U)),
+        cost_y=_draw_costs(config.p, grid, _stream(s, attempt, CH_COST_Y)),
         mode=config.mode,
     )
 
@@ -213,8 +219,9 @@ def _draw_system(config: GeneratorConfig, attempt: int) -> StructuredSystem:
 def generate(config: GeneratorConfig) -> StructuredSystem:
     """Draw an instance; with ``require_feasible`` rejection-sample until the
     full system is free of structurally fixed modes."""
+    grid = _cost_grid(config)
     for attempt in range(config.max_attempts):
-        system = _draw_system(config, attempt)
+        system = _draw_system(config, attempt, grid)
         if not config.require_feasible:
             return system
         if check_no_sfm(system, Selection.full(system)).ok:

@@ -297,14 +297,14 @@ def reduce_wsc_to_accessibility(inst: WeightedSetCoverInstance) -> StructuredSys
     n = inst.universe_size
     if n < 1:
         raise ModelError("reverse reduction needs a nonempty universe")
-    a = SparsityPattern(n, n, frozenset((i, i) for i in range(n)))
-    b_stars = frozenset(
-        (e, j) for j, s in enumerate(inst.sets) for e in s
-    )
+    b_rows: list[list[int]] = [[] for _ in range(n)]
+    for j, s in enumerate(inst.sets):
+        for e in s:
+            b_rows[e].append(j)
     return StructuredSystem(
-        A=a,
-        B=SparsityPattern(n, inst.r, b_stars),
-        C=SparsityPattern(0, n),
+        A=SparsityPattern.of_checked_rows(n, n, [[i] for i in range(n)]),
+        B=SparsityPattern.of_checked_rows(n, inst.r, b_rows),
+        C=SparsityPattern.of_checked_rows(0, n, []),
         K=COMPLETE,
         cost_u=inst.weights,
         cost_y=(),

@@ -125,12 +125,14 @@ class SparsityPattern:
     ``by_row[i]`` lists row i's starred columns, ascending and without
     repeats; the graph builder, the set-cover instances and the certifier read
     only this view, and so does :meth:`to_pairs` until ``stars`` is built.
-    A pattern built in code is given its ``stars`` and builds its rows once,
-    on first use, checking each star's range: ``by_row`` is None when one
-    is out of range.  A pattern decoded by :func:`system_from_json`, or
-    drawn by the seeded generator, is given only its in-range rows and
-    builds ``stars`` once, on first access.  Either way ``stars``, equality,
-    hashing and repr are those of the star set.
+    A pattern built from its ``stars`` builds its rows once, on first use,
+    checking each star's range: ``by_row`` is None when one is out of range.
+    Every pattern the package builds (decoded by :func:`system_from_json`
+    with its pairs in range, drawn by the seeded generator, restricted by
+    :func:`restrict` or reduced from a set cover) is given only its in-range
+    rows (:meth:`of_checked_rows`) and builds ``stars`` once, on first
+    access.  Either way ``stars``, equality, hashing and repr are those of
+    the star set.
 
     Zero-sized patterns are legal: restricting to an empty input or output
     selection yields a pattern with zero columns or rows, and the reverse
@@ -228,9 +230,11 @@ class StructuredSystem:
         return self.C.rows
 
     def k_is_complete(self) -> bool:
+        """True for the COMPLETE token and for an explicit K whose rows hold
+        m*p stars; False for rows of None (a star out of range)."""
         if isinstance(self.K, CompleteK):
             return True
-        return len(self.K.stars) == self.m * self.p
+        return self.K.by_row is not None and sum(map(len, self.K.by_row)) == self.m * self.p
 
 
 @dataclass(frozen=True)
@@ -341,35 +345,31 @@ def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:
 
     Retained indices keep their relative order; K restricts to the selected
     block (the COMPLETE token stays complete).  Empty selections are legal
-    and produce zero-width patterns.
+    and produce zero-width patterns.  The result is built as rows: it
+    shares A and C's kept rows, and renumbers B's and K's.  Raises
+    :class:`ModelError` for a system whose B, C or K has a star out of
+    range, or whose K is not m x p (:func:`validate` reports either).
     """
     _check_selection(system, sel)
     in_keep, out_keep = sel.sorted_inputs(), sel.sorted_outputs()
+    complete = isinstance(system.K, CompleteK)
+    b_rows, c_rows = system.B.by_row, system.C.by_row
+    k_rows = None if complete else system.K.by_row
+    if b_rows is None or c_rows is None or not complete and (k_rows is None or len(k_rows) != system.m):
+        raise ModelError("cannot restrict an invalid system")
     in_pos = {orig: k for k, orig in enumerate(in_keep)}
     out_pos = {orig: k for k, orig in enumerate(out_keep)}
-    n = system.n
-    b_stars = frozenset(
-        (i, in_pos[j]) for i, j in system.B.stars if j in in_pos
-    )
-    c_stars = frozenset(
-        (out_pos[i], j) for i, j in system.C.stars if i in out_pos
-    )
-    if isinstance(system.K, CompleteK):
-        k_new: KPattern = COMPLETE
-    else:
-        k_new = SparsityPattern(
-            len(in_keep),
-            len(out_keep),
-            frozenset(
-                (in_pos[i], out_pos[j])
-                for i, j in system.K.stars
-                if i in in_pos and j in out_pos
-            ),
+    k_new: KPattern = COMPLETE
+    if not complete:
+        k_new = SparsityPattern.of_checked_rows(
+            len(in_keep), len(out_keep), [[out_pos[j] for j in k_rows[i] if j in out_pos] for i in in_keep]
         )
     return StructuredSystem(
         A=system.A,
-        B=SparsityPattern(n, len(in_keep), b_stars),
-        C=SparsityPattern(len(out_keep), n, c_stars),
+        B=SparsityPattern.of_checked_rows(
+            system.B.rows, len(in_keep), [[in_pos[j] for j in row if j in in_pos] for row in b_rows]
+        ),
+        C=SparsityPattern.of_checked_rows(len(out_keep), system.C.cols, [c_rows[j] for j in out_keep]),
         K=k_new,
         cost_u=tuple(system.cost_u[i] for i in in_keep),
         cost_y=tuple(system.cost_y[j] for j in out_keep),

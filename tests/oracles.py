@@ -363,6 +363,38 @@ def matching_size(n_left: int, n_right: int, pairs: list[tuple[int, int]]) -> in
     return sum(1 for v in match if v < n_left)
 
 
+def hall_set(system: StructuredSystem, sel: Selection) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The Dulmage-Mendelsohn Hall set of the system restricted to ``sel``,
+    in the full system's vertex ids, or None when that graph has a perfect
+    matching.
+
+    The graph is the restricted bipartite graph with K expanded star by
+    star, built from ``system_edges``; its maximum matching is networkx's
+    Hopcroft-Karp.  The left set is the free left vertices and every left
+    vertex an alternating path from them reaches (a reached right vertex is
+    always matched, since the matching is maximum); the right set is that
+    set's neighbourhood.  Both come back ascending."""
+    n, m = system.n, system.m
+    verts = list(range(n)) + [n + i for i in sorted(sel.inputs)] + [n + m + j for j in sorted(sel.outputs)]
+    g = nx.Graph()
+    g.add_nodes_from(("l", v) for v in verts)
+    g.add_nodes_from(("r", v) for v in verts)
+    g.add_edges_from((("l", dst), ("r", src)) for src, dst in system_edges(system, sel))
+    g.add_edges_from((("l", v), ("r", v)) for v in verts[n:])
+    mate = nx.bipartite.hopcroft_karp_matching(g, top_nodes=[("l", v) for v in verts])
+    left = {("l", v) for v in verts if ("l", v) not in mate}
+    if not left:
+        return None
+    stack = list(left)
+    while stack:
+        for r in g[stack.pop()]:
+            if mate[r] not in left:
+                left.add(mate[r])
+                stack.append(mate[r])
+    right = {r for l in left for r in g[l]}
+    return tuple(sorted(v for _side, v in left)), tuple(sorted(v for _side, v in right))
+
+
 def condensation_ends(n: int, edges: list[tuple[int, int]]) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
     """The SCCs that no condensation edge enters, and those that none leaves."""
     g = nx.DiGraph()

@@ -1,14 +1,20 @@
-"""A structure-aware fuzz of the commands that read a file, driven through
-``ioselect.cli.main``: ``check``, ``select`` (plain, ``--exact``,
-``--trace``), ``reduce-setcover`` and ``solve-setcover``.
+"""A structure-aware fuzz of the command line, driven through
+``ioselect.cli.main``: the commands that read a file (``check``,
+``select`` plain, ``--exact`` and ``--trace``, ``reduce-setcover`` and
+``solve-setcover``), and the flags of the two that generate (``gen`` and
+``bench``).
 
-Each input starts from a valid document (the golden-CLI instances, a
+Each input file starts from a valid document (the golden-CLI instances, a
 ``gen`` output, or a set-cover instance) and takes a few mutations: a key
 dropped or given twice, a value of another JSON type, a bool where an int
 goes, a huge or negative number, NaN, non-ASCII digits, a ragged pair,
-another K string; then its bytes may be cut short or made non-UTF-8.
-Whatever the input, a command exits 0, 1 or 2, never 3 and never with an
-exception, and an exit 2 prints exactly one ``error:`` line.
+another K string; then its bytes may be cut short or made non-UTF-8.  The
+generator flags take sizes at and past the limits, odd ``--n`` lists,
+densities outside [0, 1], NaN and infinity, the cost grammar's corners and
+counts at and past their ends; every size is either small or refused before
+anything is drawn.  Whatever the input, a command exits 0, 1 or 2, never 3
+and never with an exception, and an exit 2 prints exactly one ``error:``
+line.
 """
 
 import copy
@@ -18,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ioselect.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from test_golden_cli import _instances
@@ -155,3 +161,75 @@ def test_system_commands_exit_cleanly(path, argv, data):
 @given(argv=st.sampled_from(SETCOVER_COMMANDS), data=file_bytes(SETCOVER_DOCS))
 def test_setcover_commands_exit_cleanly(path, argv, data):
     assert_clean_exit(*run_file(path, argv, data))
+
+
+# Sizes at and past the limits; 100_001 is refused before anything is drawn,
+# so no draw allocates.
+SIZES = [-1, 0, 1, 2, 3, 4, 5, 6, 100_001]
+BENCH_NS = ["3,4", "", "x", "4,,5", " 2 , x", "1,100001"]
+DENSITIES = [-0.5, 0, 0.3, 1, 1.5, float("nan"), float("inf")]
+
+
+def mostly(valid, odd):
+    """A value from ``valid`` about as often as one from ``odd``, so that
+    most inputs get past the first check and reach the generator."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(odd))
+
+
+@st.composite
+def generator_argv(draw, command):
+    """``gen`` or ``bench`` with each flag given or left at its default;
+    values go in the ``--flag=value`` form, so a leading ``-`` reads as one."""
+    sizes = mostly([1, 2, 3, 4, 5, 6], SIZES).map(str)
+    if command == "bench":
+        n = draw(st.one_of(st.sampled_from(BENCH_NS), st.lists(sizes, min_size=1, max_size=3).map(",".join)))
+    else:
+        n = draw(sizes)
+    argv = [command, f"--n={n}", f"--m={draw(sizes)}", f"--p={draw(sizes)}"]
+    densities = mostly([0, 0.3, 1], DENSITIES)
+    values = {
+        "--state-density": densities,
+        "--input-density": densities,
+        "--output-density": densities,
+        "--cost-lo": mostly(["-1", "0", "1", "0.5"], ODD[str]),
+        "--cost-hi": mostly(["-1", "1", "9", "2.25"], ODD[str]),
+        "--cost-decimals": st.integers(-1, 8),
+        "--max-attempts": st.integers(0, 3),
+        "--seed": st.sampled_from([0, 1, -1, 2**64]),
+    }
+    switches = ["--allow-sfms", "--discrete"]
+    if command == "bench":
+        values["--trials"] = st.integers(0, 2)
+        switches.append("--oracle")
+    else:
+        values["--format"] = st.just("table")
+    for flag, value in values.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(value)}")
+    return argv + [flag for flag in switches if draw(st.booleans())]
+
+
+def run_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# Generator configs that validation used to refuse only after the draw, in a
+# handler that read a flag these commands do not have; rare in random draws.
+@settings(max_examples=200, derandomize=True, database=None)
+@given(argv=generator_argv("gen"))
+@example(argv=["gen", "--n=2", "--m=1", "--p=1", "--cost-lo=-5", "--cost-hi=-1"])
+@example(argv=["gen", "--n=1", "--m=100001", "--p=1", "--allow-sfms"])
+def test_gen_flags_exit_cleanly(argv):
+    assert_clean_exit(*run_argv(argv))
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(argv=generator_argv("bench"), to_files=st.booleans())
+@example(argv=["bench", "--n=2", "--m=1", "--p=1", "--cost-lo=-1", "--cost-hi=1", "--trials=1"], to_files=False)
+def test_bench_flags_exit_cleanly(path, argv, to_files):
+    if to_files:  # the JSONL and CSV writers, to files
+        argv = argv + ["-o", str(path.with_suffix(".jsonl")), "--csv", str(path.with_suffix(".csv"))]
+    assert_clean_exit(*run_argv(argv))

@@ -22,15 +22,15 @@ from hypothesis import given, settings
 
 import oracles
 from ioselect.graph_core import condition_a_witness, vertex_name
+from ioselect.matching import hall_indices
 from ioselect.oracle_bench import exact_select
-from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, sfm_witness
+from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, select_min_cost_io, sfm_witness
 from ioselect.system_model import (
     COMPLETE,
     Selection,
     SparsityPattern,
     StructuredSystem,
     parse_cost,
-    restrict,
 )
 
 MODES = ["continuous", "discrete"]
@@ -134,26 +134,18 @@ def _check_type1(system, compiled, sel, type1_states):
     assert type1_states == [vertex_name(v, n, m) for v in sorted(uncovered)]
 
 
-def _check_hall(system, sel, violator):
-    """The violator is the restricted graph's Hall set under the full
-    system's labels: its neighbourhood is exact and its deficiency is the
-    number of vertices a maximum matching leaves free."""
+def _check_hall(system, compiled, sel, violator):
+    """The violator, and ``hall_indices``, are exactly the restricted
+    graph's Dulmage-Mendelsohn set (``oracles.hall_set``) under the full
+    system's ids: the same for every largest matching, so whichever one
+    the package found."""
     n, m = system.n, system.m
-    sub = restrict(system, sel)
-    size = sub.n + sub.m + sub.p
-    original = (
-        list(range(n))
-        + [n + i for i in sel.sorted_inputs()]
-        + [n + m + j for j in sel.sorted_outputs()]
-    )
-    pairs = oracles.bipartite_pairs(sub)
-    named = [
-        (vertex_name(original[l], n, m) + "'", vertex_name(original[r], n, m)) for l, r in pairs
-    ]
-    left, right = violator["left"], violator["neighbors"]
-    assert set(left) <= {vertex_name(v, n, m) + "'" for v in original}
-    assert {r for l, r in named if l in set(left)} == set(right)
-    assert len(left) - len(right) == size - oracles.matching_size(size, size, pairs)
+    left, right = oracles.hall_set(system, sel)
+    assert hall_indices(compiled.graph, sel) == (left, right)
+    assert violator == {
+        "left": [vertex_name(v, n, m) + "'" for v in left],
+        "neighbors": [vertex_name(v, n, m) for v in right],
+    }
 
 
 class TestWitness:
@@ -171,7 +163,13 @@ class TestWitness:
             if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
                 _check_type1(system, compiled, sel, witness["type1_states"])
             if status in (SfmStatus.TYPE2, SfmStatus.BOTH):
-                _check_hall(system, sel, witness["hall_violator"])
+                _check_hall(system, compiled, sel, witness["hall_violator"])
+        # a failing select reads its Hall set off stage 3's cost-ordered matching
+        full = Selection.full(system)
+        if mode == "continuous" and system.k_is_complete() and not compiled.condition_b(full):
+            with pytest.raises(SystemHasSFMs) as exc:
+                select_min_cost_io(compiled)
+            _check_hall(system, compiled, full, exc.value.witness["hall_violator"])
 
 
 def test_unselected_input_keeps_only_its_own_edge():

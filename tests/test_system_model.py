@@ -19,6 +19,7 @@ from ioselect.system_model import (
     CompleteK,
     CostError,
     FormatError,
+    ModelError,
     Selection,
     SparsityPattern,
     StructuredSystem,
@@ -260,6 +261,18 @@ class TestSelectionAndRestrict:
         with pytest.raises(IndexError, match="output index 3 out of range 1..2"):
             restrict(demo, Selection.of([], [2]))
 
+    def test_restrict_refuses_invalid_system(self, demo):
+        # a star out of range leaves a pattern no rows to restrict, and a K
+        # that is not m x p none to select from
+        for bad in (
+            StructuredSystem(demo.A, SparsityPattern(4, 3, {(0, 5)}), demo.C, COMPLETE, demo.cost_u, demo.cost_y),
+            StructuredSystem(demo.A, demo.B, SparsityPattern(2, 4, {(2, 0)}), COMPLETE, demo.cost_u, demo.cost_y),
+            StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(3, 2, {(0, 3)}), demo.cost_u, demo.cost_y),
+            StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(2, 2, set()), demo.cost_u, demo.cost_y),
+        ):
+            with pytest.raises(ModelError, match="cannot restrict an invalid system"):
+                restrict(bad, Selection.full(demo))
+
     def test_restrict_explicit_k_block(self):
         sys_ = demo_system()
         explicit = StructuredSystem(
@@ -294,6 +307,10 @@ class TestDual:
             cost_u=demo.cost_u, cost_y=demo.cost_y,
         )
         assert explicit.k_is_complete()
+        # m*p stars, one out of range: K's rows are None, so K is not complete
+        stars = {(i, j) for i in range(3) for j in range(2)} - {(2, 1)} | {(5, 0)}
+        invalid = StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(3, 2, stars), demo.cost_u, demo.cost_y)
+        assert invalid.K.by_row is None and not invalid.k_is_complete()
 
 
 # JSON values that are not [row, col] integer pairs
