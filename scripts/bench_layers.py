@@ -28,10 +28,11 @@ report object) plus the spread between independent best-of-N minima.  The
 cyclic collector is paused around every timed call, as ``cli.main`` pauses
 it for ``select``.
 
-The shapes are the benchmark's: sparse (m = p = n/10, about five A stars
-per row) at n = 400, 1600 and 6400, wide at the pool shape (n = 60, m = p =
-120), and chain at n = 640, built by ``perfbench/workloads.py`` (imported
-by path, not changed).  Each record carries the git revision and the
+The shapes are the benchmark's, taken from ``perfbench/workloads.py``
+(imported by path, not changed): the first sparse and wide pool members
+(sparse at n = 400, m = p = n/10, about five A stars per row; wide at n =
+60, m = p = 120), the sparse member grown to n = 1600 and 6400 with its
+other parameters kept, and chain at n = 640.  Each record carries the git revision and the
 machine-speed calibration that ``perfbench/measure.py`` computes.
 
     PYTHONPATH=src python scripts/bench_layers.py -o BENCH_<tag>.json --tag <tag>
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -59,7 +61,6 @@ from ioselect import cli
 from ioselect.certify import certify_cycle_cover
 from ioselect.graph_core import build_bipartite, decompose_sccs
 from ioselect.matching import extract_io, min_cost_perfect_matching
-from ioselect.oracle_bench import GeneratorConfig, generate
 from ioselect.selector import (
     CompiledSystem,
     applicable_special_cases,
@@ -76,19 +77,14 @@ import measure  # noqa: E402
 import workloads  # noqa: E402
 
 
-def _generated(n: int, m: int, p: int, state_density: float, io_density: float):
-    config = GeneratorConfig(
-        n=n, m=m, p=p, state_density=state_density, input_density=io_density,
-        output_density=io_density, cost_range=("1", "99"), seed=0,
-    )
-    return lambda: generate(config)
-
-
 def _shapes() -> dict:
-    chain = workloads.Chain(640, 0)
-    shapes = {f"sparse-{n}": _generated(n, n // 10, n // 10, 5 / n, 0.2) for n in (400, 1600, 6400)}
-    shapes["wide-60"] = _generated(60, 120, 120, 2.5 / 60, 0.03)
-    shapes["chain-640"] = chain.build
+    sparse, wide = (workloads.WORKLOADS[name].pool[0] for name in ("sparse", "wide"))
+    shapes = {"sparse-400": sparse.build}
+    for n in (1600, 6400):
+        config = dataclasses.replace(sparse.config, n=n, m=n // 10, p=n // 10, state_density=5 / n)
+        shapes[f"sparse-{n}"] = workloads.Generated(config).build
+    shapes["wide-60"] = wide.build
+    shapes["chain-640"] = workloads.Chain(640, 0).build
     return shapes
 
 
@@ -217,14 +213,11 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", help="append the record to this JSON file (default: print it)")
     parser.add_argument("--tag", default="", help="a name for the record")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--shapes", help="comma-separated shape names (default: all)")
     args = parser.parse_args(argv)
 
-    shapes = _shapes()
-    chosen = args.shapes.split(",") if args.shapes else list(shapes)
     calibration_before = statistics.median(measure.time_calibration() for _ in range(5))
     with tempfile.TemporaryDirectory() as directory:
-        results = [bench_shape(name, shapes[name], directory, args.repeats) for name in chosen]
+        results = [bench_shape(name, build, directory, args.repeats) for name, build in _shapes().items()]
     calibration_after = statistics.median(measure.time_calibration() for _ in range(5))
     record = {
         "tag": args.tag,

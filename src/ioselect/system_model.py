@@ -354,7 +354,7 @@ def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:
     in_keep, out_keep = sel.sorted_inputs(), sel.sorted_outputs()
     complete = isinstance(system.K, CompleteK)
     b_rows, c_rows = system.B.by_row, system.C.by_row
-    k_rows = None if complete else system.K.by_row
+    k_rows = None if complete or system.K.cols != system.p else system.K.by_row
     if b_rows is None or c_rows is None or not complete and (k_rows is None or len(k_rows) != system.m):
         raise ModelError("cannot restrict an invalid system")
     in_pos = {orig: k for k, orig in enumerate(in_keep)}

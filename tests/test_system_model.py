@@ -269,6 +269,7 @@ class TestSelectionAndRestrict:
             StructuredSystem(demo.A, demo.B, SparsityPattern(2, 4, {(2, 0)}), COMPLETE, demo.cost_u, demo.cost_y),
             StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(3, 2, {(0, 3)}), demo.cost_u, demo.cost_y),
             StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(2, 2, set()), demo.cost_u, demo.cost_y),
+            StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(3, 3, {(0, 2)}), demo.cost_u, demo.cost_y),
         ):
             with pytest.raises(ModelError, match="cannot restrict an invalid system"):
                 restrict(bad, Selection.full(demo))
