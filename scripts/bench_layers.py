@@ -1,32 +1,30 @@
 #!/usr/bin/env python3
-"""Time each layer of a CLI ``select`` directly, and the whole call.
+"""Time each layer of a CLI ``select``, and the whole call.
 
-For every shape, one seeded instance is written as JSON and the layers of
-``ioselect select`` are called in sequence from outside, each timed on its
-own with ``time.perf_counter``, best of ``--repeats``:
+For every shape, one seeded instance is written as JSON and a ``select``
+of it is run from outside in the CLI's steps, best of ``--repeats`` for
+each layer:
 
-* input: the file read, ``json.loads`` and ``system_from_json``;
-* compile: ``validate``, ``build_bipartite``, ``decompose_sccs`` and
-  ``cover_instances``;
-* select: B(A)'s Hopcroft-Karp (``SystemGraph.state_matching``), the
-  special-case tags with condition (a) of the full selection, the two
-  transposes stage 3 searches (``state_cols`` and ``rows_to_states``),
-  stage 3 (``min_cost_perfect_matching`` and ``extract_io``) and the two
-  greedy covers, each only where ``select_min_cost_io`` runs it;
-* output: the final check (``selection_cost``, condition (a) of the
-  selection and ``certify_cycle_cover``), ``report_to_json`` and
-  ``json.dumps``;
+* input: the file read, ``json.loads`` and ``system_from_json``, each
+  timed here with ``ioselect.selector.timed``, as the pipeline times its
+  own layers;
+* the layers of ``select_min_cost_io``, read off its report's
+  ``timings``: ``validate``, ``build_bipartite``, ``decompose_sccs``,
+  ``cover_instances``, ``state_matching``, ``special_cases`` and
+  ``final_check``, with ``state_cols_rows_to_states``, ``stage3``,
+  ``accessibility`` and ``sensability`` where they run;
+* output: ``report_to_json`` and ``json.dumps``, timed here;
 * freeing: the parsed document, dropped once it is decoded, and the
-  system with everything built on it, dropped before the call returns.
+  system with everything built on it, dropped as the CLI returns.
 
 Every repeat starts from a fresh read, so each cached property is computed
 cold, as in one CLI call.  The end-to-end time is ``cli.main(["select",
 path])`` with stdout captured, best of ``--repeats``.  The record holds the
 layer times, their sum, the end-to-end time and the gap between the two:
 what ``main`` does besides the layers (argparse, opening the output, the
-report object) plus the spread between independent best-of-N minima.  The
-cyclic collector is paused around every timed call, as ``cli.main`` pauses
-it for ``select``.
+report object, the pipeline's steps between its timed layers) plus the
+spread between independent best-of-N minima.  The cyclic collector is
+paused around every timed call, as ``cli.main`` pauses it for ``select``.
 
 The shapes are the benchmark's, taken from ``perfbench/workloads.py``
 (imported by path, not changed): the first sparse and wide pool members
@@ -58,17 +56,8 @@ import tempfile
 import time
 
 from ioselect import cli
-from ioselect.certify import certify_cycle_cover
-from ioselect.graph_core import build_bipartite, decompose_sccs
-from ioselect.matching import extract_io, min_cost_perfect_matching
-from ioselect.selector import (
-    CompiledSystem,
-    applicable_special_cases,
-    report_to_json,
-    select_min_cost_io,
-)
-from ioselect.set_cover import cover_instances, greedy_solve
-from ioselect.system_model import Selection, selection_cost, system_from_json, system_to_json, validate
+from ioselect.selector import report_to_json, select_min_cost_io, timed
+from ioselect.system_model import system_from_json, system_to_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))  # the benchmark's modules, imported by path
@@ -88,67 +77,28 @@ def _shapes() -> dict:
     return shapes
 
 
-class Layers:
-    """Per-layer timings of one repeat: ``run(name, f, *args)`` times one
-    call and keeps its result."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-
-    def run(self, name: str, f, *args):
-        t0 = time.perf_counter()
-        result = f(*args)
-        self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - t0
-        return result
-
-
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def time_layers(path: str, report) -> dict[str, float]:
-    """One repeat of the layers of a select of the file at ``path``.
-    ``report`` is that select's report, made beforehand: its timing keys
-    name the stages that run, and it is the report rendered here."""
-    ran = set(report.timings)
-    t = Layers()
-    text = t.run("read", _read, path)
-    doc = t.run("json_loads", json.loads, text)
-    system = t.run("system_from_json", system_from_json, doc)
-    t0 = time.perf_counter()
-    del text, doc  # the CLI drops the parsed document once it is decoded
-    t.seconds["free_document"] = time.perf_counter() - t0
-    if not t.run("validate", validate, system).ok:
-        raise SystemExit(f"{path}: instance does not validate")
-    g = t.run("build_bipartite", build_bipartite, system)
-    scc = t.run("decompose_sccs", decompose_sccs, g)
-    compiled = CompiledSystem(system, g, scc, t.run("cover_instances", cover_instances, system, scc))
-    full = Selection.full(system)
-    t.run("state_matching", lambda: g.state_matching)
-    t.run("special_cases", lambda: (applicable_special_cases(compiled), compiled.condition_a(full)))
-    selection, partners, covers = Selection(), None, []
-    if "cycle" in ran:
-        t.run("state_cols_rows_to_states", lambda: (g.state_cols, g.rows_to_states))
-        partners = t.run("stage3", min_cost_perfect_matching, g)
-        selection = t.run("stage3", extract_io, g, partners)[0]
-    if "accessibility" in ran:
-        names = ("accessibility", "sensability")
-        covers = [t.run(name, greedy_solve, inst) for name, inst in zip(names, compiled.covers)]
-        selection = selection.union(Selection(*(cover.chosen for cover in covers)))
-    if partners is None:  # the state-only matching, every channel on its own edge
-        partners = [*g.state_matching[0], *range(g.n, g.size)]
-    ok = t.run("final_check", lambda: (
-        selection_cost(system, selection),
-        compiled.condition_a(selection) and certify_cycle_cover(system, selection, enumerate(partners)),
-    ))[1]
-    if not ok:
-        raise SystemExit(f"{path}: the final check failed")
-    t0 = time.perf_counter()
-    del system, g, scc, compiled, full, selection, partners, covers  # freed before the CLI returns
-    t.seconds["free_system"] = time.perf_counter() - t0
-    t.run("json_dumps", _dumps, t.run("report_to_json", report_to_json, report))
-    return t.seconds
+def time_layers(path: str) -> tuple[dict[str, float], str]:
+    """One repeat of the layers of a select of the file at ``path``, and
+    the report's special case."""
+    seconds: dict[str, float] = {}
+    with timed(seconds, "read"), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with timed(seconds, "json_loads"):
+        doc = json.loads(text)
+    with timed(seconds, "system_from_json"):
+        system = system_from_json(doc)
+    with timed(seconds, "free_document"):
+        del text, doc  # the CLI drops the parsed document once it is decoded
+    report = select_min_cost_io(system)
+    seconds.update(report.timings)
+    with timed(seconds, "report_to_json"):
+        out = report_to_json(report)
+    with timed(seconds, "json_dumps"):
+        json.dumps(out, indent=2) + "\n"
+    case = report.special_case
+    with timed(seconds, "free_system"):
+        del system, report, out  # freed as the CLI returns
+    return seconds, case
 
 
 def time_main(path: str) -> float:
@@ -167,14 +117,14 @@ def bench_shape(name: str, build, directory: str, repeats: int) -> dict:
     path = os.path.join(directory, f"{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(system_to_json(system), fh)
-    report = select_min_cost_io(system)
     best: dict[str, float] = {}
     e2e = []
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeats):
-            for layer, seconds in time_layers(path, report).items():
+            layers, case = time_layers(path)
+            for layer, seconds in layers.items():
                 best[layer] = min(seconds, best.get(layer, seconds))
             e2e.append(time_main(path))
     finally:
@@ -188,16 +138,12 @@ def bench_shape(name: str, build, directory: str, repeats: int) -> dict:
         "p": system.p,
         "stars": sum(sum(map(len, pat.by_row)) for pat in (system.A, system.B, system.C)),
         "file_bytes": os.path.getsize(path),
-        "special_case": report.special_case,
+        "special_case": case,
         "layers_s": {layer: round(s, 6) for layer, s in best.items()},
         "layer_sum_s": round(layer_sum, 6),
         "end_to_end_s": round(min(e2e), 6),
         "gap_s": round(min(e2e) - layer_sum, 6),
     }
-
-
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _revision() -> str:

@@ -33,7 +33,6 @@ from ioselect.selector import (
     CompiledSystem,
     SystemHasSFMs,
     approximation_ratio,
-    check_no_sfm,
     compile_system,
     detect_special_case,
     select_min_cost_io,
@@ -224,7 +223,7 @@ def generate(config: GeneratorConfig) -> StructuredSystem:
         system = _draw_system(config, attempt, grid)
         if not config.require_feasible:
             return system
-        if check_no_sfm(system, Selection.full(system)).ok:
+        if compile_system(system).no_sfm(Selection.full(system)):
             return system
     raise GenerationFailed(config.max_attempts)
 
@@ -238,14 +237,17 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     """Ground-truth minimum-cost selection with no structurally fixed modes;
     ties break to the lexicographically smallest (I, J).
 
-    The full selection is checked first, on one
+    Every candidate is decided on one
     :class:`~ioselect.selector.CompiledSystem` (a system given already
     compiled is not compiled again).  Each side's subsets and costs are
     built in one doubling pass; candidates are tried in the order of their
-    key, so the first one that qualifies is the answer.
+    key, so the first one that qualifies is the answer.  A full selection
+    with structurally fixed modes raises :class:`SystemHasSFMs`, with the
+    witness of :func:`~ioselect.selector.sfm_witness`.
 
     With a partial K the candidates are the pairs (I, J), keyed by
-    (cost, I, J) and decided whole.  With a complete K, and the full
+    (cost, I, J) and decided whole, once the full selection is checked.
+    With a complete K, and the full
     selection qualifying, (I, J) qualifies exactly when (I, all outputs)
     and (all inputs, J) do: condition (a) asks the inputs to cover the
     non-top SCCs and the outputs the non-bottom ones, and condition (b)
@@ -254,7 +256,9 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     and then, in continuous mode, by side 0's own greedy
     (:func:`ioselect.matching.complete_side`), J likewise on side 1, and
     the first I by (cost, I) and J by (cost, J) join into the optimum, under
-    the same tie order.
+    the same tie order.  Coverage and completion only grow with the set, so
+    a side finds nothing exactly when the full selection fails it, and the
+    full selection is checked only then.
     """
     compiled = compile_system(system)
     system = compiled.system
@@ -262,16 +266,24 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
         raise TooLarge(
             f"{system.m + system.p} selectable items exceed the brute-force guard {EXACT_GUARD_IO}"
         )
-    status = check_no_sfm(compiled, Selection.full(system))
-    if not status.ok:
-        raise SystemHasSFMs(status, sfm_witness(compiled, status))
+    full = Selection.full(system)
+
+    def failure() -> Exception:
+        """What a search that finds nothing raises: the full selection's
+        fixed modes, or a defect where it has none."""
+        status = compiled.status(full)
+        if status.ok:
+            return InvariantViolated("no selection qualifies, yet the full selection does")
+        return SystemHasSFMs(status, sfm_witness(compiled, status))
 
     def first(keys, qualifies):
         for key in sorted(keys):
             if qualifies(key):
                 return key
-        raise InvariantViolated("no selection qualifies, yet the full selection does")
+        raise failure()
 
+    if not system.k_is_complete() and not compiled.no_sfm(full):
+        raise failure()  # a failing joint search would try every pair
     sides = [[(0, ())], [(0, ())]]  # each side's subsets with their costs
     for subs, costs in zip(sides, (system.cost_u, system.cost_y)):
         for i, cost in enumerate(costs):  # channel i doubles them

@@ -31,9 +31,10 @@ check of the perfect matching against the instance
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -108,13 +109,15 @@ class CompiledSystem:
     (:func:`ioselect.set_cover.cover_instances`), each set also as a
     bitmask.  A selection is decided and witnessed on these structures with
     the unselected inputs and outputs masked out, so every vertex keeps its
-    id in the full system.
+    id in the full system.  ``timings`` holds the seconds each of the four
+    builds took, by name; it takes no part in ``==`` or ``repr``.
     """
 
     system: StructuredSystem
     graph: SystemGraph
     scc: SccDecomposition
     covers: tuple[WeightedSetCoverInstance, WeightedSetCoverInstance]
+    timings: dict[str, float] = field(default_factory=dict, compare=False, repr=False)
 
     def condition_a(self, sel: Selection) -> bool:
         """Every state shares an SCC of the restricted system digraph with a
@@ -160,19 +163,33 @@ def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
     return SfmStatus.BOTH
 
 
+@contextlib.contextmanager
+def timed(timings: dict[str, float], name: str):
+    """Store the wall time of the ``with`` block as ``timings[name]``."""
+    t0 = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - t0
+
+
 def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledSystem:
     """Validate ``system`` and build its graph, one SCC pass of D(A) and the
-    two set-cover instances, for deciding any number of its selections.  Raises
-    :class:`ValidationFailed` on a malformed system.  A system given
-    already compiled is returned as it is."""
+    two set-cover instances, for deciding any number of its selections, each
+    step timed.  Raises :class:`ValidationFailed` on a malformed system.  A
+    system given already compiled is returned as it is."""
     if isinstance(system, CompiledSystem):
         return system
-    report = validate(system)
+    timings: dict[str, float] = {}
+    with timed(timings, "validate"):
+        report = validate(system)
     if not report.ok:
         raise ValidationFailed(report.violations)
-    graph = build_bipartite(system)
-    scc = decompose_sccs(graph)
-    return CompiledSystem(system, graph, scc, cover_instances(system, scc))
+    with timed(timings, "build_bipartite"):
+        graph = build_bipartite(system)
+    with timed(timings, "decompose_sccs"):
+        scc = decompose_sccs(graph)
+    with timed(timings, "cover_instances"):
+        covers = cover_instances(system, scc)
+    return CompiledSystem(system, graph, scc, covers, timings)
 
 
 def check_no_sfm(
@@ -310,22 +327,28 @@ def select_min_cost_io(
     ``exact_stage_bound`` left None; otherwise the bound is the larger of
     the cycle cost and, with ``exact_covers``, the exact stage-1/2 optima
     (guarded brute force).  Every stage reads one compiled system; one given
-    already compiled is not compiled again.
+    already compiled is not compiled again.  ``timings`` holds the seconds
+    of each layer that ran, by name: the compile's four
+    (:attr:`CompiledSystem.timings`), ``state_matching``, ``special_cases``
+    (the tags and condition (a) of the full selection), where they run
+    ``state_cols_rows_to_states``, ``stage3``, ``accessibility`` and
+    ``sensability``, and ``final_check``.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     compiled = compile_system(system)
-    system = compiled.system
+    system, graph = compiled.system, compiled.graph
     if not system.k_is_complete():
         raise ModelError("selection requires a complete feedback pattern")
+    timings = dict(compiled.timings)
     continuous = system.mode == "continuous"
-    tags = applicable_special_cases(compiled) or (CASE_GENERAL,)
+    with timed(timings, "state_matching"):
+        graph.state_matching  # B(A)'s Hopcroft-Karp, read by the tags and both stage-3 sides
+    with timed(timings, "special_cases"):
+        tags = applicable_special_cases(compiled) or (CASE_GENERAL,)
+        cond_a = compiled.condition_a(Selection.full(system))
     primary = tags[0]
     irreducible = primary == CASE_IRREDUCIBLE  # so continuous: the discrete tag ranks first
     # the tag's perfect matching of the states alone: B(A)'s maximum matching
-    state_match = compiled.graph.state_matching[0] if CASE_STATE_PM in tags else None
-    cond_a = compiled.condition_a(Selection.full(system))
-    timings["sfm_check"] = time.perf_counter() - t0
+    state_match = graph.state_matching[0] if CASE_STATE_PM in tags else None
 
     # Stage 3 finds a perfect matching of the full graph exactly when the
     # full selection meets condition (b), so it runs first and decides it.
@@ -338,14 +361,15 @@ def select_min_cost_io(
     cycle_cost: Optional[int] = 0 if continuous else None
     match_result = no_match = None
     if continuous and not (irreducible and state_match is not None):
-        t0 = time.perf_counter()
-        try:
-            match_result = matching_mod.min_cost_perfect_matching(compiled.graph)
-        except matching_mod.NoPerfectMatching as exc:
-            no_match = exc  # condition (b) fails; exc holds the Hall violator
-        else:
-            selection, cycle_cost = matching_mod.extract_io(compiled.graph, match_result)
-        timings["cycle"] = time.perf_counter() - t0
+        with timed(timings, "state_cols_rows_to_states"):
+            graph.state_cols, graph.rows_to_states  # the two sides' neighbour lists
+        with timed(timings, "stage3"):
+            try:
+                match_result = matching_mod.min_cost_perfect_matching(graph)
+            except matching_mod.NoPerfectMatching as exc:
+                no_match = exc  # condition (b) fails; exc holds the Hall violator
+            else:
+                selection, cycle_cost = matching_mod.extract_io(graph, match_result)
     status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
     if not status.ok:
         raise SystemHasSFMs(status, sfm_witness(compiled, status, hall=no_match))
@@ -353,9 +377,8 @@ def select_min_cost_io(
     covers: list[Cover] = []
     if not (irreducible and state_match is None):
         for name, inst in zip(("accessibility", "sensability"), compiled.covers):
-            t0 = time.perf_counter()
-            covers.append(greedy_solve(inst))
-            timings[name] = time.perf_counter() - t0
+            with timed(timings, name):
+                covers.append(greedy_solve(inst))
         selection = selection.union(Selection(*(cover.chosen for cover in covers)))
     stage_costs = (*([cover.weight for cover in covers] or (0, 0)), cycle_cost)
     stage1, stage2 = (None, None) if irreducible else covers
@@ -368,18 +391,17 @@ def select_min_cost_io(
     # leaves only selected channels off their own edges: stage 3's, or,
     # where stage 3 did not run, the state-only one with every input and
     # output on its own edge.
-    t0 = time.perf_counter()
-    total = selection_cost(system, selection)
-    feasible = compiled.condition_a(selection)
-    if feasible and continuous:
-        own = range(system.n, compiled.graph.size)
-        partners = [*state_match, *own] if match_result is None else match_result
-        feasible = certify_cycle_cover(system, selection, enumerate(partners))
-    if not feasible:
-        raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
-    if lower > total:
-        raise InvariantViolated("lower bound exceeds achieved cost")
-    timings["final_check"] = time.perf_counter() - t0
+    with timed(timings, "final_check"):
+        total = selection_cost(system, selection)
+        feasible = compiled.condition_a(selection)
+        if feasible and continuous:
+            own = range(system.n, graph.size)
+            partners = [*state_match, *own] if match_result is None else match_result
+            feasible = certify_cycle_cover(system, selection, enumerate(partners))
+        if not feasible:
+            raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
+        if lower > total:
+            raise InvariantViolated("lower bound exceeds achieved cost")
 
     return SelectionReport(
         compiled=compiled,

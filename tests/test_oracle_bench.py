@@ -31,7 +31,7 @@ from ioselect.oracle_bench import (
     write_csv,
     write_jsonl,
 )
-from ioselect.selector import SystemHasSFMs, compile_system
+from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, sfm_witness
 from ioselect.set_cover import TooLarge
 from ioselect.system_model import COST_SCALE, SIZE_LIMIT, InvariantViolated, ModelError, Selection
 
@@ -240,9 +240,21 @@ class TestExactSelect:
             exact_select(system)
 
     def test_sfm_system(self):
-        system = make_system(2, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)])
-        with pytest.raises(SystemHasSFMs):
-            exact_select(system)
+        # the searches find nothing, and the error is the full selection's
+        one = ([(1, 1)], [(1, 1)])  # x1 alone is driven and read
+        shared = ([(1, 1), (2, 1)], [(1, 1), (1, 2)])  # x1 and x2 share the one input and output
+        for a, (b, c), status in [
+            ([(1, 1), (2, 2)], one, SfmStatus.TYPE1),  # x2 keeps a self-loop, but no input reaches it
+            ([], shared, SfmStatus.TYPE2),
+            ([(1, 1)], one, SfmStatus.BOTH),  # x2 has no edge at all
+        ]:
+            system = make_system(2, 1, 1, a, b, c)
+            full = Selection.full(system)
+            assert check_no_sfm(system, full) is status
+            with pytest.raises(SystemHasSFMs) as exc:
+                exact_select(system)
+            assert exc.value.status is status
+            assert exc.value.witness == sfm_witness(compile_system(system), status, full)
 
     def test_lexicographic_ties(self):
         # u1/u2 and y1/y2 interchangeable at equal cost

@@ -51,6 +51,21 @@ def long_cycle_system(n):
     return make_system(n, 1, 1, a, [(1, 1)], [(1, n // 2)])
 
 
+# the layers every select times: the compile's four, B(A)'s matching, the
+# tags with condition (a) of the full selection, and the final check
+EVERY_SELECT = {
+    "validate", "build_bipartite", "decompose_sccs", "cover_instances",
+    "state_matching", "special_cases", "final_check",
+}
+COVERS = {"accessibility", "sensability"}
+STAGE3 = {"state_cols_rows_to_states", "stage3"}
+
+
+def assert_layers(rep, ran):
+    assert set(rep.timings) == EVERY_SELECT | ran
+    assert all(seconds >= 0 for seconds in rep.timings.values())
+
+
 def shared_pair_system():
     # two states competing for the single u/y pair: cycle condition fails
     return make_system(2, 1, 1, [], [(1, 1), (2, 1)], [(1, 1), (1, 2)])
@@ -210,9 +225,19 @@ class TestSelectDemo:
         assert rep.stage2.chosen == frozenset({0})
         assert cover_labels(rep.compiled.scc) == (((2,), (4,)), ((3,),))
         assert matching_cost(rep.compiled.graph, rep.matching) == 2 * U
-        assert set(rep.timings) == {
-            "sfm_check", "accessibility", "sensability", "cycle", "final_check",
-        }
+        assert_layers(rep, COVERS | STAGE3)
+
+    def test_compile_timings(self, demo):
+        # the compile times its four builds; a select of the compiled value
+        # reports them from a copy, and they take no part in == or repr
+        compiled = compile_system(demo)
+        assert set(compiled.timings) == {"validate", "build_bipartite", "decompose_sccs", "cover_instances"}
+        before = dict(compiled.timings)
+        rep = select_min_cost_io(compiled)
+        assert compiled.timings == before
+        assert {name: rep.timings[name] for name in before} == before
+        assert replace(compiled, timings={}) == compiled
+        assert "timings" not in repr(compiled)
 
     def test_exact_covers_tighten_bound(self, demo):
         rep = select_min_cost_io(demo, exact_covers=True)
@@ -276,7 +301,7 @@ class TestSelectSpecialPaths:
             assert rep.exact_stage_bound is None
             assert rep.stage1 is None and rep.stage2 is None and rep.matching is None
             # stage 3 does not run: the time goes to the two covers
-            assert set(rep.timings) == {"sfm_check", "accessibility", "sensability", "final_check"}
+            assert_layers(rep, COVERS)
 
     def test_irreducible_without_state_pm(self, no_exact_covers):
         system = make_system(
@@ -292,7 +317,7 @@ class TestSelectSpecialPaths:
             assert rep.lower_bound == rep.total_cost
             assert rep.exact_stage_bound is None
             assert rep.stage1 is None and rep.stage2 is None and rep.matching is not None
-            assert set(rep.timings) == {"sfm_check", "cycle", "final_check"}
+            assert_layers(rep, STAGE3)
 
     def test_single_nontop(self):
         system = make_system(3, 2, 2, [(2, 1), (3, 1)], [(1, 1), (3, 2)],
@@ -315,6 +340,7 @@ class TestSelectSpecialPaths:
         assert rep.special_case == "discrete"
         assert rep.stage_costs[2] is None
         assert rep.matching is None
+        assert_layers(rep, COVERS)
         assert rep.selection == Selection.of([2], [0])
         assert rep.total_cost == 2 * U
         assert rep.lower_bound == 0
