@@ -31,12 +31,16 @@ def _small_sparse():
     return bench_layers.workloads.Generated(config).build()
 
 
-@pytest.mark.parametrize("build, shape", [
-    (_small_sparse, "sparse-400"),  # stage 3 and both covers run
-    (lambda: bench_layers.workloads.Chain(24, 0).build(), "chain-640"),  # irreducible: the covers alone
-])
-def test_time_layers_names_the_recorded_layers(build, shape, tmp_path):
+# a small instance of each recorded shape, and what runs on it
+SMALL = {
+    "sparse-400": _small_sparse,  # stage 3 and both covers
+    "chain-640": lambda: bench_layers.workloads.Chain(24, 0).build(),  # irreducible: the covers alone
+}
+
+
+@pytest.mark.parametrize("shape", SMALL)
+def test_time_layers_names_the_recorded_layers(shape, tmp_path):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(system_to_json(build())), encoding="utf-8")
+    path.write_text(json.dumps(system_to_json(SMALL[shape]())), encoding="utf-8")
     seconds, _case = bench_layers.time_layers(str(path))
     assert set(seconds) == _recorded_layers(shape)
