@@ -11,8 +11,10 @@ with an edge (v', w) for each edge w -> v of D(A, B, C, K), and the edges
 
 Both are stored once, as :class:`SystemGraph`: the pattern rows
 themselves.  Row v' of B(A, B, C, K), v's in-neighbours in D(A, B, C, K),
-is joined from them on first read (``SystemGraph.adj``), which only the
-masked searches, the Hall witness, the masked SCC pass and the dumps do.
+is joined from them on first read (``SystemGraph.adj``), which only
+:func:`restricted_rows` and the dumps do; the restricted graph's rows, read
+by the SCC pass of a selection, the partial-K matching and the Hall
+witness, are built there alone.
 A's rows are the successor lists of the transpose of D(A), which has
 D(A)'s SCCs, so the SCCs are found on A's rows themselves.
 
@@ -91,7 +93,9 @@ class SystemGraph:
     @cached_property
     def adj(self) -> tuple[list[int], ...]:
         """Row v' of B(A, B, C, K), joined on first read: v's in-neighbours
-        but the hub, ascending, then an input's or output's own id (v', v)."""
+        but the hub, ascending, then an input's or output's own id (v', v).
+        The hub's rows and a selection's mask are added by
+        :func:`restricted_rows` alone."""
         n, out0 = self.n, self.n + self.m
         adj = [a + [n + j for j in b] if b else a[:] for a, b in zip(self.state_rows, self.b_rows)]
         if self.hub:
@@ -150,13 +154,11 @@ class SystemGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Every edge of B(A, B, C, K) as a (left, right) pair, the hub's
-        (u'_i, hub) and (hub, y_j) included, built on each access.  No code
-        in this package reads it; the tracer in ``perfbench/`` counts it."""
-        n, out0, size = self.n, self.n + self.m, self.size
-        pairs = [(l, r) for l, row in enumerate(self.adj) for r in row]
-        if self.hub:
-            pairs += [(l, size) for l in range(n, out0)] + [(size, r) for r in range(out0, size)]
-        return pairs
+        (u'_i, hub) and (hub, y_j) included: the pairs of
+        :func:`restricted_rows` for the full selection, built on each
+        access.  No code in this package reads it; the tracer in
+        ``perfbench/`` counts it."""
+        return [(l, r) for l, row in enumerate(restricted_rows(self, None)[1]) for r in row]
 
 
 def build_bipartite(system: StructuredSystem) -> SystemGraph:
@@ -353,16 +355,38 @@ def decompose_sccs(g: SystemGraph) -> SccDecomposition:
     )
 
 
-def selected_vertices(n: int, m: int, p: int, sel: Optional[Selection]) -> list[bool]:
-    """Per vertex id 0..n+m+p (the hub's last): False for the inputs and
-    outputs that ``sel`` leaves out, True for the rest."""
-    keep = [True] * (n + m + p + 1)
+def restricted_rows(g: SystemGraph, sel: Optional[Selection]) -> tuple[list[bool], list[list[int]]]:
+    """B(A, B, C, K) restricted to ``sel``, under the full system's ids:
+    per vertex id 0..size (the hub's last), whether ``sel`` keeps it, and
+    the rows, all of them without ``sel``.
+
+    Each unselected input or output keeps only its own edge.  As an edge of
+    D(A, B, C, K) read off row v (v's in-neighbours) it is a self-loop, so
+    it closes no cycle: the vertex is a singleton SCC, and the other SCCs
+    are the restricted system digraph's.  As an edge of B(A, B, C, K) it is
+    the only one of v', so a perfect matching must use it, and none other
+    can reach v: the graph has a perfect matching exactly when the
+    restricted one has, and every largest matching of the restricted graph
+    grows into one of this graph by the unselected vertices' own edges.
+
+    With a hub the rows hold it as vertex ``size``: it ends each selected
+    input's row, and its own row lists the selected outputs, so y_j -> h ->
+    u_i for each selected pair, as K's stars would run.
+    """
+    n, out0, size = g.n, g.n + g.m, g.size
+    keep = [True] * (size + 1)
     if sel is not None:
-        for i in range(m):
+        for i in range(g.m):
             keep[n + i] = i in sel.inputs
-        for j in range(p):
-            keep[n + m + j] = j in sel.outputs
-    return keep
+        for j in range(g.p):
+            keep[out0 + j] = j in sel.outputs
+    rows = [row if keep[v] else [v] for v, row in enumerate(g.adj)]
+    if g.hub:
+        for u in range(n, out0):
+            if keep[u]:
+                rows[u] = rows[u] + [size]
+        rows.append([y for y in range(out0, size) if keep[y]])
+    return keep, rows
 
 
 def _feedback_sccs(
@@ -371,13 +395,8 @@ def _feedback_sccs(
     """SCCs of the system digraph restricted to ``sel``, each vertex's SCC,
     and per SCC its smallest feedback edge (SCCs without one are absent).
 
-    The SCCs are found on the rows of ``g`` (the transpose of the system
-    digraph), with the hub's edges added and the rows of the unselected
-    inputs and outputs emptied.  That removes their in-edges, so no cycle
-    passes through them: each is a singleton SCC, and the others are the
-    SCCs of the subgraph induced by the states, the hub and the selected
-    inputs and outputs, the restricted system's digraph, with every vertex
-    keeping its id in ``g``.
+    The SCCs are found on :func:`restricted_rows`, the transpose of the
+    restricted system digraph, every vertex keeping its id in ``g``.
 
     With a hub, only the hub's SCC can hold feedback edges, and it does when
     it holds more than the hub: a cycle through the hub passes an output and
@@ -385,15 +404,9 @@ def _feedback_sccs(
     inside it.  The smallest is (smallest output, smallest input).
     """
     n, out0, hub = g.n, g.n + g.m, g.size
-    keep = selected_vertices(n, g.m, g.p, sel)
-    rows = [row if keep[v] else () for v, row in enumerate(g.adj)]
-    if g.hub:  # u_i <- h <- y_j, read backwards
-        for u in range(n, out0):
-            if keep[u]:
-                rows[u] = rows[u] + [hub]
-    rows.append(range(out0, hub) if g.hub else ())
-    comps = _tarjan(hub + 1, rows)
-    comp_of = [0] * (hub + 1)
+    rows = restricted_rows(g, sel)[1]
+    comps = _tarjan(len(rows), rows)
+    comp_of = [0] * len(rows)
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
@@ -402,8 +415,7 @@ def _feedback_sccs(
         ci = comp_of[edge[0]]
         if comp_of[edge[1]] == ci and (ci not in k_edge_of or edge < k_edge_of[ci]):
             k_edge_of[ci] = edge
-    hub_comp = comps[comp_of[hub]]
-    if g.hub and len(hub_comp) > 1:
+    if g.hub and len(hub_comp := comps[comp_of[hub]]) > 1:
         k_edge_of[comp_of[hub]] = (
             min(v for v in hub_comp if out0 <= v < hub),
             min(v for v in hub_comp if n <= v < out0),
@@ -459,7 +471,7 @@ def dump_system_digraph(g: SystemGraph, sel: Optional[Selection] = None) -> str:
     labels in the full system.
     """
     n, m, out0 = g.n, g.m, g.n + g.m
-    keep = selected_vertices(n, m, g.p, sel)
+    keep = restricted_rows(g, sel)[0]
     edges = [
         (s, d, g.edge(d, s)[0])
         for d, row in enumerate(g.adj)

@@ -30,7 +30,8 @@ greedy algorithm (:func:`_greedy`) finds the cheapest exactly (Edmonds
 1971, "Matroids and the greedy algorithm").  Stage 3 runs it in (cost,
 index) order, condition (b) in index order over the selected channels.  An
 explicit partial K keeps one EK edge per star and does not split: its
-condition (b) is one Hopcroft-Karp on the masked rows.
+condition (b) is one Hopcroft-Karp on the restricted rows
+(:func:`ioselect.graph_core.restricted_rows`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from ioselect.graph_core import (
     SystemGraph,
     _hopcroft_karp,
     build_bipartite,
-    selected_vertices,
+    restricted_rows,
 )
 from ioselect.system_model import (
     InvariantViolated,
@@ -173,31 +174,26 @@ def _join(g: SystemGraph, rows_to: list[int], states_from: list[int]) -> list[in
     return match_l
 
 
-def _hall(g: SystemGraph, rows, keep: list[bool], match_l: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _hall(g: SystemGraph, keep: list[bool], rows, match_l: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The left vertices that alternating paths reach from the free ones in
-    a largest matching ``match_l`` of the masked graph (:func:`_masked`),
-    and their neighbours, less the unselected channels: the
-    Dulmage-Mendelsohn set, the same for every largest matching.
+    a largest matching ``match_l`` of the restricted graph ``keep``, ``rows``
+    (:func:`~ioselect.graph_core.restricted_rows`), and their neighbours,
+    less the unselected channels: the Dulmage-Mendelsohn set, the same for
+    every largest matching.
 
     One :func:`_path` runs from each free left vertex, and the searches
     share their marks, so each right vertex is reached once.  A hub enters
-    as one more matched pair: right vertex ``size`` ends each selected
-    input's row, and its partner, left vertex ``size``, has the selected
-    outputs for its row.  So a search that reaches a selected input reaches
-    every selected output, as K's stars would take it.  No search may reach
-    a free vertex, since the matching is largest.
+    as one more matched pair, left and right vertex ``size``, so a search
+    that reaches a selected input reaches every selected output, as K's
+    stars would take it.  No search may reach a free vertex, since the
+    matching is largest.
     """
-    n, out0, size = g.n, g.n + g.m, g.size
+    size = g.size
     match_r = [-1] * (size + 1)
     for l, r in enumerate(match_l):
         if r >= 0:
             match_r[r] = l
     if g.hub:
-        rows = list(rows)
-        for u in range(n, out0):
-            if keep[u]:
-                rows[u] = rows[u] + [size]
-        rows.append([y for y in range(out0, size) if keep[y]])
         match_r[size] = size
     seen, parent, reached = [False] * (size + 1), [0] * (size + 1), []
     for l, r in enumerate(match_l):
@@ -212,18 +208,6 @@ def _hall(g: SystemGraph, rows, keep: list[bool], match_l: list[int]) -> tuple[t
     )
 
 
-def _masked(g: SystemGraph, sel: Optional[Selection]):
-    """The selected vertices (:func:`selected_vertices`) and the rows of
-    ``g`` with each unselected channel reduced to its own edge, which a
-    perfect matching must then use (so the graph has one exactly when the
-    system restricted to ``sel`` has one).  With a hub the rows are
-    ``g.adj``: an input's row is its own edge, and an unselected y_j lies in
-    no row but its twin's, which no search reads."""
-    keep = selected_vertices(g.n, g.m, g.p, sel)
-    rows = g.adj if sel is None or g.hub else [row if keep[v] else [v] for v, row in enumerate(g.adj)]
-    return keep, rows
-
-
 def _chosen(g: SystemGraph, sel: Optional[Selection]) -> tuple[Sequence[int], Sequence[int]]:
     """The channels of each side that ``sel`` selects, ascending; all of
     them without ``sel``.  Callers range-check ``sel``."""
@@ -232,10 +216,12 @@ def _chosen(g: SystemGraph, sel: Optional[Selection]) -> tuple[Sequence[int], Se
 
 def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
     """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
-    the system restricted to ``sel`` has one, decided on ``g`` itself.  With
-    a hub, iff the selected channels complete both sides."""
+    the system restricted to ``sel`` has one, decided under the ids of
+    ``g``.  With a hub, iff the selected channels complete both sides;
+    with a partial K, iff Hopcroft-Karp matches every row of
+    :func:`~ioselect.graph_core.restricted_rows`."""
     if not g.hub:
-        return -1 not in _hopcroft_karp(_masked(g, sel)[1])[0]
+        return -1 not in _hopcroft_karp(restricted_rows(g, sel)[1])[0]
     return all(complete_side(g, side, chosen)[1] for side, chosen in enumerate(_chosen(g, sel)))
 
 
@@ -247,13 +233,11 @@ def hall_indices(
     ``sel``, under the ids of ``g``.
 
     The witness is the Dulmage-Mendelsohn set (:func:`_hall`) of a largest
-    matching: the two sides joined, or with a partial K Hopcroft-Karp's.
-    With ``sel`` the masked graph has a largest matching made of one of the
-    restricted graph and the unselected vertices' own edges, so its set,
-    less the unselected vertices, is the restricted graph's.  Raises if the
-    graph has a perfect matching.
+    matching of :func:`~ioselect.graph_core.restricted_rows`: the two sides
+    joined, or with a partial K Hopcroft-Karp's.  Raises if the graph has a
+    perfect matching.
     """
-    keep, rows = _masked(g, sel)
+    keep, rows = restricted_rows(g, sel)
     if g.hub:
         sides = enumerate(_chosen(g, sel))
         match_l = _join(g, *(complete_side(g, side, chosen)[0] for side, chosen in sides))
@@ -261,7 +245,7 @@ def hall_indices(
         match_l = _hopcroft_karp(rows)[0]
     if -1 not in match_l:
         raise ModelError("graph has a perfect matching; no Hall witness exists")
-    return _hall(g, rows, keep, match_l)
+    return _hall(g, keep, rows, match_l)
 
 
 def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
@@ -293,7 +277,7 @@ def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
     ]
     match_l = _join(g, rows_to, states_from)
     if not (inputs_done and outputs_done):
-        raise NoPerfectMatching(g, *_hall(g, g.adj, _masked(g, None)[0], match_l))
+        raise NoPerfectMatching(g, *_hall(g, *restricted_rows(g, None), match_l))
     return tuple(match_l)
 
 

@@ -342,9 +342,14 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     except GenerationFailed as exc:
         return replace(rec, error=str(exc))
 
-    t0 = time.perf_counter()
+    report = error = None
+    t0 = time.perf_counter()  # the compile is part of select's time
     compiled = compile_system(system)
-    compile_s = time.perf_counter() - t0
+    try:
+        report = select_min_cost_io(compiled)
+    except ModelError as exc:
+        error = str(exc)
+    timings = {"select": time.perf_counter() - t0}
     mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)
     rec = replace(
         rec,
@@ -353,15 +358,11 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
         k=compiled.scc.k,
         mu_max=mu_max,
         eta_max=eta_max,
-        special_case=detect_special_case(compiled),
+        special_case=detect_special_case(compiled) if report is None else report.special_case,
     )
-
-    t0 = time.perf_counter() - compile_s  # the compile is part of select's time
-    try:
-        report = select_min_cost_io(compiled)
-    except ModelError as exc:
-        return replace(rec, error=str(exc), timings={"select": time.perf_counter() - t0})
-    timings = {"select": time.perf_counter() - t0, **report.timings}
+    if report is None:
+        return replace(rec, error=error, timings=timings)
+    timings.update(report.timings)
     rec = replace(rec, algo_cost=report.total_cost, feasible=True, timings=timings)
 
     if oracle and system.m + system.p <= EXACT_GUARD_IO:

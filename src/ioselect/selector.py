@@ -125,8 +125,8 @@ class CompiledSystem:
 
         With a complete K that holds exactly when the selected inputs cover
         every non-top SCC of D(A) and the selected outputs every non-bottom
-        one.  An explicit partial K runs the SCC test on the masked system
-        digraph (:func:`ioselect.graph_core.condition_a_holds`).  Raises
+        one.  An explicit partial K runs the SCC test on the restricted
+        rows (:func:`ioselect.graph_core.restricted_rows`).  Raises
         IndexError on an index out of range, as :meth:`condition_b` does.
         """
         _check_selection(self.system, sel)
@@ -285,8 +285,9 @@ def sfm_witness(
     """Machine-checkable evidence for a failed SFM check: the states outside
     any feedback-carrying SCC (Type-1) and a Hall violator (Type-2).
 
-    Both are read off the compiled graph with the inputs and outputs
-    outside ``sel`` masked, so labels use the full system's indices.  The
+    Both are read off the compiled graph restricted to ``sel``
+    (:func:`ioselect.graph_core.restricted_rows`), so labels use the full
+    system's indices.  The
     :class:`~ioselect.matching.NoPerfectMatching` of a failed stage 3 of
     ``sel``, given as ``hall``, already carries the Hall violator.  Raises
     IndexError on an index out of range.

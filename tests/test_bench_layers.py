@@ -1,7 +1,8 @@
 """Smoke test of ``scripts/bench_layers.py``: one repeat of its layers, on a
 small member of the sparse shape and on a short chain, records by name the
 layers of the first record's sparse-400 and chain-640 entries in
-``BENCH_pr26.json``.  No timing is checked."""
+``BENCH_pr26.json``; and the record's paired gap, from scripted layer and
+end-to-end times.  No timing is checked."""
 
 import dataclasses
 import importlib.util
@@ -44,3 +45,17 @@ def test_time_layers_names_the_recorded_layers(shape, tmp_path):
     path.write_text(json.dumps(system_to_json(SMALL[shape]())), encoding="utf-8")
     seconds, _case = bench_layers.time_layers(str(path))
     assert set(seconds) == _recorded_layers(shape)
+
+
+def test_gap_is_the_median_of_paired_repeats(monkeypatch, tmp_path):
+    # scripted repeats whose best layers and best end-to-end time come from
+    # different repeats: the unpaired gap would read 3.1 - 2.0 = 1.1, and
+    # the paired gaps are 0.5, 0.1 and 0.3
+    layers = iter([{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 1.0}, {"a": 1.5, "b": 1.5}])
+    main = iter([3.5, 3.1, 3.3])
+    monkeypatch.setattr(bench_layers, "time_layers", lambda path: (next(layers), "general"))
+    monkeypatch.setattr(bench_layers, "time_main", lambda path: next(main))
+    record = bench_layers.bench_shape("chain-24", SMALL["chain-640"], str(tmp_path), repeats=3)
+    assert record["layers_s"] == {"a": 1.0, "b": 1.0}
+    assert record["layer_sum_s"] == 2.0 and record["end_to_end_s"] == 3.1
+    assert record["gap_s"] == 0.3

@@ -544,7 +544,7 @@ class TestCompileOnce:
         ))
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(system_to_json(system)))
-        names = ["matching.has_perfect_matching", "matching._masked"]
+        names = ["matching.has_perfect_matching", "graph_core.restricted_rows"]
         counts = wrap_counting(monkeypatch, names)
         inside = {}
         real = oracle_bench.exact_select
@@ -560,7 +560,7 @@ class TestCompileOnce:
         code, doc, _err = run_json(capsys, "select", str(path), "--exact")
         assert code == EXIT_OK and "oracle" in doc
         assert inside["matching.has_perfect_matching"] <= 1
-        assert inside["matching._masked"] == 0
+        assert inside["graph_core.restricted_rows"] == 0
 
 
 @pytest.fixture

@@ -157,8 +157,8 @@ class TestScc:
 
 @st.composite
 def successor_rows(draw, max_n=12):
-    """Rows as ``_feedback_sccs`` passes them: lists with self-loops and
-    repeated successors, empty tuples and ranges."""
+    """Rows of any iterables, as ``_tarjan`` accepts them: lists with
+    self-loops and repeated successors, empty tuples and ranges."""
     n = draw(st.integers(0, max_n))
     if n == 0:
         return []

@@ -403,6 +403,36 @@ class TestBench:
         assert records[0].oracle_cost is not None
         assert len(calls) == 2
 
+    def test_state_matching_inside_select_time(self, monkeypatch):
+        # the record's "select" time runs from the trial's compile to the
+        # end of select_min_cost_io; B(A)'s Hopcroft-Karp, cached on the
+        # trial's graph, runs once after that compile, and inside the select
+        import ioselect.graph_core as graph_core
+        import ioselect.oracle_bench as oracle_bench
+
+        events = []
+
+        def wrap(module, name, before, after=None):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                events.append(before)
+                try:
+                    return real(*args)
+                finally:
+                    if after:
+                        events.append(after)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        wrap(oracle_bench, "compile_system", "compile")
+        wrap(oracle_bench, "select_min_cost_io", "select", "select returned")
+        wrap(graph_core, "_hopcroft_karp", "hopcroft_karp")
+        records, _ = bench([self.CFG], trials=1)
+        assert records[0].feasible
+        trial = len(events) - events[::-1].index("compile") - 1  # the generator compiles first
+        assert events[trial:] == ["compile", "select", "hopcroft_karp", "select returned"]
+
     def test_zero_cost_optimum_flagged(self):
         cfg = replace(self.CFG, cost_range=("0", "0"))
         records, summary = bench([cfg], trials=1, oracle=True)
