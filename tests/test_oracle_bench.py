@@ -430,8 +430,8 @@ class TestBench:
         wrap(graph_core, "_hopcroft_karp", "hopcroft_karp")
         records, _ = bench([self.CFG], trials=1)
         assert records[0].feasible
-        trial = len(events) - events[::-1].index("compile") - 1  # the generator compiles first
-        assert events[trial:] == ["compile", "select", "hopcroft_karp", "select returned"]
+        # the generator's own compile and matching come first
+        assert events[-4:] == ["compile", "select", "hopcroft_karp", "select returned"]
 
     def test_zero_cost_optimum_flagged(self):
         cfg = replace(self.CFG, cost_range=("0", "0"))
