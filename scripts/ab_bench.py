@@ -5,7 +5,11 @@
     scripts/ab_bench.py --base HEAD --workload all --pairs 10
 
 ``--workload`` names one workload, a comma-separated list of them, or
-``all``.  The base revision is exported once with ``git archive`` into a
+``all``.  The base is the change's parent: ``HEAD`` while the change is
+uncommitted, ``HEAD~1`` (or the parent's hash) once it is committed.  A
+base whose tree ``git diff --quiet`` finds equal to the working tree is
+refused, as the run would compare the change with itself.  The base
+revision is exported once with ``git archive`` into a
 temporary directory, which is removed at exit; the other side is the
 working tree this script lives in.  For each workload W in turn, pair k
 runs ``perfbench/run.py --workload W --seed S+k --trace 0`` once in each
@@ -57,6 +61,11 @@ def export_revision(rev: str, dest: str) -> None:
         os.path.join(tree, "perfbench"),
         ignore=shutil.ignore_patterns("__pycache__"),
     )
+
+
+def same_tree(rev: str) -> bool:
+    """Whether the working tree's tracked files equal ``rev``'s."""
+    return subprocess.run(["git", "-C", ROOT, "diff", "--quiet", rev], check=False).returncode == 0
 
 
 def run_once(tree: str, workload: str, seed: int) -> dict:
@@ -175,6 +184,8 @@ def main(argv=None) -> int:
         workloads = parse_workloads(args.workload)
     except ValueError as exc:
         parser.error(str(exc))
+    if same_tree(args.base):
+        parser.error(f"--base {args.base}: the working tree equals it; compare the change with its parent")
 
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
     try:

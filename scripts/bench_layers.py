@@ -25,6 +25,8 @@ median over repeats of that repeat's end-to-end time less its own layer
 sum, so it holds what ``main`` does besides the layers (argparse, opening
 the output, the report object, the pipeline's steps between its timed
 layers) and not the spread between minima taken from different repeats.
+The default is nine repeats: it then takes five repeats disturbed the same
+way, not two of three, to carry the median gap off its typical value.
 The cyclic collector is paused around every timed call, as ``cli.main``
 pauses it for ``select``.
 
@@ -161,7 +163,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", help="append the record to this JSON file (default: print it)")
     parser.add_argument("--tag", default="", help="a name for the record")
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args(argv)
 
     calibration_before = statistics.median(measure.time_calibration() for _ in range(5))

@@ -259,6 +259,8 @@ def _cmd_bench(args) -> int:
     sizes = _int_list(args.n, "n")
     if not sizes:
         raise _UsageError("--n: no sizes given")
+    if args.trials < 0:
+        raise _UsageError(f"--trials: {args.trials} is negative")
     configs = [_generator_config(args, n) for n in sizes]
     records, summary = oracle_bench.bench(configs, args.trials, oracle=args.oracle)
     with _opened(args.output) as fh:

@@ -1,10 +1,10 @@
 """Brute-force oracles, a reproducible instance generator, and the bench harness.
 
 The oracles enumerate input/output subsets (guard: m + p <= 16) and are the
-ground truth the approximation pipeline is measured against.  With a
-complete K the exact selection searches the 2^m input subsets and the 2^p
-output subsets apart, each built by doubling and decided by its side's
-cover mask, then its side's greedy (see :func:`exact_select`).
+ground truth the approximation pipeline is measured against.  The exact
+selection takes a complete K, as selection does, and searches the 2^m input
+subsets and the 2^p output subsets apart, each built by doubling and decided
+by its side's cover mask, then its side's greedy (see :func:`exact_select`).
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -129,6 +129,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not all(1 <= size <= SIZE_LIMIT for size in (self.n, self.m, self.p)):
             raise ModelError(f"sizes must be at least 1 and at most {SIZE_LIMIT}")
+        if self.max_attempts < 1:
+            raise ModelError("max_attempts must be at least 1")
         for name in ("state_density", "input_density", "output_density"):
             d = getattr(self, name)
             if not 0.0 <= d <= 1.0:
@@ -239,20 +241,20 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
 
     Every candidate is decided on one
     :class:`~ioselect.selector.CompiledSystem` (a system given already
-    compiled is not compiled again).  Each side's subsets and costs are
-    built in one doubling pass; candidates are tried in the order of their
-    key, so the first one that qualifies is the answer.  A full selection
-    with structurally fixed modes raises :class:`SystemHasSFMs`, with the
-    witness of :func:`~ioselect.selector.sfm_witness`.
+    compiled is not compiled again).  Beyond the brute-force guard it
+    raises :class:`TooLarge`; a K that is not complete raises the
+    :class:`ModelError` of :func:`~ioselect.selector.select_min_cost_io`.
+    A full selection with structurally fixed modes raises
+    :class:`SystemHasSFMs`, with the witness of
+    :func:`~ioselect.selector.sfm_witness`.
 
-    With a partial K the candidates are the pairs (I, J), keyed by
-    (cost, I, J) and decided whole, once the full selection is checked.
-    With a complete K, and the full
-    selection qualifying, (I, J) qualifies exactly when (I, all outputs)
-    and (all inputs, J) do: condition (a) asks the inputs to cover the
-    non-top SCCs and the outputs the non-bottom ones, and condition (b)
-    splits by the Mendelsohn-Dulmage theorem (a matching of each side joins
-    into a perfect one).  So I is decided by the accessibility cover's mask
+    With a complete K, and the full selection qualifying, (I, J) qualifies
+    exactly when (I, all outputs) and (all inputs, J) do: condition (a)
+    asks the inputs to cover the non-top SCCs and the outputs the
+    non-bottom ones, and condition (b) splits by the Mendelsohn-Dulmage
+    theorem (a matching of each side joins into a perfect one).  Each
+    side's subsets and costs are built in one doubling pass and tried in
+    the order of their key.  I is decided by the accessibility cover's mask
     and then, in continuous mode, by side 0's own greedy
     (:func:`ioselect.matching.complete_side`), J likewise on side 1, and
     the first I by (cost, I) and J by (cost, J) join into the optimum, under
@@ -266,34 +268,23 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
         raise TooLarge(
             f"{system.m + system.p} selectable items exceed the brute-force guard {EXACT_GUARD_IO}"
         )
-    full = Selection.full(system)
-
-    def failure() -> Exception:
-        """What a search that finds nothing raises: the full selection's
-        fixed modes, or a defect where it has none."""
-        status = compiled.status(full)
-        if status.ok:
-            return InvariantViolated("no selection qualifies, yet the full selection does")
-        return SystemHasSFMs(status, sfm_witness(compiled, status))
+    if not system.k_is_complete():
+        raise ModelError("selection requires a complete feedback pattern")
 
     def first(keys, qualifies):
         for key in sorted(keys):
             if qualifies(key):
                 return key
-        raise failure()
+        # nothing qualifies: the full selection's fixed modes, or a defect where it has none
+        status = compiled.status(Selection.full(system))
+        if status.ok:
+            raise InvariantViolated("no selection qualifies, yet the full selection does")
+        raise SystemHasSFMs(status, sfm_witness(compiled, status))
 
-    if not system.k_is_complete() and not compiled.no_sfm(full):
-        raise failure()  # a failing joint search would try every pair
     sides = [[(0, ())], [(0, ())]]  # each side's subsets with their costs
     for subs, costs in zip(sides, (system.cost_u, system.cost_y)):
         for i, cost in enumerate(costs):  # channel i doubles them
             subs += [(sub_cost + cost, sub + (i,)) for sub_cost, sub in subs]
-    if not system.k_is_complete():
-        cost, inputs, outputs = first(
-            ((ci + co, i, o) for ci, i in sides[0] for co, o in sides[1]),
-            lambda key: compiled.no_sfm(Selection.of(key[1], key[2])),
-        )
-        return Selection.of(inputs, outputs), cost
     g, discrete = compiled.graph, system.mode == "discrete"
     (in_cost, inputs), (out_cost, outputs) = [
         first(subs, lambda key: not cover.uncovered(key[1]) and (discrete or complete_side(g, side, key[1])[1]))
@@ -335,6 +326,15 @@ def record_to_json(rec: BenchRecord) -> dict:
 
 
 def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord:
+    """One bench record: draw the trial's instance, then time its compile
+    and ``select`` in one window, and with ``oracle`` the exact search.
+
+    The trial compiles the drawn system again although :func:`generate`'s
+    rejection test already compiled it, ran B(A)'s Hopcroft-Karp (the
+    maximum matching of the state rows) and built both side lists
+    (``state_cols`` and ``rows_to_states``): reusing that analysis would
+    take them out of the record's ``select`` time.
+    """
     seed = (config.seed + trial) & _MASK64
     rec = BenchRecord(digest="", seed=seed, n=config.n, m=config.m, p=config.p)
     try:

@@ -166,24 +166,24 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
     """Minimum-weight cover by branch and bound over set bitmasks.
 
     Guarded at r <= 25 sets; this is a desk-scale verification oracle, not a
-    production solver.  Ties break toward the lexicographically smallest
-    chosen index set.  The pruning bound relies on nonnegative weights,
-    which the instance enforces.
+    production solver.  The greedy cover seeds the bound, and an instance
+    it cannot cover raises its :class:`Infeasible`.  Ties break toward the
+    lexicographically smallest chosen index set.  The pruning bound relies
+    on nonnegative weights, which the instance enforces.
     """
     if inst.r > EXACT_GUARD:
         raise TooLarge(f"exact cover limited to {EXACT_GUARD} sets, got {inst.r}")
     full = (1 << inst.universe_size) - 1
     masks = inst.masks
-    left = inst.uncovered(range(inst.r))
-    if left:
-        raise Infeasible((left & -left).bit_length() - 1)  # the smallest one
+    # the greedy seed is also the feasibility test: it raises Infeasible
+    # for the smallest element no set covers
+    seed = greedy_solve(inst)
 
     candidates: list[list[int]] = [[] for _ in range(inst.universe_size)]
     for idx, s in enumerate(inst.sets):
         for e in s:
             candidates[e].append(idx)
 
-    seed = greedy_solve(inst)
     best_weight = seed.weight
     best_chosen = tuple(sorted(seed.chosen))
 

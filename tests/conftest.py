@@ -1,3 +1,8 @@
+import functools
+import importlib.util
+import os
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, settings
@@ -17,6 +22,33 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("default")
+
+
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+
+
+@functools.cache
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded once by path and unedited, so tests
+    read the benchmark's pools from the file the benchmark runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.fixture
+def workloads():
+    return benchmark_workloads()
+
+
+def pool_config(workload, member):
+    """The generator config of member ``member`` of a generated pool."""
+    return benchmark_workloads().WORKLOADS[workload].pool[member].config
 
 
 def from_pairs(rows, cols, pairs):

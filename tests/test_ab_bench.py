@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -92,27 +93,13 @@ def test_workload_names():
             ab_bench.parse_workloads(bad)
 
 
-@pytest.fixture
-def workloads_module():
-    import sys
-
-    path = SCRIPT.parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
-
-
-def test_workload_names_are_the_benchmarks(workloads_module):
-    assert ab_bench.WORKLOADS == tuple(workloads_module.WORKLOADS)
+def test_workload_names_are_the_benchmarks(workloads):
+    assert ab_bench.WORKLOADS == tuple(workloads.WORKLOADS)
 
 
 def test_several_workloads_export_the_base_once(monkeypatch, capsys):
     exported, ran = [], []
+    monkeypatch.setattr(ab_bench, "same_tree", lambda rev: False)
     monkeypatch.setattr(ab_bench, "export_revision", lambda rev, dest: exported.append(rev))
 
     def run_once(tree, workload, seed):
@@ -133,3 +120,19 @@ def test_several_workloads_export_the_base_once(monkeypatch, capsys):
     assert sum("success_rate" in line and "higher in 0/2  no worse" in line for line in out) == 2
     records = [json.loads(line) for line in out if line.startswith("{")]
     assert [(r["workload"], len(r["runs"])) for r in records] == [("wide", 2), ("chain", 2)]
+
+
+def test_refuses_a_base_equal_to_the_working_tree(tmp_path, monkeypatch, capsys):
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (tmp_path / "f").write_text("base\n")
+    subprocess.run(git + ["add", "f"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+    monkeypatch.setattr(ab_bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(ab_bench, "export_revision", lambda rev, dest: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as exc:
+        ab_bench.main(["--base", "HEAD", "--workload", "chain", "--pairs", "1"])
+    assert exc.value.code == 2
+    assert "error: --base HEAD: the working tree equals it" in capsys.readouterr().err
+    (tmp_path / "f").write_text("change\n")
+    assert not ab_bench.same_tree("HEAD")

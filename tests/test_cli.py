@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import pool_config
 from ioselect.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -433,6 +434,9 @@ class TestGen:
             (("--n", "2", "--m", "1", "--p", "1", "--cost-lo=-5", "--cost-hi=-1"), "negative"),
             (("--n", "1", "--m", "100001", "--p", "1"), "at most 100000"),
             (("--n", "1", "--m", "100001", "--p", "1", "--allow-sfms"), "at most 100000"),
+            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=-1"), "max_attempts must be at least 1"),
+            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=0"), "max_attempts must be at least 1"),
+            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=0", "--allow-sfms"), "max_attempts"),
         ):
             code, out, err = run(capsys, "gen", *flags)
             assert code == EXIT_USAGE and out == "" and message in err
@@ -480,10 +484,13 @@ class TestBench:
         for flags, message in (
             (("--n", "2", "--m", "1", "--p", "1", "--cost-lo=-1", "--cost-hi=1"), "negative"),
             (("--n", "1", "--m", "100001", "--p", "1"), "at most 100000"),
+            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=0"), "max_attempts must be at least 1"),
         ):
             code, out, err = run(capsys, "bench", *flags, "--trials", "1")
             assert code == EXIT_USAGE and out == "" and message in err
             assert err.count("error:") == 1 and "Traceback" not in err
+        code, out, err = run(capsys, "bench", "--n", "3", "--m", "1", "--p", "1", "--trials=-2")
+        assert code == EXIT_USAGE and out == "" and err == "error: --trials: -2 is negative\n"
 
 
 class TestCompileOnce:
@@ -538,10 +545,7 @@ class TestCompileOnce:
         from ioselect.system_model import system_to_json
         from test_selector import wrap_counting
 
-        system = oracle_bench.generate(oracle_bench.GeneratorConfig(
-            n=30, m=5, p=5, state_density=0.1, input_density=0.2, output_density=0.2,
-            cost_range=("1", "99"), seed=1,
-        ))
+        system = oracle_bench.generate(pool_config("oracle", 1))
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(system_to_json(system)))
         names = ["matching.has_perfect_matching", "graph_core.restricted_rows"]

@@ -27,6 +27,7 @@ from ioselect.oracle_bench import exact_select
 from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, select_min_cost_io, sfm_witness
 from ioselect.system_model import (
     COMPLETE,
+    ModelError,
     Selection,
     SparsityPattern,
     StructuredSystem,
@@ -223,6 +224,10 @@ class TestExactSearch:
     @given(data=st.data())
     def test_exact_select_matches_reference(self, mode, data):
         system = data.draw(small_systems(mode))
+        if not system.k_is_complete():
+            with pytest.raises(ModelError, match="^selection requires a complete feedback pattern$"):
+                exact_select(system)
+            return
         if not oracles.no_sfm(system, Selection.full(system)):
             with pytest.raises(SystemHasSFMs):
                 exact_select(system)
@@ -269,6 +274,8 @@ class TestCompleteKSplit:
         pair = Selection.of([0], [1])
         assert self._split(compiled, pair)
         assert not oracles.no_sfm(system, pair)
-        # the split's pick would cost 2; the pairwise scan finds the true
-        # optimum, two pairs of cost 3, and breaks the tie to the smaller I
-        assert exact_select(system) == (Selection.of([0], [0]), parse_cost("3"))
+        # the split's pick would cost 2, where the true optimum is two pairs
+        # of cost 3; the exact search refuses a partial K, as selection does
+        assert oracles.best_selection(system) == (parse_cost("3"), (0,), (0,))
+        with pytest.raises(ModelError, match="^selection requires a complete feedback pattern$"):
+            exact_select(system)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_system, systems
+from conftest import make_system, pool_config, systems
 from ioselect.oracle_bench import (
     CH_A,
     CH_B,
@@ -324,10 +324,7 @@ class TestExactSelect:
         # the per-side search against the scan of every (I, J) pair on
         # systems shaped as the benchmark's oracle pool
         for seed in range(64):
-            system = generate(GeneratorConfig(
-                n=30, m=5, p=5, state_density=0.1, input_density=0.2, output_density=0.2,
-                cost_range=("1", "99"), seed=seed, mode=mode,
-            ))
+            system = generate(replace(pool_config("oracle", seed), mode=mode))
             compiled = compile_system(system)
             assert exact_select(compiled) == oracles.joint_exact_select(compiled), seed
 

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import make_system, matching_cost
+from conftest import make_system, matching_cost, pool_config
 from ioselect.matching import NoPerfectMatching, build_bipartite, min_cost_perfect_matching
-from ioselect.oracle_bench import GeneratorConfig, generate
+from ioselect.oracle_bench import generate
 from ioselect.selector import compile_system, select_min_cost_io
 from ioselect.system_model import Selection
 from test_hub import COMPLETE_KINDS, wide_systems
@@ -27,18 +27,15 @@ from test_hub import COMPLETE_KINDS, wide_systems
 # only the stage-3 tests need scipy; the SCC test needs networkx alone
 needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="scipy is not installed")
 
-# the GeneratorConfig parameters of the benchmark's sparse and wide pools
-POOLS = {
-    "sparse": dict(n=400, m=40, p=40, state_density=5 / 400, input_density=0.2, output_density=0.2),
-    "wide": dict(n=60, m=120, p=120, state_density=2.5 / 60, input_density=0.03, output_density=0.03),
-}
+# the benchmark's pools, whose members' configs the tests draw from
+POOLS = ("sparse", "wide")
 
 
 @needs_scipy
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_stage3_cost_matches_scipy(pool, seed):
-    system = generate(GeneratorConfig(cost_range=("1", "99"), seed=seed, **POOLS[pool]))
+    system = generate(pool_config(pool, seed))
     ref = oracles.scipy_min_cost(system)
     assert ref is not None
     g = build_bipartite(system)
@@ -59,7 +56,7 @@ def test_scc_layer_matches_networkx(pool, seed):
     if pool == "chain":  # the workload's largest size, closed and open
         system = _chain(1536, closed=seed == 0)
     else:
-        system = generate(GeneratorConfig(cost_range=("1", "99"), seed=seed, **POOLS[pool]))
+        system = generate(pool_config(pool, seed))
     compiled = compile_system(system)
     scc, n = compiled.scc, system.n
     a_edges = [(j, i) for i, j in system.A.stars]  # A_ij starred: x_j -> x_i

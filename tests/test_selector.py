@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_system, matching_cost, systems
+from conftest import make_system, matching_cost, pool_config, systems
 from ioselect.selector import (
     SelectionReport,
     SfmStatus,
@@ -584,15 +584,10 @@ class TestBuildOnce:
         import json
 
         from ioselect import cli
-        from ioselect.oracle_bench import GeneratorConfig, generate
+        from ioselect.oracle_bench import generate
         from ioselect.system_model import system_from_json, system_to_json
 
-        system = generate(
-            GeneratorConfig(
-                n=400, m=40, p=40, state_density=5 / 400, input_density=0.2,
-                output_density=0.2, cost_range=("1", "99"), seed=0,
-            )
-        )
+        system = generate(pool_config("sparse", 0))
         path = tmp_path / "sparse.json"
         path.write_text(json.dumps(system_to_json(system)))
         decoded = []

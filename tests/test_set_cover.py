@@ -188,6 +188,19 @@ class TestExact:
         with pytest.raises(Infeasible):
             exact_solve(WeightedSetCoverInstance(2, (frozenset({0}),), units(1)))
 
+    @given(wsc_instances(feasible=False))
+    def test_infeasible_names_greedys_element(self, inst):
+        # both solvers name the smallest element no set covers, or none
+        uncovered = sorted(set(range(inst.universe_size)).difference(*inst.sets))
+        named = []
+        for solve in (greedy_solve, exact_solve):
+            try:
+                solve(inst)
+                named.append(None)
+            except Infeasible as exc:
+                named.append(exc.element)
+        assert named == [uncovered[0] if uncovered else None] * 2
+
     @given(wsc_instances())
     def test_matches_reference_minimum(self, inst):
         best = exact_solve(inst)

@@ -4,14 +4,13 @@
 ``build_graphs``, ``decompose_sccs`` and ``detect_special_case``.  The pools
 are drawn by the package's seeded generator, and ``perfbench/golden.json``
 keys each member's output by its instance digest, so a drift of the stream
-shows as a digest missing there.  These tests load the files by path,
-unedited, so such a change fails here and not inside a benchmark run.
+shows as a digest missing there.  These tests read the files by path,
+unedited (``workloads`` is conftest's), so such a change fails here and
+not inside a benchmark run.
 """
 
-import importlib.util
 import json
 import os
-import sys
 
 import pytest
 
@@ -19,19 +18,6 @@ from ioselect import oracle_bench
 from ioselect.selector import compile_system, detect_special_case
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-WORKLOADS_PATH = os.path.join(PERFBENCH, "workloads.py")
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
 
 
 @pytest.mark.parametrize("which", ["chain", "oracle"])
