@@ -151,7 +151,7 @@ def _cmd_check(args) -> int:
     system = _read_system(args.instance, args.discrete)
     compiled = selector.compile_system(system)  # validates before the flags are read
     sel = _selection_from_flags(system, args)  # checks the index ranges
-    status = selector.check_no_sfm(compiled, sel)
+    status = compiled.status(sel)
     doc = {
         "no_sfm": status.ok,
         "reason": status.value,

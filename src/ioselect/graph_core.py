@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from ioselect.system_model import Selection, StructuredSystem
+from ioselect.system_model import ModelError, Selection, StructuredSystem
 
 # the edge classes of B(A, B, C, K), tabled in ioselect.matching
 EDGE_EX = "EX"
@@ -82,6 +82,8 @@ class SystemGraph:
 
     @property
     def hub(self) -> bool:
+        """Whether K is complete: the one test of it once the graph is
+        built (:func:`_require_hub` refuses a partial K)."""
         return self.k_rows is None
 
     def left_name(self, v: int) -> str:
@@ -159,6 +161,12 @@ class SystemGraph:
         access.  No code in this package reads it; the tracer in
         ``perfbench/`` counts it."""
         return [(l, r) for l, row in enumerate(restricted_rows(self, None)[1]) for r in row]
+
+
+def _require_hub(g: SystemGraph) -> None:
+    """Refuse a partial K, which selection and its exact search do not take."""
+    if not g.hub:
+        raise ModelError("selection requires a complete feedback pattern")
 
 
 def build_bipartite(system: StructuredSystem) -> SystemGraph:

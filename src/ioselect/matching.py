@@ -27,11 +27,13 @@ matching of each side joins back into a perfect one (Mendelsohn-Dulmage,
 (:attr:`SystemGraph.state_matching`) with d = n - nu(B(A)) channels.  The
 channel sets that do so are the bases of a transversal matroid, so the
 greedy algorithm (:func:`_greedy`) finds the cheapest exactly (Edmonds
-1971, "Matroids and the greedy algorithm").  Stage 3 runs it in (cost,
-index) order, condition (b) in index order over the selected channels.  An
-explicit partial K keeps one EK edge per star and does not split: its
-condition (b) is one Hopcroft-Karp on the restricted rows
-(:func:`ioselect.graph_core.restricted_rows`).
+1971, "Matroids and the greedy algorithm").  An explicit partial K keeps
+one EK edge per star and does not split: its largest matching is one
+Hopcroft-Karp on the restricted rows
+(:func:`ioselect.graph_core.restricted_rows`).  :func:`_largest` makes
+every largest matching here, either way: stage 3 reads it with the
+channels in (cost, index) order, condition (b) and the Hall witness with
+the selected channels in index order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ioselect.graph_core import (
     SystemGraph,
     _hopcroft_karp,
+    _require_hub,
     build_bipartite,
     restricted_rows,
 )
@@ -208,21 +211,29 @@ def _hall(g: SystemGraph, keep: list[bool], rows, match_l: list[int]) -> tuple[t
     )
 
 
-def _chosen(g: SystemGraph, sel: Optional[Selection]) -> tuple[Sequence[int], Sequence[int]]:
-    """The channels of each side that ``sel`` selects, ascending; all of
-    them without ``sel``.  Callers range-check ``sel``."""
-    return (range(g.m), range(g.p)) if sel is None else (sel.sorted_inputs(), sel.sorted_outputs())
+def _largest(g: SystemGraph, sel: Optional[Selection], orders=None, rows=None) -> list[int]:
+    """A largest matching of B(A, B, C, K) restricted to ``sel`` (all of it
+    without ``sel``), under the ids of ``g``, as each left vertex's partner,
+    -1 when free.
+
+    With a hub, each side completed over its channels in ``orders`` (one
+    iterable per side), by default ``sel``'s in index order, and the two
+    joined (:func:`_join`).  With a partial K, Hopcroft-Karp's on the
+    restricted rows ``rows`` (:func:`~ioselect.graph_core.restricted_rows`),
+    built here when not given.  Callers range-check ``sel``.
+    """
+    if not g.hub:
+        return _hopcroft_karp(rows or restricted_rows(g, sel)[1])[0]
+    if orders is None:
+        orders = (range(g.m), range(g.p)) if sel is None else (sel.sorted_inputs(), sel.sorted_outputs())
+    return _join(g, *(complete_side(g, side, chosen)[0] for side, chosen in enumerate(orders)))
 
 
 def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> bool:
     """True iff ``g`` has a perfect matching; with ``sel``, iff the graph of
     the system restricted to ``sel`` has one, decided under the ids of
-    ``g``.  With a hub, iff the selected channels complete both sides;
-    with a partial K, iff Hopcroft-Karp matches every row of
-    :func:`~ioselect.graph_core.restricted_rows`."""
-    if not g.hub:
-        return -1 not in _hopcroft_karp(restricted_rows(g, sel)[1])[0]
-    return all(complete_side(g, side, chosen)[1] for side, chosen in enumerate(_chosen(g, sel)))
+    ``g``: iff :func:`_largest` leaves no left vertex free."""
+    return -1 not in _largest(g, sel)
 
 
 def hall_indices(
@@ -232,17 +243,12 @@ def hall_indices(
     neighborhood; with ``sel``, in the graph of the system restricted to
     ``sel``, under the ids of ``g``.
 
-    The witness is the Dulmage-Mendelsohn set (:func:`_hall`) of a largest
-    matching of :func:`~ioselect.graph_core.restricted_rows`: the two sides
-    joined, or with a partial K Hopcroft-Karp's.  Raises if the graph has a
+    The witness is the Dulmage-Mendelsohn set (:func:`_hall`) of the
+    largest matching of :func:`_largest`.  Raises if the graph has a
     perfect matching.
     """
     keep, rows = restricted_rows(g, sel)
-    if g.hub:
-        sides = enumerate(_chosen(g, sel))
-        match_l = _join(g, *(complete_side(g, side, chosen)[0] for side, chosen in sides))
-    else:
-        match_l = _hopcroft_karp(rows)[0]
+    match_l = _largest(g, sel, rows=rows)
     if -1 not in match_l:
         raise ModelError("graph has a perfect matching; no Hall witness exists")
     return _hall(g, keep, rows, match_l)
@@ -250,9 +256,9 @@ def hall_indices(
 
 def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
     """Exact minimum-cost perfect matching of a graph with a hub, as its
-    partner list (entry l is left vertex l's right vertex): each side
-    completed by the greedy in (cost, index) order, and the two joined
-    (Mendelsohn-Dulmage, see :func:`_join`).
+    partner list (entry l is left vertex l's right vertex): the largest
+    matching of :func:`_largest` with each side's channels in (cost,
+    index) order.
 
     Ties break as if a feedback edge (u'_i, y_j) paid, below its true cost,
     2**(m+p) (fewest feedback edges first), then 2**(p+i) (low input
@@ -269,14 +275,10 @@ def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
     :class:`NoPerfectMatching` (with a Hall witness) if no perfect matching
     exists.
     """
-    if not g.hub:
-        raise ModelError("min-cost matching requires a complete feedback pattern")
-    (rows_to, inputs_done), (states_from, outputs_done) = [
-        complete_side(g, side, sorted(range(len(costs)), key=costs.__getitem__))
-        for side, costs in enumerate((g.cost_u, g.cost_y))
-    ]
-    match_l = _join(g, rows_to, states_from)
-    if not (inputs_done and outputs_done):
+    _require_hub(g)
+    orders = [sorted(range(len(costs)), key=costs.__getitem__) for costs in (g.cost_u, g.cost_y)]
+    match_l = _largest(g, None, orders)
+    if -1 in match_l:
         raise NoPerfectMatching(g, *_hall(g, *restricted_rows(g, None), match_l))
     return tuple(match_l)
 

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from ioselect.graph_core import _require_hub
 from ioselect.matching import complete_side
 from ioselect.selector import (
     CompiledSystem,
@@ -65,12 +66,16 @@ _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 EXACT_GUARD_IO = 16
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 output finalizer."""
-    z &= _MASK64
-    z = ((z ^ (z >> _SHIFT1)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> _SHIFT2)) * _MUL2) & _MASK64
-    return z ^ (z >> _SHIFT3)
+def _mix64(z: int, lane: int = _MASK64) -> int:
+    """SplitMix64's output finalizer, run on each 64-bit lane of ``z``
+    that ``lane`` masks: one by default, one per 128-bit slot in
+    :func:`_draw_pattern`."""
+    z &= lane
+    z ^= (z >> _SHIFT1) & lane
+    z = z * _MUL1 & lane
+    z ^= (z >> _SHIFT2) & lane
+    z = z * _MUL2 & lane
+    return z ^ (z >> _SHIFT3) & lane
 
 
 class SplitMix64:
@@ -181,12 +186,7 @@ def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> Spar
     state = rng._state
     by_row = []
     for _ in range(rows):
-        z = (ones * state + steps) & lane  # the row's counters state + j*GAMMA
-        z ^= (z >> _SHIFT1) & lane
-        z = z * _MUL1 & lane
-        z ^= (z >> _SHIFT2) & lane
-        z = z * _MUL2 & lane
-        z ^= (z >> _SHIFT3) & lane
+        z = _mix64(ones * state + steps, lane)  # on the row's counters state + j*GAMMA
         carries = ((z + not_below) >> 64).to_bytes(16 * cols, "little")[::16]
         row = []
         j = carries.find(0)
@@ -268,8 +268,7 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
         raise TooLarge(
             f"{system.m + system.p} selectable items exceed the brute-force guard {EXACT_GUARD_IO}"
         )
-    if not system.k_is_complete():
-        raise ModelError("selection requires a complete feedback pattern")
+    _require_hub(compiled.graph)
 
     def first(keys, qualifies):
         for key in sorted(keys):

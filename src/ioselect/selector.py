@@ -43,6 +43,7 @@ from ioselect.certify import certify_cycle_cover
 from ioselect.graph_core import (
     SccDecomposition,
     SystemGraph,
+    _require_hub,
     build_bipartite,
     condition_a_holds,
     condition_a_witness,
@@ -130,7 +131,7 @@ class CompiledSystem:
         IndexError on an index out of range, as :meth:`condition_b` does.
         """
         _check_selection(self.system, sel)
-        if not self.system.k_is_complete():
+        if not self.graph.hub:
             return condition_a_holds(self.graph, sel)
         accessibility, sensability = self.covers
         return not accessibility.uncovered(sel.inputs) and not sensability.uncovered(sel.outputs)
@@ -337,8 +338,7 @@ def select_min_cost_io(
     """
     compiled = compile_system(system)
     system, graph = compiled.system, compiled.graph
-    if not system.k_is_complete():
-        raise ModelError("selection requires a complete feedback pattern")
+    _require_hub(graph)
     timings = dict(compiled.timings)
     continuous = system.mode == "continuous"
     with timed(timings, "state_matching"):

@@ -113,9 +113,8 @@ def format_ratio(ratio: Fraction) -> str:
         den //= 5
     if den != 1:
         return f"{ratio.numerator}/{ratio.denominator}"
-    dec = decimal.Decimal(ratio.numerator) / decimal.Decimal(ratio.denominator)
-    text = format(dec.normalize(), "f")
-    return text
+    dec = _EXACT.divide(decimal.Decimal(ratio.numerator), decimal.Decimal(ratio.denominator))
+    return format(dec.normalize(_EXACT), "f")
 
 
 @dataclass(frozen=True)

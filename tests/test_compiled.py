@@ -14,6 +14,7 @@ masked graphs, are checked against the system restricted to the selection.
 
 import itertools
 import signal
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import networkx as nx
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 
 import oracles
 from ioselect.graph_core import condition_a_witness, vertex_name
-from ioselect.matching import hall_indices
+from ioselect.matching import hall_indices, min_cost_perfect_matching
 from ioselect.oracle_bench import exact_select
 from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, select_min_cost_io, sfm_witness
 from ioselect.system_model import (
@@ -216,6 +217,17 @@ def test_index_out_of_range_raises(demo, condition, sel, message):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [select_min_cost_io, exact_select, lambda s: min_cost_perfect_matching(compile_system(s).graph)],
+    ids=["select", "exact_select", "min_cost_perfect_matching"],
+)
+def test_partial_k_refused_alike(demo, refuse):
+    system = replace(demo, K=SparsityPattern(demo.m, demo.p, frozenset({(0, 0)})))
+    with pytest.raises(ModelError, match="^selection requires a complete feedback pattern$"):
+        refuse(system)
 
 
 class TestExactSearch:

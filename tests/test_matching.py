@@ -117,12 +117,13 @@ class TestPerfectMatching:
 
     @given(systems())
     def test_size_matches_reference(self, system):
-        """The two sides' joined matching, with K complete and never
-        expanded, is a maximum matching of the expanded graph."""
-        from ioselect.matching import _join, complete_side
+        """The largest matching every check reads (with K complete and never
+        expanded, the two sides' joined one) is a maximum matching of the
+        expanded graph."""
+        from ioselect.matching import _largest
 
         g = build_bipartite(system)
-        match_l = _join(g, complete_side(g, 0, range(g.m))[0], complete_side(g, 1, range(g.p))[0])
+        match_l = _largest(g, None)
         matched = [(l, r) for l, r in enumerate(match_l) if r >= 0]
         pairs = oracles.bipartite_pairs(system)
         assert set(matched) <= set(pairs)

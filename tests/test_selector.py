@@ -578,6 +578,19 @@ class TestBuildOnce:
         self.CALLS[call](demo)
         assert counts == {"graph_core.build_graphs": 0, "matching.build_bipartite": 1}
 
+    def test_completeness_asked_once(self, demo, monkeypatch):
+        # an explicit all-star K is found complete once, where the graph is
+        # built; the select, the exact search and a status read its hub
+        every_star = frozenset((i, j) for i in range(demo.m) for j in range(demo.p))
+        system = replace(demo, K=SparsityPattern(demo.m, demo.p, every_star))
+        name = "system_model.StructuredSystem.k_is_complete"
+        counts = wrap_counting(monkeypatch, [name])
+        compiled = select_min_cost_io(system).compiled
+        assert counts[name] == 1
+        for decide in (exact_select, lambda c: c.status(Selection.of([2], [1]))):
+            decide(compiled)
+            assert counts[name] == 1
+
     def test_select_reads_decoded_rows_not_stars(self, tmp_path, monkeypatch, capsys):
         # a decoded pattern keeps its rows; select never builds the stars of
         # A, B or C (a sparse pool instance of the benchmark)

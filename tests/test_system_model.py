@@ -6,6 +6,7 @@ import tempfile
 from dataclasses import FrozenInstanceError
 
 import pytest
+from decimal import Decimal
 from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,6 +123,15 @@ class TestCosts:
         assert format_ratio(Fraction(1, 3)) == "1/3"
         assert format_ratio(Fraction(103, 101)) == "103/101"
         assert format_ratio(Fraction(0)) == "0"
+        # more than 28 significant digits, which the default decimal context rounds
+        for ratio, text in [
+            (Fraction(10**28 + 1, 10**28), "1.0000000000000000000000000001"),
+            (Fraction(2**41 + 1, 2**41), "1.00000000000045474735088646411895751953125"),
+            # a greedy step's ratio: weight 9223372036854.775807 over 16,384 elements
+            (Fraction(9223372036854775807, 10**6 * 16384), "562949953.42131199993896484375"),
+        ]:
+            assert format_ratio(ratio) == text
+            assert Fraction(Decimal(text)) == ratio
 
 
 class TestSparsityPattern:
