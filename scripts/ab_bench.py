@@ -22,9 +22,12 @@ Each run's last line of standard output is its JSON result.  The script
 prints every run, then per workload and metric the median and quartiles
 of each side, in how many pairs this checkout's value was better (lower,
 or higher where ``BENCHMARK.json`` says higher is better; ties count for
-neither), and a verdict (:func:`verdict`) under the metric's bound from
-``BENCHMARK.json``, which it only reads.  It ends with one JSON line per
-workload holding its runs.
+neither), a verdict (:func:`verdict`) under the metric's bound from
+``BENCHMARK.json``, which it only reads, and the median of the per-pair
+ratios head/base with, from 4 pairs on, its [2nd, (pairs-1)th]
+order-statistic interval and that interval's coverage
+(:func:`ratio_interval`).  It ends with one JSON line per workload holding
+its runs.
 """
 
 from __future__ import annotations
@@ -124,16 +127,34 @@ def verdict(base: list[float], head: list[float], better: str, bound: float) -> 
     return "no worse"
 
 
+def ratio_interval(base: list[float], head: list[float]) -> tuple:
+    """(median ratio, interval, coverage) of the per-pair ratios head/base.
+
+    A pair whose base value is 0 gets no ratio.  With k >= 4 ratios the
+    interval is their 2nd and (k-1)th smallest: it holds the true median
+    ratio with probability 1 - 2(k+1)/2^k (a sign-test interval; 0.9785 at
+    k = 10), which is the coverage.  Below 4 ratios, and with none, the
+    missing parts are None.
+    """
+    ratios = sorted(h / b for b, h in zip(base, head) if b)
+    k = len(ratios)
+    if k < 4:
+        return (statistics.median(ratios) if ratios else None), None, None
+    return statistics.median(ratios), (ratios[1], ratios[-2]), 1 - 2 * (k + 1) / 2**k
+
+
 def summarize(runs: list[dict[str, dict]], specs: dict[str, dict] | None = None) -> list[dict]:
     """Per metric of the pairs in ``runs`` (each ``{"base": result, "head":
     result}``): both sides' quartiles, the pairs where head is lower and
-    where it is better, and the verdict under ``specs`` (by default
-    ``BENCHMARK.json``'s end-to-end metrics)."""
+    where it is better, the verdict under ``specs`` (by default
+    ``BENCHMARK.json``'s end-to-end metrics), and :func:`ratio_interval`'s
+    median ratio, interval and coverage."""
     specs = end_to_end_specs() if specs is None else specs
     rows = []
     for metric in runs[0]["base"]["metrics"]:
         values = {side: [r[side]["metrics"][metric]["value"] for r in runs] for side in SIDES}
         better, bound = specs[metric]["better"], specs[metric]["bound"]
+        ratio, interval, coverage = ratio_interval(values["base"], values["head"])
         rows.append({
             "metric": metric,
             "unit": runs[0]["base"]["metrics"][metric]["unit"],
@@ -143,6 +164,9 @@ def summarize(runs: list[dict[str, dict]], specs: dict[str, dict] | None = None)
             "wins": wins(values["base"], values["head"], better),
             "pairs": len(runs),
             "verdict": verdict(values["base"], values["head"], better, bound),
+            "ratio": ratio,
+            "interval": interval,
+            "coverage": coverage,
         })
     return rows
 
@@ -196,14 +220,21 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     for workload, runs in results.items():
-        print(f"{workload}: {args.pairs} pairs, base {args.base} -> working tree; median [quartiles]")
+        print(
+            f"{workload}: {args.pairs} pairs, base {args.base} -> working tree; median [quartiles];"
+            " median head/base ratio [2nd, (pairs-1)th ratio] and its coverage"
+        )
         for row in summarize(runs):
             b1, b2, b3 = row["base"]
             h1, h2, h3 = row["head"]
+            ratio = "-" if row["ratio"] is None else f"{row['ratio']:.4f}"
+            if row["interval"] is not None:
+                lo, hi = row["interval"]
+                ratio += f" [{lo:.4f}, {hi:.4f}] {row['coverage']:.1%}"
             print(
                 f"{row['metric']:>14} {row['unit']:>8}  base {b2:.6g} [{b1:.6g}, {b3:.6g}]"
                 f"  head {h2:.6g} [{h1:.6g}, {h3:.6g}]  {row['better']} in {row['wins']}/{row['pairs']}"
-                f"  {row['verdict']}"
+                f"  {row['verdict']}  head/base {ratio}"
             )
     for workload, runs in results.items():
         print(json.dumps({"workload": workload, "base": args.base, "seed0": args.seed0, "runs": runs}))

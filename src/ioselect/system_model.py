@@ -19,8 +19,9 @@ Conventions
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 COST_DECIMALS = 6
@@ -117,68 +118,64 @@ def format_ratio(ratio: Fraction) -> str:
     return format(dec.normalize(_EXACT), "f")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparsityPattern:
-    """A {0, *} matrix, as its starred (row, col) cells and as its rows.
+    """A {0, *} matrix, stored as its rows.
 
     ``by_row[i]`` lists row i's starred columns, ascending and without
-    repeats; the graph builder, the set-cover instances and the certifier read
-    only this view, and so does :meth:`to_pairs` until ``stars`` is built.
-    A pattern built from its ``stars`` builds its rows once, on first use,
-    checking each star's range: ``by_row`` is None when one is out of range.
-    Every pattern the package builds (decoded by :func:`system_from_json`
-    with its pairs in range, drawn by the seeded generator, restricted by
-    :func:`restrict` or reduced from a set cover) is given only its in-range
-    rows (:meth:`of_checked_rows`) and builds ``stars`` once, on first
-    access.  Either way ``stars``, equality, hashing and repr are those of
-    the star set.
+    repeats; the graph builder, the set-cover instances and the certifier
+    read only the rows.  ``outside`` holds the stars given out of range, for
+    :func:`validate` to report: every star when a dimension is negative or
+    over ``SIZE_LIMIT``, and then no row is allocated.
+    ``SparsityPattern(rows, cols, stars)`` splits its stars into the two
+    once, here.  Every pattern the package builds (decoded by
+    :func:`system_from_json`, drawn by the seeded generator, restricted by
+    :func:`restrict` or reduced from a set cover) is given its checked rows
+    instead (:meth:`of_checked_rows`).  ``stars`` is derived from both and
+    built on first access; equality (of the rows and ``outside``) and
+    hashing are those of the star set.
 
     Zero-sized patterns are legal: restricting to an empty input or output
     selection yields a pattern with zero columns or rows, and the reverse
-    set-cover reduction builds systems with no outputs at all.  Stars out of
-    range are reported by :func:`validate`, not rejected here.
+    set-cover reduction builds systems with no outputs at all.
     """
 
     rows: int
     cols: int
-    stars: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    by_row: list[list[int]]
+    outside: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if type(self.stars) is not frozenset:
-            object.__setattr__(self, "stars", frozenset(map(tuple, self.stars)))
+    def __init__(self, rows: int, cols: int, stars: Iterable[tuple[int, int]] = frozenset()) -> None:
+        stars = stars if type(stars) is frozenset else frozenset(map(tuple, stars))
+        by_row, outside = [], stars
+        if 0 <= rows <= SIZE_LIMIT and 0 <= cols <= SIZE_LIMIT:
+            by_row, outside = [[] for _ in range(rows)], []
+            for i, j in stars:
+                if 0 <= i < rows and 0 <= j < cols:
+                    by_row[i].append(j)
+                else:
+                    outside.append((i, j))
+            for row in by_row:
+                row.sort()
+        vars(self).update(rows=rows, cols=cols, by_row=by_row, outside=frozenset(outside))
 
     @classmethod
     def of_checked_rows(cls, rows: int, cols: int, by_row: list[list[int]]) -> "SparsityPattern":
         """The pattern with these rows, each in range, ascending and without repeats."""
         pat = object.__new__(cls)
-        vars(pat).update(rows=rows, cols=cols, by_row=by_row)
+        vars(pat).update(rows=rows, cols=cols, by_row=by_row, outside=frozenset())
         return pat
 
-    def __getattr__(self, name: str):
-        # Reached only for a view the pattern was not given, built once here:
-        # the stars of a decoded pattern, or the rows of one built in code
-        # (None when a star is out of range, for validate to report).
-        if name == "stars":
-            value = frozenset((i, j) for i, row in enumerate(self.by_row) for j in row)
-        elif name == "by_row":
-            rows, cols = self.rows, self.cols
-            value = [[] for _ in range(rows)]
-            for i, j in self.stars:
-                if not (0 <= i < rows and 0 <= j < cols):
-                    value = None
-                    break
-                value[i].append(j)
-            else:
-                for row in value:
-                    row.sort()
-        else:
-            raise AttributeError(name)
-        vars(self)[name] = value
-        return value
+    @cached_property
+    def stars(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, row in enumerate(self.by_row) for j in row) | self.outside
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.stars))
 
     def to_pairs(self) -> list[list[int]]:
         """Sorted 1-based [row, col] pairs for serialization."""
-        if "stars" in vars(self):  # given or built already, so sorting them is cheapest
+        if self.outside:
             return [[i + 1, j + 1] for i, j in sorted(self.stars)]
         return [[i + 1, j + 1] for i, row in enumerate(self.by_row) for j in row]
 
@@ -230,10 +227,10 @@ class StructuredSystem:
 
     def k_is_complete(self) -> bool:
         """True for the COMPLETE token and for an explicit K whose rows hold
-        m*p stars; False for rows of None (a star out of range)."""
+        m*p stars and that has no star out of range."""
         if isinstance(self.K, CompleteK):
             return True
-        return self.K.by_row is not None and sum(map(len, self.K.by_row)) == self.m * self.p
+        return not self.K.outside and sum(map(len, self.K.by_row)) == self.m * self.p
 
 
 @dataclass(frozen=True)
@@ -278,13 +275,10 @@ def _check_pattern(name: str, pat: SparsityPattern, out: list[str]) -> None:
     if pat.rows < 0 or pat.cols < 0:
         out.append(f"{name}: negative dimensions {pat.rows}x{pat.cols}")
         return
-    if max(pat.rows, pat.cols) > SIZE_LIMIT:  # refused before by_row allocates a list per row
+    if max(pat.rows, pat.cols) > SIZE_LIMIT:
         out.append(f"{name}: dimensions {pat.rows}x{pat.cols} exceed the size limit {SIZE_LIMIT}")
         return
-    if pat.by_row is not None:
-        return
-    bad = [(i, j) for i, j in pat.stars if not (0 <= i < pat.rows and 0 <= j < pat.cols)]
-    for i, j in sorted(bad):
+    for i, j in sorted(pat.outside):
         if not 0 <= i < pat.rows:
             out.append(f"{name}: star ({i + 1}, {j + 1}) row out of range")
         elif not 0 <= j < pat.cols:
@@ -347,28 +341,31 @@ def restrict(system: StructuredSystem, sel: Selection) -> StructuredSystem:
     and produce zero-width patterns.  The result is built as rows: it
     shares A and C's kept rows, and renumbers B's and K's.  Raises
     :class:`ModelError` for a system whose B, C or K has a star out of
-    range, or whose K is not m x p (:func:`validate` reports either).
+    range or a dimension out of bounds, or whose K is not m x p
+    (:func:`validate` reports each).
     """
     _check_selection(system, sel)
     in_keep, out_keep = sel.sorted_inputs(), sel.sorted_outputs()
     complete = isinstance(system.K, CompleteK)
-    b_rows, c_rows = system.B.by_row, system.C.by_row
-    k_rows = None if complete or system.K.cols != system.p else system.K.by_row
-    if b_rows is None or c_rows is None or not complete and (k_rows is None or len(k_rows) != system.m):
+    patterns = (system.B, system.C) if complete else (system.B, system.C, system.K)
+    k_fits = complete or (system.K.rows, system.K.cols) == (system.m, system.p)
+    if not k_fits or any(pat.outside or len(pat.by_row) != pat.rows for pat in patterns):
         raise ModelError("cannot restrict an invalid system")
     in_pos = {orig: k for k, orig in enumerate(in_keep)}
     out_pos = {orig: k for k, orig in enumerate(out_keep)}
     k_new: KPattern = COMPLETE
     if not complete:
         k_new = SparsityPattern.of_checked_rows(
-            len(in_keep), len(out_keep), [[out_pos[j] for j in k_rows[i] if j in out_pos] for i in in_keep]
+            len(in_keep),
+            len(out_keep),
+            [[out_pos[j] for j in system.K.by_row[i] if j in out_pos] for i in in_keep],
         )
     return StructuredSystem(
         A=system.A,
         B=SparsityPattern.of_checked_rows(
-            system.B.rows, len(in_keep), [[in_pos[j] for j in row if j in in_pos] for row in b_rows]
+            system.B.rows, len(in_keep), [[in_pos[j] for j in row if j in in_pos] for row in system.B.by_row]
         ),
-        C=SparsityPattern.of_checked_rows(len(out_keep), system.C.cols, [c_rows[j] for j in out_keep]),
+        C=SparsityPattern.of_checked_rows(len(out_keep), system.C.cols, [system.C.by_row[j] for j in out_keep]),
         K=k_new,
         cost_u=tuple(system.cost_u[i] for i in in_keep),
         cost_y=tuple(system.cost_y[j] for j in out_keep),
@@ -414,8 +411,9 @@ def _pairs(data: dict, field: str, rows: int, cols: int) -> SparsityPattern:
     pair before it.  Only JSON values arrive here, so an entry that unpacks
     into two exact ints is a [row, col] pair.  A list in strictly ascending
     order has sorted rows without repeats; others are sorted, and a repeated
-    pair is one star.  With a pair out of range the pattern keeps its stars
-    instead, for :func:`validate` to report."""
+    pair is one star.  With a pair out of range the pattern is built from
+    its stars instead, which keeps those out of range in ``outside`` for
+    :func:`validate` to report."""
     raw = _require(data, field, list)
     by_row: list[list[int]] = [[] for _ in range(rows + 1)]  # 1-based; row 0 is dropped
     in_range = ascending = True

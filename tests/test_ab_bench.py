@@ -85,6 +85,26 @@ def test_summarize_counts_wins_in_the_better_direction():
     assert (rate["better"], rate["lower"], rate["wins"], rate["verdict"]) == ("higher", 10, 0, "worse")
 
 
+def test_summarize_gives_the_median_ratio_and_its_interval():
+    # head/base ratios 0.5, 0.6, ..., 1.4 in scrambled pair order, and one
+    # pair with a zero base, which gets no ratio
+    scale = [7, 2, 9, 0, 5, 8, 1, 6, 3, 4]
+    runs = [{"base": result(0.01, 1.0), "head": result(0.01 * (0.5 + k / 10), 1.0)} for k in scale]
+    runs.append({"base": result(0.0, 1.0), "head": result(0.003, 1.0)})
+    rows = {row["metric"]: row for row in ab_bench.summarize(runs, SPECS)}
+    p50 = rows["select_p50_s"]
+    assert p50["ratio"] == pytest.approx(0.95)
+    assert p50["interval"] == pytest.approx((0.6, 1.3))  # the 2nd and 9th of 10 ratios
+    assert p50["coverage"] == 1 - 2 * 11 / 2**10 == 0.978515625
+    assert (rows["success_rate"]["ratio"], rows["success_rate"]["interval"]) == (1.0, (1.0, 1.0))
+    # 3 pairs: the median ratio, but no interval
+    three = ab_bench.summarize(runs[:3], SPECS)[0]
+    assert three["ratio"] == pytest.approx(1.2)  # of 1.2, 0.7 and 1.4
+    assert (three["interval"], three["coverage"]) == (None, None)
+    assert ab_bench.ratio_interval([0.0, 0.0], [1.0, 2.0]) == (None, None, None)
+    assert ab_bench.ratio_interval([1.0] * 4, [2.0, 1.0, 4.0, 3.0]) == (2.5, (2.0, 3.0), 0.375)
+
+
 def test_workload_names():
     assert ab_bench.parse_workloads("all") == ["sparse", "wide", "oracle", "chain"]
     assert ab_bench.parse_workloads("chain, sparse,chain") == ["chain", "sparse"]
@@ -136,3 +156,16 @@ def test_refuses_a_base_equal_to_the_working_tree(tmp_path, monkeypatch, capsys)
     assert "error: --base HEAD: the working tree equals it" in capsys.readouterr().err
     (tmp_path / "f").write_text("change\n")
     assert not ab_bench.same_tree("HEAD")
+
+
+def test_prints_the_ratio_interval_from_4_pairs(monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "same_tree", lambda rev: False)
+    monkeypatch.setattr(ab_bench, "export_revision", lambda rev, dest: None)
+    heads = iter([0.004, 0.002, 0.003, 0.005, 0.001])  # head's values, pair by pair; base's are 0.004
+    monkeypatch.setattr(
+        ab_bench, "run_once", lambda tree, workload, seed: result(next(heads) if tree == ab_bench.ROOT else 0.004, 1.0)
+    )
+    for pairs, expected in [(4, "head/base 0.8750 [0.7500, 1.0000] 37.5%"), (1, "head/base 0.2500")]:
+        assert ab_bench.main(["--base", "HEAD", "--workload", "chain", "--pairs", str(pairs)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("select_p50_s")]
+        assert len(lines) == 1 and lines[0].endswith(expected), lines

@@ -17,11 +17,12 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 READERS = SOURCES + sorted(PERFBENCH.glob("*.py"))
 
-# The interpreter or dataclasses call these on every instance by themselves.
-# An operator hook such as __contains__ runs only where some caller uses the
-# operator on an instance, which a scan of names cannot see, so it is not
-# listed here.
-HOOKS = {"__init__", "__new__", "__post_init__", "__getattr__"}
+# The interpreter or dataclasses call these on every instance by themselves,
+# and __hash__ keeps a frozen dataclass with a list field hashable (the
+# dataclass would otherwise hash the list and fail).  An operator hook such
+# as __contains__ runs only where some caller uses the operator on an
+# instance, which a scan of names cannot see, so it is not listed here.
+HOOKS = {"__init__", "__new__", "__post_init__", "__hash__"}
 # The paper's set-cover equivalence: the reverse reduction and its
 # selection-to-cover map are tested as a theorem.
 THEOREM = {"reduce_wsc_to_accessibility", "selection_to_cover"}

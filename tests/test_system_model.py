@@ -151,9 +151,36 @@ class TestSparsityPattern:
 
     def test_rows_of_a_pattern_built_in_code(self):
         assert SparsityPattern(3, 2, {(2, 1), (0, 1), (0, 0)}).by_row == [[0, 1], [], [1]]
-        # a star out of range leaves no rows, and validate reports it
-        assert SparsityPattern(2, 2, {(0, 0), (0, 2)}).by_row is None
-        assert SparsityPattern(2, 2, {(-1, 0)}).by_row is None
+        # a star out of range is kept apart from the rows, and validate reports it
+        assert SparsityPattern(2, 2, {(0, 0), (0, 2)}).outside == {(0, 2)}
+        assert SparsityPattern(2, 2, {(-1, 0)}).outside == {(-1, 0)}
+
+    @given(
+        st.integers(0, 10),
+        st.integers(0, 10),
+        st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=30),
+    )
+    def test_rows_and_outside_split_the_stars_by_range(self, rows, cols, given_stars):
+        # a list, so repeats are given too; the pattern is that of its set
+        stars = set(given_stars)
+        pat = SparsityPattern(rows, cols, given_stars)
+        in_range = {(i, j) for i, j in stars if 0 <= i < rows and 0 <= j < cols}
+        assert len(pat.by_row) == rows and all(row == sorted(set(row)) for row in pat.by_row)
+        assert {(i, j) for i, row in enumerate(pat.by_row) for j in row} == in_range
+        assert pat.outside == stars - in_range
+        assert pat.stars == stars
+        assert pat.to_pairs() == sorted([i + 1, j + 1] for i, j in stars)
+
+    def test_pattern_over_the_size_limit_allocates_no_rows(self, monkeypatch):
+        monkeypatch.setattr(system_model, "SIZE_LIMIT", 8)
+        pat = SparsityPattern(9, 9, {(0, 0)})
+        assert pat.by_row == [] and pat.outside == {(0, 0)}
+        assert pat.stars == {(0, 0)} and pat.to_pairs() == [[1, 1]]
+        # with no row list to restrict, restrict refuses the system, stars or none
+        for b_stars in ([(1, 1)], []):
+            system = make_system(9, 1, 1, [], b_stars, [])
+            with pytest.raises(ModelError, match="cannot restrict an invalid system"):
+                restrict(system, Selection.full(system))
 
     def test_zero_sized_patterns_are_legal(self):
         assert SparsityPattern(0, 4).stars == frozenset()
@@ -272,8 +299,8 @@ class TestSelectionAndRestrict:
             restrict(demo, Selection.of([], [2]))
 
     def test_restrict_refuses_invalid_system(self, demo):
-        # a star out of range leaves a pattern no rows to restrict, and a K
-        # that is not m x p none to select from
+        # a star out of range has no row to restrict, and a K that is not
+        # m x p no block to select
         for bad in (
             StructuredSystem(demo.A, SparsityPattern(4, 3, {(0, 5)}), demo.C, COMPLETE, demo.cost_u, demo.cost_y),
             StructuredSystem(demo.A, demo.B, SparsityPattern(2, 4, {(2, 0)}), COMPLETE, demo.cost_u, demo.cost_y),
@@ -318,10 +345,12 @@ class TestDual:
             cost_u=demo.cost_u, cost_y=demo.cost_y,
         )
         assert explicit.k_is_complete()
-        # m*p stars, one out of range: K's rows are None, so K is not complete
+        # m*p stars, one out of range: K keeps it in outside, so K is not complete
         stars = {(i, j) for i in range(3) for j in range(2)} - {(2, 1)} | {(5, 0)}
         invalid = StructuredSystem(demo.A, demo.B, demo.C, SparsityPattern(3, 2, stars), demo.cost_u, demo.cost_y)
-        assert invalid.K.by_row is None and not invalid.k_is_complete()
+        assert invalid.K.outside == {(5, 0)} and not invalid.k_is_complete()
+        with pytest.raises(ModelError, match="cannot restrict an invalid system"):
+            restrict(invalid, Selection.full(invalid))
 
 
 # JSON values that are not [row, col] integer pairs
@@ -470,7 +499,7 @@ class TestJson:
             f"{name}: dimensions {dims} exceed the size limit 8"
             for name, dims in (("A", "9x9"), ("B", "9x1"), ("C", "1x9"))
         )
-        assert [name for name in "ABC" if "by_row" in vars(getattr(system, name))] == []
+        assert [getattr(system, name).by_row for name in "ABC"] == [[], [], []]
 
     @given(systems(), st.randoms(use_true_random=False))
     def test_shuffled_repeated_pairs_decode_alike(self, system, rng):
