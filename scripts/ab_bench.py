@@ -45,7 +45,15 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 SIDES = ("base", "head")
-WORKLOADS = ("sparse", "wide", "oracle", "chain")  # perfbench/workloads.py's, in its order
+
+
+def read_benchmark(path: str = BENCHMARK) -> dict:
+    """``BENCHMARK.json``, which this script only reads."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+WORKLOADS = tuple(w["name"] for w in read_benchmark()["workloads"])  # in BENCHMARK.json's order
 
 
 def export_revision(rev: str, dest: str) -> None:
@@ -93,8 +101,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def end_to_end_specs(path: str = BENCHMARK) -> dict[str, dict]:
     """The benchmark's end-to-end metrics by name, each with its ``better``
     (``lower`` or ``higher``) and its ``bound``, a share of the base median."""
-    with open(path, encoding="utf-8") as fh:
-        return {spec["name"]: spec for spec in json.load(fh)["end_to_end"]}
+    return {spec["name"]: spec for spec in read_benchmark(path)["end_to_end"]}
 
 
 def wins(base: list[float], head: list[float], better: str) -> int:
@@ -198,7 +205,7 @@ def run_pairs(trees: dict[str, str], workload: str, pairs: int, seed0: int) -> l
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", required=True, help="sparse, wide, oracle or chain; several joined by commas; or all")
+    parser.add_argument("--workload", required=True, help=f"one of {', '.join(WORKLOADS)}; several joined by commas; or all")
     parser.add_argument("--pairs", type=int, required=True, help="number of base/head pairs per workload")
     parser.add_argument("--seed0", type=int, default=101, help="seed of the first pair; pair k uses seed0 + k (default 101)")
     args = parser.parse_args(argv)

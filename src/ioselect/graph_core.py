@@ -255,19 +255,21 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
                 break
 
 
-def _tarjan(num_vertices: int, successors) -> list[list[int]]:
-    """Iterative Tarjan; components returned in reverse topological order.
+def _tarjan(num_vertices: int, successors) -> tuple[list[list[int]], list[int]]:
+    """Iterative Tarjan: the SCCs, each ascending and numbered by its
+    smallest vertex, and each vertex's SCC number.
 
     ``successors[v]`` is any iterable of v's successors.  Each frame of
     ``work`` holds a vertex and the iterator over its successors, so the
     scan of a vertex resumes where its last child returned; ``index[v]`` is
-    0 until v is visited.
+    0 until v is visited, and ``done[v]`` is -1 until v's SCC is popped,
+    then the SCC's root, so a visited w is on the stack exactly while
+    ``done[w] < 0``.
     """
     index = [0] * num_vertices
     low = [0] * num_vertices
-    on_stack = [False] * num_vertices
+    done = [-1] * num_vertices
     stack: list[int] = []
-    comps: list[list[int]] = []
     counter = 1
 
     for root in range(num_vertices):
@@ -276,7 +278,6 @@ def _tarjan(num_vertices: int, successors) -> list[list[int]]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
         work = [(root, iter(successors[root]))]
         while work:
             v, succ = work[-1]
@@ -285,27 +286,36 @@ def _tarjan(num_vertices: int, successors) -> list[list[int]]:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
                     work.append((w, iter(successors[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if done[w] < 0 and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
                 if low[v] == index[v]:
-                    comp = []
                     while True:
                         w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
+                        done[w] = v
                         if w == v:
                             break
-                    comps.append(comp)
                 if work:
                     parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-    return comps
+
+    # bucket the vertices in ascending order: an SCC is numbered when its
+    # smallest vertex is met, its members come ascending, and done[v]
+    # becomes v's SCC number
+    number = [-1] * num_vertices
+    comps: list[list[int]] = []
+    for v, label in enumerate(done):
+        ci = number[label]
+        if ci < 0:
+            ci = number[label] = len(comps)
+            comps.append([])
+        comps[ci].append(v)
+        done[v] = ci
+    return comps, done
 
 
 @dataclass(frozen=True)
@@ -338,12 +348,7 @@ def decompose_sccs(g: SystemGraph) -> SccDecomposition:
     """SCCs of D(A), found on its transpose (the state rows); each
     condensation edge points the way of D(A)'s edges."""
     rows = g.state_rows
-    raw = _tarjan(g.n, rows)
-    comps = sorted((tuple(sorted(c)) for c in raw), key=lambda c: c[0])
-    comp_of = [0] * g.n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    comps, comp_of = _tarjan(g.n, rows)
     dag = frozenset(
         (comp_of[s], comp_of[d])
         for d, row in enumerate(rows)
@@ -355,7 +360,7 @@ def decompose_sccs(g: SystemGraph) -> SccDecomposition:
     non_top = tuple(ci for ci in range(len(comps)) if ci not in has_in)
     non_bottom = tuple(ci for ci in range(len(comps)) if ci not in has_out)
     return SccDecomposition(
-        components=tuple(comps),
+        components=tuple(map(tuple, comps)),
         component_of=tuple(comp_of),
         dag_edges=dag,
         non_top=non_top,
@@ -400,8 +405,9 @@ def restricted_rows(g: SystemGraph, sel: Optional[Selection]) -> tuple[list[bool
 def _feedback_sccs(
     g: SystemGraph, sel: Selection
 ) -> tuple[list[list[int]], list[int], dict[int, tuple[int, int]]]:
-    """SCCs of the system digraph restricted to ``sel``, each vertex's SCC,
-    and per SCC its smallest feedback edge (SCCs without one are absent).
+    """SCCs of the system digraph restricted to ``sel`` as :func:`_tarjan`
+    gives them, each vertex's SCC, and per SCC its smallest feedback edge
+    (SCCs without one are absent).
 
     The SCCs are found on :func:`restricted_rows`, the transpose of the
     restricted system digraph, every vertex keeping its id in ``g``.
@@ -413,11 +419,7 @@ def _feedback_sccs(
     """
     n, out0, hub = g.n, g.n + g.m, g.size
     rows = restricted_rows(g, sel)[1]
-    comps = _tarjan(len(rows), rows)
-    comp_of = [0] * len(rows)
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    comps, comp_of = _tarjan(len(rows), rows)
     k_edge_of: dict[int, tuple[int, int]] = {}
     for edge in g.ek:
         ci = comp_of[edge[0]]
@@ -458,7 +460,7 @@ def condition_a_witness(g: SystemGraph, sel: Selection) -> dict[str, dict[str, o
     for v in range(n):
         ci = comp_of[v]
         if ci not in members:
-            members[ci] = [name(w) for w in sorted(comps[ci]) if w < g.size]
+            members[ci] = [name(w) for w in comps[ci] if w < g.size]
         edge = k_edge_of.get(ci)
         witness[name(v)] = {
             "scc": members[ci],

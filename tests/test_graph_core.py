@@ -169,23 +169,21 @@ def successor_rows(draw, max_n=12):
 
 class TestTarjan:
     @given(successor_rows())
-    def test_partition_and_reverse_topological_order(self, rows):
-        comps = _tarjan(len(rows), rows)
+    def test_components_are_networkx_sccs_numbered_by_smallest_vertex(self, rows):
+        comps, comp_of = _tarjan(len(rows), rows)
         g = nx.DiGraph((v, w) for v, row in enumerate(rows) for w in row)
         g.add_nodes_from(range(len(rows)))
-        assert sorted(map(sorted, comps)) == sorted(map(sorted, nx.strongly_connected_components(g)))
-        # a component is emitted only after every component it reaches
-        pos = {v: ci for ci, comp in enumerate(comps) for v in comp}
-        for v, w in g.edges:
-            assert pos[v] >= pos[w]
+        # equal to networkx's SCCs, each ascending, ordered by smallest vertex
+        assert comps == sorted(sorted(c) for c in nx.strongly_connected_components(g))
+        assert comp_of == [ci for v in range(len(rows)) for ci, comp in enumerate(comps) if v in comp]
 
     def test_long_cycle_and_path_at_default_recursion_limit(self):
         n = 50_000
         limit = sys.getrecursionlimit()
-        cycle = _tarjan(n, [[(v + 1) % n] for v in range(n)])
-        assert [sorted(c) for c in cycle] == [list(range(n))]
-        path = _tarjan(n, [[v + 1] for v in range(n - 1)] + [()])
-        assert path == [[v] for v in reversed(range(n))]
+        comps, comp_of = _tarjan(n, [[(v + 1) % n] for v in range(n)])
+        assert comps == [list(range(n))] and comp_of == [0] * n
+        comps, comp_of = _tarjan(n, [[v + 1] for v in range(n - 1)] + [()])
+        assert comps == [[v] for v in range(n)] and comp_of == list(range(n))
         assert sys.getrecursionlimit() == limit
 
 
