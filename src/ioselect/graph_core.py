@@ -11,10 +11,10 @@ with an edge (v', w) for each edge w -> v of D(A, B, C, K), and the edges
 
 Both are stored once, as :class:`SystemGraph`: the pattern rows
 themselves.  Row v' of B(A, B, C, K), v's in-neighbours in D(A, B, C, K),
-is joined from them on first read (``SystemGraph.adj``), which only
-:func:`restricted_rows` and the dumps do; the restricted graph's rows, read
-by the SCC pass of a selection, the partial-K matching and the Hall
-witness, are built there alone.
+is joined from them by :func:`restricted_rows` alone, for a selection or
+for the full system, on each call and never cached; the SCC pass of a
+selection, the partial-K matching, the Hall witness and the system dump
+read it there.
 A's rows are the successor lists of the transpose of D(A), which has
 D(A)'s SCCs, so the SCCs are found on A's rows themselves.
 
@@ -93,24 +93,10 @@ class SystemGraph:
         return vertex_name(v, self.n, self.m)
 
     @cached_property
-    def adj(self) -> tuple[list[int], ...]:
-        """Row v' of B(A, B, C, K), joined on first read: v's in-neighbours
-        but the hub, ascending, then an input's or output's own id (v', v).
-        The hub's rows and a selection's mask are added by
-        :func:`restricted_rows` alone."""
-        n, out0 = self.n, self.n + self.m
-        adj = [a + [n + j for j in b] if b else a[:] for a, b in zip(self.state_rows, self.b_rows)]
-        if self.hub:
-            adj += [[v] for v in range(n, out0)]
-        else:
-            adj += [[out0 + j for j in row] + [n + i] for i, row in enumerate(self.k_rows)]
-        adj += [row + [out0 + j] for j, row in enumerate(self.c_rows)]
-        return tuple(adj)
-
-    @cached_property
     def state_cols(self) -> list[list[int]]:
         """The transpose of the state rows and B's rows: the x'_v whose row
-        holds each state, then each input, ascending; shared like ``adj``."""
+        holds each state, then each input, ascending; shared, and callers
+        must not mutate it."""
         n = self.n
         cols: list[list[int]] = [[] for _ in range(n + self.m)]
         for v, (a, b) in enumerate(zip(self.state_rows, self.b_rows)):
@@ -124,7 +110,7 @@ class SystemGraph:
     def rows_to_states(self) -> list[list[int]]:
         """Side 1's neighbour lists, with a hub: each left vertex's states,
         so the state rows, none for an input and C's row for an output;
-        shared like ``adj``."""
+        shared, and callers must not mutate it."""
         return self.state_rows + [[] for _ in range(self.m)] + self.c_rows
 
     @cached_property
@@ -371,7 +357,13 @@ def decompose_sccs(g: SystemGraph) -> SccDecomposition:
 def restricted_rows(g: SystemGraph, sel: Optional[Selection]) -> tuple[list[bool], list[list[int]]]:
     """B(A, B, C, K) restricted to ``sel``, under the full system's ids:
     per vertex id 0..size (the hub's last), whether ``sel`` keeps it, and
-    the rows, all of them without ``sel``.
+    the rows, all of them without ``sel``, joined from the pattern rows on
+    each call.
+
+    Row v' lists v's in-neighbours in D(A, B, C, K): a state's row is its A
+    row, then its B row's inputs; a kept input's row is its K row's
+    outputs, or with a hub the hub alone; a kept output's row is its C row.
+    Every input's and output's row ends with its own id, the edge (v', v).
 
     Each unselected input or output keeps only its own edge.  As an edge of
     D(A, B, C, K) read off row v (v's in-neighbours) it is a self-loop, so
@@ -382,7 +374,7 @@ def restricted_rows(g: SystemGraph, sel: Optional[Selection]) -> tuple[list[bool
     restricted one has, and every largest matching of the restricted graph
     grows into one of this graph by the unselected vertices' own edges.
 
-    With a hub the rows hold it as vertex ``size``: it ends each selected
+    With a hub the rows hold it as vertex ``size``: it leads each selected
     input's row, and its own row lists the selected outputs, so y_j -> h ->
     u_i for each selected pair, as K's stars would run.
     """
@@ -393,11 +385,13 @@ def restricted_rows(g: SystemGraph, sel: Optional[Selection]) -> tuple[list[bool
             keep[n + i] = i in sel.inputs
         for j in range(g.p):
             keep[out0 + j] = j in sel.outputs
-    rows = [row if keep[v] else [v] for v, row in enumerate(g.adj)]
+    rows = [a + [n + j for j in b] if b else a for a, b in zip(g.state_rows, g.b_rows)]
     if g.hub:
-        for u in range(n, out0):
-            if keep[u]:
-                rows[u] = rows[u] + [size]
+        rows += [[size, u] if keep[u] else [u] for u in range(n, out0)]
+    else:
+        rows += [[out0 + j for j in k] + [u] if keep[u] else [u] for u, k in enumerate(g.k_rows, n)]
+    rows += [c + [y] if keep[y] else [y] for y, c in enumerate(g.c_rows, out0)]
+    if g.hub:
         rows.append([y for y in range(out0, size) if keep[y]])
     return keep, rows
 
@@ -472,23 +466,25 @@ def condition_a_witness(g: SystemGraph, sel: Selection) -> dict[str, dict[str, o
 def dump_system_digraph(g: SystemGraph, sel: Optional[Selection] = None) -> str:
     """One edge per line: ``src dst class`` with 1-based x/u/y labels.
 
-    Each edge s -> d is read off row d, without the own id that ends an
-    input's or output's row, and classed by the id ranges of its end points
-    as :meth:`SystemGraph.edge` classes (d', s).  A hub is printed as the
+    Each edge s -> d is read off row d of :func:`restricted_rows`, without
+    the own id that ends an input's or output's row and without the hub,
+    and classed by the id ranges of its end points as
+    :meth:`SystemGraph.edge` classes (d', s).  A hub is printed as the
     feedback edges it stands for, one per output/input pair, so the dump
     always lists D(A, B, C, K) itself.  With ``sel``, only the edges among
     the states and the selected inputs and outputs are listed, under their
     labels in the full system.
     """
-    n, m, out0 = g.n, g.m, g.n + g.m
-    keep = restricted_rows(g, sel)[0]
+    n, m, out0, size = g.n, g.m, g.n + g.m, g.size
+    keep, rows = restricted_rows(g, sel)
     edges = [
         (s, d, g.edge(d, s)[0])
-        for d, row in enumerate(g.adj)
+        for d, row in zip(range(size), rows)
         for s in (row if d < n else row[:-1])
+        if s < size
     ]
     if g.hub:
-        edges += [(y, u, EDGE_EK) for y in range(out0, g.size) for u in range(n, out0)]
+        edges += [(y, u, EDGE_EK) for y in range(out0, size) for u in range(n, out0)]
     lines = [
         f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}"
         for s, d, cls in sorted(edges)

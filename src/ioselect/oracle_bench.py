@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -38,6 +37,7 @@ from ioselect.selector import (
     detect_special_case,
     select_min_cost_io,
     sfm_witness,
+    timed,
 )
 from ioselect.set_cover import TooLarge
 from ioselect.system_model import (
@@ -342,13 +342,13 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
         return replace(rec, error=str(exc))
 
     report = error = None
-    t0 = time.perf_counter()  # the compile is part of select's time
-    compiled = compile_system(system)
-    try:
-        report = select_min_cost_io(compiled)
-    except ModelError as exc:
-        error = str(exc)
-    timings = {"select": time.perf_counter() - t0}
+    timings: dict[str, float] = {}
+    with timed(timings, "select"):  # the compile is part of select's time
+        compiled = compile_system(system)
+        try:
+            report = select_min_cost_io(compiled)
+        except ModelError as exc:
+            error = str(exc)
     mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)
     rec = replace(
         rec,
@@ -365,9 +365,8 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     rec = replace(rec, algo_cost=report.total_cost, feasible=True, timings=timings)
 
     if oracle and system.m + system.p <= EXACT_GUARD_IO:
-        t0 = time.perf_counter()
-        _sel, p_star = exact_select(compiled)
-        timings["oracle"] = time.perf_counter() - t0
+        with timed(timings, "oracle"):
+            _sel, p_star = exact_select(compiled)
         ratio, flagged = approximation_ratio(report.total_cost, p_star)
         rec = replace(rec, oracle_cost=p_star, ratio=ratio, ratio_flagged=flagged)
     return rec

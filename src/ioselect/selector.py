@@ -103,9 +103,10 @@ class CompiledSystem:
     decided on.
 
     :func:`compile_system` builds it once: the one stored system graph
-    (the pattern rows, from which the rows of B(A, B, C, K), the
-    in-neighbour lists of D(A, B, C, K), are joined on first read), the
-    SCCs of D(A), found on its transpose, and
+    (the pattern rows, from which
+    :func:`ioselect.graph_core.restricted_rows` joins the rows of
+    B(A, B, C, K), the in-neighbour lists of D(A, B, C, K), on each call
+    that needs them), the SCCs of D(A), found on its transpose, and
     ``covers``, the accessibility and the sensability set-cover instances
     (:func:`ioselect.set_cover.cover_instances`), each set also as a
     bitmask.  A selection is decided and witnessed on these structures with

@@ -28,7 +28,7 @@ import oracles
 from conftest import make_system
 from ioselect import selector as selector_mod
 from ioselect.certify import certify_cycle_cover
-from ioselect.graph_core import _hopcroft_karp
+from ioselect.graph_core import _hopcroft_karp, restricted_rows
 from ioselect.matching import NoPerfectMatching, extract_io, min_cost_perfect_matching
 from ioselect.selector import (
     SystemHasSFMs,
@@ -168,7 +168,7 @@ class TestCertifier:
             except NoPerfectMatching:
                 return
         else:
-            partners = _hopcroft_karp(list(g.adj))[0]
+            partners = _hopcroft_karp(restricted_rows(g, None)[1])[0]
             if -1 in partners:
                 return
         sel, _cost = extract_io(g, partners)

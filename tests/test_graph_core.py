@@ -16,6 +16,7 @@ from ioselect.graph_core import (
     decompose_sccs,
     dump_condensation,
     dump_system_digraph,
+    restricted_rows,
     vertex_name,
 )
 from ioselect.selector import compile_system
@@ -65,32 +66,64 @@ class TestBuildGraphs:
         assert (g.n, g.size) == (4, 9)
         # row v lists v's in-neighbours: A_ij star means x_j -> x_i, B_ij
         # u_j -> x_i, C_ij x_j -> y_i; an input's or output's own id ends it
-        assert g.adj == (
+        rows = restricted_rows(g, None)[1]
+        assert [[v for v in row if v != g.size] for row in rows[: g.size]] == [
             [0, 1, 4, 6], [1, 5, 6], [0, 1, 3, 4, 5], [3, 6],
             [4], [5], [6],
             [2, 7], [0, 8],
-        )
+        ]
         assert g.state_rows == [[0, 1], [1], [0, 1, 3], [3]]
         assert g.state_rows is g.state_rows  # sliced once per graph
         # the complete K is the hub 9: y1, y2 -> hub -> u1, u2, u3
         assert g.hub and g.ek == []
+        assert rows[4:] == [[9, 4], [9, 5], [9, 6], [2, 7], [0, 8], [7, 8]]
 
     def test_partial_k_keeps_its_stars(self, demo):
         partial = replace(demo, K=SparsityPattern(3, 2, frozenset({(0, 1), (2, 0)})))
         g = build_bipartite(partial)
         assert not g.hub
-        assert g.adj[4:7] == ([8, 4], [5], [7, 6])
+        assert restricted_rows(g, None)[1][4:7] == [[8, 4], [5], [7, 6]]
         assert sorted(g.ek) == [(7, 6), (8, 4)]
 
     def test_successor_tables_sorted(self, demo):
         # the rows, less an input's or output's own id, are sorted in-neighbour lists
         g = build_bipartite(demo)
-        for v, row in enumerate(g.adj):
+        rows = [[v for v in row if v != g.size] for row in restricted_rows(g, None)[1][: g.size]]
+        for v, row in enumerate(rows):
             body = row if v < g.n else row[:-1]
             assert body == sorted(body)
             assert v < g.n or row[-1] == v
         stars = len(demo.A.stars) + len(demo.B.stars) + len(demo.C.stars)
-        assert sum(map(len, g.adj)) == stars + g.m + g.p
+        assert sum(map(len, rows)) == stars + g.m + g.p
+
+    @given(varied_systems_with_selection())
+    def test_restricted_rows_are_the_in_neighbours(self, case):
+        # each row is checked against D(A, B, C, K) built straight from the
+        # stars: a state's row, or a kept channel's row less its own id, is
+        # its in-neighbours, ascending, with the hub standing for a complete
+        # K; an unselected channel keeps only its own id
+        system, sel = case
+        g = build_bipartite(system)
+        n, out0, size = g.n, g.n + g.m, g.size
+        into: list[list[int]] = [[] for _ in range(size)]
+        for s, d in oracles.system_edges(system):
+            if not (g.hub and n <= d < out0):
+                into[d].append(s)
+        if g.hub:
+            for u in range(n, out0):
+                into[u].append(size)
+        full = Selection.full(system) if sel is None else sel
+        kept = [True] * n + [i in full.inputs for i in range(g.m)] + [j in full.outputs for j in range(g.p)]
+        keep, rows = restricted_rows(g, sel)
+        assert keep == kept + [True]
+        assert len(rows) == size + g.hub
+        for v in range(size):
+            if v < n:
+                assert rows[v] == sorted(into[v])
+            else:
+                assert rows[v] == (sorted(into[v]) + [v] if kept[v] else [v])
+        if g.hub:
+            assert rows[size] == [y for y in range(out0, size) if kept[y]]
 
 
 class TestScc:

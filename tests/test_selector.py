@@ -758,9 +758,10 @@ class TestBuildOnce:
         assert rep.compiled.graph.state_rows is system.A.by_row
 
     @pytest.mark.parametrize("seed", [101, 102])
-    def test_feasible_select_never_joins_the_rows(self, demo, seed):
+    def test_feasible_select_never_joins_the_rows(self, monkeypatch, demo, seed):
         # a feasible select with a complete K reads the pattern rows, never
-        # B(A, B, C, K)'s joined rows; a dump joins them on first read
+        # B(A, B, C, K)'s joined rows; the SCC witness of a trace and a dump
+        # join them
         from ioselect.graph_core import dump_system_digraph
         from ioselect.oracle_bench import GeneratorConfig, generate
 
@@ -770,12 +771,16 @@ class TestBuildOnce:
                 output_density=0.2, cost_range=("1", "99"), seed=seed,
             )
         )
+        name = "graph_core.restricted_rows"
+        counts = wrap_counting(monkeypatch, [name])
         for system in (demo, sparse):
             rep = select_min_cost_io(system)
             report_to_json(rep)
-            assert "adj" not in vars(rep.compiled.graph)
+            assert counts[name] == 0
+        report_to_json(rep, include_traces=True)
+        assert counts[name] == 1
         dump_system_digraph(rep.compiled.graph)
-        assert "adj" in vars(rep.compiled.graph)
+        assert counts[name] == 2
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_failed_search_marks_stay_dead(self, monkeypatch, n):
