@@ -151,7 +151,7 @@ def _cmd_check(args) -> int:
     system = _read_system(args.instance, args.discrete)
     compiled = selector.compile_system(system)  # validates before the flags are read
     sel = _selection_from_flags(system, args)  # checks the index ranges
-    status = compiled.status(sel)
+    status, witness = compiled.decide(sel)
     doc = {
         "no_sfm": status.ok,
         "reason": status.value,
@@ -159,7 +159,7 @@ def _cmd_check(args) -> int:
         "selection": selector.selection_to_json(sel),
     }
     if not status.ok:
-        doc["witness"] = selector.sfm_witness(compiled, status, sel)
+        doc["witness"] = witness
     if args.dump_graph:
         graph = dump_system_digraph(compiled.graph, sel)
         with _opened(args.dump_graph) as fh:

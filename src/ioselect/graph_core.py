@@ -427,16 +427,24 @@ def _feedback_sccs(
     return comps, comp_of, k_edge_of
 
 
+def unfed_states(g: SystemGraph, sel: Selection) -> list[int]:
+    """The states, ascending, whose SCC of the system digraph restricted to
+    ``sel`` holds no feedback edge: condition (a)'s Type-1 states, from one
+    SCC pass (:func:`_feedback_sccs`)."""
+    _comps, comp_of, k_edge_of = _feedback_sccs(g, sel)
+    return [v for v in range(g.n) if comp_of[v] not in k_edge_of]
+
+
 def condition_a_holds(g: SystemGraph, sel: Selection) -> bool:
     """True iff every state lies in an SCC of the system digraph restricted
-    to ``sel`` that contains at least one feedback edge.
+    to ``sel`` that contains at least one feedback edge: iff no state is
+    unfed (:func:`unfed_states`).
 
     With a complete K this is: every state's SCC contains the hub vertex.
     For a selection with at least one input and one output that is the same
     as accessibility plus sensability.
     """
-    _comps, comp_of, k_edge_of = _feedback_sccs(g, sel)
-    return all(comp_of[v] in k_edge_of for v in range(g.n))
+    return not unfed_states(g, sel)
 
 
 def condition_a_witness(g: SystemGraph, sel: Selection) -> dict[str, dict[str, object]]:

@@ -59,15 +59,16 @@ from ioselect.system_model import (
 
 # No code here pops a heap.  perfbench/tracer.py replaces this name to count
 # heap pops, so the name stays until the tracer reads an in-package recorder
-# (ROADMAP item 1); its count reads 0.
+# (ROADMAP item 1b); its count reads 0.
 
 
 class NoPerfectMatching(ModelError):
     """Condition b) is unsatisfiable: some states cannot be put on disjoint cycles.
 
     Carries a Hall witness: a left vertex set whose neighborhood is smaller
-    than itself, given as vertex ids of ``g`` (:func:`hall_indices`) and
-    kept as their labels.
+    than itself, given as vertex ids of ``g`` (the Dulmage-Mendelsohn set
+    of :func:`_hall`, as :func:`hall_set` and
+    :func:`min_cost_perfect_matching` find it) and kept as their labels.
     """
 
     def __init__(self, g: SystemGraph, left: Iterable[int], right: Iterable[int]):
@@ -236,22 +237,20 @@ def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> boo
     return -1 not in _largest(g, sel)
 
 
-def hall_indices(
-    g: SystemGraph, sel: Optional[Selection] = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex ids of a deficient left set and its (strictly smaller)
-    neighborhood; with ``sel``, in the graph of the system restricted to
-    ``sel``, under the ids of ``g``.
-
-    The witness is the Dulmage-Mendelsohn set (:func:`_hall`) of the
-    largest matching of :func:`_largest`.  Raises if the graph has a
-    perfect matching.
+def hall_set(g: SystemGraph, sel: Optional[Selection] = None) -> Optional[NoPerfectMatching]:
+    """None when the graph restricted to ``sel`` (all of it without ``sel``)
+    has a perfect matching; otherwise the :class:`NoPerfectMatching` of the
+    one largest matching :func:`_largest` found, whose Dulmage-Mendelsohn
+    set (:func:`_hall`) is its Hall witness, under the ids of ``g``.  The
+    restricted rows are joined at most once, and a partial K's
+    Hopcroft-Karp reads the same rows.  Callers range-check ``sel``.
     """
-    keep, rows = restricted_rows(g, sel)
-    match_l = _largest(g, sel, rows=rows)
+    restricted = None if g.hub else restricted_rows(g, sel)  # a hub's sides read no rows
+    match_l = _largest(g, sel, rows=restricted[1] if restricted else None)
     if -1 not in match_l:
-        raise ModelError("graph has a perfect matching; no Hall witness exists")
-    return _hall(g, keep, rows, match_l)
+        return None
+    keep, rows = restricted or restricted_rows(g, sel)
+    return NoPerfectMatching(g, *_hall(g, keep, rows, match_l))
 
 
 def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:

@@ -36,7 +36,6 @@ from ioselect.selector import (
     compile_system,
     detect_special_case,
     select_min_cost_io,
-    sfm_witness,
     timed,
 )
 from ioselect.set_cover import TooLarge
@@ -246,7 +245,7 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     :class:`ModelError` of :func:`~ioselect.selector.select_min_cost_io`.
     A full selection with structurally fixed modes raises
     :class:`SystemHasSFMs`, with the witness of
-    :func:`~ioselect.selector.sfm_witness`.
+    :meth:`~ioselect.selector.CompiledSystem.decide`.
 
     With a complete K, and the full selection qualifying, (I, J) qualifies
     exactly when (I, all outputs) and (all inputs, J) do: condition (a)
@@ -275,10 +274,10 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
             if qualifies(key):
                 return key
         # nothing qualifies: the full selection's fixed modes, or a defect where it has none
-        status = compiled.status(Selection.full(system))
+        status, witness = compiled.decide(Selection.full(system))
         if status.ok:
             raise InvariantViolated("no selection qualifies, yet the full selection does")
-        raise SystemHasSFMs(status, sfm_witness(compiled, status))
+        raise SystemHasSFMs(status, witness)
 
     sides = [[(0, ())], [(0, ())]]  # each side's subsets with their costs
     for subs, costs in zip(sides, (system.cost_u, system.cost_y)):

@@ -48,6 +48,7 @@ from ioselect.graph_core import (
     condition_a_holds,
     condition_a_witness,
     decompose_sccs,
+    unfed_states,
 )
 from ioselect.set_cover import (
     Cover,
@@ -143,16 +144,31 @@ class CompiledSystem:
         return matching_mod.has_perfect_matching(self.graph, sel)
 
     def no_sfm(self, sel: Selection) -> bool:
-        """``status(sel).ok``, without condition (b) when (a) fails."""
+        """``decide(sel)[0].ok``, without condition (b) when (a) fails and
+        without a witness."""
         if not self.condition_a(sel):
             return False
         return self.system.mode == "discrete" or self.condition_b(sel)
 
-    def status(self, sel: Selection) -> SfmStatus:
-        """Classify the selection: continuous mode tests both conditions,
-        discrete mode only condition (a), so Type-2 is never reported there."""
-        cond_a = self.condition_a(sel)
-        return _classify(cond_a, self.system.mode == "discrete" or self.condition_b(sel))
+    def decide(self, sel: Selection) -> tuple[SfmStatus, dict]:
+        """Classify the selection, and witness each condition that fails
+        off the pass that decided it (:func:`_witness`): continuous mode
+        decides both conditions, discrete mode only condition (a), so
+        Type-2 is never reported there.
+
+        With a complete K the cover masks decide condition (a), and only
+        when they fail does one SCC pass
+        (:func:`ioselect.graph_core.unfed_states`) name its states; with a
+        partial K that one pass decides and names them.  Condition (b) is
+        one largest matching, whose Hall set is read off it when it is not
+        perfect (:func:`ioselect.matching.hall_set`).  Raises IndexError on
+        an index out of range.
+        """
+        _check_selection(self.system, sel)
+        g = self.graph
+        unfed = [] if g.hub and self.condition_a(sel) else unfed_states(g, sel)
+        hall = matching_mod.hall_set(g, sel) if self.system.mode == "continuous" else None
+        return _classify(not unfed, hall is None), _witness(g, unfed, hall)
 
 
 def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
@@ -163,6 +179,19 @@ def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
     if cond_b:
         return SfmStatus.TYPE1
     return SfmStatus.BOTH
+
+
+def _witness(g: SystemGraph, unfed: list[int], hall: Optional[matching_mod.NoPerfectMatching]) -> dict:
+    """Machine-checkable evidence for a failed SFM check, under the full
+    system's labels: the states outside any feedback-carrying SCC
+    (``type1_states``, from :func:`ioselect.graph_core.unfed_states`) and
+    the Hall violator of a failed largest matching (``hall_violator``)."""
+    witness: dict = {}
+    if unfed:
+        witness["type1_states"] = [g.right_name(v) for v in unfed]
+    if hall is not None:
+        witness["hall_violator"] = {"left": list(hall.left_labels), "neighbors": list(hall.right_labels)}
+    return witness
 
 
 @contextlib.contextmanager
@@ -198,9 +227,9 @@ def check_no_sfm(
     system: Union[StructuredSystem, CompiledSystem], sel: Selection
 ) -> SfmStatus:
     """Classify the system under the given selection (see
-    :meth:`CompiledSystem.status`), compiling it if need be.  Raises
+    :meth:`CompiledSystem.decide`), compiling it if need be.  Raises
     IndexError on an index out of range."""
-    return compile_system(system).status(sel)
+    return compile_system(system).decide(sel)[0]
 
 
 CASE_DISCRETE = "discrete"
@@ -280,37 +309,6 @@ class SelectionReport:
         return condition_a_witness(self.compiled.graph, self.selection)
 
 
-def sfm_witness(
-    compiled: CompiledSystem, status: SfmStatus, sel: Optional[Selection] = None,
-    hall: Optional[matching_mod.NoPerfectMatching] = None,
-) -> dict:
-    """Machine-checkable evidence for a failed SFM check: the states outside
-    any feedback-carrying SCC (Type-1) and a Hall violator (Type-2).
-
-    Both are read off the compiled graph restricted to ``sel``
-    (:func:`ioselect.graph_core.restricted_rows`), so labels use the full
-    system's indices.  The
-    :class:`~ioselect.matching.NoPerfectMatching` of a failed stage 3 of
-    ``sel``, given as ``hall``, already carries the Hall violator.  Raises
-    IndexError on an index out of range.
-    """
-    system = compiled.system
-    if sel is None:
-        sel = Selection.full(system)
-    _check_selection(system, sel)
-    witness: dict = {}
-    if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
-        cert = condition_a_witness(compiled.graph, sel)
-        witness["type1_states"] = [
-            label for label, info in cert.items() if info["feedback_edge"] is None
-        ]
-    if status in (SfmStatus.TYPE2, SfmStatus.BOTH) and system.mode == "continuous":
-        if hall is None:
-            hall = matching_mod.NoPerfectMatching(compiled.graph, *matching_mod.hall_indices(compiled.graph, sel))
-        witness["hall_violator"] = {"left": list(hall.left_labels), "neighbors": list(hall.right_labels)}
-    return witness
-
-
 def select_min_cost_io(
     system: Union[StructuredSystem, CompiledSystem], exact_covers: bool = False
 ) -> SelectionReport:
@@ -373,8 +371,9 @@ def select_min_cost_io(
             else:
                 selection, cycle_cost = matching_mod.extract_io(graph, match_result)
     status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
-    if not status.ok:
-        raise SystemHasSFMs(status, sfm_witness(compiled, status, hall=no_match))
+    if not status.ok:  # the Hall set is stage 3's; only a failed (a) runs one more SCC pass
+        unfed = [] if cond_a else unfed_states(graph, Selection.full(system))
+        raise SystemHasSFMs(status, _witness(graph, unfed, no_match))
 
     covers: list[Cover] = []
     if not (irreducible and state_match is None):

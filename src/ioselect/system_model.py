@@ -406,37 +406,41 @@ def _require(data: dict, field: str, kind) -> object:
 
 
 def _pairs(data: dict, field: str, rows: int, cols: int) -> SparsityPattern:
-    """The pattern of a 1-based pair list, decoded in one pass: each pair is
-    type-checked, range-checked, appended to its row and compared with the
-    pair before it.  Only JSON values arrive here, so an entry that unpacks
-    into two exact ints is a [row, col] pair.  A list in strictly ascending
-    order has sorted rows without repeats; others are sorted, and a repeated
-    pair is one star.  With a pair out of range the pattern is built from
-    its stars instead, which keeps those out of range in ``outside`` for
-    :func:`validate` to report."""
+    """The pattern of a 1-based pair list, decoded in one pass while it
+    runs strictly ascending and in range: each pair is type-checked and
+    appended to its row, so the rows come sorted and without repeats.  At
+    the first pair that breaks the run (a repeat, a step back, a row or
+    column 0, or an index out of range) every entry is type-checked and the
+    pattern is built from its stars instead, which sorts and dedupes the
+    rows and keeps the stars out of range in ``outside`` for
+    :func:`validate` to report.  Only JSON values arrive here, so an entry
+    that unpacks into two exact ints is a [row, col] pair."""
     raw = _require(data, field, list)
-    by_row: list[list[int]] = [[] for _ in range(rows + 1)]  # 1-based; row 0 is dropped
-    in_range = ascending = True
-    pi = pj = 0  # the previous pair; every in-range pair follows (0, 0)
+    by_row: list[list[int]] = [[] for _ in range(rows)]
+    row: list[int] = []
+    pi, pj = 0, cols  # (0, cols) precedes every in-range pair and continues no row
     try:
         for i, j in raw:
             if type(i) is not int or type(j) is not int:
+                break
+            if i != pi:
+                if not pi < i <= rows:
+                    break
+                row, pi, pj = by_row[i - 1], i, 0
+            if not pj < j <= cols:
+                break
+            row.append(j - 1)
+            pj = j
+        else:
+            return SparsityPattern.of_checked_rows(rows, cols, by_row)
+        stars = []
+        for i, j in raw:
+            if type(i) is not int or type(j) is not int:
                 raise TypeError
-            if 0 < i <= rows and 0 < j <= cols:
-                by_row[i].append(j - 1)
-            else:
-                in_range = False
-            if i <= pi and (i < pi or j <= pj):
-                ascending = False
-            pi, pj = i, j
+            stars.append((i - 1, j - 1))
     except (TypeError, ValueError):
         raise FormatError(f"field {field!r}: entries must be [row, col] integer pairs") from None
-    if not in_range:
-        return SparsityPattern(rows, cols, frozenset((i - 1, j - 1) for i, j in raw))
-    del by_row[0]
-    if not ascending:
-        by_row = [sorted(set(row)) for row in by_row]
-    return SparsityPattern.of_checked_rows(rows, cols, by_row)
+    return SparsityPattern(rows, cols, frozenset(stars))
 
 
 def _costs(data: dict, field: str) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, settings
 
+from ioselect.matching import hall_set
 from ioselect.oracle_bench import GenerationFailed, GeneratorConfig, generate
 from ioselect.system_model import (
     COMPLETE,
@@ -80,6 +81,17 @@ def matching_cost(g, partners):
     """The cost of a matching of ``g`` given as its partner list, priced
     edge by edge."""
     return sum(g.edge(l, r)[1] for l, r in enumerate(partners))
+
+
+def hall_ids(g, sel=None):
+    """The Hall set that ``matching.hall_set(g, sel)`` carries, as vertex
+    ids of ``g`` (left, then right, each ascending), or None when the
+    restricted graph has a perfect matching."""
+    hall = hall_set(g, sel)
+    if hall is None:
+        return None
+    ids = {g.right_name(v): v for v in range(g.size)}
+    return tuple(ids[label[:-1]] for label in hall.left_labels), tuple(map(ids.__getitem__, hall.right_labels))
 
 
 def demo_system(cost_u=None, cost_y=None, mode="continuous"):

@@ -36,7 +36,6 @@ from ioselect.selector import (
     check_no_sfm,
     compile_system,
     select_min_cost_io,
-    sfm_witness,
 )
 from ioselect.system_model import COMPLETE, ModelError, Selection, SparsityPattern
 from test_compiled import small_systems
@@ -132,7 +131,7 @@ class TestSelectAgainstFullCheck:
         except SystemHasSFMs as exc:
             assert not status.ok
             assert exc.status is status
-            assert exc.witness == sfm_witness(compile_system(system), status)
+            assert (exc.status, exc.witness) == compile_system(system).decide(full)
             return
         assert status.ok
         assert report.special_cases == (applicable_special_cases(system) or ("general",))

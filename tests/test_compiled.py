@@ -22,10 +22,12 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from conftest import hall_ids
+from test_graph_core import varied_systems_with_selection
 from ioselect.graph_core import condition_a_witness, vertex_name
-from ioselect.matching import hall_indices, min_cost_perfect_matching
+from ioselect.matching import min_cost_perfect_matching
 from ioselect.oracle_bench import exact_select
-from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, select_min_cost_io, sfm_witness
+from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, select_min_cost_io
 from ioselect.system_model import (
     COMPLETE,
     ModelError,
@@ -93,7 +95,7 @@ class TestStatus:
         compiled = compile_system(system)
         for sel in _all_selections(system):
             cond_a = oracles.condition_a(system, sel)
-            status = compiled.status(sel)
+            status, _witness = compiled.decide(sel)
             assert compiled.condition_a(sel) == cond_a
             assert compiled.no_sfm(sel) == status.ok == oracles.no_sfm(system, sel)
             assert (status in (SfmStatus.TYPE1, SfmStatus.BOTH)) == (not cond_a)
@@ -137,17 +139,41 @@ def _check_type1(system, compiled, sel, type1_states):
 
 
 def _check_hall(system, compiled, sel, violator):
-    """The violator, and ``hall_indices``, are exactly the restricted
+    """The violator, and ``hall_ids``, are exactly the restricted
     graph's Dulmage-Mendelsohn set (``oracles.hall_set``) under the full
     system's ids: the same for every largest matching, so whichever one
     the package found."""
     n, m = system.n, system.m
     left, right = oracles.hall_set(system, sel)
-    assert hall_indices(compiled.graph, sel) == (left, right)
+    assert hall_ids(compiled.graph, sel) == (left, right)
     assert violator == {
         "left": [vertex_name(v, n, m) + "'" for v in left],
         "neighbors": [vertex_name(v, n, m) for v in right],
     }
+
+
+class TestDecide:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_status_and_hall_set_match_oracles(self, data):
+        # both K kinds (the token, all stars, partial) and both modes: the
+        # status is the oracles' two conditions, and the Hall violator is
+        # the restricted graph's Dulmage-Mendelsohn set
+        system, sel = data.draw(varied_systems_with_selection())
+        system = replace(system, mode=data.draw(st.sampled_from(MODES)))
+        sel = Selection.full(system) if sel is None else sel
+        status, witness = compile_system(system).decide(sel)
+        cond_a = oracles.condition_a(system, sel)
+        cond_b = system.mode == "discrete" or oracles.spanning_disjoint_cycles(system, sel)
+        hall = None if system.mode == "discrete" else oracles.hall_set(system, sel)
+        assert (hall is None) == cond_b
+        assert (status in (SfmStatus.TYPE1, SfmStatus.BOTH)) == (not cond_a) == ("type1_states" in witness)
+        assert (status in (SfmStatus.TYPE2, SfmStatus.BOTH)) == (not cond_b)
+        n, m = system.n, system.m
+        assert witness.get("hall_violator") == (hall and {
+            "left": [vertex_name(v, n, m) + "'" for v in hall[0]],
+            "neighbors": [vertex_name(v, n, m) for v in hall[1]],
+        })
 
 
 class TestWitness:
@@ -158,10 +184,10 @@ class TestWitness:
         system = data.draw(small_systems(mode))
         compiled = compile_system(system)
         for sel in _all_selections(system):
-            status = compiled.status(sel)
+            status, witness = compiled.decide(sel)
             if status.ok:
+                assert witness == {}
                 continue
-            witness = sfm_witness(compiled, status, sel)
             if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
                 _check_type1(system, compiled, sel, witness["type1_states"])
             if status in (SfmStatus.TYPE2, SfmStatus.BOTH):

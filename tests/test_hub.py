@@ -18,14 +18,13 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import matching_cost
+from conftest import hall_ids, matching_cost
 from ioselect import cli
 from ioselect.graph_core import build_bipartite, condition_a_holds
 from ioselect.matching import (
     NoPerfectMatching,
     build_bipartite,
     extract_io,
-    hall_indices,
     has_perfect_matching,
     complete_side,
     min_cost_perfect_matching,
@@ -35,7 +34,6 @@ from ioselect.selector import (
     check_no_sfm,
     compile_system,
     select_min_cost_io,
-    sfm_witness,
 )
 from ioselect.system_model import (
     COMPLETE,
@@ -122,9 +120,9 @@ class TestConditions:
     @given(systems_with_selection())
     def test_type1_states_are_the_uncovered_ones(self, case):
         system, sel = case
-        status = check_no_sfm(system, sel)
+        status, witness = compile_system(system).decide(sel)
         if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
-            got = sfm_witness(compile_system(system), status, sel)["type1_states"]
+            got = witness["type1_states"]
             assert got == [f"x{v + 1}" for v in _states_outside_feedback_sccs(system, sel)]
 
 
@@ -187,7 +185,7 @@ class TestHall:
         assert has_perfect_matching(g) == (largest == g.size)
         if largest == g.size:
             return
-        left, right = hall_indices(g)
+        left, right = hall_ids(g)
         assert {r for l, r in pairs if l in left} == set(right)
         # the alternating-path set is maximally deficient: it accounts for
         # every vertex a maximum matching leaves free

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from conftest import make_system, matching_cost, systems, systems_with_selection
+from conftest import hall_ids, make_system, matching_cost, systems, systems_with_selection
 from ioselect.graph_core import (
     EDGE_EK,
     EDGE_EU,
@@ -20,7 +20,7 @@ from ioselect.matching import (
     cycle_cover_check,
     dump_matching,
     extract_io,
-    hall_indices,
+    hall_set,
     has_perfect_matching,
     min_cost_perfect_matching,
     state_pattern_has_pm,
@@ -28,7 +28,6 @@ from ioselect.matching import (
 from ioselect.system_model import (
     COST_SCALE,
     InvariantViolated,
-    ModelError,
     Selection,
     SparsityPattern,
     restrict,
@@ -135,18 +134,22 @@ class TestHallWitness:
     def test_isolated_state(self):
         system = make_system(2, 0, 0, [(1, 1)], [], [])
         g = build_bipartite(system)
-        assert hall_indices(g) == ((1,), ())
+        assert hall_ids(g) == ((1,), ())
+        hall = hall_set(g)
+        assert (hall.left_labels, hall.right_labels) == (("x2'",), ())
+        assert str(hall) == "no perfect matching: {x2'} has only neighbors {}"
 
-    def test_raises_when_perfect(self, demo):
-        with pytest.raises(ModelError, match="no Hall witness"):
-            hall_indices(build_bipartite(demo))
+    def test_none_when_perfect(self, demo):
+        g = build_bipartite(demo)
+        assert hall_set(g) is None
+        assert hall_set(g, Selection.of([2], [0])) is None
 
     @given(systems(max_n=5))
     def test_witness_is_deficient_neighborhood(self, system):
         g = build_bipartite(system)
         if has_perfect_matching(g):
             return
-        left, right = hall_indices(g)
+        left, right = hall_ids(g)
         assert len(left) > len(right)
         pairs = oracles.bipartite_pairs(system)
         assert {r for l, r in pairs if l in left} == set(right)

@@ -31,7 +31,7 @@ from ioselect.oracle_bench import (
     write_csv,
     write_jsonl,
 )
-from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, sfm_witness
+from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system
 from ioselect.set_cover import TooLarge
 from ioselect.system_model import COST_SCALE, SIZE_LIMIT, InvariantViolated, ModelError, Selection
 
@@ -254,7 +254,7 @@ class TestExactSelect:
             with pytest.raises(SystemHasSFMs) as exc:
                 exact_select(system)
             assert exc.value.status is status
-            assert exc.value.witness == sfm_witness(compile_system(system), status, full)
+            assert (exc.value.status, exc.value.witness) == compile_system(system).decide(full)
 
     def test_lexicographic_ties(self):
         # u1/u2 and y1/y2 interchangeable at equal cost

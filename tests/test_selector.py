@@ -17,7 +17,6 @@ from ioselect.selector import (
     detect_special_case,
     report_to_json,
     select_min_cost_io,
-    sfm_witness,
 )
 from ioselect import matching as matching_mod
 from ioselect import selector as selector_mod
@@ -117,38 +116,42 @@ class TestCheckNoSfm:
 
 class TestWitness:
     def test_type1_states(self, demo):
-        w = sfm_witness(compile_system(demo), SfmStatus.BOTH, Selection.of([2], [1]))
+        status, w = compile_system(demo).decide(Selection.of([2], [1]))
+        assert status is SfmStatus.BOTH
         assert w["type1_states"] == ["x3", "x4"]
         hall = w["hall_violator"]
         assert hall["left"] == ["x1'", "x2'", "x3'", "x4'", "u3'", "y2'"]
         assert hall["neighbors"] == ["x1", "x2", "x4", "u3", "y2"]
 
     def test_type2_full_system(self):
-        w = sfm_witness(compile_system(shared_pair_system()), SfmStatus.TYPE2)
+        system = shared_pair_system()
+        status, w = compile_system(system).decide(Selection.full(system))
+        assert status is SfmStatus.TYPE2
         assert w == {"hall_violator": {"left": ["x1'", "x2'"], "neighbors": ["u1"]}}
 
     @pytest.mark.parametrize("sel", [Selection.of([5], [0]), Selection.of([0], [7])])
     def test_index_out_of_range(self, demo, sel):
         # refused as check_no_sfm refuses it, not witnessed with the index dropped
         with pytest.raises(IndexError, match="index [68] out of range"):
-            sfm_witness(compile_system(demo), SfmStatus.BOTH, sel)
+            compile_system(demo).decide(sel)
 
     def test_type1_empty_selection(self):
-        w = sfm_witness(compile_system(diagonal_system()), SfmStatus.TYPE1, Selection.of([], []))
+        status, w = compile_system(diagonal_system()).decide(Selection.of([], []))
+        assert status is SfmStatus.TYPE1
         assert w == {"type1_states": ["x1", "x2", "x3"]}
 
-    # Stage 3's failure (cost order) and hall_indices (index order) join
+    # Stage 3's failure (cost order) and hall_set (index order) join
     # different greedy matchings but reach the same Dulmage-Mendelsohn set,
     # so select's witness, read off stage 3's failure, keeps check's bytes.
     @staticmethod
     def _check_stage3_hall_witness(system) -> bool:
         """False when B(A, B, C, K) has a perfect matching; else check that
-        stage 3's NoPerfectMatching carries sfm_witness's Hall violator."""
+        stage 3's NoPerfectMatching carries decide's Hall violator."""
         compiled = compile_system(system)
         try:
             matching_mod.min_cost_perfect_matching(compiled.graph)
         except matching_mod.NoPerfectMatching as exc:
-            hall = sfm_witness(compiled, SfmStatus.TYPE2)["hall_violator"]
+            hall = compiled.decide(Selection.full(system))[1]["hall_violator"]
             assert {"left": list(exc.left_labels), "neighbors": list(exc.right_labels)} == hall
             return True
         return False
@@ -167,9 +170,9 @@ class TestWitness:
     def test_discrete_never_reports_hall(self):
         system = replace(make_system(2, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)]),
                          mode="discrete")
-        w = sfm_witness(compile_system(system), SfmStatus.TYPE1)
-        assert "hall_violator" not in w
-        assert w["type1_states"] == ["x2"]
+        status, w = compile_system(system).decide(Selection.full(system))
+        assert status is SfmStatus.TYPE1
+        assert w == {"type1_states": ["x2"]}
 
 
 class TestSpecialCases:
@@ -587,7 +590,7 @@ class TestBuildOnce:
         counts = wrap_counting(monkeypatch, [name])
         compiled = select_min_cost_io(system).compiled
         assert counts[name] == 1
-        for decide in (exact_select, lambda c: c.status(Selection.of([2], [1]))):
+        for decide in (exact_select, lambda c: c.decide(Selection.of([2], [1]))):
             decide(compiled)
             assert counts[name] == 1
 
@@ -674,12 +677,64 @@ class TestBuildOnce:
         # two states compete for the one u/y pair: stage 3's two sides fail,
         # and the one reach over their joined matching is the Hall witness;
         # no second search runs for it
-        names = ["matching._greedy", "matching._hall", "matching.hall_indices", "graph_core._hopcroft_karp"]
+        names = ["matching._greedy", "matching._hall", "matching.hall_set", "graph_core._hopcroft_karp"]
         counts = wrap_counting(monkeypatch, names)
         with pytest.raises(SystemHasSFMs) as exc:
             select_min_cost_io(shared_pair_system())
         assert counts == dict(zip(names, (2, 1, 0, 1)))
         assert exc.value.witness["hall_violator"] == {"left": ["x1'", "x2'"], "neighbors": ["u1"]}
+
+    # A failing check decides each condition once and reads its witness off
+    # the pass that decided it.  With a complete K the cover masks decide
+    # (a) and one SCC pass names its states; one largest matching, a greedy
+    # per side, decides (b) and gives its Hall set.  With a partial K the
+    # one SCC pass decides (a) too, and the Hall set reads the rows that
+    # Hopcroft-Karp matched.  Compile's SCC pass of D(A) is counted, and so
+    # is B(A)'s Hopcroft-Karp, which the complete K's sides start from.
+    SEARCHES = [
+        "matching._largest", "matching.complete_side", "matching._hall",
+        "graph_core.restricted_rows", "graph_core._tarjan", "graph_core._hopcroft_karp",
+    ]
+
+    @pytest.mark.parametrize(
+        "k,searches",
+        [(None, (1, 2, 1, 2, 2, 1)), ({(1, 1), (2, 1)}, (1, 0, 1, 2, 2, 1))],
+        ids=["complete", "partial"],
+    )
+    def test_failing_check_searches_once_per_condition(self, demo, tmp_path, monkeypatch, capsys, k, searches):
+        import json
+
+        from ioselect import cli
+        from ioselect.system_model import COMPLETE, system_to_json
+
+        system = replace(demo, K=COMPLETE if k is None else SparsityPattern(3, 2, frozenset(k)))
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps(system_to_json(system)))
+        counts = wrap_counting(monkeypatch, self.SEARCHES)
+        assert cli.main(["check", str(path), "--inputs", "1", "--outputs", "2"]) == cli.EXIT_INFEASIBLE
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reason"] == "Type-1 and Type-2"
+        assert list(doc["witness"]) == ["type1_states", "hall_violator"]
+        assert counts == dict(zip(self.SEARCHES, searches))
+
+    # select's error path reads stage 3's Hall set and runs one SCC pass of
+    # the full selection only when condition (a) failed
+    @pytest.mark.parametrize(
+        "a,b,c,searches",
+        [
+            ([], [(1, 1), (2, 1)], [(1, 1), (1, 2)], (1, 2, 1, 1, 1, 1)),  # Type-2
+            ([(1, 1)], [(1, 1)], [(1, 1)], (1, 2, 1, 2, 2, 1)),  # both: x2 has no edge
+            ([(1, 1), (2, 2)], [(1, 1)], [(1, 1)], (1, 2, 0, 1, 2, 1)),  # Type-1
+        ],
+        ids=["type2", "both", "type1"],
+    )
+    def test_failing_select_witness_runs_no_new_search(self, monkeypatch, a, b, c, searches):
+        system = make_system(2, 1, 1, a, b, c)
+        counts = wrap_counting(monkeypatch, self.SEARCHES)
+        with pytest.raises(SystemHasSFMs) as exc:
+            select_min_cost_io(system)
+        assert counts == dict(zip(self.SEARCHES, searches))
+        assert (exc.value.status, exc.value.witness) == compile_system(system).decide(Selection.full(system))
 
     @pytest.mark.parametrize("seed", [2, 3, 4])  # nu(B(A)) = n - 2, n - 2, n - 1
     def test_stage3_augments_n_minus_nu_times(self, monkeypatch, seed):
@@ -738,9 +793,9 @@ class TestBuildOnce:
         system = make_system(n, 1, 1, [], [(i, 1) for i in range(1, n + 1)], [(1, i) for i in range(1, n + 1)])
         names = ["matching._greedy", "matching._augment", "matching._hall"]
         counts = wrap_counting(monkeypatch, names)
-        left, right = matching_mod.hall_indices(build_bipartite(system))
+        hall = matching_mod.hall_set(build_bipartite(system))
         assert counts == dict(zip(names, (2, 2, 1)))
-        assert (left, right) == (tuple(range(n)), (n,))
+        assert (hall.left_labels, hall.right_labels) == (tuple(f"x{i}'" for i in range(1, n + 1)), ("u1",))
 
     def test_no_flow_on_irreducible_state_pm(self, monkeypatch):
         system = long_cycle_system(3000)

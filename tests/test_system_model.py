@@ -501,6 +501,40 @@ class TestJson:
         )
         assert [getattr(system, name).by_row for name in "ABC"] == [[], [], []]
 
+    @given(st.data())
+    def test_decoder_agrees_with_the_star_constructor(self, data):
+        # an ascending in-range run with entries dropped in anywhere: pairs
+        # repeated, out of order, with a 0 or out of range, bools, floats
+        # and entries that are not pairs.  The one-pass decoder gives the
+        # rows, ``outside`` and the error text of type-checking every entry
+        # and building the pattern from its stars
+        rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        cells = [[i, j] for i in range(1, rows + 1) for j in range(1, cols + 1)]
+        raw = sorted(data.draw(st.lists(st.sampled_from(cells), unique_by=tuple))) if cells else []
+        if raw and data.draw(st.booleans()):  # a 1 as true, or a float, inside the run
+            k = data.draw(st.integers(0, len(raw) - 1))
+            i, j = raw[k]
+            raw[k] = data.draw(st.sampled_from(
+                [[float(i), j], [i, float(j)], *([[True, j]] if i == 1 else []), *([[i, True]] if j == 1 else [])]
+            ))
+        entries =st.lists(st.integers(-1, 5), min_size=2, max_size=2) | st.sampled_from(
+            [*BAD_ENTRIES.values(), [1, True], [1.0, 1], [1], 7, None]
+        )
+        for entry in data.draw(st.lists(entries, max_size=4)):
+            raw.insert(data.draw(st.integers(0, len(raw))), entry)
+        try:
+            for entry in raw:
+                i, j = entry
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError
+            expected = SparsityPattern(rows, cols, frozenset((i - 1, j - 1) for i, j in raw))
+        except (TypeError, ValueError):
+            with pytest.raises(FormatError, match=r"^field 'A': entries must be \[row, col\] integer pairs$"):
+                system_model._pairs({"A": raw}, "A", rows, cols)
+            return
+        got = system_model._pairs({"A": raw}, "A", rows, cols)
+        assert (got.by_row, got.outside) == (expected.by_row, expected.outside)
+
     @given(systems(), st.randoms(use_true_random=False))
     def test_shuffled_repeated_pairs_decode_alike(self, system, rng):
         doc = system_to_json(system)
