@@ -66,9 +66,10 @@ class NoPerfectMatching(ModelError):
     """Condition b) is unsatisfiable: some states cannot be put on disjoint cycles.
 
     Carries a Hall witness: a left vertex set whose neighborhood is smaller
-    than itself, given as vertex ids of ``g`` (the Dulmage-Mendelsohn set
-    of :func:`_hall`, as :func:`hall_set` and
-    :func:`min_cost_perfect_matching` find it) and kept as their labels.
+    than itself, given as vertex ids of ``g`` and kept as their labels.
+    :func:`_hall` alone builds one, from the Dulmage-Mendelsohn set of a
+    largest matching; :func:`hall_set` returns it and
+    :func:`min_cost_perfect_matching` raises it.
     """
 
     def __init__(self, g: SystemGraph, left: Iterable[int], right: Iterable[int]):
@@ -178,12 +179,13 @@ def _join(g: SystemGraph, rows_to: list[int], states_from: list[int]) -> list[in
     return match_l
 
 
-def _hall(g: SystemGraph, keep: list[bool], rows, match_l: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The left vertices that alternating paths reach from the free ones in
-    a largest matching ``match_l`` of the restricted graph ``keep``, ``rows``
-    (:func:`~ioselect.graph_core.restricted_rows`), and their neighbours,
-    less the unselected channels: the Dulmage-Mendelsohn set, the same for
-    every largest matching.
+def _hall(g: SystemGraph, keep: list[bool], rows, match_l: list[int]) -> NoPerfectMatching:
+    """The :class:`NoPerfectMatching` of a largest matching ``match_l`` of
+    the restricted graph ``keep``, ``rows``
+    (:func:`~ioselect.graph_core.restricted_rows`) that leaves a left
+    vertex free: the left vertices that alternating paths reach from the
+    free ones, and their neighbours, less the unselected channels.  That is
+    the Dulmage-Mendelsohn set, the same for every largest matching.
 
     One :func:`_path` runs from each free left vertex, and the searches
     share their marks, so each right vertex is reached once.  A hub enters
@@ -206,9 +208,8 @@ def _hall(g: SystemGraph, keep: list[bool], rows, match_l: list[int]) -> tuple[t
     left = [r < 0 for r in match_l] + [False]
     for r in reached:
         left[match_r[r]] = True
-    return (
-        tuple(v for v in range(size) if left[v] and keep[v]),
-        tuple(v for v in range(size) if seen[v] and keep[v]),
+    return NoPerfectMatching(
+        g, (v for v in range(size) if left[v] and keep[v]), (v for v in range(size) if seen[v] and keep[v])
     )
 
 
@@ -239,18 +240,19 @@ def has_perfect_matching(g: SystemGraph, sel: Optional[Selection] = None) -> boo
 
 def hall_set(g: SystemGraph, sel: Optional[Selection] = None) -> Optional[NoPerfectMatching]:
     """None when the graph restricted to ``sel`` (all of it without ``sel``)
-    has a perfect matching; otherwise the :class:`NoPerfectMatching` of the
-    one largest matching :func:`_largest` found, whose Dulmage-Mendelsohn
-    set (:func:`_hall`) is its Hall witness, under the ids of ``g``.  The
-    restricted rows are joined at most once, and a partial K's
-    Hopcroft-Karp reads the same rows.  Callers range-check ``sel``.
+    has a perfect matching; otherwise the :class:`NoPerfectMatching` that
+    :func:`_hall` builds on the one largest matching :func:`_largest`
+    found, under the ids of ``g``.  The restricted rows are joined at most
+    once, and a partial K's Hopcroft-Karp reads the same rows.  A caller
+    that wants only the yes/no reads :func:`has_perfect_matching`, which
+    builds no witness.  Callers range-check ``sel``.
     """
     restricted = None if g.hub else restricted_rows(g, sel)  # a hub's sides read no rows
     match_l = _largest(g, sel, rows=restricted[1] if restricted else None)
     if -1 not in match_l:
         return None
     keep, rows = restricted or restricted_rows(g, sel)
-    return NoPerfectMatching(g, *_hall(g, keep, rows, match_l))
+    return _hall(g, keep, rows, match_l)
 
 
 def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
@@ -278,7 +280,7 @@ def min_cost_perfect_matching(g: SystemGraph) -> tuple[int, ...]:
     orders = [sorted(range(len(costs)), key=costs.__getitem__) for costs in (g.cost_u, g.cost_y)]
     match_l = _largest(g, None, orders)
     if -1 in match_l:
-        raise NoPerfectMatching(g, *_hall(g, *restricted_rows(g, None), match_l))
+        raise _hall(g, *restricted_rows(g, None), match_l)
     return tuple(match_l)
 
 

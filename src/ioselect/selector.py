@@ -152,9 +152,10 @@ class CompiledSystem:
 
     def decide(self, sel: Selection) -> tuple[SfmStatus, dict]:
         """Classify the selection, and witness each condition that fails
-        off the pass that decided it (:func:`_witness`): continuous mode
+        off the pass that decided it (:func:`_verdict`): continuous mode
         decides both conditions, discrete mode only condition (a), so
-        Type-2 is never reported there.
+        Type-2 is never reported there.  A caller that wants no witness
+        reads :meth:`no_sfm` or :func:`check_no_sfm` instead.
 
         With a complete K the cover masks decide condition (a), and only
         when they fail does one SCC pass
@@ -168,7 +169,7 @@ class CompiledSystem:
         g = self.graph
         unfed = [] if g.hub and self.condition_a(sel) else unfed_states(g, sel)
         hall = matching_mod.hall_set(g, sel) if self.system.mode == "continuous" else None
-        return _classify(not unfed, hall is None), _witness(g, unfed, hall)
+        return _verdict(g, unfed, hall)
 
 
 def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
@@ -181,17 +182,21 @@ def _classify(cond_a: bool, cond_b: bool) -> SfmStatus:
     return SfmStatus.BOTH
 
 
-def _witness(g: SystemGraph, unfed: list[int], hall: Optional[matching_mod.NoPerfectMatching]) -> dict:
-    """Machine-checkable evidence for a failed SFM check, under the full
-    system's labels: the states outside any feedback-carrying SCC
-    (``type1_states``, from :func:`ioselect.graph_core.unfed_states`) and
-    the Hall violator of a failed largest matching (``hall_violator``)."""
+def _verdict(
+    g: SystemGraph, unfed: list[int], hall: Optional[matching_mod.NoPerfectMatching]
+) -> tuple[SfmStatus, dict]:
+    """The status of a selection from what its two searches left, and its
+    machine-checkable witness under the full system's labels: the states
+    outside any feedback-carrying SCC (``type1_states``, from
+    :func:`ioselect.graph_core.unfed_states`; none when condition (a)
+    holds) and the Hall violator of a failed largest matching
+    (``hall_violator``; None when condition (b) holds or was not asked)."""
     witness: dict = {}
     if unfed:
         witness["type1_states"] = [g.right_name(v) for v in unfed]
     if hall is not None:
         witness["hall_violator"] = {"left": list(hall.left_labels), "neighbors": list(hall.right_labels)}
-    return witness
+    return _classify(not unfed, hall is None), witness
 
 
 @contextlib.contextmanager
@@ -223,13 +228,14 @@ def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledS
     return CompiledSystem(system, graph, scc, covers, timings)
 
 
-def check_no_sfm(
-    system: Union[StructuredSystem, CompiledSystem], sel: Selection
-) -> SfmStatus:
-    """Classify the system under the given selection (see
-    :meth:`CompiledSystem.decide`), compiling it if need be.  Raises
-    IndexError on an index out of range."""
-    return compile_system(system).decide(sel)[0]
+def check_no_sfm(system: Union[StructuredSystem, CompiledSystem], sel: Selection) -> SfmStatus:
+    """Classify the system under the given selection, compiling it if need
+    be: :meth:`CompiledSystem.decide`'s status, from one test per condition
+    and no witness.  The cover masks, or with a partial K one SCC pass,
+    decide condition (a), and in continuous mode one largest matching
+    decides condition (b).  Raises IndexError on an index out of range."""
+    compiled = compile_system(system)
+    return _classify(compiled.condition_a(sel), compiled.system.mode == "discrete" or compiled.condition_b(sel))
 
 
 CASE_DISCRETE = "discrete"
@@ -370,10 +376,11 @@ def select_min_cost_io(
                 no_match = exc  # condition (b) fails; exc holds the Hall violator
             else:
                 selection, cycle_cost = matching_mod.extract_io(graph, match_result)
-    status = _classify(cond_a, not continuous or state_match is not None or match_result is not None)
-    if not status.ok:  # the Hall set is stage 3's; only a failed (a) runs one more SCC pass
+    # Stage 3 is the only search here that can fail condition (b): discrete
+    # mode and a state-only perfect matching meet it without one.
+    if not cond_a or no_match is not None:  # only a failed (a) runs one more SCC pass
         unfed = [] if cond_a else unfed_states(graph, Selection.full(system))
-        raise SystemHasSFMs(status, _witness(graph, unfed, no_match))
+        raise SystemHasSFMs(*_verdict(graph, unfed, no_match))
 
     covers: list[Cover] = []
     if not (irreducible and state_match is None):

@@ -423,6 +423,19 @@ class TestGen:
         assert out == ""
         assert "no feasible instance after 2 attempts" in err
 
+    def test_one_attempt(self, capsys):
+        # every star drawn: the first draw is feasible, and one attempt takes it
+        dense = ("gen", "--n", "3", "--m", "1", "--p", "1", "--max-attempts", "1")
+        code, doc, err = run_json(
+            capsys, *dense, "--state-density", "1", "--input-density", "1", "--output-density", "1"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert (doc["n"], doc["m"], doc["p"]) == (3, 1, 1)
+        # no star drawn: the one attempt fails
+        code, out, err = run(capsys, *dense, "--state-density", "0", "--input-density", "0", "--output-density", "0")
+        assert (code, out) == (EXIT_INFEASIBLE, "")
+        assert "no feasible instance after 1 attempts" in err
+
     def test_bad_density(self, capsys):
         code, _out, err = run(
             capsys, "gen", "--n", "2", "--m", "1", "--p", "1",

@@ -144,6 +144,19 @@ class TestHallWitness:
         assert hall_set(g) is None
         assert hall_set(g, Selection.of([2], [0])) is None
 
+    def test_refuses_a_matching_that_is_not_largest(self, demo):
+        # stage 3's perfect matching with the partner of right vertex 0
+        # freed: the free left vertex reaches 0, the only free right vertex,
+        # so the matching is not largest and no Hall set exists
+        from ioselect.graph_core import restricted_rows
+        from ioselect.matching import _hall
+
+        g = build_bipartite(demo)
+        partners = list(min_cost_perfect_matching(g))
+        partners[partners.index(0)] = -1
+        with pytest.raises(InvariantViolated, match="not largest"):
+            _hall(g, *restricted_rows(g, None), partners)
+
     @given(systems(max_n=5))
     def test_witness_is_deficient_neighborhood(self, system):
         g = build_bipartite(system)

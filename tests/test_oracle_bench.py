@@ -138,6 +138,12 @@ class TestGeneratorConfig:
                 GeneratorConfig(*sizes)
         GeneratorConfig(SIZE_LIMIT, SIZE_LIMIT, SIZE_LIMIT)
 
+    def test_one_attempt_is_enough(self):
+        # the least max_attempts is 1: it constructs, and 0 does not
+        assert GeneratorConfig(n=3, m=1, p=1, max_attempts=1).max_attempts == 1
+        with pytest.raises(ModelError, match="max_attempts must be at least 1"):
+            GeneratorConfig(n=3, m=1, p=1, max_attempts=0)
+
     def test_rejects_bad_density(self):
         with pytest.raises(ModelError, match="state_density"):
             GeneratorConfig(n=1, m=1, p=1, state_density=1.5)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_system, matching_cost, pool_config, systems
+from test_graph_core import varied_systems_with_selection
 from ioselect.selector import (
     SelectionReport,
     SfmStatus,
@@ -107,11 +108,21 @@ class TestCheckNoSfm:
         for status in (SfmStatus.TYPE1, SfmStatus.TYPE2, SfmStatus.BOTH):
             assert not status.ok
 
-    @given(systems(max_n=5))
-    def test_matches_reference(self, system):
-        sel = Selection.full(system)
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        # both modes, K as the token, all stars or some stars, and a random
+        # or the full selection: the status without a witness is decide's,
+        # and it is the oracles' two conditions
+        system, sel = data.draw(varied_systems_with_selection())
+        system = replace(system, mode=data.draw(st.sampled_from(["continuous", "discrete"])))
+        sel = Selection.full(system) if sel is None else sel
         status = check_no_sfm(system, sel)
-        assert status.ok == oracles.no_sfm(system, sel)
+        assert status is compile_system(system).decide(sel)[0]
+        cond_a = oracles.condition_a(system, sel)
+        cond_b = system.mode == "discrete" or oracles.spanning_disjoint_cycles(system, sel)
+        expected = {(True, True): "NO_SFM", (True, False): "TYPE2", (False, True): "TYPE1", (False, False): "BOTH"}
+        assert status is SfmStatus[expected[cond_a, cond_b]]
 
 
 class TestWitness:
@@ -241,6 +252,20 @@ class TestSelectDemo:
         assert {name: rep.timings[name] for name in before} == before
         assert replace(compiled, timings={}) == compiled
         assert "timings" not in repr(compiled)
+
+    @pytest.mark.parametrize("instance", ["demo", "sparse"])
+    def test_layer_times_fit_inside_the_call(self, demo, instance):
+        # the layers, the compile's four included, are disjoint parts of
+        # one select, so their times add up to at most its wall time
+        import time
+
+        from ioselect.oracle_bench import generate
+
+        system = demo if instance == "demo" else generate(pool_config("sparse", 0))
+        t0 = time.perf_counter()
+        rep = select_min_cost_io(system)
+        wall = time.perf_counter() - t0
+        assert 0 <= sum(rep.timings.values()) <= wall
 
     def test_exact_covers_tighten_bound(self, demo):
         rep = select_min_cost_io(demo, exact_covers=True)
@@ -715,6 +740,23 @@ class TestBuildOnce:
         doc = json.loads(capsys.readouterr().out)
         assert doc["reason"] == "Type-1 and Type-2"
         assert list(doc["witness"]) == ["type1_states", "hall_violator"]
+        assert counts == dict(zip(self.SEARCHES, searches))
+
+    # check_no_sfm decides the same selection with no witness: the cover
+    # masks decide (a) with a complete K, so its one SCC pass is compile's,
+    # and one largest matching decides (b) with no Hall set.  A partial K's
+    # SCC pass and Hopcroft-Karp each join the restricted rows once.
+    @pytest.mark.parametrize(
+        "k,searches",
+        [(None, (1, 2, 0, 0, 1, 1)), ({(1, 1), (2, 1)}, (1, 0, 0, 2, 2, 1))],
+        ids=["complete", "partial"],
+    )
+    def test_check_no_sfm_builds_no_witness(self, demo, monkeypatch, k, searches):
+        from ioselect.system_model import COMPLETE
+
+        system = replace(demo, K=COMPLETE if k is None else SparsityPattern(3, 2, frozenset(k)))
+        counts = wrap_counting(monkeypatch, self.SEARCHES)
+        assert check_no_sfm(system, Selection.of([2], [1])) is SfmStatus.BOTH
         assert counts == dict(zip(self.SEARCHES, searches))
 
     # select's error path reads stage 3's Hall set and runs one SCC pass of
