@@ -348,7 +348,7 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
             report = select_min_cost_io(compiled)
         except ModelError as exc:
             error = str(exc)
-    mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)
+    mu_max, eta_max = (max((m.bit_count() for m in inst.masks), default=0) for inst in compiled.covers)
     rec = replace(
         rec,
         digest=instance_digest(system),

@@ -4,9 +4,12 @@ and exact solvers, the JSON of greedy steps, and both reductions.
 The accessibility problem reduces to weighted set cover (universe = non-top
 SCCs, one set per input, weight = input cost), and sensability likewise
 (universe = non-bottom SCCs, one set per output, weight = output cost).
-:func:`cover_instances` builds both once per compiled system; every stage,
-check and printout reads them, and coverage is tested in one place
-(:meth:`WeightedSetCoverInstance.uncovered`).  Conversely, any weighted set
+An instance stores each set only as an integer bitmask; its ``sets`` are
+derived on first access.  :func:`cover_instances` builds both covers'
+masks straight from the SCC pass, once per compiled system; every stage,
+check and printout reads them, coverage is tested in one place
+(:meth:`WeightedSetCoverInstance.uncovered`), and the greedy scans only
+the sets that cover something.  Conversely, any weighted set
 cover instance embeds into an accessibility problem over a diagonal state
 pattern.  Both directions preserve weights and optima exactly, which is
 what the round-trip tests exercise.
@@ -18,8 +21,10 @@ Universe elements and set indices are 0-based internally; the JSON format
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Optional
 
 from ioselect.graph_core import SccDecomposition, build_bipartite, decompose_sccs
@@ -58,57 +63,96 @@ class TooLarge(ModelError):
     """Instance exceeds a brute-force guard."""
 
 
-@dataclass(frozen=True)
+def _check(universe_size: int, r: int, weights: tuple[int, ...]) -> None:
+    """Both constructors' checks before the sets: r weights, a universe
+    size in range and no negative weight."""
+    if r != len(weights):
+        raise ModelError(f"{r} sets but {len(weights)} weights")
+    if not 0 <= universe_size <= SIZE_LIMIT:
+        raise ModelError(f"universe size {universe_size} outside 0..{SIZE_LIMIT}")
+    if min(weights, default=0) < 0:
+        idx = next(idx for idx, w in enumerate(weights) if w < 0)
+        raise ModelError(f"set {idx + 1}: negative weight")
+
+
+def _outside(universe_size: int, idx: int, e: int) -> ModelError:
+    return ModelError(f"set {idx + 1}: element {e + 1} outside universe 1..{universe_size}")
+
+
+def _elements(mask: int) -> list[int]:
+    """The elements of a set bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@dataclass(frozen=True, init=False)
 class WeightedSetCoverInstance:
     """Universe {0..N-1}, sets S_0..S_{r-1}, nonnegative scaled-integer weights.
 
-    A universe size outside 0..``SIZE_LIMIT``, a negative weight or an
-    element outside the universe raises :class:`ModelError`.  Feasibility
-    (the union of the sets equals the universe) is checked at solve time.
-    ``masks`` holds each set as an integer bitmask (bit e set when e is in
-    the set), built with the instance and left out of ``==``, ``hash`` and
-    ``repr``.
+    Each set is stored as an integer bitmask, ``masks[i]`` (bit e set when
+    e is in S_i).  ``WeightedSetCoverInstance(universe_size, sets,
+    weights)`` builds the masks from the sets' elements;
+    :meth:`of_masks` is given them.  Both raise :class:`ModelError` for a
+    universe size outside 0..``SIZE_LIMIT``, a negative weight or an
+    element outside the universe.  ``sets`` is derived from the masks and
+    built on first access; equality and hashing are those of
+    ``(universe_size, weights, masks)``.  Feasibility (the union of the
+    sets equals the universe) is checked at solve time.
     """
 
     universe_size: int
-    sets: tuple[frozenset[int], ...]
     weights: tuple[int, ...]
-    masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if len(self.sets) != len(self.weights):
-            raise ModelError(
-                f"{len(self.sets)} sets but {len(self.weights)} weights"
-            )
-        if not 0 <= self.universe_size <= SIZE_LIMIT:
-            raise ModelError(f"universe size {self.universe_size} outside 0..{SIZE_LIMIT}")
-        for idx, w in enumerate(self.weights):
-            if w < 0:
-                raise ModelError(f"set {idx + 1}: negative weight")
+    def __init__(self, universe_size: int, sets: Iterable[Iterable[int]], weights: Iterable[int]) -> None:
+        sets, weights = tuple(sets), tuple(weights)
+        _check(universe_size, len(sets), weights)
         masks = []
-        for idx, s in enumerate(self.sets):
+        for idx, s in enumerate(sets):
             mask = 0
             for e in s:
-                if not 0 <= e < self.universe_size:
-                    raise ModelError(
-                        f"set {idx + 1}: element {e + 1} outside universe 1..{self.universe_size}"
-                    )
+                if not 0 <= e < universe_size:
+                    raise _outside(universe_size, idx, e)
                 mask |= 1 << e
             masks.append(mask)
-        object.__setattr__(self, "masks", tuple(masks))
+        vars(self).update(universe_size=universe_size, weights=weights, masks=tuple(masks))
+
+    @classmethod
+    def of_masks(cls, universe_size: int, masks: Iterable[int], weights: Iterable[int]) -> "WeightedSetCoverInstance":
+        """The instance with these set bitmasks, checked in bulk."""
+        masks, weights = tuple(masks), tuple(weights)
+        _check(universe_size, len(masks), weights)
+        if masks and (min(masks) < 0 or max(masks) >> universe_size):
+            idx, high = next((idx, m >> universe_size) for idx, m in enumerate(masks) if m >> universe_size)
+            raise _outside(universe_size, idx, universe_size + (high & -high).bit_length() - 1)
+        inst = object.__new__(cls)
+        vars(inst).update(universe_size=universe_size, weights=weights, masks=masks)
+        return inst
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_elements(mask)) for mask in self.masks)
 
     @property
     def r(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def uncovered(self, chosen: Iterable[int]) -> int:
         """The bitmask of the elements that no chosen set covers."""
-        covered = 0
-        for i in chosen:
-            covered |= self.masks[i]
-        return ((1 << self.universe_size) - 1) & ~covered
+        return ((1 << self.universe_size) - 1) & ~reduce(or_, map(self.masks.__getitem__, chosen), 0)
+
+
+def _containing(inst: WeightedSetCoverInstance) -> list[list[int]]:
+    """Per element, the ascending indices of the sets that hold it."""
+    out: list[list[int]] = [[] for _ in range(inst.universe_size)]
+    for idx, mask in enumerate(inst.masks):
+        for e in _elements(mask):
+            out[e].append(idx)
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,21 +173,24 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     """Chvatal's greedy: repeatedly take the set with the smallest
     weight-per-newly-covered-element ratio.
 
-    Each round scans the sets' bitmasks, counting a set's new elements as
-    ``(mask & left).bit_count()``; only the set taken is turned back into
-    elements.  Ties break toward the set covering more new elements, then
-    the lowest index, making the trace fully deterministic; ratios are
-    compared by integer cross-multiplication.  Zero-weight sets have ratio
-    0 and win against any positive ratio; sets covering nothing new are
-    never taken.  The result is within H(d) of the optimum, where d is the
-    largest set size and H the harmonic number.
+    The sets that cover something are listed once, with their bitmasks,
+    and each round scans only those, counting a set's new elements as
+    ``(mask & left).bit_count()``; a step's newly covered elements are the
+    bits of the taken set's ``mask & left``.  Ties break toward the set
+    covering more new elements, then the lowest index, making the trace
+    fully deterministic; ratios are compared by integer
+    cross-multiplication.  Zero-weight sets have ratio 0 and win against
+    any positive ratio; sets covering nothing new are never taken.  The
+    result is within H(d) of the optimum, where d is the largest set size
+    and H the harmonic number.
     """
     masks, weights = inst.masks, inst.weights
+    live = [(idx, mask) for idx, mask in enumerate(masks) if mask]
     left = (1 << inst.universe_size) - 1
     trace: list[GreedyStep] = []
     while left:
         best_idx, best_k, best_w = -1, 0, 1  # ratio 1/0: any set covering something beats it
-        for idx, mask in enumerate(masks):
+        for idx, mask in live:
             k = (mask & left).bit_count()
             if not k:
                 continue
@@ -152,9 +199,9 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
                 best_idx, best_k, best_w = idx, k, w
         if best_idx < 0:
             raise Infeasible((left & -left).bit_length() - 1)  # the smallest one
-        newly = frozenset(e for e in inst.sets[best_idx] if left >> e & 1)
-        left &= ~masks[best_idx]
-        trace.append(GreedyStep(best_idx, newly, Fraction(best_w, best_k)))
+        newly = masks[best_idx] & left
+        left ^= newly
+        trace.append(GreedyStep(best_idx, frozenset(_elements(newly)), Fraction(best_w, best_k)))
     chosen = [step.set_index for step in trace]
     return Cover(chosen=frozenset(chosen), weight=sum(weights[i] for i in chosen), trace=tuple(trace))
 
@@ -179,11 +226,7 @@ def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
     # for the smallest element no set covers
     seed = greedy_solve(inst)
 
-    candidates: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for idx, s in enumerate(inst.sets):
-        for e in s:
-            candidates[e].append(idx)
-
+    candidates = _containing(inst)
     best_weight = seed.weight
     best_chosen = tuple(sorted(seed.chosen))
 
@@ -244,27 +287,38 @@ def steps_to_json(cover: Cover, labels: Optional[Labels] = None) -> list[dict]:
 def cover_instances(
     system: StructuredSystem, scc: SccDecomposition
 ) -> tuple[WeightedSetCoverInstance, WeightedSetCoverInstance]:
-    """The accessibility and the sensability cover, from one SCC pass of D(A).
+    """The accessibility and the sensability cover, as bitmasks straight
+    from one SCC pass of D(A).
 
     Accessibility: universe element t is the t-th non-top SCC, set i the
-    non-top SCCs input i covers, weights the input costs; built in one pass
-    over the B rows of the states in non-top SCCs.  Sensability is the same
-    over the non-bottom SCCs, the C rows and the output costs; it equals the
+    non-top SCCs input i covers, weights the input costs; bit t goes to
+    each input in the union of the non-empty B rows of that SCC's states
+    (a chain's one SCC holds every state, and most of their rows are
+    empty).  Sensability is the same over the non-bottom SCCs, the C rows
+    and the output costs: output j's mask ORs, per state of its C row,
+    the bit of that state's component in a table per component (0 for
+    the components that are not non-bottom).  It equals the
     accessibility reduction of the dual system (A^T, C^T, p_y).
     """
-    top_pos = {ci: t for t, ci in enumerate(scc.non_top)}
-    bot_pos = {ci: t for t, ci in enumerate(scc.non_bottom)}
+    b_rows, components = system.B.by_row, scc.components
+    in_masks = [0] * system.m
+    for t, ci in enumerate(scc.non_top):
+        bit = 1 << t
+        for i in set().union(*filter(None, map(b_rows.__getitem__, components[ci]))):
+            in_masks[i] |= bit
+    bit_of = [0] * len(components)
+    for t, ci in enumerate(scc.non_bottom):
+        bit_of[ci] = 1 << t
     comp_of = scc.component_of
-    in_covers: list[set[int]] = [set() for _ in range(system.m)]
-    for r, row in enumerate(system.B.by_row):
-        t = top_pos.get(comp_of[r]) if row else None
-        if t is not None:
-            for i in row:
-                in_covers[i].add(t)
-    out_covers = [{bot_pos.get(comp_of[r]) for r in row} - {None} for row in system.C.by_row]
+    out_masks = []
+    for row in system.C.by_row:
+        mask = 0
+        for s in row:
+            mask |= bit_of[comp_of[s]]
+        out_masks.append(mask)
     return (
-        WeightedSetCoverInstance(scc.q, in_covers, system.cost_u),
-        WeightedSetCoverInstance(scc.k, out_covers, system.cost_y),
+        WeightedSetCoverInstance.of_masks(scc.q, in_masks, system.cost_u),
+        WeightedSetCoverInstance.of_masks(scc.k, out_masks, system.cost_y),
     )
 
 
@@ -297,13 +351,9 @@ def reduce_wsc_to_accessibility(inst: WeightedSetCoverInstance) -> StructuredSys
     n = inst.universe_size
     if n < 1:
         raise ModelError("reverse reduction needs a nonempty universe")
-    b_rows: list[list[int]] = [[] for _ in range(n)]
-    for j, s in enumerate(inst.sets):
-        for e in s:
-            b_rows[e].append(j)
     return StructuredSystem(
         A=SparsityPattern.of_checked_rows(n, n, [[i] for i in range(n)]),
-        B=SparsityPattern.of_checked_rows(n, inst.r, b_rows),
+        B=SparsityPattern.of_checked_rows(n, inst.r, _containing(inst)),
         C=SparsityPattern.of_checked_rows(0, n, []),
         K=COMPLETE,
         cost_u=inst.weights,

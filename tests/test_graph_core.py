@@ -20,7 +20,8 @@ from ioselect.graph_core import (
     vertex_name,
 )
 from ioselect.selector import compile_system
-from ioselect.system_model import COMPLETE, Selection, SparsityPattern
+from ioselect.set_cover import WeightedSetCoverInstance
+from ioselect.system_model import COMPLETE, ModelError, Selection, SparsityPattern
 
 
 @st.composite
@@ -244,6 +245,52 @@ class TestCoverage:
         assert sensability.universe_size == compiled.scc.k
         assert all(len(s) <= compiled.scc.q for s in accessibility.sets)
         assert all(len(s) <= compiled.scc.k for s in sensability.sets)
+
+    @given(systems(max_n=8, max_m=4, max_p=4))
+    def test_masks_match_reference(self, system):
+        # each cover's masks straight from the SCC pass, against networkx's
+        # SCCs and condensation ends, numbered by smallest state: input i
+        # covers non-top S iff a star (s, i) of B has s in S, and output j
+        # covers non-bottom S iff a star (j, s) of C has s in S
+        edges = state_edges(system)
+        sccs = sorted(oracles.scc_partition(system.n, edges), key=min)
+        tops, bottoms = ([c for c in sccs if c in ends] for ends in oracles.condensation_ends(system.n, edges))
+
+        def masks(universe, stars, r):
+            return tuple(
+                sum(1 << t for t, comp in enumerate(universe) if any(s in comp for s in stars[i]))
+                for i in range(r)
+            )
+
+        feeds = [{s for s, i in system.B.stars if i == u} for u in range(system.m)]
+        reads = [{s for j, s in system.C.stars if j == y} for y in range(system.p)]
+        accessibility, sensability = compile_system(system).covers
+        assert accessibility.masks == masks(tops, feeds, system.m)
+        assert sensability.masks == masks(bottoms, reads, system.p)
+        assert (accessibility.weights, sensability.weights) == (system.cost_u, system.cost_y)
+
+    @given(systems(max_n=8, max_m=4, max_p=4))
+    def test_of_masks_agrees_with_the_validating_constructor(self, system):
+        for inst in compile_system(system).covers:
+            built = WeightedSetCoverInstance(inst.universe_size, inst.sets, inst.weights)
+            given_masks = WeightedSetCoverInstance.of_masks(inst.universe_size, built.masks, built.weights)
+            assert built == given_masks == inst
+            assert hash(built) == hash(given_masks) == hash(inst)
+            assert (built.sets, built.r) == (given_masks.sets, given_masks.r)
+
+    @pytest.mark.parametrize(
+        "masks,weights,message",
+        [
+            ((1, 2), (1, -1), "set 2: negative weight"),
+            ((1, 0b101), (1, 1), "set 2: element 3 outside universe 1..2"),
+            ((1, 0b1010), (1, 1), "set 2: element 4 outside universe 1..2"),
+            ((-1,), (1,), "set 1: element 3 outside universe 1..2"),
+            ((1,), (1, 1), "1 sets but 2 weights"),
+        ],
+    )
+    def test_of_masks_refuses(self, masks, weights, message):
+        with pytest.raises(ModelError, match=message):
+            WeightedSetCoverInstance.of_masks(2, masks, weights)
 
 
 def covers_all(system, sel):

@@ -675,6 +675,19 @@ class TestBuildOnce:
         assert ("trace" in json.loads(capsys.readouterr().out)) == bool(flag)
         assert counts == {"set_cover.cover_labels": labelled}
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["default", "trace"])
+    @pytest.mark.parametrize("which", ["demo", "wide"])
+    def test_covers_stay_masks(self, demo, which, traced):
+        # the covers are built as bitmasks, and a select reads only those:
+        # neither its stages nor its trace turn a cover back into sets
+        from ioselect.oracle_bench import generate
+
+        system = demo if which == "demo" else generate(pool_config("wide", 0))
+        rep = select_min_cost_io(system)
+        doc = report_to_json(rep, include_traces=traced)
+        assert ("trace" in doc) == traced and rep.stage1 is not None
+        assert ["sets" in vars(cover) for cover in rep.compiled.covers] == [False, False]
+
     # Stage 3's two one-sided searches also decide condition (b) of the full
     # selection, and the final check verifies its matching without a
     # search.  The one Hopcroft-Karp run finds B(A)'s maximum matching,

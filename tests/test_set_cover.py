@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_system, systems
+from ioselect.selector import compile_system
 from ioselect.set_cover import (
     EXACT_GUARD,
     Cover,
@@ -50,6 +51,14 @@ def wsc_instances(draw, max_n=8, max_r=8, feasible=True, max_weight=9):
                 sets[e % r] = sets[e % r] | {e}
     weights = tuple(draw(st.integers(0, max_weight)) * COST_SCALE for _ in range(r))
     return WeightedSetCoverInstance(n, tuple(sets), weights)
+
+
+def _outcome(solve, inst):
+    """The solver's cover, or the element of its Infeasible."""
+    try:
+        return solve(inst)
+    except Infeasible as exc:
+        return exc.element
 
 
 class TestInstance:
@@ -136,14 +145,32 @@ class TestGreedy:
         sets = [data.draw(st.frozensets(st.integers(0, n - 1), max_size=n)) if n else frozenset() for _ in range(r)]
         weights = units(*(data.draw(st.integers(0, 6)) for _ in range(r)))
         inst = WeightedSetCoverInstance(n, tuple(sets), weights)
+        assert _outcome(greedy_solve, inst) == _outcome(oracles.set_scan_greedy, inst)
 
-        def outcome(solve):
-            try:
-                return solve(inst)
-            except Infeasible as exc:
-                return exc.element
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_live_scan_matches_set_scan_when_most_sets_are_empty(self, data):
+        # the greedy lists only the sets that cover something: with at least
+        # 80% of the sets empty, some of them zero-weight, it still gives the
+        # reference's cover, trace included, or its Infeasible element
+        n = data.draw(st.integers(0, 12))
+        live = data.draw(st.integers(0, 6))
+        empty = data.draw(st.integers(4 * live, 4 * live + 20))
+        sets = [data.draw(st.frozensets(st.integers(0, n - 1), min_size=1)) if n else frozenset() for _ in range(live)]
+        sets += [frozenset()] * empty
+        sets = data.draw(st.permutations(sets))
+        weights = units(*(data.draw(st.integers(0, 3)) for _ in sets))
+        inst = WeightedSetCoverInstance(n, tuple(sets), weights)
+        assert sum(not s for s in inst.sets) >= 0.8 * inst.r
+        assert _outcome(greedy_solve, inst) == _outcome(oracles.set_scan_greedy, inst)
 
-        assert outcome(greedy_solve) == outcome(oracles.set_scan_greedy)
+    def test_live_scan_matches_set_scan_on_wide(self, workloads):
+        # both covers of the benchmark's wide instances of seed 1, where most
+        # of the 120 sets per side are empty
+        for spec in workloads.WORKLOADS["wide"].choose(1):
+            for inst in compile_system(spec.build()).covers:
+                assert sum(1 for mask in inst.masks if mask) < inst.r // 2
+                assert _outcome(greedy_solve, inst) == _outcome(oracles.set_scan_greedy, inst)
 
 
 class TestExact:
