@@ -14,7 +14,9 @@ temporary directory, which is removed at exit; the other side is the
 working tree this script lives in.  For each workload W in turn, pair k
 runs ``perfbench/run.py --workload W --seed S+k --trace 0`` once in each
 tree, one process at a time, and the side that runs first alternates from
-pair to pair.  Both sides run the same ``perfbench/`` code: this
+pair to pair.  Every run is pinned to one CPU, the lowest this script may
+run on (:func:`bench_cpu`), and unpinned where the platform cannot pin;
+the summary names it.  Both sides run the same ``perfbench/`` code: this
 checkout's, copied over the base's, so a change to the benchmark cannot
 pass for a change to the program.
 
@@ -27,7 +29,7 @@ neither), a verdict (:func:`verdict`) under the metric's bound from
 ratios head/base with, from 4 pairs on, its [2nd, (pairs-1)th]
 order-statistic interval and that interval's coverage
 (:func:`ratio_interval`).  It ends with one JSON line per workload holding
-its runs.
+its runs and the CPU they ran on.
 """
 
 from __future__ import annotations
@@ -79,11 +81,21 @@ def same_tree(rev: str) -> bool:
     return subprocess.run(["git", "-C", ROOT, "diff", "--quiet", rev], check=False).returncode == 0
 
 
+def bench_cpu() -> int | None:
+    """The CPU every benchmark process is pinned to: the lowest this process
+    may run on, or None where the platform cannot pin (then runs are left
+    unpinned).  Two CPUs of one machine can run Python far apart, so a
+    pair whose sides ran on different CPUs would compare the CPUs."""
+    return min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+
+
 def run_once(tree: str, workload: str, seed: int) -> dict:
-    """One benchmark process in ``tree``, at the benchmark's own run length;
-    returns its JSON result."""
+    """One benchmark process in ``tree``, at the benchmark's own run length,
+    pinned to :func:`bench_cpu`; returns its JSON result."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True, check=False)
+    cpu = bench_cpu()
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    proc = subprocess.run(argv, cwd=tree, stdout=subprocess.PIPE, text=True, check=False, preexec_fn=pin)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(argv[1:])} in {tree} exited with code {proc.returncode}")
@@ -218,6 +230,8 @@ def main(argv=None) -> int:
     if same_tree(args.base):
         parser.error(f"--base {args.base}: the working tree equals it; compare the change with its parent")
 
+    cpu = bench_cpu()
+    pinned = "unpinned" if cpu is None else f"pinned to CPU {cpu}"
     tmp = tempfile.mkdtemp(prefix="ab_bench-")
     try:
         export_revision(args.base, tmp)
@@ -228,7 +242,7 @@ def main(argv=None) -> int:
 
     for workload, runs in results.items():
         print(
-            f"{workload}: {args.pairs} pairs, base {args.base} -> working tree; median [quartiles];"
+            f"{workload}: {args.pairs} pairs, base {args.base} -> working tree, {pinned}; median [quartiles];"
             " median head/base ratio [2nd, (pairs-1)th ratio] and its coverage"
         )
         for row in summarize(runs):
@@ -244,7 +258,7 @@ def main(argv=None) -> int:
                 f"  {row['verdict']}  head/base {ratio}"
             )
     for workload, runs in results.items():
-        print(json.dumps({"workload": workload, "base": args.base, "seed0": args.seed0, "runs": runs}))
+        print(json.dumps({"workload": workload, "base": args.base, "seed0": args.seed0, "cpu": cpu, "runs": runs}))
     ok = all(r[side]["correct"] and not r[side]["failed"] for runs in results.values() for r in runs for side in SIDES)
     return 0 if ok else 1
 

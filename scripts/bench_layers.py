@@ -35,7 +35,9 @@ The shapes are the benchmark's, taken from ``perfbench/workloads.py``
 (sparse at n = 400, m = p = n/10, about five A stars per row; wide at n =
 60, m = p = 120), the sparse member grown to n = 1600 and 6400 with its
 other parameters kept, and chain at n = 640.  Each record carries the git revision and the
-machine-speed calibration that ``perfbench/measure.py`` computes.
+machine-speed calibration that ``perfbench/measure.py`` computes, and the
+one CPU the script pinned itself to at start (the lowest it may run on;
+None, and unpinned, where the platform cannot pin).
 
     PYTHONPATH=src python scripts/bench_layers.py -o BENCH_<tag>.json --tag <tag>
 
@@ -166,6 +168,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args(argv)
 
+    cpu = None
+    if hasattr(os, "sched_setaffinity"):  # one CPU for every shape: two CPUs can run Python far apart
+        cpu = min(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpu})
     calibration_before = statistics.median(measure.time_calibration() for _ in range(5))
     with tempfile.TemporaryDirectory() as directory:
         results = [bench_shape(name, build, directory, args.repeats) for name, build in _shapes().items()]
@@ -175,6 +181,7 @@ def main(argv=None) -> int:
         "revision": _revision(),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
+        "cpu": cpu,
         "repeats": args.repeats,
         "calibration_s": {"before": round(calibration_before, 6), "after": round(calibration_after, 6)},
         "calibration_ref_s": measure.CALIBRATION_REF_S,

@@ -3,6 +3,10 @@
 Commands: check, select, reduce-setcover, solve-setcover, gen, bench.
 Exit codes: 0 success, 1 infeasible / has fixed modes, 2 usage or parse error,
 3 internal error (a failed consistency check: a defect in this package).
+Every package error that reaches :func:`main` (a refused setting, an
+instance past a declared size limit) exits 2 with one ``error: <message>``
+line on stderr; :func:`main` alone maps it, and a command adds only the
+path or flag prefix of its own usage messages.
 All output is JSON (``--format table`` flattens it for reading); identical
 inputs and flags produce byte-identical output.
 
@@ -36,7 +40,6 @@ from ioselect.selector import SystemHasSFMs, ValidationFailed
 from ioselect.set_cover import (
     Cover,
     Infeasible,
-    TooLarge,
     cover_labels,
     exact_solve,
     greedy_solve,
@@ -176,8 +179,6 @@ def _cmd_select(args) -> int:
     except SystemHasSFMs as exc:  # from the select: exact_select runs only after it succeeds
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE
-    except TooLarge as exc:
-        raise _UsageError(str(exc)) from exc
     doc = selector.report_to_json(report, include_traces=args.trace, oracle=oracle)
     if args.dump_matching:
         g = report.compiled.graph
@@ -214,10 +215,7 @@ def _cmd_solve_setcover(args) -> int:
         return EXIT_INFEASIBLE
     doc = _cover_json(cover)
     if args.exact:
-        try:
-            doc["exact"] = _cover_json(exact_solve(inst))
-        except TooLarge as exc:
-            raise _UsageError(str(exc)) from exc
+        doc["exact"] = _cover_json(exact_solve(inst))
     if args.trace:
         doc["steps"] = steps_to_json(cover)
     _emit(doc, args)
@@ -225,23 +223,20 @@ def _cmd_solve_setcover(args) -> int:
 
 
 def _generator_config(args, n: int) -> oracle_bench.GeneratorConfig:
-    try:
-        return oracle_bench.GeneratorConfig(
-            n=n,
-            m=args.m,
-            p=args.p,
-            state_density=args.state_density,
-            input_density=args.input_density,
-            output_density=args.output_density,
-            cost_range=(args.cost_lo, args.cost_hi),
-            cost_decimals=args.cost_decimals,
-            seed=args.seed,
-            mode="discrete" if args.discrete else "continuous",
-            require_feasible=not args.allow_sfms,
-            max_attempts=args.max_attempts,
-        )
-    except ModelError as exc:
-        raise _UsageError(str(exc)) from exc
+    return oracle_bench.GeneratorConfig(
+        n=n,
+        m=args.m,
+        p=args.p,
+        state_density=args.state_density,
+        input_density=args.input_density,
+        output_density=args.output_density,
+        cost_range=(args.cost_lo, args.cost_hi),
+        cost_decimals=args.cost_decimals,
+        seed=args.seed,
+        mode="discrete" if args.discrete else "continuous",
+        require_feasible=not args.allow_sfms,
+        max_attempts=args.max_attempts,
+    )
 
 
 def _cmd_gen(args) -> int:

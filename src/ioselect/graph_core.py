@@ -170,6 +170,18 @@ def build_graphs(system: StructuredSystem) -> tuple[SystemGraph, SystemGraph]:
     return g, g
 
 
+def _augment(w: int, parent: list[int], mate_s: list[int], mate_w: list[int]) -> None:
+    """Flip the augmenting path that reached the free vertex ``w``, back to
+    its free start: each vertex s on it takes the vertex w with
+    ``parent[w] == s``, and ``mate_s``/``mate_w`` (each side's partners, -1
+    when free) are updated in place.  The one flip of the package:
+    Hopcroft-Karp's phases and each stage-3 side's greedy
+    (:mod:`ioselect.matching`) call it."""
+    while w >= 0:
+        s = parent[w]
+        mate_w[w], mate_s[s], w = s, w, mate_s[s]
+
+
 def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     """Maximum matching via Hopcroft-Karp.  ``adj[l]`` lists the right
     neighbours of left vertex l, both sides numbered 0..len(adj)-1.
@@ -177,6 +189,7 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     size = len(adj)
     match_l = [-1] * size
     match_r = [-1] * size
+    parent = [0] * size
     for l, row in enumerate(adj):  # a greedy start leaves the phases little to do
         for r in row:
             if match_r[r] < 0:
@@ -206,7 +219,9 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
         # Depth-first search for augmenting paths along the BFS layers.  The
         # vertex being scanned and its neighbour iterator live in locals;
         # ``path`` holds the (vertex, iterator) frames below it, so path
-        # length is not bounded by the recursion limit.
+        # length is not bounded by the recursion limit.  Each step to a
+        # right vertex r records ``parent[r] = l``, and :func:`_augment`
+        # flips a found path along those records.
         for root in range(size):
             if match_l[root] >= 0:
                 continue
@@ -224,20 +239,12 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
                         break
                     l, it = path.pop()
                     continue
+                parent[r] = l
                 if nxt >= 0:  # descend to the left vertex matched to r
                     path.append((l, it))
                     l, it = nxt, iter(adj[nxt])
                     continue
-                # r is free: flip the path.  Each vertex below takes the
-                # right vertex its successor was matched to.
-                while True:
-                    prev = match_l[l]
-                    match_l[l] = r
-                    match_r[r] = l
-                    if not path:
-                        break
-                    r = prev
-                    l, _it = path.pop()
+                _augment(r, parent, match_l, match_r)  # r is free
                 break
 
 
@@ -452,14 +459,10 @@ def condition_a_witness(g: SystemGraph, sel: Selection) -> dict[str, dict[str, o
     ``sel`` that the state belongs to and one feedback edge inside it (None
     when absent)."""
     comps, comp_of, k_edge_of = _feedback_sccs(g, sel)
-    n, m = g.n, g.m
-
-    def name(v: int) -> str:
-        return vertex_name(v, n, m)
-
+    name = g.right_name
     members: dict[int, list[str]] = {}
     witness: dict[str, dict[str, object]] = {}
-    for v in range(n):
+    for v in range(g.n):
         ci = comp_of[v]
         if ci not in members:
             members[ci] = [name(w) for w in comps[ci] if w < g.size]
@@ -483,7 +486,7 @@ def dump_system_digraph(g: SystemGraph, sel: Optional[Selection] = None) -> str:
     the states and the selected inputs and outputs are listed, under their
     labels in the full system.
     """
-    n, m, out0, size = g.n, g.m, g.n + g.m, g.size
+    n, out0, size = g.n, g.n + g.m, g.size
     keep, rows = restricted_rows(g, sel)
     edges = [
         (s, d, g.edge(d, s)[0])
@@ -494,7 +497,7 @@ def dump_system_digraph(g: SystemGraph, sel: Optional[Selection] = None) -> str:
     if g.hub:
         edges += [(y, u, EDGE_EK) for y in range(out0, size) for u in range(n, out0)]
     lines = [
-        f"{vertex_name(s, n, m)} {vertex_name(d, n, m)} {cls}"
+        f"{g.right_name(s)} {g.right_name(d)} {cls}"
         for s, d, cls in sorted(edges)
         if keep[s] and keep[d]
     ]

@@ -43,6 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from ioselect.graph_core import (
     SystemGraph,
+    _augment,
     _hopcroft_karp,
     _require_hub,
     build_bipartite,
@@ -83,9 +84,10 @@ class NoPerfectMatching(ModelError):
 
 def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: list[int]) -> int:
     """The greedy of one side: try the vertices of ``starts`` in turn, and
-    keep one when an alternating path from it reaches a free vertex of the
-    other side, flipping that path, until ``need`` are kept.  Returns the
-    number kept.
+    keep one when an alternating path from it (:func:`_path`) reaches a
+    free vertex of the other side, flipping that path with Hopcroft-Karp's
+    flip (:func:`~ioselect.graph_core._augment`), until ``need`` are kept.
+    Returns the number kept.
 
     ``nbr[s]`` lists the neighbours of s on the other side; ``mate_s`` and
     ``mate_w`` hold each vertex's partner on either side (-1 when free) and
@@ -126,13 +128,6 @@ def _path(s: int, nbr, mate_w: list[int], seen: list[bool], parent: list[int], r
                     return w
                 stack.append(mate_w[w])
     return -1
-
-
-def _augment(w: int, parent: list[int], mate_s: list[int], mate_w: list[int]) -> None:
-    """Flip the path that reached the free vertex ``w``, back to its start."""
-    while w >= 0:
-        s = parent[w]
-        mate_w[w], mate_s[s], w = s, w, mate_s[s]
 
 
 def complete_side(g: SystemGraph, side: int, chosen: Iterable[int]) -> tuple[list[int], bool]:

@@ -308,12 +308,6 @@ class SelectionReport:
     exact_stage_bound: Optional[int]
     timings: dict[str, float]
 
-    @property
-    def scc_witness(self) -> dict:
-        """Condition-(a) certificate of the selection, built on each access:
-        it costs O(n * |SCC|) and only traces show it."""
-        return condition_a_witness(self.compiled.graph, self.selection)
-
 
 def select_min_cost_io(
     system: Union[StructuredSystem, CompiledSystem], exact_covers: bool = False
@@ -450,7 +444,10 @@ def report_to_json(
     oracle: Optional[tuple[Selection, int]] = None,
 ) -> dict:
     """Render a report in the external JSON shape (1-based indices,
-    decimal-string costs)."""
+    decimal-string costs).  With ``include_traces``, the trace opens with
+    the selection's condition-(a) certificate
+    (:func:`~ioselect.graph_core.condition_a_witness`), built here: it
+    costs O(n * |SCC|), and no other output shows it."""
     acc, sen, cyc = report.stage_costs
     out: dict = {
         "selection": selection_to_json(report.selection),
@@ -480,7 +477,7 @@ def report_to_json(
             entry["ratio_convention"] = "zero-cost optimum reported as ratio 1"
         out["oracle"] = entry
     if include_traces:
-        trace: dict = {"scc_feedback_witness": report.scc_witness}
+        trace: dict = {"scc_feedback_witness": condition_a_witness(report.compiled.graph, report.selection)}
         if report.stage1 is not None:  # both greedy stages ran
             stages = {"accessibility_cover": report.stage1, "sensability_cover": report.stage2}
             for (key, cover), labels in zip(stages.items(), cover_labels(report.compiled.scc)):

@@ -169,3 +169,40 @@ def test_prints_the_ratio_interval_from_4_pairs(monkeypatch, capsys):
         assert ab_bench.main(["--base", "HEAD", "--workload", "chain", "--pairs", str(pairs)]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if line.lstrip().startswith("select_p50_s")]
         assert len(lines) == 1 and lines[0].endswith(expected), lines
+
+
+def test_run_once_pins_each_run_to_one_cpu(monkeypatch):
+    calls, pinned = [], []
+
+    def fake_run(argv, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result(0.004, 1.0)) + "\n")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    monkeypatch.setattr(ab_bench.os, "sched_getaffinity", lambda pid: {3, 1, 2}, raising=False)
+    monkeypatch.setattr(ab_bench.os, "sched_setaffinity", lambda pid, cpus: pinned.append((pid, cpus)), raising=False)
+    assert ab_bench.bench_cpu() == 1
+    assert ab_bench.run_once("tree", "chain", 7) == result(0.004, 1.0)
+    (kwargs,) = calls
+    assert kwargs["cwd"] == "tree" and pinned == []
+    kwargs["preexec_fn"]()  # what the child runs before perfbench/run.py
+    assert pinned == [(0, {1})]
+
+    monkeypatch.delattr(ab_bench.os, "sched_setaffinity")  # a platform that cannot pin
+    assert ab_bench.bench_cpu() is None
+    ab_bench.run_once("tree", "chain", 7)
+    assert calls[-1]["preexec_fn"] is None
+
+
+def test_summary_and_records_name_the_cpu(monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "same_tree", lambda rev: False)
+    monkeypatch.setattr(ab_bench, "export_revision", lambda rev, dest: None)
+    monkeypatch.setattr(ab_bench, "bench_cpu", lambda: 1)
+    monkeypatch.setattr(ab_bench, "run_once", lambda tree, workload, seed: result(0.004, 1.0))
+    assert ab_bench.main(["--base", "HEAD", "--workload", "chain", "--pairs", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("chain: ")][0].startswith(
+        "chain: 1 pairs, base HEAD -> working tree, pinned to CPU 1; "
+    )
+    (record,) = [json.loads(line) for line in out if line.startswith("{")]
+    assert record["cpu"] == 1

@@ -436,24 +436,29 @@ class TestGen:
         assert (code, out) == (EXIT_INFEASIBLE, "")
         assert "no feasible instance after 1 attempts" in err
 
-    def test_bad_density(self, capsys):
+    def test_bad_density(self, capsys, tmp_path):
         code, _out, err = run(
             capsys, "gen", "--n", "2", "--m", "1", "--p", "1",
             "--state-density", "1.5",
         )
         assert code == EXIT_USAGE and "state_density" in err
-        # configs that validation would refuse are refused before any draw
-        for flags, message in (
-            (("--n", "2", "--m", "1", "--p", "1", "--cost-lo=-5", "--cost-hi=-1"), "negative"),
-            (("--n", "1", "--m", "100001", "--p", "1"), "at most 100000"),
-            (("--n", "1", "--m", "100001", "--p", "1", "--allow-sfms"), "at most 100000"),
-            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=-1"), "max_attempts must be at least 1"),
-            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=0"), "max_attempts must be at least 1"),
-            (("--n", "3", "--m", "1", "--p", "1", "--max-attempts=0", "--allow-sfms"), "max_attempts"),
+        # configs that validation would refuse are refused before any draw,
+        # and main alone turns each package error into one error line
+        sizes = "sizes must be at least 1 and at most 100000"
+        wsc = write_wsc(tmp_path, {"N": 1, "sets": [[1]] * 26, "weights": ["1"] * 26})
+        for argv, message in (
+            (("gen", "--n", "2", "--m", "1", "--p", "1", "--cost-lo=-5", "--cost-hi=-1"), "cost_range lower bound is negative"),
+            (("gen", "--n", "2", "--m", "1", "--p", "1", "--cost-lo", "3", "--cost-hi", "2"),
+             "cost_range lower bound exceeds upper bound"),
+            (("gen", "--n", "1", "--m", "100001", "--p", "1"), sizes),
+            (("gen", "--n", "1", "--m", "100001", "--p", "1", "--allow-sfms"), sizes),
+            (("gen", "--n", "3", "--m", "1", "--p", "1", "--max-attempts=-1"), "max_attempts must be at least 1"),
+            (("gen", "--n", "3", "--m", "1", "--p", "1", "--max-attempts=0"), "max_attempts must be at least 1"),
+            (("gen", "--n", "3", "--m", "1", "--p", "1", "--max-attempts=0", "--allow-sfms"), "max_attempts must be at least 1"),
+            (("bench", "--n", "4", "--m", "0", "--p", "1"), sizes),
+            (("solve-setcover", wsc, "--exact"), "exact cover limited to 25 sets, got 26"),
         ):
-            code, out, err = run(capsys, "gen", *flags)
-            assert code == EXIT_USAGE and out == "" and message in err
-            assert err.count("error:") == 1 and "Traceback" not in err
+            assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
 
 
 class TestBench:

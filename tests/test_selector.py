@@ -793,8 +793,10 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("seed", [2, 3, 4])  # nu(B(A)) = n - 2, n - 2, n - 1
     def test_stage3_augments_n_minus_nu_times(self, monkeypatch, seed):
-        # each side starts from B(A)'s maximum matching and keeps exactly
-        # n - nu(B(A)) channels, one augmenting path each
+        # every augmenting path is flipped by the one _augment: Hopcroft-Karp
+        # flips nu(B(A)) less its first-fit start's size, once per graph;
+        # then each side starts from B(A)'s maximum matching and keeps
+        # exactly n - nu(B(A)) channels, one augmenting path each
         from ioselect.oracle_bench import GeneratorConfig, generate
 
         system = generate(
@@ -805,10 +807,16 @@ class TestBuildOnce:
         )
         nu = oracles.matching_size(system.n, system.n, sorted(system.A.stars))
         assert nu < system.n
-        counts = wrap_counting(monkeypatch, ["matching._augment", "graph_core._hopcroft_karp"])
+        taken: set[int] = set()
+        for row in system.A.by_row:  # Hopcroft-Karp's first-fit start
+            taken.update([r for r in row if r not in taken][:1])
+        counts = wrap_counting(monkeypatch, ["graph_core._augment", "graph_core._hopcroft_karp"])
         g = build_bipartite(system)
+        assert g.state_matching[0].count(-1) == system.n - nu
+        assert counts == {"graph_core._augment": nu - len(taken), "graph_core._hopcroft_karp": 1}
+        counts["graph_core._augment"] = 0
         sel, _cost = matching_mod.extract_io(g, matching_mod.min_cost_perfect_matching(g))
-        assert counts == {"matching._augment": 2 * (system.n - nu), "graph_core._hopcroft_karp": 1}
+        assert counts == {"graph_core._augment": 2 * (system.n - nu), "graph_core._hopcroft_karp": 1}
         assert len(sel.inputs) == len(sel.outputs) == system.n - nu
 
     def test_diagonal_check_searches_each_channel_once(self, monkeypatch):
