@@ -1,12 +1,16 @@
 """Command-line front end.
 
 Commands: check, select, reduce-setcover, solve-setcover, gen, bench.
-Exit codes: 0 success, 1 infeasible / has fixed modes, 2 usage or parse error,
-3 internal error (a failed consistency check: a defect in this package).
-Every package error that reaches :func:`main` (a refused setting, an
-instance past a declared size limit) exits 2 with one ``error: <message>``
-line on stderr; :func:`main` alone maps it, and a command adds only the
-path or flag prefix of its own usage messages.
+Exit codes: 0 success, 1 infeasible / has fixed modes / no feasible
+instance drawn, 2 usage or parse error, 3 internal error (a failed
+consistency check: a defect in this package).
+:func:`main` alone prints every ``error: <message>`` line on stderr, one per
+failed call.  Every package error that reaches it (a refused setting, an
+instance past a declared size limit) exits 2, except ``gen``'s
+:class:`oracle_bench.GenerationFailed` (no feasible instance within
+``--max-attempts`` draws), which exits 1.  A command adds only the path or
+flag prefix of its own usage messages; :func:`_load_json` names the file
+for every reason it cannot be read, parsed or decoded.
 All output is JSON (``--format table`` flattens it for reading); identical
 inputs and flags produce byte-identical output.
 
@@ -31,7 +35,7 @@ import gc
 import json
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
 from ioselect import oracle_bench, selector
 from ioselect.graph_core import dump_condensation, dump_system_digraph
@@ -68,10 +72,13 @@ class _UsageError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str, decode: Callable):
+    """The JSON document in the file at ``path``, as ``decode`` makes it.
+    A file that cannot be read, parsed or decoded is one usage error, named
+    by its path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:  # before ValueError, its base class
@@ -82,13 +89,14 @@ def _load_json(path: str):
         raise _UsageError(f"{path}: not UTF-8") from None
     except ValueError:  # an integer past the interpreter's digit limit
         raise _UsageError(f"{path}: integer too long") from None
+    try:
+        return decode(doc)
+    except FormatError as exc:
+        raise _UsageError(f"{path}: {exc}") from exc
 
 
 def _read_system(path: str, discrete: bool = False) -> StructuredSystem:
-    try:
-        system = system_from_json(_load_json(path))
-    except FormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
+    system = _load_json(path, system_from_json)
     return replace(system, mode="discrete") if discrete else system
 
 
@@ -204,10 +212,7 @@ def _cover_json(cover: Cover) -> dict:
 
 
 def _cmd_solve_setcover(args) -> int:
-    try:
-        inst = wsc_from_json(_load_json(args.instance))
-    except FormatError as exc:
-        raise _UsageError(f"{args.instance}: {exc}") from exc
+    inst = _load_json(args.instance, wsc_from_json)
     try:
         cover = greedy_solve(inst)
     except Infeasible as exc:
@@ -215,7 +220,7 @@ def _cmd_solve_setcover(args) -> int:
         return EXIT_INFEASIBLE
     doc = _cover_json(cover)
     if args.exact:
-        doc["exact"] = _cover_json(exact_solve(inst))
+        doc["exact"] = _cover_json(exact_solve(inst, cover))
     if args.trace:
         doc["steps"] = steps_to_json(cover)
     _emit(doc, args)
@@ -240,13 +245,7 @@ def _generator_config(args, n: int) -> oracle_bench.GeneratorConfig:
 
 
 def _cmd_gen(args) -> int:
-    config = _generator_config(args, args.n)
-    try:
-        system = oracle_bench.generate(config)
-    except oracle_bench.GenerationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    _emit(system_to_json(system), args)
+    _emit(system_to_json(oracle_bench.generate(_generator_config(args, args.n))), args)
     return EXIT_OK
 
 
@@ -365,18 +364,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         gc.disable()
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationFailed as exc:  # only from a system file: a generated system always validates
-        print(f"error: {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvariantViolated as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (_UsageError, ModelError, OSError) as exc:
+        # validation fails only on a system file: a generated system always validates
+        where = f"{args.instance}: " if isinstance(exc, ValidationFailed) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE if isinstance(exc, oracle_bench.GenerationFailed) else EXIT_USAGE
     finally:
         if pause:
             gc.enable()

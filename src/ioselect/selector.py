@@ -327,13 +327,13 @@ def select_min_cost_io(
     and its lower bound, with ``stage1``, ``stage2`` and
     ``exact_stage_bound`` left None; otherwise the bound is the larger of
     the cycle cost and, with ``exact_covers``, the exact stage-1/2 optima
-    (guarded brute force).  Every stage reads one compiled system; one given
-    already compiled is not compiled again.  ``timings`` holds the seconds
-    of each layer that ran, by name: the compile's four
-    (:attr:`CompiledSystem.timings`), ``state_matching``, ``special_cases``
-    (the tags and condition (a) of the full selection), where they run
-    ``state_cols_rows_to_states``, ``stage3``, ``accessibility`` and
-    ``sensability``, and ``final_check``.
+    (guarded branch and bound, each from its stage's greedy cover).  Every
+    stage reads one compiled system; one given already compiled is not
+    compiled again.  ``timings`` holds the seconds of each layer that ran,
+    by name: the compile's four (:attr:`CompiledSystem.timings`),
+    ``state_matching``, ``special_cases`` (the tags and condition (a) of
+    the full selection), where they run ``state_cols_rows_to_states``,
+    ``stage3``, ``accessibility`` and ``sensability``, and ``final_check``.
     """
     compiled = compile_system(system)
     system, graph = compiled.system, compiled.graph
@@ -386,7 +386,7 @@ def select_min_cost_io(
     stage1, stage2 = (None, None) if irreducible else covers
     exact_bound = None
     if exact_covers and not irreducible:
-        exact_bound = sum(exact_solve(inst).weight for inst in compiled.covers)
+        exact_bound = sum(exact_solve(inst, cover).weight for inst, cover in zip(compiled.covers, covers))
     lower = sum(stage_costs) if irreducible else max(cycle_cost or 0, exact_bound or 0)
 
     # The final check verifies condition (b) on a perfect matching that

@@ -33,6 +33,7 @@ from ioselect.system_model import (
     COST_SCALE,
     SIZE_LIMIT,
     FormatError,
+    InvariantViolated,
     ModelError,
     Selection,
     SparsityPattern,
@@ -209,22 +210,23 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
 EXACT_GUARD = 25
 
 
-def exact_solve(inst: WeightedSetCoverInstance) -> Cover:
+def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
     """Minimum-weight cover by branch and bound over set bitmasks.
 
     Guarded at r <= 25 sets; this is a desk-scale verification oracle, not a
-    production solver.  The greedy cover seeds the bound, and an instance
-    it cannot cover raises its :class:`Infeasible`.  Ties break toward the
-    lexicographically smallest chosen index set.  The pruning bound relies
-    on nonnegative weights, which the instance enforces.
+    production solver.  ``seed`` is the cover the caller already holds,
+    its greedy cover, and is the first bound.  It must cover the universe,
+    or :class:`InvariantViolated` is raised: an instance that has no cover
+    is refused before, by :func:`greedy_solve`'s :class:`Infeasible`.
+    Ties break toward the lexicographically smallest chosen index set.  The
+    pruning bound relies on nonnegative weights, which the instance enforces.
     """
     if inst.r > EXACT_GUARD:
         raise TooLarge(f"exact cover limited to {EXACT_GUARD} sets, got {inst.r}")
+    if inst.uncovered(seed.chosen):
+        raise InvariantViolated("the seed of the exact cover leaves an element uncovered")
     full = (1 << inst.universe_size) - 1
     masks = inst.masks
-    # the greedy seed is also the feasibility test: it raises Infeasible
-    # for the smallest element no set covers
-    seed = greedy_solve(inst)
 
     candidates = _containing(inst)
     best_weight = seed.weight

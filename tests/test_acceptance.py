@@ -196,7 +196,7 @@ def test_criterion_04_reduction_round_trips():
         assert back.universe_size == inst.universe_size
         assert back.sets == inst.sets and back.weights == inst.weights
         assert labels == tuple((e + 1,) for e in range(inst.universe_size))
-        assert exact_solve(inst).weight == _min_accessibility_cost(system)
+        assert exact_solve(inst, greedy_solve(inst)).weight == _min_accessibility_cost(system)
 
     # forward: system -> cover instance, feasibility and weights per selection
     systems = _systems(100, seed_base=41_000, max_m=3)
@@ -215,7 +215,7 @@ def test_criterion_04_reduction_round_trips():
                 assert accessible
                 assert cover.weight == selection_cost(system, sel)
         try:
-            best = exact_solve(inst).weight
+            best = exact_solve(inst, greedy_solve(inst)).weight
         except Infeasible:
             best = None
         assert best == _min_accessibility_cost(system)
@@ -233,7 +233,7 @@ def test_criterion_05_greedy_harmonic_bound():
     instances = _wsc_instances(250, seed_base=50_000)
     for inst in instances:
         greedy = greedy_solve(inst)
-        best = exact_solve(inst)
+        best = exact_solve(inst, greedy)
         d = max((len(s) for s in inst.sets), default=0)
         harmonic = sum(Fraction(1, k) for k in range(1, d + 1))
         if greedy.weight > harmonic * best.weight:
@@ -275,7 +275,7 @@ def test_criterion_07_lower_bound_inequalities():
         _sel, p_star = exact_select(system)
         acc, _ = reduce_accessibility_to_wsc(system)
         sen, _ = reduce_accessibility_to_wsc(oracles.transpose_dual(system))
-        stage_bound = exact_solve(acc).weight + exact_solve(sen).weight
+        stage_bound = sum(exact_solve(inst, greedy_solve(inst)).weight for inst in (acc, sen))
         c_star = oracles.min_cycle_family_cost(system)
         assert p_star >= stage_bound
         assert p_star >= c_star

@@ -158,6 +158,16 @@ class TestCheck:
         code, _out, err = run(capsys, "check", str(path))
         assert code == EXIT_USAGE and "line 1" in err
 
+    @pytest.mark.parametrize("command", ["select", "check", "reduce-setcover"])
+    @pytest.mark.parametrize("pair", [[1], [1, "2"]], ids=["one integer", "a string"])
+    def test_pair_not_two_integers(self, capsys, tmp_path, command, pair):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "n": 2, "m": 1, "p": 1, "A": [[1, 1], pair], "B": [[1, 1]], "C": [[1, 2]], "cost_u": ["1"], "cost_y": ["1"],
+        }))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}: field 'A': entries must be [row, col] integer pairs\n")
+
     def test_malformed_system(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1}')
@@ -373,6 +383,7 @@ class TestSolveSetcover:
                 {"N": 1, "sets": [[1]], "weights": ["1e1000000"]},
                 "field \"weights\": cost '1e1000000' overflows the scaled 64-bit range",
             ),
+            ({"N": 2, "sets": [[1], [2, "x"]], "weights": ["1", "1"]}, 'field "sets"[1]: expected a list of integers'),
         ],
     )
     @pytest.mark.parametrize("flags", [(), ("--exact",)])
@@ -433,8 +444,7 @@ class TestGen:
         assert (doc["n"], doc["m"], doc["p"]) == (3, 1, 1)
         # no star drawn: the one attempt fails
         code, out, err = run(capsys, *dense, "--state-density", "0", "--input-density", "0", "--output-density", "0")
-        assert (code, out) == (EXIT_INFEASIBLE, "")
-        assert "no feasible instance after 1 attempts" in err
+        assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: no feasible instance after 1 attempts\n")
 
     def test_bad_density(self, capsys, tmp_path):
         code, _out, err = run(
@@ -699,6 +709,7 @@ class TestMain:
 
 
 MALFORMED = {
+    "line 1: Expecting property name enclosed in double quotes": b"{",
     "nesting too deep": b"[" * 100_000,
     "not UTF-8": b'{"n": "\xff"}',
     "integer too long": b'{"n": ' + b"9" * 5000 + b"}",
@@ -717,6 +728,37 @@ class TestMalformedJson:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: {path}: {message}\n"
+
+
+class TestOptimizedRun:
+    # checks hold without assert statements, so a run under python -O
+    # answers byte for byte as the same call in this process
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "DEMO"],
+            ["select", "DEMO", "--exact", "--trace"],
+            ["check", "DEMO", "--inputs", "1", "--outputs", "2"],
+            ["gen", "--n", "2", "--m", "1", "--p", "1", "--max-attempts", "1",
+             "--state-density", "0", "--input-density", "0", "--output-density", "0"],
+        ],
+        ids=["select", "select --exact --trace", "failing check", "gen refusal"],
+    )
+    def test_same_answer_as_in_process(self, capsys, demo_json, argv):
+        import os
+        import subprocess
+        import sys
+
+        argv = [demo_json if arg == "DEMO" else arg for arg in argv]
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        optimized = subprocess.run(
+            [sys.executable, "-O", "-m", "ioselect.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        in_process = run(capsys, *argv)
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == in_process
+        assert in_process[0] == (EXIT_OK if argv[0] == "select" else EXIT_INFEASIBLE)
 
 
 class TestParserOnce:

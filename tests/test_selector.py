@@ -298,7 +298,7 @@ class TestSelectDemo:
 @pytest.fixture
 def no_exact_covers(monkeypatch):
     # an irreducible system's stage-cost sum is exact: no cover is solved exactly
-    def boom(_inst):
+    def boom(_inst, _seed):
         raise AssertionError("an irreducible system needs no exact cover bound")
 
     monkeypatch.setattr(selector_mod, "exact_solve", boom)
@@ -674,6 +674,41 @@ class TestBuildOnce:
         assert cli.main(["select", demo_json, *filter(None, [flag])]) == cli.EXIT_OK
         assert ("trace" in json.loads(capsys.readouterr().out)) == bool(flag)
         assert counts == {"set_cover.cover_labels": labelled}
+
+    # An exact cover starts from the greedy cover its caller already holds:
+    # select --exact solves each stage cover once by the greedy, and
+    # solve-setcover --exact solves its one cover once.
+    SOLVERS = ["set_cover.greedy_solve", "set_cover.exact_solve"]
+
+    @pytest.mark.parametrize("which", ["demo", "oracle"])
+    def test_one_greedy_per_cover_in_an_exact_select(self, demo_json, tmp_path, monkeypatch, capsys, which):
+        import json
+
+        from ioselect import cli
+        from ioselect.oracle_bench import generate
+        from ioselect.system_model import system_to_json
+
+        path = demo_json
+        if which == "oracle":
+            path = tmp_path / "oracle.json"
+            path.write_text(json.dumps(system_to_json(generate(pool_config("oracle", 0)))))
+        counts = wrap_counting(monkeypatch, self.SOLVERS)
+        assert cli.main(["select", str(path), "--exact"]) == cli.EXIT_OK
+        assert "exact_stage_bound" in json.loads(capsys.readouterr().out)
+        assert counts == dict.fromkeys(self.SOLVERS, 2)
+
+    def test_one_greedy_per_exact_solve_setcover(self, demo, tmp_path, monkeypatch, capsys):
+        import json
+
+        from ioselect import cli
+        from ioselect.set_cover import wsc_to_json
+
+        path = tmp_path / "accessibility.json"
+        path.write_text(json.dumps(wsc_to_json(compile_system(demo).covers[0])))
+        counts = wrap_counting(monkeypatch, self.SOLVERS)
+        assert cli.main(["solve-setcover", str(path), "--exact"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["exact"] == {"cover": [3], "weight": "1"}
+        assert counts == dict.fromkeys(self.SOLVERS, 1)
 
     @pytest.mark.parametrize("traced", [False, True], ids=["default", "trace"])
     @pytest.mark.parametrize("which", ["demo", "wide"])

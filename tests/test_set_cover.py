@@ -29,6 +29,7 @@ from ioselect.system_model import (
     COST_SCALE,
     SIZE_LIMIT,
     FormatError,
+    InvariantViolated,
     ModelError,
     Selection,
     selection_cost,
@@ -190,7 +191,7 @@ class TestExact:
         greedy = greedy_solve(inst)
         assert greedy.chosen == frozenset({0, 1, 2})
         assert greedy.weight == units(5)[0]
-        best = exact_solve(inst)
+        best = exact_solve(inst, greedy)
         assert best.chosen == frozenset({0})
         assert best.weight == units(4)[0]
 
@@ -200,7 +201,7 @@ class TestExact:
             (frozenset({0}), frozenset({1}), frozenset({0, 1})),
             units(1, 1, 2),
         )
-        best = exact_solve(inst)
+        best = exact_solve(inst, greedy_solve(inst))
         assert best.weight == units(2)[0]
         assert tuple(sorted(best.chosen)) == (0, 1)
 
@@ -209,28 +210,33 @@ class TestExact:
             1, (frozenset({0}),) * (EXACT_GUARD + 1), units(*[1] * (EXACT_GUARD + 1))
         )
         with pytest.raises(TooLarge):
-            exact_solve(inst)
+            exact_solve(inst, greedy_solve(inst))
 
-    def test_infeasible(self):
-        with pytest.raises(Infeasible):
-            exact_solve(WeightedSetCoverInstance(2, (frozenset({0}),), units(1)))
+    def test_seed_that_does_not_cover(self):
+        # the seed is the caller's greedy cover; one that misses an element
+        # is a defect of the caller, not an infeasible instance
+        inst = WeightedSetCoverInstance(2, (frozenset({0}), frozenset({1})), units(1, 1))
+        for chosen in ((), (0,), (1,)):
+            seed = Cover(chosen=frozenset(chosen), weight=len(chosen) * COST_SCALE)
+            with pytest.raises(InvariantViolated, match="uncovered"):
+                exact_solve(inst, seed)
+        assert exact_solve(inst, greedy_solve(inst)).chosen == frozenset({0, 1})
 
     @given(wsc_instances(feasible=False))
     def test_infeasible_names_greedys_element(self, inst):
-        # both solvers name the smallest element no set covers, or none
+        # the greedy, which seeds every exact cover, names the smallest
+        # element no set covers, or none
         uncovered = sorted(set(range(inst.universe_size)).difference(*inst.sets))
-        named = []
-        for solve in (greedy_solve, exact_solve):
-            try:
-                solve(inst)
-                named.append(None)
-            except Infeasible as exc:
-                named.append(exc.element)
-        assert named == [uncovered[0] if uncovered else None] * 2
+        try:
+            greedy_solve(inst)
+            named = None
+        except Infeasible as exc:
+            named = exc.element
+        assert named == (uncovered[0] if uncovered else None)
 
     @given(wsc_instances())
     def test_matches_reference_minimum(self, inst):
-        best = exact_solve(inst)
+        best = exact_solve(inst, greedy_solve(inst))
         ref = oracles.best_cover(inst.universe_size, inst.sets, inst.weights)
         assert ref is not None
         assert best.weight == ref[0]
@@ -242,7 +248,7 @@ class TestExact:
     @given(wsc_instances())
     def test_greedy_within_harmonic_bound(self, inst):
         greedy = greedy_solve(inst)
-        best = exact_solve(inst)
+        best = exact_solve(inst, greedy)
         d = max((len(s) for s in inst.sets), default=0)
         harmonic = sum(Fraction(1, k) for k in range(1, d + 1))
         assert greedy.weight <= harmonic * best.weight
@@ -293,7 +299,7 @@ class TestReductions:
             feasible=lambda s: oracles.accessible_states(system, s) == all_states,
         )
         try:
-            best = exact_solve(inst)
+            best = exact_solve(inst, greedy_solve(inst))
         except Infeasible:
             assert ref is None
             return
@@ -311,7 +317,7 @@ class TestReductions:
             feasible=lambda s: oracles.accessible_states(system, s) == all_states,
         )
         assert ref is not None  # instances are generated feasible
-        assert exact_solve(inst).weight == ref[0]
+        assert exact_solve(inst, greedy_solve(inst)).weight == ref[0]
 
     @given(wsc_instances())
     def test_round_trip_weights(self, inst):
