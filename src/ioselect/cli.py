@@ -12,7 +12,9 @@ instance past a declared size limit) exits 2, except ``gen``'s
 flag prefix of its own usage messages; :func:`_load_json` names the file
 for every reason it cannot be read, parsed or decoded.
 All output is JSON (``--format table`` flattens it for reading); identical
-inputs and flags produce byte-identical output.
+inputs and flags produce byte-identical output from every command but
+``bench``, whose records carry wall-clock times (each record's ``timings``
+and CSV ``select_s``, the summary's ``runtime_by_n``); its other bytes repeat.
 
 Every command but ``bench`` runs with the cyclic garbage collector paused,
 and :func:`main` leaves it on or off as it found it.  What such a command
@@ -34,7 +36,7 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Callable, Optional
 
 from ioselect import oracle_bench, selector
@@ -227,20 +229,18 @@ def _cmd_solve_setcover(args) -> int:
     return EXIT_OK
 
 
+_GENERATOR_DEFAULTS = {f.name: f.default for f in fields(oracle_bench.GeneratorConfig)}
+
+
 def _generator_config(args, n: int) -> oracle_bench.GeneratorConfig:
+    # every flag whose dest is a field name passes as is; bench's --n is a list
+    flags = {name: value for name, value in vars(args).items() if name in _GENERATOR_DEFAULTS and name != "n"}
     return oracle_bench.GeneratorConfig(
         n=n,
-        m=args.m,
-        p=args.p,
-        state_density=args.state_density,
-        input_density=args.input_density,
-        output_density=args.output_density,
+        **flags,
         cost_range=(args.cost_lo, args.cost_hi),
-        cost_decimals=args.cost_decimals,
-        seed=args.seed,
-        mode="discrete" if args.discrete else "continuous",
+        mode="discrete" if args.discrete else _GENERATOR_DEFAULTS["mode"],
         require_feasible=not args.allow_sfms,
-        max_attempts=args.max_attempts,
     )
 
 
@@ -266,18 +266,20 @@ def _cmd_bench(args) -> int:
 
 
 def _add_generator_flags(sub: argparse.ArgumentParser) -> None:
+    default = _GENERATOR_DEFAULTS  # flags left out draw as GeneratorConfig does
+    lo, hi = default["cost_range"]
     sub.add_argument("--m", type=int, required=True, help="number of candidate inputs")
     sub.add_argument("--p", type=int, required=True, help="number of candidate outputs")
-    sub.add_argument("--state-density", type=float, default=0.25)
-    sub.add_argument("--input-density", type=float, default=0.5)
-    sub.add_argument("--output-density", type=float, default=0.5)
-    sub.add_argument("--cost-lo", default="1", help="lowest cost (decimal string)")
-    sub.add_argument("--cost-hi", default="1", help="highest cost (decimal string)")
-    sub.add_argument("--cost-decimals", type=int, default=0)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--state-density", type=float, default=default["state_density"])
+    sub.add_argument("--input-density", type=float, default=default["input_density"])
+    sub.add_argument("--output-density", type=float, default=default["output_density"])
+    sub.add_argument("--cost-lo", default=lo, help="lowest cost (decimal string)")
+    sub.add_argument("--cost-hi", default=hi, help="highest cost (decimal string)")
+    sub.add_argument("--cost-decimals", type=int, default=default["cost_decimals"])
+    sub.add_argument("--seed", type=int, default=default["seed"])
     sub.add_argument("--discrete", action="store_true", help="discrete-time instances")
     sub.add_argument("--allow-sfms", action="store_true", help="skip the feasibility rejection loop")
-    sub.add_argument("--max-attempts", type=int, default=200)
+    sub.add_argument("--max-attempts", type=int, default=default["max_attempts"])
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, output_help: Optional[str] = None) -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -288,7 +288,7 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
         first(subs, lambda key: not cover.uncovered(key[1]) and (discrete or complete_side(g, side, key[1])[1]))
         for side, (cover, subs) in enumerate(zip(compiled.covers, sides))
     ]
-    return Selection.of(inputs, outputs), in_cost + out_cost
+    return Selection(inputs, outputs), in_cost + out_cost
 
 
 @dataclass(frozen=True)
@@ -334,13 +334,13 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     take them out of the record's ``select`` time.
     """
     seed = (config.seed + trial) & _MASK64
-    rec = BenchRecord(digest="", seed=seed, n=config.n, m=config.m, p=config.p)
     try:
         system = generate(replace(config, seed=seed))
     except GenerationFailed as exc:
-        return replace(rec, error=str(exc))
+        return BenchRecord("", seed, config.n, config.m, config.p, error=str(exc))
 
-    report = error = None
+    report = error = oracle_cost = ratio = None
+    flagged = False
     timings: dict[str, float] = {}
     with timed(timings, "select"):  # the compile is part of select's time
         compiled = compile_system(system)
@@ -348,27 +348,21 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
             report = select_min_cost_io(compiled)
         except ModelError as exc:
             error = str(exc)
+    if report is not None:
+        timings.update(report.timings)
+        if oracle and system.m + system.p <= EXACT_GUARD_IO:
+            with timed(timings, "oracle"):
+                _sel, oracle_cost = exact_select(compiled)
+            ratio, flagged = approximation_ratio(report.total_cost, oracle_cost)
     mu_max, eta_max = (max((m.bit_count() for m in inst.masks), default=0) for inst in compiled.covers)
-    rec = replace(
-        rec,
-        digest=instance_digest(system),
-        q=compiled.scc.q,
-        k=compiled.scc.k,
-        mu_max=mu_max,
-        eta_max=eta_max,
+    return BenchRecord(
+        instance_digest(system), seed, config.n, config.m, config.p,
+        q=compiled.scc.q, k=compiled.scc.k, mu_max=mu_max, eta_max=eta_max,
         special_case=detect_special_case(compiled) if report is None else report.special_case,
+        algo_cost=None if report is None else report.total_cost,
+        oracle_cost=oracle_cost, ratio=ratio, ratio_flagged=flagged,
+        feasible=report is not None, error=error, timings=timings,
     )
-    if report is None:
-        return replace(rec, error=error, timings=timings)
-    timings.update(report.timings)
-    rec = replace(rec, algo_cost=report.total_cost, feasible=True, timings=timings)
-
-    if oracle and system.m + system.p <= EXACT_GUARD_IO:
-        with timed(timings, "oracle"):
-            _sel, p_star = exact_select(compiled)
-        ratio, flagged = approximation_ratio(report.total_cost, p_star)
-        rec = replace(rec, oracle_cost=p_star, ratio=ratio, ratio_flagged=flagged)
-    return rec
 
 
 def bench(
@@ -413,14 +407,14 @@ def write_jsonl(records: list[BenchRecord], summary: dict, stream) -> None:
 
 
 def write_csv(records: list[BenchRecord], stream) -> None:
-    fields = [
-        "digest", "seed", "n", "m", "p", "q", "k", "mu_max", "eta_max",
-        "special_case", "algo_cost", "oracle_cost", "ratio_float",
-        "ratio_flagged", "feasible", "error", "select_s",
-    ]
-    writer = csv.DictWriter(stream, fieldnames=fields)
+    """One row per record, a column per :class:`BenchRecord` field in its
+    order: ``ratio`` as its float (``ratio_float``) and ``timings`` as the
+    select time alone (``select_s``)."""
+    renamed = {"ratio": "ratio_float", "timings": "select_s"}
+    writer = csv.DictWriter(
+        stream, fieldnames=[renamed.get(f.name, f.name) for f in fields(BenchRecord)], extrasaction="ignore"
+    )
     writer.writeheader()
     for rec in records:
         row = record_to_json(rec)
-        row["select_s"] = row["timings"].get("select")
-        writer.writerow({k: row.get(k) for k in fields})
+        writer.writerow({**row, "select_s": row["timings"].get("select")})

@@ -241,14 +241,16 @@ def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
         if weight > best_weight:
             return
         # fail-first: branch on the uncovered element with fewest usable
-        # sets (there is one, as covered != full); one with none ends the branch
+        # sets (there is one, as covered != full).  Every uncovered element
+        # keeps a usable set: at the root each has one, as the seed covers
+        # the universe, and if a node's element has k, its i-th branch bans
+        # only the i - 1 of them tried before, so each element still
+        # uncovered keeps at least k - i + 1 >= 1.
         pick_cands: list[int] = []
         for e in range(inst.universe_size):
             if covered >> e & 1:
                 continue
             cands = [i for i in candidates[e] if not banned >> i & 1]
-            if not cands:
-                return
             if not pick_cands or len(cands) < len(pick_cands):
                 pick_cands = cands
         # exclusion branching: after exploring a candidate, ban it in the

@@ -235,7 +235,8 @@ class StructuredSystem:
 
 @dataclass(frozen=True)
 class Selection:
-    """A choice of input and output indices (0-based)."""
+    """A choice of input and output indices (0-based).  The constructor
+    takes any iterables of indices and freezes them."""
 
     inputs: frozenset[int] = frozenset()
     outputs: frozenset[int] = frozenset()
@@ -243,10 +244,6 @@ class Selection:
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", frozenset(self.inputs))
         object.__setattr__(self, "outputs", frozenset(self.outputs))
-
-    @classmethod
-    def of(cls, inputs: Iterable[int] = (), outputs: Iterable[int] = ()) -> "Selection":
-        return cls(frozenset(inputs), frozenset(outputs))
 
     @classmethod
     def full(cls, system: StructuredSystem) -> "Selection":

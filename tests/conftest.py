@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import os
 import sys
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -101,6 +102,20 @@ def demo_system(cost_u=None, cost_y=None, mode="continuous"):
 @pytest.fixture
 def demo():
     return demo_system()
+
+
+@pytest.fixture
+def exact_cover_too_heavy(monkeypatch):
+    """``selector.exact_solve`` made to return its seed ten cost units
+    heavier, so an exact-cover lower bound exceeds what the demo's
+    selection costs."""
+    import ioselect.selector as selector_mod
+    from ioselect.system_model import COST_SCALE
+
+    def heavier(inst, seed):
+        return replace(seed, weight=seed.weight + 10 * COST_SCALE)
+
+    monkeypatch.setattr(selector_mod, "exact_solve", heavier)
 
 
 @pytest.fixture

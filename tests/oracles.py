@@ -258,7 +258,7 @@ def best_selection(
             )
             key = (cost, inputs, outputs)
             if (best is None or key < best) and feasible(
-                Selection.of(inputs, outputs)
+                Selection(inputs, outputs)
             ):
                 best = key
     return best
@@ -282,8 +282,8 @@ def joint_exact_select(compiled) -> Optional[tuple[Selection, int]]:
         for out_cost, outputs in subsets(system.p, system.cost_y)
     )
     for cost, inputs, outputs in pairs:
-        if compiled.no_sfm(Selection.of(inputs, outputs)):
-            return Selection.of(inputs, outputs), cost
+        if compiled.no_sfm(Selection(inputs, outputs)):
+            return Selection(inputs, outputs), cost
     return None
 
 

@@ -113,7 +113,7 @@ def _min_accessibility_cost(system):
     best = None
     for k in range(system.m + 1):
         for inputs in itertools.combinations(range(system.m), k):
-            sel = Selection.of(inputs, [])
+            sel = Selection(inputs, [])
             if oracles.accessible_states(system, sel) != all_states:
                 continue
             cost = sum(system.cost_u[i] for i in inputs)
@@ -151,7 +151,7 @@ def test_criterion_02_matching_equals_cycle_families():
             inputs=frozenset(range(0, system.m, 2)),
             outputs=frozenset(range(1, system.p, 2)),
         )
-        for sel in (full, Selection.of([], []), half):
+        for sel in (full, Selection([], []), half):
             got = has_perfect_matching(build_bipartite(restrict(system, sel)))
             assert got == oracles.spanning_disjoint_cycles(system, sel)
             checked += 1
@@ -205,7 +205,7 @@ def test_criterion_04_reduction_round_trips():
         all_states = frozenset(range(system.n))
         for k in range(system.m + 1):
             for inputs in itertools.combinations(range(system.m), k):
-                sel = Selection.of(inputs, [])
+                sel = Selection(inputs, [])
                 accessible = oracles.accessible_states(system, sel) == all_states
                 try:
                     cover = selection_to_cover(inst, sel)
@@ -292,12 +292,12 @@ def test_criterion_08_worked_example_end_to_end():
     t0 = time.perf_counter()
     demo = demo_system()
     report = select_min_cost_io(demo)
-    assert report.selection == Selection.of([0, 2], [0])
+    assert report.selection == Selection([0, 2], [0])
     assert report.total_cost == 3 * U
     assert report.stage_costs == (1 * U, 1 * U, 2 * U)
     assert report.lower_bound == 2 * U
     sel, p_star = exact_select(demo)
-    assert sel == Selection.of([2], [0])
+    assert sel == Selection([2], [0])
     assert p_star == 2 * U
     assert Fraction(report.total_cost, p_star) == Fraction(3, 2)
     doc = report_to_json(report, oracle=(sel, p_star))

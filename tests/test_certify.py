@@ -147,7 +147,7 @@ class TestSelectAgainstFullCheck:
     def test_state_pm_tag(self, mode, data):
         system = data.draw(any_system(mode))
         state_pm = "state_pm" in applicable_special_cases(system)
-        assert state_pm == oracles.spanning_disjoint_cycles(system, Selection.of([], []))
+        assert state_pm == oracles.spanning_disjoint_cycles(system, Selection([], []))
         if state_pm:
             assert oracles.spanning_disjoint_cycles(system, Selection.full(system))
 

@@ -446,6 +446,14 @@ class TestGen:
         code, out, err = run(capsys, *dense, "--state-density", "0", "--input-density", "0", "--output-density", "0")
         assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: no feasible instance after 1 attempts\n")
 
+    def test_required_flags_only(self, capsys):
+        # every optional flag left out draws with GeneratorConfig's defaults
+        from ioselect.oracle_bench import GeneratorConfig, generate
+        from ioselect.system_model import system_to_json
+
+        expected = json.dumps(system_to_json(generate(GeneratorConfig(8, 3, 3))), indent=2) + "\n"
+        assert run(capsys, "gen", "--n", "8", "--m", "3", "--p", "3") == (EXIT_OK, expected, "")
+
     def test_bad_density(self, capsys, tmp_path):
         code, _out, err = run(
             capsys, "gen", "--n", "2", "--m", "1", "--p", "1",
@@ -471,7 +479,74 @@ class TestGen:
             assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
 
 
+def untimed(jsonl: str) -> list[dict]:
+    """A bench JSONL stream's records less their wall-clock fields: each
+    record's ``timings`` and the summary's ``runtime_by_n``."""
+    docs = [json.loads(line) for line in jsonl.splitlines()]
+    for doc in docs:
+        doc.pop("timings", None)
+        doc.get("summary", {}).pop("runtime_by_n", None)
+    return docs
+
+
 class TestBench:
+    FIXED = (
+        "bench", "--n", "3,4", "--m", "2", "--p", "2", "--state-density", "0.35",
+        "--input-density", "0.6", "--output-density", "0.6", "--cost-lo", "1",
+        "--cost-hi", "9", "--cost-decimals", "1", "--trials", "3", "--oracle", "--seed", "50",
+    )
+    CSV_HEAD = (
+        "digest,seed,n,m,p,q,k,mu_max,eta_max,special_case,algo_cost,oracle_cost,"
+        "ratio_float,ratio_flagged,feasible,error"
+    )
+    CSV_OK = [
+        "7c9bf9af9b3247be,50,3,2,2,1,1,1,1,irreducible,5.3,5.3,1.0,False,True,",
+        "3143301766f8fc9e,51,3,2,2,1,2,1,1,single_nontop,23.6,23.6,1.0,False,True,",
+        "93666851d7b85e2c,52,3,2,2,2,2,2,2,general,12.6,10.3,1.2233009708737863,False,True,",
+        "96556ebcc1a7633d,50,4,2,2,1,1,1,1,irreducible,5.3,5.3,1.0,False,True,",
+    ]
+    CSV_LAST = "de5bf63f5eedba9b,52,4,2,2,1,1,1,1,irreducible,7,7,1.0,False,True,"
+
+    # Every byte of the records but the wall-clock ones.  One attempt per
+    # draw leaves trial 2 of n = 4 undrawn; with --allow-sfms it is drawn
+    # and select refuses it.
+    @pytest.mark.parametrize(
+        "flag, failed, jsonl_sha256",
+        [
+            ("--max-attempts=1", ",51,4,2,2,0,0,0,0,,,,,False,False,no feasible instance after 1 attempts",
+             "5465703e444843a8d41501c622101cb0d4b8f536b395edcb7e82d0305e5637fa"),
+            ("--allow-sfms",
+             "1e9948f7b2f69402,51,4,2,2,2,2,1,2,state_pm,,,,False,False,system has structurally fixed modes (Type-1)",
+             "e5dbf65a055c405bb5e6ba33f9cf9b12a3bbbf4d891f84550b199069ffdb08c5"),
+        ],
+        ids=["failed draw", "select refused"],
+    )
+    def test_pinned_records(self, capsys, tmp_path, flag, failed, jsonl_sha256):
+        import hashlib
+
+        csv_path = tmp_path / "bench.csv"
+        code, out, err = run(capsys, *self.FIXED, flag, "--csv", str(csv_path))
+        assert (code, err) == (EXIT_OK, "")
+        # select_s, the last column, is wall-clock time
+        rows = [line.rpartition(",")[0] for line in csv_path.read_text().splitlines()]
+        assert rows == [self.CSV_HEAD, *self.CSV_OK, failed, self.CSV_LAST]
+        blob = json.dumps(untimed(out), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == jsonl_sha256
+
+    def test_required_flags_only(self, capsys):
+        # the records GeneratorConfig's defaults and 100 trials give
+        import io
+
+        from ioselect import oracle_bench
+
+        code, out, err = run(capsys, "bench", "--n", "3,4", "--m", "2", "--p", "2")
+        assert (code, err) == (EXIT_OK, "")
+        configs = [oracle_bench.GeneratorConfig(n, 2, 2) for n in (3, 4)]
+        expected = io.StringIO()
+        oracle_bench.write_jsonl(*oracle_bench.bench(configs, 100), expected)
+        assert untimed(out) == untimed(expected.getvalue())
+        assert len(untimed(out)) == 201
+
     def test_files(self, capsys, tmp_path):
         jsonl = tmp_path / "bench.jsonl"
         csv_path = tmp_path / "bench.csv"
@@ -639,6 +714,11 @@ class TestMain:
         assert out == ""
         assert err.startswith("internal error: ") and "structurally fixed modes" in err
 
+    def test_lower_bound_above_the_cost(self, capsys, demo_json, exact_cover_too_heavy):
+        assert run(capsys, "select", demo_json, "--exact") == (
+            EXIT_INTERNAL, "", "internal error: lower bound exceeds achieved cost\n"
+        )
+
     # every command but bench runs with the cyclic collector paused, and
     # main leaves it as it found it, whatever the exit
     @pytest.mark.parametrize("case", ["ok", "infeasible", "malformed", "internal", "help"])
@@ -734,17 +814,18 @@ class TestOptimizedRun:
     # checks hold without assert statements, so a run under python -O
     # answers byte for byte as the same call in this process
     @pytest.mark.parametrize(
-        "argv",
+        "argv, expected",
         [
-            ["select", "DEMO"],
-            ["select", "DEMO", "--exact", "--trace"],
-            ["check", "DEMO", "--inputs", "1", "--outputs", "2"],
-            ["gen", "--n", "2", "--m", "1", "--p", "1", "--max-attempts", "1",
-             "--state-density", "0", "--input-density", "0", "--output-density", "0"],
+            (["select", "DEMO"], EXIT_OK),
+            (["select", "DEMO", "--exact", "--trace"], EXIT_OK),
+            (["check", "DEMO", "--inputs", "1", "--outputs", "2"], EXIT_INFEASIBLE),
+            (["gen", "--n", "2", "--m", "1", "--p", "1", "--max-attempts", "1",
+              "--state-density", "0", "--input-density", "0", "--output-density", "0"], EXIT_INFEASIBLE),
+            (["gen", "--n", "8", "--m", "3", "--p", "3"], EXIT_OK),
         ],
-        ids=["select", "select --exact --trace", "failing check", "gen refusal"],
+        ids=["select", "select --exact --trace", "failing check", "gen refusal", "gen defaults"],
     )
-    def test_same_answer_as_in_process(self, capsys, demo_json, argv):
+    def test_same_answer_as_in_process(self, capsys, demo_json, argv, expected):
         import os
         import subprocess
         import sys
@@ -758,7 +839,7 @@ class TestOptimizedRun:
         )
         in_process = run(capsys, *argv)
         assert (optimized.returncode, optimized.stdout, optimized.stderr) == in_process
-        assert in_process[0] == (EXIT_OK if argv[0] == "select" else EXIT_INFEASIBLE)
+        assert in_process[0] == expected
 
 
 class TestParserOnce:

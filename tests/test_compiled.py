@@ -77,7 +77,7 @@ def small_systems(draw, mode, kinds=("complete", "explicit complete", "partial",
 def _all_selections(system):
     for inputs in itertools.product([False, True], repeat=system.m):
         for outputs in itertools.product([False, True], repeat=system.p):
-            yield Selection.of(
+            yield Selection(
                 [i for i, on in enumerate(inputs) if on], [j for j, on in enumerate(outputs) if on]
             )
 
@@ -214,16 +214,16 @@ def test_unselected_input_keeps_only_its_own_edge():
     )
     compiled = compile_system(system)
     assert compiled.condition_b(Selection.full(system))
-    assert not compiled.condition_b(Selection.of([1], [0]))
-    assert not oracles.spanning_disjoint_cycles(system, Selection.of([1], [0]))
+    assert not compiled.condition_b(Selection([1], [0]))
+    assert not oracles.spanning_disjoint_cycles(system, Selection([1], [0]))
 
 
 @pytest.mark.parametrize(
     "sel,message",
     [
-        (Selection.of([-1], []), "input index 0 out of range 1..3"),
-        (Selection.of([], [-1]), "output index 0 out of range 1..2"),
-        (Selection.of([0, 3], [0]), "input index 4 out of range 1..3"),
+        (Selection([-1], []), "input index 0 out of range 1..3"),
+        (Selection([], [-1]), "output index 0 out of range 1..2"),
+        (Selection([0, 3], [0]), "input index 4 out of range 1..3"),
     ],
 )
 @pytest.mark.parametrize("condition", ["condition_a", "condition_b"])
@@ -309,7 +309,7 @@ class TestCompleteKSplit:
             cost_y=(parse_cost("2"), parse_cost("1")),
         )
         compiled = compile_system(system)
-        pair = Selection.of([0], [1])
+        pair = Selection([0], [1])
         assert self._split(compiled, pair)
         assert not oracles.no_sfm(system, pair)
         # the split's pick would cost 2, where the true optimum is two pairs

@@ -308,10 +308,10 @@ class TestReachability:
         assert covers_all(demo, Selection.full(demo)) == (True, True)
 
     def test_demo_restricted(self, demo):
-        assert covers_all(demo, Selection.of([2], []))[0]  # u3 reaches everything
-        assert not covers_all(demo, Selection.of([1], []))[0]  # x4 unreachable
-        assert covers_all(demo, Selection.of([], [0]))[1]  # everything flows to y1
-        assert not covers_all(demo, Selection.of([], [1]))[1]  # x3 has no path out
+        assert covers_all(demo, Selection([2], []))[0]  # u3 reaches everything
+        assert not covers_all(demo, Selection([1], []))[0]  # x4 unreachable
+        assert covers_all(demo, Selection([], [0]))[1]  # everything flows to y1
+        assert not covers_all(demo, Selection([], [1]))[1]  # x3 has no path out
 
     @given(systems_with_selection(max_n=6))
     def test_accessible_matches_reference(self, case):
@@ -337,9 +337,9 @@ class TestConditionA:
         dg = build_bipartite(demo)
         assert condition_a_holds(dg, Selection.full(demo))
         # u3 with y1 closes a loop through every state
-        assert condition_a_holds(dg, Selection.of([2], [0]))
+        assert condition_a_holds(dg, Selection([2], [0]))
         # y2 reads x1 only; x3, x4 stay outside any feedback loop
-        assert not condition_a_holds(dg, Selection.of([2], [1]))
+        assert not condition_a_holds(dg, Selection([2], [1]))
 
     def test_witness_structure(self, demo):
         w = condition_a_witness(build_bipartite(demo), Selection.full(demo))
@@ -349,7 +349,7 @@ class TestConditionA:
             assert "x3" in info["scc"]
 
     def test_witness_marks_failing_states(self, demo):
-        w = condition_a_witness(build_bipartite(demo), Selection.of([2], [1]))
+        w = condition_a_witness(build_bipartite(demo), Selection([2], [1]))
         failing = {s for s, info in w.items() if info["feedback_edge"] is None}
         assert failing == {"x3", "x4"}
         # x1 does close a loop: x1 -> y2 -> u3 -> x1

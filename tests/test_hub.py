@@ -203,7 +203,7 @@ def _cheapest_key(system):
             outputs = [j for j in range(system.p) if jmask >> j & 1]
             if len(inputs) != len(outputs):
                 continue
-            sel = Selection.of(inputs, outputs)
+            sel = Selection(inputs, outputs)
             cost = sum(system.cost_u[i] for i in inputs) + sum(system.cost_y[j] for j in outputs)
             key = (cost, len(inputs), imask, jmask)
             if best is not None and key >= best[0]:
@@ -285,7 +285,7 @@ class TestNoExpansion:
 
         # the one expansion of K into stars is oracles.k_stars, outside the package
         assert not hasattr(StructuredSystem, "k_stars")
-        assert select_min_cost_io(demo).selection == Selection.of([0, 2], [0])
+        assert select_min_cost_io(demo).selection == Selection([0, 2], [0])
         assert cli.main(["select", str(path), "--trace"]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["selection"]["inputs"] == [1, 3]
         assert cli.main(["check", str(path), "--inputs", "3", "--outputs", "2"]) == cli.EXIT_INFEASIBLE

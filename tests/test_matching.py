@@ -93,7 +93,7 @@ class TestBuild:
         monkeypatch.setattr(prop, "func", lambda g: built.append(1) or original(g))
         g = build_bipartite(demo)
         assert has_perfect_matching(g)
-        assert has_perfect_matching(g, Selection.of([0], [0]))
+        assert has_perfect_matching(g, Selection([0], [0]))
         assert len(built) == 1
         assert g.rows_to_states == g.state_rows + [[], [], [], [2], [0]]
 
@@ -142,7 +142,7 @@ class TestHallWitness:
     def test_none_when_perfect(self, demo):
         g = build_bipartite(demo)
         assert hall_set(g) is None
-        assert hall_set(g, Selection.of([2], [0])) is None
+        assert hall_set(g, Selection([2], [0])) is None
 
     def test_refuses_a_matching_that_is_not_largest(self, demo):
         # stage 3's perfect matching with the partner of right vertex 0
@@ -182,7 +182,7 @@ class TestMinCost:
             EDGE_EX, EDGE_EX, EDGE_EU, EDGE_EX, EDGE_EK, EDGE_EUU, EDGE_EUU, EDGE_EY, EDGE_EYY,
         ]
         sel, cost = extract_io(g, partners)
-        assert sel == Selection.of([0], [0])
+        assert sel == Selection([0], [0])
         assert cost == 2 * U
 
     def test_forced_chain(self):
@@ -199,7 +199,7 @@ class TestMinCost:
             (3, 1, EDGE_EY),
         ]
         sel, cost = extract_io(g, partners)
-        assert sel == Selection.of([0], [0])
+        assert sel == Selection([0], [0])
         assert cost == 0
 
     def test_prefers_fewer_feedback_edges_at_equal_cost(self):
@@ -212,7 +212,7 @@ class TestMinCost:
         partners = min_cost_perfect_matching(g)
         assert all(g.edge(l, r)[0] != EDGE_EK for l, r in enumerate(partners))
         sel, cost = extract_io(g, partners)
-        assert sel == Selection.of([], [])
+        assert sel == Selection([], [])
         assert cost == 0
 
     def test_prefers_low_input_index_at_equal_cost(self):
@@ -221,7 +221,7 @@ class TestMinCost:
         )
         g = build_bipartite(system)
         sel, cost = extract_io(g, min_cost_perfect_matching(g))
-        assert sel == Selection.of([0], [0])
+        assert sel == Selection([0], [0])
         assert cost == 2 * U
 
     def test_prefers_low_output_index_at_equal_cost(self):
@@ -230,7 +230,7 @@ class TestMinCost:
         )
         g = build_bipartite(system)
         sel, cost = extract_io(g, min_cost_perfect_matching(g))
-        assert sel == Selection.of([0], [0])
+        assert sel == Selection([0], [0])
 
     def test_cost_beats_tie_break(self):
         # u2 is strictly cheaper, so the index preference must lose
@@ -239,7 +239,7 @@ class TestMinCost:
         )
         g = build_bipartite(system)
         sel, cost = extract_io(g, min_cost_perfect_matching(g))
-        assert sel == Selection.of([1], [0])
+        assert sel == Selection([1], [0])
         assert cost == 1 * U
 
     def test_raises_with_hall_witness(self):
@@ -297,7 +297,7 @@ class TestJoin:
         assert [(l, r) for l, r in enumerate(match_l) if n <= l < out0 and r >= out0] == list(zip(kept_in, kept_out))
         assert min_cost_perfect_matching(g) == tuple(match_l)
         sel, _cost = extract_io(g, match_l)
-        assert sel == Selection.of([u - n for u in kept_in], [y - out0 for y in kept_out])
+        assert sel == Selection([u - n for u in kept_in], [y - out0 for y in kept_out])
         assert certify_cycle_cover(system, sel, enumerate(match_l))
 
 
@@ -322,7 +322,7 @@ class TestStatePattern:
     def test_equivalent_to_empty_selection(self, system):
         match = state_pattern_has_pm(build_bipartite(system))
         assert (match is not None) == oracles.spanning_disjoint_cycles(
-            system, Selection.of([], [])
+            system, Selection([], [])
         )
         if match is not None:  # a perfect matching of B(A): A_ij starred, each x_j once
             assert sorted(match) == list(range(system.n))

@@ -237,7 +237,7 @@ class TestGenerate:
 class TestExactSelect:
     def test_demo(self, demo):
         sel, cost = exact_select(demo)
-        assert sel == Selection.of([2], [0])
+        assert sel == Selection([2], [0])
         assert cost == 2 * U
 
     def test_guard(self):
@@ -266,7 +266,7 @@ class TestExactSelect:
         # u1/u2 and y1/y2 interchangeable at equal cost
         system = make_system(1, 2, 2, [], [(1, 1), (1, 2)], [(1, 1), (2, 1)])
         sel, cost = exact_select(system)
-        assert sel == Selection.of([0], [0])
+        assert sel == Selection([0], [0])
         assert cost == 2 * U
 
     @given(systems(max_n=5, feasible=True))

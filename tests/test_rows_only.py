@@ -47,6 +47,6 @@ def test_commands_build_no_star_set(name, tmp_path, monkeypatch):
 def test_builders_give_rows():
     system = system_from_json(_instances()["demo_partial_k"])
     inst = WeightedSetCoverInstance(3, (frozenset({0, 1}), frozenset({2}), frozenset()), (1, 2, 3))
-    for built in (restrict(system, Selection.of([0, 2], [1])), reduce_wsc_to_accessibility(inst)):
+    for built in (restrict(system, Selection([0, 2], [1])), reduce_wsc_to_accessibility(inst)):
         for pat in _patterns(built):
             assert "by_row" in vars(pat) and "stars" not in vars(pat)

@@ -76,16 +76,16 @@ class TestCheckNoSfm:
         assert check_no_sfm(demo, Selection.full(demo)) is SfmStatus.NO_SFM
 
     def test_demo_minimal_pair(self, demo):
-        assert check_no_sfm(demo, Selection.of([2], [0])) is SfmStatus.NO_SFM
+        assert check_no_sfm(demo, Selection([2], [0])) is SfmStatus.NO_SFM
 
     def test_demo_wrong_output(self, demo):
         # without y1 state x3 has no outlet: both conditions break
-        assert check_no_sfm(demo, Selection.of([2], [1])) is SfmStatus.BOTH
+        assert check_no_sfm(demo, Selection([2], [1])) is SfmStatus.BOTH
 
     def test_type1_only(self):
         # self-loops satisfy the cycle condition on their own
         assert (
-            check_no_sfm(diagonal_system(), Selection.of([], []))
+            check_no_sfm(diagonal_system(), Selection([], []))
             is SfmStatus.TYPE1
         )
 
@@ -100,7 +100,7 @@ class TestCheckNoSfm:
             is SfmStatus.NO_SFM
         )
         disc = replace(demo, mode="discrete")
-        assert check_no_sfm(disc, Selection.of([2], [1])) is SfmStatus.TYPE1
+        assert check_no_sfm(disc, Selection([2], [1])) is SfmStatus.TYPE1
         assert check_no_sfm(disc, Selection.full(disc)) is SfmStatus.NO_SFM
 
     def test_ok_property(self):
@@ -127,7 +127,7 @@ class TestCheckNoSfm:
 
 class TestWitness:
     def test_type1_states(self, demo):
-        status, w = compile_system(demo).decide(Selection.of([2], [1]))
+        status, w = compile_system(demo).decide(Selection([2], [1]))
         assert status is SfmStatus.BOTH
         assert w["type1_states"] == ["x3", "x4"]
         hall = w["hall_violator"]
@@ -140,14 +140,14 @@ class TestWitness:
         assert status is SfmStatus.TYPE2
         assert w == {"hall_violator": {"left": ["x1'", "x2'"], "neighbors": ["u1"]}}
 
-    @pytest.mark.parametrize("sel", [Selection.of([5], [0]), Selection.of([0], [7])])
+    @pytest.mark.parametrize("sel", [Selection([5], [0]), Selection([0], [7])])
     def test_index_out_of_range(self, demo, sel):
         # refused as check_no_sfm refuses it, not witnessed with the index dropped
         with pytest.raises(IndexError, match="index [68] out of range"):
             compile_system(demo).decide(sel)
 
     def test_type1_empty_selection(self):
-        status, w = compile_system(diagonal_system()).decide(Selection.of([], []))
+        status, w = compile_system(diagonal_system()).decide(Selection([], []))
         assert status is SfmStatus.TYPE1
         assert w == {"type1_states": ["x1", "x2", "x3"]}
 
@@ -226,7 +226,7 @@ class TestSpecialCases:
 class TestSelectDemo:
     def test_frozen_values(self, demo):
         rep = select_min_cost_io(demo)
-        assert rep.selection == Selection.of([0, 2], [0])
+        assert rep.selection == Selection([0, 2], [0])
         assert rep.total_cost == 3 * U
         assert rep.stage_costs == (1 * U, 1 * U, 2 * U)
         assert rep.lower_bound == 2 * U
@@ -284,7 +284,7 @@ class TestSelectDemo:
             cost_y=["1", "1"],
         )
         rep = select_min_cost_io(system, exact_covers=True)
-        assert rep.selection == Selection.of([0, 1, 2], [0])
+        assert rep.selection == Selection([0, 1, 2], [0])
         assert rep.total_cost == 103 * U
         assert rep.stage_costs == (101 * U, 1 * U, 2 * U)
         assert rep.exact_stage_bound == 101 * U
@@ -310,7 +310,7 @@ class TestSelectSpecialPaths:
         assert rep.special_case == "state_pm"
         assert rep.stage_costs == (2 * U, 2 * U, 0)
         assert rep.total_cost == 4 * U
-        assert rep.selection == Selection.of([0, 1], [0, 1])
+        assert rep.selection == Selection([0, 1], [0, 1])
         assert rep.matching is not None and matching_cost(rep.compiled.graph, rep.matching) == 0
 
     def test_irreducible_with_state_pm(self, no_exact_covers):
@@ -322,7 +322,7 @@ class TestSelectSpecialPaths:
             rep = select_min_cost_io(system, exact_covers=exact_covers)
             assert rep.special_case == "irreducible"
             assert rep.guarantee == "exact optimum"
-            assert rep.selection == Selection.of([1], [0])
+            assert rep.selection == Selection([1], [0])
             assert rep.total_cost == 6 * U
             assert rep.stage_costs == (2 * U, 4 * U, 0)
             assert rep.lower_bound == rep.total_cost
@@ -339,7 +339,7 @@ class TestSelectSpecialPaths:
         for exact_covers in (False, True):
             rep = select_min_cost_io(system, exact_covers=exact_covers)
             assert rep.special_case == "irreducible"
-            assert rep.selection == Selection.of([1], [1])
+            assert rep.selection == Selection([1], [1])
             assert rep.total_cost == 11 * U
             assert rep.stage_costs == (0, 0, 11 * U)
             assert rep.lower_bound == rep.total_cost
@@ -369,7 +369,7 @@ class TestSelectSpecialPaths:
         assert rep.stage_costs[2] is None
         assert rep.matching is None
         assert_layers(rep, COVERS)
-        assert rep.selection == Selection.of([2], [0])
+        assert rep.selection == Selection([2], [0])
         assert rep.total_cost == 2 * U
         assert rep.lower_bound == 0
 
@@ -498,7 +498,7 @@ class TestReportJson:
     def test_demo_oracle_and_traces(self, demo):
         rep = select_min_cost_io(demo, exact_covers=True)
         doc = report_to_json(
-            rep, include_traces=True, oracle=(Selection.of([2], [0]), 2 * U)
+            rep, include_traces=True, oracle=(Selection([2], [0]), 2 * U)
         )
         assert doc["exact_stage_bound"] == "2"
         assert doc["oracle"] == {
@@ -525,7 +525,7 @@ class TestReportJson:
 
     def test_zero_cost_oracle_convention(self, demo):
         rep = select_min_cost_io(demo)
-        doc = report_to_json(rep, oracle=(Selection.of([], []), 0))
+        doc = report_to_json(rep, oracle=(Selection([], []), 0))
         assert doc["oracle"]["ratio"] == "1"
         assert doc["oracle"]["ratio_convention"] == (
             "zero-cost optimum reported as ratio 1"
@@ -594,7 +594,7 @@ class TestBuildOnce:
 
     # The one stored graph is built exactly once per call, in compile_system.
     CALLS = {
-        "check": lambda s: check_no_sfm(s, Selection.of([2], [1])),
+        "check": lambda s: check_no_sfm(s, Selection([2], [1])),
         "select": select_min_cost_io,
         "discrete select": lambda s: select_min_cost_io(replace(s, mode="discrete")),
         "exact select": lambda s: exact_select(select_min_cost_io(s, exact_covers=True).compiled),
@@ -615,7 +615,7 @@ class TestBuildOnce:
         counts = wrap_counting(monkeypatch, [name])
         compiled = select_min_cost_io(system).compiled
         assert counts[name] == 1
-        for decide in (exact_select, lambda c: c.decide(Selection.of([2], [1]))):
+        for decide in (exact_select, lambda c: c.decide(Selection([2], [1]))):
             decide(compiled)
             assert counts[name] == 1
 
@@ -804,7 +804,7 @@ class TestBuildOnce:
 
         system = replace(demo, K=COMPLETE if k is None else SparsityPattern(3, 2, frozenset(k)))
         counts = wrap_counting(monkeypatch, self.SEARCHES)
-        assert check_no_sfm(system, Selection.of([2], [1])) is SfmStatus.BOTH
+        assert check_no_sfm(system, Selection([2], [1])) is SfmStatus.BOTH
         assert counts == dict(zip(self.SEARCHES, searches))
 
     # select's error path reads stage 3's Hall set and runs one SCC pass of
@@ -963,7 +963,7 @@ class TestBuildOnce:
         monkeypatch.setattr(matching_mod, "_path", counting)
         g = build_bipartite(system)
         sel, _cost = matching_mod.extract_io(g, matching_mod.min_cost_perfect_matching(g))
-        assert sel == Selection.of(range(0, 2 * d, 2), range(0, 2 * d, 2))
+        assert sel == Selection(range(0, 2 * d, 2), range(0, 2 * d, 2))
         searches = 2 * d - 1  # per side: d keeps and the d - 1 failures between them
         assert len(marks) == 2 * searches
         per_side = [sum(marks[:searches]), sum(marks[searches:])]
@@ -996,7 +996,7 @@ class TestRobustness:
         finally:
             sys.setrecursionlimit(limit)
         assert rep.special_case == "irreducible"
-        assert rep.selection == Selection.of([0], [0])
+        assert rep.selection == Selection([0], [0])
 
     def test_long_open_chain_within_default_recursion_limit(self):
         # x1 -> ... -> xn, driven at x1 and read at xn: B(A) matches every
@@ -1015,7 +1015,7 @@ class TestRobustness:
         finally:
             sys.setrecursionlimit(limit)
         assert status.ok
-        assert matching_mod.extract_io(g, partners) == (Selection.of([0], [0]), 2 * U)
+        assert matching_mod.extract_io(g, partners) == (Selection([0], [0]), 2 * U)
 
     def test_infeasible_final_selection_raises(self, demo, monkeypatch):
         # the final check is shown the stage-3 matching with the right ends of
@@ -1029,3 +1029,7 @@ class TestRobustness:
         monkeypatch.setattr(selector_mod, "certify_cycle_cover", first_two_swapped)
         with pytest.raises(InvariantViolated, match="structurally fixed modes"):
             select_min_cost_io(demo)
+
+    def test_lower_bound_above_the_cost_raises(self, demo, exact_cover_too_heavy):
+        with pytest.raises(InvariantViolated, match="^lower bound exceeds achieved cost$"):
+            select_min_cost_io(demo, exact_covers=True)

@@ -263,14 +263,14 @@ class TestReductions:
         assert labels == ((2,), (4,))
         cover = greedy_solve(inst)
         assert cover.chosen == frozenset({2})
-        assert Selection(inputs=cover.chosen) == Selection.of([2], [])
+        assert Selection(inputs=cover.chosen) == Selection([2], [])
 
     def test_forward_weight_preserved_per_selection(self, demo):
         inst, _ = reduce_accessibility_to_wsc(demo)
         all_states = frozenset(range(demo.n))
         for k in range(4):
             for inputs in itertools.combinations(range(3), k):
-                sel = Selection.of(inputs, [])
+                sel = Selection(inputs, [])
                 try:
                     cover = selection_to_cover(inst, sel)
                     feasible = True
@@ -336,7 +336,7 @@ class TestReductions:
     def test_selection_to_cover_range_check(self):
         inst = WeightedSetCoverInstance(1, (frozenset({0}),), units(1))
         with pytest.raises(IndexError):
-            selection_to_cover(inst, Selection.of([4], []))
+            selection_to_cover(inst, Selection([4], []))
 
 
 class TestJson:

@@ -266,13 +266,19 @@ class TestSelectionAndRestrict:
         assert full.sorted_inputs() == (0, 1, 2)
         assert full.sorted_outputs() == (0, 1)
 
+    def test_constructor_freezes_any_iterable(self):
+        sel = Selection(iter([2, 0]), (1, 1))
+        assert (sel.inputs, sel.outputs) == (frozenset({0, 2}), frozenset({1}))
+        assert type(sel.inputs) is type(sel.outputs) is frozenset
+        assert hash(sel) == hash(Selection(frozenset({0, 2}), frozenset({1})))
+
     def test_union(self):
-        a = Selection.of([0], [1])
-        b = Selection.of([2], [1])
-        assert a.union(b) == Selection.of([0, 2], [1])
+        a = Selection([0], [1])
+        b = Selection([2], [1])
+        assert a.union(b) == Selection([0, 2], [1])
 
     def test_restrict_remaps_columns(self, demo):
-        sub = restrict(demo, Selection.of([2], [0]))
+        sub = restrict(demo, Selection([2], [0]))
         assert sub.m == 1 and sub.p == 1
         # retained input is the old u3: stars into x1, x2, x4
         assert sub.B.stars == frozenset({(0, 0), (1, 0), (3, 0)})
@@ -281,22 +287,22 @@ class TestSelectionAndRestrict:
         assert isinstance(sub.K, CompleteK)
 
     def test_restrict_keeps_relative_order(self, demo):
-        sub = restrict(demo, Selection.of([0, 2], [0, 1]))
+        sub = restrict(demo, Selection([0, 2], [0, 1]))
         # column 1 of the restricted B is column 2 (u3) of the original
         assert {i for i, j in sub.B.stars if j == 1} == {i for i, j in demo.B.stars if j == 2}
         assert sub.cost_u == (demo.cost_u[0], demo.cost_u[2])
 
     def test_restrict_empty_selection(self, demo):
-        sub = restrict(demo, Selection.of())
+        sub = restrict(demo, Selection())
         assert sub.m == 0 and sub.p == 0
         assert sub.B.cols == 0 and sub.C.rows == 0
         assert validate(sub).ok
 
     def test_restrict_rejects_out_of_range(self, demo):
         with pytest.raises(IndexError, match="input index 9"):
-            restrict(demo, Selection.of([8], []))
+            restrict(demo, Selection([8], []))
         with pytest.raises(IndexError, match="output index 3 out of range 1..2"):
-            restrict(demo, Selection.of([], [2]))
+            restrict(demo, Selection([], [2]))
 
     def test_restrict_refuses_invalid_system(self, demo):
         # a star out of range has no row to restrict, and a K that is not
@@ -318,11 +324,11 @@ class TestSelectionAndRestrict:
             K=SparsityPattern(3, 2, {(0, 0), (2, 1), (1, 0)}),
             cost_u=sys_.cost_u, cost_y=sys_.cost_y,
         )
-        sub = restrict(explicit, Selection.of([0, 2], [1]))
+        sub = restrict(explicit, Selection([0, 2], [1]))
         assert sub.K.stars == frozenset({(1, 0)})  # old (u3, y2) block survives
 
     def test_selection_cost(self, demo):
-        assert selection_cost(demo, Selection.of([0, 2], [0])) == 3 * COST_SCALE
+        assert selection_cost(demo, Selection([0, 2], [0])) == 3 * COST_SCALE
 
 
 class TestDual:
