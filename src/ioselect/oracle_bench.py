@@ -4,7 +4,7 @@ The oracles enumerate input/output subsets (guard: m + p <= 16) and are the
 ground truth the approximation pipeline is measured against.  The exact
 selection takes a complete K, as selection does, and searches the 2^m input
 subsets and the 2^p output subsets apart, each built by doubling and decided
-by its side's cover mask, then its side's greedy (see :func:`exact_select`).
+by its side's cover, then its side's greedy (see :func:`exact_select`).
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -253,7 +253,7 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     non-bottom ones, and condition (b) splits by the Mendelsohn-Dulmage
     theorem (a matching of each side joins into a perfect one).  Each
     side's subsets and costs are built in one doubling pass and tried in
-    the order of their key.  I is decided by the accessibility cover's mask
+    the order of their key.  I is decided by the accessibility cover
     and then, in continuous mode, by side 0's own greedy
     (:func:`ioselect.matching.complete_side`), J likewise on side 1, and
     the first I by (cost, I) and J by (cost, J) join into the optimum, under
@@ -354,7 +354,7 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
             with timed(timings, "oracle"):
                 _sel, oracle_cost = exact_select(compiled)
             ratio, flagged = approximation_ratio(report.total_cost, oracle_cost)
-    mu_max, eta_max = (max((m.bit_count() for m in inst.masks), default=0) for inst in compiled.covers)
+    mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)
     return BenchRecord(
         instance_digest(system), seed, config.n, config.m, config.p,
         q=compiled.scc.q, k=compiled.scc.k, mu_max=mu_max, eta_max=eta_max,

@@ -24,7 +24,7 @@ perfect matching, so stage 3 decides it: it runs first, and its failure is
 the system's Type-2 fixed mode, Hall witness included.  When the states
 alone have a perfect matching (the ``state_pm`` tag), that matching plus
 every input's and output's own edge already is one.  The final check runs
-no search: condition (a) is the mask test, and condition (b) is a linear
+no search: condition (a) is the covers' test, and condition (b) is a linear
 check of the perfect matching against the instance
 (:func:`ioselect.certify.certify_cycle_cover`).
 """
@@ -109,8 +109,8 @@ class CompiledSystem:
     B(A, B, C, K), the in-neighbour lists of D(A, B, C, K), on each call
     that needs them), the SCCs of D(A), found on its transpose, and
     ``covers``, the accessibility and the sensability set-cover instances
-    (:func:`ioselect.set_cover.cover_instances`), each set also as a
-    bitmask.  A selection is decided and witnessed on these structures with
+    (:func:`ioselect.set_cover.cover_instances`), each set as its
+    elements.  A selection is decided and witnessed on these structures with
     the unselected inputs and outputs masked out, so every vertex keeps its
     id in the full system.  ``timings`` holds the seconds each of the four
     builds took, by name; it takes no part in ``==`` or ``repr``.
@@ -157,7 +157,7 @@ class CompiledSystem:
         Type-2 is never reported there.  A caller that wants no witness
         reads :meth:`no_sfm` or :func:`check_no_sfm` instead.
 
-        With a complete K the cover masks decide condition (a), and only
+        With a complete K the covers decide condition (a), and only
         when they fail does one SCC pass
         (:func:`ioselect.graph_core.unfed_states`) name its states; with a
         partial K that one pass decides and names them.  Condition (b) is
@@ -231,7 +231,7 @@ def compile_system(system: Union[StructuredSystem, CompiledSystem]) -> CompiledS
 def check_no_sfm(system: Union[StructuredSystem, CompiledSystem], sel: Selection) -> SfmStatus:
     """Classify the system under the given selection, compiling it if need
     be: :meth:`CompiledSystem.decide`'s status, from one test per condition
-    and no witness.  The cover masks, or with a partial K one SCC pass,
+    and no witness.  The covers, or with a partial K one SCC pass,
     decide condition (a), and in continuous mode one largest matching
     decides condition (b).  Raises IndexError on an index out of range."""
     compiled = compile_system(system)

@@ -4,12 +4,14 @@ and exact solvers, the JSON of greedy steps, and both reductions.
 The accessibility problem reduces to weighted set cover (universe = non-top
 SCCs, one set per input, weight = input cost), and sensability likewise
 (universe = non-bottom SCCs, one set per output, weight = output cost).
-An instance stores each set only as an integer bitmask; its ``sets`` are
-derived on first access.  :func:`cover_instances` builds both covers'
-masks straight from the SCC pass, once per compiled system; every stage,
-check and printout reads them, coverage is tested in one place
-(:meth:`WeightedSetCoverInstance.uncovered`), and the greedy scans only
-the sets that cover something.  Conversely, any weighted set
+An instance stores each set as the frozenset of its elements.
+:func:`cover_instances` builds both covers' sets straight from the SCC
+pass, once per compiled system; every stage, check and printout reads
+them, and coverage is tested in one place
+(:meth:`WeightedSetCoverInstance.uncovered`).  The greedy counts each
+set's uncovered elements and keeps the sets in a heap, so its time and
+memory are near the size of the cover incidence; only the exact search,
+at most 25 sets, reads the sets as bitmasks.  Conversely, any weighted set
 cover instance embeds into an accessibility problem over a diagonal state
 pattern.  Both directions preserve weights and optima exactly, which is
 what the round-trip tests exercise.
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import compress, count
 from typing import Iterable, Optional
 
 from ioselect.graph_core import SccDecomposition, build_bipartite, decompose_sccs
@@ -64,94 +67,61 @@ class TooLarge(ModelError):
     """Instance exceeds a brute-force guard."""
 
 
-def _check(universe_size: int, r: int, weights: tuple[int, ...]) -> None:
-    """Both constructors' checks before the sets: r weights, a universe
-    size in range and no negative weight."""
-    if r != len(weights):
-        raise ModelError(f"{r} sets but {len(weights)} weights")
-    if not 0 <= universe_size <= SIZE_LIMIT:
-        raise ModelError(f"universe size {universe_size} outside 0..{SIZE_LIMIT}")
-    if min(weights, default=0) < 0:
-        idx = next(idx for idx, w in enumerate(weights) if w < 0)
-        raise ModelError(f"set {idx + 1}: negative weight")
+_EMPTY: frozenset[int] = frozenset()
 
 
-def _outside(universe_size: int, idx: int, e: int) -> ModelError:
-    return ModelError(f"set {idx + 1}: element {e + 1} outside universe 1..{universe_size}")
-
-
-def _elements(mask: int) -> list[int]:
-    """The elements of a set bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class WeightedSetCoverInstance:
     """Universe {0..N-1}, sets S_0..S_{r-1}, nonnegative scaled-integer weights.
 
-    Each set is stored as an integer bitmask, ``masks[i]`` (bit e set when
-    e is in S_i).  ``WeightedSetCoverInstance(universe_size, sets,
-    weights)`` builds the masks from the sets' elements;
-    :meth:`of_masks` is given them.  Both raise :class:`ModelError` for a
-    universe size outside 0..``SIZE_LIMIT``, a negative weight or an
-    element outside the universe.  ``sets`` is derived from the masks and
-    built on first access; equality and hashing are those of
-    ``(universe_size, weights, masks)``.  Feasibility (the union of the
-    sets equals the universe) is checked at solve time.
+    Each set is stored as the frozenset of its elements; the constructor
+    freezes any iterables of elements and raises :class:`ModelError` for
+    r sets but not r weights, a universe size outside 0..``SIZE_LIMIT``, a
+    negative weight or an element outside the universe.  ``masks``, each
+    set as an integer bitmask, is derived on first access, for the exact
+    search alone.  Feasibility (the union of the sets equals the universe)
+    is checked at solve time.
     """
 
     universe_size: int
+    sets: tuple[frozenset[int], ...]
     weights: tuple[int, ...]
-    masks: tuple[int, ...]
 
-    def __init__(self, universe_size: int, sets: Iterable[Iterable[int]], weights: Iterable[int]) -> None:
-        sets, weights = tuple(sets), tuple(weights)
-        _check(universe_size, len(sets), weights)
-        masks = []
-        for idx, s in enumerate(sets):
-            mask = 0
-            for e in s:
-                if not 0 <= e < universe_size:
-                    raise _outside(universe_size, idx, e)
-                mask |= 1 << e
-            masks.append(mask)
-        vars(self).update(universe_size=universe_size, weights=weights, masks=tuple(masks))
-
-    @classmethod
-    def of_masks(cls, universe_size: int, masks: Iterable[int], weights: Iterable[int]) -> "WeightedSetCoverInstance":
-        """The instance with these set bitmasks, checked in bulk."""
-        masks, weights = tuple(masks), tuple(weights)
-        _check(universe_size, len(masks), weights)
-        if masks and (min(masks) < 0 or max(masks) >> universe_size):
-            idx, high = next((idx, m >> universe_size) for idx, m in enumerate(masks) if m >> universe_size)
-            raise _outside(universe_size, idx, universe_size + (high & -high).bit_length() - 1)
-        inst = object.__new__(cls)
-        vars(inst).update(universe_size=universe_size, weights=weights, masks=masks)
-        return inst
+    def __post_init__(self) -> None:
+        n, sets, weights = self.universe_size, tuple(map(frozenset, self.sets)), tuple(self.weights)
+        if len(sets) != len(weights):
+            raise ModelError(f"{len(sets)} sets but {len(weights)} weights")
+        if not 0 <= n <= SIZE_LIMIT:
+            raise ModelError(f"universe size {n} outside 0..{SIZE_LIMIT}")
+        if min(weights, default=0) < 0:
+            idx = next(idx for idx, w in enumerate(weights) if w < 0)
+            raise ModelError(f"set {idx + 1}: negative weight")
+        elements = set().union(*sets)
+        if elements and not 0 <= min(elements) <= max(elements) < n:
+            idx, e = next((idx, e) for idx, s in enumerate(sets) for e in sorted(s) if not 0 <= e < n)
+            raise ModelError(f"set {idx + 1}: element {e + 1} outside universe 1..{n}")
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "weights", weights)
 
     @cached_property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_elements(mask)) for mask in self.masks)
+    def masks(self) -> tuple[int, ...]:
+        """Each set as an integer bitmask, bit e set when e is in it."""
+        return tuple(sum(1 << e for e in s) for s in self.sets)
 
     @property
     def r(self) -> int:
-        return len(self.masks)
+        return len(self.sets)
 
-    def uncovered(self, chosen: Iterable[int]) -> int:
-        """The bitmask of the elements that no chosen set covers."""
-        return ((1 << self.universe_size) - 1) & ~reduce(or_, map(self.masks.__getitem__, chosen), 0)
+    def uncovered(self, chosen: Iterable[int]) -> set[int]:
+        """The elements that no chosen set covers."""
+        return set(range(self.universe_size)).difference(*[self.sets[i] for i in chosen])
 
 
 def _containing(inst: WeightedSetCoverInstance) -> list[list[int]]:
     """Per element, the ascending indices of the sets that hold it."""
     out: list[list[int]] = [[] for _ in range(inst.universe_size)]
-    for idx, mask in enumerate(inst.masks):
-        for e in _elements(mask):
+    for idx in compress(count(), inst.sets):  # the sets that hold something
+        for e in inst.sets[idx]:
             out[e].append(idx)
     return out
 
@@ -174,35 +144,50 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     """Chvatal's greedy: repeatedly take the set with the smallest
     weight-per-newly-covered-element ratio.
 
-    The sets that cover something are listed once, with their bitmasks,
-    and each round scans only those, counting a set's new elements as
-    ``(mask & left).bit_count()``; a step's newly covered elements are the
-    bits of the taken set's ``mask & left``.  Ties break toward the set
-    covering more new elements, then the lowest index, making the trace
-    fully deterministic; ratios are compared by integer
-    cross-multiplication.  Zero-weight sets have ratio 0 and win against
-    any positive ratio; sets covering nothing new are never taken.  The
-    result is within H(d) of the optimum, where d is the largest set size
-    and H the harmonic number.
+    Ties break toward the set covering more new elements, then the lowest
+    index, making the trace fully deterministic.  Zero-weight sets have
+    ratio 0 and win against any positive ratio; sets covering nothing new
+    are never taken.  An element in no set raises :class:`Infeasible`
+    before any round, naming the smallest such element.  The result is
+    within H(d) of the optimum, where d is the largest set size and H the
+    harmonic number.
+
+    Each set keeps its gain, the count of its uncovered elements, and
+    taking a set decrements the gain of every set holding one of its new
+    elements.  A heap holds each set that covers something under the key
+    ``(w * D // gain, -gain, index)`` with ``D = N * N + 1`` for a universe
+    of N elements: two ratios of gains at most N that differ do so by at
+    least 1/N^2, so the integer part of w/gain scaled by D orders them
+    exactly, ties included.  A key only grows as its gain falls, so a
+    popped entry whose gain is current is the scan's choice; a stale one
+    goes back under its current key.  That is O(sum |S| log r) time and
+    O(sum |S|) space.
     """
-    masks, weights = inst.masks, inst.weights
-    live = [(idx, mask) for idx, mask in enumerate(masks) if mask]
-    left = (1 << inst.universe_size) - 1
+    sets, weights = inst.sets, inst.weights
+    holders = _containing(inst)
+    if not all(holders):
+        raise Infeasible(holders.index([]))  # the smallest one
+    gain = list(map(len, sets))
+    scale = inst.universe_size**2 + 1
+    heap = [(weights[idx] * scale // gain[idx], -gain[idx], idx) for idx in compress(count(), gain)]
+    heapify(heap)
+    covered = [False] * inst.universe_size
+    left = inst.universe_size
     trace: list[GreedyStep] = []
     while left:
-        best_idx, best_k, best_w = -1, 0, 1  # ratio 1/0: any set covering something beats it
-        for idx, mask in live:
-            k = (mask & left).bit_count()
-            if not k:
-                continue
-            w = weights[idx]
-            if w * best_k < best_w * k or (w * best_k == best_w * k and k > best_k):
-                best_idx, best_k, best_w = idx, k, w
-        if best_idx < 0:
-            raise Infeasible((left & -left).bit_length() - 1)  # the smallest one
-        newly = masks[best_idx] & left
-        left ^= newly
-        trace.append(GreedyStep(best_idx, frozenset(_elements(newly)), Fraction(best_w, best_k)))
+        _key, neg_k, idx = heappop(heap)
+        k = gain[idx]
+        if k != -neg_k:
+            if k:
+                heappush(heap, (weights[idx] * scale // k, -k, idx))
+            continue
+        newly = [e for e in sets[idx] if not covered[e]]
+        for e in newly:
+            covered[e] = True
+            for holder in holders[e]:
+                gain[holder] -= 1
+        left -= k
+        trace.append(GreedyStep(idx, frozenset(newly), Fraction(weights[idx], k)))
     chosen = [step.set_index for step in trace]
     return Cover(chosen=frozenset(chosen), weight=sum(weights[i] for i in chosen), trace=tuple(trace))
 
@@ -291,38 +276,44 @@ def steps_to_json(cover: Cover, labels: Optional[Labels] = None) -> list[dict]:
 def cover_instances(
     system: StructuredSystem, scc: SccDecomposition
 ) -> tuple[WeightedSetCoverInstance, WeightedSetCoverInstance]:
-    """The accessibility and the sensability cover, as bitmasks straight
+    """The accessibility and the sensability cover, as element sets straight
     from one SCC pass of D(A).
 
     Accessibility: universe element t is the t-th non-top SCC, set i the
-    non-top SCCs input i covers, weights the input costs; bit t goes to
-    each input in the union of the non-empty B rows of that SCC's states
-    (a chain's one SCC holds every state, and most of their rows are
-    empty).  Sensability is the same over the non-bottom SCCs, the C rows
-    and the output costs: output j's mask ORs, per state of its C row,
-    the bit of that state's component in a table per component (0 for
-    the components that are not non-bottom).  It equals the
-    accessibility reduction of the dual system (A^T, C^T, p_y).
+    non-top SCCs input i covers, weights the input costs; t goes to each
+    input in the union of the non-empty B rows of that SCC's states (a
+    chain's one SCC holds every state, and most of their rows are empty).
+    Sensability is the same over the non-bottom SCCs, the C rows and the
+    output costs: output j's set holds, per state of its C row, the element
+    of that state's component (None for the components that are not
+    non-bottom, and dropped).  It equals the accessibility reduction of the
+    dual system (A^T, C^T, p_y).  The sets that cover nothing share one
+    empty frozenset.
     """
     b_rows, components = system.B.by_row, scc.components
-    in_masks = [0] * system.m
+    fed: dict[int, list[int]] = {}
     for t, ci in enumerate(scc.non_top):
-        bit = 1 << t
         for i in set().union(*filter(None, map(b_rows.__getitem__, components[ci]))):
-            in_masks[i] |= bit
-    bit_of = [0] * len(components)
+            fed.setdefault(i, []).append(t)
+    in_sets = [_EMPTY] * system.m
+    for i, elems in fed.items():
+        in_sets[i] = frozenset(elems)
+    element_of: list[Optional[int]] = [None] * len(components)
     for t, ci in enumerate(scc.non_bottom):
-        bit_of[ci] = 1 << t
+        element_of[ci] = t
     comp_of = scc.component_of
-    out_masks = []
-    for row in system.C.by_row:
-        mask = 0
+    read: dict[int, list[int]] = {}
+    for j, row in enumerate(system.C.by_row):
         for s in row:
-            mask |= bit_of[comp_of[s]]
-        out_masks.append(mask)
+            t = element_of[comp_of[s]]
+            if t is not None:
+                read.setdefault(j, []).append(t)
+    out_sets = [_EMPTY] * system.p
+    for j, elems in read.items():
+        out_sets[j] = frozenset(elems)
     return (
-        WeightedSetCoverInstance.of_masks(scc.q, in_masks, system.cost_u),
-        WeightedSetCoverInstance.of_masks(scc.k, out_masks, system.cost_y),
+        WeightedSetCoverInstance(scc.q, in_sets, system.cost_u),
+        WeightedSetCoverInstance(scc.k, out_sets, system.cost_y),
     )
 
 
@@ -378,7 +369,7 @@ def selection_to_cover(inst: WeightedSetCoverInstance, sel: Selection) -> Cover:
             raise IndexError(f"set index {i + 1} out of range 1..{inst.r}")
     left = inst.uncovered(sel.inputs)
     if left:
-        raise InfeasibleSelection((left & -left).bit_length() - 1)  # the smallest one
+        raise InfeasibleSelection(min(left))
     return Cover(
         chosen=frozenset(sel.inputs),
         weight=sum(inst.weights[i] for i in sel.inputs),

@@ -439,3 +439,33 @@ def set_scan_greedy(inst):
         chosen.append(best_idx)
         trace.append(GreedyStep(best_idx, frozenset(best_new), Fraction(best_w, len(best_new))))
     return Cover(frozenset(chosen), sum(inst.weights[i] for i in chosen), tuple(trace))
+
+
+def _no_dynamics_system(n: int, b_rows: list[list[int]], c_rows: list[list[int]]) -> StructuredSystem:
+    """A system with empty A, so each of its n states is an SCC both
+    non-top and non-bottom, and unit costs on its n inputs and n outputs."""
+    from ioselect.system_model import COST_SCALE
+
+    return StructuredSystem(
+        A=SparsityPattern.of_checked_rows(n, n, [[] for _ in range(n)]),
+        B=SparsityPattern.of_checked_rows(n, n, b_rows),
+        C=SparsityPattern.of_checked_rows(n, n, c_rows),
+        cost_u=(COST_SCALE,) * n,
+        cost_y=(COST_SCALE,) * n,
+    )
+
+
+def diagonal_system(n: int) -> StructuredSystem:
+    """The diagonal shape: A empty and B = C = I, so each cover has n
+    elements and n one-element sets, about 2n pairs in its file."""
+    return _no_dynamics_system(n, [[s] for s in range(n)], [[s] for s in range(n)])
+
+
+def widemask_system(n: int) -> StructuredSystem:
+    """The wide-mask shape (n >= 2): A empty, input j feeds states j and
+    n - 1, and output j reads states j and n - 1, so each cover has n
+    elements and n two-element sets (the last one one-element), every set
+    holding element n - 1; about 4n pairs in its file."""
+    b_rows = [[s] for s in range(n - 1)] + [list(range(n))]
+    c_rows = [[j, n - 1] for j in range(n - 1)] + [[n - 1]]
+    return _no_dynamics_system(n, b_rows, c_rows)

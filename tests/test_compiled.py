@@ -1,11 +1,11 @@
 """The compiled analysis of a system, checked against the oracles in
 ``oracles.py`` on every selection of small random systems.
 
-Condition (a) is decided on the inputs' and outputs' cover masks, condition
+Condition (a) is decided on the inputs' and outputs' covers, condition
 (b) on B(A, B, C, K) of the full system with the unselected inputs and
 outputs masked.  The generators favour what those two must get right:
 states on isolated SCCs (both non-top and non-bottom), zero costs, and
-explicit K patterns, complete (masks) and partial (the SCC test on the
+explicit K patterns, complete (the covers) and partial (the SCC test on the
 masked system digraph), including partial blocks that a selection cuts down
 to a complete one.  Every selection is tested, so the empty, one-sided and
 full ones always are.  The witnesses of failed selections, read off the same

@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import hypothesis.strategies as st
 import networkx as nx
-import pytest
 from hypothesis import given
 
 import oracles
@@ -20,8 +19,7 @@ from ioselect.graph_core import (
     vertex_name,
 )
 from ioselect.selector import compile_system
-from ioselect.set_cover import WeightedSetCoverInstance
-from ioselect.system_model import COMPLETE, ModelError, Selection, SparsityPattern
+from ioselect.system_model import COMPLETE, Selection, SparsityPattern
 
 
 @st.composite
@@ -268,29 +266,6 @@ class TestCoverage:
         assert accessibility.masks == masks(tops, feeds, system.m)
         assert sensability.masks == masks(bottoms, reads, system.p)
         assert (accessibility.weights, sensability.weights) == (system.cost_u, system.cost_y)
-
-    @given(systems(max_n=8, max_m=4, max_p=4))
-    def test_of_masks_agrees_with_the_validating_constructor(self, system):
-        for inst in compile_system(system).covers:
-            built = WeightedSetCoverInstance(inst.universe_size, inst.sets, inst.weights)
-            given_masks = WeightedSetCoverInstance.of_masks(inst.universe_size, built.masks, built.weights)
-            assert built == given_masks == inst
-            assert hash(built) == hash(given_masks) == hash(inst)
-            assert (built.sets, built.r) == (given_masks.sets, given_masks.r)
-
-    @pytest.mark.parametrize(
-        "masks,weights,message",
-        [
-            ((1, 2), (1, -1), "set 2: negative weight"),
-            ((1, 0b101), (1, 1), "set 2: element 3 outside universe 1..2"),
-            ((1, 0b1010), (1, 1), "set 2: element 4 outside universe 1..2"),
-            ((-1,), (1,), "set 1: element 3 outside universe 1..2"),
-            ((1,), (1, 1), "1 sets but 2 weights"),
-        ],
-    )
-    def test_of_masks_refuses(self, masks, weights, message):
-        with pytest.raises(ModelError, match=message):
-            WeightedSetCoverInstance.of_masks(2, masks, weights)
 
 
 def covers_all(system, sel):

@@ -713,15 +713,16 @@ class TestBuildOnce:
     @pytest.mark.parametrize("traced", [False, True], ids=["default", "trace"])
     @pytest.mark.parametrize("which", ["demo", "wide"])
     def test_covers_stay_masks(self, demo, which, traced):
-        # the covers are built as bitmasks, and a select reads only those:
-        # neither its stages nor its trace turn a cover back into sets
+        # the covers are built as element sets, and only the exact search
+        # reads them as bitmasks: neither a select's stages nor its trace
+        # build a cover's masks
         from ioselect.oracle_bench import generate
 
         system = demo if which == "demo" else generate(pool_config("wide", 0))
         rep = select_min_cost_io(system)
         doc = report_to_json(rep, include_traces=traced)
         assert ("trace" in doc) == traced and rep.stage1 is not None
-        assert ["sets" in vars(cover) for cover in rep.compiled.covers] == [False, False]
+        assert ["masks" in vars(cover) for cover in rep.compiled.covers] == [False, False]
 
     # Stage 3's two one-sided searches also decide condition (b) of the full
     # selection, and the final check verifies its matching without a
@@ -758,7 +759,7 @@ class TestBuildOnce:
         assert exc.value.witness["hall_violator"] == {"left": ["x1'", "x2'"], "neighbors": ["u1"]}
 
     # A failing check decides each condition once and reads its witness off
-    # the pass that decided it.  With a complete K the cover masks decide
+    # the pass that decided it.  With a complete K the covers decide
     # (a) and one SCC pass names its states; one largest matching, a greedy
     # per side, decides (b) and gives its Hall set.  With a partial K the
     # one SCC pass decides (a) too, and the Hall set reads the rows that
@@ -790,8 +791,8 @@ class TestBuildOnce:
         assert list(doc["witness"]) == ["type1_states", "hall_violator"]
         assert counts == dict(zip(self.SEARCHES, searches))
 
-    # check_no_sfm decides the same selection with no witness: the cover
-    # masks decide (a) with a complete K, so its one SCC pass is compile's,
+    # check_no_sfm decides the same selection with no witness: the covers
+    # decide (a) with a complete K, so its one SCC pass is compile's,
     # and one largest matching decides (b) with no Hall set.  A partial K's
     # SCC pass and Hopcroft-Karp each join the restricted rows once.
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -75,7 +76,35 @@ class TestInstance:
         assert WeightedSetCoverInstance(1, (frozenset({0}),) * 3, (1, 2, 3)).r == 3
         inst = WeightedSetCoverInstance(3, (frozenset(), frozenset({0, 2})), (1, 2))
         assert inst.masks == (0, 5)
-        assert (inst.uncovered([]), inst.uncovered([0]), inst.uncovered([1])) == (7, 7, 2)
+        assert (inst.uncovered([]), inst.uncovered([0]), inst.uncovered([1])) == ({0, 1, 2}, {0, 1, 2}, {1})
+
+    @pytest.mark.parametrize(
+        "sets,weights,message",
+        [
+            (({0}, {1}), (1, -1), "set 2: negative weight"),
+            (({0}, {0, 2}), (1, 1), "set 2: element 3 outside universe 1..2"),
+            (({0}, {1, 3, 5}), (1, 1), "set 2: element 4 outside universe 1..2"),
+            (({-1, 0},), (1,), "set 1: element 0 outside universe 1..2"),
+            (({0},), (1, 1), "1 sets but 2 weights"),
+        ],
+    )
+    def test_refuses(self, sets, weights, message):
+        with pytest.raises(ModelError, match=message):
+            WeightedSetCoverInstance(2, sets, weights)
+
+    @pytest.mark.parametrize("shape", ["diagonal", "widemask"])
+    def test_cover_memory_is_linear(self, shape):
+        # n = 20,000 is well inside SIZE_LIMIT.  Covers stored as bitmasks
+        # grow as n^2 on these shapes, and the compile peaked at 87 MB
+        # (diagonal) and 140 MB (wide-mask); as element sets it is near 21 MB
+        system = getattr(oracles, f"{shape}_system")(20_000)
+        tracemalloc.start()
+        try:
+            compile_system(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
 
 
 class TestGreedy:
@@ -170,8 +199,36 @@ class TestGreedy:
         # of the 120 sets per side are empty
         for spec in workloads.WORKLOADS["wide"].choose(1):
             for inst in compile_system(spec.build()).covers:
-                assert sum(1 for mask in inst.masks if mask) < inst.r // 2
+                assert sum(1 for s in inst.sets if s) < inst.r // 2
                 assert _outcome(greedy_solve, inst) == _outcome(oracles.set_scan_greedy, inst)
+
+
+    @pytest.mark.parametrize("shape", ["diagonal", "widemask"])
+    def test_counting_scan_matches_set_scan_on_the_scale_shapes(self, shape):
+        # one-element sets on the diagonal; on the wide-mask shape every set
+        # shares the last element, so all but the first step are stale pops
+        for inst in compile_system(getattr(oracles, f"{shape}_system")(300)).covers:
+            assert inst.universe_size == inst.r == 300
+            assert _outcome(greedy_solve, inst) == _outcome(oracles.set_scan_greedy, inst)
+
+    def test_ratios_near_2_63_one_over_k1_k2_apart(self):
+        # S0's ratio w0/3 is below S1's w1/4 by exactly 1/12, a gap no float
+        # near 2^61 resolves: a float key would tie them and take S1, which
+        # covers more.  S2 ties S1 exactly and covers more, so it goes first;
+        # the zero-weight S3 goes before all of them
+        w1 = 2**63 + 3
+        w0 = (3 * w1 - 1) // 4
+        assert Fraction(w1, 4) - Fraction(w0, 3) == Fraction(1, 12)
+        inst = WeightedSetCoverInstance(
+            17,
+            (frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}), frozenset(range(7, 15)), frozenset({15}), frozenset({16})),
+            (w0, w1, 2 * w1, 0, w1),
+        )
+        cover = greedy_solve(inst)
+        assert [step.set_index for step in cover.trace] == [3, 0, 2, 1, 4]
+        assert cover == oracles.set_scan_greedy(inst)
+        short = WeightedSetCoverInstance(18, inst.sets, inst.weights)
+        assert _outcome(greedy_solve, short) == _outcome(oracles.set_scan_greedy, short) == 17
 
 
 class TestExact:
