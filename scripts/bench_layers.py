@@ -30,14 +30,19 @@ way, not two of three, to carry the median gap off its typical value.
 The cyclic collector is paused around every timed call, as ``cli.main``
 pauses it for ``select``.
 
-The shapes are the benchmark's, taken from ``perfbench/workloads.py``
-(imported by path, not changed): the first sparse and wide pool members
-(sparse at n = 400, m = p = n/10, about five A stars per row; wide at n =
-60, m = p = 120), the sparse member grown to n = 1600 and 6400 with its
-other parameters kept, and chain at n = 640.  Each record carries the git revision and the
-machine-speed calibration that ``perfbench/measure.py`` computes, and the
-one CPU the script pinned itself to at start (the lowest it may run on;
-None, and unpinned, where the platform cannot pin).
+The first five shapes are the benchmark's, taken from
+``perfbench/workloads.py`` (imported by path, not changed): the first
+sparse and wide pool members (sparse at n = 400, m = p = n/10, about five
+A stars per row; wide at n = 60, m = p = 120), the sparse member grown to
+n = 1600 and 6400 with its other parameters kept, and chain at n = 640.
+The last two load the two greedy covers and are built by
+``tests/oracles.py`` (imported by path): ``diagonal-10000`` (A empty and
+B = C = I, so each cover has 10,000 one-element sets) and
+``widemask-10000`` (each cover has 10,000 sets that all share one element,
+so most of the greedy's heap pops are stale).  Each record carries the git
+revision and the machine-speed calibration that ``perfbench/measure.py``
+computes, and the one CPU the script pinned itself to at start (the lowest
+it may run on; None, and unpinned, where the platform cannot pin).
 
     PYTHONPATH=src python scripts/bench_layers.py -o BENCH_<tag>.json --tag <tag>
 
@@ -67,8 +72,10 @@ from ioselect.system_model import system_from_json, system_to_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))  # the benchmark's modules, imported by path
+sys.path.insert(0, os.path.join(ROOT, "tests"))  # and the cover shapes' builders
 
 import measure  # noqa: E402
+import oracles  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -80,6 +87,8 @@ def _shapes() -> dict:
         shapes[f"sparse-{n}"] = workloads.Generated(config).build
     shapes["wide-60"] = wide.build
     shapes["chain-640"] = workloads.Chain(640, 0).build
+    shapes["diagonal-10000"] = lambda: oracles.diagonal_system(10_000)
+    shapes["widemask-10000"] = lambda: oracles.widemask_system(10_000)
     return shapes
 
 

@@ -224,7 +224,7 @@ def _cmd_solve_setcover(args) -> int:
     if args.exact:
         doc["exact"] = _cover_json(exact_solve(inst, cover))
     if args.trace:
-        doc["steps"] = steps_to_json(cover)
+        doc["steps"] = steps_to_json(inst, cover)
     _emit(doc, args)
     return EXIT_OK
 

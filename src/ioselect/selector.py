@@ -479,11 +479,11 @@ def report_to_json(
     if include_traces:
         trace: dict = {"scc_feedback_witness": condition_a_witness(report.compiled.graph, report.selection)}
         if report.stage1 is not None:  # both greedy stages ran
-            stages = {"accessibility_cover": report.stage1, "sensability_cover": report.stage2}
-            for (key, cover), labels in zip(stages.items(), cover_labels(report.compiled.scc)):
+            covers = zip((report.stage1, report.stage2), report.compiled.covers, cover_labels(report.compiled.scc))
+            for key, (cover, inst, labels) in zip(("accessibility_cover", "sensability_cover"), covers):
                 trace[key] = {
                     "chosen": sorted(k + 1 for k in cover.chosen),
-                    "steps": steps_to_json(cover, labels),
+                    "steps": steps_to_json(inst, cover, labels),
                 }
         if report.matching is not None:
             trace["matching"] = [

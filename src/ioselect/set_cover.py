@@ -10,8 +10,10 @@ pass, once per compiled system; every stage, check and printout reads
 them, and coverage is tested in one place
 (:meth:`WeightedSetCoverInstance.uncovered`).  The greedy counts each
 set's uncovered elements and keeps the sets in a heap, so its time and
-memory are near the size of the cover incidence; only the exact search,
-at most 25 sets, reads the sets as bitmasks.  Conversely, any weighted set
+memory are near the size of the cover incidence, and it records only the
+order in which it took the sets; :func:`steps_to_json` replays that order
+to print each step.  The exact search, at most 25 sets, turns the sets
+into bitmasks of its own.  Conversely, any weighted set
 cover instance embeds into an accessibility problem over a diagonal state
 pattern.  Both directions preserve weights and optima exactly, which is
 what the round-trip tests exercise.
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from typing import Iterable, Optional
@@ -77,10 +78,9 @@ class WeightedSetCoverInstance:
     Each set is stored as the frozenset of its elements; the constructor
     freezes any iterables of elements and raises :class:`ModelError` for
     r sets but not r weights, a universe size outside 0..``SIZE_LIMIT``, a
-    negative weight or an element outside the universe.  ``masks``, each
-    set as an integer bitmask, is derived on first access, for the exact
-    search alone.  Feasibility (the union of the sets equals the universe)
-    is checked at solve time.
+    negative weight or an element outside the universe.  The sets are the
+    one stored form of the cover.  Feasibility (the union of the sets
+    equals the universe) is checked at solve time.
     """
 
     universe_size: int
@@ -103,11 +103,6 @@ class WeightedSetCoverInstance:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", weights)
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Each set as an integer bitmask, bit e set when e is in it."""
-        return tuple(sum(1 << e for e in s) for s in self.sets)
-
     @property
     def r(self) -> int:
         return len(self.sets)
@@ -127,17 +122,14 @@ def _containing(inst: WeightedSetCoverInstance) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class GreedyStep:
-    set_index: int
-    newly_covered: frozenset[int]
-    ratio: Fraction  # scaled weight per newly covered element
-
-
-@dataclass(frozen=True)
 class Cover:
+    """A set of chosen sets and their total weight.  A greedy cover's
+    ``trace`` is the indices of its sets in the order the greedy took them
+    (empty for any other cover)."""
+
     chosen: frozenset[int]
     weight: int
-    trace: tuple[GreedyStep, ...] = ()
+    trace: tuple[int, ...] = ()
 
 
 def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
@@ -145,12 +137,12 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     weight-per-newly-covered-element ratio.
 
     Ties break toward the set covering more new elements, then the lowest
-    index, making the trace fully deterministic.  Zero-weight sets have
-    ratio 0 and win against any positive ratio; sets covering nothing new
-    are never taken.  An element in no set raises :class:`Infeasible`
-    before any round, naming the smallest such element.  The result is
-    within H(d) of the optimum, where d is the largest set size and H the
-    harmonic number.
+    index, making the order of the taken sets, the cover's ``trace``, fully
+    deterministic.  Zero-weight sets have ratio 0 and win against any
+    positive ratio; sets covering nothing new are never taken.  An element
+    in no set raises :class:`Infeasible` before any round, naming the
+    smallest such element.  The result is within H(d) of the optimum,
+    where d is the largest set size and H the harmonic number.
 
     Each set keeps its gain, the count of its uncovered elements, and
     taking a set decrements the gain of every set holding one of its new
@@ -158,38 +150,43 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     ``(w * D // gain, -gain, index)`` with ``D = N * N + 1`` for a universe
     of N elements: two ratios of gains at most N that differ do so by at
     least 1/N^2, so the integer part of w/gain scaled by D orders them
-    exactly, ties included.  A key only grows as its gain falls, so a
-    popped entry whose gain is current is the scan's choice; a stale one
-    goes back under its current key.  That is O(sum |S| log r) time and
-    O(sum |S|) space.
+    exactly, ties included.  The heap stores the key packed into one
+    integer, ``((w * D // gain) * N + N - gain) * r + index``, which orders
+    as the tuple does (``N - gain < N`` and ``index < r``) but compares in
+    one step, and a pop reads the index and the gain back out of it.  A
+    key only grows as its gain falls, so a popped entry whose gain is
+    current is the scan's choice; a stale one goes back under its current
+    key.  That is O(sum |S| log r) time and O(sum |S|) space.  A round
+    records only the index it took; the elements it covered and its ratio
+    are worked out again by :func:`steps_to_json`, for a printout.
     """
     sets, weights = inst.sets, inst.weights
     holders = _containing(inst)
     if not all(holders):
         raise Infeasible(holders.index([]))  # the smallest one
     gain = list(map(len, sets))
-    scale = inst.universe_size**2 + 1
-    heap = [(weights[idx] * scale // gain[idx], -gain[idx], idx) for idx in compress(count(), gain)]
+    n, r = inst.universe_size, inst.r
+    scale = n**2 + 1
+    heap = [(weights[idx] * scale // k * n + n - k) * r + idx for idx, k in enumerate(gain) if k]
     heapify(heap)
-    covered = [False] * inst.universe_size
-    left = inst.universe_size
-    trace: list[GreedyStep] = []
+    covered = [False] * n
+    left = n
+    trace: list[int] = []
     while left:
-        _key, neg_k, idx = heappop(heap)
+        key, idx = divmod(heappop(heap), r)
         k = gain[idx]
-        if k != -neg_k:
+        if n - key % n != k:
             if k:
-                heappush(heap, (weights[idx] * scale // k, -k, idx))
+                heappush(heap, (weights[idx] * scale // k * n + n - k) * r + idx)
             continue
-        newly = [e for e in sets[idx] if not covered[e]]
-        for e in newly:
-            covered[e] = True
-            for holder in holders[e]:
-                gain[holder] -= 1
+        for e in sets[idx]:
+            if not covered[e]:
+                covered[e] = True
+                for holder in holders[e]:
+                    gain[holder] -= 1
         left -= k
-        trace.append(GreedyStep(idx, frozenset(newly), Fraction(weights[idx], k)))
-    chosen = [step.set_index for step in trace]
-    return Cover(chosen=frozenset(chosen), weight=sum(weights[i] for i in chosen), trace=tuple(trace))
+        trace.append(idx)
+    return Cover(chosen=frozenset(trace), weight=sum(weights[i] for i in trace), trace=tuple(trace))
 
 
 EXACT_GUARD = 25
@@ -211,7 +208,7 @@ def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
     if inst.uncovered(seed.chosen):
         raise InvariantViolated("the seed of the exact cover leaves an element uncovered")
     full = (1 << inst.universe_size) - 1
-    masks = inst.masks
+    masks = [sum(1 << e for e in s) for s in inst.sets]
 
     candidates = _containing(inst)
     best_weight = seed.weight
@@ -257,18 +254,24 @@ def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
 Labels = tuple[tuple[int, ...], ...]
 
 
-def steps_to_json(cover: Cover, labels: Optional[Labels] = None) -> list[dict]:
-    """A greedy cover's steps in the external JSON shape: 1-based set and
-    elements, and the ratio in cost units.  With ``labels`` (see
+def steps_to_json(
+    inst: WeightedSetCoverInstance, cover: Cover, labels: Optional[Labels] = None
+) -> list[dict]:
+    """A greedy cover's steps in the external JSON shape, replayed from the
+    order in which the greedy took the sets of ``inst``: per step the
+    1-based set, the 1-based elements it newly covered and its ratio,
+    weight per newly covered element in cost units.  With ``labels`` (see
     :func:`cover_labels`) each step also lists the states of the elements
     it newly covers."""
+    covered: set[int] = set()
     out = []
-    for step in cover.trace:
-        newly = sorted(step.newly_covered)
-        entry: dict = {"set": step.set_index + 1, "newly_covered": [e + 1 for e in newly]}
+    for idx in cover.trace:
+        newly = sorted(inst.sets[idx] - covered)
+        covered.update(newly)
+        entry: dict = {"set": idx + 1, "newly_covered": [e + 1 for e in newly]}
         if labels is not None:
             entry["covered_states"] = [list(labels[e]) for e in newly]
-        entry["ratio"] = format_ratio(step.ratio / COST_SCALE)  # scaled weight -> cost units
+        entry["ratio"] = format_ratio(Fraction(inst.weights[idx], len(newly) * COST_SCALE))
         out.append(entry)
     return out
 

@@ -408,20 +408,22 @@ def condensation_ends(n: int, edges: list[tuple[int, int]]) -> tuple[set[frozens
     )
 
 
-def set_scan_greedy(inst):
+def set_scan_steps(inst):
     """Chvatal's greedy as a scan of the sets themselves, the reference for
-    :func:`ioselect.set_cover.greedy_solve`'s bitmask scan: each round takes
-    the set with the smallest weight per new element (cross-multiplied),
-    then the most new elements, then the lowest index.  Returns the same
-    :class:`~ioselect.set_cover.Cover`, trace included, or raises the same
+    :func:`ioselect.set_cover.greedy_solve`'s counting greedy and for the
+    steps :func:`ioselect.set_cover.steps_to_json` replays: each round
+    takes the set with the smallest weight per new element
+    (cross-multiplied), then the most new elements, then the lowest index.
+    Returns each round's (set index, newly covered elements, weight per
+    newly covered element in cost units), or raises the same
     :class:`~ioselect.set_cover.Infeasible`."""
     from fractions import Fraction
 
-    from ioselect.set_cover import Cover, GreedyStep, Infeasible
+    from ioselect.set_cover import Infeasible
+    from ioselect.system_model import COST_SCALE
 
     uncovered = set(range(inst.universe_size))
-    chosen: list[int] = []
-    trace = []
+    steps = []
     while uncovered:
         best_idx, best_new, best_w = -1, set(), 0
         for idx, s in enumerate(inst.sets):
@@ -436,9 +438,17 @@ def set_scan_greedy(inst):
         if best_idx < 0:
             raise Infeasible(min(uncovered))
         uncovered -= best_new
-        chosen.append(best_idx)
-        trace.append(GreedyStep(best_idx, frozenset(best_new), Fraction(best_w, len(best_new))))
-    return Cover(frozenset(chosen), sum(inst.weights[i] for i in chosen), tuple(trace))
+        steps.append((best_idx, frozenset(best_new), Fraction(best_w, len(best_new) * COST_SCALE)))
+    return steps
+
+
+def set_scan_greedy(inst):
+    """:func:`set_scan_steps` as the same :class:`~ioselect.set_cover.Cover`
+    that the greedy returns, its trace the sets in the order taken."""
+    from ioselect.set_cover import Cover
+
+    order = tuple(idx for idx, _new, _ratio in set_scan_steps(inst))
+    return Cover(frozenset(order), sum(inst.weights[i] for i in order), order)
 
 
 def _no_dynamics_system(n: int, b_rows: list[list[int]], c_rows: list[list[int]]) -> StructuredSystem:

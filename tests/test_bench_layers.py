@@ -1,7 +1,8 @@
 """Smoke test of ``scripts/bench_layers.py``: one repeat of its layers, on a
 small member of the sparse shape and on a short chain, records by name the
 layers of the first record's sparse-400 and chain-640 entries in
-``BENCH_pr26.json``; and the record's paired gap, from scripted layer and
+``BENCH_pr26.json``; times both greedy covers on small members of the two
+cover shapes; and the record's paired gap, from scripted layer and
 end-to-end times.  No timing is checked."""
 
 import dataclasses
@@ -45,6 +46,16 @@ def test_time_layers_names_the_recorded_layers(shape, tmp_path):
     path.write_text(json.dumps(system_to_json(SMALL[shape]())), encoding="utf-8")
     seconds, _case = bench_layers.time_layers(str(path))
     assert set(seconds) == _recorded_layers(shape)
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "widemask"])
+def test_cover_shapes_time_both_greedy_covers(shape, tmp_path):
+    # the ladder shapes of tests/oracles.py, at n = 50 in place of 10,000
+    assert f"{shape}-10000" in bench_layers._shapes()
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(system_to_json(getattr(bench_layers.oracles, f"{shape}_system")(50))), encoding="utf-8")
+    seconds, _case = bench_layers.time_layers(str(path))
+    assert {"accessibility", "sensability"} <= set(seconds)
 
 
 def test_gap_is_the_median_of_paired_repeats(monkeypatch, tmp_path):

@@ -226,13 +226,12 @@ class TestCoverage:
         assert sensability.sets == (frozenset({0}), frozenset())
         assert tuple(map(len, accessibility.sets)) == (0, 1, 2)
         assert tuple(map(len, sensability.sets)) == (1, 0)
-        assert accessibility.masks == (0, 1, 3) and sensability.masks == (1, 0)
 
     def test_empty_tables(self):
         # a system without outputs has a sensability cover without sets
         system = make_system(1, 1, 0, [(1, 1)], [(1, 1)], [])
         sensability = compile_system(system).covers[1]
-        assert sensability.sets == () and sensability.masks == ()
+        assert sensability.sets == ()
         assert max(map(len, sensability.sets), default=0) == 0
 
     @given(systems(max_n=7))
@@ -245,8 +244,8 @@ class TestCoverage:
         assert all(len(s) <= compiled.scc.k for s in sensability.sets)
 
     @given(systems(max_n=8, max_m=4, max_p=4))
-    def test_masks_match_reference(self, system):
-        # each cover's masks straight from the SCC pass, against networkx's
+    def test_sets_match_reference(self, system):
+        # each cover's sets straight from the SCC pass, against networkx's
         # SCCs and condensation ends, numbered by smallest state: input i
         # covers non-top S iff a star (s, i) of B has s in S, and output j
         # covers non-bottom S iff a star (j, s) of C has s in S
@@ -254,17 +253,17 @@ class TestCoverage:
         sccs = sorted(oracles.scc_partition(system.n, edges), key=min)
         tops, bottoms = ([c for c in sccs if c in ends] for ends in oracles.condensation_ends(system.n, edges))
 
-        def masks(universe, stars, r):
+        def sets(universe, stars, r):
             return tuple(
-                sum(1 << t for t, comp in enumerate(universe) if any(s in comp for s in stars[i]))
+                frozenset(t for t, comp in enumerate(universe) if any(s in comp for s in stars[i]))
                 for i in range(r)
             )
 
         feeds = [{s for s, i in system.B.stars if i == u} for u in range(system.m)]
         reads = [{s for j, s in system.C.stars if j == y} for y in range(system.p)]
         accessibility, sensability = compile_system(system).covers
-        assert accessibility.masks == masks(tops, feeds, system.m)
-        assert sensability.masks == masks(bottoms, reads, system.p)
+        assert accessibility.sets == sets(tops, feeds, system.m)
+        assert sensability.sets == sets(bottoms, reads, system.p)
         assert (accessibility.weights, sensability.weights) == (system.cost_u, system.cost_y)
 
 

@@ -710,19 +710,25 @@ class TestBuildOnce:
         assert json.loads(capsys.readouterr().out)["exact"] == {"cover": [3], "weight": "1"}
         assert counts == dict.fromkeys(self.SOLVERS, 1)
 
-    @pytest.mark.parametrize("traced", [False, True], ids=["default", "trace"])
     @pytest.mark.parametrize("which", ["demo", "wide"])
-    def test_covers_stay_masks(self, demo, which, traced):
-        # the covers are built as element sets, and only the exact search
-        # reads them as bitmasks: neither a select's stages nor its trace
-        # build a cover's masks
+    def test_ratios_only_where_printed(self, demo, monkeypatch, which):
+        # a greedy round records only the set it took: a select and its
+        # default report build no ratio, and a trace builds one per step
+        # it prints, as it replays the covers
+        from fractions import Fraction
+
+        from ioselect import set_cover
         from ioselect.oracle_bench import generate
 
+        calls = []
+        monkeypatch.setattr(set_cover, "Fraction", lambda *args: calls.append(args) or Fraction(*args))
         system = demo if which == "demo" else generate(pool_config("wide", 0))
         rep = select_min_cost_io(system)
-        doc = report_to_json(rep, include_traces=traced)
-        assert ("trace" in doc) == traced and rep.stage1 is not None
-        assert ["masks" in vars(cover) for cover in rep.compiled.covers] == [False, False]
+        assert rep.stage1 is not None
+        assert "trace" not in report_to_json(rep) and calls == []
+        trace = report_to_json(rep, include_traces=True)["trace"]
+        printed = len(trace["accessibility_cover"]["steps"]) + len(trace["sensability_cover"]["steps"])
+        assert len(calls) == printed == len(rep.stage1.trace) + len(rep.stage2.trace) > 0
 
     # Stage 3's two one-sided searches also decide condition (b) of the full
     # selection, and the final check verifies its matching without a

@@ -23,6 +23,7 @@ from ioselect.set_cover import (
     reduce_accessibility_to_wsc,
     reduce_wsc_to_accessibility,
     selection_to_cover,
+    steps_to_json,
     wsc_from_json,
     wsc_to_json,
 )
@@ -63,6 +64,19 @@ def _outcome(solve, inst):
         return exc.element
 
 
+def _replayed(inst, cover, labels=None):
+    """The steps :func:`steps_to_json` prints for ``cover``, read back as
+    the reference scan gives them: (set index, newly covered elements,
+    ratio), 0-based.  With ``labels``, each step's states are checked to be
+    the labels of its newly covered elements."""
+    steps = steps_to_json(inst, cover, labels)
+    if labels is not None:
+        assert [s["covered_states"] for s in steps] == [
+            [list(labels[e - 1]) for e in s["newly_covered"]] for s in steps
+        ]
+    return [(s["set"] - 1, frozenset(e - 1 for e in s["newly_covered"]), Fraction(s["ratio"])) for s in steps]
+
+
 class TestInstance:
     def test_rejects_mismatched_weights(self):
         with pytest.raises(ModelError, match="2 sets but 1 weights"):
@@ -75,7 +89,7 @@ class TestInstance:
     def test_r(self):
         assert WeightedSetCoverInstance(1, (frozenset({0}),) * 3, (1, 2, 3)).r == 3
         inst = WeightedSetCoverInstance(3, (frozenset(), frozenset({0, 2})), (1, 2))
-        assert inst.masks == (0, 5)
+        assert inst.sets == (frozenset(), frozenset({0, 2}))
         assert (inst.uncovered([]), inst.uncovered([0]), inst.uncovered([1])) == ({0, 1, 2}, {0, 1, 2}, {1})
 
     @pytest.mark.parametrize(
@@ -118,7 +132,8 @@ class TestGreedy:
         cover = greedy_solve(inst)
         assert cover.chosen == frozenset({0})
         assert cover.weight == units(3)[0]
-        assert cover.trace[0].ratio == Fraction(3 * COST_SCALE, 3)
+        assert cover.trace == (0,)
+        assert steps_to_json(inst, cover)[0]["ratio"] == "1"
 
     def test_ratio_tie_prefers_more_elements(self):
         inst = WeightedSetCoverInstance(
@@ -138,18 +153,17 @@ class TestGreedy:
         )
         cover = greedy_solve(inst)
         assert 0 in cover.chosen
-        assert cover.trace[0].set_index == 0
-        assert cover.trace[0].ratio == 0
+        assert cover.trace[0] == 0
+        assert steps_to_json(inst, cover)[0]["ratio"] == "0"
 
     def test_trace_is_complete(self):
         inst = WeightedSetCoverInstance(
             3, (frozenset({0, 1}), frozenset({2})), units(1, 1)
         )
         cover = greedy_solve(inst)
-        assert frozenset().union(*(s.newly_covered for s in cover.trace)) == frozenset(
-            {0, 1, 2}
-        )
-        assert [s.set_index for s in cover.trace] == sorted(cover.chosen)
+        steps = steps_to_json(inst, cover)
+        assert sorted(e for step in steps for e in step["newly_covered"]) == [1, 2, 3]
+        assert [step["set"] - 1 for step in steps] == list(cover.trace) == sorted(cover.chosen)
 
     def test_infeasible_reports_smallest_element(self):
         inst = WeightedSetCoverInstance(3, (frozenset({0}),), units(1))
@@ -202,7 +216,6 @@ class TestGreedy:
                 assert sum(1 for s in inst.sets if s) < inst.r // 2
                 assert _outcome(greedy_solve, inst) == _outcome(oracles.set_scan_greedy, inst)
 
-
     @pytest.mark.parametrize("shape", ["diagonal", "widemask"])
     def test_counting_scan_matches_set_scan_on_the_scale_shapes(self, shape):
         # one-element sets on the diagonal; on the wide-mask shape every set
@@ -225,10 +238,31 @@ class TestGreedy:
             (w0, w1, 2 * w1, 0, w1),
         )
         cover = greedy_solve(inst)
-        assert [step.set_index for step in cover.trace] == [3, 0, 2, 1, 4]
+        assert cover.trace == (3, 0, 2, 1, 4)
         assert cover == oracles.set_scan_greedy(inst)
+        assert _replayed(inst, cover) == oracles.set_scan_steps(inst)
         short = WeightedSetCoverInstance(18, inst.sets, inst.weights)
         assert _outcome(greedy_solve, short) == _outcome(oracles.set_scan_greedy, short) == 17
+
+
+class TestReplay:
+    # The greedy records only the order it took its sets; steps_to_json
+    # replays that order, and each step's newly covered elements, their
+    # states and its ratio must be the ones the reference scan worked out
+    # as it took the set.  Overlapping sets make a replay that forgets what
+    # earlier steps covered print too many elements.
+    @settings(max_examples=300)
+    @given(wsc_instances(max_n=10))
+    def test_replayed_steps_match_set_scan(self, inst):
+        labels = tuple((e + 1, e + 3) for e in range(inst.universe_size))
+        assert _replayed(inst, greedy_solve(inst), labels) == oracles.set_scan_steps(inst)
+
+    @pytest.mark.parametrize("workload", ["sparse", "wide", "oracle", "chain"])
+    def test_replayed_steps_match_set_scan_on_the_pools(self, workloads, workload):
+        # both covers of the first member of each benchmark pool
+        compiled = compile_system(workloads.WORKLOADS[workload].pool[0].build())
+        for inst, labels in zip(compiled.covers, cover_labels(compiled.scc)):
+            assert _replayed(inst, greedy_solve(inst), labels) == oracles.set_scan_steps(inst)
 
 
 class TestExact:
