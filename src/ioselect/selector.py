@@ -333,7 +333,8 @@ def select_min_cost_io(
     by name: the compile's four (:attr:`CompiledSystem.timings`),
     ``state_matching``, ``special_cases`` (the tags and condition (a) of
     the full selection), where they run ``state_cols_rows_to_states``,
-    ``stage3``, ``accessibility`` and ``sensability``, and ``final_check``.
+    ``stage3``, ``accessibility``, ``sensability`` and ``exact_covers``
+    (the two exact optima), and ``final_check``.
     """
     compiled = compile_system(system)
     system, graph = compiled.system, compiled.graph
@@ -386,7 +387,8 @@ def select_min_cost_io(
     stage1, stage2 = (None, None) if irreducible else covers
     exact_bound = None
     if exact_covers and not irreducible:
-        exact_bound = sum(exact_solve(inst, cover).weight for inst, cover in zip(compiled.covers, covers))
+        with timed(timings, "exact_covers"):
+            exact_bound = sum(exact_solve(inst, cover).weight for inst, cover in zip(compiled.covers, covers))
     lower = sum(stage_costs) if irreducible else max(cycle_cost or 0, exact_bound or 0)
 
     # The final check verifies condition (b) on a perfect matching that

@@ -12,11 +12,11 @@ them, and coverage is tested in one place
 set's uncovered elements and keeps the sets in a heap, so its time and
 memory are near the size of the cover incidence, and it records only the
 order in which it took the sets; :func:`steps_to_json` replays that order
-to print each step.  The exact search, at most 25 sets, turns the sets
-into bitmasks of its own.  Conversely, any weighted set
-cover instance embeds into an accessibility problem over a diagonal state
-pattern.  Both directions preserve weights and optima exactly, which is
-what the round-trip tests exercise.
+to print each step.  The exact search, at most 25 sets, branches over
+the same sets.  Conversely, any weighted set cover instance embeds into
+an accessibility problem over a diagonal state pattern.  Both directions
+preserve weights and optima exactly, which is what the round-trip tests
+exercise.
 
 Universe elements and set indices are 0-based internally; the JSON format
 (`{"N": 2, "sets": [[], [1], [1, 2]], "weights": ["1", "1", "1"]}`) is
@@ -193,62 +193,52 @@ EXACT_GUARD = 25
 
 
 def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
-    """Minimum-weight cover by branch and bound over set bitmasks.
+    """Minimum-weight cover by branch and bound over the instance's sets.
 
     Guarded at r <= 25 sets; this is a desk-scale verification oracle, not a
     production solver.  ``seed`` is the cover the caller already holds,
     its greedy cover, and is the first bound.  It must cover the universe,
     or :class:`InvariantViolated` is raised: an instance that has no cover
     is refused before, by :func:`greedy_solve`'s :class:`Infeasible`.
-    Ties break toward the lexicographically smallest chosen index set.  The
+    Ties break toward the lexicographically smallest chosen index set among
+    the seed and the covers the search builds.  A built cover never takes
+    a set that covers nothing new, so a tied cover holding such a set (of
+    weight zero) is not returned even where its index set is smaller.  The
     pruning bound relies on nonnegative weights, which the instance enforces.
     """
     if inst.r > EXACT_GUARD:
         raise TooLarge(f"exact cover limited to {EXACT_GUARD} sets, got {inst.r}")
     if inst.uncovered(seed.chosen):
         raise InvariantViolated("the seed of the exact cover leaves an element uncovered")
-    full = (1 << inst.universe_size) - 1
-    masks = [sum(1 << e for e in s) for s in inst.sets]
-
+    n, sets, weights = inst.universe_size, inst.sets, inst.weights
     candidates = _containing(inst)
-    best_weight = seed.weight
-    best_chosen = tuple(sorted(seed.chosen))
+    best = (seed.weight, tuple(sorted(seed.chosen)))
 
-    def dfs(covered: int, weight: int, chosen: tuple[int, ...], banned: int) -> None:
-        nonlocal best_weight, best_chosen
-        if covered == full:
-            if (weight, chosen) < (best_weight, best_chosen):
-                best_weight, best_chosen = weight, chosen
+    def dfs(covered: frozenset[int], weight: int, chosen: tuple[int, ...], banned: frozenset[int]) -> None:
+        nonlocal best
+        if len(covered) == n:
+            best = min(best, (weight, chosen))
             return
-        if weight > best_weight:
+        if weight > best[0]:
             return
         # fail-first: branch on the uncovered element with fewest usable
-        # sets (there is one, as covered != full).  Every uncovered element
-        # keeps a usable set: at the root each has one, as the seed covers
-        # the universe, and if a node's element has k, its i-th branch bans
+        # sets, the first such element.  Every uncovered element keeps a
+        # usable set: at the root each has one, as the seed covers the
+        # universe, and if a node's element has k, its i-th branch bans
         # only the i - 1 of them tried before, so each element still
         # uncovered keeps at least k - i + 1 >= 1.
-        pick_cands: list[int] = []
-        for e in range(inst.universe_size):
-            if covered >> e & 1:
-                continue
-            cands = [i for i in candidates[e] if not banned >> i & 1]
-            if not pick_cands or len(cands) < len(pick_cands):
-                pick_cands = cands
+        fewest = min(
+            ([i for i in candidates[e] if i not in banned] for e in range(n) if e not in covered),
+            key=len,
+        )
         # exclusion branching: after exploring a candidate, ban it in the
         # remaining branches so no cover is enumerated twice
-        sub_banned = banned
-        for idx in pick_cands:
-            dfs(
-                covered | masks[idx],
-                weight + inst.weights[idx],
-                tuple(sorted(chosen + (idx,))),
-                sub_banned,
-            )
-            sub_banned |= 1 << idx
+        for idx in fewest:
+            dfs(covered | sets[idx], weight + weights[idx], tuple(sorted(chosen + (idx,))), banned)
+            banned |= {idx}
 
-    dfs(0, 0, (), 0)
-    return Cover(chosen=frozenset(best_chosen), weight=best_weight, trace=())
+    dfs(_EMPTY, 0, (), _EMPTY)
+    return Cover(chosen=frozenset(best[1]), weight=best[0], trace=())
 
 
 Labels = tuple[tuple[int, ...], ...]

@@ -22,7 +22,7 @@ from ioselect.selector import (
 from ioselect import matching as matching_mod
 from ioselect import selector as selector_mod
 from ioselect.matching import build_bipartite, state_pattern_has_pm
-from ioselect.oracle_bench import exact_select
+from ioselect.oracle_bench import GeneratorConfig, exact_select, generate
 from ioselect.set_cover import cover_labels
 from ioselect.system_model import (
     COST_SCALE,
@@ -259,8 +259,6 @@ class TestSelectDemo:
         # one select, so their times add up to at most its wall time
         import time
 
-        from ioselect.oracle_bench import generate
-
         system = demo if instance == "demo" else generate(pool_config("sparse", 0))
         t0 = time.perf_counter()
         rep = select_min_cost_io(system)
@@ -271,6 +269,8 @@ class TestSelectDemo:
         rep = select_min_cost_io(demo, exact_covers=True)
         assert rep.exact_stage_bound == 2 * U
         assert rep.lower_bound == 2 * U
+        # the two exact optima are timed as one layer
+        assert_layers(rep, COVERS | STAGE3 | {"exact_covers"})
 
     def test_forced_expensive_input(self):
         # u3 is the only input reaching x4, so both the greedy and the
@@ -377,6 +377,34 @@ class TestSelectSpecialPaths:
         rep = select_min_cost_io(replace(demo, mode="discrete"), exact_covers=True)
         assert rep.exact_stage_bound == 2 * U
         assert rep.lower_bound == 2 * U
+        assert_layers(rep, COVERS | {"exact_covers"})
+
+    def test_a_dearer_copy_of_an_input_lowers_the_total(self):
+        # ROADMAP item 24's counterexample: a copy of an input at a higher
+        # cost is not a relation that holds.  Stage 3's transversal matroid
+        # counts the copy as a second element, which matches a second state
+        # row, so stage 3 takes the copy (cost 2) and input 2 where it took
+        # inputs 1 (cost 9) and 2.
+        config = GeneratorConfig(
+            n=6, m=3, p=3, state_density=0.2, input_density=0.4, output_density=0.4,
+            cost_range=("1", "9"), seed=6,
+        )
+        system = generate(config)
+        rep = select_min_cost_io(system)
+        assert rep.selection == Selection([0, 1], [0, 1, 2])
+        assert rep.stage_costs[2] == 20 * U
+        assert rep.total_cost == 23 * U
+        copied = replace(
+            system,
+            B=SparsityPattern.of_checked_rows(
+                system.n, system.m + 1, [row + [system.m] * (1 in row) for row in system.B.by_row]
+            ),
+            cost_u=(*system.cost_u, 2 * U),
+        )
+        rep = select_min_cost_io(copied)
+        assert rep.selection == Selection([1, 3], [0, 1, 2])
+        assert rep.stage_costs[2] == 13 * U
+        assert rep.total_cost == 16 * U
 
 
 class TestSelectErrors:
@@ -625,7 +653,6 @@ class TestBuildOnce:
         import json
 
         from ioselect import cli
-        from ioselect.oracle_bench import generate
         from ioselect.system_model import system_from_json, system_to_json
 
         system = generate(pool_config("sparse", 0))
@@ -685,7 +712,6 @@ class TestBuildOnce:
         import json
 
         from ioselect import cli
-        from ioselect.oracle_bench import generate
         from ioselect.system_model import system_to_json
 
         path = demo_json
@@ -718,7 +744,6 @@ class TestBuildOnce:
         from fractions import Fraction
 
         from ioselect import set_cover
-        from ioselect.oracle_bench import generate
 
         calls = []
         monkeypatch.setattr(set_cover, "Fraction", lambda *args: calls.append(args) or Fraction(*args))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -312,6 +313,45 @@ class TestExact:
             with pytest.raises(InvariantViolated, match="uncovered"):
                 exact_solve(inst, seed)
         assert exact_solve(inst, greedy_solve(inst)).chosen == frozenset({0, 1})
+
+    def test_tie_break_skips_a_set_that_covers_nothing_new(self):
+        # covers {1} and {0, 1} both weigh 1, and (0, 1) < (1,); but the
+        # search never takes set 0, which covers nothing, so it returns {1}.
+        # This is why test_matches_reference_minimum compares the indices
+        # only when every weight is positive.
+        inst = WeightedSetCoverInstance(2, (frozenset(), frozenset({0, 1})), units(0, 1))
+        best = exact_solve(inst, greedy_solve(inst))
+        assert (best.weight, best.chosen) == (units(1)[0], frozenset({1}))
+        assert oracles.best_cover(inst.universe_size, inst.sets, inst.weights) == (units(1)[0], (0, 1))
+
+    @pytest.mark.parametrize("draw", ["elements", "blocks"])
+    def test_matches_reference_minimum_on_a_large_universe(self, draw):
+        # 10 random sets over 20,000 elements.  "elements" holds each
+        # element with probability 0.3, so every set holds an element no
+        # other set does and the optimum takes them all; "blocks" holds
+        # each of 12 blocks of elements with probability 0.3, where the
+        # optimum (16) is well below the greedy's (22).  The reference
+        # enumerates the subsets over one element per class of elements
+        # with the same holders, which has the same covers.
+        n, r = 20_000, 10
+        if draw == "elements":
+            rng = random.Random(44)
+            sets = [{e for e in range(n) if rng.random() < 0.3} for _ in range(r)]
+        else:
+            rng = random.Random(43)
+            block = [rng.randrange(12) for _ in range(n)]
+            held = [{b for b in range(12) if rng.random() < 0.3} for _ in range(r)]
+            for b in set(range(12)).difference(*held):
+                held[b % r].add(b)
+            sets = [{e for e in range(n) if block[e] in h} for h in held]
+        for e in set(range(n)).difference(*sets):
+            sets[e % r].add(e)
+        inst = WeightedSetCoverInstance(n, sets, units(*(rng.randint(1, 9) for _ in range(r))))
+        classes = sorted({tuple(i for i, s in enumerate(inst.sets) if e in s) for e in range(n)})
+        class_sets = [frozenset(c for c, holders in enumerate(classes) if i in holders) for i in range(r)]
+        best = exact_solve(inst, greedy_solve(inst))
+        ref = oracles.best_cover(len(classes), class_sets, inst.weights)
+        assert (best.weight, tuple(sorted(best.chosen))) == ref
 
     @given(wsc_instances(feasible=False))
     def test_infeasible_names_greedys_element(self, inst):
