@@ -7,7 +7,7 @@ input/output selection that enables generic arbitrary pole placement.
 
 The pipeline combines a greedy weighted set cover stage (accessibility and
 sensability), a minimum-cost bipartite perfect matching stage (disjoint
-cycle coverage), and exact brute-force oracles for small instances.
+cycle coverage), and an exact branch and bound for the optimum.
 """
 
 from ioselect.system_model import (

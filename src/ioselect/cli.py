@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("select", help="three-stage minimum-cost selection")
     s.add_argument("instance")
-    s.add_argument("--exact", action="store_true", help="add brute-force oracle + exact cover bounds")
+    s.add_argument("--exact", action="store_true", help="add the exact optimum + exact cover bounds")
     s.add_argument("--trace", action="store_true", help="include greedy/matching traces")
     s.add_argument("--discrete", action="store_true", help="override mode to discrete")
     s.add_argument("--dump-matching", metavar="PATH", help="write the stage-3 matching edge list")
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", required=True, help="state counts, comma-separated (e.g. 100,200,400)")
     _add_generator_flags(b)
     b.add_argument("--trials", type=int, default=100)
-    b.add_argument("--oracle", action="store_true", help="brute-force optimum per instance")
+    b.add_argument("--oracle", action="store_true", help="exact optimum per instance, none past its work budget")
     b.add_argument("--csv", metavar="PATH", help="also export records as CSV")
     b.add_argument("-o", "--output", help="write JSONL here instead of stdout")
     return parser

@@ -1,10 +1,10 @@
-"""Brute-force oracles, a reproducible instance generator, and the bench harness.
+"""The exact selection, a reproducible instance generator, and the bench harness.
 
-The oracles enumerate input/output subsets (guard: m + p <= 16) and are the
-ground truth the approximation pipeline is measured against.  The exact
-selection takes a complete K, as selection does, and searches the 2^m input
-subsets and the 2^p output subsets apart, each built by doubling and decided
-by its side's cover, then its side's greedy (see :func:`exact_select`).
+The exact selection is the ground truth the approximation pipeline is
+measured against.  It takes a complete K, as selection does, and searches
+the inputs and the outputs apart, each side by the one exact search
+(:func:`ioselect.set_cover.branch_and_bound`) over its cover and its
+side's matching (see :func:`exact_select`).
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -20,11 +20,13 @@ row at a time, with the same bits).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Optional, Union
 
 from ioselect.graph_core import _require_hub
@@ -38,7 +40,7 @@ from ioselect.selector import (
     select_min_cost_io,
     timed,
 )
-from ioselect.set_cover import TooLarge
+from ioselect.set_cover import TooLarge, branch_and_bound
 from ioselect.system_model import (
     COMPLETE,
     COST_DECIMALS,
@@ -61,8 +63,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 # xor-shift by _SHIFT3.
 _SHIFT1, _SHIFT2, _SHIFT3 = 30, 27, 31
 _MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-
-EXACT_GUARD_IO = 16
 
 
 def _mix64(z: int, lane: int = _MASK64) -> int:
@@ -236,12 +236,12 @@ def instance_digest(system: StructuredSystem) -> str:
 
 def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selection, int]:
     """Ground-truth minimum-cost selection with no structurally fixed modes;
-    ties break to the lexicographically smallest (I, J).
+    ties break to the first I by (cost, I) and J by (cost, J).
 
-    Every candidate is decided on one
+    Every side is decided on one
     :class:`~ioselect.selector.CompiledSystem` (a system given already
-    compiled is not compiled again).  Beyond the brute-force guard it
-    raises :class:`TooLarge`; a K that is not complete raises the
+    compiled is not compiled again).  A search past its budget raises
+    :class:`TooLarge`; a K that is not complete raises the
     :class:`ModelError` of :func:`~ioselect.selector.select_min_cost_io`.
     A full selection with structurally fixed modes raises
     :class:`SystemHasSFMs`, with the witness of
@@ -251,44 +251,33 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     exactly when (I, all outputs) and (all inputs, J) do: condition (a)
     asks the inputs to cover the non-top SCCs and the outputs the
     non-bottom ones, and condition (b) splits by the Mendelsohn-Dulmage
-    theorem (a matching of each side joins into a perfect one).  Each
-    side's subsets and costs are built in one doubling pass and tried in
-    the order of their key.  I is decided by the accessibility cover
-    and then, in continuous mode, by side 0's own greedy
-    (:func:`ioselect.matching.complete_side`), J likewise on side 1, and
-    the first I by (cost, I) and J by (cost, J) join into the optimum, under
-    the same tie order.  Coverage and completion only grow with the set, so
-    a side finds nothing exactly when the full selection fails it, and the
-    full selection is checked only then.
+    theorem (a matching of each side joins into a perfect one).  So each
+    side is one :func:`~ioselect.set_cover.branch_and_bound`: I covers the
+    accessibility cover and, in continuous mode, completes side 0's
+    matching (:func:`ioselect.matching.complete_side`), J likewise on side
+    1, and the two optima join into the optimum, under the same tie order.
+    Coverage and completion only grow with the set, so a side finds
+    nothing exactly when the full selection fails it, and the full
+    selection is checked only then.
     """
     compiled = compile_system(system)
-    system = compiled.system
-    if system.m + system.p > EXACT_GUARD_IO:
-        raise TooLarge(
-            f"{system.m + system.p} selectable items exceed the brute-force guard {EXACT_GUARD_IO}"
-        )
-    _require_hub(compiled.graph)
+    system, g = compiled.system, compiled.graph
+    _require_hub(g)
 
-    def first(keys, qualifies):
-        for key in sorted(keys):
-            if qualifies(key):
-                return key
-        # nothing qualifies: the full selection's fixed modes, or a defect where it has none
+    def complete(side: int, order: list[int]) -> Optional[list[int]]:
+        first = g.n + side * g.m  # the side's first channel vertex
+        mates, done = complete_side(g, side, order)
+        return [v - first for v in mates if v >= first] if done else None
+
+    sides = [(None, 0)] * 2 if system.mode == "discrete" else [(partial(complete, side), g.n) for side in (0, 1)]
+    found = [branch_and_bound(cover, *side) for cover, side in zip(compiled.covers, sides)]
+    if None in found:  # the full selection's fixed modes, or a defect where it has none
         status, witness = compiled.decide(Selection.full(system))
         if status.ok:
             raise InvariantViolated("no selection qualifies, yet the full selection does")
         raise SystemHasSFMs(status, witness)
-
-    sides = [[(0, ())], [(0, ())]]  # each side's subsets with their costs
-    for subs, costs in zip(sides, (system.cost_u, system.cost_y)):
-        for i, cost in enumerate(costs):  # channel i doubles them
-            subs += [(sub_cost + cost, sub + (i,)) for sub_cost, sub in subs]
-    g, discrete = compiled.graph, system.mode == "discrete"
-    (in_cost, inputs), (out_cost, outputs) = [
-        first(subs, lambda key: not cover.uncovered(key[1]) and (discrete or complete_side(g, side, key[1])[1]))
-        for side, (cover, subs) in enumerate(zip(compiled.covers, sides))
-    ]
-    return Selection(inputs, outputs), in_cost + out_cost
+    inputs, outputs = found
+    return Selection(inputs.chosen, outputs.chosen), inputs.weight + outputs.weight
 
 
 @dataclass(frozen=True)
@@ -325,7 +314,8 @@ def record_to_json(rec: BenchRecord) -> dict:
 
 def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord:
     """One bench record: draw the trial's instance, then time its compile
-    and ``select`` in one window, and with ``oracle`` the exact search.
+    and ``select`` in one window, and with ``oracle`` the exact search; a
+    search past its work budget leaves ``oracle_cost`` and ``ratio`` None.
 
     The trial compiles the drawn system again although :func:`generate`'s
     rejection test already compiled it, ran B(A)'s Hopcroft-Karp (the
@@ -350,9 +340,10 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
             error = str(exc)
     if report is not None:
         timings.update(report.timings)
-        if oracle and system.m + system.p <= EXACT_GUARD_IO:
-            with timed(timings, "oracle"):
+        if oracle:
+            with timed(timings, "oracle"), contextlib.suppress(TooLarge):  # past the budget: no ratio
                 _sel, oracle_cost = exact_select(compiled)
+        if oracle_cost is not None:
             ratio, flagged = approximation_ratio(report.total_cost, oracle_cost)
     mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)
     return BenchRecord(

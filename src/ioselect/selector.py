@@ -327,9 +327,10 @@ def select_min_cost_io(
     and its lower bound, with ``stage1``, ``stage2`` and
     ``exact_stage_bound`` left None; otherwise the bound is the larger of
     the cycle cost and, with ``exact_covers``, the exact stage-1/2 optima
-    (guarded branch and bound, each from its stage's greedy cover).  Every
-    stage reads one compiled system; one given already compiled is not
-    compiled again.  ``timings`` holds the seconds of each layer that ran,
+    (:func:`ioselect.set_cover.exact_solve` within its work budget, each
+    from its stage's greedy cover).  Every stage reads one compiled system;
+    one given already compiled is not compiled again.  ``timings`` holds
+    the seconds of each layer that ran,
     by name: the compile's four (:attr:`CompiledSystem.timings`),
     ``state_matching``, ``special_cases`` (the tags and condition (a) of
     the full selection), where they run ``state_cols_rows_to_states``,

@@ -12,8 +12,10 @@ them, and coverage is tested in one place
 set's uncovered elements and keeps the sets in a heap, so its time and
 memory are near the size of the cover incidence, and it records only the
 order in which it took the sets; :func:`steps_to_json` replays that order
-to print each step.  The exact search, at most 25 sets, branches over
-the same sets.  Conversely, any weighted set cover instance embeds into
+to print each step.  One exact search, :func:`branch_and_bound`, branches
+over the same sets, on its own (:func:`exact_solve`) or with a side's
+matching to complete (:func:`ioselect.oracle_bench.exact_select`), within
+one work budget.  Conversely, any weighted set cover instance embeds into
 an accessibility problem over a diagonal state pattern.  Both directions
 preserve weights and optima exactly, which is what the round-trip tests
 exercise.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ioselect.graph_core import SccDecomposition, build_bipartite, decompose_sccs
 from ioselect.system_model import (
@@ -65,7 +67,7 @@ class InfeasibleSelection(ModelError):
 
 
 class TooLarge(ModelError):
-    """Instance exceeds a brute-force guard."""
+    """An exact search passed its work budget (:data:`EXACT_BUDGET`)."""
 
 
 _EMPTY: frozenset[int] = frozenset()
@@ -125,11 +127,13 @@ def _containing(inst: WeightedSetCoverInstance) -> list[list[int]]:
 class Cover:
     """A set of chosen sets and their total weight.  A greedy cover's
     ``trace`` is the indices of its sets in the order the greedy took them
-    (empty for any other cover)."""
+    (empty for any other cover), and an exact cover's ``nodes`` the nodes
+    its search visited (0 for any other)."""
 
     chosen: frozenset[int]
     weight: int
     trace: tuple[int, ...] = ()
+    nodes: int = 0
 
 
 def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
@@ -189,56 +193,134 @@ def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
     return Cover(chosen=frozenset(trace), weight=sum(weights[i] for i in trace), trace=tuple(trace))
 
 
-EXACT_GUARD = 25
+# The work one exact search may do before it raises TooLarge.  Each node
+# it visits costs what its scan may read: the universe size, the set count
+# and the sets' sizes, plus the state count where a side completion runs.
+EXACT_BUDGET = 10_000_000
+
+
+def branch_and_bound(
+    inst: WeightedSetCoverInstance, complete: Optional[Callable] = None, work: int = 0, seed: Optional[Cover] = None
+) -> Optional[Cover]:
+    """The first set of ``inst``'s sets by (weight, sorted indices) that
+    covers the universe and, with ``complete``, also completes its side's
+    matching; None when no set does.
+
+    ``complete`` maps the sets in the order to try them to those that
+    complete the side's matching, or to None when they cannot: a
+    transversal matroid's greedy (see
+    :func:`ioselect.matching.complete_side`), and ``work`` is the state
+    count one run of it costs.  ``seed``, a cover the caller already holds,
+    bounds the search from the start.
+
+    The search keeps its nodes (chosen sets, banned sets, uncovered
+    elements, weight) on an explicit stack.  A node takes every set that is
+    the last usable one of some uncovered element.  Its bound is its weight
+    plus that of the cheapest completion: the greedy with the chosen sets
+    first and the other allowed ones after them in (weight, index) order,
+    exact on a matroid (Edmonds 1971), and nothing without ``complete``.
+    When the chosen sets and that completion also cover, the node is
+    solved at its bound.  Otherwise it branches on the uncovered element
+    with the fewest usable sets, each branch banning the sets tried before
+    it, so no set of sets is reached twice.  Weights are nonnegative, so a
+    bound above the best weight prunes.
+
+    The search finds the optimum weight c*.  A walk then builds the first
+    set of weight c* one index at a time: past a prefix T, for each j below
+    the next index of the best set known, it asks the search (stopping at
+    its first find) for a set of weight c* that starts T + (j) and uses no
+    other index below j, and it stops once T itself qualifies.  Each node
+    costs the work :data:`EXACT_BUDGET` names; past the budget, the search
+    raises :class:`TooLarge`.
+    """
+    sets, weights, r = inst.sets, inst.weights, inst.r
+    holders = _containing(inst)
+    order = sorted(range(r), key=weights.__getitem__)  # stable: (weight, index)
+    universe = frozenset(range(inst.universe_size))
+    per_node = inst.universe_size + r + sum(map(len, sets)) + work
+    nodes = 0
+
+    def search(chosen: tuple[int, ...], banned: frozenset[int], limit: int, first: bool):
+        """The (weight, sorted indices) of the best set of weight at most
+        ``limit`` that holds ``chosen`` and none of ``banned``, or with
+        ``first`` of the first one found; None when there is none."""
+        nonlocal nodes
+        best = None
+        stack = [(chosen, banned, universe.difference(*[sets[i] for i in chosen]), sum(weights[i] for i in chosen))]
+        while stack:
+            chosen, banned, left, weight = stack.pop()
+            if weight > limit:
+                continue
+            nodes += 1
+            if nodes * per_node > EXACT_BUDGET:
+                raise TooLarge(f"exact search over {r} sets passed its work budget of {EXACT_BUDGET}")
+            usable = [[i for i in holders[e] if i not in banned] for e in left]
+            if not all(usable):
+                continue  # an element no allowed set covers
+            forced = {held[0] for held in usable if len(held) == 1}
+            if forced:  # the last usable set of an element
+                chosen, weight = chosen + tuple(forced), weight + sum(weights[i] for i in forced)
+                if weight > limit:
+                    continue
+                covered = _EMPTY.union(*[sets[i] for i in forced])
+                usable = [held for e, held in zip(left, usable) if e not in covered]
+                left -= covered
+            fewest = min(usable, key=len, default=None)  # fail-first
+            bound, extra = weight, ()
+            if complete:
+                taken = set(chosen)
+                kept = complete([*chosen, *[i for i in order if i not in banned and i not in taken]])
+                if kept is None:
+                    continue
+                extra = [i for i in kept if i not in taken]
+                bound += sum(weights[i] for i in extra)
+                if bound > limit:
+                    continue
+            if fewest is None or not left.difference(*[sets[i] for i in extra]):
+                best = (bound, tuple(sorted((*chosen, *extra))))
+                if first:
+                    return best
+                limit = bound - 1
+                continue
+            for k in range(len(fewest) - 1, -1, -1):  # exclusion branching, the lowest index popped first
+                idx = fewest[k]
+                stack.append((chosen + (idx,), banned.union(fewest[:k]), left - sets[idx], weight + weights[idx]))
+        return best
+
+    found = search((), _EMPTY, sum(weights) if seed is None else seed.weight - 1, False)
+    if found is None and seed is None:
+        return None
+    target, best = found or (seed.weight, tuple(sorted(seed.chosen)))
+    prefix: list[int] = []  # best starts with it
+    weight = 0
+    while len(prefix) < len(best):
+        if weight == target and search(tuple(prefix), frozenset(range(r)).difference(prefix), target, True):
+            break
+        nxt = best[len(prefix)]
+        for j in range(prefix[-1] + 1 if prefix else 0, nxt):
+            # a set that covers nothing is in no cheapest plain cover unless it is free
+            if weight + weights[j] > target or not (sets[j] or complete or weights[j] == 0):
+                continue
+            if hit := search((*prefix, j), frozenset(range(j)).difference(prefix), target, True):
+                best, nxt = hit[1], j
+                break
+        prefix.append(nxt)
+        weight += weights[nxt]
+    return Cover(chosen=frozenset(prefix), weight=target, nodes=nodes)
 
 
 def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
-    """Minimum-weight cover by branch and bound over the instance's sets.
+    """The minimum-weight cover, the first by (weight, sorted indices):
+    :func:`branch_and_bound` on the plain cover.
 
-    Guarded at r <= 25 sets; this is a desk-scale verification oracle, not a
-    production solver.  ``seed`` is the cover the caller already holds,
-    its greedy cover, and is the first bound.  It must cover the universe,
-    or :class:`InvariantViolated` is raised: an instance that has no cover
-    is refused before, by :func:`greedy_solve`'s :class:`Infeasible`.
-    Ties break toward the lexicographically smallest chosen index set among
-    the seed and the covers the search builds.  A built cover never takes
-    a set that covers nothing new, so a tied cover holding such a set (of
-    weight zero) is not returned even where its index set is smaller.  The
-    pruning bound relies on nonnegative weights, which the instance enforces.
+    ``seed`` is the cover the caller already holds, its greedy cover, and
+    is the first bound.  It must cover the universe, or
+    :class:`InvariantViolated` is raised: an instance that has no cover is
+    refused before, by :func:`greedy_solve`'s :class:`Infeasible`.
     """
-    if inst.r > EXACT_GUARD:
-        raise TooLarge(f"exact cover limited to {EXACT_GUARD} sets, got {inst.r}")
     if inst.uncovered(seed.chosen):
         raise InvariantViolated("the seed of the exact cover leaves an element uncovered")
-    n, sets, weights = inst.universe_size, inst.sets, inst.weights
-    candidates = _containing(inst)
-    best = (seed.weight, tuple(sorted(seed.chosen)))
-
-    def dfs(covered: frozenset[int], weight: int, chosen: tuple[int, ...], banned: frozenset[int]) -> None:
-        nonlocal best
-        if len(covered) == n:
-            best = min(best, (weight, chosen))
-            return
-        if weight > best[0]:
-            return
-        # fail-first: branch on the uncovered element with fewest usable
-        # sets, the first such element.  Every uncovered element keeps a
-        # usable set: at the root each has one, as the seed covers the
-        # universe, and if a node's element has k, its i-th branch bans
-        # only the i - 1 of them tried before, so each element still
-        # uncovered keeps at least k - i + 1 >= 1.
-        fewest = min(
-            ([i for i in candidates[e] if i not in banned] for e in range(n) if e not in covered),
-            key=len,
-        )
-        # exclusion branching: after exploring a candidate, ban it in the
-        # remaining branches so no cover is enumerated twice
-        for idx in fewest:
-            dfs(covered | sets[idx], weight + weights[idx], tuple(sorted(chosen + (idx,))), banned)
-            banned |= {idx}
-
-    dfs(_EMPTY, 0, (), _EMPTY)
-    return Cover(chosen=frozenset(best[1]), weight=best[0], trace=())
+    return branch_and_bound(inst, seed=seed)
 
 
 Labels = tuple[tuple[int, ...], ...]

@@ -258,7 +258,11 @@ class TestSelect:
         assert doc["witness"]["type1_states"] == ["x2"]
         assert "structurally fixed modes" in doc["error"]
 
-    def test_exact_guard(self, capsys, tmp_path):
+    def test_exact_guard(self, capsys, tmp_path, monkeypatch):
+        # one SCC, so no exact cover runs: 18 channels answer, and the exact
+        # selection past its work budget exits 2 with one error line
+        import ioselect.set_cover as set_cover_mod
+
         doc = {
             "n": 1, "m": 9, "p": 9,
             "A": [[1, 1]],
@@ -271,13 +275,20 @@ class TestSelect:
         }
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        code, _out, err = run(capsys, "select", str(path), "--exact")
-        assert code == EXIT_USAGE
-        assert "guard" in err
+        code, doc, _err = run_json(capsys, "select", str(path), "--exact")
+        assert code == EXIT_OK
+        assert doc["oracle"]["cost"] == "2"
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
+        assert run(capsys, "select", str(path), "--exact") == (
+            EXIT_USAGE, "", "error: exact search over 9 sets passed its work budget of 1\n"
+        )
 
-    def test_exact_cover_guard(self, capsys, tmp_path):
-        # two SCCs, so the covers run and --exact solves them exactly:
-        # 26 inputs trip the exact cover's guard before the oracle's
+    def test_exact_cover_guard(self, capsys, tmp_path, monkeypatch):
+        # two SCCs, so the covers run and --exact solves them exactly: 26
+        # inputs answer, and past its work budget the exact cover refuses
+        # before the oracle
+        import ioselect.set_cover as set_cover_mod
+
         path = tmp_path / "many_inputs.json"
         path.write_text(json.dumps({
             "n": 2, "m": 26, "p": 1,
@@ -286,9 +297,12 @@ class TestSelect:
             "C": [[1, 1], [1, 2]],
             "K": "complete", "cost_u": ["1"] * 26, "cost_y": ["1"], "mode": "continuous",
         }))
+        code, doc, _err = run_json(capsys, "select", str(path), "--exact")
+        assert (code, doc["exact_stage_bound"]) == (EXIT_OK, "2")
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
         code, out, err = run(capsys, "select", str(path), "--exact")
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: exact cover limited to 25 sets, got 26\n"
+        assert err == "error: exact search over 26 sets passed its work budget of 1\n"
 
     def test_table_format(self, capsys, demo_json):
         code, out, _ = run(capsys, "select", demo_json, "--format", "table")
@@ -361,13 +375,20 @@ class TestSolveSetcover:
         assert doc["element"] == 2
         assert "in no set" in doc["error"]
 
-    def test_exact_guard(self, capsys, tmp_path):
+    def test_exact_guard(self, capsys, tmp_path, monkeypatch):
+        # 26 sets answer; past its work budget the exact cover exits 2
+        import ioselect.set_cover as set_cover_mod
+
         path = write_wsc(
             tmp_path,
             {"N": 1, "sets": [[1]] * 26, "weights": ["1"] * 26},
         )
-        code, _out, err = run(capsys, "solve-setcover", path, "--exact")
-        assert code == EXIT_USAGE and "limited to 25 sets" in err
+        code, doc, _err = run_json(capsys, "solve-setcover", path, "--exact")
+        assert (code, doc["exact"]) == (EXIT_OK, {"cover": [1], "weight": "1"})
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
+        assert run(capsys, "solve-setcover", path, "--exact") == (
+            EXIT_USAGE, "", "error: exact search over 26 sets passed its work budget of 1\n"
+        )
 
     def test_format_error(self, capsys, tmp_path):
         path = write_wsc(tmp_path, {"N": 1})
@@ -454,7 +475,9 @@ class TestGen:
         expected = json.dumps(system_to_json(generate(GeneratorConfig(8, 3, 3))), indent=2) + "\n"
         assert run(capsys, "gen", "--n", "8", "--m", "3", "--p", "3") == (EXIT_OK, expected, "")
 
-    def test_bad_density(self, capsys, tmp_path):
+    def test_bad_density(self, capsys, tmp_path, monkeypatch):
+        import ioselect.set_cover as set_cover_mod
+
         code, _out, err = run(
             capsys, "gen", "--n", "2", "--m", "1", "--p", "1",
             "--state-density", "1.5",
@@ -464,6 +487,7 @@ class TestGen:
         # and main alone turns each package error into one error line
         sizes = "sizes must be at least 1 and at most 100000"
         wsc = write_wsc(tmp_path, {"N": 1, "sets": [[1]] * 26, "weights": ["1"] * 26})
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)  # the exact cover's refusal
         for argv, message in (
             (("gen", "--n", "2", "--m", "1", "--p", "1", "--cost-lo=-5", "--cost-hi=-1"), "cost_range lower bound is negative"),
             (("gen", "--n", "2", "--m", "1", "--p", "1", "--cost-lo", "3", "--cost-hi", "2"),
@@ -474,7 +498,7 @@ class TestGen:
             (("gen", "--n", "3", "--m", "1", "--p", "1", "--max-attempts=0"), "max_attempts must be at least 1"),
             (("gen", "--n", "3", "--m", "1", "--p", "1", "--max-attempts=0", "--allow-sfms"), "max_attempts must be at least 1"),
             (("bench", "--n", "4", "--m", "0", "--p", "1"), sizes),
-            (("solve-setcover", wsc, "--exact"), "exact cover limited to 25 sets, got 26"),
+            (("solve-setcover", wsc, "--exact"), "exact search over 26 sets passed its work budget of 1"),
         ):
             assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
 

@@ -15,7 +15,6 @@ from ioselect.oracle_bench import (
     CH_C,
     CH_COST_U,
     CH_COST_Y,
-    EXACT_GUARD_IO,
     BenchRecord,
     GenerationFailed,
     GeneratorConfig,
@@ -240,9 +239,14 @@ class TestExactSelect:
         assert sel == Selection([2], [0])
         assert cost == 2 * U
 
-    def test_guard(self):
-        system = make_system(1, 9, 8, [(1, 1)], [], [])
-        with pytest.raises(TooLarge, match="17"):
+    def test_budget(self, monkeypatch):
+        # 17 channels answer; a search past its work budget raises TooLarge
+        import ioselect.set_cover as set_cover_mod
+
+        system = make_system(1, 9, 8, [(1, 1)], [(1, j) for j in range(1, 10)], [(j, 1) for j in range(1, 9)])
+        assert exact_select(system) == (Selection([0], [0]), 2 * U)
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
+        with pytest.raises(TooLarge, match="exact search over 9 sets passed its work budget of 1"):
             exact_select(system)
 
     def test_sfm_system(self):
@@ -300,9 +304,10 @@ class TestExactSelect:
     @pytest.mark.parametrize("seed", [5, 6, 8])
     def test_complete_k_decides_each_subset_once(self, seed, monkeypatch):
         # with a complete K the input subsets and the output subsets are
-        # searched apart, each on its own side: at most 2^m + 2^p side
-        # tests and no whole-selection decision, where a scan of the pairs
-        # in cost order decides 104, 408 and 217 of these systems' 1,024
+        # searched apart, each on its own side: no whole-selection decision,
+        # where a scan of the pairs in cost order decides 104, 408 and 217
+        # of these systems' 1,024, and each node a side's search visits
+        # runs at most one completion
         import ioselect.oracle_bench as oracle_bench_mod
         from test_selector import wrap_counting
 
@@ -310,10 +315,15 @@ class TestExactSelect:
         counts = wrap_counting(monkeypatch, ["selector.CompiledSystem.no_sfm"])
         decided, complete_side = [], oracle_bench_mod.complete_side
         monkeypatch.setattr(
-            oracle_bench_mod, "complete_side", lambda *args: decided.append(args) or complete_side(*args)
+            oracle_bench_mod, "complete_side", lambda *args: decided.append(args[1]) or complete_side(*args)
+        )
+        searched, branch_and_bound = [], oracle_bench_mod.branch_and_bound
+        monkeypatch.setattr(
+            oracle_bench_mod, "branch_and_bound", lambda *args: searched.append(branch_and_bound(*args)) or searched[-1]
         )
         exact_select(system)
-        assert 0 < len(decided) <= 2**5 + 2**5
+        assert decided
+        assert all(decided.count(side) <= cover.nodes for side, cover in enumerate(searched))
         assert counts["selector.CompiledSystem.no_sfm"] == 0
 
     def test_empty_search_raises(self, demo, monkeypatch):
@@ -324,6 +334,18 @@ class TestExactSelect:
         monkeypatch.setattr(oracle_bench_mod, "complete_side", lambda g, side, chosen: ([], False))
         with pytest.raises(InvariantViolated, match="full selection"):
             exact_select(demo)
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_tied_costs_match_joint_scan(self, mode):
+        # costs in {0, 1, 2} tie many selections: the search and its walk
+        # give the scan's first (I, J) by (cost, I, J)
+        for seed in range(400):
+            config = GeneratorConfig(
+                n=3 + seed % 5, m=1 + seed % 4, p=1 + seed // 4 % 4, state_density=0.3,
+                cost_range=("0", "2"), seed=seed, mode=mode,
+            )
+            compiled = compile_system(generate(config))
+            assert exact_select(compiled) == oracles.joint_exact_select(compiled), seed
 
     @pytest.mark.parametrize("mode", ["continuous", "discrete"])
     def test_oracle_pool_matches_joint_scan(self, mode):
@@ -359,6 +381,30 @@ class TestBench:
             assert "select" in rec.timings and "oracle" in rec.timings
         assert "4" in summary["runtime_by_n"]
         assert summary["runtime_by_n"]["4"]["trials"] == 5
+
+    def test_oracle_past_sixteen_channels(self):
+        # m + p = 24: every record gets the exact optimum and its ratio
+        cfg = GeneratorConfig(
+            n=10, m=12, p=12, state_density=0.2, input_density=0.2,
+            output_density=0.2, cost_range=("1", "9"), seed=3,
+        )
+        records, summary = bench([cfg], trials=4, oracle=True)
+        assert summary["with_oracle"] == 4
+        for rec in records:
+            assert rec.feasible and rec.oracle_cost is not None
+            assert rec.ratio >= 1
+
+    def test_oracle_past_the_budget(self, monkeypatch):
+        # a search past its budget leaves the record without an optimum
+        import ioselect.set_cover as set_cover_mod
+
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
+        records, summary = bench([self.CFG], trials=2, oracle=True)
+        assert summary["with_oracle"] == 0
+        for rec in records:
+            assert rec.feasible and rec.error is None
+            assert rec.oracle_cost is None and rec.ratio is None
+            assert "oracle" in rec.timings
 
     def test_without_oracle(self):
         records, summary = bench([self.CFG], trials=2)

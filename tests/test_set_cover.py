@@ -11,7 +11,6 @@ import oracles
 from conftest import make_system, systems
 from ioselect.selector import compile_system
 from ioselect.set_cover import (
-    EXACT_GUARD,
     Cover,
     Infeasible,
     InfeasibleSelection,
@@ -297,11 +296,14 @@ class TestExact:
         assert best.weight == units(2)[0]
         assert tuple(sorted(best.chosen)) == (0, 1)
 
-    def test_guard(self):
-        inst = WeightedSetCoverInstance(
-            1, (frozenset({0}),) * (EXACT_GUARD + 1), units(*[1] * (EXACT_GUARD + 1))
-        )
-        with pytest.raises(TooLarge):
+    def test_budget(self, monkeypatch):
+        # 26 sets answer; a search past its work budget raises TooLarge
+        import ioselect.set_cover as set_cover_mod
+
+        inst = WeightedSetCoverInstance(1, (frozenset({0}),) * 26, units(*[1] * 26))
+        assert exact_solve(inst, greedy_solve(inst)).chosen == frozenset({0})
+        monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
+        with pytest.raises(TooLarge, match="exact search over 26 sets passed its work budget of 1"):
             exact_solve(inst, greedy_solve(inst))
 
     def test_seed_that_does_not_cover(self):
@@ -314,14 +316,12 @@ class TestExact:
                 exact_solve(inst, seed)
         assert exact_solve(inst, greedy_solve(inst)).chosen == frozenset({0, 1})
 
-    def test_tie_break_skips_a_set_that_covers_nothing_new(self):
-        # covers {1} and {0, 1} both weigh 1, and (0, 1) < (1,); but the
-        # search never takes set 0, which covers nothing, so it returns {1}.
-        # This is why test_matches_reference_minimum compares the indices
-        # only when every weight is positive.
+    def test_tie_break_takes_a_free_set_that_covers_nothing(self):
+        # covers {1} and {0, 1} both weigh 1, and (0, 1) < (1,): the first
+        # cover by (weight, indices) takes set 0, which covers nothing
         inst = WeightedSetCoverInstance(2, (frozenset(), frozenset({0, 1})), units(0, 1))
         best = exact_solve(inst, greedy_solve(inst))
-        assert (best.weight, best.chosen) == (units(1)[0], frozenset({1}))
+        assert (best.weight, best.chosen) == (units(1)[0], frozenset({0, 1}))
         assert oracles.best_cover(inst.universe_size, inst.sets, inst.weights) == (units(1)[0], (0, 1))
 
     @pytest.mark.parametrize("draw", ["elements", "blocks"])
@@ -369,12 +369,7 @@ class TestExact:
     def test_matches_reference_minimum(self, inst):
         best = exact_solve(inst, greedy_solve(inst))
         ref = oracles.best_cover(inst.universe_size, inst.sets, inst.weights)
-        assert ref is not None
-        assert best.weight == ref[0]
-        if all(w > 0 for w in inst.weights):
-            # with positive weights every minimum cover is irredundant, so
-            # the index tie-break is comparable across implementations
-            assert tuple(sorted(best.chosen)) == ref[1]
+        assert (best.weight, tuple(sorted(best.chosen))) == ref
 
     @given(wsc_instances())
     def test_greedy_within_harmonic_bound(self, inst):
