@@ -35,11 +35,14 @@ The first five shapes are the benchmark's, taken from
 sparse and wide pool members (sparse at n = 400, m = p = n/10, about five
 A stars per row; wide at n = 60, m = p = 120), the sparse member grown to
 n = 1600 and 6400 with its other parameters kept, and chain at n = 640.
-The last two load the two greedy covers and are built by
-``tests/oracles.py`` (imported by path): ``diagonal-10000`` (A empty and
-B = C = I, so each cover has 10,000 one-element sets) and
-``widemask-10000`` (each cover has 10,000 sets that all share one element,
-so most of the greedy's heap pops are stale).  Each record carries the git
+The last four are built by ``tests/oracles.py`` (imported by path).
+``diagonal-10000`` (A empty and B = C = I, so each cover has 10,000
+one-element sets) and ``widemask-10000`` (each cover has 10,000 sets that
+all share one element, so most of the greedy's heap pops are stale) load
+the two greedy covers.  ``scale-12800`` and ``scale-25600`` are the scale
+shape with seed 1 (m = p = n/10, two random A columns per row plus the
+diagonal on 19 rows in 20, two inputs and two outputs per state), where
+stage 3 and B(A)'s matching run at size.  Each record carries the git
 revision and the machine-speed calibration that ``perfbench/measure.py``
 computes, and the one CPU the script pinned itself to at start (the lowest
 it may run on; None, and unpinned, where the platform cannot pin).
@@ -72,7 +75,7 @@ from ioselect.system_model import system_from_json, system_to_json
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))  # the benchmark's modules, imported by path
-sys.path.insert(0, os.path.join(ROOT, "tests"))  # and the cover shapes' builders
+sys.path.insert(0, os.path.join(ROOT, "tests"))  # and the ladder shapes' builders
 
 import measure  # noqa: E402
 import oracles  # noqa: E402
@@ -89,6 +92,8 @@ def _shapes() -> dict:
     shapes["chain-640"] = workloads.Chain(640, 0).build
     shapes["diagonal-10000"] = lambda: oracles.diagonal_system(10_000)
     shapes["widemask-10000"] = lambda: oracles.widemask_system(10_000)
+    for n in (12_800, 25_600):
+        shapes[f"scale-{n}"] = lambda n=n: oracles.scale_system(n, 1)
     return shapes
 
 

@@ -82,12 +82,13 @@ class NoPerfectMatching(ModelError):
         )
 
 
-def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: list[int]) -> int:
+def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: list[int]) -> list[int]:
     """The greedy of one side: try the vertices of ``starts`` in turn, and
     keep one when an alternating path from it (:func:`_path`) reaches a
     free vertex of the other side, flipping that path with Hopcroft-Karp's
     flip (:func:`~ioselect.graph_core._augment`), until ``need`` are kept.
-    Returns the number kept.
+    Returns the kept vertices, in the order kept.  A flip never unmatches
+    a matched vertex, so they are the starts matched at the end.
 
     ``nbr[s]`` lists the neighbours of s on the other side; ``mate_s`` and
     ``mate_w`` hold each vertex's partner on either side (-1 when free) and
@@ -99,15 +100,15 @@ def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: li
     one, and finds the path it would find with no marks kept.
     """
     seen, parent = [False] * len(mate_w), [0] * len(mate_w)
-    kept = 0
+    kept: list[int] = []
     for s in starts:
-        if kept == need:
+        if len(kept) == need:
             break
         reached: list[int] = []
         w = _path(s, nbr, mate_w, seen, parent, reached)
         if w >= 0:
             _augment(w, parent, mate_s, mate_w)
-            kept += 1
+            kept.append(s)
             for v in reached:
                 seen[v] = False
     return kept
@@ -130,18 +131,20 @@ def _path(s: int, nbr, mate_w: list[int], seen: list[bool], parent: list[int], r
     return -1
 
 
-def complete_side(g: SystemGraph, side: int, chosen: Iterable[int]) -> tuple[list[int], bool]:
+def complete_side(g: SystemGraph, side: int, chosen: Iterable[int]) -> tuple[list[int], Optional[list[int]]]:
     """Side 0 (the inputs) or 1 (the outputs): B(A)'s maximum matching
     completed by the greedy over the channels numbered ``chosen``, in that
     order.  Returns side 0's partner of each state row (a state or an input)
-    or side 1's of each state (a state row or an output), -1 where free, and
-    whether every one is matched."""
+    or side 1's of each state (a state row or an output), -1 where free,
+    and the channels the greedy kept, in the order kept: the channels on
+    that partner list.  The kept channels are None when one stays free."""
     mates = g.state_matching[side][:]
     need = mates.count(-1)
     nbr = g.rows_to_states if side else g.state_cols
     first = g.n + side * g.m
     others = g.state_matching[1 - side] + [-1] * (g.m + g.p)
-    return mates, _greedy((first + c for c in chosen), need, nbr, others, mates) == need
+    kept = _greedy((first + c for c in chosen), need, nbr, others, mates)
+    return mates, [v - first for v in kept] if len(kept) == need else None
 
 
 def _join(g: SystemGraph, rows_to: list[int], states_from: list[int]) -> list[int]:

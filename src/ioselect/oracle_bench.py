@@ -26,7 +26,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Optional, Union
 
 from ioselect.graph_core import _require_hub
@@ -254,8 +253,10 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     theorem (a matching of each side joins into a perfect one).  So each
     side is one :func:`~ioselect.set_cover.branch_and_bound`: I covers the
     accessibility cover and, in continuous mode, completes side 0's
-    matching (:func:`ioselect.matching.complete_side`), J likewise on side
-    1, and the two optima join into the optimum, under the same tie order.
+    matching, J likewise on side 1, and the two optima join into the
+    optimum, under the same tie order.  The search's completion is
+    :func:`ioselect.matching.complete_side`'s kept channels, as it returns
+    them.
     Coverage and completion only grow with the set, so a side finds
     nothing exactly when the full selection fails it, and the full
     selection is checked only then.
@@ -264,12 +265,9 @@ def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selec
     system, g = compiled.system, compiled.graph
     _require_hub(g)
 
-    def complete(side: int, order: list[int]) -> Optional[list[int]]:
-        first = g.n + side * g.m  # the side's first channel vertex
-        mates, done = complete_side(g, side, order)
-        return [v - first for v in mates if v >= first] if done else None
-
-    sides = [(None, 0)] * 2 if system.mode == "discrete" else [(partial(complete, side), g.n) for side in (0, 1)]
+    sides = [(None, 0)] * 2 if system.mode == "discrete" else [
+        (lambda order, side=side: complete_side(g, side, order)[1], g.n) for side in (0, 1)
+    ]
     found = [branch_and_bound(cover, *side) for cover, side in zip(compiled.covers, sides)]
     if None in found:  # the full selection's fixed modes, or a defect where it has none
         status, witness = compiled.decide(Selection.full(system))

@@ -206,10 +206,10 @@ def branch_and_bound(
     covers the universe and, with ``complete``, also completes its side's
     matching; None when no set does.
 
-    ``complete`` maps the sets in the order to try them to those that
-    complete the side's matching, or to None when they cannot: a
-    transversal matroid's greedy (see
-    :func:`ioselect.matching.complete_side`), and ``work`` is the state
+    ``complete`` maps the sets in the order to try them to the ones a
+    transversal matroid's greedy keeps to complete the side's matching, in
+    any order, or to None when they cannot complete it: the kept channels
+    of :func:`ioselect.matching.complete_side`.  ``work`` is the state
     count one run of it costs.  ``seed``, a cover the caller already holds,
     bounds the search from the start.
 

@@ -479,3 +479,39 @@ def widemask_system(n: int) -> StructuredSystem:
     b_rows = [[s] for s in range(n - 1)] + [list(range(n))]
     c_rows = [[j, n - 1] for j in range(n - 1)] + [[n - 1]]
     return _no_dynamics_system(n, b_rows, c_rows)
+
+
+def scale_system(n: int, seed: int) -> StructuredSystem:
+    """The scale shape (n >= 10): m = p = n/10; state row i holds two
+    random A columns and, on 19 rows in 20, its own diagonal; each state
+    is fed by two random inputs and read by two random outputs; costs are
+    whole units 1-100.  Every draw is a ``next_below`` of one
+    ``oracle_bench.SplitMix64(seed)`` stream, in that order: per row its
+    two columns and its diagonal draw, then per state its two inputs and
+    its two outputs, then the input and the output costs.  That is O(n)
+    draws, and the patterns are built as their rows."""
+    from ioselect.oracle_bench import SplitMix64
+    from ioselect.system_model import COST_SCALE
+
+    rng = SplitMix64(seed)
+    m = p = n // 10
+    a_rows = []
+    for i in range(n):
+        row = {rng.next_below(n), rng.next_below(n)}
+        if rng.next_below(20):
+            row.add(i)
+        a_rows.append(sorted(row))
+    b_rows, c_rows = [], [[] for _ in range(p)]
+    for s in range(n):
+        b_rows.append(sorted({rng.next_below(m), rng.next_below(m)}))
+        for j in {rng.next_below(p), rng.next_below(p)}:
+            c_rows[j].append(s)  # states ascend, so each row does
+    cost_u, cost_y = ([COST_SCALE * (1 + rng.next_below(100)) for _ in range(size)] for size in (m, p))
+    return StructuredSystem(
+        A=SparsityPattern.of_checked_rows(n, n, a_rows),
+        B=SparsityPattern.of_checked_rows(n, m, b_rows),
+        C=SparsityPattern.of_checked_rows(p, n, c_rows),
+        K=COMPLETE,
+        cost_u=tuple(cost_u),
+        cost_y=tuple(cost_y),
+    )

@@ -2,8 +2,9 @@
 small member of the sparse shape and on a short chain, records by name the
 layers of the first record's sparse-400 and chain-640 entries in
 ``BENCH_pr26.json``; times both greedy covers on small members of the two
-cover shapes; and the record's paired gap, from scripted layer and
-end-to-end times.  No timing is checked."""
+cover shapes, and stage 3 on a small member of the scale shape; and the
+record's paired gap, from scripted layer and end-to-end times.  No timing
+is checked."""
 
 import dataclasses
 import importlib.util
@@ -56,6 +57,16 @@ def test_cover_shapes_time_both_greedy_covers(shape, tmp_path):
     path.write_text(json.dumps(system_to_json(getattr(bench_layers.oracles, f"{shape}_system")(50))), encoding="utf-8")
     seconds, _case = bench_layers.time_layers(str(path))
     assert {"accessibility", "sensability"} <= set(seconds)
+
+
+def test_scale_shape_times_stage3(tmp_path):
+    # the scale shape of tests/oracles.py, at n = 400 in place of 12,800
+    assert {"scale-12800", "scale-25600"} <= set(bench_layers._shapes())
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(system_to_json(bench_layers.oracles.scale_system(400, 1))), encoding="utf-8")
+    seconds, case = bench_layers.time_layers(str(path))
+    assert {"stage3", "accessibility", "sensability"} <= set(seconds)
+    assert case == "single_nontop"
 
 
 def test_gap_is_the_median_of_paired_repeats(monkeypatch, tmp_path):

@@ -165,7 +165,8 @@ class TestCompleteSide:
             (g.size, a + [(out0 + j, i) for j, i in system.C.stars if j in sel.outputs], sel.sorted_outputs()),
         ]
         for side, (others, pairs, chosen) in enumerate(sides):
-            partners, complete = complete_side(g, side, chosen)
+            partners, kept = complete_side(g, side, chosen)
+            complete = kept is not None
             shape = (n, others) if side == 0 else (others, n)
             assert complete == (oracles.matching_size(*shape, pairs) == n)
             edges = [(v, w) if side == 0 else (w, v) for v, w in enumerate(partners) if w >= 0]

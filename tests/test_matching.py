@@ -285,13 +285,13 @@ class TestJoin:
 
         g = build_bipartite(system)
         n, out0 = g.n, g.n + g.m
-        rows_to, inputs_done = complete_side(g, 0, sorted(range(g.m), key=lambda i: g.cost_u[i]))
-        states_from, outputs_done = complete_side(g, 1, sorted(range(g.p), key=lambda j: g.cost_y[j]))
-        if not (inputs_done and outputs_done):
+        rows_to, inputs_kept = complete_side(g, 0, sorted(range(g.m), key=lambda i: g.cost_u[i]))
+        states_from, outputs_kept = complete_side(g, 1, sorted(range(g.p), key=lambda j: g.cost_y[j]))
+        if inputs_kept is None or outputs_kept is None:
             assert oracles.min_cycle_family_cost(system) is None
             return
-        kept_in = sorted(r for r in rows_to if r >= n)
-        kept_out = sorted(l for l in states_from if l >= out0)
+        kept_in = sorted(n + i for i in inputs_kept)
+        kept_out = sorted(out0 + j for j in outputs_kept)
         match_l = _join(g, rows_to, states_from)
         assert sorted(match_l) == list(range(g.size))  # one edge per left and per right vertex
         assert [(l, r) for l, r in enumerate(match_l) if n <= l < out0 and r >= out0] == list(zip(kept_in, kept_out))
@@ -299,6 +299,28 @@ class TestJoin:
         sel, _cost = extract_io(g, match_l)
         assert sel == Selection([u - n for u in kept_in], [y - out0 for y in kept_out])
         assert certify_cycle_cover(system, sel, enumerate(match_l))
+
+
+class TestCompleteSide:
+    @given(systems_with_selection())
+    def test_kept_channels_are_the_partner_lists(self, case):
+        """Each side's kept channels, with the selected ones in index order
+        and in (cost, index) order, are the channels on its partner list,
+        kept in the order tried, and None exactly when the list holds a
+        free vertex."""
+        from ioselect.matching import complete_side
+
+        system, sel = case
+        g = build_bipartite(system)
+        sides = [(sel.sorted_inputs(), g.cost_u, g.n), (sel.sorted_outputs(), g.cost_y, g.n + g.m)]
+        for side, (chosen, costs, first) in enumerate(sides):
+            for order in (chosen, sorted(chosen, key=costs.__getitem__)):
+                partners, kept = complete_side(g, side, order)
+                on_list = sorted(v - first for v in partners if v >= first)
+                assert (kept is None) == (-1 in partners)
+                if kept is not None:
+                    assert sorted(kept) == on_list
+                    assert kept == [c for c in order if c in on_list]
 
 
 class TestStatePattern:

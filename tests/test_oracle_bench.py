@@ -331,7 +331,7 @@ class TestExactSelect:
         # defect, reported also under python -O
         import ioselect.oracle_bench as oracle_bench_mod
 
-        monkeypatch.setattr(oracle_bench_mod, "complete_side", lambda g, side, chosen: ([], False))
+        monkeypatch.setattr(oracle_bench_mod, "complete_side", lambda g, side, chosen: ([], None))
         with pytest.raises(InvariantViolated, match="full selection"):
             exact_select(demo)
 

@@ -1002,6 +1002,36 @@ class TestBuildOnce:
         assert per_side == [r + d, r + d]
         assert max(per_side) <= system.n + system.m
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_failed_search_marks_stay_dead_on_the_scale_shape(self, monkeypatch, seed):
+        # the same count on oracles.scale_system at n = 1,600: each side's
+        # failed searches mark at most the side's rows in all, as no later
+        # search marks them again.  The output side fails 86-125 searches
+        # here, so failures that cleared their marks would mark far more
+        import inspect
+
+        system = oracles.scale_system(1600, seed)
+        original = matching_mod._path
+        signature = inspect.signature(original)
+        failed: dict[int, list] = {}  # per side's mark list: that list, and the marks and searches of its failures
+
+        def counting(*args):
+            seen = signature.bind(*args).arguments["seen"]
+            before = sum(seen)
+            found = original(*args)
+            if found < 0:
+                entry = failed.setdefault(id(seen), [seen, 0, 0])
+                entry[1] += sum(seen) - before
+                entry[2] += 1
+            return found
+
+        monkeypatch.setattr(matching_mod, "_path", counting)
+        g = build_bipartite(system)
+        matching_mod.min_cost_perfect_matching(g)
+        assert failed
+        for seen, marks, searches in failed.values():
+            assert searches > 50 and marks <= len(seen)
+
     def test_witness_built_only_for_traces(self, demo, monkeypatch):
         counts = wrap_counting(monkeypatch, ["graph_core.condition_a_witness"])
         rep = select_min_cost_io(demo)
