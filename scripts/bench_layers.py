@@ -12,29 +12,34 @@ each layer:
   ``timings``: ``validate``, ``build_bipartite``, ``decompose_sccs``,
   ``cover_instances``, ``state_matching``, ``special_cases`` and
   ``final_check``, with ``state_cols_rows_to_states``, ``stage3``,
-  ``accessibility`` and ``sensability`` where they run;
+  ``accessibility`` and ``sensability`` where they run, and
+  ``exact_covers`` on a shape run with ``--exact``;
+* on such a shape, ``exact_select``, timed here;
 * output: ``report_to_json`` and ``json.dumps``, timed here;
 * freeing: the parsed document, dropped once it is decoded, and the
   system with everything built on it, dropped as the CLI returns.
 
 Every repeat starts from a fresh read, so each cached property is computed
 cold, as in one CLI call, and then times ``cli.main(["select", path])``
-with stdout captured.  The record holds the best-of-``--repeats`` time of
-each layer, their sum and the best end-to-end time.  Its gap is paired: the
-median over repeats of that repeat's end-to-end time less its own layer
-sum, so it holds what ``main`` does besides the layers (argparse, opening
-the output, the report object, the pipeline's steps between its timed
-layers) and not the spread between minima taken from different repeats.
+(with ``--exact`` on the shapes of ``EXACT``) with stdout captured.  The
+record holds the best-of-``--repeats`` time of each layer, their sum and
+the best end-to-end time.  Its gap is paired: the median over repeats of
+that repeat's end-to-end time less its own layer sum, so it holds what
+``main`` does besides the layers (argparse, opening the output, the report
+object, the pipeline's steps between its timed layers) and not the spread
+between minima taken from different repeats.
 The default is nine repeats: it then takes five repeats disturbed the same
 way, not two of three, to carry the median gap off its typical value.
 The cyclic collector is paused around every timed call, as ``cli.main``
 pauses it for ``select``.
 
-The first five shapes are the benchmark's, taken from
+The first six shapes are the benchmark's, taken from
 ``perfbench/workloads.py`` (imported by path, not changed): the first
 sparse and wide pool members (sparse at n = 400, m = p = n/10, about five
 A stars per row; wide at n = 60, m = p = 120), the sparse member grown to
-n = 1600 and 6400 with its other parameters kept, and chain at n = 640.
+n = 1600 and 6400 with its other parameters kept, chain at n = 640, and
+``oracle-30``, the first oracle pool member (n = 30, m = p = 5), run as
+that workload runs it, with ``--exact``.
 The last four are built by ``tests/oracles.py`` (imported by path).
 ``diagonal-10000`` (A empty and B = C = I, so each cover has 10,000
 one-element sets) and ``widemask-10000`` (each cover has 10,000 sets that
@@ -70,6 +75,7 @@ import tempfile
 import time
 
 from ioselect import cli
+from ioselect.oracle_bench import exact_select
 from ioselect.selector import report_to_json, select_min_cost_io, timed
 from ioselect.system_model import system_from_json, system_to_json
 
@@ -90,6 +96,7 @@ def _shapes() -> dict:
         shapes[f"sparse-{n}"] = workloads.Generated(config).build
     shapes["wide-60"] = wide.build
     shapes["chain-640"] = workloads.Chain(640, 0).build
+    shapes["oracle-30"] = workloads.WORKLOADS["oracle"].pool[0].build
     shapes["diagonal-10000"] = lambda: oracles.diagonal_system(10_000)
     shapes["widemask-10000"] = lambda: oracles.widemask_system(10_000)
     for n in (12_800, 25_600):
@@ -97,9 +104,13 @@ def _shapes() -> dict:
     return shapes
 
 
-def time_layers(path: str) -> tuple[dict[str, float], str]:
-    """One repeat of the layers of a select of the file at ``path``, and
-    the report's special case."""
+# The shapes selected with --exact, as the oracle workload selects.
+EXACT = ("oracle-30",)
+
+
+def time_layers(path: str, exact: bool = False) -> tuple[dict[str, float], str]:
+    """One repeat of the layers of a select of the file at ``path``, with
+    ``--exact`` when ``exact``, and the report's special case."""
     seconds: dict[str, float] = {}
     with timed(seconds, "read"), open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -109,10 +120,14 @@ def time_layers(path: str) -> tuple[dict[str, float], str]:
         system = system_from_json(doc)
     with timed(seconds, "free_document"):
         del text, doc  # the CLI drops the parsed document once it is decoded
-    report = select_min_cost_io(system)
+    report = select_min_cost_io(system, exact_covers=exact)
     seconds.update(report.timings)
+    oracle = None
+    if exact:
+        with timed(seconds, "exact_select"):
+            oracle = exact_select(report)
     with timed(seconds, "report_to_json"):
-        out = report_to_json(report)
+        out = report_to_json(report, oracle=oracle)
     with timed(seconds, "json_dumps"):
         json.dumps(out, indent=2) + "\n"
     case = report.special_case
@@ -121,18 +136,18 @@ def time_layers(path: str) -> tuple[dict[str, float], str]:
     return seconds, case
 
 
-def time_main(path: str) -> float:
+def time_main(path: str, exact: bool = False) -> float:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         t0 = time.perf_counter()
-        code = cli.main(["select", path])
+        code = cli.main(["select", path, *(["--exact"] if exact else [])])
         seconds = time.perf_counter() - t0
     if code != cli.EXIT_OK:
         raise SystemExit(f"{path}: select exited {code}")
     return seconds
 
 
-def bench_shape(name: str, build, directory: str, repeats: int) -> dict:
+def bench_shape(name: str, build, directory: str, repeats: int, exact: bool = False) -> dict:
     system = build()
     path = os.path.join(directory, f"{name}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -143,10 +158,10 @@ def bench_shape(name: str, build, directory: str, repeats: int) -> dict:
     gc.disable()
     try:
         for _ in range(repeats):
-            layers, case = time_layers(path)
+            layers, case = time_layers(path, exact)
             for layer, seconds in layers.items():
                 best[layer] = min(seconds, best.get(layer, seconds))
-            e2e.append(time_main(path))
+            e2e.append(time_main(path, exact))
             gaps.append(e2e[-1] - sum(layers.values()))
     finally:
         if enabled:
@@ -188,7 +203,9 @@ def main(argv=None) -> int:
         os.sched_setaffinity(0, {cpu})
     calibration_before = statistics.median(measure.time_calibration() for _ in range(5))
     with tempfile.TemporaryDirectory() as directory:
-        results = [bench_shape(name, build, directory, args.repeats) for name, build in _shapes().items()]
+        results = [
+            bench_shape(name, build, directory, args.repeats, exact=name in EXACT) for name, build in _shapes().items()
+        ]
     calibration_after = statistics.median(measure.time_calibration() for _ in range(5))
     record = {
         "tag": args.tag,

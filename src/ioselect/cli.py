@@ -185,7 +185,7 @@ def _cmd_select(args) -> int:
     system = _read_system(args.instance, args.discrete)
     try:
         report = selector.select_min_cost_io(system, exact_covers=args.exact)
-        oracle = oracle_bench.exact_select(report.compiled) if args.exact else None
+        oracle = oracle_bench.exact_select(report) if args.exact else None
     except SystemHasSFMs as exc:  # from the select: exact_select runs only after it succeeds
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE

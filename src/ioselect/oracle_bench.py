@@ -1,10 +1,11 @@
 """The exact selection, a reproducible instance generator, and the bench harness.
 
 The exact selection is the ground truth the approximation pipeline is
-measured against.  It takes a complete K, as selection does, and searches
-the inputs and the outputs apart, each side by the one exact search
+measured against.  It takes the report of a ``select``, and searches the
+inputs and the outputs apart, each side by the one exact search
 (:func:`ioselect.set_cover.branch_and_bound`) over its cover and its
-side's matching (see :func:`exact_select`).
+side's matching, from that side of the report's certified selection (see
+:func:`exact_select`).
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -26,25 +27,22 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from ioselect.graph_core import _require_hub
 from ioselect.matching import complete_side
 from ioselect.selector import (
-    CompiledSystem,
-    SystemHasSFMs,
+    SelectionReport,
     approximation_ratio,
     compile_system,
     detect_special_case,
     select_min_cost_io,
     timed,
 )
-from ioselect.set_cover import TooLarge, branch_and_bound
+from ioselect.set_cover import Cover, TooLarge, branch_and_bound
 from ioselect.system_model import (
     COMPLETE,
     COST_DECIMALS,
     SIZE_LIMIT,
-    InvariantViolated,
     ModelError,
     Selection,
     SparsityPattern,
@@ -233,48 +231,41 @@ def instance_digest(system: StructuredSystem) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def exact_select(system: Union[StructuredSystem, CompiledSystem]) -> tuple[Selection, int]:
-    """Ground-truth minimum-cost selection with no structurally fixed modes;
-    ties break to the first I by (cost, I) and J by (cost, J).
+def exact_select(report: SelectionReport) -> tuple[Selection, int]:
+    """Ground-truth minimum-cost selection with no structurally fixed modes
+    of the system ``select`` made ``report`` for; ties break to the first I
+    by (cost, I) and J by (cost, J).  A search past its budget raises
+    :class:`TooLarge`.
 
-    Every side is decided on one
-    :class:`~ioselect.selector.CompiledSystem` (a system given already
-    compiled is not compiled again).  A search past its budget raises
-    :class:`TooLarge`; a K that is not complete raises the
-    :class:`ModelError` of :func:`~ioselect.selector.select_min_cost_io`.
-    A full selection with structurally fixed modes raises
-    :class:`SystemHasSFMs`, with the witness of
-    :meth:`~ioselect.selector.CompiledSystem.decide`.
-
-    With a complete K, and the full selection qualifying, (I, J) qualifies
-    exactly when (I, all outputs) and (all inputs, J) do: condition (a)
-    asks the inputs to cover the non-top SCCs and the outputs the
-    non-bottom ones, and condition (b) splits by the Mendelsohn-Dulmage
+    A report exists only for a system :func:`select_min_cost_io` validated,
+    with a complete K and a full selection free of fixed modes.  Then
+    (I, J) qualifies exactly when (I, all outputs) and (all inputs, J) do:
+    condition (a) asks the inputs to cover the non-top SCCs and the outputs
+    the non-bottom ones, and condition (b) splits by the Mendelsohn-Dulmage
     theorem (a matching of each side joins into a perfect one).  So each
-    side is one :func:`~ioselect.set_cover.branch_and_bound`: I covers the
-    accessibility cover and, in continuous mode, completes side 0's
-    matching, J likewise on side 1, and the two optima join into the
-    optimum, under the same tie order.  The search's completion is
-    :func:`ioselect.matching.complete_side`'s kept channels, as it returns
-    them.
-    Coverage and completion only grow with the set, so a side finds
-    nothing exactly when the full selection fails it, and the full
-    selection is checked only then.
-    """
-    compiled = compile_system(system)
-    system, g = compiled.system, compiled.graph
-    _require_hub(g)
+    side is one :func:`~ioselect.set_cover.branch_and_bound` on the
+    report's compiled system: I covers the accessibility cover and, in
+    continuous mode, completes side 0's matching, J likewise on side 1,
+    and the two optima join into the optimum, under the same tie order.
+    The search's completion is :func:`ioselect.matching.complete_side`'s
+    kept channels, as it returns them.
 
-    sides = [(None, 0)] * 2 if system.mode == "discrete" else [
+    Each side's seed is that side of ``report.selection``, with its cost:
+    the first bound, and the best set the tie walk knows.  It is not
+    checked again.  ``select`` certified the selection before it returned
+    the report, by the covers' test and, in continuous mode,
+    :func:`~ioselect.certify.certify_cycle_cover`, checks that share no
+    code with the search.
+    """
+    compiled, sel = report.compiled, report.selection
+    g = compiled.graph
+    sides = [(None, 0)] * 2 if compiled.system.mode == "discrete" else [
         (lambda order, side=side: complete_side(g, side, order)[1], g.n) for side in (0, 1)
     ]
-    found = [branch_and_bound(cover, *side) for cover, side in zip(compiled.covers, sides)]
-    if None in found:  # the full selection's fixed modes, or a defect where it has none
-        status, witness = compiled.decide(Selection.full(system))
-        if status.ok:
-            raise InvariantViolated("no selection qualifies, yet the full selection does")
-        raise SystemHasSFMs(status, witness)
-    inputs, outputs = found
+    inputs, outputs = (
+        branch_and_bound(cover, Cover(chosen, sum(cover.weights[i] for i in chosen)), *side)
+        for cover, chosen, side in zip(compiled.covers, (sel.inputs, sel.outputs), sides)
+    )
     return Selection(inputs.chosen, outputs.chosen), inputs.weight + outputs.weight
 
 
@@ -340,7 +331,7 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
         timings.update(report.timings)
         if oracle:
             with timed(timings, "oracle"), contextlib.suppress(TooLarge):  # past the budget: no ratio
-                _sel, oracle_cost = exact_select(compiled)
+                _sel, oracle_cost = exact_select(report)
         if oracle_cost is not None:
             ratio, flagged = approximation_ratio(report.total_cost, oracle_cost)
     mu_max, eta_max = (max(map(len, inst.sets), default=0) for inst in compiled.covers)

@@ -13,12 +13,13 @@ set's uncovered elements and keeps the sets in a heap, so its time and
 memory are near the size of the cover incidence, and it records only the
 order in which it took the sets; :func:`steps_to_json` replays that order
 to print each step.  One exact search, :func:`branch_and_bound`, branches
-over the same sets, on its own (:func:`exact_solve`) or with a side's
-matching to complete (:func:`ioselect.oracle_bench.exact_select`), within
-one work budget.  Conversely, any weighted set cover instance embeds into
-an accessibility problem over a diagonal state pattern.  Both directions
-preserve weights and optima exactly, which is what the round-trip tests
-exercise.
+over the same sets from a qualifying set its caller holds, within one work
+budget: on its own from the greedy cover (:func:`exact_solve`), or with a
+side's matching to complete from that side of the selection ``select``
+certified (:func:`ioselect.oracle_bench.exact_select`).  Conversely, any
+weighted set cover instance embeds into an accessibility problem over a
+diagonal state pattern.  Both directions preserve weights and optima
+exactly, which is what the round-trip tests exercise.
 
 Universe elements and set indices are 0-based internally; the JSON format
 (`{"N": 2, "sets": [[], [1], [1, 2]], "weights": ["1", "1", "1"]}`) is
@@ -200,18 +201,20 @@ EXACT_BUDGET = 10_000_000
 
 
 def branch_and_bound(
-    inst: WeightedSetCoverInstance, complete: Optional[Callable] = None, work: int = 0, seed: Optional[Cover] = None
-) -> Optional[Cover]:
+    inst: WeightedSetCoverInstance, seed: Cover, complete: Optional[Callable] = None, work: int = 0
+) -> Cover:
     """The first set of ``inst``'s sets by (weight, sorted indices) that
     covers the universe and, with ``complete``, also completes its side's
-    matching; None when no set does.
+    matching.
 
-    ``complete`` maps the sets in the order to try them to the ones a
-    transversal matroid's greedy keeps to complete the side's matching, in
-    any order, or to None when they cannot complete it: the kept channels
-    of :func:`ioselect.matching.complete_side`.  ``work`` is the state
-    count one run of it costs.  ``seed``, a cover the caller already holds,
-    bounds the search from the start.
+    ``seed`` is a qualifying set the caller already holds, with its
+    weight; it is not checked here.  It is the search's first bound, and
+    the best set the walk below knows until the search finds a cheaper
+    one.  ``complete`` maps the sets in the order to try them to the ones
+    a transversal matroid's greedy keeps to complete the side's matching,
+    in any order, or to None when they cannot complete it: the kept
+    channels of :func:`ioselect.matching.complete_side`.  ``work`` is the
+    state count one run of it costs.
 
     The search keeps its nodes (chosen sets, banned sets, uncovered
     elements, weight) on an explicit stack.  A node takes every set that is
@@ -225,13 +228,14 @@ def branch_and_bound(
     it, so no set of sets is reached twice.  Weights are nonnegative, so a
     bound above the best weight prunes.
 
-    The search finds the optimum weight c*.  A walk then builds the first
-    set of weight c* one index at a time: past a prefix T, for each j below
-    the next index of the best set known, it asks the search (stopping at
-    its first find) for a set of weight c* that starts T + (j) and uses no
-    other index below j, and it stops once T itself qualifies.  Each node
-    costs the work :data:`EXACT_BUDGET` names; past the budget, the search
-    raises :class:`TooLarge`.
+    The search finds the optimum weight c*, the seed's when no set below
+    it qualifies.  A walk then builds the first set of weight c* one index
+    at a time: past a prefix T, for each j below the next index of the
+    best set known, it asks the search (stopping at its first find) for a
+    set of weight c* that starts T + (j) and uses no other index below j,
+    and it stops once T itself qualifies.  Each node costs the work
+    :data:`EXACT_BUDGET` names; past the budget, the search raises
+    :class:`TooLarge`.
     """
     sets, weights, r = inst.sets, inst.weights, inst.r
     holders = _containing(inst)
@@ -287,10 +291,7 @@ def branch_and_bound(
                 stack.append((chosen + (idx,), banned.union(fewest[:k]), left - sets[idx], weight + weights[idx]))
         return best
 
-    found = search((), _EMPTY, sum(weights) if seed is None else seed.weight - 1, False)
-    if found is None and seed is None:
-        return None
-    target, best = found or (seed.weight, tuple(sorted(seed.chosen)))
+    target, best = search((), _EMPTY, seed.weight - 1, False) or (seed.weight, tuple(sorted(seed.chosen)))
     prefix: list[int] = []  # best starts with it
     weight = 0
     while len(prefix) < len(best):
@@ -320,7 +321,7 @@ def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:
     """
     if inst.uncovered(seed.chosen):
         raise InvariantViolated("the seed of the exact cover leaves an element uncovered")
-    return branch_and_bound(inst, seed=seed)
+    return branch_and_bound(inst, seed)
 
 
 Labels = tuple[tuple[int, ...], ...]

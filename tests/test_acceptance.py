@@ -272,7 +272,7 @@ def test_criterion_07_lower_bound_inequalities():
             cost_range=("1", "9"), seed=70_000 + s,
         )
         system = generate(cfg)
-        _sel, p_star = exact_select(system)
+        _sel, p_star = exact_select(select_min_cost_io(system))
         acc, _ = reduce_accessibility_to_wsc(system)
         sen, _ = reduce_accessibility_to_wsc(oracles.transpose_dual(system))
         stage_bound = sum(exact_solve(inst, greedy_solve(inst)).weight for inst in (acc, sen))
@@ -296,7 +296,7 @@ def test_criterion_08_worked_example_end_to_end():
     assert report.total_cost == 3 * U
     assert report.stage_costs == (1 * U, 1 * U, 2 * U)
     assert report.lower_bound == 2 * U
-    sel, p_star = exact_select(demo)
+    sel, p_star = exact_select(report)
     assert sel == Selection([2], [0])
     assert p_star == 2 * U
     assert Fraction(report.total_cost, p_star) == Fraction(3, 2)
@@ -324,7 +324,7 @@ def test_criterion_09_special_cases(monkeypatch):
         if not check_no_sfm(system, Selection.full(system)).ok:
             continue
         report = select_min_cost_io(system)
-        _sel, p_star = exact_select(system)
+        _sel, p_star = exact_select(report)
         assert report.total_cost == p_star
         assert report.guarantee == "exact optimum"
         irreducible += 1

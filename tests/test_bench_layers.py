@@ -2,9 +2,9 @@
 small member of the sparse shape and on a short chain, records by name the
 layers of the first record's sparse-400 and chain-640 entries in
 ``BENCH_pr26.json``; times both greedy covers on small members of the two
-cover shapes, and stage 3 on a small member of the scale shape; and the
-record's paired gap, from scripted layer and end-to-end times.  No timing
-is checked."""
+cover shapes, stage 3 on a small member of the scale shape, and the exact
+path on the oracle shape; and the record's paired gap, from scripted layer
+and end-to-end times.  No timing is checked."""
 
 import dataclasses
 import importlib.util
@@ -69,14 +69,29 @@ def test_scale_shape_times_stage3(tmp_path):
     assert case == "single_nontop"
 
 
+def test_oracle_shape_times_the_exact_path(tmp_path):
+    # the first oracle pool member, selected with --exact as its workload
+    # selects: both exact cover optima and exact_select get a layer, which
+    # a plain select of it does not time
+    assert "oracle-30" in bench_layers._shapes() and "oracle-30" in bench_layers.EXACT
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(system_to_json(bench_layers._shapes()["oracle-30"]())), encoding="utf-8")
+    exact = {"exact_covers", "exact_select"}
+    seconds, _case = bench_layers.time_layers(str(path), exact=True)
+    assert exact <= set(seconds)
+    plain, _case = bench_layers.time_layers(str(path))
+    assert not exact & set(plain)
+    assert bench_layers.time_main(str(path), exact=True) > 0
+
+
 def test_gap_is_the_median_of_paired_repeats(monkeypatch, tmp_path):
     # scripted repeats whose best layers and best end-to-end time come from
     # different repeats: the unpaired gap would read 3.1 - 2.0 = 1.1, and
     # the paired gaps are 0.5, 0.1 and 0.3
     layers = iter([{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 1.0}, {"a": 1.5, "b": 1.5}])
     main = iter([3.5, 3.1, 3.3])
-    monkeypatch.setattr(bench_layers, "time_layers", lambda path: (next(layers), "general"))
-    monkeypatch.setattr(bench_layers, "time_main", lambda path: next(main))
+    monkeypatch.setattr(bench_layers, "time_layers", lambda path, exact: (next(layers), "general"))
+    monkeypatch.setattr(bench_layers, "time_main", lambda path, exact: next(main))
     record = bench_layers.bench_shape("chain-24", SMALL["chain-640"], str(tmp_path), repeats=3)
     assert record["layers_s"] == {"a": 1.0, "b": 1.0}
     assert record["layer_sum_s"] == 2.0 and record["end_to_end_s"] == 3.1

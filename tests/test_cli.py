@@ -680,10 +680,10 @@ class TestCompileOnce:
         inside = {}
         real = oracle_bench.exact_select
 
-        def exact_select(compiled):
+        def exact_select(report):
             before = dict(counts)
             try:
-                return real(compiled)
+                return real(report)
             finally:
                 inside.update({name: counts[name] - before[name] for name in names})
 

@@ -247,7 +247,11 @@ def test_index_out_of_range_raises(demo, condition, sel, message):
 
 @pytest.mark.parametrize(
     "refuse",
-    [select_min_cost_io, exact_select, lambda s: min_cost_perfect_matching(compile_system(s).graph)],
+    [
+        select_min_cost_io,
+        lambda s: exact_select(select_min_cost_io(s)),
+        lambda s: min_cost_perfect_matching(compile_system(s).graph),
+    ],
     ids=["select", "exact_select", "min_cost_perfect_matching"],
 )
 def test_partial_k_refused_alike(demo, refuse):
@@ -262,15 +266,17 @@ class TestExactSearch:
     @given(data=st.data())
     def test_exact_select_matches_reference(self, mode, data):
         system = data.draw(small_systems(mode))
+        # select refuses a partial K and a full selection with fixed
+        # modes, before any exact search
         if not system.k_is_complete():
             with pytest.raises(ModelError, match="^selection requires a complete feedback pattern$"):
-                exact_select(system)
+                select_min_cost_io(system)
             return
         if not oracles.no_sfm(system, Selection.full(system)):
             with pytest.raises(SystemHasSFMs):
-                exact_select(system)
+                select_min_cost_io(system)
             return
-        assert _key(*exact_select(system)) == oracles.best_selection(system)
+        assert _key(*exact_select(select_min_cost_io(system))) == oracles.best_selection(system)
 
 
 class TestCompleteKSplit:
@@ -313,7 +319,8 @@ class TestCompleteKSplit:
         assert self._split(compiled, pair)
         assert not oracles.no_sfm(system, pair)
         # the split's pick would cost 2, where the true optimum is two pairs
-        # of cost 3; the exact search refuses a partial K, as selection does
+        # of cost 3; selection, which every exact search starts from,
+        # refuses a partial K
         assert oracles.best_selection(system) == (parse_cost("3"), (0,), (0,))
         with pytest.raises(ModelError, match="^selection requires a complete feedback pattern$"):
-            exact_select(system)
+            select_min_cost_io(system)

@@ -30,9 +30,9 @@ from ioselect.oracle_bench import (
     write_csv,
     write_jsonl,
 )
-from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system
+from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, select_min_cost_io
 from ioselect.set_cover import TooLarge
-from ioselect.system_model import COST_SCALE, SIZE_LIMIT, InvariantViolated, ModelError, Selection
+from ioselect.system_model import COST_SCALE, SIZE_LIMIT, ModelError, Selection
 
 U = COST_SCALE
 
@@ -235,7 +235,7 @@ class TestGenerate:
 
 class TestExactSelect:
     def test_demo(self, demo):
-        sel, cost = exact_select(demo)
+        sel, cost = exact_select(select_min_cost_io(demo))
         assert sel == Selection([2], [0])
         assert cost == 2 * U
 
@@ -244,13 +244,15 @@ class TestExactSelect:
         import ioselect.set_cover as set_cover_mod
 
         system = make_system(1, 9, 8, [(1, 1)], [(1, j) for j in range(1, 10)], [(j, 1) for j in range(1, 9)])
-        assert exact_select(system) == (Selection([0], [0]), 2 * U)
+        report = select_min_cost_io(system)
+        assert exact_select(report) == (Selection([0], [0]), 2 * U)
         monkeypatch.setattr(set_cover_mod, "EXACT_BUDGET", 1)
         with pytest.raises(TooLarge, match="exact search over 9 sets passed its work budget of 1"):
-            exact_select(system)
+            exact_select(report)
 
     def test_sfm_system(self):
-        # the searches find nothing, and the error is the full selection's
+        # select refuses the system before any exact search, with the full
+        # selection's error
         one = ([(1, 1)], [(1, 1)])  # x1 alone is driven and read
         shared = ([(1, 1), (2, 1)], [(1, 1), (1, 2)])  # x1 and x2 share the one input and output
         for a, (b, c), status in [
@@ -262,21 +264,21 @@ class TestExactSelect:
             full = Selection.full(system)
             assert check_no_sfm(system, full) is status
             with pytest.raises(SystemHasSFMs) as exc:
-                exact_select(system)
+                select_min_cost_io(system)
             assert exc.value.status is status
             assert (exc.value.status, exc.value.witness) == compile_system(system).decide(full)
 
     def test_lexicographic_ties(self):
         # u1/u2 and y1/y2 interchangeable at equal cost
         system = make_system(1, 2, 2, [], [(1, 1), (1, 2)], [(1, 1), (2, 1)])
-        sel, cost = exact_select(system)
+        sel, cost = exact_select(select_min_cost_io(system))
         assert sel == Selection([0], [0])
         assert cost == 2 * U
 
     @given(systems(max_n=5, feasible=True))
     @settings(max_examples=40)
     def test_matches_reference(self, system):
-        sel, cost = exact_select(system)
+        sel, cost = exact_select(select_min_cost_io(system))
         ref = oracles.best_selection(
             system, feasible=lambda s: oracles.no_sfm(system, s)
         )
@@ -287,19 +289,19 @@ class TestExactSelect:
 
     @pytest.mark.parametrize("m, p", [(1, 1), (3, 2), (5, 5)])
     def test_one_compile_per_search(self, m, p, monkeypatch):
-        # every candidate is decided on one compiled analysis, however many
-        # selections the search visits
+        # every candidate is decided on the report's compiled analysis,
+        # however many selections the search visits: the search builds
+        # nothing of its own and validates nothing again
         from test_selector import wrap_counting
 
-        names = ["system_model.restrict", "matching.build_bipartite", "graph_core.decompose_sccs"]
+        names = [
+            "system_model.restrict", "system_model.validate", "matching.build_bipartite", "graph_core.decompose_sccs"
+        ]
         system = generate(GeneratorConfig(n=8, m=m, p=p, cost_range=("1", "9"), seed=m * 10 + p))
+        report = select_min_cost_io(system)
         counts = wrap_counting(monkeypatch, names)
-        exact_select(system)
-        assert counts == {
-            "system_model.restrict": 0,
-            "matching.build_bipartite": 1,
-            "graph_core.decompose_sccs": 1,
-        }
+        exact_select(report)
+        assert counts == dict.fromkeys(names, 0)
 
     @pytest.mark.parametrize("seed", [5, 6, 8])
     def test_complete_k_decides_each_subset_once(self, seed, monkeypatch):
@@ -321,19 +323,20 @@ class TestExactSelect:
         monkeypatch.setattr(
             oracle_bench_mod, "branch_and_bound", lambda *args: searched.append(branch_and_bound(*args)) or searched[-1]
         )
-        exact_select(system)
+        exact_select(select_min_cost_io(system))
         assert decided
         assert all(decided.count(side) <= cover.nodes for side, cover in enumerate(searched))
         assert counts["selector.CompiledSystem.no_sfm"] == 0
 
-    def test_empty_search_raises(self, demo, monkeypatch):
-        # the full selection qualifies, so a search that finds nothing is a
-        # defect, reported also under python -O
+    def test_failed_completions_leave_the_seed(self, demo, monkeypatch):
+        # each side starts from its side of the certified selection: when
+        # no other set completes its matching, the seed is the answer
         import ioselect.oracle_bench as oracle_bench_mod
 
+        report = select_min_cost_io(demo)
+        assert exact_select(report)[1] < report.total_cost
         monkeypatch.setattr(oracle_bench_mod, "complete_side", lambda g, side, chosen: ([], None))
-        with pytest.raises(InvariantViolated, match="full selection"):
-            exact_select(demo)
+        assert exact_select(report) == (report.selection, report.total_cost)
 
     @pytest.mark.parametrize("mode", ["continuous", "discrete"])
     def test_tied_costs_match_joint_scan(self, mode):
@@ -345,7 +348,7 @@ class TestExactSelect:
                 cost_range=("0", "2"), seed=seed, mode=mode,
             )
             compiled = compile_system(generate(config))
-            assert exact_select(compiled) == oracles.joint_exact_select(compiled), seed
+            assert exact_select(select_min_cost_io(compiled)) == oracles.joint_exact_select(compiled), seed
 
     @pytest.mark.parametrize("mode", ["continuous", "discrete"])
     def test_oracle_pool_matches_joint_scan(self, mode):
@@ -354,7 +357,7 @@ class TestExactSelect:
         for seed in range(64):
             system = generate(replace(pool_config("oracle", seed), mode=mode))
             compiled = compile_system(system)
-            assert exact_select(compiled) == oracles.joint_exact_select(compiled), seed
+            assert exact_select(select_min_cost_io(compiled)) == oracles.joint_exact_select(compiled), seed
 
 
 class TestBench:

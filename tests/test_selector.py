@@ -447,7 +447,7 @@ class TestValidateOnce:
         "compile_system": compile_system,
         "check_no_sfm": lambda s: check_no_sfm(s, Selection.full(s)),
         "select_min_cost_io": select_min_cost_io,
-        "exact_select": exact_select,
+        "exact_select": lambda s: exact_select(select_min_cost_io(s)),
         "applicable_special_cases": applicable_special_cases,
     }
 
@@ -498,7 +498,7 @@ class TestSelectProperties:
         except SystemHasSFMs:
             rep = None
         if rep is not None and how == "exact":
-            exact_select(rep.compiled)
+            exact_select(rep)
         if rep is not None and how == "trace":
             report_to_json(rep, include_traces=True)
             dump_system_digraph(rep.compiled.graph)
@@ -625,7 +625,7 @@ class TestBuildOnce:
         "check": lambda s: check_no_sfm(s, Selection([2], [1])),
         "select": select_min_cost_io,
         "discrete select": lambda s: select_min_cost_io(replace(s, mode="discrete")),
-        "exact select": lambda s: exact_select(select_min_cost_io(s, exact_covers=True).compiled),
+        "exact select": lambda s: exact_select(select_min_cost_io(s, exact_covers=True)),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -641,10 +641,10 @@ class TestBuildOnce:
         system = replace(demo, K=SparsityPattern(demo.m, demo.p, every_star))
         name = "system_model.StructuredSystem.k_is_complete"
         counts = wrap_counting(monkeypatch, [name])
-        compiled = select_min_cost_io(system).compiled
+        report = select_min_cost_io(system)
         assert counts[name] == 1
-        for decide in (exact_select, lambda c: c.decide(Selection([2], [1]))):
-            decide(compiled)
+        for decide in (exact_select, lambda r: r.compiled.decide(Selection([2], [1]))):
+            decide(report)
             assert counts[name] == 1
 
     def test_select_reads_decoded_rows_not_stars(self, tmp_path, monkeypatch, capsys):
@@ -774,7 +774,7 @@ class TestBuildOnce:
         # every masked condition (b) of the exact search starts from the same
         # cached B(A) matching
         counts = wrap_counting(monkeypatch, self.FLOWS)
-        exact_select(select_min_cost_io(demo, exact_covers=True).compiled)
+        exact_select(select_min_cost_io(demo, exact_covers=True))
         assert counts["matching._greedy"] > 2
         assert counts["graph_core._hopcroft_karp"] == 1
 

@@ -16,6 +16,7 @@ from ioselect.set_cover import (
     InfeasibleSelection,
     TooLarge,
     WeightedSetCoverInstance,
+    branch_and_bound,
     cover_instances,
     cover_labels,
     exact_solve,
@@ -370,6 +371,32 @@ class TestExact:
         best = exact_solve(inst, greedy_solve(inst))
         ref = oracles.best_cover(inst.universe_size, inst.sets, inst.weights)
         assert (best.weight, tuple(sorted(best.chosen))) == ref
+
+    def test_branch_and_bound_answers_from_its_seed(self):
+        # on the trap above: the optimal seed {0} is the answer, and the
+        # dearer qualifying seeds (the greedy's cover, every set) are beaten
+        inst = WeightedSetCoverInstance(
+            4, (frozenset(range(4)), *(frozenset({e}) for e in range(4))), units(4, 0, 1, 2, 4)
+        )
+        for chosen in ((0,), (0, 1, 2), range(5)):
+            seed = Cover(frozenset(chosen), sum(inst.weights[i] for i in chosen))
+            best = branch_and_bound(inst, seed)
+            assert (best.chosen, best.weight) == (frozenset({0}), units(4)[0])
+
+    @given(wsc_instances(max_r=6))
+    def test_branch_and_bound_from_every_optimal_or_a_dearer_seed(self, inst):
+        # every cover of the optimum's weight, as the seed, leads to the
+        # first one by (weight, indices), and so does every set together
+        ref = oracles.best_cover(inst.universe_size, inst.sets, inst.weights)
+        seeds = [
+            chosen
+            for k in range(inst.r + 1)
+            for chosen in itertools.combinations(range(inst.r), k)
+            if not inst.uncovered(chosen) and sum(inst.weights[i] for i in chosen) == ref[0]
+        ]
+        for chosen in [*seeds, range(inst.r)]:
+            best = branch_and_bound(inst, Cover(frozenset(chosen), sum(inst.weights[i] for i in chosen)))
+            assert (best.weight, tuple(sorted(best.chosen))) == ref
 
     @given(wsc_instances())
     def test_greedy_within_harmonic_bound(self, inst):
