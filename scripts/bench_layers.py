@@ -12,9 +12,10 @@ each layer:
   ``timings``: ``validate``, ``build_bipartite``, ``decompose_sccs``,
   ``cover_instances``, ``state_matching``, ``special_cases`` and
   ``final_check``, with ``state_cols_rows_to_states``, ``stage3``,
-  ``accessibility`` and ``sensability`` where they run, and
-  ``exact_covers`` on a shape run with ``--exact``;
-* on such a shape, ``exact_select``, timed here;
+  ``accessibility`` and ``sensability`` where they run;
+* on a shape run with ``--exact``, the layers ``exact_covers`` and
+  ``exact_select`` that ``ioselect.oracle_bench.exact_report`` adds to
+  the report's ``timings``;
 * output: ``report_to_json`` and ``json.dumps``, timed here;
 * freeing: the parsed document, dropped once it is decoded, and the
   system with everything built on it, dropped as the CLI returns.
@@ -75,7 +76,7 @@ import tempfile
 import time
 
 from ioselect import cli
-from ioselect.oracle_bench import exact_select
+from ioselect.oracle_bench import exact_report
 from ioselect.selector import report_to_json, select_min_cost_io, timed
 from ioselect.system_model import system_from_json, system_to_json
 
@@ -120,12 +121,9 @@ def time_layers(path: str, exact: bool = False) -> tuple[dict[str, float], str]:
         system = system_from_json(doc)
     with timed(seconds, "free_document"):
         del text, doc  # the CLI drops the parsed document once it is decoded
-    report = select_min_cost_io(system, exact_covers=exact)
+    report = select_min_cost_io(system)
+    report, oracle = exact_report(report) if exact else (report, None)
     seconds.update(report.timings)
-    oracle = None
-    if exact:
-        with timed(seconds, "exact_select"):
-            oracle = exact_select(report)
     with timed(seconds, "report_to_json"):
         out = report_to_json(report, oracle=oracle)
     with timed(seconds, "json_dumps"):

@@ -184,11 +184,11 @@ def _cmd_check(args) -> int:
 def _cmd_select(args) -> int:
     system = _read_system(args.instance, args.discrete)
     try:
-        report = selector.select_min_cost_io(system, exact_covers=args.exact)
-        oracle = oracle_bench.exact_select(report) if args.exact else None
-    except SystemHasSFMs as exc:  # from the select: exact_select runs only after it succeeds
+        report = selector.select_min_cost_io(system)
+    except SystemHasSFMs as exc:
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE
+    report, oracle = oracle_bench.exact_report(report) if args.exact else (report, None)
     doc = selector.report_to_json(report, include_traces=args.trace, oracle=oracle)
     if args.dump_matching:
         g = report.compiled.graph

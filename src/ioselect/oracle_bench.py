@@ -5,7 +5,8 @@ measured against.  It takes the report of a ``select``, and searches the
 inputs and the outputs apart, each side by the one exact search
 (:func:`ioselect.set_cover.branch_and_bound`) over its cover and its
 side's matching, from that side of the report's certified selection (see
-:func:`exact_select`).
+:func:`exact_select`).  ``select --exact`` also prints the exact cover
+bound, which :func:`exact_report` adds to the report.
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -38,11 +39,12 @@ from ioselect.selector import (
     select_min_cost_io,
     timed,
 )
-from ioselect.set_cover import Cover, TooLarge, branch_and_bound
+from ioselect.set_cover import Cover, TooLarge, branch_and_bound, exact_solve
 from ioselect.system_model import (
     COMPLETE,
     COST_DECIMALS,
     SIZE_LIMIT,
+    InvariantViolated,
     ModelError,
     Selection,
     SparsityPattern,
@@ -166,9 +168,13 @@ def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> Spar
     the low 64 bits (its lane) of the j-th 128-bit slot of one integer.  A
     lane plus a 64-bit step, or times a 64-bit multiplier, stays inside its
     slot, so one big-integer operation runs the finalizer on every lane.
-    Adding 2^64 - threshold to a slot carries into bit 64 exactly when its
-    lane is not below the threshold; the starred cells are the slots
-    without that carry.
+    The row counters (state + (i*cols + j + 1)*GAMMA, unreduced) are built
+    once and advance by cols*GAMMA per row, in every slot at once; a slot
+    stays below 2^65 + rows*cols*2^64 < 2^128, so none spills into the
+    next, and the finalizer reads only its lane.  Adding 2^64 - threshold
+    to a finalized slot carries into bit 64, the slot's ninth byte, exactly
+    when its lane is not below the threshold; the starred cells are the
+    slots without that carry.
     """
     threshold = int(density * (1 << 64))
     ones = int.from_bytes((b"\x01" + bytes(15)) * cols, "little")  # 1 in every slot
@@ -178,20 +184,19 @@ def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> Spar
         "little",
     )
     not_below = ones * ((1 << 64) - threshold)
-    row_step = cols * _GAMMA
-    state = rng._state
+    row_step = ones * (cols * _GAMMA)
+    counters = ones * rng._state + steps
     by_row = []
     for _ in range(rows):
-        z = _mix64(ones * state + steps, lane)  # on the row's counters state + j*GAMMA
-        carries = ((z + not_below) >> 64).to_bytes(16 * cols, "little")[::16]
+        carries = (_mix64(counters, lane) + not_below).to_bytes(16 * cols, "little")[8::16]
         row = []
         j = carries.find(0)
         while j >= 0:
             row.append(j)
             j = carries.find(0, j + 1)
         by_row.append(row)
-        state = (state + row_step) & _MASK64
-    rng._state = state
+        counters += row_step
+    rng._state = (rng._state + rows * cols * _GAMMA) & _MASK64
     return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
 
@@ -267,6 +272,36 @@ def exact_select(report: SelectionReport) -> tuple[Selection, int]:
         for cover, chosen, side in zip(compiled.covers, (sel.inputs, sel.outputs), sides)
     )
     return Selection(inputs.chosen, outputs.chosen), inputs.weight + outputs.weight
+
+
+def exact_report(report: SelectionReport) -> tuple[SelectionReport, tuple[Selection, int]]:
+    """``report`` with its exact stage bound, and :func:`exact_select`'s
+    optimum: what ``select --exact`` prints.
+
+    The bound is the sum of the two covers' exact optima, each the first
+    by (weight, sorted indices), and the report's lower bound is raised to
+    it.  An irreducible system has none: its stage-cost sum already is its
+    optimum.  In discrete mode a side qualifies exactly when it covers, and
+    the report's selection is the two greedy covers, so each side's search
+    is the exact cover from its greedy cover, and the optimum's cost is the
+    bound.  In continuous mode each cover is searched once more, from its
+    greedy cover (:func:`ioselect.set_cover.exact_solve`), before the
+    optimum.  ``timings`` gains ``exact_covers`` where the covers are
+    searched, and ``exact_select``.  A search past its budget raises
+    :class:`TooLarge`, and a bound above the report's cost
+    :class:`InvariantViolated`.
+    """
+    compiled, timings, bound = report.compiled, dict(report.timings), None
+    if report.stage1 is not None and compiled.system.mode == "continuous":
+        with timed(timings, "exact_covers"):
+            bound = sum(exact_solve(*pair).weight for pair in zip(compiled.covers, (report.stage1, report.stage2)))
+    with timed(timings, "exact_select"):
+        optimum = exact_select(report)
+    bound = optimum[1] if compiled.system.mode == "discrete" else bound
+    lower = max(report.lower_bound, bound or 0)
+    if lower > report.total_cost:
+        raise InvariantViolated("lower bound exceeds achieved cost")
+    return replace(report, lower_bound=lower, exact_stage_bound=bound, timings=timings), optimum
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ Every stage reads one :class:`CompiledSystem`: the one stored system graph,
 read as D(A, B, C, K) for condition (a) and as B(A, B, C, K) for stage 3
 and condition (b), and the SCC decomposition of D(A) behind the covers and
 the special-case tags.
-Stage 3 alone is a certified lower bound on the optimum; enabling the exact
-cover oracle tightens the bound with the exact stage-1/2 optima.
+Stage 3 alone is a certified lower bound on the optimum; the exact cover
+optima that tighten it belong to the exact selection
+(:func:`ioselect.oracle_bench.exact_report`), not to this polynomial
+pipeline.
 
 Condition (b) of the full selection holds exactly when B(A, B, C, K) has a
 perfect matching, so stage 3 decides it: it runs first, and its failure is
@@ -55,7 +57,6 @@ from ioselect.set_cover import (
     WeightedSetCoverInstance,
     cover_instances,
     cover_labels,
-    exact_solve,
     greedy_solve,
     steps_to_json,
 )
@@ -291,7 +292,8 @@ class SelectionReport:
     :func:`ioselect.system_model.format_cost`.  ``matching`` is stage 3's
     perfect matching as its partner list (entry l is the right vertex of
     left vertex l; see :mod:`ioselect.matching`), or None where stage 3 did
-    not run.
+    not run.  ``exact_stage_bound``, the sum of the two covers' exact
+    optima, is set only by :func:`ioselect.oracle_bench.exact_report`.
     """
 
     compiled: CompiledSystem
@@ -305,13 +307,11 @@ class SelectionReport:
     stage1: Optional[Cover]
     stage2: Optional[Cover]
     matching: Optional[tuple[int, ...]]
-    exact_stage_bound: Optional[int]
     timings: dict[str, float]
+    exact_stage_bound: Optional[int] = None
 
 
-def select_min_cost_io(
-    system: Union[StructuredSystem, CompiledSystem], exact_covers: bool = False
-) -> SelectionReport:
+def select_min_cost_io(system: Union[StructuredSystem, CompiledSystem]) -> SelectionReport:
     """Three-stage minimum-cost input/output selection; the stages that run
     make the report.
 
@@ -324,18 +324,15 @@ def select_min_cost_io(
     union of what ran.  ``stage_costs`` holds the cover weights, or (0, 0),
     and the cycle cost (0 where a continuous stage 3 did not run, None in
     discrete mode).  An irreducible system's stage-cost sum is its optimum
-    and its lower bound, with ``stage1``, ``stage2`` and
-    ``exact_stage_bound`` left None; otherwise the bound is the larger of
-    the cycle cost and, with ``exact_covers``, the exact stage-1/2 optima
-    (:func:`ioselect.set_cover.exact_solve` within its work budget, each
-    from its stage's greedy cover).  Every stage reads one compiled system;
-    one given already compiled is not compiled again.  ``timings`` holds
-    the seconds of each layer that ran,
+    and its lower bound, with ``stage1`` and ``stage2`` left None;
+    otherwise the bound is the cycle cost (0 in discrete mode).  Every
+    stage reads one compiled system; one given already compiled is not
+    compiled again.  ``timings`` holds the seconds of each layer that ran,
     by name: the compile's four (:attr:`CompiledSystem.timings`),
     ``state_matching``, ``special_cases`` (the tags and condition (a) of
     the full selection), where they run ``state_cols_rows_to_states``,
-    ``stage3``, ``accessibility``, ``sensability`` and ``exact_covers``
-    (the two exact optima), and ``final_check``.
+    ``stage3``, ``accessibility`` and ``sensability``, and
+    ``final_check``.
     """
     compiled = compile_system(system)
     system, graph = compiled.system, compiled.graph
@@ -386,11 +383,7 @@ def select_min_cost_io(
         selection = selection.union(Selection(*(cover.chosen for cover in covers)))
     stage_costs = (*([cover.weight for cover in covers] or (0, 0)), cycle_cost)
     stage1, stage2 = (None, None) if irreducible else covers
-    exact_bound = None
-    if exact_covers and not irreducible:
-        with timed(timings, "exact_covers"):
-            exact_bound = sum(exact_solve(inst, cover).weight for inst, cover in zip(compiled.covers, covers))
-    lower = sum(stage_costs) if irreducible else max(cycle_cost or 0, exact_bound or 0)
+    lower = sum(stage_costs) if irreducible else cycle_cost or 0
 
     # The final check verifies condition (b) on a perfect matching that
     # leaves only selected channels off their own edges: stage 3's, or,
@@ -420,7 +413,6 @@ def select_min_cost_io(
         stage1=stage1,
         stage2=stage2,
         matching=match_result,
-        exact_stage_bound=exact_bound,
         timings=timings,
     )
 

@@ -106,16 +106,16 @@ def demo():
 
 @pytest.fixture
 def exact_cover_too_heavy(monkeypatch):
-    """``selector.exact_solve`` made to return its seed ten cost units
+    """``oracle_bench.exact_solve`` made to return its seed ten cost units
     heavier, so an exact-cover lower bound exceeds what the demo's
     selection costs."""
-    import ioselect.selector as selector_mod
+    import ioselect.oracle_bench as oracle_bench_mod
     from ioselect.system_model import COST_SCALE
 
     def heavier(inst, seed):
         return replace(seed, weight=seed.weight + 10 * COST_SCALE)
 
-    monkeypatch.setattr(selector_mod, "exact_solve", heavier)
+    monkeypatch.setattr(oracle_bench_mod, "exact_solve", heavier)
 
 
 @pytest.fixture

@@ -515,3 +515,121 @@ def scale_system(n: int, seed: int) -> StructuredSystem:
         cost_u=tuple(cost_u),
         cost_y=tuple(cost_y),
     )
+
+
+# Fixed modes from their algebraic definition, with no graph in them.  A
+# structured system (A, B, C, K) under a selection has a structurally fixed
+# mode when A + BKC keeps an eigenvalue for every K of the pattern, for
+# generic entries of A, B and C (Wang and Davison 1973; the graph conditions
+# are a theorem about it, Pichai, Sezer and Siljak 1984).  Over GF(P) with
+# random entries, a wrong answer has probability about n/P per draw
+# (Schwartz 1980; Zippel 1979).
+FIELD = (1 << 61) - 1
+
+
+def charpoly(m: list[list[int]], prime: int = FIELD) -> list[int]:
+    """det(xI - M) over GF(prime), lowest degree first: M reduced to upper
+    Hessenberg form H by similarity, then Hessenberg's recurrence
+    p_k = (x - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1)i ... h_k(k-1)) p_(i-1)
+    (Cohen 1993, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.2.9), in O(n^3)."""
+    n = len(m)
+    h = [[x % prime for x in row] for row in m]
+    for k in range(n - 2):
+        pivot = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if pivot is None:
+            continue
+        if pivot != k + 1:  # swap rows and columns pivot and k + 1
+            h[pivot], h[k + 1] = h[k + 1], h[pivot]
+            for row in h:
+                row[pivot], row[k + 1] = row[k + 1], row[pivot]
+        inv = pow(h[k + 1][k], prime - 2, prime)
+        for i in range(k + 2, n):
+            u = h[i][k] * inv % prime
+            if u:  # row i -= u * row k+1, then column k+1 += u * column i
+                h[i] = [(x - u * y) % prime for x, y in zip(h[i], h[k + 1])]
+                for row in h:
+                    row[k + 1] = (row[k + 1] + u * row[i]) % prime
+    polys = [[1]]
+    for k in range(n):  # p_(k+1), on H's leading (k+1) x (k+1) block
+        cur = [0, *polys[k]]
+        for d, c in enumerate(polys[k]):
+            cur[d] = (cur[d] - h[k][k] * c) % prime
+        t = 1
+        for i in range(k, 0, -1):
+            t = t * h[i][i - 1] % prime
+            coef = h[i - 1][k] * t % prime
+            for d, c in enumerate(polys[i - 1]):
+                cur[d] = (cur[d] - coef * c) % prime
+        polys.append(cur)
+    return polys[n]
+
+
+def _monic(a: list[int], prime: int) -> list[int]:
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    inv = pow(a[-1], prime - 2, prime) if a else 1
+    return [c * inv % prime for c in a]
+
+
+def poly_gcd(a: list[int], b: list[int], prime: int = FIELD) -> list[int]:
+    """The monic gcd of two polynomials over GF(prime), lowest degree
+    first, by Euclid's algorithm; [] for two zero polynomials."""
+    a, b = _monic(a, prime), _monic(b, prime)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):  # r mod b, b monic
+            c, shift = r[-1], len(r) - len(b)
+            for d, bc in enumerate(b):
+                r[shift + d] = (r[shift + d] - c * bc) % prime
+            r.pop()
+        a, b = b, _monic(r, prime)
+    return a
+
+
+def fixed_mode_polynomial(system: StructuredSystem, sel: Selection, rng, draws: int = 3) -> list[int]:
+    """The gcd, over ``draws`` draws of K, of the characteristic polynomial
+    of M = A + BKC over GF(2^61 - 1) on the selection, monic and lowest
+    degree first: [1] when the selection has no structurally fixed mode.
+
+    Each star of A, B and C gets one entry drawn uniformly from [1, P) by
+    ``rng`` (a ``random.Random``), and each draw of K one per star of K
+    between a selected input and a selected output, with all m*p stars of a
+    complete K.  A gcd of degree d keeps d fixed modes, counted with
+    multiplicity; λ = 0 among them is x dividing it.  Stdlib only.
+    """
+    n = system.n
+
+    def entries(pattern: SparsityPattern) -> dict[tuple[int, int], int]:
+        return {star: rng.randrange(1, FIELD) for star in sorted(pattern.stars)}
+
+    a, b, c = entries(system.A), entries(system.B), entries(system.C)
+    b_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (state, i), w in b.items():
+        if i in sel.inputs:
+            b_rows[state].append((i, w))
+    c_rows: dict[int, list[tuple[int, int]]] = {j: [] for j in sel.outputs}
+    for (j, state), w in c.items():
+        if j in sel.outputs:
+            c_rows[j].append((state, w))
+    k_cells = sorted((i, j) for i, j in k_stars(system) if i in sel.inputs and j in sel.outputs)
+    gcd: Optional[list[int]] = None
+    for _ in range(draws):
+        k_rows: dict[int, list[tuple[int, int]]] = {}
+        for i, j in k_cells:
+            k_rows.setdefault(i, []).append((j, rng.randrange(1, FIELD)))
+        m = [[0] * n for _ in range(n)]
+        for (row, col), w in a.items():
+            m[row][col] += w
+        for row in range(n):
+            bk: dict[int, int] = {}  # row of BK, by output
+            for i, bw in b_rows[row]:
+                for j, kw in k_rows.get(i, ()):
+                    bk[j] = bk.get(j, 0) + bw * kw
+            for j, v in bk.items():
+                for col, cw in c_rows[j]:
+                    m[row][col] += v * cw
+        poly = charpoly(m)
+        gcd = _monic(poly, FIELD) if gcd is None else poly_gcd(gcd, poly)
+    return gcd

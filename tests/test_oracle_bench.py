@@ -23,6 +23,7 @@ from ioselect.oracle_bench import (
     _mix64,
     _stream,
     bench,
+    exact_report,
     exact_select,
     generate,
     instance_digest,
@@ -31,7 +32,7 @@ from ioselect.oracle_bench import (
     write_jsonl,
 )
 from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, select_min_cost_io
-from ioselect.set_cover import TooLarge
+from ioselect.set_cover import TooLarge, exact_solve, greedy_solve
 from ioselect.system_model import COST_SCALE, SIZE_LIMIT, ModelError, Selection
 
 U = COST_SCALE
@@ -103,24 +104,42 @@ class TestDrawPattern:
         else:
             self._agree(rows, cols, density, lambda: _stream(seed, *stream))
 
-    def test_draw_at_the_threshold_is_not_a_star(self):
-        # seeds whose first draws are threshold - 1 and threshold exactly
+    @staticmethod
+    def _seed_drawing(value, draw=0):
+        """The seed whose draw number ``draw`` (from 0) is ``value``: the
+        finalizer run backwards, less draw + 1 steps."""
+
         def unshift(z, shift):
             x = z
             for _ in range(64 // shift + 1):
                 x = z ^ (x >> shift)
             return x
 
-        def seed_drawing(value):
-            z = unshift(value, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
-            z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
-            return (unshift(z, 30) - 0x9E3779B97F4A7C15) % 2**64
+        z = unshift(value, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+        z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+        return (unshift(z, 30) - (draw + 1) * 0x9E3779B97F4A7C15) % 2**64
 
+    def test_draw_at_the_threshold_is_not_a_star(self):
+        # seeds whose first draws are threshold - 1 and threshold exactly
         threshold = 1 << 63  # density 0.5
         for value, starred in ((threshold - 1, [[0]]), (threshold, [[]])):
-            assert SplitMix64(seed_drawing(value)).next_u64() == value
-            assert _draw_pattern(1, 1, 0.5, SplitMix64(seed_drawing(value))).by_row == starred
-            self._agree(3, 5, 0.5, lambda: SplitMix64(seed_drawing(value)))
+            assert SplitMix64(self._seed_drawing(value)).next_u64() == value
+            assert _draw_pattern(1, 1, 0.5, SplitMix64(self._seed_drawing(value))).by_row == starred
+            self._agree(3, 5, 0.5, lambda: SplitMix64(self._seed_drawing(value)))
+
+    @pytest.mark.parametrize("density", [0.5, 5 / 400])
+    def test_threshold_in_a_later_row(self, density):
+        # row 1's last column is draw 2*cols - 1, made from the row counters
+        # carried past row 0: threshold - 1 is a star there, threshold not
+        rows, cols = 3, 5
+        threshold = int(density * (1 << 64))
+        for value, starred in ((threshold - 1, True), (threshold, False)):
+            seed = self._seed_drawing(value, 2 * cols - 1)
+            rng = SplitMix64(seed)
+            assert [rng.next_u64() for _ in range(2 * cols)][-1] == value
+            pattern = _draw_pattern(rows, cols, density, SplitMix64(seed))
+            assert (cols - 1 in pattern.by_row[1]) == starred
+            self._agree(rows, cols, density, lambda: SplitMix64(seed))
 
     def test_sparse_pool_state_pattern(self):
         # the sparse benchmark pool's A: 400 x 400 at density 5/400
@@ -358,6 +377,56 @@ class TestExactSelect:
             system = generate(replace(pool_config("oracle", seed), mode=mode))
             compiled = compile_system(system)
             assert exact_select(select_min_cost_io(compiled)) == oracles.joint_exact_select(compiled), seed
+
+
+class TestExactReport:
+    """``select --exact``'s report: the exact cover bound beside the exact
+    selection, each cover searched once."""
+
+    IRREDUCIBLE = make_system(  # one SCC with a state-only perfect matching
+        3, 2, 2, [(2, 1), (3, 2), (1, 3)], [(1, 1), (2, 2)], [(1, 3), (2, 1)], cost_u=["5", "2"], cost_y=["4", "9"]
+    )
+
+    @pytest.mark.parametrize(
+        "which, flags, searches",
+        [("demo", ["--discrete"], 2), ("demo", [], 4), ("irreducible", [], 2)],
+        ids=["discrete", "continuous", "irreducible"],
+    )
+    def test_searches_per_select_exact(self, demo, tmp_path, monkeypatch, capsys, which, flags, searches):
+        # a discrete side's exact search is its exact cover, so the two
+        # searches of the exact selection give the bound too; a continuous
+        # select searches each cover once more, and an irreducible one has
+        # no cover bound to search
+        from ioselect import cli
+        from ioselect.system_model import system_to_json
+        from test_selector import wrap_counting
+
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(system_to_json(demo if which == "demo" else self.IRREDUCIBLE)))
+        counts = wrap_counting(monkeypatch, ["set_cover.branch_and_bound"])
+        assert cli.main(["select", str(path), "--exact", *flags]) == cli.EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert "oracle" in doc and ("exact_stage_bound" in doc) == (which == "demo")
+        assert counts == {"set_cover.branch_and_bound": searches}
+
+    def test_searches_per_bench_record(self, monkeypatch):
+        # a bench --oracle record runs the exact selection alone
+        from test_selector import wrap_counting
+
+        counts = wrap_counting(monkeypatch, ["set_cover.branch_and_bound"])
+        records, _summary = bench([pool_config("oracle", 0)], 1, oracle=True)
+        assert records[0].oracle_cost is not None
+        assert counts == {"set_cover.branch_and_bound": 2}
+
+    @pytest.mark.parametrize("which", ["demo", 0, 1, 2])
+    def test_discrete_bound_is_the_exact_covers(self, demo, which):
+        # in discrete mode the optimum's cost is the bound: the sum of the
+        # two covers' exact optima, each from its greedy cover
+        system = demo if which == "demo" else generate(pool_config("oracle", which))
+        report, (_sel, cost) = exact_report(select_min_cost_io(replace(system, mode="discrete")))
+        covers = report.compiled.covers
+        assert report.exact_stage_bound == cost == sum(exact_solve(inst, greedy_solve(inst)).weight for inst in covers)
+        assert report.lower_bound == cost <= report.total_cost
 
 
 class TestBench:

@@ -20,9 +20,10 @@ from ioselect.selector import (
     select_min_cost_io,
 )
 from ioselect import matching as matching_mod
+from ioselect import oracle_bench as oracle_bench_mod
 from ioselect import selector as selector_mod
 from ioselect.matching import build_bipartite, state_pattern_has_pm
-from ioselect.oracle_bench import GeneratorConfig, exact_select, generate
+from ioselect.oracle_bench import GeneratorConfig, exact_report, exact_select, generate
 from ioselect.set_cover import cover_labels
 from ioselect.system_model import (
     COST_SCALE,
@@ -266,11 +267,11 @@ class TestSelectDemo:
         assert 0 <= sum(rep.timings.values()) <= wall
 
     def test_exact_covers_tighten_bound(self, demo):
-        rep = select_min_cost_io(demo, exact_covers=True)
+        rep, _optimum = exact_report(select_min_cost_io(demo))
         assert rep.exact_stage_bound == 2 * U
         assert rep.lower_bound == 2 * U
-        # the two exact optima are timed as one layer
-        assert_layers(rep, COVERS | STAGE3 | {"exact_covers"})
+        # the two exact optima are timed as one layer, the exact selection as another
+        assert_layers(rep, COVERS | STAGE3 | {"exact_covers", "exact_select"})
 
     def test_forced_expensive_input(self):
         # u3 is the only input reaching x4, so both the greedy and the
@@ -283,7 +284,7 @@ class TestSelectDemo:
             cost_u=["1", "1", "100"],
             cost_y=["1", "1"],
         )
-        rep = select_min_cost_io(system, exact_covers=True)
+        rep, _optimum = exact_report(select_min_cost_io(system))
         assert rep.selection == Selection([0, 1, 2], [0])
         assert rep.total_cost == 103 * U
         assert rep.stage_costs == (101 * U, 1 * U, 2 * U)
@@ -301,7 +302,7 @@ def no_exact_covers(monkeypatch):
     def boom(_inst, _seed):
         raise AssertionError("an irreducible system needs no exact cover bound")
 
-    monkeypatch.setattr(selector_mod, "exact_solve", boom)
+    monkeypatch.setattr(oracle_bench_mod, "exact_solve", boom)
 
 
 class TestSelectSpecialPaths:
@@ -318,8 +319,9 @@ class TestSelectSpecialPaths:
             3, 2, 2, [(2, 1), (3, 2), (1, 3)], [(1, 1), (2, 2)], [(1, 3), (2, 1)],
             cost_u=["5", "2"], cost_y=["4", "9"],
         )
-        for exact_covers in (False, True):
-            rep = select_min_cost_io(system, exact_covers=exact_covers)
+        for exact in (False, True):
+            rep = select_min_cost_io(system)
+            rep = exact_report(rep)[0] if exact else rep
             assert rep.special_case == "irreducible"
             assert rep.guarantee == "exact optimum"
             assert rep.selection == Selection([1], [0])
@@ -329,15 +331,16 @@ class TestSelectSpecialPaths:
             assert rep.exact_stage_bound is None
             assert rep.stage1 is None and rep.stage2 is None and rep.matching is None
             # stage 3 does not run: the time goes to the two covers
-            assert_layers(rep, COVERS)
+            assert_layers(rep, COVERS | ({"exact_select"} if exact else set()))
 
     def test_irreducible_without_state_pm(self, no_exact_covers):
         system = make_system(
             3, 2, 2, [(2, 1), (1, 2), (3, 2), (2, 3)], [(1, 1), (3, 2)],
             [(1, 2), (2, 1)], cost_u=["5", "2"], cost_y=["4", "9"],
         )
-        for exact_covers in (False, True):
-            rep = select_min_cost_io(system, exact_covers=exact_covers)
+        for exact in (False, True):
+            rep = select_min_cost_io(system)
+            rep = exact_report(rep)[0] if exact else rep
             assert rep.special_case == "irreducible"
             assert rep.selection == Selection([1], [1])
             assert rep.total_cost == 11 * U
@@ -345,7 +348,7 @@ class TestSelectSpecialPaths:
             assert rep.lower_bound == rep.total_cost
             assert rep.exact_stage_bound is None
             assert rep.stage1 is None and rep.stage2 is None and rep.matching is not None
-            assert_layers(rep, STAGE3)
+            assert_layers(rep, STAGE3 | ({"exact_select"} if exact else set()))
 
     def test_single_nontop(self):
         system = make_system(3, 2, 2, [(2, 1), (3, 1)], [(1, 1), (3, 2)],
@@ -374,10 +377,12 @@ class TestSelectSpecialPaths:
         assert rep.lower_bound == 0
 
     def test_discrete_exact_bound(self, demo):
-        rep = select_min_cost_io(replace(demo, mode="discrete"), exact_covers=True)
-        assert rep.exact_stage_bound == 2 * U
+        # each side's exact search is its exact cover: the bound is the
+        # optimum's cost, and no cover is searched apart from it
+        rep, (_sel, cost) = exact_report(select_min_cost_io(replace(demo, mode="discrete")))
+        assert rep.exact_stage_bound == cost == 2 * U
         assert rep.lower_bound == 2 * U
-        assert_layers(rep, COVERS | {"exact_covers"})
+        assert_layers(rep, COVERS | {"exact_select"})
 
     def test_a_dearer_copy_of_an_input_lowers_the_total(self):
         # ROADMAP item 24's counterexample: a copy of an input at a higher
@@ -475,7 +480,7 @@ class TestSelectProperties:
     @given(systems(max_n=5, max_m=3, max_p=3, feasible=True))
     @settings(max_examples=40)
     def test_exact_bound_sandwich(self, system):
-        rep = select_min_cost_io(system, exact_covers=True)
+        rep, _optimum = exact_report(select_min_cost_io(system))
         assert rep.exact_stage_bound is None or (
             rep.lower_bound <= rep.total_cost
             and rep.exact_stage_bound <= rep.total_cost
@@ -494,11 +499,11 @@ class TestSelectProperties:
 
         before = {name: copy.deepcopy(getattr(system, name).by_row) for name in "ABC"}
         try:
-            rep = select_min_cost_io(system, exact_covers=how == "exact")
+            rep = select_min_cost_io(system)
         except SystemHasSFMs:
             rep = None
         if rep is not None and how == "exact":
-            exact_select(rep)
+            exact_report(rep)
         if rep is not None and how == "trace":
             report_to_json(rep, include_traces=True)
             dump_system_digraph(rep.compiled.graph)
@@ -524,7 +529,7 @@ class TestReportJson:
         assert "trace" not in doc and "oracle" not in doc
 
     def test_demo_oracle_and_traces(self, demo):
-        rep = select_min_cost_io(demo, exact_covers=True)
+        rep, _optimum = exact_report(select_min_cost_io(demo))
         doc = report_to_json(
             rep, include_traces=True, oracle=(Selection([2], [0]), 2 * U)
         )
@@ -625,7 +630,7 @@ class TestBuildOnce:
         "check": lambda s: check_no_sfm(s, Selection([2], [1])),
         "select": select_min_cost_io,
         "discrete select": lambda s: select_min_cost_io(replace(s, mode="discrete")),
-        "exact select": lambda s: exact_select(select_min_cost_io(s, exact_covers=True)),
+        "exact select": lambda s: exact_report(select_min_cost_io(s)),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -774,7 +779,7 @@ class TestBuildOnce:
         # every masked condition (b) of the exact search starts from the same
         # cached B(A) matching
         counts = wrap_counting(monkeypatch, self.FLOWS)
-        exact_select(select_min_cost_io(demo, exact_covers=True))
+        exact_report(select_min_cost_io(demo))
         assert counts["matching._greedy"] > 2
         assert counts["graph_core._hopcroft_karp"] == 1
 
@@ -1094,4 +1099,4 @@ class TestRobustness:
 
     def test_lower_bound_above_the_cost_raises(self, demo, exact_cover_too_heavy):
         with pytest.raises(InvariantViolated, match="^lower bound exceeds achieved cost$"):
-            select_min_cost_io(demo, exact_covers=True)
+            exact_report(select_min_cost_io(demo))
