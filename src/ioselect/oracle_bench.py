@@ -17,13 +17,17 @@ with channels A=1, B=2, C=3, cost_u=4, cost_y=5.  Each matrix and cost
 vector is drawn from its own stream; rejection attempts shift every stream
 at once, so retries never replay bits.  This stream (v1) is fixed: the
 pinned instance digests depend on it (:func:`_draw_pattern` computes it a
-row at a time, with the same bits).
+block of rows at a time, with the same bits).  An attempt's patterns are
+drawn and checked first; the cost vectors are drawn only for the attempt
+:func:`generate` returns, each from its own stream, unchanged, so a
+rejected attempt draws no cost and a kept one the same costs as before.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -159,43 +163,68 @@ def _cost_grid(config: GeneratorConfig) -> tuple[int, int, int]:
     return step, -((-lo) // step), hi // step
 
 
+_LANES = 1024  # the most slots in one finalizer pass of _draw_pattern, unless a row is wider
+
+
+@functools.lru_cache(maxsize=16)
+def _lanes(slots: int, threshold: int) -> tuple[int, int, int, int, int]:
+    """The constants of a block of ``slots`` 128-bit slots in
+    :func:`_draw_pattern`: 1 in every slot, the lane mask, the counter
+    steps (slot k holds (k + 1)*GAMMA mod 2^64), the block's advance
+    (slots*GAMMA mod 2^64 in every slot) and 2^64 - ``threshold`` in every
+    slot.  A block is one finalizer pass, so no entry is wider than one."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * slots, "little")
+    steps = int.from_bytes(
+        b"".join((k * _GAMMA & _MASK64).to_bytes(16, "little") for k in range(1, slots + 1)),
+        "little",
+    )
+    return ones, ones * _MASK64, steps, ones * (slots * _GAMMA & _MASK64), ones * ((1 << 64) - threshold)
+
+
 def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> SparsityPattern:
     """Each cell starred with probability ``density``, drawn as the rows.
 
-    Cell (i, j) is starred when ``rng``'s draw number i*cols + j is below
-    density * 2^64, and ``rng`` ends rows*cols draws on, as if each draw
-    were a ``next_u64``.  A row's draws are computed at once: draw j sits in
-    the low 64 bits (its lane) of the j-th 128-bit slot of one integer.  A
-    lane plus a 64-bit step, or times a 64-bit multiplier, stays inside its
-    slot, so one big-integer operation runs the finalizer on every lane.
-    The row counters (state + (i*cols + j + 1)*GAMMA, unreduced) are built
-    once and advance by cols*GAMMA per row, in every slot at once; a slot
-    stays below 2^65 + rows*cols*2^64 < 2^128, so none spills into the
-    next, and the finalizer reads only its lane.  Adding 2^64 - threshold
-    to a finalized slot carries into bit 64, the slot's ninth byte, exactly
-    when its lane is not below the threshold; the starred cells are the
-    slots without that carry.
+    Cell (i, j) is starred when ``rng``'s draw number t = i*cols + j is
+    below density * 2^64, and ``rng`` ends rows*cols draws on, as if each
+    draw were a ``next_u64``.
+
+    The rows are drawn in blocks of whole rows, as many as fit in
+    :data:`_LANES` slots (one row where a row is wider), and a block's
+    draws are computed at once: draw t sits in the low 64 bits (its lane)
+    of slot t - t0 of one integer, where t0 is the block's first draw and
+    each slot is 128 bits wide.  A lane plus a 64-bit step, or times a
+    64-bit multiplier, stays inside its slot, so one big-integer operation
+    runs the finalizer on every lane.  The counters hold state +
+    (t + 1)*GAMMA mod 2^64 in each lane; they are built once, for a full
+    block, from the cached constants (:func:`_lanes`), and advance by the
+    block's slots times GAMMA, reduced, in every slot at once.  So a slot
+    starts below 2^65 and gains less than 2^64 per block: it stays below
+    2^65 + rows*2^64 < 2^128, and none spills into the next, between rows
+    or between blocks.  The finalizer reads only its lane, and a partial
+    last block's lane mask only its low slots.  Adding 2^64 - threshold to
+    a finalized slot carries into bit 64, the slot's ninth byte, exactly
+    when its lane is not below the threshold; a row's starred cells are
+    the slots of its span without that carry.
     """
     threshold = int(density * (1 << 64))
-    ones = int.from_bytes((b"\x01" + bytes(15)) * cols, "little")  # 1 in every slot
-    lane = ones * _MASK64
-    steps = int.from_bytes(
-        b"".join((j * _GAMMA & _MASK64).to_bytes(16, "little") for j in range(1, cols + 1)),
-        "little",
-    )
-    not_below = ones * ((1 << 64) - threshold)
-    row_step = ones * (cols * _GAMMA)
+    per_block = min(rows, _LANES // max(cols, 1)) or 1
+    ones, lane, steps, advance, not_below = _lanes(per_block * cols, threshold)
     counters = ones * rng._state + steps
     by_row = []
-    for _ in range(rows):
-        carries = (_mix64(counters, lane) + not_below).to_bytes(16 * cols, "little")[8::16]
-        row = []
-        j = carries.find(0)
-        while j >= 0:
-            row.append(j)
-            j = carries.find(0, j + 1)
-        by_row.append(row)
-        counters += row_step
+    for first in range(0, rows, per_block):
+        block = min(per_block, rows - first)
+        if block < per_block:  # the last block, partial: its slots are the low ones
+            _ones, lane, _steps, _advance, not_below = _lanes(block * cols, threshold)
+        carries = (_mix64(counters, lane) + not_below).to_bytes(16 * block * cols, "little")[8::16]
+        for r in range(block):
+            span = carries[r * cols:(r + 1) * cols]
+            row = []
+            j = span.find(0)
+            while j >= 0:
+                row.append(j)
+                j = span.find(0, j + 1)
+            by_row.append(row)
+        counters += advance
     rng._state = (rng._state + rows * cols * _GAMMA) & _MASK64
     return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
@@ -205,29 +234,40 @@ def _draw_costs(count: int, grid: tuple[int, int, int], rng: SplitMix64) -> tupl
     return tuple(step * (first + rng.next_below(last - first + 1)) for _ in range(count))
 
 
-def _draw_system(config: GeneratorConfig, attempt: int, grid: tuple[int, int, int]) -> StructuredSystem:
-    s = config.seed
-    return StructuredSystem(
-        A=_draw_pattern(config.n, config.n, config.state_density, _stream(s, attempt, CH_A)),
-        B=_draw_pattern(config.n, config.m, config.input_density, _stream(s, attempt, CH_B)),
-        C=_draw_pattern(config.p, config.n, config.output_density, _stream(s, attempt, CH_C)),
-        K=COMPLETE,
-        cost_u=_draw_costs(config.m, grid, _stream(s, attempt, CH_COST_U)),
-        cost_y=_draw_costs(config.p, grid, _stream(s, attempt, CH_COST_Y)),
-        mode=config.mode,
-    )
+def _some_state_unlinked(a: SparsityPattern, b: SparsityPattern, c: SparsityPattern) -> bool:
+    """Whether some state has no in-edge (its A and B rows are empty) or no
+    out-edge (it is in no A or C row).  Such a state is an SCC of its own
+    with no feedback edge, so the full selection fails condition (a), in
+    either mode.  O(nnz)."""
+    if not all(ra or rb for ra, rb in zip(a.by_row, b.by_row)):
+        return True
+    return len(set().union(*a.by_row, *c.by_row)) < a.cols
 
 
 def generate(config: GeneratorConfig) -> StructuredSystem:
     """Draw an instance; with ``require_feasible`` rejection-sample until the
-    full system is free of structurally fixed modes."""
-    grid = _cost_grid(config)
+    full system is free of structurally fixed modes.
+
+    An attempt with a state :func:`_some_state_unlinked` names is rejected
+    without a compile; every other one is decided by ``compile_system``'s
+    ``no_sfm`` on the full selection, which reads no cost.  So the patterns
+    are checked with zero costs, and the returned attempt's costs alone are
+    drawn, from their own streams.
+    """
+    grid, s = _cost_grid(config), config.seed
     for attempt in range(config.max_attempts):
-        system = _draw_system(config, attempt, grid)
-        if not config.require_feasible:
-            return system
-        if compile_system(system).no_sfm(Selection.full(system)):
-            return system
+        a = _draw_pattern(config.n, config.n, config.state_density, _stream(s, attempt, CH_A))
+        b = _draw_pattern(config.n, config.m, config.input_density, _stream(s, attempt, CH_B))
+        c = _draw_pattern(config.p, config.n, config.output_density, _stream(s, attempt, CH_C))
+        system = StructuredSystem(a, b, c, K=COMPLETE, cost_u=(0,) * config.m, cost_y=(0,) * config.p, mode=config.mode)
+        if not config.require_feasible or (
+            not _some_state_unlinked(a, b, c) and compile_system(system).no_sfm(Selection.full(system))
+        ):
+            return replace(
+                system,
+                cost_u=_draw_costs(config.m, grid, _stream(s, attempt, CH_COST_U)),
+                cost_y=_draw_costs(config.p, grid, _stream(s, attempt, CH_COST_Y)),
+            )
     raise GenerationFailed(config.max_attempts)
 
 

@@ -398,6 +398,9 @@ def select_min_cost_io(system: Union[StructuredSystem, CompiledSystem]) -> Selec
             feasible = certify_cycle_cover(system, selection, enumerate(partners))
         if not feasible:
             raise InvariantViolated("pipeline produced a selection with structurally fixed modes")
+        # The bound is the cycle cost, which stage 3's channels make up, all
+        # of them selected, or an irreducible system's stage-cost sum, which
+        # is its total: above the total, a stage misreported its cost.
         if lower > total:
             raise InvariantViolated("lower bound exceeds achieved cost")
 

@@ -743,6 +743,24 @@ class TestMain:
             EXIT_INTERNAL, "", "internal error: lower bound exceeds achieved cost\n"
         )
 
+    def test_cycle_cost_above_the_cost(self, capsys, demo_json, monkeypatch):
+        # select's own bound is stage 3's cycle cost, the cost of channels
+        # all in its selection: reported ten units dearer, it is above the
+        # total, and select stops
+        import ioselect.matching as matching_mod
+        from ioselect.system_model import COST_SCALE
+
+        real = matching_mod.extract_io
+
+        def dearer(g, partners):
+            selection, cost = real(g, partners)
+            return selection, cost + 10 * COST_SCALE
+
+        monkeypatch.setattr(matching_mod, "extract_io", dearer)
+        assert run(capsys, "select", demo_json) == (
+            EXIT_INTERNAL, "", "internal error: lower bound exceeds achieved cost\n"
+        )
+
     # every command but bench runs with the cyclic collector paused, and
     # main leaves it as it found it, whatever the exit
     @pytest.mark.parametrize("case", ["ok", "infeasible", "malformed", "internal", "help"])

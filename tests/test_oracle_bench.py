@@ -4,12 +4,14 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import make_system, pool_config, systems
+from ioselect import oracle_bench
 from ioselect.oracle_bench import (
+    _LANES,
     CH_A,
     CH_B,
     CH_C,
@@ -20,7 +22,9 @@ from ioselect.oracle_bench import (
     GeneratorConfig,
     SplitMix64,
     _draw_pattern,
+    _lanes,
     _mix64,
+    _some_state_unlinked,
     _stream,
     bench,
     exact_report,
@@ -33,7 +37,7 @@ from ioselect.oracle_bench import (
 )
 from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, select_min_cost_io
 from ioselect.set_cover import TooLarge, exact_solve, greedy_solve
-from ioselect.system_model import COST_SCALE, SIZE_LIMIT, ModelError, Selection
+from ioselect.system_model import COST_SCALE, SIZE_LIMIT, ModelError, Selection, StructuredSystem
 
 U = COST_SCALE
 
@@ -144,6 +148,94 @@ class TestDrawPattern:
     def test_sparse_pool_state_pattern(self):
         # the sparse benchmark pool's A: 400 x 400 at density 5/400
         self._agree(400, 400, 5 / 400, lambda: _stream(0, 0, CH_A))
+
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("rows, cols", [(100, 30), (3, 1500), (0, 7), (7, 0), (0, 0)])
+    def test_blocks(self, rows, cols, density):
+        # 100 x 30 is two full blocks of _LANES // 30 rows and a partial
+        # one; a row 1,500 wide is a block of its own, wider than _LANES
+        assert 2 * (_LANES // 30) < 100 < 3 * (_LANES // 30) and 1500 > _LANES
+        self._agree(rows, cols, density, lambda: _stream(5, 1, CH_B))
+
+    @pytest.mark.parametrize("rows, cols", [(100, 30), (400, 400), (120, 60), (3, 1500), (5, 30)])
+    def test_blocks_are_whole_rows_within_lanes(self, rows, cols, monkeypatch):
+        sizes = []
+
+        def recording(slots, threshold):
+            sizes.append(slots)
+            return _lanes(slots, threshold)
+
+        monkeypatch.setattr(oracle_bench, "_lanes", recording)
+        self._agree(rows, cols, 0.3, lambda: _stream(5, 2, CH_C))
+        assert sizes and all(size % cols == 0 and size <= max(_LANES, cols) for size in sizes)
+
+    def test_cache_hit_draws_the_same(self):
+        _lanes.cache_clear()
+        first = _draw_pattern(100, 30, 0.3, _stream(9, 0, CH_B))
+        assert _lanes.cache_info()[:2] == (0, 2)  # (hits, misses): the full block and the last
+        again = _draw_pattern(100, 30, 0.3, _stream(9, 0, CH_B))
+        assert _lanes.cache_info()[:2] == (2, 2)
+        assert again.by_row == first.by_row
+        self._agree(100, 30, 0.3, lambda: _stream(9, 0, CH_B))
+
+    def test_cache_is_bounded(self):
+        _lanes.cache_clear()
+        bound = _lanes.cache_info().maxsize
+        for cols in range(1, 2 * bound):
+            _draw_pattern(2, cols, 0.5, SplitMix64(cols))
+        assert _lanes.cache_info().currsize == bound
+
+
+def _pool_attempts(mode):
+    """First attempts of pool-shaped configs, kept whatever they hold."""
+    return st.builds(
+        lambda workload, seed: generate(
+            replace(pool_config(workload, 0), seed=seed, mode=mode, require_feasible=False)
+        ),
+        st.sampled_from(["oracle", "wide", "sparse"]),
+        st.integers(0, 2**64 - 1),
+    )
+
+
+class TestGate:
+    """The generator's pre-compile gate rejects only attempts whose full
+    selection has structurally fixed modes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        system=st.sampled_from(["continuous", "discrete"]).flatmap(
+            lambda mode: systems(mode=mode) | _pool_attempts(mode)
+        )
+    )
+    @example(system=make_system(2, 1, 1, [], [], []))
+    @example(system=make_system(2, 1, 1, [(1, 1)], [(1, 1)], [(1, 1)], mode="discrete"))
+    def test_rejects_only_fixed_modes(self, system):
+        if _some_state_unlinked(system.A, system.B, system.C):
+            assert not compile_system(system).no_sfm(Selection.full(system))
+
+    def test_compiles_only_what_it_passes(self, monkeypatch):
+        # the oracle pool's first members: the gate sees every attempt,
+        # rejects some, each with fixed modes, and the rest are compiled
+        verdicts, compiled = [], []
+        gate, compile_ = _some_state_unlinked, compile_system
+
+        def gate_spy(a, b, c):
+            verdicts.append(((a, b, c), gate(a, b, c)))
+            return verdicts[-1][1]
+
+        def compile_spy(system):
+            compiled.append(system)
+            return compile_(system)
+
+        monkeypatch.setattr(oracle_bench, "_some_state_unlinked", gate_spy)
+        monkeypatch.setattr(oracle_bench, "compile_system", compile_spy)
+        for member in range(8):
+            generate(pool_config("oracle", member))
+        rejected = [patterns for patterns, unlinked in verdicts if unlinked]
+        assert rejected and len(compiled) == len(verdicts) - len(rejected)
+        for a, b, c in rejected:
+            system = StructuredSystem(a, b, c, cost_u=(0,) * b.cols, cost_y=(0,) * c.rows)
+            assert not compile_(system).no_sfm(Selection.full(system))
 
 
 class TestGeneratorConfig:
