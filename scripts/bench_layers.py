@@ -122,10 +122,10 @@ def time_layers(path: str, exact: bool = False) -> tuple[dict[str, float], str]:
     with timed(seconds, "free_document"):
         del text, doc  # the CLI drops the parsed document once it is decoded
     report = select_min_cost_io(system)
-    report, oracle = exact_report(report) if exact else (report, None)
+    report = exact_report(report) if exact else report
     seconds.update(report.timings)
     with timed(seconds, "report_to_json"):
-        out = report_to_json(report, oracle=oracle)
+        out = report_to_json(report)
     with timed(seconds, "json_dumps"):
         json.dumps(out, indent=2) + "\n"
     case = report.special_case

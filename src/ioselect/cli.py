@@ -188,8 +188,8 @@ def _cmd_select(args) -> int:
     except SystemHasSFMs as exc:
         _emit({"error": str(exc), "reason": exc.status.value, "witness": exc.witness}, args)
         return EXIT_INFEASIBLE
-    report, oracle = oracle_bench.exact_report(report) if args.exact else (report, None)
-    doc = selector.report_to_json(report, include_traces=args.trace, oracle=oracle)
+    report = oracle_bench.exact_report(report) if args.exact else report
+    doc = selector.report_to_json(report, include_traces=args.trace)
     if args.dump_matching:
         g = report.compiled.graph
         text = "# no matching stage\n" if report.matching is None else dump_matching(g, report.matching)

@@ -5,8 +5,8 @@ measured against.  It takes the report of a ``select``, and searches the
 inputs and the outputs apart, each side by the one exact search
 (:func:`ioselect.set_cover.branch_and_bound`) over its cover and its
 side's matching, from that side of the report's certified selection (see
-:func:`exact_select`).  ``select --exact`` also prints the exact cover
-bound, which :func:`exact_report` adds to the report.
+:func:`exact_select`).  :func:`exact_report` puts that optimum and the
+exact cover bound on the report, which is all ``select --exact`` prints.
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
 reproducible across platforms and languages:
@@ -314,9 +314,9 @@ def exact_select(report: SelectionReport) -> tuple[Selection, int]:
     return Selection(inputs.chosen, outputs.chosen), inputs.weight + outputs.weight
 
 
-def exact_report(report: SelectionReport) -> tuple[SelectionReport, tuple[Selection, int]]:
-    """``report`` with its exact stage bound, and :func:`exact_select`'s
-    optimum: what ``select --exact`` prints.
+def exact_report(report: SelectionReport) -> SelectionReport:
+    """``report`` with its exact stage bound and, as ``oracle``,
+    :func:`exact_select`'s optimum: what ``select --exact`` prints.
 
     The bound is the sum of the two covers' exact optima, each the first
     by (weight, sorted indices), and the report's lower bound is raised to
@@ -341,7 +341,7 @@ def exact_report(report: SelectionReport) -> tuple[SelectionReport, tuple[Select
     lower = max(report.lower_bound, bound or 0)
     if lower > report.total_cost:
         raise InvariantViolated("lower bound exceeds achieved cost")
-    return replace(report, lower_bound=lower, exact_stage_bound=bound, timings=timings), optimum
+    return replace(report, lower_bound=lower, exact_stage_bound=bound, oracle=optimum, timings=timings)
 
 
 @dataclass(frozen=True)

@@ -292,8 +292,12 @@ class SelectionReport:
     :func:`ioselect.system_model.format_cost`.  ``matching`` is stage 3's
     perfect matching as its partner list (entry l is the right vertex of
     left vertex l; see :mod:`ioselect.matching`), or None where stage 3 did
-    not run.  ``exact_stage_bound``, the sum of the two covers' exact
-    optima, is set only by :func:`ioselect.oracle_bench.exact_report`.
+    not run.  ``special_cases`` holds every tag that applies, strongest
+    first, or ``general`` alone; the primary tag and its guarantee are
+    read from it.  ``exact_stage_bound``, the sum of the two covers' exact
+    optima, and ``oracle``, the optimum selection and its cost, are set
+    only by :func:`ioselect.oracle_bench.exact_report`.  The report is all
+    that :func:`report_to_json` renders.
     """
 
     compiled: CompiledSystem
@@ -301,14 +305,23 @@ class SelectionReport:
     total_cost: int
     stage_costs: tuple[Optional[int], Optional[int], Optional[int]]
     lower_bound: int
-    special_case: str
     special_cases: tuple[str, ...]
-    guarantee: str
     stage1: Optional[Cover]
     stage2: Optional[Cover]
     matching: Optional[tuple[int, ...]]
     timings: dict[str, float]
     exact_stage_bound: Optional[int] = None
+    oracle: Optional[tuple[Selection, int]] = None
+
+    @property
+    def special_case(self) -> str:
+        """The strongest tag: the first of ``special_cases``."""
+        return self.special_cases[0]
+
+    @property
+    def guarantee(self) -> str:
+        """The approximation guarantee of the strongest tag."""
+        return _GUARANTEES[self.special_case]
 
 
 def select_min_cost_io(system: Union[StructuredSystem, CompiledSystem]) -> SelectionReport:
@@ -344,8 +357,7 @@ def select_min_cost_io(system: Union[StructuredSystem, CompiledSystem]) -> Selec
     with timed(timings, "special_cases"):
         tags = applicable_special_cases(compiled) or (CASE_GENERAL,)
         cond_a = compiled.condition_a(Selection.full(system))
-    primary = tags[0]
-    irreducible = primary == CASE_IRREDUCIBLE  # so continuous: the discrete tag ranks first
+    irreducible = tags[0] == CASE_IRREDUCIBLE  # so continuous: the discrete tag ranks first
     # the tag's perfect matching of the states alone: B(A)'s maximum matching
     state_match = graph.state_matching[0] if CASE_STATE_PM in tags else None
 
@@ -410,9 +422,7 @@ def select_min_cost_io(system: Union[StructuredSystem, CompiledSystem]) -> Selec
         total_cost=total,
         stage_costs=stage_costs,
         lower_bound=lower,
-        special_case=primary,
         special_cases=tags,
-        guarantee=_GUARANTEES[primary],
         stage1=stage1,
         stage2=stage2,
         matching=match_result,
@@ -436,14 +446,12 @@ def selection_to_json(sel: Selection) -> dict:
     }
 
 
-def report_to_json(
-    report: SelectionReport,
-    include_traces: bool = False,
-    oracle: Optional[tuple[Selection, int]] = None,
-) -> dict:
+def report_to_json(report: SelectionReport, include_traces: bool = False) -> dict:
     """Render a report in the external JSON shape (1-based indices,
-    decimal-string costs).  With ``include_traces``, the trace opens with
-    the selection's condition-(a) certificate
+    decimal-string costs), with ``exact_stage_bound`` and ``oracle`` (the
+    optimum, its cost and the report's ratio to it) where the report holds
+    them.  With ``include_traces``, the trace opens with the selection's
+    condition-(a) certificate
     (:func:`~ioselect.graph_core.condition_a_witness`), built here: it
     costs O(n * |SCC|), and no other output shows it."""
     acc, sen, cyc = report.stage_costs
@@ -463,8 +471,8 @@ def report_to_json(
     }
     if report.exact_stage_bound is not None:
         out["exact_stage_bound"] = format_cost(report.exact_stage_bound)
-    if oracle is not None:
-        oracle_sel, oracle_cost = oracle
+    if report.oracle is not None:
+        oracle_sel, oracle_cost = report.oracle
         entry: dict = {
             "selection": selection_to_json(oracle_sel),
             "cost": format_cost(oracle_cost),

@@ -128,13 +128,11 @@ def _containing(inst: WeightedSetCoverInstance) -> list[list[int]]:
 class Cover:
     """A set of chosen sets and their total weight.  A greedy cover's
     ``trace`` is the indices of its sets in the order the greedy took them
-    (empty for any other cover), and an exact cover's ``nodes`` the nodes
-    its search visited (0 for any other)."""
+    (empty for any other cover)."""
 
     chosen: frozenset[int]
     weight: int
     trace: tuple[int, ...] = ()
-    nodes: int = 0
 
 
 def greedy_solve(inst: WeightedSetCoverInstance) -> Cover:
@@ -307,7 +305,7 @@ def branch_and_bound(
                 break
         prefix.append(nxt)
         weight += weights[nxt]
-    return Cover(chosen=frozenset(prefix), weight=target, nodes=nodes)
+    return Cover(chosen=frozenset(prefix), weight=target)
 
 
 def exact_solve(inst: WeightedSetCoverInstance, seed: Cover) -> Cover:

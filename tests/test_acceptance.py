@@ -20,6 +20,7 @@ from ioselect.oracle_bench import (
     GeneratorConfig,
     SplitMix64,
     bench,
+    exact_report,
     exact_select,
     generate,
 )
@@ -300,7 +301,9 @@ def test_criterion_08_worked_example_end_to_end():
     assert sel == Selection([2], [0])
     assert p_star == 2 * U
     assert Fraction(report.total_cost, p_star) == Fraction(3, 2)
-    doc = report_to_json(report, oracle=(sel, p_star))
+    exact = exact_report(report)
+    assert exact.oracle == (sel, p_star)
+    doc = report_to_json(exact)
     assert doc["oracle"]["ratio"] == "1.5"
     elapsed = time.perf_counter() - t0
     print(f"criterion 8: PASS - cost 3 vs optimum 2, ratio 1.5 ({elapsed:.3f}s)")

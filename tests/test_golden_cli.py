@@ -5,7 +5,10 @@ and hashes the exit code, stdout, stderr and any file the command writes
 (``--dump-matching``, ``--dump-graph``).  The instances are the demo
 system (as given, with zero costs and with an explicit partial K), a
 system with fixed modes, one that fails validation, and a few seeded
-generator instances.  ``golden_cli.json`` holds the digests; a refactor
+generator instances; ``solve-setcover`` runs on set-cover documents (one
+with tied and zero weights, where greedy and exact covers differ, one
+infeasible and one malformed), and ``gen`` on no file at all.
+``golden_cli.json`` holds the digests; a refactor
 that must not change output keeps every one of them.
 
 Regenerate after an intended output change with
@@ -93,23 +96,55 @@ def _commands(doc: dict) -> dict[str, list[str]]:
     }
 
 
+# Two optimal covers tie at weight 2: the exact search returns sets 1 and
+# 2, the first by sorted indices, and the greedy, taking the free set 6
+# first, sets 1, 3 and 6.  Set 5 is empty and free.
+SETCOVER_TIES = {
+    "N": 6,
+    "sets": [[1, 2, 3], [4, 5, 6], [1, 2, 4, 5], [3, 6], [], [6]],
+    "weights": ["1", "1", "1", "1", "0", "0"],
+}
+
+
+def _other_cases() -> dict[str, tuple[dict | None, list[str]]]:
+    """The commands that read no system: ``solve-setcover`` on its own
+    documents, and ``gen``, which reads no file (``None``)."""
+    solve = ["solve-setcover"]
+    gen = ["gen", "--n", "12", "--m", "3", "--p", "3", "--seed", "4"]
+    return {
+        "setcover_ties/solve": (SETCOVER_TIES, solve),
+        "setcover_ties/solve_exact": (SETCOVER_TIES, [*solve, "--exact"]),
+        "setcover_ties/solve_trace": (SETCOVER_TIES, [*solve, "--trace"]),
+        "setcover_ties/solve_table": (SETCOVER_TIES, [*solve, "--format", "table"]),
+        "setcover_infeasible/solve": ({"N": 3, "sets": [[1], [2]], "weights": ["1", "0"]}, solve),
+        "setcover_malformed/solve": ({"N": 3, "sets": [[1], "x"], "weights": ["1", "0"]}, solve),
+        "gen/default": (None, gen),
+        "gen/discrete_decimals": (
+            None, [*gen, "--discrete", "--cost-lo", "0.5", "--cost-hi", "9.5", "--cost-decimals", "1"]
+        ),
+    }
+
+
 def _cases():
     for name, doc in _instances().items():
         for cmd, argv in _commands(doc).items():
             yield f"{name}/{cmd}", doc, argv
+    for name, (doc, argv) in _other_cases().items():
+        yield name, doc, argv
 
 
-def _digest(doc: dict, argv: list[str], tmp_dir: str) -> str:
+def _digest(doc: dict | None, argv: list[str], tmp_dir: str) -> str:
     instance = os.path.join(tmp_dir, "instance.json")
     dump = os.path.join(tmp_dir, "dump.txt")
-    with open(instance, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    if doc is not None:
+        with open(instance, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
     if os.path.exists(dump):
         os.remove(dump)
     args = [a.replace("{dump}", dump) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([args[0], instance, *args[1:]])
+        code = main([args[0], *([] if doc is None else [instance]), *args[1:]])
     dumped = ""
     if os.path.exists(dump):
         with open(dump, encoding="utf-8") as fh:

@@ -1,10 +1,13 @@
-"""Every function and method of the package has a caller outside the tests:
-code that only its own tests call is deleted or moved to ``oracles.py``.
+"""Every function and method of the package has a caller outside the tests,
+and every dataclass field a reader: code that only its own tests use is
+deleted or moved to ``oracles.py``.
 
 A name counts as referenced where ``src/`` or ``perfbench/`` reads it: as a
 name, an attribute, or a string (the benchmark's tracer looks functions up
 by their names), outside the body of the definition itself.  Names that
-``ioselect/__init__`` exports are the public API and need no caller.
+``ioselect/__init__`` exports are the public API and need no caller.  A
+field counts as read where an attribute load of its name appears there,
+outside its class.
 """
 
 import ast
@@ -26,6 +29,8 @@ HOOKS = {"__init__", "__new__", "__post_init__", "__hash__"}
 # The paper's set-cover equivalence: the reverse reduction and its
 # selection-to-cover map are tested as a theorem.
 THEOREM = {"reduce_wsc_to_accessibility", "selection_to_cover"}
+# Serialized whole, by dataclasses.asdict and fields, not field by field.
+WHOLE = {"BenchRecord"}
 
 
 def _definitions(tree: ast.AST):
@@ -55,8 +60,12 @@ def _exports() -> set[str]:
     raise AssertionError("ioselect/__init__.py defines no __all__")
 
 
+def _trees() -> dict[pathlib.Path, ast.AST]:
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in READERS}
+
+
 def unreferenced() -> list[str]:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in READERS}
+    trees = _trees()
     refs = [(path, name, line) for path, tree in trees.items() for name, line in _references(tree)]
     allowed = HOOKS | THEOREM | _exports()
     missing = []
@@ -72,9 +81,47 @@ def unreferenced() -> list[str]:
     return missing
 
 
+def _dataclasses(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d, "id", None) == "dataclass" or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            yield node
+
+
+def unread_fields() -> list[str]:
+    trees = _trees()
+    loads = [
+        (path, node.attr, node.lineno)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for path in SOURCES:
+        for cls in _dataclasses(trees[path]):
+            if cls.name in WHOLE:
+                continue
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                name = stmt.target.id
+                if not any(
+                    attr == name and not (where == path and cls.lineno <= line <= cls.end_lineno)
+                    for where, attr, line in loads
+                ):
+                    unread.append(f"{path.name}:{stmt.lineno} {cls.name}.{name}")
+    return unread
+
+
 def test_sources_found():
     assert len(SOURCES) >= 9 and len(READERS) > len(SOURCES)
 
 
 def test_every_function_has_a_caller_outside_the_tests():
     assert unreferenced() == []
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    assert unread_fields() == []

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_system, matching_cost, pool_config, systems
+from conftest import benchmark_workloads, make_system, matching_cost, pool_config, systems
 from test_graph_core import varied_systems_with_selection
 from ioselect.selector import (
     SelectionReport,
@@ -267,7 +267,7 @@ class TestSelectDemo:
         assert 0 <= sum(rep.timings.values()) <= wall
 
     def test_exact_covers_tighten_bound(self, demo):
-        rep, _optimum = exact_report(select_min_cost_io(demo))
+        rep = exact_report(select_min_cost_io(demo))
         assert rep.exact_stage_bound == 2 * U
         assert rep.lower_bound == 2 * U
         # the two exact optima are timed as one layer, the exact selection as another
@@ -284,7 +284,7 @@ class TestSelectDemo:
             cost_u=["1", "1", "100"],
             cost_y=["1", "1"],
         )
-        rep, _optimum = exact_report(select_min_cost_io(system))
+        rep = exact_report(select_min_cost_io(system))
         assert rep.selection == Selection([0, 1, 2], [0])
         assert rep.total_cost == 103 * U
         assert rep.stage_costs == (101 * U, 1 * U, 2 * U)
@@ -321,7 +321,7 @@ class TestSelectSpecialPaths:
         )
         for exact in (False, True):
             rep = select_min_cost_io(system)
-            rep = exact_report(rep)[0] if exact else rep
+            rep = exact_report(rep) if exact else rep
             assert rep.special_case == "irreducible"
             assert rep.guarantee == "exact optimum"
             assert rep.selection == Selection([1], [0])
@@ -340,7 +340,7 @@ class TestSelectSpecialPaths:
         )
         for exact in (False, True):
             rep = select_min_cost_io(system)
-            rep = exact_report(rep)[0] if exact else rep
+            rep = exact_report(rep) if exact else rep
             assert rep.special_case == "irreducible"
             assert rep.selection == Selection([1], [1])
             assert rep.total_cost == 11 * U
@@ -379,7 +379,8 @@ class TestSelectSpecialPaths:
     def test_discrete_exact_bound(self, demo):
         # each side's exact search is its exact cover: the bound is the
         # optimum's cost, and no cover is searched apart from it
-        rep, (_sel, cost) = exact_report(select_min_cost_io(replace(demo, mode="discrete")))
+        rep = exact_report(select_min_cost_io(replace(demo, mode="discrete")))
+        _sel, cost = rep.oracle
         assert rep.exact_stage_bound == cost == 2 * U
         assert rep.lower_bound == 2 * U
         assert_layers(rep, COVERS | {"exact_select"})
@@ -477,14 +478,30 @@ class TestSelectProperties:
         assert rep.special_case == detect_special_case(system)
         assert report_to_json(rep)["no_sfm"] is True
 
+    @staticmethod
+    def assert_exact_bounds(system):
+        # the bounds sit below the optimum, which sits below the total; in
+        # discrete mode the exact covers are the optimum
+        rep = exact_report(select_min_cost_io(system))
+        assert rep.oracle == exact_select(rep)
+        cost = rep.oracle[1]
+        assert rep.lower_bound <= cost <= rep.total_cost
+        if rep.exact_stage_bound is not None:
+            assert rep.exact_stage_bound <= cost
+        if system.mode == "discrete":
+            assert rep.exact_stage_bound == rep.lower_bound == cost
+
     @given(systems(max_n=5, max_m=3, max_p=3, feasible=True))
     @settings(max_examples=40)
     def test_exact_bound_sandwich(self, system):
-        rep, _optimum = exact_report(select_min_cost_io(system))
-        assert rep.exact_stage_bound is None or (
-            rep.lower_bound <= rep.total_cost
-            and rep.exact_stage_bound <= rep.total_cost
-        )
+        self.assert_exact_bounds(system)
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    @pytest.mark.parametrize("workload", ["oracle", "wide", "sparse"])
+    def test_exact_bound_sandwich_on_the_pools(self, workload, mode):
+        # every member of three benchmark pools, feasible in either mode
+        for spec in benchmark_workloads().WORKLOADS[workload].pool:
+            self.assert_exact_bounds(replace(spec.build(), mode=mode))
 
     @given(systems(max_n=7), st.sampled_from(["select", "exact", "trace"]))
     @example(shared_pair_system(), "trace")
@@ -529,10 +546,9 @@ class TestReportJson:
         assert "trace" not in doc and "oracle" not in doc
 
     def test_demo_oracle_and_traces(self, demo):
-        rep, _optimum = exact_report(select_min_cost_io(demo))
-        doc = report_to_json(
-            rep, include_traces=True, oracle=(Selection([2], [0]), 2 * U)
-        )
+        rep = exact_report(select_min_cost_io(demo))
+        assert rep.oracle == (Selection([2], [0]), 2 * U)
+        doc = report_to_json(rep, include_traces=True)
         assert doc["exact_stage_bound"] == "2"
         assert doc["oracle"] == {
             "selection": {"inputs": [3], "outputs": [1]},
@@ -557,12 +573,27 @@ class TestReportJson:
         assert "x1" in trace["scc_feedback_witness"]
 
     def test_zero_cost_oracle_convention(self, demo):
-        rep = select_min_cost_io(demo)
-        doc = report_to_json(rep, oracle=(Selection([], []), 0))
+        rep = replace(select_min_cost_io(demo), oracle=(Selection([], []), 0))
+        doc = report_to_json(rep)
         assert doc["oracle"]["ratio"] == "1"
         assert doc["oracle"]["ratio_convention"] == (
             "zero-cost optimum reported as ratio 1"
         )
+
+    def test_the_report_is_all_it_renders(self, demo):
+        # one option: the optimum rides on the report, and the primary tag
+        # and its guarantee are read off the tags, not stored again
+        import dataclasses
+        import inspect
+
+        assert list(inspect.signature(report_to_json).parameters) == ["report", "include_traces"]
+        names = {f.name for f in dataclasses.fields(SelectionReport)}
+        assert len(names) == 12 and not names & {"special_case", "guarantee"}
+        rep = select_min_cost_io(demo)
+        assert rep.oracle is None and "oracle" not in report_to_json(rep)
+        assert exact_report(rep).oracle == exact_select(rep)
+        assert rep.special_case == rep.special_cases[0]
+        assert rep.guarantee == selector_mod._GUARANTEES[rep.special_case]
 
     def test_discrete_cycle_entry_is_null(self, demo):
         rep = select_min_cost_io(replace(demo, mode="discrete"))
