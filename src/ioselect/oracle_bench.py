@@ -9,11 +9,13 @@ side's matching, from that side of the report's certified selection (see
 exact cover bound on the report, which is all ``select --exact`` prints.
 
 The generator uses SplitMix64 with a fixed stream discipline so fixtures are
-reproducible across platforms and languages:
+reproducible across platforms and languages.  A channel's stream is the
+state its draws start from,
 
-    stream(seed, attempt, channel) = SplitMix64(mix64(seed + GAMMA*(8*attempt + channel)))
+    state(seed, attempt, channel) = mix64(seed + GAMMA*(8*attempt + channel))
 
-with channels A=1, B=2, C=3, cost_u=4, cost_y=5.  Each matrix and cost
+with channels A=1, B=2, C=3, cost_u=4, cost_y=5, and its draw k (from 1)
+is mix64(state + k*GAMMA), as SplitMix64 steps it.  Each matrix and cost
 vector is drawn from its own stream; rejection attempts shift every stream
 at once, so retries never replay bits.  This stream (v1) is fixed: the
 pinned instance digests depend on it (:func:`_draw_pattern` computes it a
@@ -106,8 +108,10 @@ class SplitMix64:
 CH_A, CH_B, CH_C, CH_COST_U, CH_COST_Y = 1, 2, 3, 4, 5
 
 
-def _stream(seed: int, attempt: int, channel: int) -> SplitMix64:
-    return SplitMix64(_mix64((seed + _GAMMA * (8 * attempt + channel)) & _MASK64))
+def _stream(seed: int, attempt: int, channel: int) -> int:
+    """The state ``channel``'s draws start from in ``attempt`` of ``seed``:
+    mix64(seed + GAMMA*(8*attempt + channel))."""
+    return _mix64((seed + _GAMMA * (8 * attempt + channel)) & _MASK64)
 
 
 class GenerationFailed(ModelError):
@@ -181,12 +185,13 @@ def _lanes(slots: int, threshold: int) -> tuple[int, int, int, int, int]:
     return ones, ones * _MASK64, steps, ones * (slots * _GAMMA & _MASK64), ones * ((1 << 64) - threshold)
 
 
-def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> SparsityPattern:
+def _draw_pattern(rows: int, cols: int, density: float, state: int) -> SparsityPattern:
     """Each cell starred with probability ``density``, drawn as the rows.
 
-    Cell (i, j) is starred when ``rng``'s draw number t = i*cols + j is
-    below density * 2^64, and ``rng`` ends rows*cols draws on, as if each
-    draw were a ``next_u64``.
+    Cell (i, j) is starred when draw t = i*cols + j of the stream that
+    starts at the 64-bit ``state``, mix64(state + (t + 1)*GAMMA), the value the
+    (t + 1)-th ``next_u64`` of ``SplitMix64(state)`` returns, is below
+    density * 2^64.
 
     The rows are drawn in blocks of whole rows, as many as fit in
     :data:`_LANES` slots (one row where a row is wider), and a block's
@@ -209,7 +214,7 @@ def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> Spar
     threshold = int(density * (1 << 64))
     per_block = min(rows, _LANES // max(cols, 1)) or 1
     ones, lane, steps, advance, not_below = _lanes(per_block * cols, threshold)
-    counters = ones * rng._state + steps
+    counters = ones * state + steps
     by_row = []
     for first in range(0, rows, per_block):
         block = min(per_block, rows - first)
@@ -225,7 +230,6 @@ def _draw_pattern(rows: int, cols: int, density: float, rng: SplitMix64) -> Spar
                 j = span.find(0, j + 1)
             by_row.append(row)
         counters += advance
-    rng._state = (rng._state + rows * cols * _GAMMA) & _MASK64
     return SparsityPattern.of_checked_rows(rows, cols, by_row)
 
 
@@ -265,8 +269,8 @@ def generate(config: GeneratorConfig) -> StructuredSystem:
         ):
             return replace(
                 system,
-                cost_u=_draw_costs(config.m, grid, _stream(s, attempt, CH_COST_U)),
-                cost_y=_draw_costs(config.p, grid, _stream(s, attempt, CH_COST_Y)),
+                cost_u=_draw_costs(config.m, grid, SplitMix64(_stream(s, attempt, CH_COST_U))),
+                cost_y=_draw_costs(config.p, grid, SplitMix64(_stream(s, attempt, CH_COST_Y))),
             )
     raise GenerationFailed(config.max_attempts)
 

@@ -9,6 +9,7 @@ Only desk-scale instances are expected.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 import networkx as nx
@@ -352,6 +353,76 @@ def scipy_min_cost(system: StructuredSystem) -> Optional[int]:
     return int(graph[row_ind, col_ind].sum()) - size
 
 
+def _milp_side(n, a_stars, b_stars, costs, ends, continuous) -> Optional[set[int]]:
+    """The cheapest channels of one side, by scipy's MILP solver (HiGHS):
+    the inputs of (A, B) with ``ends`` its source SCCs, or the same on the
+    dual.  One binary per channel, and a cover row per SCC in ``ends``; in
+    continuous mode one more binary per star of A and B, each state row
+    matched exactly once over its stars, each state column at most once
+    and each channel at most its binary.  None when no channels do."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    m = len(costs)
+    a_stars, b_stars = sorted(a_stars), sorted(b_stars)
+    width = m + (len(a_stars) + len(b_stars) if continuous else 0)
+    rows, lower, upper = [], [], []
+
+    def constrain(coeffs, lo, hi):
+        row = np.zeros(width)
+        for var, coeff in coeffs:
+            row[var] += coeff
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+
+    for end in ends:
+        constrain([(u, 1) for i, u in b_stars if i in end], 1, np.inf)
+    if continuous:  # one variable per star, A's after the channels, then B's
+        by_row, by_col, by_channel = [[] for _ in range(n)], [[] for _ in range(n)], [[] for _ in range(m)]
+        for var, (i, j) in enumerate(a_stars, m):
+            by_row[i].append((var, 1))
+            by_col[j].append((var, 1))
+        for var, (i, u) in enumerate(b_stars, m + len(a_stars)):
+            by_row[i].append((var, 1))
+            by_channel[u].append((var, 1))
+        for i in range(n):
+            constrain(by_row[i], 1, 1)
+            constrain(by_col[i], 0, 1)
+        for u in range(m):
+            constrain(by_channel[u] + [(u, -1)], -np.inf, 0)
+    objective = np.array([float(c) for c in costs] + [0.0] * (width - m))
+    constraints = [LinearConstraint(np.array(rows), lower, upper)] if rows else []
+    res = milp(
+        objective, integrality=np.ones(width), bounds=Bounds(0, 1), constraints=constraints, options={"mip_rel_gap": 0}
+    )
+    if res.x is None:
+        return None
+    return {u for u in range(m) if round(res.x[u]) == 1}
+
+
+def milp_optimum(system: StructuredSystem) -> Optional[tuple[Selection, int]]:
+    """The cheapest selection free of fixed modes, and its cost, solved as
+    two integer programs (:func:`_milp_side`) that share no code with the
+    package's exact search.  With K complete the sides are independent:
+    the inputs cover the source SCCs of A's digraph and the outputs its
+    sink SCCs (``condensation_ends``, networkx), and in continuous mode
+    [A B_I] has a matching of every state row and [A; C_J] one of every
+    state column.  The outputs' program is the inputs' on A and C
+    transposed.  The binaries are rounded and the cost is summed in exact
+    integers.  None when a side has no solution.  Needs scipy."""
+    n, continuous = system.n, system.mode == "continuous"
+    sources, sinks = condensation_ends(n, [(j, i) for i, j in system.A.stars])
+    inputs = _milp_side(n, system.A.stars, system.B.stars, system.cost_u, sources, continuous)
+    outputs = _milp_side(
+        n, {(j, i) for i, j in system.A.stars}, {(j, o) for o, j in system.C.stars}, system.cost_y, sinks, continuous
+    )
+    if inputs is None or outputs is None:
+        return None
+    cost = sum(system.cost_u[i] for i in inputs) + sum(system.cost_y[j] for j in outputs)
+    return Selection(inputs, outputs), cost
+
+
 def matching_size(n_left: int, n_right: int, pairs: list[tuple[int, int]]) -> int:
     """Maximum bipartite matching size via networkx (left ids 0.., right ids
     offset by n_left inside this helper)."""
@@ -479,6 +550,29 @@ def widemask_system(n: int) -> StructuredSystem:
     b_rows = [[s] for s in range(n - 1)] + [list(range(n))]
     c_rows = [[j, n - 1] for j in range(n - 1)] + [[n - 1]]
     return _no_dynamics_system(n, b_rows, c_rows)
+
+
+def tight_greedy_system(k: int) -> StructuredSystem:
+    """The greedy cover's tight family (Johnson 1974, Chvatal 1979) on both
+    sides (k >= 1): k states, each with a self-loop and no other A edge;
+    input i (from 1) feeds state i at L/i units, with L = lcm(1..k), and
+    input k + 1 feeds every state at L + 1 units; the outputs mirror the
+    inputs.  Every state is an SCC both sources and sinks, so each cover
+    has k elements: the greedy takes the k singletons, the largest first,
+    L*H(k) units, where the optimum is input k + 1 alone."""
+    from ioselect.system_model import COST_SCALE
+
+    lcm = math.lcm(*range(1, k + 1))
+    costs = tuple(COST_SCALE * (lcm // i) for i in range(1, k + 1)) + (COST_SCALE * (lcm + 1),)
+    singletons = [[i] for i in range(k)]
+    return StructuredSystem(
+        A=SparsityPattern.of_checked_rows(k, k, singletons),
+        B=SparsityPattern.of_checked_rows(k, k + 1, [[i, k] for i in range(k)]),
+        C=SparsityPattern.of_checked_rows(k + 1, k, singletons + [list(range(k))]),
+        K=COMPLETE,
+        cost_u=costs,
+        cost_y=costs,
+    )
 
 
 def scale_system(n: int, seed: int) -> StructuredSystem:

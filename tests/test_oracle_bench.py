@@ -1,5 +1,6 @@
 import io
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from ioselect.oracle_bench import (
     GenerationFailed,
     GeneratorConfig,
     SplitMix64,
+    _cost_grid,
+    _draw_costs,
     _draw_pattern,
     _lanes,
     _mix64,
@@ -35,7 +38,14 @@ from ioselect.oracle_bench import (
     write_csv,
     write_jsonl,
 )
-from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, select_min_cost_io
+from ioselect.selector import (
+    SfmStatus,
+    SystemHasSFMs,
+    approximation_ratio,
+    check_no_sfm,
+    compile_system,
+    select_min_cost_io,
+)
 from ioselect.set_cover import TooLarge, exact_solve, greedy_solve
 from ioselect.system_model import COST_SCALE, SIZE_LIMIT, ModelError, Selection, StructuredSystem
 
@@ -74,7 +84,7 @@ class TestSplitMix64:
         seen = set()
         for attempt in (0, 1, 2):
             for ch in (CH_A, CH_B, CH_C, CH_COST_U, CH_COST_Y):
-                seen.add(_stream(7, attempt, ch).next_u64())
+                seen.add(SplitMix64(_stream(7, attempt, ch)).next_u64())
         assert len(seen) == 15
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 1000))
@@ -84,15 +94,13 @@ class TestSplitMix64:
 
 class TestDrawPattern:
     """The packed row draw against the cell-by-cell reference: the same
-    stars, and the stream left in the same state."""
+    stars from the same start state."""
 
     @staticmethod
-    def _agree(rows, cols, density, make_rng):
-        packed, reference = make_rng(), make_rng()
-        pattern = _draw_pattern(rows, cols, density, packed)
+    def _agree(rows, cols, density, state):
+        pattern = _draw_pattern(rows, cols, density, state)
         assert (pattern.rows, pattern.cols) == (rows, cols)
-        assert pattern.by_row == oracles.draw_pattern_rows(rows, cols, density, reference)
-        assert packed._state == reference._state
+        assert pattern.by_row == oracles.draw_pattern_rows(rows, cols, density, SplitMix64(state))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -103,10 +111,7 @@ class TestDrawPattern:
         stream=st.none() | st.tuples(st.integers(0, 3), st.sampled_from([CH_A, CH_B, CH_C])),
     )
     def test_matches_cell_by_cell(self, rows, cols, density, seed, stream):
-        if stream is None:
-            self._agree(rows, cols, density, lambda: SplitMix64(seed))
-        else:
-            self._agree(rows, cols, density, lambda: _stream(seed, *stream))
+        self._agree(rows, cols, density, seed if stream is None else _stream(seed, *stream))
 
     @staticmethod
     def _seed_drawing(value, draw=0):
@@ -128,8 +133,8 @@ class TestDrawPattern:
         threshold = 1 << 63  # density 0.5
         for value, starred in ((threshold - 1, [[0]]), (threshold, [[]])):
             assert SplitMix64(self._seed_drawing(value)).next_u64() == value
-            assert _draw_pattern(1, 1, 0.5, SplitMix64(self._seed_drawing(value))).by_row == starred
-            self._agree(3, 5, 0.5, lambda: SplitMix64(self._seed_drawing(value)))
+            assert _draw_pattern(1, 1, 0.5, self._seed_drawing(value)).by_row == starred
+            self._agree(3, 5, 0.5, self._seed_drawing(value))
 
     @pytest.mark.parametrize("density", [0.5, 5 / 400])
     def test_threshold_in_a_later_row(self, density):
@@ -141,13 +146,13 @@ class TestDrawPattern:
             seed = self._seed_drawing(value, 2 * cols - 1)
             rng = SplitMix64(seed)
             assert [rng.next_u64() for _ in range(2 * cols)][-1] == value
-            pattern = _draw_pattern(rows, cols, density, SplitMix64(seed))
+            pattern = _draw_pattern(rows, cols, density, seed)
             assert (cols - 1 in pattern.by_row[1]) == starred
-            self._agree(rows, cols, density, lambda: SplitMix64(seed))
+            self._agree(rows, cols, density, seed)
 
     def test_sparse_pool_state_pattern(self):
         # the sparse benchmark pool's A: 400 x 400 at density 5/400
-        self._agree(400, 400, 5 / 400, lambda: _stream(0, 0, CH_A))
+        self._agree(400, 400, 5 / 400, _stream(0, 0, CH_A))
 
     @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("rows, cols", [(100, 30), (3, 1500), (0, 7), (7, 0), (0, 0)])
@@ -155,7 +160,7 @@ class TestDrawPattern:
         # 100 x 30 is two full blocks of _LANES // 30 rows and a partial
         # one; a row 1,500 wide is a block of its own, wider than _LANES
         assert 2 * (_LANES // 30) < 100 < 3 * (_LANES // 30) and 1500 > _LANES
-        self._agree(rows, cols, density, lambda: _stream(5, 1, CH_B))
+        self._agree(rows, cols, density, _stream(5, 1, CH_B))
 
     @pytest.mark.parametrize("rows, cols", [(100, 30), (400, 400), (120, 60), (3, 1500), (5, 30)])
     def test_blocks_are_whole_rows_within_lanes(self, rows, cols, monkeypatch):
@@ -166,7 +171,7 @@ class TestDrawPattern:
             return _lanes(slots, threshold)
 
         monkeypatch.setattr(oracle_bench, "_lanes", recording)
-        self._agree(rows, cols, 0.3, lambda: _stream(5, 2, CH_C))
+        self._agree(rows, cols, 0.3, _stream(5, 2, CH_C))
         assert sizes and all(size % cols == 0 and size <= max(_LANES, cols) for size in sizes)
 
     def test_cache_hit_draws_the_same(self):
@@ -176,14 +181,38 @@ class TestDrawPattern:
         again = _draw_pattern(100, 30, 0.3, _stream(9, 0, CH_B))
         assert _lanes.cache_info()[:2] == (2, 2)
         assert again.by_row == first.by_row
-        self._agree(100, 30, 0.3, lambda: _stream(9, 0, CH_B))
+        self._agree(100, 30, 0.3, _stream(9, 0, CH_B))
 
     def test_cache_is_bounded(self):
         _lanes.cache_clear()
         bound = _lanes.cache_info().maxsize
         for cols in range(1, 2 * bound):
-            _draw_pattern(2, cols, 0.5, SplitMix64(cols))
+            _draw_pattern(2, cols, 0.5, cols)
         assert _lanes.cache_info().currsize == bound
+
+
+class TestDrawCosts:
+    """The cost draw against one ``next_below`` per cost of a stepper
+    started at the same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        state=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        count=st.integers(0, 20),
+        cost_range=st.sampled_from([("5", "5"), ("1", "99"), ("0.05", "3.7")]),
+        decimals=st.integers(1, 2),
+    )
+    @example(state=0, count=20, cost_range=("5", "5"), decimals=1)
+    @example(state=2**64 - 1, count=20, cost_range=("1", "99"), decimals=2)
+    def test_matches_next_below(self, state, count, cost_range, decimals):
+        grid = _cost_grid(GeneratorConfig(1, 1, 1, cost_range=cost_range, cost_decimals=decimals))
+        step, first, last = grid
+        reference = SplitMix64(state)
+        expected = tuple(step * (first + reference.next_below(last - first + 1)) for _ in range(count))
+        costs = _draw_costs(count, grid, SplitMix64(state))
+        assert costs == expected
+        lo, hi = (Fraction(v) * U for v in cost_range)
+        assert all(lo <= c <= hi and c % step == 0 for c in costs)
 
 
 def _pool_attempts(mode):
@@ -463,6 +492,20 @@ class TestExactSelect:
             system = generate(replace(pool_config("oracle", seed), mode=mode))
             compiled = compile_system(system)
             assert exact_select(select_min_cost_io(compiled)) == oracles.joint_exact_select(compiled), seed
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_greedy_tight_family(self, k):
+        # the greedy takes k singletons on each side, 2*L*H(k) units, where
+        # the one input and the one output that reach every state cost
+        # 2(L + 1): the ratio H(k)*L/(L + 1) grows as ln k
+        system = oracles.tight_greedy_system(k)
+        lcm, harmonic = math.lcm(*range(1, k + 1)), sum(Fraction(1, i) for i in range(1, k + 1))
+        report = select_min_cost_io(system)
+        assert report.special_case == "state_pm"
+        assert report.total_cost == 2 * lcm * harmonic * U
+        _sel, optimum = exact_select(report)
+        assert optimum == 2 * (lcm + 1) * U
+        assert approximation_ratio(report.total_cost, optimum) == (harmonic * lcm / (lcm + 1), False)
 
 
 class TestExactReport:
