@@ -40,6 +40,7 @@ from ioselect.matching import complete_side
 from ioselect.selector import (
     SelectionReport,
     approximation_ratio,
+    check_no_sfm,
     compile_system,
     detect_special_case,
     select_min_cost_io,
@@ -253,10 +254,10 @@ def generate(config: GeneratorConfig) -> StructuredSystem:
     full system is free of structurally fixed modes.
 
     An attempt with a state :func:`_some_state_unlinked` names is rejected
-    without a compile; every other one is decided by ``compile_system``'s
-    ``no_sfm`` on the full selection, which reads no cost.  So the patterns
-    are checked with zero costs, and the returned attempt's costs alone are
-    drawn, from their own streams.
+    without a compile; every other one is compiled and decided by
+    :func:`~ioselect.selector.check_no_sfm` on the full selection, which
+    reads no cost.  So the patterns are checked with zero costs, and the
+    returned attempt's costs alone are drawn, from their own streams.
     """
     grid, s = _cost_grid(config), config.seed
     for attempt in range(config.max_attempts):
@@ -265,7 +266,7 @@ def generate(config: GeneratorConfig) -> StructuredSystem:
         c = _draw_pattern(config.p, config.n, config.output_density, _stream(s, attempt, CH_C))
         system = StructuredSystem(a, b, c, K=COMPLETE, cost_u=(0,) * config.m, cost_y=(0,) * config.p, mode=config.mode)
         if not config.require_feasible or (
-            not _some_state_unlinked(a, b, c) and compile_system(system).no_sfm(Selection.full(system))
+            not _some_state_unlinked(a, b, c) and check_no_sfm(compile_system(system), Selection.full(system)).ok
         ):
             return replace(
                 system,

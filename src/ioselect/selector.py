@@ -131,7 +131,7 @@ class CompiledSystem:
         every non-top SCC of D(A) and the selected outputs every non-bottom
         one.  An explicit partial K runs the SCC test on the restricted
         rows (:func:`ioselect.graph_core.restricted_rows`).  Raises
-        IndexError on an index out of range, as :meth:`condition_b` does.
+        IndexError on an index out of range.
         """
         _check_selection(self.system, sel)
         if not self.graph.hub:
@@ -139,24 +139,12 @@ class CompiledSystem:
         accessibility, sensability = self.covers
         return not accessibility.uncovered(sel.inputs) and not sensability.uncovered(sel.outputs)
 
-    def condition_b(self, sel: Selection) -> bool:
-        """Disjoint cycles of the restricted system digraph span all states."""
-        _check_selection(self.system, sel)
-        return matching_mod.has_perfect_matching(self.graph, sel)
-
-    def no_sfm(self, sel: Selection) -> bool:
-        """``decide(sel)[0].ok``, without condition (b) when (a) fails and
-        without a witness."""
-        if not self.condition_a(sel):
-            return False
-        return self.system.mode == "discrete" or self.condition_b(sel)
-
     def decide(self, sel: Selection) -> tuple[SfmStatus, dict]:
         """Classify the selection, and witness each condition that fails
         off the pass that decided it (:func:`_verdict`): continuous mode
         decides both conditions, discrete mode only condition (a), so
         Type-2 is never reported there.  A caller that wants no witness
-        reads :meth:`no_sfm` or :func:`check_no_sfm` instead.
+        reads :func:`check_no_sfm` instead.
 
         With a complete K the covers decide condition (a), and only
         when they fail does one SCC pass
@@ -234,9 +222,12 @@ def check_no_sfm(system: Union[StructuredSystem, CompiledSystem], sel: Selection
     be: :meth:`CompiledSystem.decide`'s status, from one test per condition
     and no witness.  The covers, or with a partial K one SCC pass,
     decide condition (a), and in continuous mode one largest matching
-    decides condition (b).  Raises IndexError on an index out of range."""
+    (:func:`ioselect.matching.has_perfect_matching`) decides condition (b).
+    Raises IndexError on an index out of range, before either test."""
     compiled = compile_system(system)
-    return _classify(compiled.condition_a(sel), compiled.system.mode == "discrete" or compiled.condition_b(sel))
+    cond_a = compiled.condition_a(sel)  # range-checks sel, which the matching does not
+    cond_b = compiled.system.mode == "discrete" or matching_mod.has_perfect_matching(compiled.graph, sel)
+    return _classify(cond_a, cond_b)
 
 
 CASE_DISCRETE = "discrete"

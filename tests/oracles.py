@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Optional
 
 import networkx as nx
 
+from ioselect.selector import check_no_sfm
 from ioselect.system_model import (
     COMPLETE,
     CompleteK,
@@ -116,24 +118,24 @@ def scc_partition(n: int, edges: list[tuple[int, int]]) -> set[frozenset[int]]:
     return {frozenset(c) for c in nx.strongly_connected_components(g)}
 
 
+def feedback_sccs(
+    system: StructuredSystem, sel: Selection
+) -> list[tuple[frozenset[int], Optional[tuple[int, int]]]]:
+    """Each SCC of the restricted system digraph with K expanded (networkx),
+    in the full system's ids, with the smallest feedback edge (y_j, u_i)
+    inside it, or None."""
+    n, m = system.n, system.m
+    k_edges = sorted((n + m + j, n + i) for i, j in k_stars(system) if i in sel.inputs and j in sel.outputs)
+    out = []
+    for comp in nx.strongly_connected_components(_digraph(system, sel)):
+        inside = [(src, dst) for src, dst in k_edges if src in comp and dst in comp]
+        out.append((frozenset(comp), inside[0] if inside else None))
+    return out
+
+
 def condition_a(system: StructuredSystem, sel: Selection) -> bool:
     """Every state in a strongly connected component containing a feedback edge."""
-    n, m = system.n, system.m
-    g = _digraph(system, sel)
-    comp_of = {}
-    for comp in nx.strongly_connected_components(g):
-        for v in comp:
-            comp_of[v] = frozenset(comp)
-    k_edges = [
-        (n + m + j, n + i)
-        for i, j in k_stars(system)
-        if i in sel.inputs and j in sel.outputs
-    ]
-    for v in range(n):
-        comp = comp_of[v]
-        if not any(src in comp and dst in comp for src, dst in k_edges):
-            return False
-    return True
+    return all(edge is not None for comp, edge in feedback_sccs(system, sel) if min(comp) < system.n)
 
 
 def _cycles(system: StructuredSystem, sel: Optional[Selection]) -> list[frozenset[int]]:
@@ -267,10 +269,10 @@ def best_selection(
 
 def joint_exact_select(compiled) -> Optional[tuple[Selection, int]]:
     """The exact selection by a scan of every pair (I, J) in (cost, I, J)
-    order, each decided whole by ``compiled.no_sfm`` (a
-    :class:`ioselect.selector.CompiledSystem`): the first that qualifies,
-    or None.  The exact search splits the pairs with a complete K; this
-    scan does not."""
+    order, each decided whole by :func:`ioselect.selector.check_no_sfm` on
+    ``compiled`` (a :class:`ioselect.selector.CompiledSystem`): the first
+    that qualifies, or None.  The exact search splits the pairs with a
+    complete K; this scan does not."""
     system = compiled.system
 
     def subsets(count: int, costs: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
@@ -283,7 +285,7 @@ def joint_exact_select(compiled) -> Optional[tuple[Selection, int]]:
         for out_cost, outputs in subsets(system.p, system.cost_y)
     )
     for cost, inputs, outputs in pairs:
-        if compiled.no_sfm(Selection(inputs, outputs)):
+        if check_no_sfm(compiled, Selection(inputs, outputs)).ok:
             return Selection(inputs, outputs), cost
     return None
 
@@ -488,8 +490,6 @@ def set_scan_steps(inst):
     Returns each round's (set index, newly covered elements, weight per
     newly covered element in cost units), or raises the same
     :class:`~ioselect.set_cover.Infeasible`."""
-    from fractions import Fraction
-
     from ioselect.set_cover import Infeasible
     from ioselect.system_model import COST_SCALE
 
@@ -573,6 +573,28 @@ def tight_greedy_system(k: int) -> StructuredSystem:
         cost_u=costs,
         cost_y=costs,
     )
+
+
+def guarantee_formula(tag: str, mu_max: int, eta_max: int) -> Fraction:
+    """The approximation guarantee of a selection report's primary tag
+    (not ``irreducible``, which is exact), with the harmonic number H(x)
+    where the paper writes log x: the greedy cover is within H(d) of the
+    cover optimum, d the size of its largest set.  ``mu_max`` and
+    ``eta_max`` are the largest set sizes of the accessibility and the
+    sensability cover.  The discrete optimum is the two cover optima's
+    sum, so the discrete selection is within the larger of the two
+    covers' H."""
+
+    def h(x: int) -> Fraction:
+        return sum((Fraction(1, i) for i in range(1, x + 1)), Fraction(0))
+
+    return {
+        "state_pm": 2 * (h(mu_max) + h(eta_max)),
+        "single_nontop": 3 * h(eta_max),
+        "single_nonbottom": 3 * h(mu_max),
+        "general": h(mu_max) + h(eta_max) + 1,
+        "discrete": max(h(mu_max), h(eta_max)),
+    }[tag]
 
 
 def scale_system(n: int, seed: int) -> StructuredSystem:

@@ -17,7 +17,6 @@ import signal
 from dataclasses import replace
 
 import hypothesis.strategies as st
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -25,9 +24,9 @@ import oracles
 from conftest import hall_ids
 from test_graph_core import varied_systems_with_selection
 from ioselect.graph_core import condition_a_witness, vertex_name
-from ioselect.matching import min_cost_perfect_matching
+from ioselect.matching import has_perfect_matching, min_cost_perfect_matching
 from ioselect.oracle_bench import exact_select
-from ioselect.selector import SfmStatus, SystemHasSFMs, compile_system, select_min_cost_io
+from ioselect.selector import SfmStatus, SystemHasSFMs, check_no_sfm, compile_system, select_min_cost_io
 from ioselect.system_model import (
     COMPLETE,
     ModelError,
@@ -97,42 +96,28 @@ class TestStatus:
             cond_a = oracles.condition_a(system, sel)
             status, _witness = compiled.decide(sel)
             assert compiled.condition_a(sel) == cond_a
-            assert compiled.no_sfm(sel) == status.ok == oracles.no_sfm(system, sel)
+            assert check_no_sfm(compiled, sel).ok == status.ok == oracles.no_sfm(system, sel)
             assert (status in (SfmStatus.TYPE1, SfmStatus.BOTH)) == (not cond_a)
             if mode == "discrete":
                 assert status in (SfmStatus.NO_SFM, SfmStatus.TYPE1)
                 continue
             cond_b = oracles.spanning_disjoint_cycles(system, sel)
-            assert compiled.condition_b(sel) == cond_b
+            assert has_perfect_matching(compiled.graph, sel) == cond_b
             assert (status in (SfmStatus.TYPE2, SfmStatus.BOTH)) == (not cond_b)
-
-
-def _restricted_sccs(system, sel):
-    """SCCs of the restricted system digraph with K expanded (networkx), in
-    the full system's ids, and the feedback edges inside them."""
-    n, m = system.n, system.m
-    g = nx.DiGraph(oracles.system_edges(system, sel))
-    g.add_nodes_from(range(n))
-    k_edges = [
-        (n + m + j, n + i) for i, j in oracles.k_stars(system) if i in sel.inputs and j in sel.outputs
-    ]
-    return list(nx.strongly_connected_components(g)), k_edges
 
 
 def _check_type1(system, compiled, sel, type1_states):
     """Each state's SCC and smallest feedback edge in the witness, and the
     Type-1 states, are those of the expanded restricted digraph."""
     n, m = system.n, system.m
-    sccs, k_edges = _restricted_sccs(system, sel)
     cert = condition_a_witness(compiled.graph, sel)
     uncovered = []
-    for scc in sccs:
-        inside = sorted((a, b) for a, b in k_edges if a in scc and b in scc)
-        edge = [vertex_name(v, n, m) for v in inside[0]] if inside else None
+    for scc, edge in oracles.feedback_sccs(system, sel):
+        names = None if edge is None else [vertex_name(v, n, m) for v in edge]
         labels = [vertex_name(v, n, m) for v in sorted(scc)]
         for v in scc:
             if v < n:
-                assert cert[vertex_name(v, n, m)] == {"scc": labels, "feedback_edge": edge}
+                assert cert[vertex_name(v, n, m)] == {"scc": labels, "feedback_edge": names}
                 if edge is None:
                     uncovered.append(v)
     assert type1_states == [vertex_name(v, n, m) for v in sorted(uncovered)]
@@ -194,7 +179,7 @@ class TestWitness:
                 _check_hall(system, compiled, sel, witness["hall_violator"])
         # a failing select reads its Hall set off stage 3's cost-ordered matching
         full = Selection.full(system)
-        if mode == "continuous" and system.k_is_complete() and not compiled.condition_b(full):
+        if mode == "continuous" and system.k_is_complete() and not has_perfect_matching(compiled.graph, full):
             with pytest.raises(SystemHasSFMs) as exc:
                 select_min_cost_io(compiled)
             _check_hall(system, compiled, full, exc.value.witness["hall_violator"])
@@ -213,8 +198,8 @@ def test_unselected_input_keeps_only_its_own_edge():
         cost_y=(0,),
     )
     compiled = compile_system(system)
-    assert compiled.condition_b(Selection.full(system))
-    assert not compiled.condition_b(Selection([1], [0]))
+    assert has_perfect_matching(compiled.graph, Selection.full(system))
+    assert not has_perfect_matching(compiled.graph, Selection([1], [0]))
     assert not oracles.spanning_disjoint_cycles(system, Selection([1], [0]))
 
 
@@ -226,14 +211,15 @@ def test_unselected_input_keeps_only_its_own_edge():
         (Selection([0, 3], [0]), "input index 4 out of range 1..3"),
     ],
 )
-@pytest.mark.parametrize("condition", ["condition_a", "condition_b"])
+@pytest.mark.parametrize("condition", ["condition_a", "check_no_sfm"])
 def test_index_out_of_range_raises(demo, condition, sel, message):
     # a negative index must not wrap around to the last channel, nor send
     # condition (b)'s search into a loop: the alarm turns a hang into a failure
     def hang(signum, frame):
         raise TimeoutError(f"{condition} did not return")
 
-    check = getattr(compile_system(demo), condition)
+    compiled = compile_system(demo)
+    check = compiled.condition_a if condition == "condition_a" else lambda s: check_no_sfm(compiled, s)
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
@@ -287,8 +273,9 @@ class TestCompleteKSplit:
     @staticmethod
     def _split(compiled, sel):
         full = Selection.full(compiled.system)
-        return compiled.no_sfm(Selection(sel.inputs, full.outputs)) and compiled.no_sfm(
-            Selection(full.inputs, sel.outputs)
+        return (
+            check_no_sfm(compiled, Selection(sel.inputs, full.outputs)).ok
+            and check_no_sfm(compiled, Selection(full.inputs, sel.outputs)).ok
         )
 
     @pytest.mark.parametrize("mode", MODES)

@@ -13,7 +13,6 @@ import json
 from dataclasses import replace
 
 import hypothesis.strategies as st
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -122,25 +121,8 @@ class TestConditions:
         system, sel = case
         status, witness = compile_system(system).decide(sel)
         if status in (SfmStatus.TYPE1, SfmStatus.BOTH):
-            got = witness["type1_states"]
-            assert got == [f"x{v + 1}" for v in _states_outside_feedback_sccs(system, sel)]
-
-
-def _states_outside_feedback_sccs(system, sel):
-    """States whose SCC holds no feedback edge, with K expanded."""
-    n, m = system.n, system.m
-    g = nx.DiGraph(oracles.system_edges(system, sel))
-    g.add_nodes_from(range(n))
-    k_edges = [
-        (n + m + j, n + i)
-        for i, j in oracles.k_stars(system)
-        if i in sel.inputs and j in sel.outputs
-    ]
-    out = []
-    for scc in nx.strongly_connected_components(g):
-        if not any(a in scc and b in scc for a, b in k_edges):
-            out += [v for v in scc if v < n]
-    return sorted(out)
+            outside = (v for scc, edge in oracles.feedback_sccs(system, sel) if edge is None for v in scc)
+            assert witness["type1_states"] == [f"x{v + 1}" for v in sorted(outside) if v < system.n]
 
 
 @st.composite
