@@ -1,5 +1,6 @@
-"""The one stored system graph, its SCCs, B(A)'s maximum matching and
-reachability conditions.
+"""The one stored system graph, its SCCs, B(A)'s maximum matching,
+reachability conditions, and the package's augmenting-path search
+(:func:`_path`) and flip (:func:`_augment`).
 
 The system digraph D(A, B, C, K) has state edges x_j -> x_i (A_ij starred),
 input edges u_j -> x_i (B_ij), output edges x_j -> y_i (C_ij) and feedback
@@ -117,8 +118,9 @@ class SystemGraph:
     def state_matching(self) -> tuple[list[int], list[int]]:
         """B(A)'s maximum matching, on the state rows: the state matched to
         each x'_i, and the x'_i matched to each state, or -1.  Found by
-        Hopcroft-Karp once per graph; callers must not mutate it."""
-        return _hopcroft_karp(self.state_rows)
+        :func:`_maximum_matching` once per graph; callers must not mutate
+        it."""
+        return _maximum_matching(self.state_rows)
 
     @property
     def ek(self) -> list[tuple[int, int]]:
@@ -174,27 +176,90 @@ def _augment(w: int, parent: list[int], mate_s: list[int], mate_w: list[int]) ->
     """Flip the augmenting path that reached the free vertex ``w``, back to
     its free start: each vertex s on it takes the vertex w with
     ``parent[w] == s``, and ``mate_s``/``mate_w`` (each side's partners, -1
-    when free) are updated in place.  The one flip of the package:
-    Hopcroft-Karp's phases and each stage-3 side's greedy
-    (:mod:`ioselect.matching`) call it."""
+    when free) are updated in place.  The one flip of the package: each
+    path that :func:`_path` finds, for B(A)'s passes
+    (:func:`_maximum_matching`) and each stage-3 side's greedy
+    (:mod:`ioselect.matching`), and each path of Hopcroft-Karp's phases
+    (:func:`_hopcroft_karp`), is flipped by it."""
     while w >= 0:
         s = parent[w]
         mate_w[w], mate_s[s], w = s, w, mate_s[s]
 
 
-def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Maximum matching via Hopcroft-Karp.  ``adj[l]`` lists the right
-    neighbours of left vertex l, both sides numbered 0..len(adj)-1.
-    Returns each left and each right vertex's partner (or -1)."""
+def _path(s: int, nbr, mate_w: list[int], seen: list[bool], parent: list[int], reached: list[int]) -> int:
+    """The package's augmenting-path search: breadth-first from ``s``
+    past every marked vertex, over one growing list of the vertices on
+    ``s``'s side, marking and listing in ``reached`` what it reaches.
+    Returns the first free vertex reached, so the path to it (``parent``)
+    is a shortest one past the marks, or -1."""
+    queue = [s]
+    for s in queue:
+        for w in nbr[s]:
+            if not seen[w]:
+                seen[w] = True
+                reached.append(w)
+                parent[w] = s
+                if mate_w[w] < 0:
+                    return w
+                queue.append(mate_w[w])
+    return -1
+
+
+def _maximum_matching(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """A maximum matching: ``adj[l]`` lists the right neighbours of left
+    vertex l, both sides numbered 0..len(adj)-1.  Returns each left and
+    each right vertex's partner (or -1).
+
+    A first-fit start, then passes: in each, every free left vertex with
+    a neighbour makes one :func:`_path` search that skips the right
+    vertices this pass has already reached, and each path found is
+    flipped (:func:`_augment`).  The marks are reset at the start of a
+    pass and never cleared inside it, so a pass costs O(E).  A pass that
+    flips nothing leaves the matching as it found it, so a vertex one of
+    its searches skips was reached by an earlier search of it that found
+    no free vertex, and leads to none either: no free left vertex starts
+    an augmenting path, and the matching is maximum (Berge 1957).
+
+    Passes flip most paths early, but a successful search's marks can
+    block every other search of its pass, so a pass may flip a single
+    path and V passes cost O(V*E).  After ``size.bit_length()`` passes
+    (about log2 V) Hopcroft-Karp's phases (:func:`_hopcroft_karp`) finish
+    from the matching the passes left, so the whole costs O(E*sqrt(V)).
+    """
     size = len(adj)
     match_l = [-1] * size
     match_r = [-1] * size
     parent = [0] * size
-    for l, row in enumerate(adj):  # a greedy start leaves the phases little to do
+    for l, row in enumerate(adj):
         for r in row:
             if match_r[r] < 0:
                 match_l[l], match_r[r] = r, l
                 break
+    free = [l for l, r in enumerate(match_l) if r < 0 and adj[l]]
+    for _pass in range(size.bit_length()):
+        seen = [False] * size
+        reached: list[int] = []
+        failed: list[int] = []
+        for l in free:
+            w = _path(l, adj, match_r, seen, parent, reached)
+            if w < 0:
+                failed.append(l)
+            else:
+                _augment(w, parent, match_l, match_r)
+        if len(failed) == len(free):
+            return match_l, match_r
+        free = failed
+    _hopcroft_karp(adj, match_l, match_r, parent)
+    return match_l, match_r
+
+
+def _hopcroft_karp(adj: list[list[int]], match_l: list[int], match_r: list[int], parent: list[int]) -> None:
+    """Hopcroft-Karp's phases from the matching ``match_l``/``match_r``,
+    grown in place to a maximum one: each phase layers the graph
+    breadth-first from every free left vertex and flips a maximal set of
+    disjoint shortest augmenting paths, so O(sqrt(V)) phases of O(E) each
+    run.  ``parent`` is :func:`_augment`'s scratch list."""
+    size = len(adj)
     INF = size + 1
     while True:
         dist = [INF] * size
@@ -214,7 +279,7 @@ def _hopcroft_karp(adj: list[list[int]]) -> tuple[list[int], list[int]]:
                     dist[nxt] = dist[l] + 1
                     queue.append(nxt)
         if not found:
-            return match_l, match_r
+            return
 
         # Depth-first search for augmenting paths along the BFS layers.  The
         # vertex being scanned and its neighbour iterator live in locals;

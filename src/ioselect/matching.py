@@ -29,11 +29,13 @@ channel sets that do so are the bases of a transversal matroid, so the
 greedy algorithm (:func:`_greedy`) finds the cheapest exactly (Edmonds
 1971, "Matroids and the greedy algorithm").  An explicit partial K keeps
 one EK edge per star and does not split: its largest matching is one
-Hopcroft-Karp on the restricted rows
+:func:`~ioselect.graph_core._maximum_matching` on the restricted rows
 (:func:`ioselect.graph_core.restricted_rows`).  :func:`_largest` makes
 every largest matching here, either way: stage 3 reads it with the
 channels in (cost, index) order, condition (b) and the Hall witness with
-the selected channels in index order.
+the selected channels in index order.  Every matching grows, and the Hall
+witness is read, by the augmenting-path search
+:func:`ioselect.graph_core._path`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ioselect.graph_core import (
     SystemGraph,
     _augment,
-    _hopcroft_karp,
+    _maximum_matching,
+    _path,
     _require_hub,
     build_bipartite,
     restricted_rows,
@@ -84,9 +87,10 @@ class NoPerfectMatching(ModelError):
 
 def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: list[int]) -> list[int]:
     """The greedy of one side: try the vertices of ``starts`` in turn, and
-    keep one when an alternating path from it (:func:`_path`) reaches a
-    free vertex of the other side, flipping that path with Hopcroft-Karp's
-    flip (:func:`~ioselect.graph_core._augment`), until ``need`` are kept.
+    keep one when an alternating path from it reaches a free vertex of the
+    other side (:func:`~ioselect.graph_core._path`, breadth-first, so the
+    path is a shortest one past the marks), flipping that path
+    (:func:`~ioselect.graph_core._augment`), until ``need`` are kept.
     Returns the kept vertices, in the order kept.  A flip never unmatches
     a matched vertex, so they are the starts matched at the end.
 
@@ -112,23 +116,6 @@ def _greedy(starts: Iterable[int], need: int, nbr, mate_s: list[int], mate_w: li
             for v in reached:
                 seen[v] = False
     return kept
-
-
-def _path(s: int, nbr, mate_w: list[int], seen: list[bool], parent: list[int], reached: list[int]) -> int:
-    """One alternating search from ``s`` past every marked vertex, marking
-    and listing in ``reached`` what it reaches: the first free one, or -1."""
-    stack = [s]
-    while stack:
-        s = stack.pop()
-        for w in nbr[s]:
-            if not seen[w]:
-                seen[w] = True
-                reached.append(w)
-                parent[w] = s
-                if mate_w[w] < 0:
-                    return w
-                stack.append(mate_w[w])
-    return -1
 
 
 def complete_side(g: SystemGraph, side: int, chosen: Iterable[int]) -> tuple[list[int], Optional[list[int]]]:
@@ -185,12 +172,12 @@ def _hall(g: SystemGraph, keep: list[bool], rows, match_l: list[int]) -> NoPerfe
     free ones, and their neighbours, less the unselected channels.  That is
     the Dulmage-Mendelsohn set, the same for every largest matching.
 
-    One :func:`_path` runs from each free left vertex, and the searches
-    share their marks, so each right vertex is reached once.  A hub enters
-    as one more matched pair, left and right vertex ``size``, so a search
-    that reaches a selected input reaches every selected output, as K's
-    stars would take it.  No search may reach a free vertex, since the
-    matching is largest.
+    One :func:`~ioselect.graph_core._path` runs from each free left
+    vertex, and the searches share their marks, so each right vertex is
+    reached once.  A hub enters as one more matched pair, left and right
+    vertex ``size``, so a search that reaches a selected input reaches
+    every selected output, as K's stars would take it.  No search may
+    reach a free vertex, since the matching is largest.
     """
     size = g.size
     match_r = [-1] * (size + 1)
@@ -218,12 +205,13 @@ def _largest(g: SystemGraph, sel: Optional[Selection], orders=None, rows=None) -
 
     With a hub, each side completed over its channels in ``orders`` (one
     iterable per side), by default ``sel``'s in index order, and the two
-    joined (:func:`_join`).  With a partial K, Hopcroft-Karp's on the
-    restricted rows ``rows`` (:func:`~ioselect.graph_core.restricted_rows`),
-    built here when not given.  Callers range-check ``sel``.
+    joined (:func:`_join`).  With a partial K, the maximum matching
+    (:func:`~ioselect.graph_core._maximum_matching`) of the restricted rows
+    ``rows`` (:func:`~ioselect.graph_core.restricted_rows`), built here
+    when not given.  Callers range-check ``sel``.
     """
     if not g.hub:
-        return _hopcroft_karp(rows or restricted_rows(g, sel)[1])[0]
+        return _maximum_matching(rows or restricted_rows(g, sel)[1])[0]
     if orders is None:
         orders = (range(g.m), range(g.p)) if sel is None else (sel.sorted_inputs(), sel.sorted_outputs())
     return _join(g, *(complete_side(g, side, chosen)[0] for side, chosen in enumerate(orders)))
@@ -241,7 +229,7 @@ def hall_set(g: SystemGraph, sel: Optional[Selection] = None) -> Optional[NoPerf
     has a perfect matching; otherwise the :class:`NoPerfectMatching` that
     :func:`_hall` builds on the one largest matching :func:`_largest`
     found, under the ids of ``g``.  The restricted rows are joined at most
-    once, and a partial K's Hopcroft-Karp reads the same rows.  A caller
+    once, and a partial K's maximum matching reads the same rows.  A caller
     that wants only the yes/no reads :func:`has_perfect_matching`, which
     builds no witness.  Callers range-check ``sel``.
     """

@@ -115,6 +115,12 @@ def _stream(seed: int, attempt: int, channel: int) -> int:
     return _mix64((seed + _GAMMA * (8 * attempt + channel)) & _MASK64)
 
 
+# The most pattern cells one attempt draws, n*n + n*m + p*n: every cell of
+# A, B and C is one draw, kept or not.  The largest shape generated in this
+# repository, scripts/bench_layers.py's sparse-6400, draws 4.9e7.
+CELL_LIMIT = 50_000_000
+
+
 class GenerationFailed(ModelError):
     def __init__(self, attempts: int):
         self.attempts = attempts
@@ -141,6 +147,11 @@ class GeneratorConfig:
     def __post_init__(self):
         if not all(1 <= size <= SIZE_LIMIT for size in (self.n, self.m, self.p)):
             raise ModelError(f"sizes must be at least 1 and at most {SIZE_LIMIT}")
+        cells = self.n * (self.n + self.m + self.p)
+        if cells > CELL_LIMIT:
+            raise ModelError(
+                f"an attempt would draw {cells} pattern cells (n*n + n*m + p*n), over the limit {CELL_LIMIT}"
+            )
         if self.max_attempts < 1:
             raise ModelError("max_attempts must be at least 1")
         for name in ("state_density", "input_density", "output_density"):
@@ -387,8 +398,8 @@ def _run_trial(config: GeneratorConfig, trial: int, oracle: bool) -> BenchRecord
     search past its work budget leaves ``oracle_cost`` and ``ratio`` None.
 
     The trial compiles the drawn system again although :func:`generate`'s
-    rejection test already compiled it, ran B(A)'s Hopcroft-Karp (the
-    maximum matching of the state rows) and built both side lists
+    rejection test already compiled it, found B(A)'s maximum matching (of
+    the state rows) and built both side lists
     (``state_cols`` and ``rows_to_states``): reusing that analysis would
     take them out of the record's ``select`` time.
     """

@@ -344,7 +344,7 @@ def select_min_cost_io(system: Union[StructuredSystem, CompiledSystem]) -> Selec
     timings = dict(compiled.timings)
     continuous = system.mode == "continuous"
     with timed(timings, "state_matching"):
-        graph.state_matching  # B(A)'s Hopcroft-Karp, read by the tags and both stage-3 sides
+        graph.state_matching  # B(A)'s maximum matching, read by the tags and both stage-3 sides
     with timed(timings, "special_cases"):
         tags = applicable_special_cases(compiled) or (CASE_GENERAL,)
         cond_a = compiled.condition_a(Selection.full(system))

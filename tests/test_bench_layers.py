@@ -96,3 +96,19 @@ def test_gap_is_the_median_of_paired_repeats(monkeypatch, tmp_path):
     assert record["layers_s"] == {"a": 1.0, "b": 1.0}
     assert record["layer_sum_s"] == 2.0 and record["end_to_end_s"] == 3.1
     assert record["gap_s"] == 0.3
+
+
+def test_generated_shapes_fit_the_cell_limit():
+    # the generator refuses an attempt of more than CELL_LIMIT pattern
+    # cells; the largest shape generated here, sparse-6400, fits.  Only the
+    # configs are built, and nothing is drawn
+    from ioselect.oracle_bench import CELL_LIMIT
+
+    generated = {
+        name: build.__self__.config
+        for name, build in bench_layers._shapes().items()
+        if isinstance(getattr(build, "__self__", None), bench_layers.workloads.Generated)
+    }
+    cells = {name: c.n * (c.n + c.m + c.p) for name, c in generated.items()}
+    assert max(cells, key=cells.get) == "sparse-6400"
+    assert cells["sparse-6400"] == 49_152_000 <= CELL_LIMIT

@@ -28,7 +28,7 @@ import oracles
 from conftest import make_system
 from ioselect import selector as selector_mod
 from ioselect.certify import certify_cycle_cover
-from ioselect.graph_core import _hopcroft_karp, restricted_rows
+from ioselect.graph_core import _maximum_matching, restricted_rows
 from ioselect.matching import NoPerfectMatching, extract_io, min_cost_perfect_matching
 from ioselect.selector import (
     SystemHasSFMs,
@@ -156,9 +156,9 @@ class TestCertifier:
     @settings(max_examples=150)
     @given(data=st.data())
     def test_stage3_matchings_of_any_k(self, data):
-        # select and stage 3 refuse a partial K; condition (b)'s
-        # Hopcroft-Karp still matches its graph, which keeps one edge per K
-        # star, so its perfect matchings exercise the K test
+        # select and stage 3 refuse a partial K; condition (b)'s maximum
+        # matching still matches its graph, which keeps one edge per K star,
+        # so its perfect matchings exercise the K test
         system = data.draw(any_system("continuous"))
         g = compile_system(system).graph
         if g.hub:
@@ -167,7 +167,7 @@ class TestCertifier:
             except NoPerfectMatching:
                 return
         else:
-            partners = _hopcroft_karp(restricted_rows(g, None)[1])[0]
+            partners = _maximum_matching(restricted_rows(g, None)[1])[0]
             if -1 in partners:
                 return
         sel, _cost = extract_io(g, partners)

@@ -502,6 +502,17 @@ class TestGen:
         ):
             assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
 
+    def test_cell_limit_exits_2_before_any_draw(self, capsys, monkeypatch):
+        from ioselect import oracle_bench
+
+        # 8*8 + 8*3 + 3*8 = 112 cells past a limit of 100, refused for each
+        # size bench is given, before its first draw
+        monkeypatch.setattr(oracle_bench, "CELL_LIMIT", 100)
+        monkeypatch.setattr(oracle_bench, "_draw_pattern", None)
+        error = "error: an attempt would draw 112 pattern cells (n*n + n*m + p*n), over the limit 100\n"
+        assert run(capsys, "gen", "--n", "8", "--m", "3", "--p", "3") == (EXIT_USAGE, "", error)
+        assert run(capsys, "bench", "--n", "4,8", "--m", "3", "--p", "3") == (EXIT_USAGE, "", error)
+
 
 def untimed(jsonl: str) -> list[dict]:
     """A bench JSONL stream's records less their wall-clock fields: each

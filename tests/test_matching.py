@@ -1,7 +1,8 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import oracles
 from conftest import hall_ids, make_system, matching_cost, systems, systems_with_selection
@@ -13,6 +14,10 @@ from ioselect.graph_core import (
     EDGE_EY,
     EDGE_EYY,
     SystemGraph,
+    _augment,
+    _hopcroft_karp,
+    _maximum_matching,
+    _path,
 )
 from ioselect.matching import (
     NoPerfectMatching,
@@ -128,6 +133,94 @@ class TestPerfectMatching:
         assert set(matched) <= set(pairs)
         assert len({r for _l, r in matched}) == len(matched)
         assert len(matched) == oracles.matching_size(g.size, g.size, pairs)
+
+
+@st.composite
+def square_adjacency(draw, max_n=40):
+    """Adjacency lists of a bipartite graph with n left and n right
+    vertices, n up to ``max_n``: rows of 0-6 distinct right vertices, in
+    any order, so empty rows and empty columns come up."""
+    n = draw(st.integers(0, max_n))
+    row = st.lists(st.integers(0, n - 1), max_size=min(n, 6), unique=True) if n else st.just([])
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestMaximumMatching:
+    @given(square_adjacency())
+    @example([])
+    @example([[], [], []])
+    @example([[0, 1], [0]])  # first fit takes 0 for row 0; one path is left
+    @example([[1], [0, 1], [1, 2]])  # column 0 is row 1's alone
+    @example([[0, 1], [0, 1], [0, 1]])
+    def test_size_and_partners_match_reference(self, adj):
+        self._check(adj, *_maximum_matching(adj))
+        # Hopcroft-Karp's phases, which finish a long run of passes, grow
+        # the empty matching to a maximum one too
+        match_l, match_r = [-1] * len(adj), [-1] * len(adj)
+        _hopcroft_karp(adj, match_l, match_r, [0] * len(adj))
+        self._check(adj, match_l, match_r)
+
+    @staticmethod
+    def _check(adj, match_l, match_r):
+        n = len(adj)
+        assert len(match_l) == len(match_r) == n
+        for l, r in enumerate(match_l):
+            assert r < 0 or (match_r[r] == l and r in adj[l])
+        for r, l in enumerate(match_r):
+            assert l < 0 or match_l[l] == r
+        size = sum(r >= 0 for r in match_l)
+        assert size == sum(l >= 0 for l in match_r)
+        assert size == oracles.matching_size(n, n, [(l, r) for l, row in enumerate(adj) for r in row])
+
+    @given(systems_with_selection(), st.data())
+    def test_partial_k_largest_matches_reference(self, pair, data):
+        """A partial K's largest matching, one _maximum_matching on the
+        restricted rows, is a matching of the full graph as large as the
+        restricted system's maximum one and one own edge per unselected
+        channel, which has no other edge."""
+        from ioselect.matching import _largest
+
+        system, sel = pair
+        stars = data.draw(st.frozensets(st.tuples(st.integers(0, system.m - 1), st.integers(0, system.p - 1))))
+        assume(len(stars) < system.m * system.p)
+        system = replace(system, K=SparsityPattern(system.m, system.p, stars))
+        g = build_bipartite(system)
+        assert not g.hub
+        n, out0 = system.n, system.n + system.m
+        kept = [n + i for i in sel.inputs] + [out0 + j for j in sel.outputs]
+        unselected = set(range(n, g.size)) - set(kept)
+        match_l = _largest(g, sel)
+        matched = [(l, r) for l, r in enumerate(match_l) if r >= 0]
+        assert set(matched) <= set(oracles.bipartite_pairs(system))
+        assert len({r for _l, r in matched}) == len(matched)
+        assert all(match_l[v] in (v, -1) for v in unselected)
+        pairs = [(dst, src) for src, dst in oracles.system_edges(system, sel)] + [(v, v) for v in kept]
+        assert len(matched) == oracles.matching_size(g.size, g.size, pairs) + len(unselected)
+
+    @pytest.mark.parametrize(
+        "nbr,mate_w,short,flipped",
+        [
+            # root 0 reaches free right 1 by one edge, and free right 2 by
+            # three, 0 -> r0 = l1 -> r2, whose first edge it scans first
+            ([[0, 1], [2], []], [1, -1, -1], 1, [1, 0, -1]),
+            # five edges to right 4 through r0 = l1 and r2 = l3, which a
+            # depth-first search from the last neighbour takes, and three
+            # to right 3 through r1 = l2
+            ([[1, 0], [2], [3], [4], []], [1, 2, 3, -1, -1], 3, [1, 0, 3, 2, -1]),
+        ],
+        ids=["one_or_three", "three_or_five"],
+    )
+    def test_path_flips_a_shortest_augmenting_path(self, nbr, mate_w, short, flipped):
+        size = len(nbr)
+        mate_s = [-1] * size
+        for w, s in enumerate(mate_w):
+            if s >= 0:
+                mate_s[s] = w
+        parent = [0] * size
+        assert _path(0, nbr, mate_w, [False] * size, parent, []) == short
+        _augment(short, parent, mate_s, mate_w)
+        assert mate_w == flipped
+        assert all(mate_s[s] == w for w, s in enumerate(mate_w) if s >= 0)
 
 
 class TestHallWitness:

@@ -275,7 +275,29 @@ class TestGeneratorConfig:
         for sizes in ((SIZE_LIMIT + 1, 1, 1), (1, SIZE_LIMIT + 1, 1), (1, 1, SIZE_LIMIT + 1)):
             with pytest.raises(ModelError, match=f"at most {SIZE_LIMIT}"):
                 GeneratorConfig(*sizes)
-        GeneratorConfig(SIZE_LIMIT, SIZE_LIMIT, SIZE_LIMIT)
+        # sizes at the limit pass the size check; their cells are the cell
+        # limit's to refuse
+        with pytest.raises(ModelError, match="pattern cells"):
+            GeneratorConfig(SIZE_LIMIT, SIZE_LIMIT, SIZE_LIMIT)
+
+    def test_cell_limit_refuses_before_any_draw(self, monkeypatch):
+        # n*n + n*m + p*n cells, each one draw: 8*8 + 8*1 + 1*8 = 80 fits a
+        # limit of 80, and one more input column does not; nothing is drawn
+        monkeypatch.setattr(oracle_bench, "CELL_LIMIT", 80)
+        monkeypatch.setattr(oracle_bench, "_draw_pattern", None)
+        GeneratorConfig(8, 1, 1)
+        message = r"an attempt would draw 88 pattern cells \(n\*n \+ n\*m \+ p\*n\), over the limit 80"
+        with pytest.raises(ModelError, match=message):
+            GeneratorConfig(8, 2, 1)
+        with pytest.raises(ModelError, match="88 pattern cells"):
+            GeneratorConfig(8, 1, 2)
+
+    def test_cell_limit_at_scale(self):
+        # only the configs are built: one draw of 10^10 cells would take
+        # about 2,400 s and 400 GB
+        with pytest.raises(ModelError, match="10000200000 pattern cells"):
+            GeneratorConfig(SIZE_LIMIT, 1, 1)
+        GeneratorConfig(7000, 1, 1)
 
     def test_one_attempt_is_enough(self):
         # the least max_attempts is 1: it constructs, and 0 does not
@@ -681,7 +703,7 @@ class TestBench:
 
     def test_state_matching_inside_select_time(self, monkeypatch):
         # the record's "select" time runs from the trial's compile to the
-        # end of select_min_cost_io; B(A)'s Hopcroft-Karp, cached on the
+        # end of select_min_cost_io; B(A)'s maximum matching, cached on the
         # trial's graph, runs once after that compile, and inside the select
         import ioselect.graph_core as graph_core
         import ioselect.oracle_bench as oracle_bench
@@ -703,11 +725,11 @@ class TestBench:
 
         wrap(oracle_bench, "compile_system", "compile")
         wrap(oracle_bench, "select_min_cost_io", "select", "select returned")
-        wrap(graph_core, "_hopcroft_karp", "hopcroft_karp")
+        wrap(graph_core, "_maximum_matching", "maximum_matching")
         records, _ = bench([self.CFG], trials=1)
         assert records[0].feasible
         # the generator's own compile and matching come first
-        assert events[-4:] == ["compile", "select", "hopcroft_karp", "select returned"]
+        assert events[-4:] == ["compile", "select", "maximum_matching", "select returned"]
 
     def test_zero_cost_optimum_flagged(self):
         cfg = replace(self.CFG, cost_range=("0", "0"))

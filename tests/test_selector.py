@@ -793,9 +793,9 @@ class TestBuildOnce:
 
     # Stage 3's two one-sided searches also decide condition (b) of the full
     # selection, and the final check verifies its matching without a
-    # search.  The one Hopcroft-Karp run finds B(A)'s maximum matching,
+    # search.  The one _maximum_matching run finds B(A)'s maximum matching,
     # which gives the state_pm tag and seeds both sides.
-    FLOWS = ["matching._greedy", "graph_core._hopcroft_karp", "selector.check_no_sfm"]
+    FLOWS = ["matching._greedy", "graph_core._maximum_matching", "selector.check_no_sfm"]
 
     @pytest.mark.parametrize(
         "mode,flows",
@@ -806,19 +806,19 @@ class TestBuildOnce:
         select_min_cost_io(replace(demo, mode=mode))
         assert counts == dict(zip(self.FLOWS, flows))
 
-    def test_one_hopcroft_karp_per_exact_select(self, demo, monkeypatch):
+    def test_one_maximum_matching_per_exact_select(self, demo, monkeypatch):
         # every masked condition (b) of the exact search starts from the same
         # cached B(A) matching
         counts = wrap_counting(monkeypatch, self.FLOWS)
         exact_report(select_min_cost_io(demo))
         assert counts["matching._greedy"] > 2
-        assert counts["graph_core._hopcroft_karp"] == 1
+        assert counts["graph_core._maximum_matching"] == 1
 
     def test_failing_select_searches_once(self, monkeypatch):
         # two states compete for the one u/y pair: stage 3's two sides fail,
         # and the one reach over their joined matching is the Hall witness;
         # no second search runs for it
-        names = ["matching._greedy", "matching._hall", "matching.hall_set", "graph_core._hopcroft_karp"]
+        names = ["matching._greedy", "matching._hall", "matching.hall_set", "graph_core._maximum_matching"]
         counts = wrap_counting(monkeypatch, names)
         with pytest.raises(SystemHasSFMs) as exc:
             select_min_cost_io(shared_pair_system())
@@ -830,11 +830,11 @@ class TestBuildOnce:
     # (a) and one SCC pass names its states; one largest matching, a greedy
     # per side, decides (b) and gives its Hall set.  With a partial K the
     # one SCC pass decides (a) too, and the Hall set reads the rows that
-    # Hopcroft-Karp matched.  Compile's SCC pass of D(A) is counted, and so
-    # is B(A)'s Hopcroft-Karp, which the complete K's sides start from.
+    # _maximum_matching matched.  Compile's SCC pass of D(A) is counted, and
+    # so is B(A)'s maximum matching, which the complete K's sides start from.
     SEARCHES = [
         "matching._largest", "matching.complete_side", "matching._hall",
-        "graph_core.restricted_rows", "graph_core._tarjan", "graph_core._hopcroft_karp",
+        "graph_core.restricted_rows", "graph_core._tarjan", "graph_core._maximum_matching",
     ]
 
     @pytest.mark.parametrize(
@@ -861,7 +861,7 @@ class TestBuildOnce:
     # check_no_sfm decides the same selection with no witness: the covers
     # decide (a) with a complete K, so its one SCC pass is compile's,
     # and one largest matching decides (b) with no Hall set.  A partial K's
-    # SCC pass and Hopcroft-Karp each join the restricted rows once.
+    # SCC pass and maximum matching each join the restricted rows once.
     @pytest.mark.parametrize(
         "k,searches",
         [(None, (1, 2, 0, 0, 1, 1)), ({(1, 1), (2, 1)}, (1, 0, 0, 2, 2, 1))],
@@ -896,10 +896,11 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("seed", [2, 3, 4])  # nu(B(A)) = n - 2, n - 2, n - 1
     def test_stage3_augments_n_minus_nu_times(self, monkeypatch, seed):
-        # every augmenting path is flipped by the one _augment: Hopcroft-Karp
-        # flips nu(B(A)) less its first-fit start's size, once per graph;
-        # then each side starts from B(A)'s maximum matching and keeps
-        # exactly n - nu(B(A)) channels, one augmenting path each
+        # every augmenting path is flipped by the one _augment: B(A)'s
+        # _maximum_matching flips nu(B(A)) less its first-fit start's size,
+        # once per graph; then each side starts from B(A)'s maximum
+        # matching and keeps exactly n - nu(B(A)) channels, one augmenting
+        # path each
         from ioselect.oracle_bench import GeneratorConfig, generate
 
         system = generate(
@@ -911,16 +912,80 @@ class TestBuildOnce:
         nu = oracles.matching_size(system.n, system.n, sorted(system.A.stars))
         assert nu < system.n
         taken: set[int] = set()
-        for row in system.A.by_row:  # Hopcroft-Karp's first-fit start
+        for row in system.A.by_row:  # _maximum_matching's first-fit start
             taken.update([r for r in row if r not in taken][:1])
-        counts = wrap_counting(monkeypatch, ["graph_core._augment", "graph_core._hopcroft_karp"])
+        counts = wrap_counting(monkeypatch, ["graph_core._augment", "graph_core._maximum_matching"])
         g = build_bipartite(system)
         assert g.state_matching[0].count(-1) == system.n - nu
-        assert counts == {"graph_core._augment": nu - len(taken), "graph_core._hopcroft_karp": 1}
+        assert counts == {"graph_core._augment": nu - len(taken), "graph_core._maximum_matching": 1}
         counts["graph_core._augment"] = 0
         sel, _cost = matching_mod.extract_io(g, matching_mod.min_cost_perfect_matching(g))
-        assert counts == {"graph_core._augment": 2 * (system.n - nu), "graph_core._hopcroft_karp": 1}
+        assert counts == {"graph_core._augment": 2 * (system.n - nu), "graph_core._maximum_matching": 1}
         assert len(sel.inputs) == len(sel.outputs) == system.n - nu
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_matching_searches_each_free_row_once_per_pass(self, monkeypatch, seed):
+        # B(A)'s matching runs in passes: each pass makes one _path search
+        # from every row that is free at its start and has a neighbour, in
+        # ascending order, with one set of marks; every pass but the last
+        # flips a path, and the last flips none
+        from ioselect import graph_core
+
+        rows = oracles.scale_system(1600, seed).A.by_row
+        original = graph_core._path
+        passes: list[tuple[list, list[int], list[int], list[int]]] = []  # marks, free rows, roots, results
+
+        def recording(s, nbr, mate_w, seen, parent, reached):
+            if not passes or passes[-1][0] is not seen:
+                matched = set(mate_w) - {-1}
+                passes.append((seen, [l for l, row in enumerate(nbr) if row and l not in matched], [], []))
+            passes[-1][2].append(s)
+            passes[-1][3].append(original(s, nbr, mate_w, seen, parent, reached))
+            return passes[-1][3][-1]
+
+        monkeypatch.setattr(graph_core, "_path", recording)
+        counts = wrap_counting(monkeypatch, ["graph_core._path"])
+        match_l, _match_r = graph_core._maximum_matching(rows)
+        assert len(passes) > 2
+        assert counts["graph_core._path"] == sum(len(roots) for _seen, _free, roots, _found in passes)
+        for _seen, free, roots, _found in passes:
+            assert roots == free
+        assert all(max(found) >= 0 for *_rest, found in passes[:-1])
+        assert max(passes[-1][3]) < 0
+        # the rows left free are the last pass's roots and the empty rows
+        assert match_l.count(-1) == len(passes[-1][2]) + sum(not row for row in rows)
+
+    def test_chain_state_matching_makes_no_search(self, workloads, monkeypatch):
+        # the chain shape's first-fit start is already perfect, so B(A)'s
+        # matching searches nothing
+        counts = wrap_counting(monkeypatch, ["graph_core._path", "graph_core._augment"])
+        for n in (128, 640, 3000):
+            g = build_bipartite(workloads.Chain(n, 0).build())
+            assert -1 not in g.state_matching[0]
+        assert counts == {"graph_core._path": 0, "graph_core._augment": 0}
+
+    def test_state_matching_passes_stop_at_bit_length(self, monkeypatch):
+        # H = [0, 1..k], M_i = [i, k + i], L_i = [0, i]: first fit matches H
+        # and every M_i and leaves every L_i free.  In each pass the first
+        # L's search reaches every column i through H before it flips its
+        # M's path, so every later L fails and a pass flips one path.  The
+        # passes stop after size.bit_length(), and one Hopcroft-Karp run
+        # flips the other k - 11 paths, where k passes would search k^2/2
+        # times
+        from ioselect import graph_core
+
+        k = 1000
+        rows = [list(range(k + 1))] + [[i, k + i] for i in range(1, k + 1)] + [[0, i] for i in range(1, k + 1)]
+        passes = len(rows).bit_length()
+        assert passes == 11
+        counts = wrap_counting(monkeypatch, ["graph_core._path", "graph_core._augment", "graph_core._hopcroft_karp"])
+        match_l, _match_r = graph_core._maximum_matching(rows)
+        assert -1 not in match_l
+        assert counts == {
+            "graph_core._path": sum(k - t for t in range(passes)),
+            "graph_core._augment": k,
+            "graph_core._hopcroft_karp": 1,
+        }
 
     def test_diagonal_check_searches_each_channel_once(self, monkeypatch):
         # A empty, B and C diagonal: nu(B(A)) = 0, so every state row and
@@ -1080,7 +1145,7 @@ class TestBuildOnce:
 
 class TestRobustness:
     def test_long_chain_within_default_recursion_limit(self):
-        # Hopcroft-Karp's greedy start matches each x_i' but x_n' to x_i,
+        # B(A)'s first-fit start matches each x_i' but x_n' to x_i,
         # and the one augmenting path left walks the whole cycle
         import sys
 
